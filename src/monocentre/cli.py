@@ -8,7 +8,8 @@ loaded through canonical constructors, every enumeration is
 canonically ordered, and JSON reports are emitted with sorted keys.
 
 Exit codes: 0 all certificates passed, 1 at least one failed,
-2 malformed input, 3 a size guard refused the computation.
+2 malformed input, 3 a size guard refused the computation, 4 an internal
+soundness error (two independent routes disagreed: a bug, not a FAIL).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 
 from .bilimits import descent_object, validate_cosimplicial
 from .centre import Certificate, compute_centre
-from .config import DEFAULT, GuardConfig, SizeGuardExceeded
+from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .convolution import (
     cardinality_check,
     check_set_transf,
@@ -337,7 +338,8 @@ def _config_epilog() -> str:
         "  0  every requested certificate passed\n"
         "  1  at least one certificate failed\n"
         "  2  malformed input (schema violation, bad reference, bad config)\n"
-        "  3  a size guard refused the computation\n\n"
+        "  3  a size guard refused the computation\n"
+        "  4  internal soundness error: two independent routes disagreed\n\n"
         "configuration:\n"
         "  --config FILE reads a JSON object of guard overrides; environment\n"
         "  variables MONOCENTRE_<NAME> (e.g. MONOCENTRE_VEC_DIM_BOUND)\n"
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
     except SizeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalSoundnessError as exc:
+        print(f"error: internal soundness error: {exc}", file=sys.stderr)
+        return 4
     exit_code = 0 if all(c.ok for s in sections
                          for c in s.certificates) else 1
     if args.emit == "json":

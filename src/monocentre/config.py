@@ -48,7 +48,9 @@ class GuardConfig:
     vec_max_group: largest group order the linear backend accepts.
     vec_dim_bound: largest carrier total dimension the linear backend will
         attempt when hunting for simples.
-    workers: accepted for forward compatibility; evaluation is sequential.
+
+    Every field must be a nonnegative int (not a bool), however the
+    config was built: defaults, a file, the environment or raised().
     """
 
     max_objects: int = 64
@@ -59,7 +61,13 @@ class GuardConfig:
     closure_cap: int = 500_000
     vec_max_group: int = 8
     vec_dim_bound: int = 6
-    workers: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if type(val) is not int or val < 0:
+                raise ValueError(f"guard {f.name} must be a nonnegative integer, "
+                                 f"got {val!r}")
 
     def raised(self, **overrides) -> "GuardConfig":
         return replace(self, **overrides)
@@ -74,10 +82,10 @@ class GuardConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"config file {path}: unknown keys {unknown}")
-        for key, val in raw.items():
-            if not isinstance(val, int) or val < 0:
-                raise ValueError(f"config file {path}: {key} must be a nonnegative integer")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from exc
 
     def with_env(self) -> "GuardConfig":
         """Apply MONOCENTRE_<FIELD> environment overrides on top of self."""

@@ -1,9 +1,20 @@
 """Exact cyclotomic field arithmetic and linear algebra.
 
-A CycNumber is a residue modulo the n-th cyclotomic polynomial with
-Fraction coefficients; every operation is exact.  Same-order values have a
-unique reduced form, so equality and hashing are reliable within one field
-order; mixed-order operands are promoted to the lcm order first.  The
+An element of the n-th cyclotomic field Q(zeta_n) is stored in the power
+basis 1, z, ..., z^(phi(n)-1) as phi(n) integer numerators over one
+positive integer denominator.  The pair is normalized: the gcd of the
+denominator and all numerators is 1, and zero is (0, ..., 0) / 1.  So
+same-order values have a unique representation, and equality and hashing
+are reliable within one field order; mixed-order operands are promoted to
+the lcm order first.
+
+Phi_n is monic with integer coefficients, so reduction never leaves the
+integers: a product is an integer convolution whose degrees >= phi(n) are
+folded back through a table of z^k mod Phi_n, built per order on first
+use.  An inverse is the product of the other Galois conjugates over the
+norm, which is rational.  The matrix routines work in the lcm order of
+their entries and accumulate each entry as one unreduced integer
+polynomial over a common denominator, reducing and normalizing once.  The
 linear solver is plain Gauss-Jordan over the field, returning a particular
 solution and a kernel basis.
 """
@@ -13,68 +24,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _poly_trim(p):
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [_F0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [_F0] * (n - len(p))
-    q = list(q) + [_F0] * (n - len(q))
-    return _poly_trim([a - b for a, b in zip(p, q)])
-
-
-def _poly_divmod(p, q):
-    """Exact division with remainder by a monic-leading polynomial q."""
-    p = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    quot = [_F0] * max(len(p) - dq, 0)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = p[i] / lead
-        if c != 0:
-            quot[i - dq] = c
-            for j in range(dq + 1):
-                p[i - dq + j] -= c * q[j]
-    return _poly_trim(quot), _poly_trim(p)
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int):
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n < 1:
         raise ValueError("order must be positive")
-    num = [_F0] * (n + 1)
-    num[0], num[n] = Fraction(-1), _F1
-    num = tuple(num)
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod(num, cyclotomic_poly(d))
-            if r:
-                raise AssertionError("cyclotomic division left a remainder")
-            num = q
-    return num
+        if n % d:
+            continue
+        q = cyclotomic_poly(d)
+        dq = len(q) - 1
+        quot = [0] * (len(p) - dq)
+        for i in range(len(p) - 1, dq - 1, -1):
+            c = p[i]
+            if c:
+                quot[i - dq] = c
+                for j in range(dq + 1):
+                    p[i - dq + j] -= c * q[j]
+        if any(p):
+            raise AssertionError("cyclotomic division left a remainder")
+        p = quot
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
@@ -82,29 +57,75 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce(coeffs, n):
+@lru_cache(maxsize=None)
+def _fold_table(n):
+    """(phi(n), rows): row k - phi(n) holds z^k mod Phi_n as nonzero
+    (degree, coefficient) pairs, for phi(n) <= k < max(n, 2 phi(n) - 1).
+    That covers products, Galois images, embeddings and powers of zeta."""
     phi = euler_phi(n)
-    if len(coeffs) >= phi + 1:
-        _, coeffs = _poly_divmod(coeffs, cyclotomic_poly(n))
-    return tuple(coeffs) + (_F0,) * (phi - len(coeffs))
+    low = cyclotomic_poly(n)[:-1]
+    rows = []
+    cur = [0] * (phi - 1) + [1]
+    for _ in range(phi, max(n, 2 * phi - 1)):
+        t = cur[-1]
+        cur = [0] + cur[:-1]
+        if t:
+            cur = [c - t * d for c, d in zip(cur, low)]
+        rows.append(tuple(_sparse(cur)))
+    return phi, tuple(rows)
+
+
+def _reduce(n, p):
+    """The integer polynomial p (a list, low degree first, within the fold
+    table) modulo Phi_n, as phi(n) ints."""
+    phi, rows = _fold_table(n)
+    if len(p) <= phi:
+        return tuple(p) + (0,) * (phi - len(p))
+    out = p[:phi]
+    for k in range(phi, len(p)):
+        c = p[k]
+        if c:
+            for j, t in rows[k - phi]:
+                out[j] += c * t
+    return tuple(out)
 
 
 class CycNumber:
-    """An element of the n-th cyclotomic field, in reduced canonical form."""
+    """An element of the n-th cyclotomic field.
 
-    __slots__ = ("order", "coeffs")
+    `nums` holds phi(n) integer numerators in the power basis and `den` one
+    positive denominator, gcd-normalized, with zero as (0, ..., 0) / 1.  The
+    Fraction tuple `coeffs` is derived from them on request.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coeffs):
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "coeffs",
-                           _reduce(tuple(Fraction(c) for c in coeffs), self.order))
+        order = int(order)
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        p = [0] * order  # z^n = 1 brings any length within the fold table
+        for i, f in enumerate(fracs):
+            p[i % order] += f.numerator * (den // f.denominator)
+        x = _make(order, _reduce(order, p), den)
+        _set_order(self, order)
+        _set_nums(self, x.nums)
+        _set_den(self, x.den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycNumber is immutable")
 
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
     @staticmethod
     def from_rational(order, value) -> "CycNumber":
-        return CycNumber(order, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _make(order, (value.numerator,) + (0,) * (euler_phi(order) - 1),
+                     value.denominator)
 
     def promote(self, order: int) -> "CycNumber":
         if order == self.order:
@@ -112,37 +133,44 @@ class CycNumber:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into {order}")
         k = order // self.order
-        out = [_F0] * ((len(self.coeffs) - 1) * k + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] += c
-        return CycNumber(order, out)
+        p = [0] * ((len(self.nums) - 1) * k + 1)
+        for i, c in enumerate(self.nums):
+            p[i * k] = c
+        return _make(order, _reduce(order, p), self.den)
 
     def _match(self, other):
+        if type(other) is CycNumber and other.order == self.order:
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(self.order, other)
         if not isinstance(other, CycNumber):
             return None, None
         if self.order == other.order:
             return self, other
-        lcm = self.order * other.order // gcd(self.order, other.order)
-        return self.promote(lcm), other.promote(lcm)
+        n = lcm(self.order, other.order)
+        return self.promote(n), other.promote(n)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         a, b = self._match(other)
         if a is None:
             return NotImplemented
-        return CycNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _make(a.order, tuple(map(op, a.nums, b.nums)), a.den)
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return _make(a.order, tuple(op(x * sa, y * sb) for x, y in zip(a.nums, b.nums)),
+                     den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-x for x in self.coeffs))
+        return _make(self.order, tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other):
-        a, b = self._match(other)
-        if a is None:
-            return NotImplemented
-        return CycNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -151,24 +179,24 @@ class CycNumber:
         a, b = self._match(other)
         if a is None:
             return NotImplemented
-        return CycNumber(a.order, _poly_mul(a.coeffs, b.coeffs))
+        return _make(a.order, _mul_nums(a.order, a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended euclid against Phi_n, keeping r_k = s_k * self (mod Phi_n)
-        r0, s0 = cyclotomic_poly(self.order), ()
-        r1, s1 = _poly_trim(self.coeffs), (_F1,)
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        c = r1[0]
-        return CycNumber(self.order, tuple(x / c for x in s1))
+        # self * (product of the other Galois conjugates) is the norm, a
+        # nonzero rational; all of it stays in the integer numerators
+        n = self.order
+        adj = (1,) + (0,) * (len(self.nums) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                adj = _mul_nums(n, adj, _galois(n, self.nums, k))
+        norm = _mul_nums(n, self.nums, adj)[0]
+        if norm < 0:
+            norm, adj = -norm, tuple(map(neg, adj))
+        return _make(n, tuple(c * self.den for c in adj), norm)
 
     def __truediv__(self, other):
         a, b = self._match(other)
@@ -193,39 +221,38 @@ class CycNumber:
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation: the field automorphism sending zeta to zeta^-1."""
-        n = self.order
-        out = [_F0] * n
-        out[0] = self.coeffs[0]
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            if c != 0:
-                out[(n - i) % n] += c
-        return CycNumber(n, out)
+        return _make(self.order, _galois(self.order, self.nums, -1), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, Fraction):
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
+        if isinstance(other, int):
+            return self.is_rational() and self.den == 1 and self.nums[0] == other
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._match(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
+        # equal to the hash of the Fraction form: hash(k) == hash(Fraction(k))
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+        return hash((self.order, self.nums if self.den == 1 else self.coeffs))
 
     def serialize(self):
-        return [self.order, [[c.numerator, c.denominator] for c in self.coeffs]]
+        den = self.den
+        return [self.order, [[c // g, den // g] for c, g in
+                             ((c, gcd(c, den)) for c in self.nums)]]
 
     def __repr__(self):
         terms = []
@@ -239,6 +266,92 @@ class CycNumber:
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+_new = object.__new__
+_set_order = CycNumber.order.__set__
+_set_nums = CycNumber.nums.__set__
+_set_den = CycNumber.den.__set__
+
+
+def _make(order, nums, den) -> CycNumber:
+    """A CycNumber from phi(order) reduced integer numerators over den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
+    x = _new(CycNumber)
+    _set_order(x, order)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _sparse(nums):
+    """The nonzero (degree, numerator) pairs."""
+    return [(i, c) for i, c in enumerate(nums) if c]
+
+
+def _mul_nums(n, x, y):
+    """Product of two reduced numerator tuples of order n, reduced."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    acc = [0] * (2 * len(x) - 1)
+    ys = _sparse(y)
+    for i, c in enumerate(x):
+        if c:
+            for j, d in ys:
+                acc[i + j] += c * d
+    return _reduce(n, acc)
+
+
+def _galois(n, nums, k):
+    """The image of nums under the automorphism zeta -> zeta^k, gcd(k, n) = 1."""
+    p = [0] * n
+    for i, c in enumerate(nums):
+        p[i * k % n] += c
+    return _reduce(n, p)
+
+
+def _split(v, n):
+    """The entries of v, lifted to order n, over one common denominator D:
+    (D, per entry the sparse numerators)."""
+    v = _lift(v, n)
+    den = lcm(*[x.den for x in v])
+    return den, [[(i, c * (den // x.den)) for i, c in _sparse(x.nums)] for x in v]
+
+
+def _dot(n, xs, ys):
+    """sum(x * y) over two vectors from _split, accumulated unreduced,
+    then reduced and normalized once."""
+    acc = [0] * (2 * euler_phi(n) - 1)
+    for px, py in zip(xs[1], ys[1]):
+        for i, c in px:
+            for j, d in py:
+                acc[i + j] += c * d
+    return _make(n, _reduce(n, acc), xs[0] * ys[0])
+
+
+def _sub_mul(n, xs, c, ys):
+    """[x - c * y for x, y in zip(xs, ys)], entries of order n, each reduced
+    once; xs = None stands for zeros."""
+    cs = _sparse(c.nums)
+    out = []
+    for x, y in zip(xs or [cyc_zero(n)] * len(ys), ys):
+        if y.is_zero():
+            out.append(x)
+            continue
+        dy = c.den * y.den
+        den = lcm(x.den, dy)
+        sx, sy = den // x.den, den // dy
+        acc = [v * sx for v in x.nums] + [0] * (len(x.nums) - 1)
+        for j, w in _sparse(y.nums):
+            w *= sy
+            for i, v in cs:
+                acc[i + j] -= v * w
+        out.append(_make(n, _reduce(n, acc), den))
+    return out
+
+
 def cyc_zero(n: int) -> CycNumber:
     return CycNumber.from_rational(n, 0)
 
@@ -247,9 +360,13 @@ def cyc_one(n: int) -> CycNumber:
     return CycNumber.from_rational(n, 1)
 
 
+@lru_cache(maxsize=None)
+def _zeta_nums(n, k):
+    return _reduce(n, [0] * k + [1])
+
+
 def zeta(n: int, k: int = 1) -> CycNumber:
-    k %= n
-    return CycNumber(n, (_F0,) * k + (_F1,))
+    return _make(n, _zeta_nums(n, k % n), 1)
 
 
 def roots_of_unity(n: int):
@@ -277,6 +394,17 @@ def multiplicative_order(x: CycNumber):
 # -- matrices (tuples of tuples, row-major) -------------------------------
 
 
+def _common_order(*vectors):
+    """lcm of the orders of the CycNumbers among the entries (1 if none)."""
+    return lcm(*{x.order for v in vectors for x in v if isinstance(x, CycNumber)})
+
+
+def _lift(v, n):
+    """The entries of v as order-n CycNumbers."""
+    return [x.promote(n) if isinstance(x, CycNumber) else CycNumber.from_rational(n, x)
+            for x in v]
+
+
 def mat_id(n, order):
     one, zero = cyc_one(order), cyc_zero(order)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -290,18 +418,10 @@ def mat_zero(rows, cols, order):
 def mat_mul(A, B):
     if not A or not B:
         return ()
-    cols = len(B[0])
-    inner = len(B)
-    out = []
-    for row in A:
-        acc = []
-        for j in range(cols):
-            s = row[0] * B[0][j]
-            for k in range(1, inner):
-                s = s + row[k] * B[k][j]
-            acc.append(s)
-        out.append(tuple(acc))
-    return tuple(out)
+    n = _common_order(*A, *B)
+    rows = [_split(row, n) for row in A]
+    cols = [_split(col, n) for col in zip(*B)]
+    return tuple(tuple(_dot(n, row, col) for col in cols) for row in rows)
 
 
 def mat_scale(s, A):
@@ -309,13 +429,9 @@ def mat_scale(s, A):
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = row[0] * v[0]
-        for k in range(1, len(v)):
-            s = s + row[k] * v[k]
-        out.append(s)
-    return tuple(out)
+    n = _common_order(*A, v)
+    col = _split(v, n)
+    return tuple(_dot(n, _split(row, n), col) for row in A)
 
 
 def kron(A, B):
@@ -340,10 +456,9 @@ def transpose(A):
 
 
 def mat_trace(A):
-    s = A[0][0]
-    for i in range(1, len(A)):
-        s = s + A[i][i]
-    return s
+    diag = [A[i][i] for i in range(len(A))]
+    n = _common_order(diag)
+    return _dot(n, _split(diag, n), _split([1] * len(diag), n))
 
 
 @dataclass
@@ -362,52 +477,29 @@ def solve_linear(M, b=None) -> LinSolve:
     in canonical form (one vector per free column, free coordinate 1), the
     rank, and the pivot columns.
     """
-    rows = [list(r) for r in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    order = None
-    for r in rows:
-        for x in r:
-            if isinstance(x, CycNumber):
-                order = x.order
-                break
-        if order:
-            break
-    if order is None:
-        order = 1
+    m = len(M)
+    n = len(M[0]) if m else 0
+    rhs = [0] * m if b is None else list(b)
+    order = _common_order(*M, rhs)
     zero, one = cyc_zero(order), cyc_one(order)
-    rows = [[x if isinstance(x, CycNumber) else CycNumber.from_rational(order, x)
-             for x in r] for r in rows]
-    if b is None:
-        rhs = [zero] * m
-    else:
-        rhs = [x if isinstance(x, CycNumber) else CycNumber.from_rational(order, x)
-               for x in b]
+    # augmented rows: column n carries the right-hand side
+    rows = [_lift(list(row) + [x], order) for row, x in zip(M, rhs)]
     pivots = []
-    r = 0
     for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if not rows[i][col].is_zero():
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
+        rows[r] = _sub_mul(order, None, -rows[r][col].inverse(), rows[r])
         for i in range(m):
             if i != r and not rows[i][col].is_zero():
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - c * rhs[r]
+                rows[i] = _sub_mul(order, rows[i], rows[i][col], rows[r])
         pivots.append(col)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    consistent = all(rhs[i].is_zero() for i in range(r, m))
+    rhs = [row[n] for row in rows]
+    consistent = all(x.is_zero() for x in rhs[len(pivots):])
     particular = None
     if consistent:
         sol = [zero] * n
@@ -446,28 +538,26 @@ def mat_inv(A):
 def rref(vectors):
     """Reduced row echelon form of a list of vectors; canonical basis of
     their span.  Returns (rows, pivots)."""
-    rows = [list(v) for v in vectors]
-    if not rows:
+    vectors = list(vectors)
+    if not vectors:
         return (), ()
+    order = _common_order(*vectors)
+    rows = [_lift(v, order) for v in vectors]
     n = len(rows[0])
     out = []
     pivots = []
-    for vec in rows:
-        v = list(vec)
+    for v in rows:
         for prow, pcol in zip(out, pivots):
             if not v[pcol].is_zero():
-                c = v[pcol]
-                v = [x - c * y for x, y in zip(v, prow)]
+                v = _sub_mul(order, v, v[pcol], prow)
         lead = next((j for j in range(n) if not v[j].is_zero()), None)
         if lead is None:
             continue
-        inv = v[lead].inverse()
-        v = [x * inv for x in v]
+        v = _sub_mul(order, None, -v[lead].inverse(), v)
         out.append(v)
         pivots.append(lead)
         for i, (prow, pcol) in enumerate(zip(out[:-1], pivots[:-1])):
             if not prow[lead].is_zero():
-                c = prow[lead]
-                out[i] = [x - c * y for x, y in zip(prow, v)]
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return (tuple(tuple(out[i]) for i in order), tuple(pivots[i] for i in order))
+                out[i] = _sub_mul(order, prow, prow[lead], v)
+    perm = sorted(range(len(out)), key=lambda i: pivots[i])
+    return (tuple(tuple(out[i]) for i in perm), tuple(pivots[i] for i in perm))

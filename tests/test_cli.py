@@ -122,6 +122,50 @@ def test_config_file_plumbing(capsys, tmp_path):
     assert "unknown keys" in err
 
 
+def test_config_file_rejects_bool_guard(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"vec_dim_bound": True}))
+    code, out, err = run(capsys, "vec-centre", fix("s3.json"),
+                         "--config", str(cfgfile))
+    assert code == 2 and out == ""
+    assert "vec_dim_bound" in err
+
+
+def test_env_rejects_negative_guard(capsys, monkeypatch):
+    monkeypatch.setenv("MONOCENTRE_MAX_OBJECTS", "-3")
+    code, out, err = run(capsys, "centre", fix("z2_discrete.json"))
+    assert code == 2 and out == ""
+    assert "max_objects" in err
+
+
+def test_negative_dim_bound_is_malformed_not_a_failed_certificate(capsys):
+    code, out, err = run(capsys, "vec-centre", fix("s3.json"),
+                         "--dim-bound", "-2")
+    assert code == 2 and out == ""
+    assert "vec_dim_bound" in err
+
+
+def test_workers_is_not_a_guard(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"workers": 1}))
+    code, _, err = run(capsys, "validate", fix("z2.json"),
+                       "--config", str(cfgfile))
+    assert code == 2
+    assert "unknown keys ['workers']" in err
+
+
+def test_internal_soundness_error_exits_4(capsys, monkeypatch):
+    import monocentre.cli as cli
+
+    def disagree(*args, **kwargs):
+        raise cli.InternalSoundnessError("routes disagree on objects")
+
+    monkeypatch.setattr(cli, "compute_centre", disagree)
+    code, out, err = run(capsys, "centre", fix("z2_discrete.json"))
+    assert code == 4 and out == ""
+    assert err == "error: internal soundness error: routes disagree on objects\n"
+
+
 def test_json_emit_is_machine_readable(capsys):
     code, out, _ = run(capsys, "centre", fix("z2_discrete.json"),
                        "--emit", "json")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from monocentre.cyclo import (
     CycNumber, cyclotomic_poly, euler_phi, zeta, cyc_one, cyc_zero,
     roots_of_unity, multiplicative_order,
-    solve_linear, mat_mul, mat_vec, mat_id, mat_inv, kron, rref, transpose,
+    solve_linear, mat_mul, mat_vec, mat_trace, mat_id, mat_inv, kron, rref, transpose,
 )
 
 
@@ -172,3 +172,360 @@ class TestLinear:
     def test_transpose_involution(self):
         M = ((cyc_one(3), zeta(3)), (zeta(3, 2), cyc_zero(3)))
         assert transpose(transpose(M)) == M
+
+
+# -- differential check against a Fraction-polynomial reference ------------
+#
+# The reference keeps one Fraction per power-basis coefficient and reduces
+# by polynomial long division modulo Phi_n after every operation; inverses
+# come from the extended Euclidean algorithm against Phi_n.  It shares no
+# code with the integer kernel, not even the cyclotomic polynomials.
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def _trim(p):
+    i = len(p)
+    while i > 0 and p[i - 1] == 0:
+        i -= 1
+    return tuple(p[:i])
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [F0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _psub(p, q):
+    n = max(len(p), len(q))
+    p = list(p) + [F0] * (n - len(p))
+    q = list(q) + [F0] * (n - len(q))
+    return _trim([a - b for a, b in zip(p, q)])
+
+
+def _pdivmod(p, q):
+    p = list(p)
+    dq = len(q) - 1
+    quot = [F0] * max(len(p) - dq, 0)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = p[i] / q[-1]
+        if c != 0:
+            quot[i - dq] = c
+            for j in range(dq + 1):
+                p[i - dq + j] -= c * q[j]
+    return _trim(quot), _trim(p)
+
+
+_REF_PHI = {}
+
+
+def ref_cyclotomic(n):
+    if n not in _REF_PHI:
+        num = (Fraction(-1),) + (F0,) * (n - 1) + (F1,)
+        for d in range(1, n):
+            if n % d == 0:
+                num, r = _pdivmod(num, ref_cyclotomic(d))
+                assert not r
+        _REF_PHI[n] = num
+    return _REF_PHI[n]
+
+
+class Ref:
+    """Reference cyclotomic number: reduced Fraction coefficients."""
+
+    def __init__(self, order, coeffs):
+        mod = ref_cyclotomic(order)
+        phi = len(mod) - 1
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) > phi:
+            _, coeffs = _pdivmod(coeffs, mod)
+        self.order = order
+        self.coeffs = tuple(coeffs) + (F0,) * (phi - len(coeffs))
+
+    def promote(self, order):
+        k = order // self.order
+        out = [F0] * ((len(self.coeffs) - 1) * k + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * k] += c
+        return Ref(order, out)
+
+    def match(self, other):
+        if not isinstance(other, Ref):
+            other = Ref(self.order, (other,))
+        n = self.order * other.order // gcd(self.order, other.order)
+        return self.promote(n), other.promote(n)
+
+    def __add__(self, other):
+        a, b = self.match(other)
+        return Ref(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return Ref(self.order, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Ref) else -Fraction(other))
+
+    def __mul__(self, other):
+        a, b = self.match(other)
+        return Ref(a.order, _pmul(a.coeffs, b.coeffs))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def inverse(self):
+        r0, s0 = ref_cyclotomic(self.order), ()
+        r1, s1 = _trim(self.coeffs), (F1,)
+        while len(r1) > 1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        return Ref(self.order, [x / r1[0] for x in s1])
+
+    def __truediv__(self, other):
+        a, b = self.match(other)
+        return a * b.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = Ref(self.order, (F1,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        n = self.order
+        out = [F0] * n
+        for i, c in enumerate(self.coeffs):
+            out[-i % n] += c
+        return Ref(n, out)
+
+    def hash_value(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash((self.order, self.coeffs))
+
+
+def same(x, ref):
+    """x carries exactly the reference's order and reduced coefficients, and
+    its integer form is normalized: positive denominator, gcd 1."""
+    return (isinstance(x, CycNumber) and x.order == ref.order
+            and x.coeffs == ref.coeffs
+            and all(type(c) is Fraction for c in x.coeffs)
+            and all(type(c) is int for c in x.nums)
+            and x.den > 0 and gcd(x.den, *x.nums) == 1)
+
+
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def pairs(draw, order):
+    """A CycNumber and its reference twin, from a raw coefficient list that
+    may be longer than phi(n), so construction exercises the reduction."""
+    coeffs = draw(st.lists(small_fracs, min_size=0, max_size=order + 3))
+    return CycNumber(order, coeffs), Ref(order, coeffs)
+
+
+def test_cyclotomic_polys_match_reference():
+    for n in range(1, 41):
+        assert cyclotomic_poly(n) == ref_cyclotomic(n)
+        assert euler_phi(n) == len(ref_cyclotomic(n)) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(pairs(n), pairs(n))),
+       st.integers(-3, 5), st.integers(1, 3))
+def test_kernel_matches_reference_same_order(ab, k, m):
+    (a, ra), (b, rb) = ab
+    assert same(a, ra) and same(b, rb)
+    assert same(a + b, ra + rb) and same(a - b, ra - rb)
+    assert same(a * b, ra * rb) and same(-a, -ra)
+    assert same(a.conjugate(), ra.conjugate())
+    assert same(a.promote(a.order * m), ra.promote(ra.order * m))
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    if rb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    else:
+        assert same(b.inverse(), rb.inverse())
+        assert same(a / b, ra / rb)
+    if k >= 0 or not ra.is_zero():
+        assert same(a ** k, ra ** k)
+
+
+mixed_orders = st.sampled_from((1, 2, 3, 4, 6, 8, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_orders.flatmap(pairs), mixed_orders.flatmap(pairs))
+def test_kernel_matches_reference_mixed_orders(ap, bp):
+    (a, ra), (b, rb) = ap, bp
+    assert same(a + b, ra + rb) and same(b - a, rb - ra)
+    assert same(a * b, ra * rb)
+    ea, eb = ra.match(rb)
+    assert (a == b) == (ea.coeffs == eb.coeffs)
+    if not rb.is_zero():
+        assert same(a / b, ra / rb)
+
+
+@given(st.integers(1, 16).flatmap(pairs), small_fracs)
+def test_serialize_hash_and_rational_equality_match_reference(ap, r):
+    a, ra = ap
+    assert a.coeffs == ra.coeffs
+    assert a.serialize() == [ra.order, [[c.numerator, c.denominator]
+                                        for c in ra.coeffs]]
+    assert hash(a) == ra.hash_value()
+    x = CycNumber.from_rational(ra.order, r)
+    assert x == r and hash(x) == hash(r)
+    assert same(x + a, ra + r) and same(a * r, ra * r) and same(r - a, -(ra - r))
+    if r.denominator == 1:
+        assert x == int(r) and hash(x) == hash(int(r))
+    rational = not any(ra.coeffs[1:])
+    assert (a == ra.coeffs[0]) == rational
+    if rational and ra.coeffs[0].denominator == 1:
+        assert a == int(ra.coeffs[0])
+
+
+def ref_solve_linear(M, b=None):
+    """The former Gauss-Jordan, over the reference numbers."""
+    rows = [list(r) for r in M]
+    m, n = len(rows), len(rows[0])
+    order = rows[0][0].order
+    zero, one = Ref(order, ()), Ref(order, (F1,))
+    rhs = [zero] * m if b is None else list(b)
+    pivots, r = [], 0
+    for col in range(n):
+        sel = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rhs[r], rhs[sel] = rhs[sel], rhs[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
+        for i in range(m):
+            if i != r and not rows[i][col].is_zero():
+                c = rows[i][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
+                rhs[i] = rhs[i] - c * rhs[r]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    consistent = all(rhs[i].is_zero() for i in range(r, m))
+    particular = None
+    if consistent:
+        sol = [zero] * n
+        for i, col in enumerate(pivots):
+            sol[col] = rhs[i]
+        particular = tuple(sol)
+    kernel = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [zero] * n
+        vec[free] = one
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][free]
+        kernel.append(tuple(vec))
+    return consistent, particular, tuple(kernel), len(pivots), tuple(pivots)
+
+
+def ref_rref(vectors):
+    out, pivots = [], []
+    n = len(vectors[0])
+    for v in vectors:
+        v = list(v)
+        for prow, pcol in zip(out, pivots):
+            if not v[pcol].is_zero():
+                c = v[pcol]
+                v = [x - c * y for x, y in zip(v, prow)]
+        lead = next((j for j in range(n) if not v[j].is_zero()), None)
+        if lead is None:
+            continue
+        inv = v[lead].inverse()
+        v = [x * inv for x in v]
+        out.append(v)
+        pivots.append(lead)
+        for i, (prow, pcol) in enumerate(zip(out[:-1], pivots[:-1])):
+            if not prow[lead].is_zero():
+                c = prow[lead]
+                out[i] = [x - c * y for x, y in zip(prow, v)]
+    perm = sorted(range(len(out)), key=lambda i: pivots[i])
+    return tuple(tuple(out[i]) for i in perm), tuple(pivots[i] for i in perm)
+
+
+@st.composite
+def root_matrices(draw):
+    """A matrix of roots of unity and zeros, as CycNumbers and references,
+    plus a right-hand side; repeated rows force rank deficiency."""
+    n = draw(st.sampled_from((2, 4, 8, 12)))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entry = st.one_of(st.none(), st.integers(0, n - 1))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=1, max_size=rows))
+    exps = [base[draw(st.integers(0, len(base) - 1))] if draw(st.booleans()) else
+            draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    rhs = draw(st.lists(entry, min_size=rows, max_size=rows))
+
+    def cyc(e):
+        return cyc_zero(n) if e is None else zeta(n, e)
+
+    def ref(e):
+        return Ref(n, ()) if e is None else Ref(n, (F0,) * e + (F1,))
+
+    M = tuple(tuple(cyc(e) for e in row) for row in exps)
+    R = tuple(tuple(ref(e) for e in row) for row in exps)
+    return M, R, tuple(cyc(e) for e in rhs), tuple(ref(e) for e in rhs)
+
+
+def _vec_same(v, rv):
+    return len(v) == len(rv) and all(same(x, r) for x, r in zip(v, rv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(root_matrices(), st.booleans())
+def test_solve_linear_and_rref_match_reference(case, homogeneous):
+    M, R, b, rb = case
+    sol = solve_linear(M, None if homogeneous else b)
+    consistent, particular, kernel, rank, pivots = ref_solve_linear(
+        R, None if homogeneous else rb)
+    assert (sol.consistent, sol.rank, sol.pivots) == (consistent, rank, pivots)
+    assert (sol.particular is None) == (particular is None)
+    if particular is not None:
+        assert _vec_same(sol.particular, particular)
+    assert len(sol.kernel) == len(kernel)
+    assert all(_vec_same(v, rv) for v, rv in zip(sol.kernel, kernel))
+    basis, piv = rref(M)
+    rbasis, rpiv = ref_rref(R)
+    assert piv == rpiv and len(basis) == len(rbasis)
+    assert all(_vec_same(v, rv) for v, rv in zip(basis, rbasis))
+
+
+@settings(max_examples=30, deadline=None)
+@given(root_matrices())
+def test_matrix_products_match_reference(case):
+    M, R, b, rb = case
+    T = transpose(M)
+    RT = tuple(zip(*R))
+
+    def ref_dot(xs, ys):
+        acc = Ref(xs[0].order, ())
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+
+    prod = mat_mul(M, T)
+    assert all(_vec_same(row, [ref_dot(rrow, rcol) for rcol in R])
+               for row, rrow in zip(prod, R))
+    assert _vec_same(mat_vec(T, b), [ref_dot(rcol, rb) for rcol in RT])
+    trace = Ref(R[0][0].order, ())
+    for rrow in R:
+        trace = trace + ref_dot(rrow, rrow)
+    assert same(mat_trace(prod), trace)
