@@ -15,6 +15,7 @@ soundness error (two independent routes disagreed: a bug, not a FAIL).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -411,11 +412,19 @@ def main(argv=None) -> int:
         return 4
     exit_code = 0 if all(c.ok for s in sections
                          for c in s.certificates) else 1
-    if args.emit == "json":
-        sys.stdout.write(_render_json(args.command, sections, exit_code))
-    else:
-        for line in _render_text(sections):
-            print(line)
+    try:
+        if args.emit == "json":
+            sys.stdout.write(_render_json(args.command, sections, exit_code))
+        else:
+            for line in _render_text(sections):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit does not raise again; the verdict stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code
 
 

@@ -3,21 +3,19 @@
 Four self-contained payload kinds, discriminated by a top-level "kind"
 field and versioned by "schema_version": finite categories, monoidal
 structures, group multiplication tables, and 3-cocycles over a group
-table.  Loading is two-staged: a jsonschema pass for shape, then
-referential checks (dense morphism ids, indices in range, no conflicting
-duplicate table entries) with JSON-pointer locations.  Axiom-level
-validation (associativity, pentagon, cocycle identity) is deliberately
-NOT done here; the CLI re-runs those as certificates so that a broken
-fixture is reported with a localized witness instead of a parse error.
+table.  Loading is two-staged: a shape check against the schema dicts
+below, then referential checks (dense morphism ids, indices in range, no
+conflicting duplicate table entries) with JSON-pointer locations.
+Axiom-level validation (associativity, pentagon, cocycle identity) is
+deliberately NOT done here; the CLI re-runs those as certificates so that
+a broken fixture is reported with a localized witness instead of a parse
+error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
@@ -142,6 +140,53 @@ class LoadedSpec:
 
 def _pointer(parts) -> str:
     return "/" + "/".join(str(p) for p in parts)
+
+
+_TYPES = {"integer": int, "array": list, "object": dict}
+
+
+def _check_shape(value, schema: dict, path: tuple) -> None:
+    """Raise MalformedInput at the first place where `value` breaks `schema`.
+
+    Interprets exactly the keywords the schemas above use, with the
+    messages of JSON Schema validators.  A node's own keywords are checked
+    before its children, and children in document order.  "integer" means
+    a JSON integer literal: 2.0 and true are rejected.
+    """
+    def fail(message):
+        raise MalformedInput(_pointer(path), message)
+
+    if "type" in schema and type(value) is not _TYPES[schema["type"]]:
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "const" in schema:
+        const = schema["const"]
+        if type(value) is not type(const) or value != const:
+            fail(f"{const!r} was expected")
+    if "minimum" in schema and value < schema["minimum"]:
+        fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+    if type(value) is dict:
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        props = schema.get("properties", {})
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                fail(f"Additional properties are not allowed "
+                     f"({', '.join(map(repr, extra))} "
+                     f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        for key, item in value.items():
+            if key in props:
+                _check_shape(item, props[key], path + (key,))
+    elif type(value) is list:
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} should be non-empty" if schema["minItems"] == 1
+                 else f"{value!r} is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} is too long")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check_shape(item, schema["items"], path + (i,))
 
 
 def _category_from_doc(doc):
@@ -304,10 +349,7 @@ def load_spec(path: str) -> LoadedSpec:
                              f"unsupported schema_version "
                              f"{doc.get('schema_version')!r}; this build "
                              f"reads version {SCHEMA_VERSION}")
-    validator = Draft202012Validator(_SCHEMAS[kind])
-    err = best_match(validator.iter_errors(doc))
-    if err is not None:
-        raise MalformedInput(_pointer(err.absolute_path), err.message)
+    _check_shape(doc, _SCHEMAS[kind], ())
     return LoadedSpec(kind, _BUILDERS[kind](doc), path)
 
 

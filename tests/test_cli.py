@@ -1,13 +1,18 @@
 """End-to-end CLI tests: contract examples, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
 from monocentre.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def fix(name):
@@ -204,3 +209,128 @@ def test_report_aggregates_failures(capsys):
 def test_validate_whole_corpus(capsys, name, expected):
     code, _, _ = run(capsys, "validate", fix(name))
     assert code == expected
+
+
+def _child_env():
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # Diff against the modules loaded before the import: site hooks of the
+    # environment (e.g. .pth files) may preload third-party modules.
+    probe = ("import sys; before = set(sys.modules); import monocentre.cli; "
+             "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "monocentre" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"monocentre"}
+
+
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_closed_stdout_pipe_keeps_the_exit_code(emit):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start: the first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monocentre", "report", fix("poset.json"),
+             "--emit", emit],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
+
+
+# Each case mutates one fixture and runs the command line with the mutated
+# copy in place of "{}".
+FUZZ_CASES = [
+    ("z2_discrete.json", ["report", "{}"]),
+    ("z3_discrete.json", ["report", "{}"]),
+    ("poset.json", ["report", "{}"]),
+    ("walking_arrow.json", ["report", "{}"]),
+    ("broken_pentagon.json", ["report", "{}"]),
+    ("z3.json", ["report", "{}"]),
+    ("z2.json", ["vec-centre", "{}", "--omega", fix("z2_nontrivial.json")]),
+    ("z2_nontrivial.json", ["vec-centre", fix("z2.json"), "--omega", "{}"]),
+    ("z2_broken_omega.json", ["validate", "{}"]),
+]
+VALUE_MUTATIONS = {
+    "plus one": lambda v: v + 1,
+    "minus one": lambda v: v - 1,
+    "negative": lambda v: -1,
+    "large": lambda v: v + 1000,
+}
+TYPE_MUTATIONS = {
+    "float": float,
+    "bool": lambda v: v % 2 == 1,
+    "string": str,
+}
+LEAF_MUTATIONS = {**VALUE_MUTATIONS, **TYPE_MUTATIONS}
+KEY_MUTATIONS = ("drop key", "unknown key")
+
+
+def _paths(node, want, path=()):
+    """Paths of every node of type `want`, in document order."""
+    if type(node) is want:
+        yield path
+    if type(node) is dict:
+        children = node.items()
+    elif type(node) is list:
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, want, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, rng):
+    """Apply one random mutation in place; return its kind and pointer."""
+    kind = rng.choice(sorted([*LEAF_MUTATIONS, *KEY_MUTATIONS]))
+    if kind in KEY_MUTATIONS:
+        path = rng.choice(list(_paths(doc, dict)))
+        node = _at(doc, path)
+        if kind == "drop key":
+            del node[rng.choice(sorted(node))]
+        else:
+            node["unknown"] = 0
+    else:
+        path = rng.choice(list(_paths(doc, int)))
+        parent = _at(doc, path[:-1])
+        parent[path[-1]] = LEAF_MUTATIONS[kind](parent[path[-1]])
+    return kind, "/" + "/".join(map(str, path))
+
+
+def test_mutated_fixtures_exit_with_a_documented_code(capsys, tmp_path):
+    rng = random.Random(20200301)
+    mutant = str(tmp_path / "mutant.json")
+    codes = set()
+    for _ in range(400):
+        name, argv = rng.choice(FUZZ_CASES)
+        doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+        kind, pointer = _mutate(doc, rng)
+        with open(mutant, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        where = f"{kind} at {pointer} of {name}"
+        try:
+            code, _, err = run(capsys, *[mutant if a == "{}" else a
+                                         for a in argv])
+        except Exception as exc:
+            pytest.fail(f"{where}: {exc!r} escaped")
+        assert code in (0, 1, 2, 3), where
+        if kind not in VALUE_MUTATIONS:
+            assert code == 2, where
+        if kind in TYPE_MUTATIONS:
+            assert err.startswith(f"error: at {pointer}: "), where
+        codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -1,12 +1,18 @@
 """Loader and emitter tests: pointered rejection, canonical round-trips."""
 
 import json
+import pathlib
 
 import pytest
 
 from monocentre.centre import compute_centre
+from monocentre.cli import main
 from monocentre.fincat import validate_category, walking_arrow
 from monocentre.jsonio import (
+    CATEGORY_SCHEMA,
+    COCYCLE_SCHEMA,
+    GROUP_SCHEMA,
+    MONOIDAL_SCHEMA,
     MalformedInput,
     category_to_doc,
     cocycle_to_doc,
@@ -18,6 +24,9 @@ from monocentre.jsonio import (
 )
 from monocentre.monoidal import S3, Z2, chain_poset_monoidal, discrete_group_monoidal
 from monocentre.veck import check_cocycle, z2_nontrivial_cocycle
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _load_doc(tmp_path, doc, name="payload.json"):
@@ -138,3 +147,105 @@ def test_write_spec_round_trips(tmp_path):
     path = tmp_path / "s3.json"
     write_spec(str(path), group_to_doc(S3))
     assert load_spec(str(path)).payload == S3
+
+
+def _z2_monoidal_doc():
+    return monoidal_to_doc(discrete_group_monoidal(Z2))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("make_doc, path, bad, command", [
+    (lambda: group_to_doc(Z2), ("table", 0, 1), 1.0, ["vec-centre"]),
+    (lambda: group_to_doc(Z2), ("table", 1, 0), True, ["vec-centre"]),
+    (_z2_monoidal_doc, ("objects",), 2.0, ["report"]),
+    (_z2_monoidal_doc, ("unit",), 0.0, ["report"]),
+    (lambda: cocycle_to_doc(z2_nontrivial_cocycle()), ("scalar_order",), 2.0,
+     ["vec-centre", str(FIXTURES / "z2.json"), "--omega"]),
+], ids=["group-entry-float", "group-entry-bool", "objects-float",
+        "unit-float", "scalar-order-float"])
+def test_floats_and_bools_are_not_integers(tmp_path, capsys, make_doc, path,
+                                           bad, command):
+    doc = make_doc()
+    _set(doc, path, bad)
+    pointer = "/" + "/".join(map(str, path))
+    with pytest.raises(MalformedInput) as exc:
+        _load_doc(tmp_path, doc)
+    assert exc.value.pointer == pointer
+    assert main(command + [str(tmp_path / "payload.json")]) == 2
+    assert f"error: at {pointer}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make_doc, mutate, pointer, message", [
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: _set(d, ("compose", 1), 5),
+     "/compose/1", "5 is not of type 'array'"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: _set(d, ("schema_version",), True),
+     "/schema_version", "1 was expected"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: _set(d, ("morphisms", 2, "src"), -1),
+     "/morphisms/2/src", "-1 is less than the minimum of 0"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: d["morphisms"][1].pop("dst"),
+     "/morphisms/1", "'dst' is a required property"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: _set(d, ("morphisms", 1, "name"), "f"),
+     "/morphisms/1",
+     "Additional properties are not allowed ('name' was unexpected)"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: _set(d, ("identity", 1), "1"),
+     "/identity/1", "'1' is not of type 'integer'"),
+    (lambda: group_to_doc(Z2),
+     lambda d: _set(d, ("table",), []),
+     "/table", "[] should be non-empty"),
+    (lambda: category_to_doc(walking_arrow()),
+     lambda d: d["compose"][0].append(0),
+     "/compose/0", "is too long"),
+], ids=["type", "const", "minimum", "required", "additionalProperties",
+        "items", "minItems", "maxItems"])
+def test_each_schema_keyword_is_enforced(tmp_path, make_doc, mutate, pointer,
+                                         message):
+    doc = make_doc()
+    mutate(doc)
+    with pytest.raises(MalformedInput) as exc:
+        _load_doc(tmp_path, doc)
+    assert exc.value.pointer == pointer
+    assert message in str(exc.value)
+
+
+SUPPORTED_KEYWORDS = {"type", "const", "minimum", "required", "properties",
+                      "additionalProperties", "items", "minItems", "maxItems"}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("schema", [CATEGORY_SCHEMA, MONOIDAL_SCHEMA,
+                                    GROUP_SCHEMA, COCYCLE_SCHEMA],
+                         ids=["category", "monoidal", "group", "cocycle"])
+def test_schemas_use_only_supported_keywords(schema):
+    for sub in _subschemas(schema):
+        assert set(sub) <= SUPPORTED_KEYWORDS, set(sub) - SUPPORTED_KEYWORDS
+        assert sub.get("type") in {None, "integer", "array", "object"}
+        assert sub.get("additionalProperties", False) is False
+        if "minimum" in sub:
+            assert sub.get("type") == "integer"
+
+
+def test_first_violation_in_document_order_is_reported(tmp_path):
+    doc = category_to_doc(walking_arrow())
+    doc["compose"][0] = 5
+    doc["morphisms"][2]["dst"] = 0.5
+    with pytest.raises(MalformedInput) as exc:
+        _load_doc(tmp_path, doc)
+    assert exc.value.pointer == "/morphisms/2/dst"
