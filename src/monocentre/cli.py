@@ -395,6 +395,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence(stream) -> None:
+    """Point stream's file descriptor at devnull after its reader went
+    away, so that the flush at interpreter exit does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(code: int, message) -> int:
+    """Print one error line on stderr and return the exit code, which a
+    closed stderr does not change."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _silence(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -402,14 +421,11 @@ def main(argv=None) -> int:
                else DEFAULT).with_env()
         sections = _dispatch(args, cfg)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, exc)
     except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(3, exc)
     except InternalSoundnessError as exc:
-        print(f"error: internal soundness error: {exc}", file=sys.stderr)
-        return 4
+        return _error(4, f"internal soundness error: {exc}")
     exit_code = 0 if all(c.ok for s in sections
                          for c in s.certificates) else 1
     try:
@@ -420,11 +436,8 @@ def main(argv=None) -> int:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away.  Point stdout at devnull so that the flush
-        # at interpreter exit does not raise again; the verdict stands.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader went away; the verdict stands.
+        _silence(sys.stdout)
     return exit_code
 
 

@@ -14,8 +14,19 @@ folded back through a table of z^k mod Phi_n, built per order on first
 use.  An inverse is the product of the other Galois conjugates over the
 norm, which is rational.  The matrix routines work in the lcm order of
 their entries and accumulate each entry as one unreduced integer
-polynomial over a common denominator, reducing and normalizing once.  The
-linear solver is plain Gauss-Jordan over the field, returning a particular
+polynomial over a common denominator, reducing and normalizing once.
+
+Three routines check instead of build.  A prepared matrix (mat_prepare)
+is lifted once to a given order, with each row and each column split
+once over its common denominator.  mat_scaled_product_eq and
+mat_products_eq decide s (A B) == C and A B == C D on prepared matrices:
+each entry is accumulated unreduced, cross-multiplied by the denominators
+and reduced once, so no product CycNumber is formed and no gcd is taken.
+mat_invertible decides invertibility by fraction-free elimination over
+Z[zeta]: rows are cleared of denominators, and a row is eliminated by
+cross-multiplying it with the nonzero pivot, so no inverse is formed.
+
+solve_linear is Gauss-Jordan over the field, returning a particular
 solution and a kernel basis.
 """
 
@@ -316,19 +327,32 @@ def _split(v, n):
     """The entries of v, lifted to order n, over one common denominator D:
     (D, per entry the sparse numerators)."""
     v = _lift(v, n)
+    return _over_common_den(v, [_sparse(x.nums) for x in v])
+
+
+def _over_common_den(v, sparse):
+    """_split of the order-n entries v, given their sparse numerators."""
     den = lcm(*[x.den for x in v])
-    return den, [[(i, c * (den // x.den)) for i, c in _sparse(x.nums)] for x in v]
+    return den, [s if x.den == den else [(i, c * (den // x.den)) for i, c in s]
+                 for x, s in zip(v, sparse)]
+
+
+def _acc(xs, ys, width):
+    """sum(x * y) over two lists of sparse numerators, as one unreduced
+    integer polynomial of the given length."""
+    acc = [0] * width
+    for px, py in zip(xs, ys):
+        for i, c in px:
+            for j, d in py:
+                acc[i + j] += c * d
+    return acc
 
 
 def _dot(n, xs, ys):
     """sum(x * y) over two vectors from _split, accumulated unreduced,
     then reduced and normalized once."""
-    acc = [0] * (2 * euler_phi(n) - 1)
-    for px, py in zip(xs[1], ys[1]):
-        for i, c in px:
-            for j, d in py:
-                acc[i + j] += c * d
-    return _make(n, _reduce(n, acc), xs[0] * ys[0])
+    return _make(n, _reduce(n, _acc(xs[1], ys[1], 2 * euler_phi(n) - 1)),
+                 xs[0] * ys[0])
 
 
 def _sub_mul(n, xs, c, ys):
@@ -410,11 +434,6 @@ def mat_id(n, order):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_zero(rows, cols, order):
-    zero = cyc_zero(order)
-    return tuple((zero,) * cols for _ in range(rows))
-
-
 def mat_mul(A, B):
     if not A or not B:
         return ()
@@ -459,6 +478,129 @@ def mat_trace(A):
     diag = [A[i][i] for i in range(len(A))]
     n = _common_order(diag)
     return _dot(n, _split(diag, n), _split([1] * len(diag), n))
+
+
+# -- checking products without building them -------------------------------
+
+
+class PreparedMatrix:
+    """A matrix lifted to one order, its rows and its columns each split
+    once over a common denominator, as (D, per entry the sparse numerators)
+    from _split."""
+
+    __slots__ = ("order", "rows", "cols")
+
+    def __init__(self, order: int, rows: tuple, cols: tuple):
+        self.order, self.rows, self.cols = order, rows, cols
+
+
+def mat_prepare(A, order: int) -> PreparedMatrix:
+    """A lifted to the given order (a multiple of every entry's order) and
+    split once by rows and by columns, for the fused checks."""
+    rows = [_lift(row, order) for row in A]
+    sparse = [[_sparse(x.nums) for x in row] for row in rows]
+    return PreparedMatrix(
+        order, tuple(map(_over_common_den, rows, sparse)),
+        tuple(map(_over_common_den, zip(*rows), zip(*sparse))))
+
+
+def _check_product(A, B, *others):
+    """Raise unless A B is defined and every operand has A's order."""
+    for M in (B, *others):
+        if M.order != A.order:
+            raise ValueError("prepared matrices of different orders")
+    if len(A.cols) != len(B.rows):
+        raise ValueError("inner dimensions of a product differ")
+
+
+def mat_scaled_product_eq(s, A, B, C) -> bool:
+    """Whether s (A B) == C, for prepared A, B, C of one order n.
+
+    Each entry of A B accumulates unreduced and is multiplied by s, modulo
+    z^n - 1 (which Phi_n divides) unless s is rational; C's entry is
+    subtracted across the denominators, and the difference is reduced once.
+    """
+    _check_product(A, B, C)
+    if len(A.rows) != len(C.rows):
+        return False
+    n = A.order
+    s = _lift([s], n)[0]
+    rational = not any(s.nums[1:])
+    ss = None if rational else _sparse(s.nums)
+    width = 2 * euler_phi(n) - 1
+    for (da, arow), (dc, crow) in zip(A.rows, C.rows):
+        if len(crow) != len(B.cols):
+            return False
+        for (db, bcol), cx in zip(B.cols, crow):
+            acc = _acc(arow, bcol, width)
+            if not any(acc):
+                if cx:
+                    return False
+                continue
+            if rational:
+                f = s.nums[0] * dc
+                tot = [v * f for v in acc]
+            else:
+                tot = [0] * n
+                for k, v in enumerate(acc):
+                    if v:
+                        v *= dc
+                        for e, w in ss:
+                            tot[(k + e) % n] += v * w
+            f = s.den * da * db
+            for j, c in cx:
+                tot[j] -= c * f
+            if any(_reduce(n, tot)):
+                return False
+    return True
+
+
+def mat_products_eq(A, B, C, D) -> bool:
+    """Whether A B == C D, for prepared A, B, C, D of one order n.
+
+    Both sides of each entry accumulate unreduced, are cross-multiplied by
+    each other's denominators, and their difference is reduced once.
+    """
+    _check_product(A, B, C, D)
+    _check_product(C, D)
+    if len(A.rows) != len(C.rows) or len(B.cols) != len(D.cols):
+        return False
+    n = A.order
+    width = 2 * euler_phi(n) - 1
+    for (da, arow), (dc, crow) in zip(A.rows, C.rows):
+        for (db, bcol), (dd, dcol) in zip(B.cols, D.cols):
+            lhs, rhs = _acc(arow, bcol, width), _acc(crow, dcol, width)
+            f, g = dc * dd, da * db
+            if any(_reduce(n, [x * f - y * g for x, y in zip(lhs, rhs)])):
+                return False
+    return True
+
+
+def mat_invertible(A) -> bool:
+    """Whether A is square and invertible, by fraction-free elimination.
+
+    Each row is scaled to integer numerators, i.e. entries of Z[zeta].  A
+    row r with entry a below the pivot p of pivot row q becomes p r - a q:
+    Z[zeta] is a domain and p != 0, so the rank is kept and no inverse is
+    formed.  A is invertible iff every column finds a pivot.
+    """
+    if any(len(row) != len(A) for row in A):
+        return False
+    n = _common_order(*A)
+    width = 2 * euler_phi(n) - 1
+    rows = [_split(row, n)[1] for row in A]
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        pivot = rows.pop(k)
+        p, tail = pivot[0], pivot[1:]
+        for i, row in enumerate(rows):
+            a = [(j, -c) for j, c in row[0]]
+            rows[i] = (row[1:] if not a else
+                       [_sparse(_reduce(n, _acc((p, a), (x, y), width)))
+                        for x, y in zip(row[1:], tail)])
+    return True
 
 
 @dataclass

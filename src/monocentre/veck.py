@@ -39,8 +39,12 @@ from .cyclo import (
     kron,
     mat_eq,
     mat_id,
+    mat_invertible,
     mat_mul,
+    mat_prepare,
+    mat_products_eq,
     mat_scale,
+    mat_scaled_product_eq,
     mat_trace,
     mat_vec,
     roots_of_unity,
@@ -366,11 +370,25 @@ class HalfBraidingLin:
                 f"support={supp})")
 
 
+def _entry_order(*hbs) -> int:
+    """lcm of the field orders and of the orders of every block entry."""
+    return lcm(*(hb.field_order for hb in hbs),
+               *(v.order for hb in hbs for blk in hb.blocks.values()
+                 for row in blk for v in row))
+
+
+def _prepared_blocks(hb: HalfBraidingLin, order: int) -> dict:
+    return {key: mat_prepare(blk, order) for key, blk in hb.blocks.items()}
+
+
 def check_half_braiding(hb: HalfBraidingLin) -> list:
     """Full axiom pass: shapes, unit, invertibility, multiplicativity.
 
     Multiplicativity is checked for every pair (x, y) and every supported
-    grade, never only on generators.
+    grade, never only on generators.  Each block is prepared once, and
+    every multiplicativity equation runs through the fused product check
+    mat_scaled_product_eq; invertibility is the fraction-free test
+    mat_invertible on every block.
     """
     table = hb.table
     n = len(table)
@@ -423,7 +441,7 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
                 return report
     for x in range(n):
         for g in supp:
-            if solve_linear(hb.block(x, g)).kernel:
+            if not mat_invertible(hb.block(x, g)):
                 report.append(f"block ({x}, {g}) is not invertible")
                 if len(report) >= _REPORT_CAP:
                     return report
@@ -432,17 +450,16 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
     w = hb.omega.exponents
     n0 = hb.omega.scalar_order
     scale = hb.field_order // n0
+    prep = _prepared_blocks(hb, _entry_order(hb))
     for x in range(n):
         for y in range(n):
             xy = table[x][y]
             for g in supp:
                 gx = _conj(table, inv, x, g)
                 t = _twist(table, inv, w, n0, g, x, y)
-                lhs = hb.block(xy, g)
-                rhs = mat_mul(hb.block(y, gx), hb.block(x, g))
-                if t:
-                    rhs = mat_scale(zeta(hb.field_order, t * scale), rhs)
-                if not mat_eq(lhs, rhs):
+                if not mat_scaled_product_eq(zeta(hb.field_order, t * scale),
+                                             prep[(y, gx)], prep[(x, g)],
+                                             prep[(xy, g)]):
                     report.append(
                         f"multiplicativity fails at (x={x}, y={y}, g={g})")
                     if len(report) >= _REPORT_CAP:
@@ -1172,6 +1189,86 @@ def _braid_block(A: HalfBraidingLin, B: HalfBraidingLin, g: int, h: int):
     return tuple(tuple(row) for row in mat)
 
 
+def _tensor_components(ts: HalfBraidingLin, A: HalfBraidingLin,
+                       B: HalfBraidingLin, order: int) -> dict:
+    """The components of the tensor ts = A (x) B, each prepared once.
+
+    (x, g, h) keys the sub-block of ts.block(x, g h) that maps V_g (x) W_h
+    to V_{x^-1 g x} (x) W_{x^-1 h x}, for g, h in the supports of A and B.
+    """
+    table = ts.table
+    inv = group_inverses(table)
+    da, db = A.carrier.dims, B.carrier.dims
+    _, layout = _pair_layout(A, B)
+    offset = {(g, h): off for entries in layout.values()
+              for g, h, off in entries}
+    out = {}
+    for x in range(len(table)):
+        for (g, h), c0 in offset.items():
+            g2, h2 = _conj(table, inv, x, g), _conj(table, inv, x, h)
+            r0 = offset[(g2, h2)]
+            rows = ts.block(x, table[g][h])[r0:r0 + da[g2] * db[h2]]
+            out[(x, g, h)] = mat_prepare(
+                tuple(row[c0:c0 + da[g] * db[h]] for row in rows), order)
+    return out
+
+
+def _braiding_witnesses(A: HalfBraidingLin, B: HalfBraidingLin, ab: dict,
+                        ba: dict, order: int):
+    """The first failures of the braiding of V = A past W = B.
+
+    Returns the first (g, h) whose braid component is not invertible and
+    the first (g, h, x) where naturality theta_ba c_{g,h} = c_{gx,hx}
+    theta_ab fails, or None for each; theta_ab and theta_ba are read from
+    ab and ba, the _tensor_components of A (x) B and of B (x) A.
+    """
+    table = A.table
+    inv = group_inverses(table)
+    inv_bad = None
+    braids = {}
+    for g in A.carrier.support:
+        for h in B.carrier.support:
+            blk = _braid_block(A, B, g, h)
+            if inv_bad is None and not mat_invertible(blk):
+                inv_bad = (g, h)
+            braids[(g, h)] = mat_prepare(blk, order)
+    for (g, h), cblk in braids.items():
+        g2 = _conj(table, inv, h, g)
+        for x in range(len(table)):
+            gx, hx = _conj(table, inv, x, g), _conj(table, inv, x, h)
+            if not mat_products_eq(ba[(x, h, g2)], cblk, braids[(gx, hx)],
+                                   ab[(x, g, h)]):
+                return inv_bad, (g, h, x)
+    return inv_bad, None
+
+
+def _pair_failures(simples, i: int, j: int, order: int):
+    """Hexagon 2, braid invertibility and naturality on the ordered pairs
+    (i, j) and (j, i), which share their two tensors.
+
+    Yields (check, (a, b), detail) for each check that fails on an ordered
+    pair (a, b), with check one of "hex2", "inv", "nat".
+    """
+    ordered = sorted({(i, j), (j, i)})
+    tensors = {(a, b): tensor_half_braidings(simples[a].hb, simples[b].hb)
+               for a, b in ordered}
+    comps = {(a, b): _tensor_components(ts, simples[a].hb, simples[b].hb,
+                                        order)
+             for (a, b), ts in tensors.items()}
+    for a, b in ordered:
+        errs = check_half_braiding(tensors[(a, b)])
+        if errs:
+            yield "hex2", (a, b), f"pair ({a}, {b}): {errs[0]}"
+        inv_w, nat_w = _braiding_witnesses(simples[a].hb, simples[b].hb,
+                                           comps[(a, b)], comps[(b, a)], order)
+        if inv_w:
+            g, h = inv_w
+            yield "inv", (a, b), f"pair ({a}, {b}) at (g={g}, h={h})"
+        if nat_w:
+            g, h, x = nat_w
+            yield "nat", (a, b), f"pair ({a}, {b}) at (x={x}, g={g}, h={h})"
+
+
 def certify_centre_structure(result: VecCentreResult) -> tuple:
     """Braided-structure battery over the computed simples.
 
@@ -1181,6 +1278,18 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     invertibility and the centre-morphism property of the braiding, and
     the structural strong monoidality and faithfulness of the projection
     to graded carriers.
+
+    Every check runs on every (x, y, g), every grade and every ordered
+    pair of simples.  The first hexagon takes its raw associator scalar
+    once per (g, x, y) and checks each equation with the fused
+    mat_scaled_product_eq on blocks prepared once per simple.  Each
+    unordered pair {i, j} is handled once: the tensors for (i, j) and
+    (j, i) are built, checked by check_half_braiding, and their prepared
+    components serve as theta_ab and theta_ba of the naturality check,
+    which is the fused mat_products_eq; only one pair's tensors are alive
+    at a time.  Braid components are tested by mat_invertible.  A failing
+    certificate names the least failing ordered pair, as a scan in pair
+    order would.
     """
     omega = result.omega
     table = result.table
@@ -1188,6 +1297,8 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     inv = group_inverses(table)
     e = identity_of(table)
     N = result.field_order
+    simples = result.simples
+    order = lcm(N, _entry_order(*(s.hb for s in simples)))
 
     pentagon = check_cocycle(omega)
     pent_cert = Certificate("associator pentagon (3-cocycle identity)",
@@ -1199,69 +1310,41 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
                            not tri_bad,
                            f"fails at {tri_bad[0]}" if tri_bad else "")
 
-    hex1_bad = None
-    for idx, s in enumerate(result.simples):
-        hb = s.hb
+    scalars = {}
+    for g in range(n):
         for x in range(n):
+            gx = _conj(table, inv, x, g)
             for y in range(n):
-                xy = table[x][y]
-                for g in hb.carrier.support:
-                    gx = _conj(table, inv, x, g)
-                    gxy = _conj(table, inv, xy, g)
-                    scalar = (omega.value(g, x, y).inverse()
-                              * omega.value(x, gx, y)
-                              * omega.value(x, y, gxy).inverse())
-                    rhs = mat_scale(scalar.promote(N),
-                                    mat_mul(hb.block(y, gx), hb.block(x, g)))
-                    if not mat_eq(hb.block(xy, g), rhs):
-                        hex1_bad = f"simple {idx} at (x={x}, y={y}, g={g})"
-                        break
-                if hex1_bad:
-                    break
-            if hex1_bad:
-                break
+                gxy = _conj(table, inv, table[x][y], g)
+                scalars[(g, x, y)] = (omega.value(g, x, y).inverse()
+                                      * omega.value(x, gx, y)
+                                      * omega.value(x, y, gxy).inverse()
+                                      ).promote(order)
+    hex1_bad = None
+    for idx, s in enumerate(simples):
+        prep = _prepared_blocks(s.hb, order)
+        hex1_bad = next(
+            (f"simple {idx} at (x={x}, y={y}, g={g})"
+             for x in range(n) for y in range(n) for g in s.hb.carrier.support
+             if not mat_scaled_product_eq(
+                 scalars[(g, x, y)], prep[(y, _conj(table, inv, x, g))],
+                 prep[(x, g)], prep[(table[x][y], g)])),
+            None)
         if hex1_bad:
             break
     hex1_cert = Certificate(
         "hexagon 1 (multiplicativity against raw associator values)",
-        hex1_bad is None, hex1_bad or f"{len(result.simples)} simples")
+        hex1_bad is None, hex1_bad or f"{len(simples)} simples")
 
-    hex2_bad = None
-    braid_inv_bad = None
-    nat_bad = None
-    for i, s in enumerate(result.simples):
-        for j, t in enumerate(result.simples):
-            ts = tensor_half_braidings(s.hb, t.hb)
-            errs = check_half_braiding(ts)
-            if errs and hex2_bad is None:
-                hex2_bad = f"pair ({i}, {j}): {errs[0]}"
-            for g in s.hb.carrier.support:
-                for h in t.hb.carrier.support:
-                    cblk = _braid_block(s.hb, t.hb, g, h)
-                    if braid_inv_bad is None:
-                        if len(cblk) != len(cblk[0]) or solve_linear(cblk).kernel:
-                            braid_inv_bad = f"pair ({i}, {j}) at (g={g}, h={h})"
-                    if nat_bad is not None:
-                        continue
-                    for x in range(n):
-                        gx = _conj(table, inv, x, g)
-                        hx = _conj(table, inv, x, h)
-                        g2 = _conj(table, inv, h, g)
-                        sAB = zeta(N, _tensor_twist(omega, inv, x, g, h)
-                                   * (N // omega.scalar_order))
-                        sBA = zeta(N, _tensor_twist(omega, inv, x, h, g2)
-                                   * (N // omega.scalar_order))
-                        theta_ab = mat_scale(sAB, kron(s.hb.block(x, g),
-                                                       t.hb.block(x, h)))
-                        theta_ba = mat_scale(sBA, kron(t.hb.block(x, h),
-                                                       s.hb.block(x, g2)))
-                        lhs = mat_mul(theta_ba, cblk)
-                        rhs = mat_mul(_braid_block(s.hb, t.hb, gx, hx),
-                                      theta_ab)
-                        if not mat_eq(lhs, rhs):
-                            nat_bad = f"pair ({i}, {j}) at (x={x}, g={g}, h={h})"
-                            break
-    pairs = len(result.simples) ** 2
+    # the least failing ordered pair is reported, as a scan in order would
+    bad = {"hex2": [], "inv": [], "nat": []}
+    for i in range(len(simples)):
+        for j in range(i, len(simples)):
+            for check, pair, detail in _pair_failures(simples, i, j, order):
+                bad[check].append((pair, detail))
+    hex2_bad, braid_inv_bad, nat_bad = (min(bad[k])[1] if bad[k] else None
+                                        for k in ("hex2", "inv", "nat"))
+    pairs = len(simples) ** 2
     hex2_cert = Certificate(
         "hexagon 2 (tensor of two simples is again a half-braiding)",
         hex2_bad is None, hex2_bad or f"{pairs} ordered pairs")
@@ -1272,8 +1355,8 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
         nat_bad is None, nat_bad or f"{pairs} ordered pairs")
 
     mono_bad = None
-    for i, s in enumerate(result.simples):
-        for j, t in enumerate(result.simples):
+    for i, s in enumerate(simples):
+        for j, t in enumerate(simples):
             dims, _ = _pair_layout(s.hb, t.hb)
             expected = [0] * n
             for g in range(n):

@@ -246,6 +246,25 @@ def test_closed_stdout_pipe_keeps_the_exit_code(emit):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("argv, env, code", [
+    (["validate", fix("absent.json")], {}, 2),
+    (["equiv", fix("z2_discrete.json")],
+     {"MONOCENTRE_HOCHSCHILD_MAX_BASE": "1"}, 3),
+], ids=["malformed", "guard"])
+def test_closed_stderr_pipe_keeps_the_exit_code(argv, env, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start: the error line fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monocentre", *argv],
+            stdout=subprocess.PIPE, stderr=write_end,
+            env={**_child_env(), **env}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stdout == b""
+    assert proc.returncode == code
+
+
 # Each case mutates one fixture and runs the command line with the mutated
 # copy in place of "{}".
 FUZZ_CASES = [

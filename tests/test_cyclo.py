@@ -10,6 +10,8 @@ from monocentre.cyclo import (
     CycNumber, cyclotomic_poly, euler_phi, zeta, cyc_one, cyc_zero,
     roots_of_unity, multiplicative_order,
     solve_linear, mat_mul, mat_vec, mat_trace, mat_id, mat_inv, kron, rref, transpose,
+    mat_eq, mat_scale, mat_prepare, mat_scaled_product_eq, mat_products_eq,
+    mat_invertible,
 )
 
 
@@ -529,3 +531,154 @@ def test_matrix_products_match_reference(case):
     for rrow in R:
         trace = trace + ref_dot(rrow, rrow)
     assert same(mat_trace(prod), trace)
+
+
+# -- the prepared-block kernel against the plain matrix routines -----------
+#
+# The fused checks must answer exactly what building the products and
+# comparing them answers, and the fraction-free invertibility test what the
+# kernel of solve_linear says.
+
+fused_orders = st.sampled_from((1, 2, 4, 8, 12))
+
+
+@st.composite
+def fused_entries(draw, n):
+    """Zero, a rational, a root of unity (possibly of a smaller order
+    dividing n), a rational multiple of one, or a sum of two such terms:
+    the denominators of one matrix differ."""
+    def term():
+        d = draw(st.sampled_from([d for d in (1, 2, 3, 4, 6, 8, 12) if n % d == 0]))
+        return zeta(d, draw(st.integers(0, d - 1))) * draw(small_fracs)
+    kind = draw(st.sampled_from(("zero", "rational", "root", "term", "sum")))
+    if kind == "zero":
+        return cyc_zero(n)
+    if kind == "rational":
+        return CycNumber.from_rational(n, draw(small_fracs))
+    if kind == "root":
+        return zeta(n, draw(st.integers(0, n - 1)))
+    return term() + term() if kind == "sum" else term()
+
+
+def fused_matrices(n, rows, cols):
+    return st.lists(st.lists(fused_entries(n), min_size=cols, max_size=cols)
+                    .map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def monomial_matrices(draw, n, k):
+    """An invertible k x k matrix with one nonzero root-of-unity multiple
+    per row and column, with its inverse."""
+    perm = draw(st.permutations(range(k)))
+    exps = [draw(st.integers(0, n - 1)) for _ in range(k)]
+    nonzero = st.fractions(min_value=1, max_value=5, max_denominator=7)
+    scales = [draw(nonzero) * draw(st.sampled_from((1, -1))) for _ in range(k)]
+    zero = cyc_zero(n)
+    M = tuple(tuple(zeta(n, exps[i]) * scales[i] if j == perm[i] else zero
+                    for j in range(k)) for i in range(k))
+    Minv = tuple(tuple(zeta(n, -exps[j]) * (1 / scales[j]) if i == perm[j] else zero
+                       for j in range(k)) for i in range(k))
+    return M, Minv
+
+
+def _bump(M, i, j, delta):
+    """M with delta added to entry (i, j)."""
+    return tuple(tuple(x + delta if (r, c) == (i, j) else x
+                       for c, x in enumerate(row)) for r, row in enumerate(M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scaled_product_check_matches_building_the_product(data):
+    n = data.draw(fused_orders)
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    A = data.draw(fused_matrices(n, r, k))
+    B = data.draw(fused_matrices(n, k, c))
+    s = data.draw(fused_entries(n))
+    exact = mat_scale(s, mat_mul(A, B))
+    i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, c - 1))
+    off = _bump(exact, i, j, data.draw(fused_entries(n).filter(
+        lambda x: not x.is_zero())))
+    other = data.draw(fused_matrices(n, r, c))
+
+    def fused(C):
+        return mat_scaled_product_eq(s, mat_prepare(A, n), mat_prepare(B, n),
+                                     mat_prepare(C, n))
+
+    assert fused(exact) is True
+    assert fused(off) is False
+    assert fused(other) == mat_eq(exact, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_pair_check_matches_building_both_products(data):
+    n = data.draw(fused_orders)
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    A = data.draw(fused_matrices(n, r, k))
+    B = data.draw(fused_matrices(n, k, c))
+    M, Minv = data.draw(monomial_matrices(n, k))
+    # (A M)(M^-1 B) == A B: an equal pair built differently
+    C, D = mat_mul(A, M), mat_mul(Minv, B)
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, c - 1))
+    D_off = _bump(D, i, j, data.draw(fused_entries(n)))
+    k2 = data.draw(st.integers(1, 5))
+    C2 = data.draw(fused_matrices(n, r, k2))
+    D2 = data.draw(fused_matrices(n, k2, c))
+
+    def fused(C, D):
+        return mat_products_eq(*(mat_prepare(X, n) for X in (A, B, C, D)))
+
+    assert fused(C, D) is True
+    for C_, D_ in ((C, D_off), (C2, D2)):
+        assert fused(C_, D_) == mat_eq(mat_mul(A, B), mat_mul(C_, D_))
+
+
+@st.composite
+def square_cases(draw):
+    """A square matrix up to 8 x 8; some with a repeated row, some with a
+    zero column, some monomial (always invertible)."""
+    n = draw(fused_orders)
+    k = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("random", "repeated row", "zero column",
+                                 "monomial", "roots")))
+    if kind == "monomial":
+        return draw(monomial_matrices(n, k))[0]
+    if kind == "roots":
+        entry = st.one_of(st.just(None), st.integers(0, n - 1))
+        return tuple(tuple(cyc_zero(n) if e is None else zeta(n, e) for e in row)
+                     for row in draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                              min_size=k, max_size=k)))
+    M = [list(row) for row in draw(fused_matrices(n, k, k))]
+    if kind == "repeated row" and k > 1:
+        src, dst = draw(st.permutations(range(k)))[:2]
+        M[dst] = list(M[src])
+    if kind == "zero column":
+        col = draw(st.integers(0, k - 1))
+        for row in M:
+            row[col] = cyc_zero(n)
+    return tuple(tuple(row) for row in M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_cases())
+def test_fraction_free_invertibility_matches_solve_linear(M):
+    assert mat_invertible(M) == (not solve_linear(M).kernel)
+
+
+def test_kernel_edge_cases():
+    z = zeta(4)
+    A = ((z, 0), (0, z))
+    assert mat_invertible(())
+    assert not mat_invertible(((z, 1),))
+    assert not mat_invertible(((z, z), (z * 2, z * 2)))
+    P = mat_prepare(A, 4)
+    assert mat_scaled_product_eq(z, P, P, mat_prepare(mat_scale(z, mat_mul(A, A)), 4))
+    assert not mat_scaled_product_eq(z, P, P, mat_prepare(((z,),), 4))
+    ragged = mat_prepare(((-z, 0), (0, -z, 0)), 4)  # mat_eq sees a longer row
+    assert not mat_scaled_product_eq(1, P, P, ragged)
+    assert not mat_products_eq(P, P, mat_prepare(((z,),), 4), mat_prepare(((z, z),), 4))
+    with pytest.raises(ValueError, match="different orders"):
+        mat_scaled_product_eq(z, P, P, mat_prepare(A, 8))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_products_eq(P, mat_prepare(((z, z),), 4), P, P)

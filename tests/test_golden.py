@@ -1,0 +1,35 @@
+"""Golden reports: `vec-centre` stdout must stay byte-identical.
+
+The files under tests/golden/ are the stdout of `monocentre vec-centre`,
+run from the repository root, before the certificate battery moved to the
+prepared-block kernel of `cyclo`.  A difference is a change of report
+bytes, not a test to update.
+"""
+
+import pathlib
+
+import pytest
+
+from monocentre.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+CASES = {
+    "s3": ["fixtures/s3.json"],
+    "z4": ["fixtures/z4.json"],
+    "z3": ["fixtures/z3.json"],
+    "z2_nontrivial": ["fixtures/z2.json", "--omega",
+                      "fixtures/z2_nontrivial.json"],
+}
+
+
+@pytest.mark.parametrize("emit, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_vec_centre_report_matches_golden_bytes(name, emit, suffix, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = main(["vec-centre", *CASES[name], "--emit", emit])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"vec_centre_{name}.{suffix}").read_bytes()

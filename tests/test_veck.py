@@ -10,6 +10,9 @@ from monocentre.veck import (
     Cocycle3,
     GradedObject,
     HalfBraidingLin,
+    VecCentreResult,
+    VecSimple,
+    _braid_block,
     canonical_class_carrier,
     centralizer,
     centre_simples,
@@ -22,6 +25,7 @@ from monocentre.veck import (
     field_order_for,
     group_centre,
     group_exponent,
+    group_inverses,
     half_braiding_space,
     intertwiner_dim,
     shift_by_coboundary,
@@ -31,7 +35,7 @@ from monocentre.veck import (
     verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
 )
-from monocentre.cyclo import zeta
+from monocentre.cyclo import cyc_one, cyc_zero, kron, mat_eq, mat_mul, mat_scale, zeta
 
 
 def subgroup_table(table, members):
@@ -213,6 +217,128 @@ def test_corrupted_block_rejected_with_witness():
     bad = HalfBraidingLin(omega, order, delta_object(2, 1), blocks)
     report = check_half_braiding(bad)
     assert report and "multiplicativity fails at (x=1, y=1, g=1)" in report[0]
+
+
+def test_singular_block_is_reported_not_invertible():
+    omega = trivial_cocycle(S3)
+    hb = canonical_class_carrier(omega, field_order_for(S3, omega), 1)
+    assert check_half_braiding(hb) == []
+    key = (3, 2)
+    row = hb.block(*key)[0]
+    blocks = {**hb.blocks, key: (row, row)}
+    bad = HalfBraidingLin(omega, hb.field_order, hb.carrier, blocks)
+    assert check_half_braiding(bad) == ["block (3, 2) is not invertible"]
+
+
+# -- negative controls for the structure battery ----------------------------
+#
+# Each reference below is the battery's former formulation, built from the
+# plain matrix routines; the battery must report the same witness.
+
+
+def _conj(table, x, g):
+    inv = group_inverses(table)
+    return table[table[inv[x]][g]][x]
+
+
+def _ref_hexagon1(result):
+    table, omega, n = result.table, result.omega, len(result.table)
+    for idx, s in enumerate(result.simples):
+        for x in range(n):
+            for y in range(n):
+                xy = table[x][y]
+                for g in s.hb.carrier.support:
+                    gx, gxy = _conj(table, x, g), _conj(table, xy, g)
+                    scalar = (omega.value(g, x, y).inverse() * omega.value(x, gx, y)
+                              * omega.value(x, y, gxy).inverse())
+                    rhs = mat_scale(scalar, mat_mul(s.hb.block(y, gx), s.hb.block(x, g)))
+                    if not mat_eq(s.hb.block(xy, g), rhs):
+                        return f"simple {idx} at (x={x}, y={y}, g={g})"
+    return None
+
+
+def _ref_hexagon2(result):
+    for i, s in enumerate(result.simples):
+        for j, t in enumerate(result.simples):
+            errs = check_half_braiding(tensor_half_braidings(s.hb, t.hb))
+            if errs:
+                return f"pair ({i}, {j}): {errs[0]}"
+    return None
+
+
+def _ref_naturality(result):
+    table, omega, N = result.table, result.omega, result.field_order
+    w, so = omega.exponents, omega.scalar_order
+
+    def theta(A, B, x, g, h):
+        gx, hx = _conj(table, x, g), _conj(table, x, h)
+        t = (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % so
+        return mat_scale(zeta(N, t * (N // so)), kron(A.block(x, g), B.block(x, h)))
+
+    for i, s in enumerate(result.simples):
+        for j, t in enumerate(result.simples):
+            for g in s.hb.carrier.support:
+                for h in t.hb.carrier.support:
+                    cblk = _braid_block(s.hb, t.hb, g, h)
+                    for x in range(len(table)):
+                        g2 = _conj(table, h, g)
+                        gx, hx = _conj(table, x, g), _conj(table, x, h)
+                        lhs = mat_mul(theta(t.hb, s.hb, x, h, g2), cblk)
+                        rhs = mat_mul(_braid_block(s.hb, t.hb, gx, hx),
+                                      theta(s.hb, t.hb, x, g, h))
+                        if not mat_eq(lhs, rhs):
+                            return f"pair ({i}, {j}) at (x={x}, g={g}, h={h})"
+    return None
+
+
+def _with_simple(result, idx, hb):
+    simples = list(result.simples)
+    simples[idx] = VecSimple(simples[idx].class_rep, hb, hb.carrier.total_dim,
+                             simples[idx].fiber_character)
+    return VecCentreResult(result.table, result.omega, result.field_order,
+                           tuple(simples), result.complete,
+                           result.skipped_classes, result.certificates,
+                           result.group_order)
+
+
+def test_corrupted_simple_fails_the_hexagons_with_witnesses():
+    result = centre_simples(S3)
+    hb = result.simples[3].hb  # a transposition-class simple, grades 1, 2, 5
+    key = (3, 2)
+    blocks = {**hb.blocks, key: mat_scale(-1, hb.block(*key))}
+    bad = _with_simple(result, 3, HalfBraidingLin(hb.omega, hb.field_order,
+                                                  hb.carrier, blocks))
+    certs = {c.name: c for c in certify_centre_structure(bad)}
+    hex1 = certs["hexagon 1 (multiplicativity against raw associator values)"]
+    hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
+    nat = certs["braiding naturality (centre-morphism property, blockwise)"]
+    assert not hex1.ok and hex1.detail == _ref_hexagon1(bad)
+    assert hex1.detail.startswith("simple 3 at ")
+    assert not hex2.ok and hex2.detail == _ref_hexagon2(bad)
+    assert not nat.ok and nat.detail == _ref_naturality(bad)
+    assert all(c.ok for c in certs.values() if c not in (hex1, hex2, nat))
+
+
+def test_non_square_braid_component_fails_invertibility():
+    # A carrier on the transposition class {1, 2, 5} of S3 whose dimension
+    # is not constant on the class: blocks are rectangular identities, so
+    # every square braid component is invertible and the others are not.
+    omega = trivial_cocycle(S3)
+    order = field_order_for(S3, omega)
+    dims = (0, 1, 1, 0, 0, 2)
+    one, zero = cyc_one(order), cyc_zero(order)
+    blocks = {(x, g): tuple(tuple(one if i == j else zero for j in range(dims[g]))
+                            for i in range(dims[_conj(S3, x, g)]))
+              for x in range(6) for g in (1, 2, 5)}
+    hb = HalfBraidingLin(omega, order, GradedObject(dims), blocks)
+    result = VecCentreResult(S3, omega, order, (VecSimple(1, hb, 4, ()),),
+                             True, (), (), 6)
+    certs = {c.name: c for c in certify_centre_structure(result)}
+    braid = certs["braiding components invertible"]
+    g, h = next((g, h) for g in (1, 2, 5) for h in (1, 2, 5)
+                if dims[_conj(S3, h, g)] != dims[g])
+    assert not braid.ok
+    assert braid.detail == f"pair (0, 0) at (g={g}, h={h})"
 
 
 def test_intertwiner_dimensions():
