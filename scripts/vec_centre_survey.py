@@ -1,10 +1,12 @@
 """Survey the linear backend across small groups.
 
 For each group up to the size guard, enumerate the simple objects of
-the centre (untwisted, plus the nontrivial cocycle on Z2) and tabulate
-counts, dimension vectors, and the sum rule.  Abelian groups of order n
-should show n^2 invertible simples; S3 shows the 8 simples of its
-double with squared dimensions summing to 36.
+the centre (untwisted, plus the nontrivial cocycle on Z2 and the
+type-III cocycle on Z2^3) and tabulate counts, dimension vectors, and the
+sum rule.  Abelian groups of order n should show n^2 invertible simples;
+S3 shows the 8 simples of its double with squared dimensions summing to
+36, and D4 its 22.  Type-III Z2^3 has 22 simples too, but the fibre split
+resolves only 10 of them and reports the run INCOMPLETE.
 """
 
 import pathlib
@@ -14,12 +16,20 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from monocentre.config import GuardConfig
-from monocentre.monoidal import S3
-from monocentre.veck import centre_simples, trivial_cocycle, z2_nontrivial_cocycle
+from monocentre.monoidal import D4, S3, Z2_CUBED
+from monocentre.veck import Cocycle3, centre_simples, trivial_cocycle, z2_nontrivial_cocycle
 
 
 def cyclic(n):
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def type_iii_cocycle():
+    """omega(a, b, c) = (-1)^(a_1 b_2 c_3) on Z2^3."""
+    bit = lambda a, i: a >> i & 1
+    return Cocycle3(Z2_CUBED, 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
+                                    for c in range(8)] for b in range(8)]
+                                  for a in range(8)])
 
 
 def survey(label, table, omega=None, cfg=None):
@@ -41,6 +51,9 @@ def run():
                trivial_cocycle(cyclic(n)), cfg)
     survey("Z2, nontrivial omega", cyclic(2), z2_nontrivial_cocycle(), cfg)
     survey("S3, trivial", S3, trivial_cocycle(S3), cfg)
+    survey("D4, trivial", D4, trivial_cocycle(D4), cfg)
+    survey("Z2^3, trivial", Z2_CUBED, trivial_cocycle(Z2_CUBED), cfg)
+    survey("Z2^3, type III omega", Z2_CUBED, type_iii_cocycle(), cfg)
     return 0
 
 

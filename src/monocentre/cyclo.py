@@ -661,22 +661,6 @@ def solve_linear(M, b=None) -> LinSolve:
     return LinSolve(consistent, particular, tuple(kernel), len(pivots), tuple(pivots))
 
 
-def mat_inv(A):
-    """Exact inverse; raises ValueError when A is singular."""
-    n = len(A)
-    if n == 0:
-        return ()
-    order = A[0][0].order
-    cols = []
-    ident = mat_id(n, order)
-    for j in range(n):
-        sol = solve_linear(A, [ident[i][j] for i in range(n)])
-        if not sol.consistent or sol.kernel:
-            raise ValueError("matrix is singular")
-        cols.append(sol.particular)
-    return transpose(tuple(cols))
-
-
 def rref(vectors):
     """Reduced row echelon form of a list of vectors; canonical basis of
     their span.  Returns (rows, pivots)."""

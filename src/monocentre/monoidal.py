@@ -564,3 +564,16 @@ def _s3_table():
 
 
 S3 = _s3_table()
+
+
+def _d4_table():
+    # r^i s^j at index i + 4 j, with s r = r^-1 s
+    def mul(a, b):
+        i, j, k, l = a % 4, a // 4, b % 4, b // 4
+        return (i + (-k if j else k)) % 4 + 4 * ((j + l) % 2)
+    return tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
+
+
+D4 = _d4_table()
+# Z2 x Z2 x Z2 with element a = a_1 + 2 a_2 + 4 a_3; the product is xor
+Z2_CUBED = tuple(tuple(a ^ b for b in range(8)) for a in range(8))

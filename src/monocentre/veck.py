@@ -19,16 +19,27 @@ the finite-order maps met while splitting carriers therefore lie in the
 finite searchable set mu_N.
 
 Simple extraction solves one canonical carrier per conjugacy class (total
-dimension |G|) in closed form, splits its fiber at the class
-representative under the twisted centralizer action, and induces each
-summand back to a graded carrier.  Every returned object is re-verified
-against the full half-braiding axioms, and distinct simples are certified
-by the absence of nonzero intertwiners.
+dimension |G|) in closed form and splits its fiber at the class
+representative r under the twisted action h -> M_h of the centralizer H,
+a projective representation.  A piece is simple when its commutant is
+one-dimensional, read off as the character norm (1/|H|) sum_h tr(M_h)
+tr(M_h^-1), where M_h^-1 = M_{h^-1} / c_h for the scalar c_h =
+M_{h^-1} M_h.  Otherwise an eigenvector (in mu_N) of a non-scalar M_h
+generates an invariant subspace C; the kernel of the Maschke average
+P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate projection E onto span C
+is an invariant complement, and each part's action is read off the unit
+rows of its basis.  Each closed form is checked, not trusted: c_h is
+scalar, the norm a positive integer, P^2 = P and C R_h = M_h C.  Each
+distinct summand is induced back to a graded carrier, every returned
+object is re-verified against the full half-braiding axioms, and
+distinct simples are certified by the absence of nonzero intertwiners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .centre import Certificate, compute_centre
@@ -69,6 +80,7 @@ def identity_of(table) -> int:
     raise ValueError("table has no identity element")
 
 
+@lru_cache(maxsize=16)
 def group_inverses(table) -> tuple:
     e = identity_of(table)
     n = len(table)
@@ -657,11 +669,6 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
 # -- splitting the fiber action --------------------------------------------
 
 
-def _mat_sub(A, B):
-    return tuple(tuple(x - y for x, y in zip(ra, rb))
-                 for ra, rb in zip(A, B))
-
-
 def _mat_pow(M, m: int):
     out = M
     for _ in range(m - 1):
@@ -670,118 +677,109 @@ def _mat_pow(M, m: int):
 
 
 def _is_scalar(M) -> bool:
-    k = len(M)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                if M[i][j] != M[0][0]:
-                    return False
-            elif not M[i][j].is_zero():
-                return False
-    return True
+    return all(M[i][j] == M[0][0] if i == j else M[i][j].is_zero()
+               for i in range(len(M)) for j in range(len(M)))
 
 
-def _col(M, j):
-    return tuple(row[j] for row in M)
+def _hcat(blocks):
+    """Matrices with the same number of rows, side by side."""
+    return tuple(tuple(x for blk in blocks for x in blk[i])
+                 for i in range(len(blocks[0])))
 
 
-def _cols_to_matrix(cols):
-    return tuple(tuple(c[i] for c in cols) for i in range(len(cols[0])))
+def _action_inverses(table, mats) -> dict:
+    """M_h^-1 for every h, as M_{h^-1} / c_h with c_h = M_{h^-1} M_h.
+
+    The action is projective, so c_h is a root of unity, not always 1;
+    that the product is scalar is checked, not assumed.
+    """
+    inv = group_inverses(table)
+    out = {}
+    for h, M in mats.items():
+        Mi = mats[inv[h]]
+        c = mat_mul(Mi, M)
+        if not _is_scalar(c) or c[0][0].is_zero():
+            raise InternalSoundnessError(
+                "fiber action of an inverse is not a scalar inverse")
+        out[h] = Mi if c[0][0].is_one() else mat_scale(c[0][0].inverse(), Mi)
+    return out
 
 
-def _commutant_dim(mats, k: int) -> int:
-    """Dimension of {T : T M_h = M_h T for all h}."""
-    rows = []
-    for h in sorted(mats):
-        M = mats[h]
-        for i in range(k):
-            for j in range(k):
-                row = [0] * (k * k)
-                for q in range(k):
-                    row[i * k + q] = row[i * k + q] + M[q][j]
-                for p in range(k):
-                    row[p * k + j] = row[p * k + j] - M[i][p]
-                rows.append(row)
-    return len(solve_linear(rows).kernel)
+def _commutant_dim(mats, inverses) -> int:
+    """Dimension of {T : T M_h = M_h T for all h}, as a character norm.
+
+    X -> M_h X M_h^-1 is a genuine representation on matrices even when
+    the action is projective; its character is tr(M_h) tr(M_h^-1), and the
+    commutant is its fixed space, of dimension the average character.
+    """
+    total = sum(mat_trace(M) * mat_trace(inverses[h]) for h, M in mats.items())
+    avg = total.coeffs[0] / len(mats)
+    if not total.is_rational() or avg.denominator != 1 or avg < 1:
+        raise InternalSoundnessError(
+            "character norm of the fiber action is not a positive integer")
+    return int(avg)
 
 
-def _cyclic_closure(v, mats, order: int):
-    """Canonical column basis of the invariant subspace generated by v."""
-    basis_rows, _ = rref([v])
+def _cyclic_closure(v, mats):
+    """Canonical column basis of the invariant subspace generated by v,
+    and its unit rows (the rref pivots)."""
+    basis_rows, pivots = rref([v])
     worklist = [v]
     while worklist:
         u = worklist.pop(0)
         for h in sorted(mats):
             wv = mat_vec(mats[h], u)
-            grown, _ = rref(list(basis_rows) + [wv])
+            grown, grown_pivots = rref(list(basis_rows) + [wv])
             if len(grown) > len(basis_rows):
-                basis_rows = grown
+                basis_rows, pivots = grown, grown_pivots
                 worklist.append(wv)
-    return transpose(basis_rows)
+    return transpose(basis_rows), pivots
 
 
-def _restrict_action(mats, C):
-    """Matrices of the action in the column basis C of an invariant space."""
-    d = len(C[0])
-    out = {}
-    for h in sorted(mats):
-        MC = mat_mul(mats[h], C)
-        cols = []
-        for j in range(d):
-            sol = solve_linear(C, _col(MC, j))
-            if not sol.consistent or sol.kernel:
-                raise InternalSoundnessError(
-                    "claimed invariant subspace is not invariant")
-            cols.append(sol.particular)
-        out[h] = _cols_to_matrix(cols)
+def _restrict_action(mats, C, units):
+    """Matrices of the action in the column basis C of an invariant space.
+
+    Row units[j] of C is the j-th unit vector, so the coordinates of M_h C
+    are its rows at units.  C R_h = M_h C is checked for all h by one
+    product.
+    """
+    hs = sorted(mats)
+    images = [mat_mul(mats[h], C) for h in hs]
+    out = {h: tuple(img[i] for i in units) for h, img in zip(hs, images)}
+    if not mat_eq(mat_mul(C, _hcat([out[h] for h in hs])), _hcat(images)):
+        raise InternalSoundnessError(
+            "claimed invariant subspace is not invariant")
     return out
 
 
-def _invariant_projection(mats, C):
+def _invariant_projection(mats, inverses, C, units):
     """Idempotent onto the span of C commuting with the whole action.
 
-    Solves for Y with C Y M_h = M_h C Y for all h and Y C = id; the
-    projection is C Y.  Existence is semisimplicity in characteristic
-    zero, so failure is an internal error.
+    E = C S, with S reading the unit rows of C, projects onto span C; its
+    Maschke average P = (1/|H|) sum_h M_h^-1 E M_h over the acting group H
+    commutes with every M_h and still fixes the invariant span C.  P^2 = P
+    is checked.
     """
-    k = len(C)
-    d = len(C[0])
-    rows = []
-    rhs = []
-    for h in sorted(mats):
-        M = mats[h]
-        MC = mat_mul(M, C)
-        for i in range(k):
-            for j in range(k):
-                row = [0] * (d * k)
-                for p in range(d):
-                    for q in range(k):
-                        row[p * k + q] = row[p * k + q] + C[i][p] * M[q][j]
-                    row[p * k + j] = row[p * k + j] - MC[i][p]
-                rows.append(row)
-                rhs.append(0)
-    for p0 in range(d):
-        for j0 in range(d):
-            row = [0] * (d * k)
-            for q in range(k):
-                row[p0 * k + q] = C[q][j0]
-            rows.append(row)
-            rhs.append(1 if p0 == j0 else 0)
-    sol = solve_linear(rows, rhs)
-    if not sol.consistent:
-        raise InternalSoundnessError(
-            "no invariant complement; the fiber action is not semisimple")
-    Y = tuple(tuple(sol.particular[p * k + q] for q in range(k))
-              for p in range(d))
-    return mat_mul(C, Y)
+    hs = sorted(mats)
+    left = _hcat([mat_mul(inverses[h], C) for h in hs])
+    right = tuple(mats[h][i] for h in hs for i in units)
+    P = mat_scale(Fraction(1, len(hs)), mat_mul(left, right))
+    if not mat_eq(mat_mul(P, P), P):
+        raise InternalSoundnessError("averaged projection is not idempotent")
+    return P
 
 
 def _split_rec(table, B, mats, order: int, roots, out) -> bool:
-    """Decompose the subspace with ambient basis B; True when complete."""
+    """Decompose the subspace with ambient basis B; True when complete.
+
+    Appends (basis, action, certified) per piece; a piece stays uncertified
+    when no eigenvector of its first non-scalar matrix has a proper closure.
+    """
     k = len(B[0]) if B else 0
     if k == 0:
         return True
-    if k == 1 or _commutant_dim(mats, k) == 1:
+    inverses = _action_inverses(table, mats) if k > 1 else None
+    if k == 1 or _commutant_dim(mats, inverses) == 1:
         out.append((B, mats, True))
         return True
     if all(_is_scalar(M) for M in mats.values()):
@@ -798,27 +796,30 @@ def _split_rec(table, B, mats, order: int, roots, out) -> bool:
         raise InternalSoundnessError(
             "power of a fiber action matrix is not scalar")
     c = P[0][0]
-    ident = mat_id(k, order)
     for lam in roots:
         if lam ** m != c:
             continue
-        ker = solve_linear(_mat_sub(M0, mat_scale(lam, ident))).kernel
+        ker = solve_linear(tuple(tuple(x - lam if i == j else x
+                                       for j, x in enumerate(row))
+                                 for i, row in enumerate(M0))).kernel
         if not ker or len(ker) == k:
             continue
         for v in ker:
-            C = _cyclic_closure(v, mats, order)
+            C, units = _cyclic_closure(v, mats)
             d = len(C[0])
             if d == k:
                 continue
-            proj = _invariant_projection(mats, C)
-            kernel_cols = solve_linear(proj).kernel
-            if len(kernel_cols) != k - d:
+            sol = solve_linear(_invariant_projection(mats, inverses, C, units))
+            if len(sol.kernel) != k - d:
                 raise InternalSoundnessError(
                     "invariant projection kernel has the wrong dimension")
-            K = _cols_to_matrix(kernel_cols)
-            ok_u = _split_rec(table, mat_mul(B, C), _restrict_action(mats, C),
+            K = transpose(sol.kernel)
+            free = tuple(j for j in range(k) if j not in sol.pivots)
+            ok_u = _split_rec(table, mat_mul(B, C),
+                              _restrict_action(mats, C, units),
                               order, roots, out)
-            ok_k = _split_rec(table, mat_mul(B, K), _restrict_action(mats, K),
+            ok_k = _split_rec(table, mat_mul(B, K),
+                              _restrict_action(mats, K, free),
                               order, roots, out)
             return ok_u and ok_k
     out.append((B, mats, False))
@@ -895,12 +896,12 @@ def _induce_simple(omega, field_order, carrier_hb, class_rep, fiber_cols):
             rhs = mat_mul(carrier_hb.block(x, g), basis[g])
             cols = []
             for j in range(d):
-                sol = solve_linear(basis[g2], _col(rhs, j))
+                sol = solve_linear(basis[g2], [row[j] for row in rhs])
                 if not sol.consistent or sol.kernel:
                     raise InternalSoundnessError(
                         "induced grade basis is not invariant")
                 cols.append(sol.particular)
-            blocks[(x, g)] = _cols_to_matrix(cols)
+            blocks[(x, g)] = transpose(cols)
     return HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
 
 
@@ -1080,11 +1081,9 @@ def centre_simples(table, omega: Cocycle3 | None = None,
                     inter_ok, inter_detail),
         Certificate("sum rule: squared dimensions add to |G|^2",
                     sum_ok, sum_detail),
-        Certificate("enumeration complete", complete,
-                    ("skipped classes " + str(tuple(skipped))
-                     if skipped else "")
-                    + (f"; {unresolved} unresolved summands"
-                       if unresolved else "")),
+        Certificate("enumeration complete", complete, "; ".join(
+            ([f"skipped classes {tuple(skipped)}"] if skipped else [])
+            + ([f"{unresolved} unresolved summands"] if unresolved else []))),
     )
     return VecCentreResult(table, omega, field_order, tuple(simples),
                            complete, tuple(skipped), certs, n)

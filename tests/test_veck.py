@@ -4,15 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocentre.config import GuardConfig, SizeGuardExceeded
-from monocentre.monoidal import S3, Z2, Z3, Z4
+from monocentre import veck
+from monocentre.config import GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from monocentre.monoidal import D4, S3, Z2, Z2_CUBED, Z3, Z4
 from monocentre.veck import (
     Cocycle3,
     GradedObject,
     HalfBraidingLin,
     VecCentreResult,
     VecSimple,
+    _action_inverses,
     _braid_block,
+    _commutant_dim,
+    _invariant_projection,
+    _restrict_action,
+    _split_rec,
     canonical_class_carrier,
     centralizer,
     centre_simples,
@@ -35,7 +41,10 @@ from monocentre.veck import (
     verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
 )
-from monocentre.cyclo import cyc_one, cyc_zero, kron, mat_eq, mat_mul, mat_scale, zeta
+from monocentre.cyclo import (
+    cyc_one, cyc_zero, kron, mat_eq, mat_id, mat_mul, mat_scale, roots_of_unity, rref,
+    solve_linear, transpose, zeta,
+)
 
 
 def subgroup_table(table, members):
@@ -417,3 +426,171 @@ def test_coboundary_twist_bijection_on_z4():
 def test_coboundaries_are_cocycles_on_z3(free):
     cochain = ((0, 0, 0), (0, free[0], free[1]), (0, free[2], free[3]))
     assert check_cocycle(coboundary_cocycle(Z3, 3, cochain)) == []
+
+
+# -- the fibre split: closed forms against the former linear systems ---------
+
+
+def type_iii_cocycle():
+    """omega(a, b, c) = (-1)^(a_1 b_2 c_3) on Z2^3, where beta is genuinely
+    projective on every nontrivial class."""
+    bit = lambda a, i: a >> i & 1
+    return Cocycle3(Z2_CUBED, 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
+                                    for c in range(8)] for b in range(8)]
+                                  for a in range(8)])
+
+
+SPLIT_INPUTS = [
+    pytest.param(Z2, None, id="z2"),
+    pytest.param(Z2, z2_nontrivial_cocycle, id="z2_nontrivial"),
+    pytest.param(Z3, None, id="z3"),
+    pytest.param(Z4, None, id="z4"),
+    pytest.param(S3, None, id="s3"),
+    pytest.param(D4, None, id="d4"),
+    pytest.param(Z2_CUBED, None, id="z2cubed"),
+    pytest.param(Z2_CUBED, type_iii_cocycle, id="z2cubed_type_iii"),
+]
+
+
+def _ref_commutant_dim(mats):
+    """The former k^2-unknown system for {T : T M_h = M_h T for all h}."""
+    k = len(next(iter(mats.values())))
+    rows = []
+    for h in sorted(mats):
+        M = mats[h]
+        for i in range(k):
+            for j in range(k):
+                row = [0] * (k * k)
+                for q in range(k):
+                    row[i * k + q] = row[i * k + q] + M[q][j]
+                for p in range(k):
+                    row[p * k + j] = row[p * k + j] - M[i][p]
+                rows.append(row)
+    return len(solve_linear(rows).kernel)
+
+
+def _fibre_splits(table, omega):
+    """(fibre action, split pieces) at the representative of every class."""
+    omega = trivial_cocycle(table) if omega is None else omega
+    order = field_order_for(table, omega)
+    for cls in conjugacy_classes(table):
+        carrier = canonical_class_carrier(omega, order, cls[0])
+        cent = centralizer(table, cls[0])
+        mats = {h: carrier.block(h, cls[0]) for h in cent}
+        pieces = []
+        _split_rec(table, mat_id(len(cent), order), mats, order,
+                   roots_of_unity(order), pieces)
+        yield mats, pieces
+
+
+@pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
+def test_character_norm_matches_the_commutant_system(table, omega_factory,
+                                                     monkeypatch):
+    # every action the split asks about (each class fibre first), then
+    # every piece it returns
+    asked = []
+
+    def recorded(mats, inverses):
+        asked.append(mats)
+        return _commutant_dim(mats, inverses)
+
+    monkeypatch.setattr(veck, "_commutant_dim", recorded)
+    omega = omega_factory() if omega_factory else None
+    pieces = [sub for _, split in _fibre_splits(table, omega)
+              for _, sub, _ in split]
+    assert len(asked) >= len(conjugacy_classes(table))
+    for mats in asked + pieces:
+        assert (_commutant_dim(mats, _action_inverses(table, mats))
+                == _ref_commutant_dim(mats))
+
+
+@pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
+def test_maschke_average_is_an_invariant_idempotent(table, omega_factory):
+    omega = omega_factory() if omega_factory else None
+    checked = 0
+    for mats, pieces in _fibre_splits(table, omega):
+        k = len(mats[min(mats)])
+        inverses = _action_inverses(table, mats)
+        for basis, _, _ in pieces:
+            rows, units = rref(transpose(basis))
+            C = transpose(rows)
+            d = len(units)
+            if d == k:
+                continue
+            P = _invariant_projection(mats, inverses, C, units)
+            assert mat_eq(mat_mul(P, P), P)
+            assert mat_eq(mat_mul(P, C), C)
+            assert all(mat_eq(mat_mul(P, M), mat_mul(M, P))
+                       for M in mats.values())
+            assert len(solve_linear(P).kernel) == k - d
+            restricted = _restrict_action(mats, C, units)
+            assert all(mat_eq(mat_mul(C, restricted[h]), mat_mul(M, C))
+                       for h, M in mats.items())
+            checked += 1
+    assert checked
+
+
+def test_non_invariant_space_is_refused():
+    omega = trivial_cocycle(S3)
+    order = field_order_for(S3, omega)
+    carrier = canonical_class_carrier(omega, order, 0)
+    mats = {h: carrier.block(h, 0) for h in range(6)}
+    one, zero = cyc_one(order), cyc_zero(order)
+    C = tuple((one if i == 0 else zero,) for i in range(6))
+    with pytest.raises(InternalSoundnessError, match="not invariant"):
+        _restrict_action(mats, C, (0,))
+    # on the regular fibre the average of e_0 e_0^T is I/6, not idempotent
+    with pytest.raises(InternalSoundnessError, match="not idempotent"):
+        _invariant_projection(mats, _action_inverses(S3, mats), C, (0,))
+
+
+def test_non_projective_action_is_refused():
+    omega = trivial_cocycle(Z4)
+    order = field_order_for(Z4, omega)
+    carrier = canonical_class_carrier(omega, order, 0)
+    mats = {h: carrier.block(h, 0) for h in range(4)}
+    one, zero = cyc_one(order), cyc_zero(order)
+    D = tuple(tuple((-one if i % 2 else one) if i == j else zero for j in range(4))
+              for i in range(4))
+    mats[3] = mat_mul(D, mats[3])  # M_3 M_1 = D is not scalar
+    with pytest.raises(InternalSoundnessError, match="not a scalar inverse"):
+        _action_inverses(Z4, mats)
+
+
+def test_centre_simples_d4():
+    result = centre_simples(D4, cfg=GuardConfig(vec_dim_bound=8))
+    assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
+    assert result.complete and result.all_passed
+    per_class = {}
+    for s in result.simples:
+        per_class[s.class_rep] = per_class.get(s.class_rep, 0) + 1
+    assert per_class == {r: character_count_oracle(D4, r) for r in (0, 1, 2, 4, 5)}
+    certs = certify_centre_structure(result)
+    assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
+
+
+def test_centre_simples_trivial_z2_cubed():
+    # the 5 s structure battery on 64 simples is left to the survey
+    result = centre_simples(Z2_CUBED, cfg=GuardConfig(vec_dim_bound=8))
+    assert len(result.simples) == 64
+    assert all(s.total_dim == 1 for s in result.simples)
+    assert result.complete and result.all_passed
+
+
+def test_type_iii_z2_cubed_is_never_reported_complete_with_a_wrong_count():
+    # The full answer has 22 simples: 8 of dimension 1 over the identity and
+    # 2 of dimension 2 over each other element.  The split finds only 10: on
+    # six classes every eigenvector of the first non-scalar matrix straddles
+    # two distinct irreducibles, so each cyclic closure is a whole 4-dim
+    # piece V1 + V2 with a 2-dim commutant, and the piece stays unresolved.
+    result = centre_simples(Z2_CUBED, type_iii_cocycle(),
+                            GuardConfig(vec_dim_bound=8))
+    certs = {c.name: c for c in result.certificates}
+    assert result.complete == (len(result.simples) == 22)
+    if not result.complete:
+        enum = certs["enumeration complete"]
+        assert not enum.ok and enum.detail.endswith("unresolved summands")
+        assert not certs["sum rule: squared dimensions add to |G|^2"].ok
+        assert result.sum_of_squares < 64
+    for s in result.simples:
+        assert check_half_braiding(s.hb) == []
