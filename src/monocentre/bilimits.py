@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import (
     FinCategory, Functor, NatTransf, functor_category, full_subcategory,
-    walking_arrow, validate_functor, validate_nat_transf,
+    walking_arrow, validate_functor, validate_nat_transf, _table_category,
 )
 
 
@@ -48,22 +48,8 @@ def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig | None = None) -> Inse
                 if B.compose(G.mor_map[f], m) == B.compose(mm, F.mor_map[f]):
                     mor_table.append((i, j, f))
     mor_table.sort()
-    mor_index = {t: k for k, t in enumerate(mor_table)}
-    src = tuple(t[0] for t in mor_table)
-    dst = tuple(t[1] for t in mor_table)
-    ident = tuple(mor_index[(i, i, A.id_of(a))] for i, (a, _) in enumerate(objs))
-    comp = {}
-    by_src = {}
-    for k, t in enumerate(mor_table):
-        by_src.setdefault(t[0], []).append(k)
-    for k1, (i1, j1, f1) in enumerate(mor_table):
-        for k2 in by_src.get(j1, ()):
-            i2, j2, f2 = mor_table[k2]
-            key = (i1, j2, A.compose(f2, f1))
-            if key not in mor_index:
-                raise InternalSoundnessError("inserter is not closed under composition")
-            comp[(k2, k1)] = mor_index[key]
-    cat = FinCategory(len(objs), src, dst, ident, comp)
+    cat, _ = _table_category(mor_table, [A.id_of(a) for a, _ in objs], A.compose,
+                             "inserter is not closed under composition")
     proj = Functor(cat, A, tuple(a for a, _ in objs),
                    tuple(t[2] for t in mor_table))
     return Inserter(cat, tuple(objs), tuple(mor_table), proj)
@@ -208,22 +194,8 @@ def descent_object(T: TruncatedCosimplicial,
                         == T.X1.compose(mm, T.d0.mor_map[f])):
                     mor_table.append((i, j, f))
     mor_table.sort()
-    mor_index = {t: k for k, t in enumerate(mor_table)}
-    src = tuple(t[0] for t in mor_table)
-    dst = tuple(t[1] for t in mor_table)
-    ident = tuple(mor_index[(i, i, T.X0.id_of(x))] for i, (x, _) in enumerate(objs))
-    comp = {}
-    by_src = {}
-    for k, t in enumerate(mor_table):
-        by_src.setdefault(t[0], []).append(k)
-    for k1, (i1, j1, f1) in enumerate(mor_table):
-        for k2 in by_src.get(j1, ()):
-            i2, j2, f2 = mor_table[k2]
-            key = (i1, j2, T.X0.compose(f2, f1))
-            if key not in mor_index:
-                raise InternalSoundnessError("descent category not closed under composition")
-            comp[(k2, k1)] = mor_index[key]
-    cat = FinCategory(len(objs), src, dst, ident, comp)
+    cat, _ = _table_category(mor_table, [T.X0.id_of(x) for x, _ in objs], T.X0.compose,
+                             "descent category not closed under composition")
     proj = Functor(cat, T.X0, tuple(x for x, _ in objs),
                    tuple(t[2] for t in mor_table))
 

@@ -23,7 +23,7 @@ from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
     product_category, coproduct_category, check_equivalence, EquivalenceReport,
-    validate_category, validate_functor,
+    validate_category, validate_functor, _table_category,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
@@ -294,29 +294,17 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig | None = None) -> Cen
     mor_table.sort()
     if len(mor_table) > cfg.max_morphisms:
         raise SizeGuardExceeded("centre morphisms", len(mor_table), cfg.max_morphisms)
-    mor_index = {t: k for k, t in enumerate(mor_table)}
+    not_central = ("{what}: morphism {label} between centre objects {src} and {dst} "
+                   "fails the centre condition")
+    zcat, mor_index = _table_category(mor_table, [cat.id_of(o.a) for o in objs],
+                                      cat.compose, not_central)
 
     def require_mor(i, j, f, what):
         k = mor_index.get((i, j, f))
         if k is None:
             raise InternalSoundnessError(
-                f"{what}: morphism {f} between centre objects {i} and {j} "
-                "fails the centre condition")
+                not_central.format(what=what, src=i, dst=j, label=f))
         return k
-
-    src = tuple(t[0] for t in mor_table)
-    dst = tuple(t[1] for t in mor_table)
-    ident = tuple(require_mor(i, i, cat.id_of(o.a), "identity")
-                  for i, o in enumerate(objs))
-    comp = {}
-    by_src = {}
-    for k, t in enumerate(mor_table):
-        by_src.setdefault(t[0], []).append(k)
-    for k1, (i1, j1, f1) in enumerate(mor_table):
-        for k2 in by_src.get(j1, ()):
-            i2, j2, f2 = mor_table[k2]
-            comp[(k2, k1)] = require_mor(i1, j2, cat.compose(f2, f1), "composition")
-    zcat = FinCategory(len(objs), src, dst, ident, comp)
 
     # tensor of centre objects: carrier tensor with the two-step half-braiding
     def theta(o1: CentreObject, o2: CentreObject):
@@ -516,25 +504,10 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
                 if not check_centre_piece_morphism(sigma, p, q):
                     mor_table.append((i, j, sigma.components))
     mor_table.sort()
-    mor_index = {t: k for k, t in enumerate(mor_table)}
-    src = tuple(t[0] for t in mor_table)
-    dst = tuple(t[1] for t in mor_table)
-    ident = tuple(mor_index[(i, i, tuple(cat.id_of(p.u.obj_map[s]) for s in U.objects))]
-                  for i, p in enumerate(pieces))
-    comp = {}
-    by_src = {}
-    for k, t in enumerate(mor_table):
-        by_src.setdefault(t[0], []).append(k)
-    for k1, (i1, j1, c1) in enumerate(mor_table):
-        for k2 in by_src.get(j1, ()):
-            i2, j2, c2 = mor_table[k2]
-            composed = tuple(cat.compose(c2[s], c1[s]) for s in U.objects)
-            key = (i1, j2, composed)
-            if key not in mor_index:
-                raise InternalSoundnessError(
-                    "composite of centre-piece morphisms is not one")
-            comp[(k2, k1)] = mor_index[key]
-    cp_cat = FinCategory(len(pieces), src, dst, ident, comp)
+    cp_cat, mor_index = _table_category(
+        mor_table, [tuple(cat.id_of(b) for b in p.u.obj_map) for p in pieces],
+        lambda g, f: tuple(cat.compose(x, y) for x, y in zip(g, f)),
+        "composite of centre-piece morphisms is not one")
     return CentrePieceCategory(cp_cat, U, ms, tuple(pieces), tuple(mor_table),
                                piece_index, mor_index)
 

@@ -107,8 +107,7 @@ def _section_centre(spec: LoadedSpec, cfg: GuardConfig) -> Section:
 def _section_descent(spec: LoadedSpec, cfg: GuardConfig) -> Section:
     H = build_hochschild(spec.payload, cfg)
     D = descent_object(H.diagram, cfg)
-    info = (("level-2 route", "full" if H.level2_full else "restricted"),
-            ("descent objects", D.category.n_objects),
+    info = (("descent objects", D.category.n_objects),
             ("descent morphisms", D.category.n_morphisms))
     certs = (
         _cert("Prop 3.1: translation diagram cosimplicial identities",
@@ -133,8 +132,7 @@ def _section_equiv(spec: LoadedSpec, cfg: GuardConfig) -> Section:
     info = (("centre objects", rep.centre_objects),
             ("centre morphisms", rep.centre_morphisms),
             ("descent objects", rep.descent_objects),
-            ("descent morphisms", rep.descent_morphisms),
-            ("level-2 route", "full" if rep.level2_full else "restricted"))
+            ("descent morphisms", rep.descent_morphisms))
     cert = Certificate("Prop 3.1: descent ≃ centre", ok, detail)
     return Section("equiv", spec.path, info, (cert,))
 

@@ -36,15 +36,11 @@ class InternalSoundnessError(RuntimeError):
 class GuardConfig:
     """Caps for enumerative constructions.
 
-    max_objects / max_morphisms: per constructed category.
-    max_branch: cap on the estimated number of assignments a backtracking
-        enumeration may visit before refusing.
-    hochschild_max_base: largest |Ob A| admitted to the functor-category route.
-    level2_full_cap: object-map bound under which the level-two functor
-        category is materialized in full rather than restricted to the
-        subcategory generated by the coface images.
-    closure_cap: morphism cap while composition-closing a restricted
-        level-two category.
+    max_objects / max_morphisms: per constructed category, including the
+        product A x A and both levels of the translation diagram.
+    max_branch: cap on the number of assignments one backtracking
+        enumeration may visit before refusing; building a functor category
+        spends one budget for all of its morphisms.
     vec_max_group: largest group order the linear backend accepts.
     vec_dim_bound: largest carrier total dimension the linear backend will
         attempt when hunting for simples.
@@ -56,9 +52,6 @@ class GuardConfig:
     max_objects: int = 64
     max_morphisms: int = 4096
     max_branch: int = 1_000_000
-    hochschild_max_base: int = 6
-    level2_full_cap: int = 4096
-    closure_cap: int = 500_000
     vec_max_group: int = 8
     vec_dim_bound: int = 6
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import GuardConfig, SizeGuardExceeded, resolve
+from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 
 
 class FinCategory:
@@ -177,6 +177,38 @@ class FinCategory:
 
     def __repr__(self):
         return f"FinCategory({self._n_objects} objects, {self.n_morphisms} morphisms)"
+
+
+def _table_category(table, identity, compose, missing):
+    """The category whose morphisms are the rows of a sorted table.
+
+    table holds (src, dst, label) rows; identity[i] is the label of object
+    i's identity and compose(g, f) the label of g . f.  When a needed row is
+    absent, InternalSoundnessError(missing) is raised, with {what} ("identity"
+    or "composition"), {src}, {dst} and {label} filled in.  Returns the
+    category and the row -> morphism id index.
+    """
+    index = {row: k for k, row in enumerate(table)}
+
+    def lookup(what, i, j, label):
+        k = index.get((i, j, label))
+        if k is None:
+            raise InternalSoundnessError(
+                missing.format(what=what, src=i, dst=j, label=label))
+        return k
+
+    ident = tuple(lookup("identity", i, i, label) for i, label in enumerate(identity))
+    by_src = {}
+    for k, row in enumerate(table):
+        by_src.setdefault(row[0], []).append(k)
+    comp = {}
+    for k1, (i1, j1, f1) in enumerate(table):
+        for k2 in by_src.get(j1, ()):
+            _, j2, f2 = table[k2]
+            comp[(k2, k1)] = lookup("composition", i1, j2, compose(f2, f1))
+    cat = FinCategory(len(identity), tuple(row[0] for row in table),
+                      tuple(row[1] for row in table), ident, comp)
+    return cat, index
 
 
 def validate_category(cat: FinCategory) -> list[str]:
@@ -382,18 +414,6 @@ def vertical_compose(later: NatTransf, earlier: NatTransf) -> NatTransf:
     comps = tuple(B.compose(later.components[a], earlier.components[a])
                   for a in earlier.src.src.objects)
     return NatTransf(earlier.src, later.dst, comps)
-
-
-def whisker_pre(eta: NatTransf, F: Functor) -> NatTransf:
-    """eta . F : (G o F) => (H o F) for eta: G => H, F landing in G's domain."""
-    return NatTransf(F.then(eta.src), F.then(eta.dst),
-                     tuple(eta.components[F.obj_map[a]] for a in F.src.objects))
-
-
-def whisker_post(K: Functor, eta: NatTransf) -> NatTransf:
-    """K . eta : (K o G) => (K o H) for eta: G => H into K's domain."""
-    return NatTransf(eta.src.then(K), eta.dst.then(K),
-                     tuple(K.mor_map[c] for c in eta.components))
 
 
 # -- basic shapes -------------------------------------------------------
@@ -618,7 +638,10 @@ def enumerate_nat_transfs(F: Functor, G: Functor,
                           cfg: GuardConfig | None = None) -> list[NatTransf]:
     """All natural transformations F => G, components in lexicographic order."""
     cfg = resolve(cfg)
-    budget = _Budget(cfg.max_branch, "natural transformation enumeration")
+    return _nat_transfs(F, G, _Budget(cfg.max_branch, "natural transformation enumeration"))
+
+
+def _nat_transfs(F: Functor, G: Functor, budget: _Budget) -> list[NatTransf]:
     A, B = F.src, F.dst
     n = A.n_objects
     if n == 0:
@@ -674,67 +697,55 @@ def functor_category(A: FinCategory, B: FinCategory,
                      cfg: GuardConfig | None = None) -> FunctorCategory:
     """The category of functors A -> B and all natural transformations."""
     cfg = resolve(cfg)
-    functors = enumerate_functors(A, B, cfg)
+    return full_functor_subcategory(A, B, enumerate_functors(A, B, cfg), cfg)
+
+
+def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
+                             cfg: GuardConfig | None = None,
+                             what: str = "functor category") -> FunctorCategory:
+    """The full subcategory of [A, B] on the given functors A -> B.
+
+    Objects are the distinct functors in (obj_map, mor_map) order; morphisms
+    are every natural transformation between them, in (src, dst, components)
+    order, composed componentwise.  One max_branch budget covers the whole
+    call.  what names the category in guard messages.
+    """
+    cfg = resolve(cfg)
+    functors = sorted({(F.obj_map, F.mor_map): F for F in functors}.values(),
+                      key=lambda F: (F.obj_map, F.mor_map))
     if len(functors) > cfg.max_objects:
-        raise SizeGuardExceeded("functor category objects", len(functors), cfg.max_objects,
+        raise SizeGuardExceeded(f"{what} objects", len(functors), cfg.max_objects,
                                 hint="raise max_objects to proceed")
     findex = {(F.obj_map, F.mor_map): i for i, F in enumerate(functors)}
     by_objmap: dict[tuple, list[int]] = {}
+    extensions: dict[tuple, set] = {}   # object-map prefix -> next objects
     for i, F in enumerate(functors):
         by_objmap.setdefault(F.obj_map, []).append(i)
+        for a in A.objects:
+            extensions.setdefault(F.obj_map[:a], set()).add(F.obj_map[a])
 
-    nonid = [m for m in A.morphisms if not A.is_identity(m)]
+    budget = _Budget(cfg.max_branch, f"{what} morphism enumeration")
     raw: list[tuple[int, int, tuple]] = []
-    budget = _Budget(cfg.max_branch, "functor category morphism enumeration")
     for fi, F in enumerate(functors):
-        out_lists = [B.out_mors(F.obj_map[a]) for a in A.objects]
-        # walk every family of componentwise choices out of F
-        stack = [0] * A.n_objects
-        n = A.n_objects
-
-        def families(a):
-            if a == n:
-                target = tuple(B.dst(stack[o]) for o in range(n))
-                for gi in by_objmap.get(target, ()):
-                    G = functors[gi]
-                    ok = True
-                    for m in nonid:
-                        sa, sb = A.src(m), A.dst(m)
-                        left = B.compose_map.get((stack[sb], F.mor_map[m]))
-                        right = B.compose_map.get((G.mor_map[m], stack[sa]))
-                        if left != right or left is None:
-                            ok = False
-                            break
-                    if ok:
-                        raw.append((fi, gi, tuple(stack)))
-                return
-            for cand in out_lists[a]:
-                budget.spend()
-                stack[a] = cand
-                families(a + 1)
-
-        families(0)
-
+        # object maps of the functors G with every hom(F a, G a) non-empty
+        targets = [()]
+        for a in A.objects:
+            targets = [t + (b,) for t in targets for b in extensions.get(t, ())
+                       if B.hom(F.obj_map[a], b)]
+            budget.spend(len(targets))
+        for target in targets:
+            for gi in by_objmap[target]:
+                raw.extend((fi, gi, eta.components)
+                           for eta in _nat_transfs(F, functors[gi], budget))
     raw.sort()
     if len(raw) > cfg.max_morphisms:
-        raise SizeGuardExceeded("functor category morphisms", len(raw), cfg.max_morphisms,
+        raise SizeGuardExceeded(f"{what} morphisms", len(raw), cfg.max_morphisms,
                                 hint="raise max_morphisms to proceed")
+    cat, tindex = _table_category(
+        raw, [tuple(B.id_of(b) for b in F.obj_map) for F in functors],
+        lambda g, f: tuple(B.compose(x, y) for x, y in zip(g, f)),
+        f"{what} is not closed under composition")
     transfs = tuple(NatTransf(functors[s], functors[d], comps) for s, d, comps in raw)
-    tindex = {key: i for i, key in enumerate(raw)}
-    src = tuple(k[0] for k in raw)
-    dst = tuple(k[1] for k in raw)
-    ident = tuple(tindex[(i, i, tuple(B.id_of(F.obj_map[a]) for a in A.objects))]
-                  for i, F in enumerate(functors))
-    by_src: dict[int, list[int]] = {}
-    for i, k in enumerate(raw):
-        by_src.setdefault(k[0], []).append(i)
-    comp = {}
-    for t1_id, (s1, d1, c1) in enumerate(raw):
-        for t2_id in by_src.get(d1, ()):
-            s2, d2, c2 = raw[t2_id]
-            composed = tuple(B.compose(c2[a], c1[a]) for a in A.objects)
-            comp[(t2_id, t1_id)] = tindex[(s1, d2, composed)]
-    cat = FinCategory(len(functors), src, dst, ident, comp)
     return FunctorCategory(cat, A, B, tuple(functors), transfs, findex, tindex)
 
 

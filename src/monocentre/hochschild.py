@@ -1,32 +1,32 @@
 """The two-sided translation diagram of a monoidal category and its descent
 object.
 
-Level zero is A itself.  Level one is the endofunctor category [A, A] with
-the two cofaces a |-> a(x)- and a |-> -(x)a.  Level two is [A x A, A] with
-three cofaces, and the strict cosimplicial identities are replaced by three
-invertible cells whose components are associators.  verify_prop_3_1 compares
-the descent object of this truncated diagram against the directly enumerated
-centre.
+Level zero is A itself.  Level one sits in the endofunctor category [A, A],
+with the two cofaces a |-> a(x)- and a |-> -(x)a.  Level two sits in
+[A x A, A], with three cofaces, and the strict cosimplicial identities are
+replaced by three invertible cells whose components are associators.
+verify_prop_3_1 compares the descent object of this truncated diagram
+against the directly enumerated centre.
 
-Level two in full is a functor category whose object-map count is
-|Ob A| ** |Ob A x A| and can be far too large to materialize.  Above
-level2_full_cap the construction switches to the subcategory generated by
-the images of the three cofaces and the coherence cells, closed under
-composition.  Everything downstream touches level two only through those
-images, so the restricted category supports the same descent computation;
-the tests cross-check the two routes on bases small enough for both.
+Descent reads level one only on the hom-sets X1(d0 a, d1 a) and level two
+only on the coface images and the coherence cells, so each level is the
+full subcategory of its functor category on the functors descent needs:
+the translations {d0 a, d1 a} at level one and their three coface images
+at level two.  Full subcategories keep every hom-set descent reads, so the
+descent object is the one the whole functor categories give; the tests
+check this against [A, A] and [A x A, A] built in full.  Each level, and
+the product A x A, is bounded by the guards as set.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import GuardConfig, InternalSoundnessError, resolve
 from .fincat import (
-    FinCategory, Functor, NatTransf, FunctorCategory, ProductCategory,
-    functor_category, product_category, check_equivalence, EquivalenceReport,
-    validate_functor,
+    Functor, NatTransf, FunctorCategory, ProductCategory,
+    full_functor_subcategory, product_category, check_equivalence,
+    EquivalenceReport, validate_functor,
 )
 from .monoidal import MonoidalStructure, validate_monoidal
 from .bilimits import TruncatedCosimplicial, validate_cosimplicial, descent_object
@@ -39,7 +39,6 @@ class HochschildDiagram:
     prod: ProductCategory
     level1: FunctorCategory
     diagram: TruncatedCosimplicial
-    level2_full: bool
 
 
 def _e_obj_tables(ms, prod, route, F):
@@ -99,91 +98,6 @@ def _cell_endpoints(route, a, route_obj, d0_obj, d1_obj):
     return route_obj[2][d1_obj[a]], route_obj[1][d1_obj[a]]
 
 
-def _restricted_level2(ms, prod, fc1, d0_obj, d1_obj, cfg):
-    """Level two as the composition closure of the coface images and the
-    coherence components (with their inverses)."""
-    A = ms.base
-    obj_index = {}
-    obj_keys = []
-    route_obj = [[], [], []]
-    for route in range(3):
-        for F in fc1.functors:
-            key = _e_obj_tables(ms, prod, route, F)
-            idx = obj_index.get(key)
-            if idx is None:
-                idx = len(obj_keys)
-                obj_index[key] = idx
-                obj_keys.append(key)
-            route_obj[route].append(idx)
-    n2 = len(obj_keys)
-    if n2 > cfg.closure_cap:
-        raise SizeGuardExceeded("restricted level-two objects", n2, cfg.closure_cap)
-
-    mor_index = {}
-    mor_list = []
-    by_src = {}
-    by_dst = {}
-    pending = deque()
-
-    def add(key):
-        idx = mor_index.get(key)
-        if idx is not None:
-            return idx
-        idx = len(mor_list)
-        if idx >= cfg.closure_cap:
-            raise SizeGuardExceeded("restricted level-two morphisms", idx + 1,
-                                    cfg.closure_cap,
-                                    hint="raise closure_cap to proceed")
-        mor_index[key] = idx
-        mor_list.append(key)
-        pending.append(key)
-        return idx
-
-    for i, key in enumerate(obj_keys):
-        add((i, i, tuple(A.id_of(v) for v in key[0])))
-    transf_ends = {k: (s, d) for (s, d, _), k in fc1.transf_index.items()}
-    e_mor = [[], [], []]
-    for route in range(3):
-        for k in range(fc1.category.n_morphisms):
-            s, d = transf_ends[k]
-            comps = _e_transf_components(ms, prod, route, fc1.transfs[k])
-            e_mor[route].append(add((route_obj[route][s], route_obj[route][d], comps)))
-    for route in range(3):
-        for a in A.objects:
-            s, d = _cell_endpoints(route, a, route_obj, d0_obj, d1_obj)
-            add((s, d, _cell_components(ms, prod, route, a)))
-            add((d, s, _cell_components(ms, prod, route, a, inverse=True)))
-
-    # close under composition; each arrow is paired against everything
-    # already indexed at its endpoints before being indexed itself, so every
-    # composable pair is visited exactly once
-    while pending:
-        key = pending.popleft()
-        s, d, comps = key
-        for (_, d2, c2) in list(by_src.get(d, ())):
-            add((s, d2, tuple(A.compose(c2[i], comps[i]) for i in range(len(comps)))))
-        for (s0, _, c0) in list(by_dst.get(s, ())):
-            add((s0, d, tuple(A.compose(comps[i], c0[i]) for i in range(len(comps)))))
-        if s == d:
-            add((s, d, tuple(A.compose(comps[i], comps[i]) for i in range(len(comps)))))
-        by_src.setdefault(s, []).append(key)
-        by_dst.setdefault(d, []).append(key)
-
-    src = tuple(k[0] for k in mor_list)
-    dst = tuple(k[1] for k in mor_list)
-    ident = tuple(mor_index[(i, i, tuple(A.id_of(v) for v in key[0]))]
-                  for i, key in enumerate(obj_keys))
-    comp = {}
-    for k1, (s1, d1, c1) in enumerate(mor_list):
-        for other in by_src.get(d1, ()):
-            k2 = mor_index[other]
-            s2, d2, c2 = other
-            composed = (s1, d2, tuple(A.compose(c2[i], c1[i]) for i in range(len(c1))))
-            comp[(k2, k1)] = mor_index[composed]
-    X2 = FinCategory(n2, src, dst, ident, comp)
-    return X2, route_obj, e_mor, mor_index
-
-
 def build_hochschild(ms: MonoidalStructure,
                      cfg: GuardConfig | None = None) -> HochschildDiagram:
     cfg = resolve(cfg)
@@ -191,25 +105,16 @@ def build_hochschild(ms: MonoidalStructure,
     if bad:
         raise ValueError("input monoidal structure is invalid: " + bad[0])
     A = ms.base
-    if A.n_objects > cfg.hochschild_max_base:
-        raise SizeGuardExceeded("translation diagram base objects",
-                                A.n_objects, cfg.hochschild_max_base,
-                                hint="raise hochschild_max_base to proceed")
-    big = cfg.raised(max_objects=max(cfg.max_objects, 200_000),
-                     max_morphisms=max(cfg.max_morphisms, 1_000_000),
-                     max_branch=max(cfg.max_branch, 100_000_000))
-    prod = product_category(A, A, big)
-    fc1 = functor_category(A, A, big)
+    left = [(tuple(ms.tensor_obj(a, x) for x in A.objects),
+             tuple(ms.lwhisk(a, f) for f in A.morphisms)) for a in A.objects]
+    right = [(tuple(ms.tensor_obj(x, a) for x in A.objects),
+              tuple(ms.rwhisk(f, a) for f in A.morphisms)) for a in A.objects]
+    fc1 = full_functor_subcategory(
+        A, A, [Functor(A, A, *t) for t in left + right], cfg,
+        what="translation level one")
     X1 = fc1.category
-
-    d0_obj, d1_obj = [], []
-    for a in A.objects:
-        d0_obj.append(fc1.functor_index[(
-            tuple(ms.tensor_obj(a, x) for x in A.objects),
-            tuple(ms.lwhisk(a, f) for f in A.morphisms))])
-        d1_obj.append(fc1.functor_index[(
-            tuple(ms.tensor_obj(x, a) for x in A.objects),
-            tuple(ms.rwhisk(f, a) for f in A.morphisms))])
+    d0_obj = [fc1.functor_index[t] for t in left]
+    d1_obj = [fc1.functor_index[t] for t in right]
     d0_mor, d1_mor = [], []
     for f in A.morphisms:
         a, b = A.src(f), A.dst(f)
@@ -220,45 +125,29 @@ def build_hochschild(ms: MonoidalStructure,
     d0 = Functor(A, X1, tuple(d0_obj), tuple(d0_mor))
     d1 = Functor(A, X1, tuple(d1_obj), tuple(d1_mor))
 
-    full = A.n_objects ** prod.category.n_objects <= cfg.level2_full_cap
-    if full:
-        fc2 = functor_category(prod.category, A, big)
-        X2 = fc2.category
-        route_obj = [[], [], []]
-        for route in range(3):
-            for F in fc1.functors:
-                route_obj[route].append(
-                    fc2.functor_index[_e_obj_tables(ms, prod, route, F)])
-        transf_ends = {k: (s, d) for (s, d, _), k in fc1.transf_index.items()}
-        e_mor = [[], [], []]
-        for route in range(3):
-            for k in range(X1.n_morphisms):
-                s, d = transf_ends[k]
-                comps = _e_transf_components(ms, prod, route, fc1.transfs[k])
-                e_mor[route].append(fc2.index_of_transf(
-                    route_obj[route][s], route_obj[route][d], comps))
-        cell_index = fc2.index_of_transf
-    else:
-        X2, route_obj, e_mor, mor_index = _restricted_level2(
-            ms, prod, fc1, d0_obj, d1_obj, cfg)
-
-        def cell_index(s, d, comps):
-            key = (s, d, comps)
-            if key not in mor_index:
-                raise InternalSoundnessError(
-                    "coherence component missing from restricted level two")
-            return mor_index[key]
-
-    e0 = Functor(X1, X2, tuple(route_obj[0]), tuple(e_mor[0]))
-    e1 = Functor(X1, X2, tuple(route_obj[1]), tuple(e_mor[1]))
-    e2 = Functor(X1, X2, tuple(route_obj[2]), tuple(e_mor[2]))
+    prod = product_category(A, A, cfg)
+    images = [[_e_obj_tables(ms, prod, route, F) for F in fc1.functors]
+              for route in range(3)]
+    fc2 = full_functor_subcategory(
+        prod.category, A,
+        [Functor(prod.category, A, *t) for route in images for t in route], cfg,
+        what="translation level two")
+    X2 = fc2.category
+    route_obj = [[fc2.functor_index[t] for t in route] for route in images]
+    e0, e1, e2 = (
+        Functor(X1, X2, route_obj[route],
+                [fc2.index_of_transf(route_obj[route][X1.src(k)],
+                                     route_obj[route][X1.dst(k)],
+                                     _e_transf_components(ms, prod, route, eta))
+                 for k, eta in enumerate(fc1.transfs)])
+        for route in range(3))
 
     cells = []
     for route in range(3):
         comps = []
         for a in A.objects:
             s, d = _cell_endpoints(route, a, route_obj, d0_obj, d1_obj)
-            comps.append(cell_index(s, d, _cell_components(ms, prod, route, a)))
+            comps.append(fc2.index_of_transf(s, d, _cell_components(ms, prod, route, a)))
         cells.append(tuple(comps))
     coh00 = NatTransf(d0.then(e0), d0.then(e1), cells[0])
     coh01 = NatTransf(d1.then(e0), d0.then(e2), cells[1])
@@ -268,7 +157,7 @@ def build_hochschild(ms: MonoidalStructure,
     if internal:
         raise InternalSoundnessError("translation diagram fails its own checks: "
                                      + internal[0])
-    return HochschildDiagram(ms, prod, fc1, T, full)
+    return HochschildDiagram(ms, prod, fc1, T)
 
 
 @dataclass
@@ -277,7 +166,6 @@ class Prop31Report:
     centre_morphisms: int
     descent_objects: int
     descent_morphisms: int
-    level2_full: bool
     comparison: Functor | None
     equivalence: EquivalenceReport | None
     obstructions: tuple
@@ -335,7 +223,7 @@ def verify_prop_3_1(ms: MonoidalStructure,
     if obstructions:
         return Prop31Report(Z.category.n_objects, Z.category.n_morphisms,
                             D.category.n_objects, D.category.n_morphisms,
-                            H.level2_full, None, None, tuple(obstructions))
+                            None, None, tuple(obstructions))
     comparison = Functor(Z.category, D.category, tuple(obj_map), tuple(mor_map))
     vf = validate_functor(comparison)
     if vf:
@@ -343,4 +231,4 @@ def verify_prop_3_1(ms: MonoidalStructure,
                                      + vf[0])
     return Prop31Report(Z.category.n_objects, Z.category.n_morphisms,
                         D.category.n_objects, D.category.n_morphisms,
-                        H.level2_full, comparison, check_equivalence(comparison), ())
+                        comparison, check_equivalence(comparison), ())

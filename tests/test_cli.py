@@ -107,7 +107,7 @@ def test_wrong_kind_exits_2(capsys):
 
 
 def test_guard_exit_3_via_env(capsys, monkeypatch):
-    monkeypatch.setenv("MONOCENTRE_HOCHSCHILD_MAX_BASE", "1")
+    monkeypatch.setenv("MONOCENTRE_MAX_OBJECTS", "1")
     code, _, err = run(capsys, "equiv", fix("z2_discrete.json"))
     assert code == 3
     assert "size guard exceeded" in err
@@ -157,6 +157,16 @@ def test_workers_is_not_a_guard(capsys, tmp_path):
                        "--config", str(cfgfile))
     assert code == 2
     assert "unknown keys ['workers']" in err
+
+
+@pytest.mark.parametrize("key", ["hochschild_max_base", "level2_full_cap", "closure_cap"])
+def test_removed_translation_guards_are_unknown_keys(capsys, tmp_path, key):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: 1}))
+    code, out, err = run(capsys, "equiv", fix("z2_discrete.json"),
+                         "--config", str(cfgfile))
+    assert code == 2 and out == ""
+    assert f"unknown keys ['{key}']" in err
 
 
 def test_internal_soundness_error_exits_4(capsys, monkeypatch):
@@ -249,7 +259,7 @@ def test_closed_stdout_pipe_keeps_the_exit_code(emit):
 @pytest.mark.parametrize("argv, env, code", [
     (["validate", fix("absent.json")], {}, 2),
     (["equiv", fix("z2_discrete.json")],
-     {"MONOCENTRE_HOCHSCHILD_MAX_BASE": "1"}, 3),
+     {"MONOCENTRE_MAX_OBJECTS": "1"}, 3),
 ], ids=["malformed", "guard"])
 def test_closed_stderr_pipe_keeps_the_exit_code(argv, env, code):
     read_end, write_end = os.pipe()

@@ -1,30 +1,139 @@
+from itertools import permutations
+
 import pytest
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
+from monocentre.fincat import Functor, NatTransf, functor_category, product_category
 from monocentre.monoidal import (
-    Z2, Z3, S3, discrete_group_monoidal, chain_poset_monoidal,
+    Z2, Z3, S3, D4, Z2_CUBED, discrete_group_monoidal, chain_poset_monoidal,
     one_object_z2_monoidal,
 )
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
-from monocentre.bilimits import descent_object
+from monocentre.bilimits import TruncatedCosimplicial, descent_object
 
 
-def test_z2_levels_are_full_and_small():
-    H = build_hochschild(discrete_group_monoidal(Z2))
-    assert H.level2_full
-    assert H.level1.category.n_objects == 4
-    assert H.level1.category.n_morphisms == 4
-    assert H.diagram.X2.n_objects == 16
-    assert H.diagram.X2.n_morphisms == 16
+def _permutation_group(n, even_only=False):
+    """Multiplication table of S_n (or A_n), composing right to left."""
+    def sign(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2
+    perms = [p for p in permutations(range(n)) if not (even_only and sign(p))]
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[k]] for k in range(n))] for q in perms)
+                 for p in perms)
 
 
-def test_z3_level_two_is_restricted_with_known_size():
-    # 3 * 27 coface images minus the translation functors counted in every
-    # pairwise overlap (the group is abelian, so all three overlaps coincide)
-    H = build_hochschild(discrete_group_monoidal(Z3))
-    assert not H.level2_full
-    assert H.diagram.X2.n_objects == 75
-    assert H.diagram.X2.n_morphisms == 75
+A4 = _permutation_group(4, even_only=True)
+S4 = _permutation_group(4)
+
+
+def _full_translation_diagram(ms):
+    """The translation diagram with level one all of [A, A] and level two
+    all of [A x A, A], built from the defining formulas."""
+    big = GuardConfig(max_objects=20_000, max_morphisms=200_000,
+                      max_branch=10_000_000)
+    A = ms.base
+    prod = product_category(A, A, big)
+    P = prod.category
+    fc1 = functor_category(A, A, big)
+    fc2 = functor_category(P, A, big)
+    X1, X2 = fc1.category, fc2.category
+    pairs = [prod.obj_pair(o) for o in P.objects]
+    mor_pairs = [prod.mor_pair(m) for m in P.morphisms]
+
+    def translation(obj, mor):
+        return fc1.functor_index[(tuple(obj(x) for x in A.objects),
+                                  tuple(mor(f) for f in A.morphisms))]
+
+    d0_obj = [translation(lambda x: ms.tensor_obj(a, x), lambda f: ms.lwhisk(a, f))
+              for a in A.objects]
+    d1_obj = [translation(lambda x: ms.tensor_obj(x, a), lambda f: ms.rwhisk(f, a))
+              for a in A.objects]
+    d0_mor = [fc1.index_of_transf(d0_obj[A.src(f)], d0_obj[A.dst(f)],
+                                  [ms.rwhisk(f, x) for x in A.objects])
+              for f in A.morphisms]
+    d1_mor = [fc1.index_of_transf(d1_obj[A.src(f)], d1_obj[A.dst(f)],
+                                  [ms.lwhisk(x, f) for x in A.objects])
+              for f in A.morphisms]
+    d0 = Functor(A, X1, d0_obj, d0_mor)
+    d1 = Functor(A, X1, d1_obj, d1_mor)
+
+    # (F(x) (x) y), F(x (x) y) and (x (x) F(y)), on objects, morphisms and
+    # transformation components
+    cofaces = (
+        (lambda F, x, y: ms.tensor_obj(F.obj_map[x], y),
+         lambda F, f, g: ms.tensor_mor(F.mor_map[f], g),
+         lambda eta, x, y: ms.rwhisk(eta.components[x], y)),
+        (lambda F, x, y: F.obj_map[ms.tensor_obj(x, y)],
+         lambda F, f, g: F.mor_map[ms.tensor_mor(f, g)],
+         lambda eta, x, y: eta.components[ms.tensor_obj(x, y)]),
+        (lambda F, x, y: ms.tensor_obj(x, F.obj_map[y]),
+         lambda F, f, g: ms.tensor_mor(f, F.mor_map[g]),
+         lambda eta, x, y: ms.lwhisk(x, eta.components[y])),
+    )
+    es = []
+    for on_obj, on_mor, on_comp in cofaces:
+        obj = [fc2.functor_index[(tuple(on_obj(F, x, y) for x, y in pairs),
+                                  tuple(on_mor(F, f, g) for f, g in mor_pairs))]
+               for F in fc1.functors]
+        mor = [fc2.index_of_transf(obj[fc1.index_of_functor(eta.src)],
+                                   obj[fc1.index_of_functor(eta.dst)],
+                                   [on_comp(eta, x, y) for x, y in pairs])
+               for eta in fc1.transfs]
+        es.append(Functor(X1, X2, obj, mor))
+    e0, e1, e2 = es
+
+    def cell(src, dst, component):
+        comps = []
+        for a in A.objects:
+            s, d = src.obj_map[a], dst.obj_map[a]
+            comps.append(fc2.index_of_transf(
+                s, d, [component(a, x, y) for x, y in pairs]))
+        return NatTransf(src, dst, comps)
+
+    coh00 = cell(d0.then(e0), d0.then(e1), lambda a, x, y: ms.alpha(a, x, y))
+    coh01 = cell(d1.then(e0), d0.then(e2), lambda a, x, y: ms.alpha(x, a, y))
+    coh21 = cell(d1.then(e2), d1.then(e1), lambda a, x, y: ms.alpha_inv(x, y, a))
+    T = TruncatedCosimplicial(A, X1, X2, d0, d1, e0, e1, e2, coh00, coh01, coh21)
+    return T, fc1
+
+
+@pytest.mark.parametrize("ms", [
+    discrete_group_monoidal(Z2),
+    discrete_group_monoidal(Z3),
+    chain_poset_monoidal(2),
+    chain_poset_monoidal(3),
+    one_object_z2_monoidal(),
+], ids=["z2", "z3", "chain2", "chain3", "one_object_z2"])
+def test_fibred_descent_equals_descent_over_full_functor_categories(ms):
+    T_full, fc1_full = _full_translation_diagram(ms)
+    full = descent_object(T_full)
+    H = build_hochschild(ms)
+    fibred = descent_object(H.diagram)
+    # gluing isos live in different level-one categories: compare components
+    assert ([(x, H.level1.transfs[m].components) for x, m in fibred.objects]
+            == [(x, fc1_full.transfs[m].components) for x, m in full.objects])
+    assert fibred.mor_table == full.mor_table
+    assert fibred.category == full.category
+    assert fibred.projection.mor_map == full.projection.mor_map
+    assert len(full.objects) == verify_prop_3_1(ms).centre_objects
+
+
+@pytest.mark.parametrize("ms,sizes", [
+    (discrete_group_monoidal(Z2), (2, 2, 2, 2)),
+    (discrete_group_monoidal(Z3), (3, 3, 3, 3)),
+    (discrete_group_monoidal(S3), (11, 11, 16, 16)),
+    (chain_poset_monoidal(2), (2, 3, 2, 3)),
+    (chain_poset_monoidal(3), (3, 6, 3, 6)),
+    (one_object_z2_monoidal(), (1, 2, 1, 2)),
+], ids=["z2", "z3", "s3", "chain2", "chain3", "one_object_z2"])
+def test_fibred_level_sizes(ms, sizes):
+    H = build_hochschild(ms)
+    T = H.diagram
+    assert (T.X1.n_objects, T.X1.n_morphisms,
+            T.X2.n_objects, T.X2.n_morphisms) == sizes
+    # level one holds exactly the translations, level two their coface images
+    assert set(T.d0.obj_map) | set(T.d1.obj_map) == set(T.X1.objects)
+    assert set(T.e0.obj_map) | set(T.e1.obj_map) | set(T.e2.obj_map) == set(T.X2.objects)
 
 
 def test_cofaces_are_the_two_translations():
@@ -37,23 +146,22 @@ def test_cofaces_are_the_two_translations():
         assert right.obj_map == tuple(S3[x][a] for x in range(6))
 
 
-def test_poset_levels():
-    H = build_hochschild(chain_poset_monoidal(2))
-    assert H.level2_full
-    assert H.level1.category.n_objects == 3
-    assert H.level1.category.n_morphisms == 6
-    assert H.diagram.X2.n_objects == 6
-    assert H.diagram.X2.n_morphisms == 20
-
-
 @pytest.mark.parametrize("ms,n_descent", [
     (discrete_group_monoidal(Z2), 2),
     (discrete_group_monoidal(Z3), 3),
     (chain_poset_monoidal(2), 2),
     (one_object_z2_monoidal(), 1),
+    (discrete_group_monoidal(D4), 2),
+    (discrete_group_monoidal(Z2_CUBED), 8),
+    (discrete_group_monoidal(A4), 1),
+    (discrete_group_monoidal(S4), 1),
 ])
 def test_descent_matches_centre(ms, n_descent):
-    rep = verify_prop_3_1(ms)
+    # the product A x A is the largest category built; only A4 and S4 need
+    # more than the default max_objects for it
+    cfg = GuardConfig(max_objects=max(GuardConfig().max_objects,
+                                      ms.base.n_objects ** 2))
+    rep = verify_prop_3_1(ms, cfg)
     assert rep.verdict == "equivalence"
     assert rep.descent_objects == rep.centre_objects == n_descent
     assert rep.bijective_on_objects
@@ -61,31 +169,25 @@ def test_descent_matches_centre(ms, n_descent):
     assert rep.obstructions == ()
 
 
-def test_full_and_restricted_routes_agree():
-    for ms in (discrete_group_monoidal(Z2), chain_poset_monoidal(2),
-               one_object_z2_monoidal()):
-        full = build_hochschild(ms)
-        assert full.level2_full
-        forced = build_hochschild(ms, GuardConfig(level2_full_cap=0))
-        assert not forced.level2_full
-        a = descent_object(full.diagram)
-        b = descent_object(forced.diagram)
-        assert a.objects == b.objects
-        assert [(i, j, f) for i, j, f in a.mor_table] == \
-               [(i, j, f) for i, j, f in b.mor_table]
-
-
-def test_restricted_route_gives_same_prop31_verdict():
-    rep = verify_prop_3_1(chain_poset_monoidal(2), GuardConfig(level2_full_cap=0))
-    assert not rep.level2_full
-    assert rep.verdict == "equivalence"
-
-
 def test_invalid_monoidal_rejected():
     with pytest.raises(ValueError, match="pentagon"):
         build_hochschild(one_object_z2_monoidal(broken_pentagon=True))
 
 
-def test_base_size_guard():
-    with pytest.raises(SizeGuardExceeded):
-        build_hochschild(chain_poset_monoidal(7))
+def test_product_guard_is_the_users_max_objects():
+    ms = chain_poset_monoidal(9)
+    with pytest.raises(SizeGuardExceeded, match="product category objects needs 81, limit 64"):
+        build_hochschild(ms)
+    H = build_hochschild(ms, GuardConfig(max_objects=81))
+    assert H.prod.category.n_objects == 81
+
+
+def test_level_guards_name_the_level():
+    ms = discrete_group_monoidal(S3)
+    with pytest.raises(SizeGuardExceeded,
+                       match="translation level one objects needs 11, limit 10"):
+        build_hochschild(ms, GuardConfig(max_objects=10))
+    with pytest.raises(SizeGuardExceeded,
+                       match="translation level two morphism enumeration"):
+        build_hochschild(ms, GuardConfig(max_branch=500))
+    assert build_hochschild(ms, GuardConfig(max_objects=36)).diagram.X2.n_objects == 16
