@@ -5,8 +5,9 @@ the centre (untwisted, plus the nontrivial cocycle on Z2 and the
 type-III cocycle on Z2^3) and tabulate counts, dimension vectors, and the
 sum rule.  Abelian groups of order n should show n^2 invertible simples;
 S3 shows the 8 simples of its double with squared dimensions summing to
-36, and D4 its 22.  Type-III Z2^3 has 22 simples too, but the fibre split
-resolves only 10 of them and reports the run INCOMPLETE.
+36, and D4 its 22.  Type-III Z2^3 has 22 simples too (8 of dimension 1
+and 14 of dimension 2), all found: the fibre split prefers a central
+non-scalar matrix of the twisted action.
 """
 
 import pathlib

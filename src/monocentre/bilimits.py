@@ -1,6 +1,5 @@
-"""Finite 2-categorical limit gadgets: iso-inserters, equifiers, cotensors
-with the arrow category, and descent objects of truncated pseudo-cosimplicial
-diagrams.
+"""Finite 2-categorical limit gadgets: iso-inserters, equifiers, and descent
+objects of truncated pseudo-cosimplicial diagrams.
 
 The descent object is computed twice on every call: once directly from its
 defining conditions and once through the inserter-then-equifier pipeline.
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import (
-    FinCategory, Functor, NatTransf, functor_category, full_subcategory,
-    walking_arrow, validate_functor, validate_nat_transf, _table_category,
+    FinCategory, Functor, NatTransf, full_subcategory,
+    validate_functor, validate_nat_transf, _table_category,
 )
 
 
@@ -72,36 +71,6 @@ def equifier(sigma: NatTransf, tau: NatTransf,
                  if sigma.components[a] == tau.components[a])
     sub = full_subcategory(A, kept)
     return Equifier(sub.category, kept, sub.inclusion)
-
-
-@dataclass
-class CotensorArrow:
-    """The cotensor of a category with the single-arrow category: its
-    objects are the arrows, with evaluation at each end and the generic
-    arrow connecting the two evaluations."""
-    category: FinCategory
-    functors: tuple
-    source_eval: Functor
-    target_eval: Functor
-    generic_arrow: NatTransf
-
-
-def cotensor_with_arrow(A: FinCategory, cfg: GuardConfig | None = None) -> CotensorArrow:
-    cfg = resolve(cfg)
-    fc = functor_category(walking_arrow(), A, cfg)
-    n = fc.category.n_objects
-    src_eval = Functor(fc.category, A,
-                       tuple(H.obj_map[0] for H in fc.functors),
-                       tuple(eta.components[0] for eta in fc.transfs))
-    dst_eval = Functor(fc.category, A,
-                       tuple(H.obj_map[1] for H in fc.functors),
-                       tuple(eta.components[1] for eta in fc.transfs))
-    generic = NatTransf(src_eval, dst_eval,
-                        tuple(fc.functors[i].mor_map[2] for i in range(n)))
-    report = validate_nat_transf(generic)
-    if report:
-        raise InternalSoundnessError("generic arrow is not natural: " + report[0])
-    return CotensorArrow(fc.category, fc.functors, src_eval, dst_eval, generic)
 
 
 # -- truncated pseudo-cosimplicial diagrams and their descent objects ------

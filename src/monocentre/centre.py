@@ -27,10 +27,9 @@ from .fincat import (
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
-    validate_monoidal, check_braiding, check_strong_monoidal,
+    validate_monoidal, check_braiding, check_strong_monoidal, strict_cells_functor,
+    _REPORT_CAP,
 )
-
-_REPORT_CAP = 12
 
 
 class CentreObject:
@@ -64,9 +63,6 @@ class CentrePiece:
         self.ms = ms
         self.gamma = {(int(s), int(x)): int(m) for (s, x), m in gamma.items()}
         self._hash = None
-
-    def gamma_at(self, s, x):
-        return self.gamma[(s, x)]
 
     def key(self):
         flat = tuple(self.gamma[k] for k in sorted(self.gamma))
@@ -362,9 +358,7 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig | None = None) -> Cen
 
     i_functor = Functor(zcat, cat, tuple(o.a for o in objs),
                         tuple(t[2] for t in mor_table))
-    phi = {(i, j): cat.id_of(ms.tensor_obj(objs[i].a, objs[j].a))
-           for i in range(len(objs)) for j in range(len(objs))}
-    proj = StrongMonoidalFunctor(i_functor, zms, ms, phi, cat.id_of(ms.unit))
+    proj = strict_cells_functor(i_functor, zms, ms)
 
     # post-construction certificate battery; nothing above is taken on trust
     certs = []
@@ -406,38 +400,6 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig | None = None) -> Cen
 
     return CentreCategory(ms, zcat, tuple(objs), tuple(mor_table), zms, zbraid,
                           proj, tuple(certs), tuple(unit_violations))
-
-
-def factor_through_centre(p: CentrePiece, Z: CentreCategory | None = None,
-                          cfg: GuardConfig | None = None) -> Functor:
-    """The functor U -> Z sending s to (u(s), gamma_{s,-}); composing with
-    the projection recovers u on the nose."""
-    report = check_centre_piece(p)
-    if report:
-        raise ValueError("not a centre piece: " + report[0])
-    if Z is None:
-        Z = compute_centre(p.ms, cfg)
-    U = p.u.src
-    cat = p.ms.base
-    obj_map = []
-    for s in U.objects:
-        gamma = tuple(p.gamma[(s, x)] for x in cat.objects)
-        idx = Z.object_index(p.u.obj_map[s], gamma)
-        if idx is None:
-            raise InternalSoundnessError(
-                f"half-braiding of u({s}) missing from the computed centre")
-        obj_map.append(idx)
-    mor_index = {t: k for k, t in enumerate(Z.mor_table)}
-    mor_map = []
-    for f in U.morphisms:
-        key = (obj_map[U.src(f)], obj_map[U.dst(f)], p.u.mor_map[f])
-        if key not in mor_index:
-            raise InternalSoundnessError(f"u({f}) is not a morphism of the centre")
-        mor_map.append(mor_index[key])
-    F = Functor(U, Z.category, tuple(obj_map), tuple(mor_map))
-    if F.then(Z.projection.functor) != p.u:
-        raise InternalSoundnessError("projection does not recover the original functor")
-    return F
 
 
 # -- the category of centre pieces and the universal property -------------

@@ -8,9 +8,10 @@ The convolution (F (*) G)(a) is the quotient of the generator set
 by the smallest relation identifying (b, c, h.(u(x)v), s, t) with
 (b', c', h, Fu s, Gv t) for u: b -> b', v: c -> c'.  Classes are numbered by
 their least generator in lexicographic order, which makes every map here
-deterministic.  All structure maps (unit, Yoneda comparison, associativity,
-braiding) are computed on class representatives and then re-applied to every
-generator; a representative-dependent answer raises InternalSoundnessError.
+deterministic.  The structure maps (the two unit comparisons and the Yoneda
+comparison) are computed on class representatives and then re-applied to
+every generator; a representative-dependent answer raises
+InternalSoundnessError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import FinCategory
-from .monoidal import MonoidalStructure, BraidingDatum
+from .monoidal import MonoidalStructure
 
 
 class SetFunctor:
@@ -153,11 +154,7 @@ class DayTensor:
     left: SetFunctor
     right: SetFunctor
     functor: SetFunctor
-    reps: tuple          # per object: tuple of representative generators
     gen_class: dict      # (b, c, h, s, t) -> (object, class index)
-
-    def class_of(self, b, c, h, s, t):
-        return self.gen_class[(b, c, h, s, t)]
 
 
 def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
@@ -207,7 +204,6 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
     reps = []
     gen_class = {}
     sizes = []
-    class_pos = []
     for a, lst in enumerate(gens):
         root_to_class = {}
         local = []
@@ -220,7 +216,6 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
             gen_class[q] = (a, root_to_class[ufs[a].find(i)])
         reps.append(tuple(local))
         sizes.append(len(local))
-        class_pos.append(root_to_class)
 
     maps = []
     for k in cat.morphisms:
@@ -242,7 +237,7 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
             if want != got:
                 raise InternalSoundnessError("convolution action depends on "
                                              "the representative")
-    return DayTensor(ms, F, G, out, tuple(reps), gen_class)
+    return DayTensor(ms, F, G, out, gen_class)
 
 
 def _class_map(day: DayTensor, total, name):
@@ -315,55 +310,6 @@ def yoneda_components(day: DayTensor, b, c):
         return yoneda_elem(cat, bc, arrow)
 
     return _class_map(day, total, "representable comparison")
-
-
-def yoneda_inverse_class(day: DayTensor, b, c, k):
-    """Class of the generator (b, c, k, id_b, id_c); inverse direction of
-    the representable comparison."""
-    cat = day.ms.base
-    sb = yoneda_elem(cat, b, cat.id_of(b))
-    tc = yoneda_elem(cat, c, cat.id_of(c))
-    return day.gen_class[(b, c, k, sb, tc)]
-
-
-def assoc_components(day_fg: DayTensor, day_fg_h: DayTensor,
-                     day_gh: DayTensor, day_f_gh: DayTensor):
-    """((F (*) G) (*) H)(a) -> (F (*) (G (*) H))(a) by reassociating
-    generators through the inverse associator."""
-    ms = day_fg.ms
-    cat = ms.base
-
-    def total(a, p, c, h, S, t):
-        b1, c1, h1, s1, t1 = day_fg.reps[p][S]
-        inner = day_gh.gen_class[(c1, c, cat.id_of(ms.tensor_obj(c1, c)), t1, t)]
-        arrow = cat.compose_chain(h, ms.rwhisk(h1, c), ms.alpha_inv(b1, c1, c))
-        return day_f_gh.gen_class[(b1, inner[0], arrow, s1, inner[1])][1]
-
-    return _class_map(day_fg_h, total, "associativity comparison")
-
-
-def braid_components(braiding: BraidingDatum, day_fg: DayTensor,
-                     day_gf: DayTensor):
-    """(F (*) G)(a) -> (G (*) F)(a): precompose the structure morphism with
-    the base braiding at the swapped pair."""
-    ms = day_fg.ms
-    cat = ms.base
-
-    def total(a, b, c, h, s, t):
-        arrow = cat.compose(h, braiding.at(c, b))
-        return day_gf.gen_class[(c, b, arrow, t, s)][1]
-
-    return _class_map(day_fg, total, "convolution braiding")
-
-
-def convolve_map(day_src: DayTensor, day_dst: DayTensor, eta, kappa):
-    """The convolution of two transformations eta: F => F', kappa: G => G',
-    as component tables (F (*) G)(a) -> (F' (*) G')(a)."""
-
-    def total(a, b, c, h, s, t):
-        return day_dst.gen_class[(b, c, h, eta[b][s], kappa[c][t])][1]
-
-    return _class_map(day_src, total, "convolution of transformations")
 
 
 def cardinality_check(day: DayTensor) -> list[str]:

@@ -398,23 +398,6 @@ def roots_of_unity(n: int):
     return tuple(zeta(n, k) for k in range(n))
 
 
-def multiplicative_order(x: CycNumber):
-    """The order of x in the unit group, or None if x is not a root of unity.
-
-    Roots of unity in the order-n field all have order dividing lcm(2, n),
-    so the search is finite.
-    """
-    if x.is_zero():
-        return None
-    bound = x.order if x.order % 2 == 0 else 2 * x.order
-    acc = x
-    for k in range(1, bound + 1):
-        if acc.is_one():
-            return k
-        acc = acc * x
-    return None
-
-
 # -- matrices (tuples of tuples, row-major) -------------------------------
 
 

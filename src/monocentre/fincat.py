@@ -150,9 +150,6 @@ class FinCategory:
     def invertible_hom(self, a, b):
         return [m for m in self.hom(a, b) if self.is_invertible(m)]
 
-    def are_isomorphic(self, a, b):
-        return a == b or bool(self.invertible_hom(a, b))
-
     # -- identity-table equality and hashing ----------------------------
 
     def _key(self):
@@ -322,11 +319,6 @@ def identity_functor(cat: FinCategory) -> Functor:
     return Functor(cat, cat, tuple(cat.objects), tuple(cat.morphisms))
 
 
-def constant_functor(src: FinCategory, dst: FinCategory, at_obj: int) -> Functor:
-    e = dst.id_of(at_obj)
-    return Functor(src, dst, (at_obj,) * src.n_objects, (e,) * src.n_morphisms)
-
-
 def validate_functor(F: Functor) -> list[str]:
     report = []
     A, B = F.src, F.dst
@@ -404,16 +396,6 @@ def validate_nat_transf(eta: NatTransf) -> list[str]:
         if left != right or left is None:
             report.append(f"naturality fails at morphism {m}")
     return report
-
-
-def vertical_compose(later: NatTransf, earlier: NatTransf) -> NatTransf:
-    """later . earlier for earlier: F => G, later: G => H."""
-    if later.src != earlier.dst:
-        raise ValueError("transformations not vertically composable")
-    B = earlier.src.dst
-    comps = tuple(B.compose(later.components[a], earlier.components[a])
-                  for a in earlier.src.src.objects)
-    return NatTransf(earlier.src, later.dst, comps)
 
 
 # -- basic shapes -------------------------------------------------------
@@ -747,67 +729,6 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
         f"{what} is not closed under composition")
     transfs = tuple(NatTransf(functors[s], functors[d], comps) for s, d, comps in raw)
     return FunctorCategory(cat, A, B, tuple(functors), transfs, findex, tindex)
-
-
-def curry(H: Functor, prod: ProductCategory, fc: FunctorCategory) -> Functor:
-    """Transpose H: A x B -> C to a functor A -> [B, C].
-
-    Here prod is the product A x B, fc is the functor category [B, C],
-    and H is a functor prod.category -> C.
-    """
-    A, B = prod.left, prod.right
-    C = H.dst
-    obj_map = []
-    for a in A.objects:
-        slice_obj = tuple(H.obj_map[prod.obj_id(a, b)] for b in B.objects)
-        slice_mor = tuple(H.mor_map[prod.mor_id(A.id_of(a), g)] for g in B.morphisms)
-        obj_map.append(fc.functor_index[(slice_obj, slice_mor)])
-    mor_map = []
-    for f in A.morphisms:
-        comps = tuple(H.mor_map[prod.mor_id(f, B.id_of(b))] for b in B.objects)
-        mor_map.append(fc.index_of_transf(obj_map[A.src(f)], obj_map[A.dst(f)], comps))
-    return Functor(A, fc.category, tuple(obj_map), tuple(mor_map))
-
-
-def uncurry(K: Functor, prod: ProductCategory, fc: FunctorCategory) -> Functor:
-    """Inverse transpose: K: A -> [B, C] back to A x B -> C."""
-    A, B = prod.left, prod.right
-    C = fc.target
-    obj_map = []
-    for o in prod.category.objects:
-        a, b = prod.obj_pair(o)
-        obj_map.append(fc.functors[K.obj_map[a]].obj_map[b])
-    mor_map = []
-    for m in prod.category.morphisms:
-        f, g = prod.mor_pair(m)
-        eta = fc.transfs[K.mor_map[f]]
-        Fa2 = fc.functors[K.obj_map[A.dst(f)]]
-        mor_map.append(C.compose(Fa2.mor_map[g], eta.components[B.src(g)]))
-    return Functor(prod.category, C, tuple(obj_map), tuple(mor_map))
-
-
-@dataclass
-class EvaluationResult:
-    product: ProductCategory
-    functor: Functor
-
-
-def evaluation_functor(fc: FunctorCategory, cfg: GuardConfig | None = None) -> EvaluationResult:
-    """The evaluation functor [A, B] x A -> B."""
-    cfg = resolve(cfg)
-    A, B = fc.source, fc.target
-    prod = product_category(fc.category, A, cfg)
-    obj_map = []
-    for o in prod.category.objects:
-        fi, a = prod.obj_pair(o)
-        obj_map.append(fc.functors[fi].obj_map[a])
-    mor_map = []
-    for m in prod.category.morphisms:
-        t, f = prod.mor_pair(m)
-        eta = fc.transfs[t]
-        G = eta.dst
-        mor_map.append(B.compose(G.mor_map[f], eta.components[A.src(f)]))
-    return EvaluationResult(prod, Functor(prod.category, B, tuple(obj_map), tuple(mor_map)))
 
 
 # -- equivalence checking --------------------------------------------------

@@ -327,18 +327,11 @@ class StrongMonoidalFunctor:
         self.functor = functor
         self.src_monoidal = src_monoidal
         self.dst_monoidal = dst_monoidal
-        if isinstance(tensor_iso, dict):
-            self._phi = {(int(a), int(b)): int(m) for (a, b), m in tensor_iso.items()}
-        else:
-            self._phi = {(int(a), int(b)): int(m) for a, b, m in tensor_iso.items()}
+        self._phi = {(int(a), int(b)): int(m) for (a, b), m in tensor_iso.items()}
         self.unit_iso = int(unit_iso)
 
     def phi(self, a, b):
         return self._phi[(a, b)]
-
-    @property
-    def phi_table(self):
-        return self._phi
 
 
 def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
@@ -400,13 +393,6 @@ def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
         if rhs != B.rho(fa):
             report.append(f"right unit compatibility fails at {a}")
     return report
-
-
-def identity_strong_monoidal(ms: MonoidalStructure) -> StrongMonoidalFunctor:
-    cat = ms.base
-    F = Functor(cat, cat, tuple(cat.objects), tuple(cat.morphisms))
-    phi = {(a, b): cat.id_of(ms.tensor_obj(a, b)) for a in cat.objects for b in cat.objects}
-    return StrongMonoidalFunctor(F, ms, ms, phi, cat.id_of(ms.unit))
 
 
 def strict_cells_functor(F: Functor, src_ms: MonoidalStructure,
@@ -540,10 +526,7 @@ def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMon
         lam[op[a]] = mp[ms.lam(a)]
         rho[op[a]] = mp[ms.rho(a)]
     new_ms = MonoidalStructure(new_cat, tobj, tmor, op[ms.unit], alpha, lam, rho)
-    F = Functor(cat, new_cat, op, mp)
-    phi = {(a, b): new_cat.id_of(new_ms.tensor_obj(op[a], op[b]))
-           for a in cat.objects for b in cat.objects}
-    iso = StrongMonoidalFunctor(F, ms, new_ms, phi, new_cat.id_of(new_ms.unit))
+    iso = strict_cells_functor(Functor(cat, new_cat, op, mp), ms, new_ms)
     return RelabelledMonoidal(new_ms, iso)
 
 

@@ -24,8 +24,9 @@ representative r under the twisted action h -> M_h of the centralizer H,
 a projective representation.  A piece is simple when its commutant is
 one-dimensional, read off as the character norm (1/|H|) sum_h tr(M_h)
 tr(M_h^-1), where M_h^-1 = M_{h^-1} / c_h for the scalar c_h =
-M_{h^-1} M_h.  Otherwise an eigenvector (in mu_N) of a non-scalar M_h
-generates an invariant subspace C; the kernel of the Maschke average
+M_{h^-1} M_h.  Otherwise an eigenvector (in mu_N) of a non-scalar M_h,
+preferring one that commutes with every M_k, generates an invariant
+subspace C; the kernel of the Maschke average
 P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate projection E onto span C
 is an invariant complement, and each part's action is read off the unit
 rows of its basis.  Each closed form is checked, not trusted: c_h is
@@ -64,9 +65,7 @@ from .cyclo import (
     transpose,
     zeta,
 )
-from .monoidal import discrete_group_monoidal, group_table_report
-
-_REPORT_CAP = 12
+from .monoidal import _REPORT_CAP, discrete_group_monoidal, group_table_report
 
 
 # -- group table helpers ---------------------------------------------------
@@ -224,20 +223,6 @@ def coboundary_cocycle(table, scalar_order: int, cochain2) -> Cocycle3:
     return Cocycle3(table, scalar_order, exps)
 
 
-def shift_by_coboundary(omega: Cocycle3, cochain2) -> Cocycle3:
-    """omega times the coboundary of the given normalized 2-cochain."""
-    db = coboundary_cocycle(omega.table, omega.scalar_order, cochain2)
-    n = len(omega.table)
-    so = omega.scalar_order
-    exps = tuple(
-        tuple(
-            tuple((omega.exponents[a][b][c] + db.exponents[a][b][c]) % so
-                  for c in range(n))
-            for b in range(n))
-        for a in range(n))
-    return Cocycle3(omega.table, so, exps)
-
-
 def check_cocycle(omega: Cocycle3) -> list:
     """Normalization and the exhaustive additive cocycle identity.
 
@@ -281,21 +266,15 @@ def check_cocycle(omega: Cocycle3) -> list:
 
 
 def _twist(table, inv, w, n0: int, g: int, x: int, y: int) -> int:
-    gx = _conj(table, inv, x, g)
-    xy = table[x][y]
-    gxy = _conj(table, inv, xy, g)
-    return (-w[g][x][y] + w[x][gx][y] - w[x][y][gxy]) % n0
-
-
-def twist_exponent(omega: Cocycle3, g: int, x: int, y: int) -> int:
     """Exponent of the scalar in beta_{xy}|g = zeta^t (beta_y . beta_x).
 
     Derived by whiskering the carrier past the two tensor factors in the
     skeleton, where every associator component is the scalar omega value.
     """
-    inv = group_inverses(omega.table)
-    return _twist(omega.table, inv, omega.exponents, omega.scalar_order,
-                  g, x, y)
+    gx = _conj(table, inv, x, g)
+    xy = table[x][y]
+    gxy = _conj(table, inv, xy, g)
+    return (-w[g][x][y] + w[x][gx][y] - w[x][y][gxy]) % n0
 
 
 def field_order_for(table, omega: Cocycle3) -> int:
@@ -773,7 +752,10 @@ def _split_rec(table, B, mats, order: int, roots, out) -> bool:
     """Decompose the subspace with ambient basis B; True when complete.
 
     Appends (basis, action, certified) per piece; a piece stays uncertified
-    when no eigenvector of its first non-scalar matrix has a proper closure.
+    when no eigenvector of the chosen matrix has a proper closure.  The
+    choice is the least non-scalar M_h commuting with every M_k, else the
+    least non-scalar M_h: a central M_h has eigenspaces that are sums of
+    isotypic parts, so no closure inside one straddles two irreducibles.
     """
     k = len(B[0]) if B else 0
     if k == 0:
@@ -788,7 +770,11 @@ def _split_rec(table, B, mats, order: int, roots, out) -> bool:
             sub = {h: ((M[0][0],),) for h, M in sorted(mats.items())}
             out.append((col, sub, True))
         return True
-    h0 = min(h for h, M in mats.items() if not _is_scalar(M))
+    nonscalar = sorted(h for h, M in mats.items() if not _is_scalar(M))
+    prep = {h: mat_prepare(mats[h], order) for h in nonscalar}
+    h0 = next((h for h in nonscalar
+               if all(mat_products_eq(prep[h], prep[g], prep[g], prep[h])
+                      for g in nonscalar)), nonscalar[0])
     M0 = mats[h0]
     m = element_order(table, h0)
     P = _mat_pow(M0, m)
@@ -857,11 +843,6 @@ class VecCentreResult:
     @property
     def all_passed(self):
         return all(c.ok for c in self.certificates)
-
-    def certificate_lines(self):
-        return tuple(f"{c.name} - {'PASS' if c.ok else 'FAIL'}"
-                     + (f" ({c.detail})" if c.detail and not c.ok else "")
-                     for c in self.certificates)
 
 
 def _fiber_character(mats) -> tuple:

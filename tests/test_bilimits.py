@@ -6,9 +6,9 @@ from monocentre.fincat import (
     FinCategory, Functor, NatTransf, identity_functor, terminal_category,
     discrete_category, walking_arrow, validate_functor, validate_category,
 )
-from monocentre.monoidal import chain_poset_monoidal, one_object_z2_monoidal
+from monocentre.monoidal import one_object_z2_monoidal
 from monocentre.bilimits import (
-    iso_inserter, equifier, cotensor_with_arrow,
+    iso_inserter, equifier,
     TruncatedCosimplicial, validate_cosimplicial, descent_object,
 )
 
@@ -84,28 +84,6 @@ def test_equifier_whole_and_empty():
     collapse = Functor(C, C, (0,), (0, 0))
     with pytest.raises(ValueError):
         equifier(same, NatTransf(collapse, idC, (0,)))
-
-
-@pytest.mark.parametrize("A,n_mor", [
-    (walking_arrow(), 3),
-    (discrete_category(2), 2),
-    (chain_poset_monoidal(2).base, 3),
-])
-def test_cotensor_objects_are_arrows(A, n_mor):
-    cot = cotensor_with_arrow(A)
-    assert cot.category.n_objects == A.n_morphisms == n_mor
-    assert validate_functor(cot.source_eval) == []
-    assert validate_functor(cot.target_eval) == []
-
-
-def test_cotensor_of_walking_arrow_frozen():
-    cot = cotensor_with_arrow(walking_arrow())
-    assert cot.category.n_objects == 3
-    assert cot.category.n_morphisms == 6
-    # the generic arrow evaluated at the object representing the arrow
-    # itself is that arrow
-    idx = [i for i, H in enumerate(cot.functors) if H.obj_map == (0, 1)][0]
-    assert cot.generic_arrow.components[idx] == 2
 
 
 def test_descent_of_constant_diagram_is_the_base():

@@ -12,7 +12,7 @@ from monocentre.monoidal import (
 )
 from monocentre.centre import (
     CentrePiece, check_centre_piece, check_centre_piece_morphism,
-    enumerate_half_braidings, compute_centre, factor_through_centre,
+    enumerate_half_braidings, compute_centre,
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
     transport_along_power, check_cp_preserves_coproducts,
 )
@@ -150,24 +150,6 @@ def test_birepresentation_is_equivalence(U, ms):
     rep = check_birepresentation(U, ms)
     assert rep.verdict == "equivalence", rep.equivalence.summary()
     assert rep.left_objects == rep.equivalence.functor.src.n_objects
-
-
-def test_factor_through_centre_recovers_projection():
-    ms = discrete_group_monoidal(Z3)
-    Z = compute_centre(ms)
-    p = canonical_piece(Z, ms, 2)
-    F = factor_through_centre(p, Z)
-    assert Z.objects[F.obj_map[0]].a == p.u.obj_map[0]
-    assert F.then(Z.projection.functor) == p.u
-
-
-def test_factor_rejects_non_piece():
-    ms = one_object_z2_monoidal()
-    pt = terminal_category()
-    u = Functor(pt, ms.base, (0,), (ms.base.id_of(0),))
-    bad = CentrePiece(u, ms, {(0, 0): 1})
-    with pytest.raises(ValueError):
-        factor_through_centre(bad)
 
 
 # -- transport along powers ------------------------------------------------

@@ -3,13 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.monoidal import (
-    Z2, Z3, discrete_group_monoidal, chain_poset_monoidal, identity_braiding,
+    Z2, Z3, discrete_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.convolution import (
     SetFunctor, validate_set_functor, check_set_transf, is_bijection_family,
-    yoneda_functor, yoneda_elem, convolution_unit, day_convolve,
+    yoneda_functor, convolution_unit, day_convolve,
     left_unit_components, right_unit_components, yoneda_components,
-    yoneda_inverse_class, assoc_components, braid_components, convolve_map,
     cardinality_check,
 )
 
@@ -71,11 +70,6 @@ def test_yoneda_law(ms):
             comps = yoneda_components(day, b, c)
             assert is_bijection_family(day.functor, ybc, comps)
             assert check_set_transf(day.functor, ybc, comps) == []
-            for a in cat.objects:
-                for k in cat.hom(ms.tensor_obj(b, c), a):
-                    obj, cls = yoneda_inverse_class(day, b, c, k)
-                    assert obj == a
-                    assert comps[a][cls] == yoneda_elem(cat, ms.tensor_obj(b, c), k)
 
 
 @pytest.mark.parametrize("ms,F", [
@@ -97,94 +91,12 @@ def test_unit_laws(ms, F):
     assert check_set_transf(right.functor, F, comps) == []
 
 
-@pytest.mark.parametrize("ms,mk", [
-    (discrete_group_monoidal(Z3), "discrete"),
-    (POSET, "poset"),
-])
-def test_associativity(ms, mk):
-    if mk == "discrete":
-        F = discrete_functor(ms.base, (1, 2, 0))
-        G = discrete_functor(ms.base, (2, 1, 1))
-        H = discrete_functor(ms.base, (1, 0, 2))
-    else:
-        F = poset_functor(1, 2, (1,))
-        G = poset_functor(2, 1, (0, 0))
-        H = poset_functor(1, 1, (0,))
-    day_fg = day_convolve(ms, F, G)
-    day_gh = day_convolve(ms, G, H)
-    day_fg_h = day_convolve(ms, day_fg.functor, H)
-    day_f_gh = day_convolve(ms, F, day_gh.functor)
-    comps = assoc_components(day_fg, day_fg_h, day_gh, day_f_gh)
-    assert is_bijection_family(day_fg_h.functor, day_f_gh.functor, comps)
-    assert check_set_transf(day_fg_h.functor, day_f_gh.functor, comps) == []
-
-
-@pytest.mark.parametrize("ms", [discrete_group_monoidal(Z3), POSET])
-def test_braiding_and_double_braiding(ms):
-    br = identity_braiding(ms)
-    if ms.base.n_objects == 3:
-        F = discrete_functor(ms.base, (2, 1, 0))
-        G = discrete_functor(ms.base, (1, 1, 2))
-    else:
-        F = poset_functor(1, 2, (0,))
-        G = poset_functor(2, 1, (0, 0))
-    day_fg = day_convolve(ms, F, G)
-    day_gf = day_convolve(ms, G, F)
-    fwd = braid_components(br, day_fg, day_gf)
-    back = braid_components(br, day_gf, day_fg)
-    assert is_bijection_family(day_fg.functor, day_gf.functor, fwd)
-    assert check_set_transf(day_fg.functor, day_gf.functor, fwd) == []
-    for a in ms.base.objects:
-        for i in range(day_fg.functor.sizes[a]):
-            assert back[a][fwd[a][i]] == i
-
-
-def test_braiding_compatible_with_yoneda():
-    # the braided convolution of representables matches precomposition by
-    # the base braiding under the representable comparison
-    ms = POSET
-    cat = ms.base
-    br = identity_braiding(ms)
-    b, c = 0, 1
-    yb, yc = yoneda_functor(cat, b), yoneda_functor(cat, c)
-    day_bc = day_convolve(ms, yb, yc)
-    day_cb = day_convolve(ms, yc, yb)
-    braid = braid_components(br, day_bc, day_cb)
-    comp_bc = yoneda_components(day_bc, b, c)
-    comp_cb = yoneda_components(day_cb, c, b)
-    cb = ms.tensor_obj(c, b)
-    for a in cat.objects:
-        for i in range(day_bc.functor.sizes[a]):
-            left = comp_cb[a][braid[a][i]]
-            k = cat.hom(ms.tensor_obj(b, c), a)[comp_bc[a][i]]
-            right = yoneda_elem(cat, cb, cat.compose(k, br.at(c, b)))
-            assert left == right
-
-
 def test_empty_factor_gives_empty_convolution():
     ms = discrete_group_monoidal(Z2)
     empty = discrete_functor(ms.base, (0, 0))
     other = discrete_functor(ms.base, (3, 1))
     day = day_convolve(ms, empty, other)
     assert day.functor.sizes == (0, 0)
-
-
-def test_convolve_map_functorial():
-    ms = discrete_group_monoidal(Z2)
-    F = discrete_functor(ms.base, (2, 1))
-    F2 = discrete_functor(ms.base, (1, 2))
-    G = discrete_functor(ms.base, (1, 1))
-    eta1 = ((0, 0), (1,))       # F => F2
-    kappa1 = ((0,), (0,))       # G => G
-    day_fg = day_convolve(ms, F, G)
-    day_f2g = day_convolve(ms, F2, G)
-    comps = convolve_map(day_fg, day_f2g, eta1, kappa1)
-    assert check_set_transf(day_fg.functor, day_f2g.functor, comps) == []
-    ident = convolve_map(day_fg, day_fg,
-                         tuple(tuple(range(n)) for n in F.sizes),
-                         tuple(tuple(range(n)) for n in G.sizes))
-    for a in ms.base.objects:
-        assert ident[a] == tuple(range(day_fg.functor.sizes[a]))
 
 
 def test_generator_guard():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from monocentre.cyclo import (
     CycNumber, cyclotomic_poly, euler_phi, zeta, cyc_one, cyc_zero,
-    roots_of_unity, multiplicative_order,
+    roots_of_unity,
     solve_linear, mat_mul, mat_vec, mat_trace, mat_id, kron, rref, transpose,
     mat_eq, mat_scale, mat_prepare, mat_scaled_product_eq, mat_products_eq,
     mat_invertible,
@@ -87,14 +87,6 @@ def test_multiplicative_inverse(x):
     else:
         assert x * x.inverse() == 1
         assert (x.inverse()).inverse() == x
-
-
-@given(st.integers(1, 24), st.integers(0, 48))
-def test_root_of_unity_orders(n, k):
-    """zeta_n^k has multiplicative order n / gcd(n, k)."""
-    x = zeta(n, k % n)
-    expected = n // gcd(n, k % n) if k % n else 1
-    assert multiplicative_order(x) == expected
 
 
 def test_roots_of_unity_distinct():

@@ -10,9 +10,7 @@ from monocentre.fincat import (
     discrete_category, terminal_category, empty_category, walking_arrow,
     product_category, coproduct_category, full_subcategory,
     enumerate_functors, enumerate_nat_transfs, functor_category,
-    curry, uncurry, evaluation_functor,
-    identity_functor, constant_functor, vertical_compose,
-    check_equivalence,
+    identity_functor, check_equivalence,
 )
 
 
@@ -99,12 +97,6 @@ class TestFunctorsAndTransfs:
         assert validate_nat_transf(ok) == []
         # component s: naturality s.f = f.s holds since Z2 is abelian
         assert validate_nat_transf(NatTransf(idf, idf, (1,))) == []
-
-    def test_vertical_composition(self):
-        z2 = group_category(Z2_TABLE)
-        idf = identity_functor(z2)
-        s = NatTransf(idf, idf, (1,))
-        assert vertical_compose(s, s).components == (0,)
 
 
 class TestEnumeration:
@@ -196,31 +188,6 @@ class TestProductsCoproducts:
         assert validate_functor(sub.inclusion) == []
 
 
-class TestCurryEvaluation:
-    def test_curry_uncurry_round_trip(self):
-        wa = walking_arrow()
-        prod = product_category(wa, wa)
-        fc = functor_category(wa, wa)
-        H = prod.proj_left
-        K = curry(H, prod, fc)
-        assert validate_functor(K) == []
-        back = uncurry(K, prod, fc)
-        assert back.obj_map == H.obj_map and back.mor_map == H.mor_map
-
-    def test_evaluation_is_a_functor(self):
-        fc = functor_category(walking_arrow(), walking_arrow())
-        ev = evaluation_functor(fc)
-        assert validate_functor(ev.functor) == []
-
-    def test_evaluation_agrees_with_application(self):
-        fc = functor_category(walking_arrow(), walking_arrow())
-        ev = evaluation_functor(fc)
-        wa = walking_arrow()
-        for fi, F in enumerate(fc.functors):
-            for a in wa.objects:
-                assert ev.functor.obj_map[ev.product.obj_id(fi, a)] == F.obj_map[a]
-
-
 class TestEquivalence:
     def test_identity_is_equivalence(self):
         rep = check_equivalence(identity_functor(walking_arrow()))
@@ -237,7 +204,7 @@ class TestEquivalence:
 
     def test_point_into_walking_arrow_is_not(self):
         wa = walking_arrow()
-        F = constant_functor(terminal_category(), wa, 0)
+        F = Functor(terminal_category(), wa, (0,), (wa.id_of(0),))
         rep = check_equivalence(F)
         assert not rep.essentially_surjective
         assert any("essential surjectivity" in w for w in rep.witnesses)

@@ -2,12 +2,11 @@
 
 import pytest
 
-from monocentre.fincat import Functor, validate_category
+from monocentre.fincat import Functor, identity_functor, validate_category
 from monocentre.monoidal import (
     MonoidalStructure, validate_monoidal, check_pentagon_triangle,
     BraidingDatum, check_braiding, identity_braiding,
-    StrongMonoidalFunctor, check_strong_monoidal, identity_strong_monoidal,
-    strict_cells_functor,
+    check_strong_monoidal, strict_cells_functor,
     discrete_group_monoidal, chain_poset_monoidal, one_object_z2_monoidal,
     relabel_monoidal, group_table_report,
     Z2, Z3, Z4, S3,
@@ -99,7 +98,8 @@ class TestBraiding:
 class TestStrongMonoidal:
     def test_identity_functor_passes(self):
         for ms in all_fixtures():
-            assert check_strong_monoidal(identity_strong_monoidal(ms)) == []
+            F = identity_functor(ms.base)
+            assert check_strong_monoidal(strict_cells_functor(F, ms, ms)) == []
 
     def test_group_hom_as_strict_functor(self):
         ms = discrete_group_monoidal(Z2)

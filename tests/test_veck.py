@@ -19,6 +19,7 @@ from monocentre.veck import (
     _invariant_projection,
     _restrict_action,
     _split_rec,
+    _twist,
     canonical_class_carrier,
     centralizer,
     centre_simples,
@@ -34,10 +35,8 @@ from monocentre.veck import (
     group_inverses,
     half_braiding_space,
     intertwiner_dim,
-    shift_by_coboundary,
     tensor_half_braidings,
     trivial_cocycle,
-    twist_exponent,
     verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
 )
@@ -91,11 +90,13 @@ def test_non_cocycle_rejected_with_witness():
 
 def test_twist_exponents():
     triv = trivial_cocycle(S3)
-    assert all(twist_exponent(triv, g, x, y) == 0
+    inv = group_inverses(S3)
+    assert all(_twist(S3, inv, triv.exponents, triv.scalar_order, g, x, y) == 0
                for g in range(6) for x in range(6) for y in range(6))
     omega = z2_nontrivial_cocycle()
-    assert twist_exponent(omega, 1, 1, 1) == 1
-    assert twist_exponent(omega, 0, 1, 1) == 0
+    inv = group_inverses(Z2)
+    assert _twist(Z2, inv, omega.exponents, omega.scalar_order, 1, 1, 1) == 1
+    assert _twist(Z2, inv, omega.exponents, omega.scalar_order, 0, 1, 1) == 0
 
 
 def test_canonical_carrier_shapes():
@@ -402,8 +403,6 @@ def test_all_z2_coboundaries_vanish():
         cochain = ((0, 0), (0, b11))
         db = coboundary_cocycle(Z2, 2, cochain)
         assert all(v == 0 for plane in db.exponents for row in plane for v in row)
-        assert shift_by_coboundary(z2_nontrivial_cocycle(), cochain) \
-            == z2_nontrivial_cocycle()
 
 
 def test_coboundary_twist_bijection_on_z4():
@@ -579,18 +578,13 @@ def test_centre_simples_trivial_z2_cubed():
 
 def test_type_iii_z2_cubed_is_never_reported_complete_with_a_wrong_count():
     # The full answer has 22 simples: 8 of dimension 1 over the identity and
-    # 2 of dimension 2 over each other element.  The split finds only 10: on
-    # six classes every eigenvector of the first non-scalar matrix straddles
-    # two distinct irreducibles, so each cyclic closure is a whole 4-dim
-    # piece V1 + V2 with a 2-dim commutant, and the piece stays unresolved.
+    # 2 of dimension 2 over each other element.  On six classes the least
+    # non-scalar M_h is not central and each of its eigenvectors straddles
+    # two irreducibles, so the split must take the central M_r instead.
     result = centre_simples(Z2_CUBED, type_iii_cocycle(),
                             GuardConfig(vec_dim_bound=8))
-    certs = {c.name: c for c in result.certificates}
-    assert result.complete == (len(result.simples) == 22)
-    if not result.complete:
-        enum = certs["enumeration complete"]
-        assert not enum.ok and enum.detail.endswith("unresolved summands")
-        assert not certs["sum rule: squared dimensions add to |G|^2"].ok
-        assert result.sum_of_squares < 64
-    for s in result.simples:
-        assert check_half_braiding(s.hb) == []
+    assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
+    assert result.complete and result.all_passed
+    assert all(c.ok for c in result.certificates)
+    certs = certify_centre_structure(result)
+    assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
