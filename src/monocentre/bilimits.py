@@ -189,11 +189,9 @@ def descent_object(T: TruncatedCosimplicial,
     pipeline_objs = tuple(ins.objects[k] for k in eq.kept)
     if pipeline_objs != tuple(objs):
         raise InternalSoundnessError("descent routes disagree on objects")
-    pipeline_mors = []
-    kept_pos = {k: i for i, k in enumerate(eq.kept)}
-    for (i, j, f) in ins.mor_table:
-        if i in kept_pos and j in kept_pos:
-            pipeline_mors.append((kept_pos[i], kept_pos[j], f))
-    if sorted(pipeline_mors) != list(mor_table):
+    via = eq.inclusion.then(ins.projection)
+    pipeline_mors = sorted((eq.category.src(m), eq.category.dst(m), via.mor_map[m])
+                           for m in eq.category.morphisms)
+    if pipeline_mors != list(mor_table):
         raise InternalSoundnessError("descent routes disagree on morphisms")
     return DescentResult(cat, tuple(objs), tuple(mor_table), proj)

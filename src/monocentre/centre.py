@@ -248,11 +248,6 @@ class CentreCategory:
                 return i
         return None
 
-    def certificate_lines(self):
-        return tuple(f"{c.name} - {'PASS' if c.ok else 'FAIL'}"
-                     + (f" ({c.detail})" if c.detail and not c.ok else "")
-                     for c in self.certificates)
-
 
 def _centre_morphism_ok(ms, o1: CentreObject, o2: CentreObject, f) -> bool:
     cat = ms.base

@@ -31,9 +31,6 @@ class SetFunctor:
         self.sizes = tuple(int(n) for n in sizes)
         self.maps = tuple(tuple(int(v) for v in m) for m in maps)
 
-    def size(self, a):
-        return self.sizes[a]
-
     def apply(self, f, i):
         return self.maps[f][i]
 

@@ -230,10 +230,6 @@ class CycNumber:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CycNumber":
-        """Complex conjugation: the field automorphism sending zeta to zeta^-1."""
-        return _make(self.order, _galois(self.order, self.nums, -1), self.den)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 

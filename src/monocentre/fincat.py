@@ -286,12 +286,6 @@ class Functor:
         self.mor_map = tuple(int(x) for x in mor_map)
         self._hash = None
 
-    def on_obj(self, a):
-        return self.obj_map[a]
-
-    def on_mor(self, m):
-        return self.mor_map[m]
-
     def then(self, other: "Functor") -> "Functor":
         """Diagram-order composite: (self.then(g))(x) = g(self(x))."""
         if self.dst is not other.src and self.dst != other.src:
@@ -519,22 +513,14 @@ class Subcategory:
 
 
 def full_subcategory(cat: FinCategory, objects) -> Subcategory:
-    objs = sorted(set(objects))
-    oset = set(objs)
+    objs = tuple(sorted(set(objects)))
     new_obj = {o: i for i, o in enumerate(objs)}
-    mors = [m for m in cat.morphisms if cat.src(m) in oset and cat.dst(m) in oset]
-    new_mor = {m: i for i, m in enumerate(mors)}
-    src = tuple(new_obj[cat.src(m)] for m in mors)
-    dst = tuple(new_obj[cat.dst(m)] for m in mors)
-    ident = tuple(new_mor[cat.id_of(o)] for o in objs)
-    comp = {}
-    for g in mors:
-        for f in mors:
-            if cat.src(g) == cat.dst(f):
-                comp[(new_mor[g], new_mor[f])] = new_mor[cat.compose(g, f)]
-    sub = FinCategory(len(objs), src, dst, ident, comp)
-    incl = Functor(sub, cat, tuple(objs), tuple(mors))
-    return Subcategory(sub, tuple(objs), tuple(mors), incl)
+    table = sorted((new_obj[cat.src(m)], new_obj[cat.dst(m)], m) for m in cat.morphisms
+                   if cat.src(m) in new_obj and cat.dst(m) in new_obj)
+    sub, _ = _table_category(table, [cat.id_of(o) for o in objs], cat.compose,
+                             "full subcategory is not closed under composition")
+    mors = tuple(m for _, _, m in table)
+    return Subcategory(sub, objs, mors, Functor(sub, cat, objs, mors))
 
 
 # -- exhaustive enumeration ----------------------------------------------
@@ -667,9 +653,6 @@ class FunctorCategory:
     transfs: tuple           # morphism id -> NatTransf
     functor_index: dict      # (obj_map, mor_map) -> object id
     transf_index: dict = field(repr=False)  # (src id, dst id, components) -> morphism id
-
-    def index_of_functor(self, F: Functor) -> int:
-        return self.functor_index[(F.obj_map, F.mor_map)]
 
     def index_of_transf(self, src_idx, dst_idx, components) -> int:
         return self.transf_index[(src_idx, dst_idx, tuple(components))]

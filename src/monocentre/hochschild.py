@@ -171,18 +171,6 @@ class Prop31Report:
     obstructions: tuple
 
     @property
-    def bijective_on_objects(self):
-        return (self.centre_objects == self.descent_objects
-                and self.comparison is not None
-                and len(set(self.comparison.obj_map)) == self.centre_objects)
-
-    @property
-    def bijective_on_morphisms(self):
-        return (self.centre_morphisms == self.descent_morphisms
-                and self.comparison is not None
-                and len(set(self.comparison.mor_map)) == self.centre_morphisms)
-
-    @property
     def verdict(self):
         if self.obstructions or self.equivalence is None:
             return "not an equivalence"

@@ -412,6 +412,15 @@ def strict_cells_functor(F: Functor, src_ms: MonoidalStructure,
 # -- fixtures -------------------------------------------------------------
 
 
+def identity_of(table) -> int:
+    """The identity element of a square multiplication table."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            return e
+    raise ValueError("table has no identity element")
+
+
 def group_table_report(table) -> list[str]:
     """Check a multiplication table for associativity, identity, inverses."""
     n = len(table)
@@ -419,12 +428,10 @@ def group_table_report(table) -> list[str]:
     for row in table:
         if len(row) != n or any(not 0 <= v < n for v in row):
             return ["table is not a square over element indices"]
-    ident = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            ident = e
-            break
-    if ident is None:
+    try:
+        ident = identity_of(table)
+    except ValueError:
+        ident = None
         report.append("no identity element")
     for a in range(n):
         for b in range(n):
@@ -446,8 +453,7 @@ def discrete_group_monoidal(table) -> MonoidalStructure:
         raise ValueError("not a group table: " + "; ".join(problems))
     n = len(table)
     cat = discrete_category(n)
-    unit = next(e for e in range(n)
-                if all(table[e][x] == x and table[x][e] == x for x in range(n)))
+    unit = identity_of(table)
     tensor_mor = {(a, b): table[a][b] for a in range(n) for b in range(n)}
     alpha = {(a, b, c): table[table[a][b]][c]
              for a in range(n) for b in range(n) for c in range(n)}

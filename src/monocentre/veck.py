@@ -24,16 +24,21 @@ representative r under the twisted action h -> M_h of the centralizer H,
 a projective representation.  A piece is simple when its commutant is
 one-dimensional, read off as the character norm (1/|H|) sum_h tr(M_h)
 tr(M_h^-1), where M_h^-1 = M_{h^-1} / c_h for the scalar c_h =
-M_{h^-1} M_h.  Otherwise an eigenvector (in mu_N) of a non-scalar M_h,
+M_{h^-1} M_h.  Otherwise an eigenvector v (in mu_N) of a non-scalar M_h,
 preferring one that commutes with every M_k, generates an invariant
-subspace C; the kernel of the Maschke average
-P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate projection E onto span C
-is an invariant complement, and each part's action is read off the unit
-rows of its basis.  Each closed form is checked, not trusted: c_h is
-scalar, the norm a positive integer, P^2 = P and C R_h = M_h C.  Each
-distinct summand is induced back to a graded carrier, every returned
-object is re-verified against the full half-braiding axioms, and
-distinct simples are certified by the absence of nonzero intertwiners.
+subspace C: the action is projective, so the orbit span {M_h v} is
+already invariant and one rref gives its canonical basis.  The kernel of
+the Maschke average P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate
+projection E onto span C is an invariant complement, and each part's
+action is read off the unit rows of its basis; the split carries actions
+only, never an ambient basis.  Each closed form is checked, not trusted:
+c_h is scalar, the norm a positive integer, P^2 = P and C R_h = M_h C.
+Each distinct summand R is induced back to a graded carrier in closed
+form: with t_g the least z such that z^-1 r z = g, the block of x at
+grade g is R_h for h = t_g x t_{x^-1 g x}^-1 in H, times a root of
+unity read off two twists.  Every returned object is re-verified against
+the full half-braiding axioms, and distinct simples are certified by
+the absence of nonzero intertwiners.
 """
 
 from __future__ import annotations
@@ -65,18 +70,12 @@ from .cyclo import (
     transpose,
     zeta,
 )
-from .monoidal import _REPORT_CAP, discrete_group_monoidal, group_table_report
+from .monoidal import (
+    _REPORT_CAP, discrete_group_monoidal, group_table_report, identity_of,
+)
 
 
 # -- group table helpers ---------------------------------------------------
-
-
-def identity_of(table) -> int:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    raise ValueError("table has no identity element")
 
 
 @lru_cache(maxsize=16)
@@ -701,17 +700,13 @@ def _commutant_dim(mats, inverses) -> int:
 
 def _cyclic_closure(v, mats):
     """Canonical column basis of the invariant subspace generated by v,
-    and its unit rows (the rref pivots)."""
-    basis_rows, pivots = rref([v])
-    worklist = [v]
-    while worklist:
-        u = worklist.pop(0)
-        for h in sorted(mats):
-            wv = mat_vec(mats[h], u)
-            grown, grown_pivots = rref(list(basis_rows) + [wv])
-            if len(grown) > len(basis_rows):
-                basis_rows, pivots = grown, grown_pivots
-                worklist.append(wv)
+    and its unit rows (the rref pivots).
+
+    The action is projective, M_k M_h = c M_{hk} for a scalar c, so the
+    orbit span {M_h v : h in H} is already invariant and, as M_e = 1,
+    contains v.
+    """
+    basis_rows, pivots = rref([mat_vec(mats[h], v) for h in sorted(mats)])
     return transpose(basis_rows), pivots
 
 
@@ -748,27 +743,23 @@ def _invariant_projection(mats, inverses, C, units):
     return P
 
 
-def _split_rec(table, B, mats, order: int, roots, out) -> bool:
-    """Decompose the subspace with ambient basis B; True when complete.
+def _split_rec(table, mats, order: int, roots, out) -> bool:
+    """Decompose the action h -> mats[h]; True when complete.
 
-    Appends (basis, action, certified) per piece; a piece stays uncertified
-    when no eigenvector of the chosen matrix has a proper closure.  The
-    choice is the least non-scalar M_h commuting with every M_k, else the
-    least non-scalar M_h: a central M_h has eigenspaces that are sums of
+    Appends (action, certified) per piece; a piece stays uncertified when
+    no eigenvector of the chosen matrix has a proper closure.  The choice
+    is the least non-scalar M_h commuting with every M_k, else the least
+    non-scalar M_h: a central M_h has eigenspaces that are sums of
     isotypic parts, so no closure inside one straddles two irreducibles.
     """
-    k = len(B[0]) if B else 0
-    if k == 0:
-        return True
+    k = len(next(iter(mats.values())))
     inverses = _action_inverses(table, mats) if k > 1 else None
     if k == 1 or _commutant_dim(mats, inverses) == 1:
-        out.append((B, mats, True))
+        out.append((mats, True))
         return True
     if all(_is_scalar(M) for M in mats.values()):
-        for j in range(k):
-            col = tuple((row[j],) for row in B)
-            sub = {h: ((M[0][0],),) for h, M in sorted(mats.items())}
-            out.append((col, sub, True))
+        sub = {h: ((M[0][0],),) for h, M in sorted(mats.items())}
+        out.extend((sub, True) for _ in range(k))
         return True
     nonscalar = sorted(h for h, M in mats.items() if not _is_scalar(M))
     prep = {h: mat_prepare(mats[h], order) for h in nonscalar}
@@ -801,14 +792,12 @@ def _split_rec(table, B, mats, order: int, roots, out) -> bool:
                     "invariant projection kernel has the wrong dimension")
             K = transpose(sol.kernel)
             free = tuple(j for j in range(k) if j not in sol.pivots)
-            ok_u = _split_rec(table, mat_mul(B, C),
-                              _restrict_action(mats, C, units),
+            ok_u = _split_rec(table, _restrict_action(mats, C, units),
                               order, roots, out)
-            ok_k = _split_rec(table, mat_mul(B, K),
-                              _restrict_action(mats, K, free),
+            ok_k = _split_rec(table, _restrict_action(mats, K, free),
                               order, roots, out)
             return ok_u and ok_k
-    out.append((B, mats, False))
+    out.append((mats, False))
     return False
 
 
@@ -849,40 +838,38 @@ def _fiber_character(mats) -> tuple:
     return tuple((h, mat_trace(M).coeffs) for h, M in sorted(mats.items()))
 
 
-def _induce_simple(omega, field_order, carrier_hb, class_rep, fiber_cols):
-    """Transport a simple fiber summand to a graded half-braiding.
+def _induce_simple(omega, field_order, class_rep, action):
+    """Transport a simple fiber summand h -> R_h to a graded half-braiding.
 
-    Grade components are images of the fiber basis under the closed-form
-    blocks at a left transversal; the new blocks are the unique exact
-    solutions of the intertwining equations in those bases.
+    Grade g of the class of r takes the basis beta_{t_g}|r of the fiber
+    summand, t_g the least z with z^-1 r z = g.  For x taking g to g2,
+    h = t_g x t_g2^-1 centralizes r, and multiplicativity at r gives the
+    block in closed form: beta'_x|g = zeta^(tau(r; h, t_g2) - tau(r; t_g, x))
+    R_h, with tau = _twist.
     """
     table = omega.table
     n = len(table)
     inv = group_inverses(table)
     r = class_rep
-    members = sorted({_conj(table, inv, x, r) for x in range(n)})
+    w = omega.exponents
+    n0 = omega.scalar_order
+    scale = field_order // n0
     transversal = {}
     for z in range(n):
-        g = _conj(table, inv, z, r)
-        if g not in transversal:
-            transversal[g] = z
-    d = len(fiber_cols[0])
-    basis = {g: mat_mul(carrier_hb.block(transversal[g], r), fiber_cols)
-             for g in members}
-    dims = tuple(d if g in basis else 0 for g in range(n))
+        transversal.setdefault(_conj(table, inv, z, r), z)
+    d = len(action[r])
+    dims = tuple(d if g in transversal else 0 for g in range(n))
     blocks = {}
     for x in range(n):
-        for g in members:
-            g2 = _conj(table, inv, x, g)
-            rhs = mat_mul(carrier_hb.block(x, g), basis[g])
-            cols = []
-            for j in range(d):
-                sol = solve_linear(basis[g2], [row[j] for row in rhs])
-                if not sol.consistent or sol.kernel:
-                    raise InternalSoundnessError(
-                        "induced grade basis is not invariant")
-                cols.append(sol.particular)
-            blocks[(x, g)] = transpose(cols)
+        for g, tg in sorted(transversal.items()):
+            t2 = transversal[_conj(table, inv, x, g)]
+            h = table[table[tg][x]][inv[t2]]
+            t = (_twist(table, inv, w, n0, r, h, t2)
+                 - _twist(table, inv, w, n0, r, tg, x)) % n0
+            blk = action[h]
+            if t:
+                blk = mat_scale(zeta(field_order, t * scale), blk)
+            blocks[(x, g)] = blk
     return HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
 
 
@@ -967,32 +954,28 @@ def centre_simples(table, omega: Cocycle3 | None = None,
         cent = centralizer(table, r)
         mats = {h: carrier.block(h, r) for h in cent}
         pieces = []
-        split_ok = _split_rec(table, mat_id(len(cent), field_order), mats,
-                              field_order, roots, pieces)
+        split_ok = _split_rec(table, mats, field_order, roots, pieces)
         if not split_ok:
             complete = False
-            unresolved += sum(1 for _, _, cert in pieces if not cert)
+            unresolved += sum(1 for _, cert in pieces if not cert)
         by_char = {}
-        for basis, sub, cert in pieces:
-            if not cert:
-                continue
-            char = _fiber_character(sub)
-            by_char.setdefault(char, []).append(basis)
+        for sub, cert in pieces:
+            if cert:
+                by_char.setdefault(_fiber_character(sub), []).append(sub)
         if split_ok:
             for char, group in by_char.items():
-                d = len(group[0][0])
-                if any(len(b[0]) != d for b in group):
+                d = len(group[0][r])
+                if any(len(sub[r]) != d for sub in group):
                     raise InternalSoundnessError(
                         "equal fiber characters with unequal dimensions")
                 if len(group) != d:
                     raise InternalSoundnessError(
                         "fiber multiplicity does not match summand dimension")
-            if sum(len(g[0][0]) ** 2 for g in by_char.values()) != len(cent):
+            if sum(len(g[0][r]) ** 2 for g in by_char.values()) != len(cent):
                 raise InternalSoundnessError(
                     "fiber sum rule failed on a complete split")
         for char in sorted(by_char):
-            basis = by_char[char][0]
-            hb = _induce_simple(omega, field_order, carrier, r, basis)
+            hb = _induce_simple(omega, field_order, r, by_char[char][0])
             errs = check_half_braiding(hb)
             if errs:
                 verify_failures.append(f"class {r}: {errs[0]}")

@@ -1,10 +1,13 @@
 """Every public definition in the package has a caller.
 
-A top-level public function or class of `src/monocentre/` must be named
-outside its own definition: elsewhere in `src/`, in `scripts/`, or in
-`tests/test_acceptance.py`.  Code that only its own unit tests reach is
-dead weight and should be deleted with those tests.  Names are read from
-the syntax tree, so a mention in a docstring or comment does not count.
+A top-level public function or class of `src/monocentre/`, and a public
+method or property of such a class, must be named outside its own
+definition: elsewhere in `src/`, in `scripts/`, or in
+`tests/test_acceptance.py`.  A method named by another method of its own
+class counts as called; dunders are exempt, as Python calls them.  Code
+that only its own unit tests reach is dead weight and should be deleted
+with those tests.  Names are read from the syntax tree, so a mention in a
+docstring or comment does not count.
 """
 
 import ast
@@ -36,27 +39,42 @@ def _names(node):
     return out
 
 
+def _units(stmt):
+    """A top-level statement split into its own sub-keys: one per member of
+    a public class (so a method can be told apart from its siblings), else
+    the statement whole."""
+    if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+        return [(id(member), member) for member in stmt.body]
+    return [(None, stmt)]
+
+
 def test_every_public_definition_has_a_caller():
     files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
              + [ROOT / "tests" / "test_acceptance.py"])
-    # (file, top-level statement) -> identifiers it uses
+    # (file, top-level statement, class member or None) -> identifiers it uses
     uses = {}
-    definitions = []
+    definitions = []   # (label, name, key of the unit(s) that define it)
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
-            uses[(path, id(stmt))] = _names(stmt)
-            if (path.parent == PACKAGE
-                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                definitions.append((path, stmt))
-    assert set(ALLOWED) <= {stmt.name for _, stmt in definitions}
-    unused = []
-    for path, stmt in definitions:
-        if stmt.name in ALLOWED:
-            continue
-        if not any(stmt.name in names for key, names in uses.items()
-                   if key != (path, id(stmt))):
-            unused.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+            top = (path, id(stmt))
+            for member_id, node in _units(stmt):
+                uses[top + (member_id,)] = _names(node)
+            if (path.parent != PACKAGE
+                    or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            definitions.append((f"{path.name}:{stmt.lineno} {stmt.name}",
+                                stmt.name, top))
+            if isinstance(stmt, ast.ClassDef):
+                definitions.extend(
+                    (f"{path.name}:{m.lineno} {stmt.name}.{m.name}", m.name,
+                     top + (id(m),))
+                    for m in stmt.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    assert set(ALLOWED) <= {name for _, name, _ in definitions}
+    unused = [label for label, name, own in definitions
+              if name not in ALLOWED
+              and not any(name in names for key, names in uses.items()
+                          if key[:len(own)] != own)]
     assert unused == [], "public definitions without a caller: " + ", ".join(unused)
-

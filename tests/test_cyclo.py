@@ -47,14 +47,6 @@ def test_promotion():
     assert zeta(3) + zeta(2) == zeta(6, 2) - 1
 
 
-def test_conjugation():
-    z = zeta(5)
-    assert z.conjugate() == z ** 4
-    assert (z * z.conjugate()) == 1
-    x = zeta(8) + 3
-    assert x.conjugate().conjugate() == x
-
-
 orders = st.integers(1, 12)
 
 
@@ -297,13 +289,6 @@ class Ref:
             out = out * self
         return out
 
-    def conjugate(self):
-        n = self.order
-        out = [F0] * n
-        for i, c in enumerate(self.coeffs):
-            out[-i % n] += c
-        return Ref(n, out)
-
     def hash_value(self):
         if not any(self.coeffs[1:]):
             return hash(self.coeffs[0])
@@ -345,7 +330,6 @@ def test_kernel_matches_reference_same_order(ab, k, m):
     assert same(a, ra) and same(b, rb)
     assert same(a + b, ra + rb) and same(a - b, ra - rb)
     assert same(a * b, ra * rb) and same(-a, -ra)
-    assert same(a.conjugate(), ra.conjugate())
     assert same(a.promote(a.order * m), ra.promote(ra.order * m))
     assert (a == b) == (ra.coeffs == rb.coeffs)
     if rb.is_zero():

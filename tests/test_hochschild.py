@@ -75,8 +75,10 @@ def _full_translation_diagram(ms):
         obj = [fc2.functor_index[(tuple(on_obj(F, x, y) for x, y in pairs),
                                   tuple(on_mor(F, f, g) for f, g in mor_pairs))]
                for F in fc1.functors]
-        mor = [fc2.index_of_transf(obj[fc1.index_of_functor(eta.src)],
-                                   obj[fc1.index_of_functor(eta.dst)],
+        mor = [fc2.index_of_transf(obj[fc1.functor_index[(eta.src.obj_map,
+                                                          eta.src.mor_map)]],
+                                   obj[fc1.functor_index[(eta.dst.obj_map,
+                                                          eta.dst.mor_map)]],
                                    [on_comp(eta, x, y) for x, y in pairs])
                for eta in fc1.transfs]
         es.append(Functor(X1, X2, obj, mor))
@@ -164,8 +166,10 @@ def test_descent_matches_centre(ms, n_descent):
     rep = verify_prop_3_1(ms, cfg)
     assert rep.verdict == "equivalence"
     assert rep.descent_objects == rep.centre_objects == n_descent
-    assert rep.bijective_on_objects
-    assert rep.bijective_on_morphisms
+    assert rep.comparison is not None
+    assert len(set(rep.comparison.obj_map)) == rep.centre_objects
+    assert (len(set(rep.comparison.mor_map)) == rep.descent_morphisms
+            == rep.centre_morphisms)
     assert rep.obstructions == ()
 
 

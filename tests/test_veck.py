@@ -16,6 +16,7 @@ from monocentre.veck import (
     _action_inverses,
     _braid_block,
     _commutant_dim,
+    _induce_simple,
     _invariant_projection,
     _restrict_action,
     _split_rec,
@@ -41,7 +42,7 @@ from monocentre.veck import (
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
-    cyc_one, cyc_zero, kron, mat_eq, mat_id, mat_mul, mat_scale, roots_of_unity, rref,
+    cyc_one, cyc_zero, kron, mat_eq, mat_mul, mat_scale, mat_vec, roots_of_unity, rref,
     solve_linear, transpose, zeta,
 )
 
@@ -439,12 +440,23 @@ def type_iii_cocycle():
                                   for a in range(8)])
 
 
+def sign_pullback_cocycle():
+    """The nontrivial class on Z2 pulled back along the sign of S3: a twist
+    on a nonabelian group, so transversals and their twists are not all
+    trivial."""
+    odd = [int(a in conjugacy_classes(S3)[1]) for a in range(6)]
+    w = z2_nontrivial_cocycle().exponents
+    return Cocycle3(S3, 2, [[[w[odd[a]][odd[b]][odd[c]] for c in range(6)]
+                             for b in range(6)] for a in range(6)])
+
+
 SPLIT_INPUTS = [
     pytest.param(Z2, None, id="z2"),
     pytest.param(Z2, z2_nontrivial_cocycle, id="z2_nontrivial"),
     pytest.param(Z3, None, id="z3"),
     pytest.param(Z4, None, id="z4"),
     pytest.param(S3, None, id="s3"),
+    pytest.param(S3, sign_pullback_cocycle, id="s3_sign_pullback"),
     pytest.param(D4, None, id="d4"),
     pytest.param(Z2_CUBED, None, id="z2cubed"),
     pytest.param(Z2_CUBED, type_iii_cocycle, id="z2cubed_type_iii"),
@@ -469,17 +481,16 @@ def _ref_commutant_dim(mats):
 
 
 def _fibre_splits(table, omega):
-    """(fibre action, split pieces) at the representative of every class."""
+    """(class representative, carrier, fibre action, split pieces) for
+    every class."""
     omega = trivial_cocycle(table) if omega is None else omega
     order = field_order_for(table, omega)
     for cls in conjugacy_classes(table):
         carrier = canonical_class_carrier(omega, order, cls[0])
-        cent = centralizer(table, cls[0])
-        mats = {h: carrier.block(h, cls[0]) for h in cent}
+        mats = {h: carrier.block(h, cls[0]) for h in centralizer(table, cls[0])}
         pieces = []
-        _split_rec(table, mat_id(len(cent), order), mats, order,
-                   roots_of_unity(order), pieces)
-        yield mats, pieces
+        _split_rec(table, mats, order, roots_of_unity(order), pieces)
+        yield cls[0], carrier, mats, pieces
 
 
 @pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
@@ -495,8 +506,8 @@ def test_character_norm_matches_the_commutant_system(table, omega_factory,
 
     monkeypatch.setattr(veck, "_commutant_dim", recorded)
     omega = omega_factory() if omega_factory else None
-    pieces = [sub for _, split in _fibre_splits(table, omega)
-              for _, sub, _ in split]
+    pieces = [sub for *_, split in _fibre_splits(table, omega)
+              for sub, _ in split]
     assert len(asked) >= len(conjugacy_classes(table))
     for mats in asked + pieces:
         assert (_commutant_dim(mats, _action_inverses(table, mats))
@@ -504,29 +515,133 @@ def test_character_norm_matches_the_commutant_system(table, omega_factory,
 
 
 @pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
-def test_maschke_average_is_an_invariant_idempotent(table, omega_factory):
+def test_maschke_average_is_an_invariant_idempotent(table, omega_factory,
+                                                    monkeypatch):
+    # every (mats, C, units) the split averages over, at every level
+    asked = []
+    projection = veck._invariant_projection
+
+    def recorded(mats, inverses, C, units):
+        P = projection(mats, inverses, C, units)
+        asked.append((mats, C, units, P))
+        return P
+
+    monkeypatch.setattr(veck, "_invariant_projection", recorded)
     omega = omega_factory() if omega_factory else None
-    checked = 0
-    for mats, pieces in _fibre_splits(table, omega):
-        k = len(mats[min(mats)])
-        inverses = _action_inverses(table, mats)
-        for basis, _, _ in pieces:
-            rows, units = rref(transpose(basis))
-            C = transpose(rows)
-            d = len(units)
-            if d == k:
-                continue
-            P = _invariant_projection(mats, inverses, C, units)
-            assert mat_eq(mat_mul(P, P), P)
-            assert mat_eq(mat_mul(P, C), C)
-            assert all(mat_eq(mat_mul(P, M), mat_mul(M, P))
-                       for M in mats.values())
-            assert len(solve_linear(P).kernel) == k - d
-            restricted = _restrict_action(mats, C, units)
-            assert all(mat_eq(mat_mul(C, restricted[h]), mat_mul(M, C))
-                       for h, M in mats.items())
-            checked += 1
-    assert checked
+    for _ in _fibre_splits(table, omega):
+        pass
+    assert asked
+    for mats, C, units, P in asked:
+        k, d = len(C), len(units)
+        assert mat_eq(mat_mul(P, P), P)
+        assert mat_eq(mat_mul(P, C), C)
+        assert all(mat_eq(mat_mul(P, M), mat_mul(M, P)) for M in mats.values())
+        assert len(solve_linear(P).kernel) == k - d
+        restricted = _restrict_action(mats, C, units)
+        assert all(mat_eq(mat_mul(C, restricted[h]), mat_mul(M, C))
+                   for h, M in mats.items())
+
+
+def _ref_cyclic_closure(v, mats):
+    """The former worklist closure: rref of the whole grown basis for every
+    image, until no image is new."""
+    basis_rows, pivots = rref([v])
+    worklist = [v]
+    while worklist:
+        u = worklist.pop(0)
+        for h in sorted(mats):
+            wv = mat_vec(mats[h], u)
+            grown, grown_pivots = rref(list(basis_rows) + [wv])
+            if len(grown) > len(basis_rows):
+                basis_rows, pivots = grown, grown_pivots
+                worklist.append(wv)
+    return transpose(basis_rows), pivots
+
+
+def _ref_induce_simple(omega, field_order, carrier_hb, class_rep, fiber_cols):
+    """The former induction: grade bases are the fibre basis moved by the
+    carrier's blocks at a transversal, and each block is solved for, one
+    solve_linear per column."""
+    table = omega.table
+    n = len(table)
+    r = class_rep
+    transversal = {}
+    for z in range(n):
+        transversal.setdefault(_conj(table, z, r), z)
+    d = len(fiber_cols[0])
+    basis = {g: mat_mul(carrier_hb.block(z, r), fiber_cols)
+             for g, z in transversal.items()}
+    dims = tuple(d if g in basis else 0 for g in range(n))
+    blocks = {}
+    for x in range(n):
+        for g in sorted(basis):
+            rhs = mat_mul(carrier_hb.block(x, g), basis[g])
+            cols = []
+            for j in range(d):
+                sol = solve_linear(basis[_conj(table, x, g)], [row[j] for row in rhs])
+                assert sol.consistent and not sol.kernel
+                cols.append(sol.particular)
+            blocks[(x, g)] = transpose(cols)
+    return HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
+
+
+def _fibre_basis(mats, action):
+    """Columns B in the fibre with M_h B = B R_h for every h: the first
+    solution of that system, injective by Schur's lemma as R is simple."""
+    k, d = len(mats[min(mats)]), len(action[min(action)])
+    rows = []
+    for h in sorted(mats):
+        M, R = mats[h], action[h]
+        for i in range(k):
+            for j in range(d):
+                row = [0] * (k * d)  # B[p][q] is unknown p * d + q
+                for p in range(k):
+                    row[p * d + j] = row[p * d + j] + M[i][p]
+                for q in range(d):
+                    row[i * d + q] = row[i * d + q] - R[q][j]
+                rows.append(row)
+    vec = solve_linear(rows).kernel[0]
+    return tuple(tuple(vec[p * d + q] for q in range(d)) for p in range(k))
+
+
+@pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
+def test_closed_forms_match_the_former_linear_systems(table, omega_factory,
+                                                      monkeypatch):
+    # every eigenvector the split tries is closed both ways
+    tried = []
+    closure = veck._cyclic_closure
+
+    def recorded(v, mats):
+        tried.append((v, mats))
+        return closure(v, mats)
+
+    monkeypatch.setattr(veck, "_cyclic_closure", recorded)
+    omega = omega_factory() if omega_factory else None
+    induced = 0
+    for r, carrier, mats, pieces in _fibre_splits(table, omega):
+        for sub, certified in pieces:
+            assert certified
+            basis = _fibre_basis(mats, sub)
+            assert (_induce_simple(carrier.omega, carrier.field_order, r, sub)
+                    == _ref_induce_simple(carrier.omega, carrier.field_order,
+                                          carrier, r, basis))
+            induced += 1
+    assert induced >= len(conjugacy_classes(table))
+    assert tried
+    for v, mats in tried:
+        assert closure(v, mats) == _ref_cyclic_closure(v, mats)
+
+
+def test_swapped_fibre_action_fails_multiplicativity():
+    # the 2-dimensional simple of the S3 fibre at the identity, with the
+    # matrices of a transposition and a 3-cycle exchanged
+    r, carrier, _, pieces = next(_fibre_splits(S3, None))
+    action = next(sub for sub, _ in pieces if len(sub[r]) == 2)
+    omega, order = carrier.omega, carrier.field_order
+    assert check_half_braiding(_induce_simple(omega, order, r, action)) == []
+    swapped = {**action, 1: action[3], 3: action[1]}
+    report = check_half_braiding(_induce_simple(omega, order, r, swapped))
+    assert report and report[0].startswith("multiplicativity fails at ")
 
 
 def test_non_invariant_space_is_refused():
