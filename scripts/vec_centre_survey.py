@@ -1,6 +1,6 @@
 """Survey the linear backend across small groups.
 
-For each group up to the size guard, enumerate the simple objects of
+For each group up to the default size guard, enumerate the simple objects of
 the centre (untwisted, plus the nontrivial cocycle on Z2 and the
 type-III cocycle on Z2^3) and tabulate counts, dimension vectors, and the
 sum rule.  Abelian groups of order n should show n^2 invertible simples;
@@ -16,7 +16,6 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from monocentre.config import GuardConfig
 from monocentre.monoidal import D4, S3, Z2_CUBED
 from monocentre.veck import Cocycle3, centre_simples, trivial_cocycle, z2_nontrivial_cocycle
 
@@ -33,28 +32,26 @@ def type_iii_cocycle():
                                   for a in range(8)])
 
 
-def survey(label, table, omega=None, cfg=None):
+def survey(label, table, omega=None):
     start = time.perf_counter()
-    result = centre_simples(table, omega, cfg)
+    result = centre_simples(table, omega)
     elapsed = time.perf_counter() - start
     dims = sorted(s.total_dim for s in result.simples)
     status = "ok" if result.all_passed else "INCOMPLETE"
-    print(f"{label:<22} |G|={result.group_order}  simples={len(result.simples):>2}  "
+    print(f"{label:<22} |G|={len(result.table)}  simples={len(result.simples):>2}  "
           f"dims={dims}  sum_sq={result.sum_of_squares:>3}  "
           f"[{status}, {elapsed:.2f}s]")
     return result
 
 
 def run():
-    cfg = GuardConfig(vec_dim_bound=8)
     for n in range(2, 7):
-        survey(f"cyclic Z{n}, trivial", cyclic(n),
-               trivial_cocycle(cyclic(n)), cfg)
-    survey("Z2, nontrivial omega", cyclic(2), z2_nontrivial_cocycle(), cfg)
-    survey("S3, trivial", S3, trivial_cocycle(S3), cfg)
-    survey("D4, trivial", D4, trivial_cocycle(D4), cfg)
-    survey("Z2^3, trivial", Z2_CUBED, trivial_cocycle(Z2_CUBED), cfg)
-    survey("Z2^3, type III omega", Z2_CUBED, type_iii_cocycle(), cfg)
+        survey(f"cyclic Z{n}, trivial", cyclic(n), trivial_cocycle(cyclic(n)))
+    survey("Z2, nontrivial omega", cyclic(2), z2_nontrivial_cocycle())
+    survey("S3, trivial", S3, trivial_cocycle(S3))
+    survey("D4, trivial", D4, trivial_cocycle(D4))
+    survey("Z2^3, trivial", Z2_CUBED, trivial_cocycle(Z2_CUBED))
+    survey("Z2^3, type III omega", Z2_CUBED, type_iii_cocycle())
     return 0
 
 

@@ -192,7 +192,7 @@ def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
 
 
 def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
-                        dim_bound: int | None, cfg: GuardConfig) -> Section:
+                        cfg: GuardConfig) -> Section:
     table = spec.payload
     grp_report = group_table_report(table)
     certs = [_cert("Axiom: group table (associativity, identity, inverses)",
@@ -215,8 +215,6 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
     if coc_report:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
-    if dim_bound is not None:
-        cfg = cfg.raised(vec_dim_bound=dim_bound)
     result = centre_simples(table, omega, cfg)
     n = len(table)
     info.append(("scalar field", f"Q(zeta_{result.field_order})"))
@@ -227,9 +225,8 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
                      f"total dimension {s.total_dim}"))
     info.append(("sum of squared dimensions",
                  f"{result.sum_of_squares} (target {n * n})"))
-    skip = {"group table valid", "normalized 3-cocycle"}
     certs += [Certificate("Enumeration: " + c.name, c.ok, c.detail)
-              for c in result.certificates if c.name not in skip]
+              for c in result.certificates]
     certs += [Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
               for c in certify_centre_structure(result)]
     return Section("vec-centre", spec.path, tuple(info), tuple(certs))
@@ -252,7 +249,7 @@ def _sections_for_report(spec: LoadedSpec, cfg: GuardConfig) -> list:
         for name in ("centre", "descent", "equiv", "convolve"):
             out.append(_MONOIDAL_SECTIONS[name](spec, cfg))
     elif spec.kind == "group":
-        out.append(_section_vec_centre(spec, None, None, cfg))
+        out.append(_section_vec_centre(spec, None, cfg))
     return out
 
 
@@ -280,7 +277,7 @@ def _dispatch(args, cfg: GuardConfig) -> list:
                 raise MalformedInput(
                     "/kind", f"'--omega' needs a cocycle payload, got "
                              f"kind '{omega_spec.kind}'")
-        return [_section_vec_centre(spec, omega_spec, args.dim_bound, cfg)]
+        return [_section_vec_centre(spec, omega_spec, cfg)]
     if spec.kind != "monoidal":
         raise MalformedInput(
             "/kind", f"'{args.command}' needs a monoidal payload, got "
@@ -341,7 +338,7 @@ def _config_epilog() -> str:
         "  4  internal soundness error: two independent routes disagreed\n\n"
         "configuration:\n"
         "  --config FILE reads a JSON object of guard overrides; environment\n"
-        "  variables MONOCENTRE_<NAME> (e.g. MONOCENTRE_VEC_DIM_BOUND)\n"
+        "  variables MONOCENTRE_<NAME> (e.g. MONOCENTRE_VEC_MAX_GROUP)\n"
         "  override the file.  defaults:\n"
         f"  {defaults}\n"
     )
@@ -385,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--omega", metavar="FILE", default=None,
                    help="3-cocycle payload (default: trivial)")
-    p.add_argument("--dim-bound", type=int, default=None,
-                   help="override the carrier dimension bound")
     p = sub.add_parser("report", parents=[common],
                        help="run every applicable check on each file")
     p.add_argument("files", nargs="+")

@@ -41,19 +41,17 @@ class GuardConfig:
     max_branch: cap on the number of assignments one backtracking
         enumeration may visit before refusing; building a functor category
         spends one budget for all of its morphisms.
-    vec_max_group: largest group order the linear backend accepts.
-    vec_dim_bound: largest carrier total dimension the linear backend will
-        attempt when hunting for simples.
+    vec_max_group: largest group order the linear backend accepts, its
+        only size bound (every class carrier it solves has dimension |G|).
 
     Every field must be a nonnegative int (not a bool), however the
-    config was built: defaults, a file, the environment or raised().
+    config was built: defaults, a file or the environment.
     """
 
     max_objects: int = 64
     max_morphisms: int = 4096
     max_branch: int = 1_000_000
     vec_max_group: int = 8
-    vec_dim_bound: int = 6
 
     def __post_init__(self):
         for f in fields(self):
@@ -61,9 +59,6 @@ class GuardConfig:
             if type(val) is not int or val < 0:
                 raise ValueError(f"guard {f.name} must be a nonnegative integer, "
                                  f"got {val!r}")
-
-    def raised(self, **overrides) -> "GuardConfig":
-        return replace(self, **overrides)
 
     @classmethod
     def from_file(cls, path: str) -> "GuardConfig":

@@ -23,10 +23,7 @@ class FinCategory:
         self._mor_src = tuple(int(x) for x in mor_src)
         self._mor_dst = tuple(int(x) for x in mor_dst)
         self._identity = tuple(int(x) for x in identity)
-        if isinstance(composition, dict):
-            self._compose = {(int(g), int(f)): int(h) for (g, f), h in composition.items()}
-        else:
-            self._compose = {(int(g), int(f)): int(h) for g, f, h in composition}
+        self._compose = {(int(g), int(f)): int(h) for (g, f), h in composition.items()}
         self._hash = None
         self._hom = None
         self._inverse = None

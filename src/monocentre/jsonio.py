@@ -225,7 +225,7 @@ def _category_from_doc(doc):
                                  f"conflicting duplicate entry for ({g}, {f})")
         seen[(g, f)] = h
     return FinCategory(n, [m["src"] for m in mors], [m["dst"] for m in mors],
-                       ident, [tuple(t) for t in doc["compose"]])
+                       ident, seen)
 
 
 def _monoidal_from_doc(doc):
@@ -278,13 +278,8 @@ def _monoidal_from_doc(doc):
                                  f"conflicting duplicate entry for "
                                  f"({a}, {b}, {c})")
         seen_a[(a, b, c)] = m
-    return MonoidalStructure(cat,
-                             tob,
-                             [tuple(t) for t in doc["tensor_mor"]],
-                             doc["unit"],
-                             [tuple(q) for q in doc["alpha"]],
-                             doc["lambda"],
-                             doc["rho"])
+    return MonoidalStructure(cat, tob, seen_t, doc["unit"], seen_a,
+                             doc["lambda"], doc["rho"])
 
 
 def _table_from_doc(doc):

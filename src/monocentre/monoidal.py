@@ -20,15 +20,9 @@ class MonoidalStructure:
                  alpha, lam, rho):
         self.base = base
         self._tensor_obj = tuple(tuple(int(x) for x in row) for row in tensor_obj)
-        if isinstance(tensor_mor, dict):
-            self._tensor_mor = {(int(f), int(g)): int(h) for (f, g), h in tensor_mor.items()}
-        else:
-            self._tensor_mor = {(int(f), int(g)): int(h) for f, g, h in tensor_mor}
+        self._tensor_mor = {(int(f), int(g)): int(h) for (f, g), h in tensor_mor.items()}
         self.unit = int(unit)
-        if isinstance(alpha, dict):
-            self._alpha = {(int(a), int(b), int(c)): int(m) for (a, b, c), m in alpha.items()}
-        else:
-            self._alpha = {(int(a), int(b), int(c)): int(m) for a, b, c, m in alpha}
+        self._alpha = {(int(a), int(b), int(c)): int(m) for (a, b, c), m in alpha.items()}
         self._lam = tuple(int(x) for x in lam)
         self._rho = tuple(int(x) for x in rho)
 
@@ -244,10 +238,7 @@ def validate_monoidal(ms: MonoidalStructure) -> list[str]:
 class BraidingDatum:
     def __init__(self, ms: MonoidalStructure, components):
         self.ms = ms
-        if isinstance(components, dict):
-            self._c = {(int(a), int(b)): int(m) for (a, b), m in components.items()}
-        else:
-            self._c = {(int(a), int(b)): int(m) for a, b, m in components}
+        self._c = {(int(a), int(b)): int(m) for (a, b), m in components.items()}
 
     def at(self, a, b):
         return self._c[(a, b)]

@@ -79,8 +79,13 @@ from .monoidal import (
 
 
 @lru_cache(maxsize=16)
+def _identity(table) -> int:
+    return identity_of(table)
+
+
+@lru_cache(maxsize=16)
 def group_inverses(table) -> tuple:
-    e = identity_of(table)
+    e = _identity(table)
     n = len(table)
     out = []
     for a in range(n):
@@ -90,7 +95,7 @@ def group_inverses(table) -> tuple:
 
 
 def element_order(table, g: int) -> int:
-    e = identity_of(table)
+    e = _identity(table)
     k, acc = 1, g
     while acc != e:
         acc = table[acc][g]
@@ -236,7 +241,7 @@ def check_cocycle(omega: Cocycle3) -> list:
     w = omega.exponents
     if len(w) != n or any(len(p) != n or any(len(r) != n for r in p) for p in w):
         return ["exponent table is not |G| x |G| x |G|"]
-    e = identity_of(table)
+    e = _identity(table)
     report = []
     for a in range(n):
         for b in range(n):
@@ -419,7 +424,7 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
                     return report
     if report:
         return report
-    e = identity_of(table)
+    e = _identity(table)
     ident_cache = {}
     for g in supp:
         d = dims[g]
@@ -502,36 +507,19 @@ def canonical_class_carrier(omega: Cocycle3, field_order: int,
     return hb
 
 
-# -- the half-braiding constraint system -----------------------------------
-
-
-@dataclass(frozen=True)
-class HalfBraidingSystem:
-    """Grade-blocked constraint system on a fixed carrier.
-
-    consistent is False when the grading alone rules out any solution.
-    solutions is the exhaustive tuple for multiplicity-free carriers
-    (every graded dimension 0 or 1) and None when the carrier has a block
-    of dimension two or more, where only the system size is reported.
-    """
-
-    carrier: GradedObject
-    consistent: bool
-    witnesses: tuple
-    multiplicity_free: bool
-    n_unknown_blocks: int
-    n_relations: int
-    solutions: tuple | None
+# -- the scalar half-braiding search ----------------------------------------
 
 
 def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
-                        cfg: GuardConfig | None = None) -> HalfBraidingSystem:
-    """Solve or describe the half-braiding equations on a carrier.
+                        cfg: GuardConfig | None = None) -> tuple:
+    """Every half-braiding on a multiplicity-free carrier, sorted.
 
-    The grading constraint is decided first; on multiplicity-free carriers
-    the solution set is enumerated exactly (all blocks are scalars, and
-    every solution scalar is a root of unity in the working field, so the
-    search over mu_N with constraint propagation is complete).
+    The carrier must be multiplicity-free (every graded dimension 0 or 1);
+    a larger one raises ValueError.  The grading constraint is decided
+    first, and () returned when it rules every solution out.  Otherwise
+    all blocks are scalars, and every solution scalar is a root of unity
+    in the working field, so the search over mu_N with constraint
+    propagation is complete.
     """
     cfg = resolve(cfg)
     table = omega.table
@@ -539,32 +527,17 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     if n > cfg.vec_max_group:
         raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
                                 hint="raise vec_max_group")
-    if len(carrier.dims) != n:
+    dims = carrier.dims
+    if len(dims) != n:
         raise ValueError("carrier dimension vector does not match the group")
+    if any(d > 1 for d in dims):
+        raise ValueError("the scalar search takes only multiplicity-free "
+                         "carriers (every graded dimension 0 or 1)")
     inv = group_inverses(table)
     supp = carrier.support
-    dims = carrier.dims
-    witnesses = []
-    for x in range(n):
-        for g in supp:
-            g2 = _conj(table, inv, x, g)
-            if dims[g] != dims[g2]:
-                witnesses.append(
-                    f"no half-braiding: grade {g} has dimension {dims[g]} "
-                    f"but x^-1 g x = {g2} has dimension {dims[g2]} (x={x})")
-    e = identity_of(table)
-    n_unknown = sum(1 for x in range(n) for g in supp if x != e)
-    n_relations = n * n * len(supp)
-    mult_free = all(d <= 1 for d in dims)
-    if witnesses:
-        return HalfBraidingSystem(carrier, False, tuple(witnesses[:_REPORT_CAP]),
-                                  mult_free, n_unknown, n_relations, ())
-    if not mult_free:
-        note = ("parameterization implemented only for multiplicity-free "
-                "carriers (every graded dimension 0 or 1); returning the "
-                "constraint system size")
-        return HalfBraidingSystem(carrier, True, (note,), False,
-                                  n_unknown, n_relations, None)
+    if any(dims[_conj(table, inv, x, g)] != dims[g]
+           for x in range(n) for g in supp):
+        return ()
 
     field_order = field_order_for(table, omega)
     w = omega.exponents
@@ -625,7 +598,7 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
             if propagate(trial):
                 search(trial)
 
-    seed = {(e, g): 0 for g in supp}
+    seed = {(_identity(table), g): 0 for g in supp}
     if propagate(seed):
         search(seed)
 
@@ -640,8 +613,7 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
                 "scalar search produced an invalid half-braiding: " + errs[0])
         out.append(hb)
     out.sort(key=lambda h: h.serialize())
-    return HalfBraidingSystem(carrier, True, (), True,
-                              n_unknown, n_relations, tuple(out))
+    return tuple(out)
 
 
 # -- splitting the fiber action --------------------------------------------
@@ -821,9 +793,7 @@ class VecCentreResult:
     field_order: int
     simples: tuple
     complete: bool
-    skipped_classes: tuple
     certificates: tuple
-    group_order: int
 
     @property
     def sum_of_squares(self):
@@ -915,8 +885,9 @@ def centre_simples(table, omega: Cocycle3 | None = None,
 
     One canonical carrier per conjugacy class is solved and split; the
     distinct summands, deduplicated by fiber character, are induced back
-    to graded carriers.  Classes whose carrier dimension |G| exceeds the
-    configured bound are skipped and the run is flagged incomplete.
+    to graded carriers.  Every class carrier has total dimension |G|, so
+    the group order, bounded by vec_max_group, is the only size guard.  A
+    fiber piece the split cannot resolve flags the run incomplete.
     """
     cfg = resolve(cfg)
     table = tuple(tuple(int(v) for v in row) for row in table)
@@ -940,16 +911,11 @@ def centre_simples(table, omega: Cocycle3 | None = None,
     classes = conjugacy_classes(table)
 
     simples = []
-    skipped = []
     unresolved = 0
     complete = True
     verify_failures = []
     for cls in classes:
         r = cls[0]
-        if n > cfg.vec_dim_bound:
-            skipped.append(r)
-            complete = False
-            continue
         carrier = canonical_class_carrier(omega, field_order, r)
         cent = centralizer(table, r)
         mats = {h: carrier.block(h, r) for h in cent}
@@ -1031,8 +997,6 @@ def centre_simples(table, omega: Cocycle3 | None = None,
         sum_detail += " (enumeration incomplete)"
 
     certs = (
-        Certificate("group table valid", True),
-        Certificate("normalized 3-cocycle", True),
         Certificate("half-braiding re-verification (all pairs, all grades)",
                     not verify_failures,
                     verify_failures[0] if verify_failures else
@@ -1045,12 +1009,11 @@ def centre_simples(table, omega: Cocycle3 | None = None,
                     inter_ok, inter_detail),
         Certificate("sum rule: squared dimensions add to |G|^2",
                     sum_ok, sum_detail),
-        Certificate("enumeration complete", complete, "; ".join(
-            ([f"skipped classes {tuple(skipped)}"] if skipped else [])
-            + ([f"{unresolved} unresolved summands"] if unresolved else []))),
+        Certificate("enumeration complete", complete,
+                    f"{unresolved} unresolved summands" if unresolved else ""),
     )
     return VecCentreResult(table, omega, field_order, tuple(simples),
-                           complete, tuple(skipped), certs, n)
+                           complete, certs)
 
 
 # -- tensor, braiding, and the structure battery ----------------------------
@@ -1059,30 +1022,19 @@ def centre_simples(table, omega: Cocycle3 | None = None,
 def _pair_layout(A: HalfBraidingLin, B: HalfBraidingLin):
     """Component layout of the graded tensor product carrier.
 
-    For each total grade k, the (g, h) components with g h = k are laid
-    out in lexicographic order; returns (dims, layout) where layout maps k
-    to a list of (g, h, offset).
+    Returns (dims, offset): offset maps (g, h) to the position of the
+    V_g (x) W_h component inside grade g h, where the components of one
+    grade are laid out in lexicographic order.
     """
     table = A.table
-    n = len(table)
-    da, db = A.carrier.dims, B.carrier.dims
-    layout = {}
-    dims = [0] * n
-    for k in range(n):
-        entries = []
-        off = 0
-        for g in range(n):
-            if da[g] == 0:
-                continue
-            for h in range(n):
-                if db[h] == 0 or table[g][h] != k:
-                    continue
-                entries.append((g, h, off))
-                off += da[g] * db[h]
-        if entries:
-            layout[k] = entries
-            dims[k] = off
-    return tuple(dims), layout
+    dims = [0] * len(table)
+    offset = {}
+    for g in A.carrier.support:
+        for h in B.carrier.support:
+            k = table[g][h]
+            offset[(g, h)] = dims[k]
+            dims[k] += A.carrier.dims[g] * B.carrier.dims[h]
+    return tuple(dims), offset
 
 
 def _tensor_twist(omega: Cocycle3, inv, x: int, g: int, h: int) -> int:
@@ -1094,43 +1046,54 @@ def _tensor_twist(omega: Cocycle3, inv, x: int, g: int, h: int) -> int:
     return (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % omega.scalar_order
 
 
-def tensor_half_braidings(A: HalfBraidingLin,
-                          B: HalfBraidingLin) -> HalfBraidingLin:
-    """The tensor product of two solved carriers.
+def _tensor_parts(A: HalfBraidingLin, B: HalfBraidingLin) -> dict:
+    """The blocks of the tensor product A (x) B between its components.
 
-    The block on the (g, h) component is the Kronecker product of the
-    factors' blocks scaled by three associator values; the grading routes
-    (g, h) to (x^-1 g x, x^-1 h x) inside the conjugated total grade.
+    (x, g, h), for g and h in the supports of A and B, keys the block from
+    V_g (x) W_h to V_{x^-1 g x} (x) W_{x^-1 h x}: the Kronecker product of
+    the factors' blocks scaled by three associator values.
     """
     if A.omega != B.omega or A.field_order != B.field_order:
         raise ValueError("tensor factors live over different backends")
     omega = A.omega
-    table = omega.table
-    n = len(table)
-    inv = group_inverses(table)
+    inv = group_inverses(omega.table)
     N = A.field_order
     scale = N // omega.scalar_order
-    dims, layout = _pair_layout(A, B)
-    zero = cyc_zero(N)
-    blocks = {}
-    for x in range(n):
-        for k, entries in sorted(layout.items()):
-            k2 = _conj(table, inv, x, k)
-            target = {(g, h): off for g, h, off in layout[k2]}
-            mat = [[zero] * dims[k] for _ in range(dims[k2])]
-            for g, h, off in entries:
-                g2 = _conj(table, inv, x, g)
-                h2 = _conj(table, inv, x, h)
+    parts = {}
+    for x in range(len(omega.table)):
+        for g in A.carrier.support:
+            for h in B.carrier.support:
                 sub = kron(A.block(x, g), B.block(x, h))
                 t = _tensor_twist(omega, inv, x, g, h)
                 if t:
                     sub = mat_scale(zeta(N, t * scale), sub)
-                roff = target[(g2, h2)]
-                for i, row in enumerate(sub):
-                    for j, v in enumerate(row):
-                        mat[roff + i][off + j] = v
-            blocks[(x, k)] = tuple(tuple(row) for row in mat)
-    return HalfBraidingLin(omega, N, GradedObject(dims), blocks)
+                parts[(x, g, h)] = sub
+    return parts
+
+
+def _tensor(A: HalfBraidingLin, B: HalfBraidingLin,
+            parts: dict) -> HalfBraidingLin:
+    """The tensor product of two solved carriers, from its _tensor_parts.
+
+    The grading routes the (g, h) component to (x^-1 g x, x^-1 h x)
+    inside the conjugated total grade.
+    """
+    table = A.table
+    n = len(table)
+    inv = group_inverses(table)
+    dims, offset = _pair_layout(A, B)
+    zero = cyc_zero(A.field_order)
+    mats = {(x, k): [[zero] * dims[k] for _ in range(dims[_conj(table, inv, x, k)])]
+            for x in range(n) for k in range(n) if dims[k]}
+    for (x, g, h), part in parts.items():
+        mat = mats[(x, table[g][h])]
+        roff = offset[(_conj(table, inv, x, g), _conj(table, inv, x, h))]
+        coff = offset[(g, h)]
+        for i, row in enumerate(part):
+            for j, v in enumerate(row):
+                mat[roff + i][coff + j] = v
+    blocks = {key: tuple(tuple(row) for row in mat) for key, mat in mats.items()}
+    return HalfBraidingLin(A.omega, A.field_order, GradedObject(dims), blocks)
 
 
 def _braid_block(A: HalfBraidingLin, B: HalfBraidingLin, g: int, h: int):
@@ -1152,30 +1115,6 @@ def _braid_block(A: HalfBraidingLin, B: HalfBraidingLin, g: int, h: int):
     return tuple(tuple(row) for row in mat)
 
 
-def _tensor_components(ts: HalfBraidingLin, A: HalfBraidingLin,
-                       B: HalfBraidingLin, order: int) -> dict:
-    """The components of the tensor ts = A (x) B, each prepared once.
-
-    (x, g, h) keys the sub-block of ts.block(x, g h) that maps V_g (x) W_h
-    to V_{x^-1 g x} (x) W_{x^-1 h x}, for g, h in the supports of A and B.
-    """
-    table = ts.table
-    inv = group_inverses(table)
-    da, db = A.carrier.dims, B.carrier.dims
-    _, layout = _pair_layout(A, B)
-    offset = {(g, h): off for entries in layout.values()
-              for g, h, off in entries}
-    out = {}
-    for x in range(len(table)):
-        for (g, h), c0 in offset.items():
-            g2, h2 = _conj(table, inv, x, g), _conj(table, inv, x, h)
-            r0 = offset[(g2, h2)]
-            rows = ts.block(x, table[g][h])[r0:r0 + da[g2] * db[h2]]
-            out[(x, g, h)] = mat_prepare(
-                tuple(row[c0:c0 + da[g] * db[h]] for row in rows), order)
-    return out
-
-
 def _braiding_witnesses(A: HalfBraidingLin, B: HalfBraidingLin, ab: dict,
                         ba: dict, order: int):
     """The first failures of the braiding of V = A past W = B.
@@ -1183,7 +1122,7 @@ def _braiding_witnesses(A: HalfBraidingLin, B: HalfBraidingLin, ab: dict,
     Returns the first (g, h) whose braid component is not invertible and
     the first (g, h, x) where naturality theta_ba c_{g,h} = c_{gx,hx}
     theta_ab fails, or None for each; theta_ab and theta_ba are read from
-    ab and ba, the _tensor_components of A (x) B and of B (x) A.
+    ab and ba, the prepared _tensor_parts of A (x) B and of B (x) A.
     """
     table = A.table
     inv = group_inverses(table)
@@ -1207,19 +1146,20 @@ def _braiding_witnesses(A: HalfBraidingLin, B: HalfBraidingLin, ab: dict,
 
 def _pair_failures(simples, i: int, j: int, order: int):
     """Hexagon 2, braid invertibility and naturality on the ordered pairs
-    (i, j) and (j, i), which share their two tensors.
+    (i, j) and (j, i), which share the Kronecker parts of their two
+    tensors.
 
     Yields (check, (a, b), detail) for each check that fails on an ordered
     pair (a, b), with check one of "hex2", "inv", "nat".
     """
     ordered = sorted({(i, j), (j, i)})
-    tensors = {(a, b): tensor_half_braidings(simples[a].hb, simples[b].hb)
-               for a, b in ordered}
-    comps = {(a, b): _tensor_components(ts, simples[a].hb, simples[b].hb,
-                                        order)
-             for (a, b), ts in tensors.items()}
+    parts = {(a, b): _tensor_parts(simples[a].hb, simples[b].hb)
+             for a, b in ordered}
+    comps = {pair: {key: mat_prepare(blk, order) for key, blk in p.items()}
+             for pair, p in parts.items()}
     for a, b in ordered:
-        errs = check_half_braiding(tensors[(a, b)])
+        errs = check_half_braiding(
+            _tensor(simples[a].hb, simples[b].hb, parts[(a, b)]))
         if errs:
             yield "hex2", (a, b), f"pair ({a}, {b}): {errs[0]}"
         inv_w, nat_w = _braiding_witnesses(simples[a].hb, simples[b].hb,
@@ -1246,10 +1186,11 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     pair of simples.  The first hexagon takes its raw associator scalar
     once per (g, x, y) and checks each equation with the fused
     mat_scaled_product_eq on blocks prepared once per simple.  Each
-    unordered pair {i, j} is handled once: the tensors for (i, j) and
-    (j, i) are built, checked by check_half_braiding, and their prepared
-    components serve as theta_ab and theta_ba of the naturality check,
-    which is the fused mat_products_eq; only one pair's tensors are alive
+    unordered pair {i, j} is handled once: the Kronecker parts of the
+    tensors for (i, j) and (j, i) are built once, each tensor is assembled
+    from them and checked by check_half_braiding, and the same parts,
+    prepared, serve as theta_ab and theta_ba of the naturality check,
+    which is the fused mat_products_eq; only one pair's parts are alive
     at a time.  Braid components are tested by mat_invertible.  A failing
     certificate names the least failing ordered pair, as a scan in pair
     order would.
@@ -1258,7 +1199,7 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     table = result.table
     n = len(table)
     inv = group_inverses(table)
-    e = identity_of(table)
+    e = _identity(table)
     N = result.field_order
     simples = result.simples
     order = lcm(N, _entry_order(*(s.hb for s in simples)))
@@ -1383,7 +1324,6 @@ def verify_linear_against_bruteforce(table,
     grp = set(group_centre(table))
     rows = []
     for g in range(n):
-        system = half_braiding_space(delta_object(n, g), omega, cfg)
-        linear = bool(system.solutions)
+        linear = bool(half_braiding_space(delta_object(n, g), omega, cfg))
         rows.append((g, linear, g in set_members, g in grp))
     return CrossBackendReport(tuple(rows))

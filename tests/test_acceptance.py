@@ -17,7 +17,6 @@ from monocentre.centre import (
     compute_centre,
     transport_along_power,
 )
-from monocentre.config import GuardConfig
 from monocentre.convolution import (
     SetFunctor,
     cardinality_check,
@@ -195,12 +194,12 @@ def test_criterion_08_linear_backend():
     for omega in (trivial_cocycle(Z2), z2_nontrivial_cocycle()):
         result = centre_simples(Z2, omega)
         assert len(result.simples) == 4 and result.all_passed
-        brute = sum(len(half_braiding_space(delta_object(2, g), omega).solutions)
+        brute = sum(len(half_braiding_space(delta_object(2, g), omega))
                     for g in range(2))
         assert brute == 4
     _budget(start, 10.0, "criterion 8a (Z(Vec_Z2), both cocycles)")
     start = time.perf_counter()
-    result = centre_simples(S3, cfg=GuardConfig(vec_dim_bound=6))
+    result = centre_simples(S3)
     assert len(result.simples) == 8
     assert result.sum_of_squares == 36
     assert result.complete and result.all_passed

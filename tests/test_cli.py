@@ -54,12 +54,11 @@ def test_vec_centre_rejects_broken_omega(capsys):
     assert "not normalized at (1, 1, 0)" in out
 
 
-def test_vec_centre_dim_bound_reports_incomplete(capsys):
-    code, out, _ = run(capsys, "vec-centre", fix("s3.json"),
-                       "--dim-bound", "4")
-    assert code == 1
-    assert "simples: 0" in out
-    assert "Enumeration: enumeration complete — FAIL" in out
+def test_vec_centre_group_order_guard_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("MONOCENTRE_VEC_MAX_GROUP", "4")
+    code, out, err = run(capsys, "vec-centre", fix("s3.json"))
+    assert code == 3 and out == ""
+    assert "group order needs 6, limit 4" in err
 
 
 def test_equiv_z2_discrete(capsys):
@@ -115,11 +114,11 @@ def test_guard_exit_3_via_env(capsys, monkeypatch):
 
 def test_config_file_plumbing(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"vec_dim_bound": 4}))
-    code, out, _ = run(capsys, "vec-centre", fix("s3.json"),
-                       "--config", str(cfgfile))
-    assert code == 1
-    assert "enumeration complete — FAIL" in out
+    cfgfile.write_text(json.dumps({"vec_max_group": 4}))
+    code, out, err = run(capsys, "vec-centre", fix("s3.json"),
+                         "--config", str(cfgfile))
+    assert code == 3 and out == ""
+    assert "group order needs 6, limit 4" in err
     cfgfile.write_text(json.dumps({"no_such_guard": 1}))
     code, _, err = run(capsys, "validate", fix("z2.json"),
                        "--config", str(cfgfile))
@@ -129,11 +128,11 @@ def test_config_file_plumbing(capsys, tmp_path):
 
 def test_config_file_rejects_bool_guard(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"vec_dim_bound": True}))
+    cfgfile.write_text(json.dumps({"vec_max_group": True}))
     code, out, err = run(capsys, "vec-centre", fix("s3.json"),
                          "--config", str(cfgfile))
     assert code == 2 and out == ""
-    assert "vec_dim_bound" in err
+    assert "vec_max_group" in err
 
 
 def test_env_rejects_negative_guard(capsys, monkeypatch):
@@ -143,11 +142,17 @@ def test_env_rejects_negative_guard(capsys, monkeypatch):
     assert "max_objects" in err
 
 
-def test_negative_dim_bound_is_malformed_not_a_failed_certificate(capsys):
+def test_removed_carrier_bound_is_malformed_not_ignored(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"vec_dim_bound": 8}))
     code, out, err = run(capsys, "vec-centre", fix("s3.json"),
-                         "--dim-bound", "-2")
+                         "--config", str(cfgfile))
     assert code == 2 and out == ""
-    assert "vec_dim_bound" in err
+    assert "unknown keys ['vec_dim_bound']" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["vec-centre", fix("s3.json"), "--dim-bound", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_workers_is_not_a_guard(capsys, tmp_path):

@@ -128,7 +128,7 @@ class TestEnumeration:
         assert len(enumerate_nat_transfs(ident, ident)) == 2
 
     def test_budget_guard_trips(self):
-        cfg = GuardConfig().raised(max_branch=3)
+        cfg = GuardConfig(max_branch=3)
         with pytest.raises(SizeGuardExceeded):
             enumerate_functors(discrete_category(3), discrete_category(3), cfg)
 

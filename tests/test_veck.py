@@ -20,6 +20,8 @@ from monocentre.veck import (
     _invariant_projection,
     _restrict_action,
     _split_rec,
+    _tensor,
+    _tensor_parts,
     _twist,
     canonical_class_carrier,
     centralizer,
@@ -36,7 +38,6 @@ from monocentre.veck import (
     group_inverses,
     half_braiding_space,
     intertwiner_dim,
-    tensor_half_braidings,
     trivial_cocycle,
     verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
@@ -112,42 +113,33 @@ def test_canonical_carrier_shapes():
 def test_scalar_systems_on_z2_trivial():
     omega = trivial_cocycle(Z2)
     for g in (0, 1):
-        system = half_braiding_space(delta_object(2, g), omega)
-        assert system.consistent and system.multiplicity_free
-        vals = {hb.block(1, g)[0][0] for hb in system.solutions}
+        vals = {hb.block(1, g)[0][0]
+                for hb in half_braiding_space(delta_object(2, g), omega)}
         assert vals == {1, -1}
 
 
 def test_scalar_systems_on_z2_nontrivial():
     omega = z2_nontrivial_cocycle()
-    unit_sys = half_braiding_space(delta_object(2, 0), omega)
-    assert {hb.block(1, 0)[0][0] for hb in unit_sys.solutions} == {1, -1}
-    sys_a = half_braiding_space(delta_object(2, 1), omega)
-    assert len(sys_a.solutions) == 2
-    v, w = (hb.block(1, 1)[0][0] for hb in sys_a.solutions)
+    unit_sols = half_braiding_space(delta_object(2, 0), omega)
+    assert {hb.block(1, 0)[0][0] for hb in unit_sols} == {1, -1}
+    sols_a = half_braiding_space(delta_object(2, 1), omega)
+    assert len(sols_a) == 2
+    v, w = (hb.block(1, 1)[0][0] for hb in sols_a)
     assert v != w
     assert v * v == -1 and w * w == -1
 
 
 def test_noncentral_support_has_no_half_braiding():
-    system = half_braiding_space(delta_object(6, 1), trivial_cocycle(S3))
-    assert not system.consistent
-    assert system.solutions == ()
-    assert system.witnesses[0].startswith("no half-braiding")
+    assert half_braiding_space(delta_object(6, 1), trivial_cocycle(S3)) == ()
 
 
 def test_unit_support_on_s3_gives_the_two_characters():
-    system = half_braiding_space(delta_object(6, 0), trivial_cocycle(S3))
-    assert system.consistent
-    assert len(system.solutions) == 2
+    assert len(half_braiding_space(delta_object(6, 0), trivial_cocycle(S3))) == 2
 
 
-def test_higher_dimensional_carrier_is_described_not_solved():
-    system = half_braiding_space(GradedObject((2, 0)), trivial_cocycle(Z2))
-    assert system.consistent and system.solutions is None
-    assert not system.multiplicity_free
-    assert system.n_unknown_blocks == 1
-    assert system.n_relations == 4
+def test_higher_dimensional_carrier_is_refused():
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        half_braiding_space(GradedObject((2, 0)), trivial_cocycle(Z2))
 
 
 def test_centre_simples_z2_trivial():
@@ -158,7 +150,7 @@ def test_centre_simples_z2_trivial():
     assert result.sum_of_squares == 4
     # independent oracle: per-support brute-force one-dimensional counts
     omega = trivial_cocycle(Z2)
-    oracle = sum(len(half_braiding_space(delta_object(2, g), omega).solutions)
+    oracle = sum(len(half_braiding_space(delta_object(2, g), omega))
                  for g in (0, 1))
     assert oracle == 4
 
@@ -171,8 +163,7 @@ def test_centre_simples_z2_nontrivial_has_fourth_roots():
     assert len(vals) == 2 and vals[0] != vals[1]
     assert all(v * v == -1 for v in vals)
     oracle = sum(
-        len(half_braiding_space(delta_object(2, g),
-                                z2_nontrivial_cocycle()).solutions)
+        len(half_braiding_space(delta_object(2, g), z2_nontrivial_cocycle()))
         for g in (0, 1))
     assert oracle == 4
 
@@ -197,17 +188,6 @@ def test_centre_simples_s3():
     assert per_class == {0: 3, 1: 2, 3: 3}
     # independent oracle: character counts of the centralizers
     assert per_class == {r: character_count_oracle(S3, r) for r in (0, 1, 3)}
-
-
-def test_dim_bound_reports_honest_incomplete():
-    result = centre_simples(S3, cfg=GuardConfig(vec_dim_bound=4))
-    assert not result.complete
-    assert result.simples == ()
-    assert result.skipped_classes == (0, 1, 3)
-    assert not result.all_passed
-    failing = {c.name for c in result.certificates if not c.ok}
-    assert "enumeration complete" in failing
-    assert "sum rule: squared dimensions add to |G|^2" in failing
 
 
 def test_group_order_guard():
@@ -271,7 +251,7 @@ def _ref_hexagon1(result):
 def _ref_hexagon2(result):
     for i, s in enumerate(result.simples):
         for j, t in enumerate(result.simples):
-            errs = check_half_braiding(tensor_half_braidings(s.hb, t.hb))
+            errs = check_half_braiding(_tensor(s.hb, t.hb, _tensor_parts(s.hb, t.hb)))
             if errs:
                 return f"pair ({i}, {j}): {errs[0]}"
     return None
@@ -307,9 +287,7 @@ def _with_simple(result, idx, hb):
     simples[idx] = VecSimple(simples[idx].class_rep, hb, hb.carrier.total_dim,
                              simples[idx].fiber_character)
     return VecCentreResult(result.table, result.omega, result.field_order,
-                           tuple(simples), result.complete,
-                           result.skipped_classes, result.certificates,
-                           result.group_order)
+                           tuple(simples), result.complete, result.certificates)
 
 
 def test_corrupted_simple_fails_the_hexagons_with_witnesses():
@@ -343,7 +321,7 @@ def test_non_square_braid_component_fails_invertibility():
               for x in range(6) for g in (1, 2, 5)}
     hb = HalfBraidingLin(omega, order, GradedObject(dims), blocks)
     result = VecCentreResult(S3, omega, order, (VecSimple(1, hb, 4, ()),),
-                             True, (), (), 6)
+                             True, ())
     certs = {c.name: c for c in certify_centre_structure(result)}
     braid = certs["braiding components invertible"]
     g, h = next((g, h) for g in (1, 2, 5) for h in (1, 2, 5)
@@ -363,7 +341,7 @@ def test_intertwiner_dimensions():
 def test_tensor_of_semions_is_a_half_braiding():
     result = centre_simples(Z2, z2_nontrivial_cocycle())
     a, b = [s.hb for s in result.simples if s.class_rep == 1]
-    ts = tensor_half_braidings(a, b)
+    ts = _tensor(a, b, _tensor_parts(a, b))
     assert ts.carrier.dims == (1, 0)
     assert check_half_braiding(ts) == []
 
@@ -672,7 +650,7 @@ def test_non_projective_action_is_refused():
 
 
 def test_centre_simples_d4():
-    result = centre_simples(D4, cfg=GuardConfig(vec_dim_bound=8))
+    result = centre_simples(D4)
     assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
     assert result.complete and result.all_passed
     per_class = {}
@@ -685,7 +663,7 @@ def test_centre_simples_d4():
 
 def test_centre_simples_trivial_z2_cubed():
     # the 5 s structure battery on 64 simples is left to the survey
-    result = centre_simples(Z2_CUBED, cfg=GuardConfig(vec_dim_bound=8))
+    result = centre_simples(Z2_CUBED)
     assert len(result.simples) == 64
     assert all(s.total_dim == 1 for s in result.simples)
     assert result.complete and result.all_passed
@@ -696,8 +674,7 @@ def test_type_iii_z2_cubed_is_never_reported_complete_with_a_wrong_count():
     # 2 of dimension 2 over each other element.  On six classes the least
     # non-scalar M_h is not central and each of its eigenvectors straddles
     # two irreducibles, so the split must take the central M_r instead.
-    result = centre_simples(Z2_CUBED, type_iii_cocycle(),
-                            GuardConfig(vec_dim_bound=8))
+    result = centre_simples(Z2_CUBED, type_iii_cocycle())
     assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
     assert result.complete and result.all_passed
     assert all(c.ok for c in result.certificates)
