@@ -3,7 +3,8 @@
 For each group up to the default size guard, enumerate the simple objects of
 the centre (untwisted, plus the nontrivial cocycle on Z2 and the
 type-III cocycle on Z2^3) and tabulate counts, dimension vectors, and the
-sum rule.  Abelian groups of order n should show n^2 invertible simples;
+sum rule, with the time of the split and of the braided-structure battery
+and the battery's verdict.  Abelian groups of order n should show n^2 invertible simples;
 S3 shows the 8 simples of its double with squared dimensions summing to
 36, and D4 its 22.  Type-III Z2^3 has 22 simples too (8 of dimension 1
 and 14 of dimension 2), all found: the fibre split prefers a central
@@ -17,7 +18,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from monocentre.monoidal import D4, S3, Z2_CUBED
-from monocentre.veck import Cocycle3, centre_simples, trivial_cocycle, z2_nontrivial_cocycle
+from monocentre.veck import (Cocycle3, centre_simples, certify_centre_structure,
+                             trivial_cocycle, z2_nontrivial_cocycle)
 
 
 def cyclic(n):
@@ -36,11 +38,15 @@ def survey(label, table, omega=None):
     start = time.perf_counter()
     result = centre_simples(table, omega)
     elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    battery = certify_centre_structure(result)
+    battery_s = time.perf_counter() - start
     dims = sorted(s.total_dim for s in result.simples)
     status = "ok" if result.all_passed else "INCOMPLETE"
+    verdict = "PASS" if all(c.ok for c in battery) else "FAIL"
     print(f"{label:<22} |G|={len(result.table)}  simples={len(result.simples):>2}  "
           f"dims={dims}  sum_sq={result.sum_of_squares:>3}  "
-          f"[{status}, {elapsed:.2f}s]")
+          f"[{status}, {elapsed:.2f}s]  battery {verdict} {battery_s:.2f}s")
     return result
 
 

@@ -37,7 +37,8 @@ from .fincat import validate_category, validate_functor
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
 from .monoidal import group_table_report, validate_monoidal
-from .veck import centre_simples, certify_centre_structure, check_cocycle, trivial_cocycle
+from .veck import (centre_simples, certify_centre_structure, check_cocycle,
+                   check_group_order, trivial_cocycle)
 
 _DASH = "—"
 
@@ -210,12 +211,15 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
                           f"different group table than {spec.path}")
     else:
         omega = trivial_cocycle(table)
-    coc_report = check_cocycle(omega)
+    # refuse an oversized group before the quartic cocycle check, and run
+    # each check once: its report feeds the axiom line and the battery
+    check_group_order(len(table), cfg)
+    coc_report = check_cocycle(omega, grp_report)
     certs.append(_cert("Axiom: normalized 3-cocycle", coc_report))
     if coc_report:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
-    result = centre_simples(table, omega, cfg)
+    result = centre_simples(table, omega, cfg, coc_report)
     n = len(table)
     info.append(("scalar field", f"Q(zeta_{result.field_order})"))
     info.append(("simples", len(result.simples)))
@@ -228,7 +232,7 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
     certs += [Certificate("Enumeration: " + c.name, c.ok, c.detail)
               for c in result.certificates]
     certs += [Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
-              for c in certify_centre_structure(result)]
+              for c in certify_centre_structure(result, coc_report)]
     return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
 

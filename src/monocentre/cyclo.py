@@ -17,14 +17,14 @@ their entries and accumulate each entry as one unreduced integer
 polynomial over a common denominator, reducing and normalizing once.
 
 Three routines check instead of build.  A prepared matrix (mat_prepare)
-is lifted once to a given order, with each row and each column split
-once over its common denominator.  mat_scaled_product_eq and
-mat_products_eq decide s (A B) == C and A B == C D on prepared matrices:
-each entry is accumulated unreduced, cross-multiplied by the denominators
-and reduced once, so no product CycNumber is formed and no gcd is taken.
-mat_invertible decides invertibility by fraction-free elimination over
-Z[zeta]: rows are cleared of denominators, and a row is eliminated by
-cross-multiplying it with the nonzero pivot, so no inverse is formed.
+is lifted once to a given order over one denominator and packed: each
+entry becomes one integer, its numerator polynomial at X = 2^K mod
+Phi_n(X), with K derived from the data so that the test is exact
+(PreparedMatrix).  mat_scaled_product_eq and mat_products_eq decide
+s (A B) == C and A B == C D by integer products and one remainder per
+entry.  mat_invertible decides invertibility by fraction-free elimination
+over Z[zeta]: rows are cleared of denominators, and a row is eliminated
+by cross-multiplying it with the nonzero pivot, so no inverse is formed.
 
 solve_linear is Gauss-Jordan over the field, returning a particular
 solution and a kernel basis.
@@ -35,8 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
+
+from .config import InternalSoundnessError
 
 
 @lru_cache(maxsize=None)
@@ -323,14 +326,9 @@ def _split(v, n):
     """The entries of v, lifted to order n, over one common denominator D:
     (D, per entry the sparse numerators)."""
     v = _lift(v, n)
-    return _over_common_den(v, [_sparse(x.nums) for x in v])
-
-
-def _over_common_den(v, sparse):
-    """_split of the order-n entries v, given their sparse numerators."""
     den = lcm(*[x.den for x in v])
-    return den, [s if x.den == den else [(i, c * (den // x.den)) for i, c in s]
-                 for x, s in zip(v, sparse)]
+    return den, [_sparse(x.nums if x.den == den else [c * (den // x.den) for c in x.nums])
+                 for x in v]
 
 
 def _acc(xs, ys, width):
@@ -408,11 +406,6 @@ def _lift(v, n):
             for x in v]
 
 
-def mat_id(n, order):
-    one, zero = cyc_one(order), cyc_zero(order)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def mat_mul(A, B):
     if not A or not B:
         return ()
@@ -432,21 +425,6 @@ def mat_vec(A, v):
     return tuple(_dot(n, _split(row, n), col) for row in A)
 
 
-def kron(A, B):
-    """Kronecker product; empty factors give the empty matrix."""
-    if not A or not B:
-        return ()
-    out = []
-    for arow in A:
-        for brow in B:
-            out.append(tuple(a * b for a in arow for b in brow))
-    return tuple(out)
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 def transpose(A):
     if not A:
         return ()
@@ -462,97 +440,136 @@ def mat_trace(A):
 # -- checking products without building them -------------------------------
 
 
+@lru_cache(maxsize=None)
+def _fold_norms(n):
+    """(F, L): F >= 1 bounds the L1 norm of z^k mod Phi_n for every k (a
+    unit vector or a fold-table row, as z^n = 1), L is the L1 norm of
+    Phi_n's lower coefficients."""
+    rows = _fold_table(n)[1]
+    return (max([1] + [sum(abs(c) for _, c in row) for row in rows]),
+            sum(map(abs, cyclotomic_poly(n)[:-1])))
+
+
+def _at(p, bits):
+    """The integer polynomial p (low degree first) evaluated at 2^bits."""
+    return sum(c << bits * i for i, c in enumerate(p))
+
+
+def pack_bits(order: int, bound: int) -> int:
+    """The least K for which packing at X = 2^K decides exactly whether an
+    unreduced numerator polynomial of L1 norm at most bound vanishes mod
+    Phi_n: 2^K > F bound + L."""
+    F, L = _fold_norms(order)
+    return (F * bound + L).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _modulus(n, bits):
+    return _at(cyclotomic_poly(n), bits)
+
+
+@lru_cache(maxsize=None)
+def _roots(n, bits):
+    M = _modulus(n, bits)
+    return tuple(accumulate(range(1, n), lambda r, _: (r << bits) % M, initial=1))
+
+
+def packed_modulus(order: int, bits: int, bound: int) -> tuple:
+    """(M, roots): M = Phi_n(2^bits) and roots[e] the pack of zeta^e, after
+    checking that bits decides a difference of L1 norm at most bound
+    exactly; a bound too large for bits is an InternalSoundnessError."""
+    if pack_bits(order, bound) > bits:
+        raise InternalSoundnessError(
+            f"packed check needs {pack_bits(order, bound)} bits, has {bits}")
+    return _modulus(order, bits), _roots(order, bits)
+
+
 class PreparedMatrix:
-    """A matrix lifted to one order, its rows and its columns each split
-    once over a common denominator, as (D, per entry the sparse numerators)
-    from _split."""
+    """A matrix lifted to one order n over one denominator `den`, with each
+    entry's numerators in `nums` and the largest of their L1 norms in
+    `norm`; packed(K) stores each entry as its numerator polynomial at
+    X = 2^K, mod M = Phi_n(X), in `rows` and `cols`.  A difference q of
+    sums of products of entries vanishes mod Phi_n iff M divides q(X) once
+    2^K > F H + L for H >= |q|_1: r = q mod Phi_n has |r_j| <= F H, so
+    0 < |r(X)| < M unless r = 0 (pack_bits, packed_modulus)."""
 
-    __slots__ = ("order", "rows", "cols")
+    __slots__ = ("order", "den", "norm", "nums", "bits", "rows", "cols")
 
-    def __init__(self, order: int, rows: tuple, cols: tuple):
-        self.order, self.rows, self.cols = order, rows, cols
+    def __init__(self, order: int, den: int, nums: tuple):
+        self.order, self.den, self.nums = order, den, nums
+        self.norm = max((sum(map(abs, p)) for row in nums for p in row), default=0)
+        self.bits = self.rows = self.cols = None
+
+    def packed(self, bits: int) -> tuple:
+        """(rows, cols) of the entries packed at width bits, kept for reuse."""
+        if bits != self.bits:
+            M = _modulus(self.order, bits)
+            self.rows = tuple(tuple(_at(p, bits) % M for p in row) for row in self.nums)
+            self.cols, self.bits = tuple(zip(*self.rows)), bits
+        return self.rows, self.cols
 
 
-def mat_prepare(A, order: int) -> PreparedMatrix:
-    """A lifted to the given order (a multiple of every entry's order) and
-    split once by rows and by columns, for the fused checks."""
+def mat_prepare(A, order: int, den: int | None = None) -> PreparedMatrix:
+    """A lifted to the given order (a multiple of every entry's order) over
+    one denominator, den (a multiple of every entry's) or their lcm; it is
+    packed on first use, at the width the check needs."""
     rows = [_lift(row, order) for row in A]
-    sparse = [[_sparse(x.nums) for x in row] for row in rows]
-    return PreparedMatrix(
-        order, tuple(map(_over_common_den, rows, sparse)),
-        tuple(map(_over_common_den, zip(*rows), zip(*sparse))))
+    if den is None:
+        den = lcm(*(x.den for row in rows for x in row))
+    if any(den % x.den for row in rows for x in row):
+        raise ValueError("denominator is not a common multiple of the entries'")
+    return PreparedMatrix(order, den, tuple(
+        tuple(tuple(c * (den // x.den) for c in x.nums) for x in row) for row in rows))
 
 
 def _check_product(A, B, *others):
     """Raise unless A B is defined and every operand has A's order."""
-    for M in (B, *others):
-        if M.order != A.order:
-            raise ValueError("prepared matrices of different orders")
-    if len(A.cols) != len(B.rows):
+    if any(M.order != A.order for M in (B, *others)):
+        raise ValueError("prepared matrices of different orders")
+    if A.nums and len(A.nums[0]) != len(B.nums):
         raise ValueError("inner dimensions of a product differ")
 
 
-def mat_scaled_product_eq(s, A, B, C) -> bool:
-    """Whether s (A B) == C, for prepared A, B, C of one order n.
+def _packed_all(bound, *mats):
+    """The operands' (rows, cols) at one width that decides bound exactly,
+    the widest any of them has if it does, and M."""
+    n = mats[0].order
+    bits = max(pack_bits(n, bound), *(M.bits or 0 for M in mats))
+    return [M.packed(bits) for M in mats], _modulus(n, bits)
 
-    Each entry of A B accumulates unreduced and is multiplied by s, modulo
-    z^n - 1 (which Phi_n divides) unless s is rational; C's entry is
-    subtracted across the denominators, and the difference is reduced once.
-    """
+
+def mat_scaled_product_eq(s, A, B, C) -> bool:
+    """Whether s (A B) == C, for prepared A, B, C of one order n: entry by
+    entry, s' (sum a b) dC - c s_den dA dB, s' the numerators of s, must
+    vanish mod Phi_n, and is decided packed by one % M."""
     _check_product(A, B, C)
-    if len(A.rows) != len(C.rows):
+    s = _lift([s], A.order)[0]
+    bound = (sum(map(abs, s.nums)) * len(B.nums) * A.norm * B.norm * C.den
+             + C.norm * s.den * A.den * B.den)
+    ((arows, _), (_, bcols), (crows, _)), M = _packed_all(bound, A, B, C)
+    if len(arows) != len(crows):
         return False
-    n = A.order
-    s = _lift([s], n)[0]
-    rational = not any(s.nums[1:])
-    ss = None if rational else _sparse(s.nums)
-    width = 2 * euler_phi(n) - 1
-    for (da, arow), (dc, crow) in zip(A.rows, C.rows):
-        if len(crow) != len(B.cols):
-            return False
-        for (db, bcol), cx in zip(B.cols, crow):
-            acc = _acc(arow, bcol, width)
-            if not any(acc):
-                if cx:
-                    return False
-                continue
-            if rational:
-                f = s.nums[0] * dc
-                tot = [v * f for v in acc]
-            else:
-                tot = [0] * n
-                for k, v in enumerate(acc):
-                    if v:
-                        v *= dc
-                        for e, w in ss:
-                            tot[(k + e) % n] += v * w
-            f = s.den * da * db
-            for j, c in cx:
-                tot[j] -= c * f
-            if any(_reduce(n, tot)):
-                return False
-    return True
+    f, g = _at(s.nums, B.bits) * C.den % M, s.den * A.den * B.den
+    return all(len(crow) == len(bcols) and not any(
+        (f * sum(map(mul, arow, bcol)) - g * c) % M for bcol, c in zip(bcols, crow))
+        for arow, crow in zip(arows, crows))
 
 
 def mat_products_eq(A, B, C, D) -> bool:
-    """Whether A B == C D, for prepared A, B, C, D of one order n.
-
-    Both sides of each entry accumulate unreduced, are cross-multiplied by
-    each other's denominators, and their difference is reduced once.
-    """
+    """Whether A B == C D, for prepared A, B, C, D of one order n: entry by
+    entry, (sum a b) dC dD - (sum c d) dA dB must vanish mod Phi_n, and is
+    decided packed by one % M."""
     _check_product(A, B, C, D)
     _check_product(C, D)
-    if len(A.rows) != len(C.rows) or len(B.cols) != len(D.cols):
+    bound = (len(B.nums) * A.norm * B.norm * C.den * D.den
+             + len(D.nums) * C.norm * D.norm * A.den * B.den)
+    ((arows, _), (_, bcols), (crows, _), (_, dcols)), M = _packed_all(
+        bound, A, B, C, D)
+    if len(arows) != len(crows) or len(bcols) != len(dcols):
         return False
-    n = A.order
-    width = 2 * euler_phi(n) - 1
-    for (da, arow), (dc, crow) in zip(A.rows, C.rows):
-        for (db, bcol), (dd, dcol) in zip(B.cols, D.cols):
-            lhs, rhs = _acc(arow, bcol, width), _acc(crow, dcol, width)
-            f, g = dc * dd, da * db
-            if any(_reduce(n, [x * f - y * g for x, y in zip(lhs, rhs)])):
-                return False
-    return True
+    f, g = C.den * D.den, A.den * B.den
+    return not any((f * sum(map(mul, arow, bcol)) - g * sum(map(mul, crow, dcol))) % M
+                   for arow, crow in zip(arows, crows) for bcol, dcol in zip(bcols, dcols))
 
 
 def mat_invertible(A) -> bool:

@@ -45,30 +45,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import islice
 from math import lcm
+from operator import mul
 
 from .centre import Certificate, compute_centre
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .cyclo import (
-    CycNumber,
-    cyc_zero,
-    kron,
-    mat_eq,
-    mat_id,
-    mat_invertible,
-    mat_mul,
-    mat_prepare,
-    mat_products_eq,
-    mat_scale,
-    mat_scaled_product_eq,
-    mat_trace,
-    mat_vec,
-    roots_of_unity,
-    rref,
-    solve_linear,
-    transpose,
-    zeta,
+    CycNumber, cyc_zero, mat_invertible, mat_mul, mat_prepare, mat_products_eq,
+    mat_scale, mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus,
+    roots_of_unity, rref, solve_linear, transpose, zeta,
 )
 from .monoidal import (
     _REPORT_CAP, discrete_group_monoidal, group_table_report, identity_of,
@@ -85,13 +72,8 @@ def _identity(table) -> int:
 
 @lru_cache(maxsize=16)
 def group_inverses(table) -> tuple:
-    e = _identity(table)
-    n = len(table)
-    out = []
-    for a in range(n):
-        b = next(b for b in range(n) if table[a][b] == e and table[b][a] == e)
-        out.append(b)
-    return tuple(out)
+    e, G = _identity(table), range(len(table))
+    return tuple(next(b for b in G if table[a][b] == e and table[b][a] == e) for a in G)
 
 
 def element_order(table, g: int) -> int:
@@ -104,10 +86,7 @@ def element_order(table, g: int) -> int:
 
 
 def group_exponent(table) -> int:
-    out = 1
-    for g in range(len(table)):
-        out = lcm(out, element_order(table, g))
-    return out
+    return lcm(*(element_order(table, g) for g in range(len(table))))
 
 
 def _conj(table, inv, x: int, g: int) -> int:
@@ -119,15 +98,12 @@ def conjugacy_classes(table) -> tuple:
     """Classes as sorted tuples, listed by their least element."""
     n = len(table)
     inv = group_inverses(table)
-    seen = [False] * n
-    out = []
+    seen, out = set(), []
     for g in range(n):
-        if seen[g]:
-            continue
-        orbit = sorted({_conj(table, inv, x, g) for x in range(n)})
-        for h in orbit:
-            seen[h] = True
-        out.append(tuple(orbit))
+        if g not in seen:
+            orbit = tuple(sorted({_conj(table, inv, x, g) for x in range(n)}))
+            seen.update(orbit)
+            out.append(orbit)
     return tuple(out)
 
 
@@ -153,44 +129,32 @@ class Cocycle3:
     report.
     """
 
+    __slots__ = ("table", "scalar_order", "exponents", "_tables")
+
     def __init__(self, table, scalar_order, exponents):
         so = int(scalar_order)
         if so < 1:
             raise ValueError("scalar order must be a positive integer")
-        self._table = tuple(tuple(int(v) for v in row) for row in table)
-        self._scalar_order = so
-        self._exponents = tuple(
-            tuple(tuple(int(v) % so for v in row) for row in plane)
-            for plane in exponents)
-
-    @property
-    def table(self):
-        return self._table
-
-    @property
-    def scalar_order(self):
-        return self._scalar_order
-
-    @property
-    def exponents(self):
-        return self._exponents
+        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        self.scalar_order = so
+        self.exponents = tuple(tuple(tuple(int(v) % so for v in row) for row in plane)
+                               for plane in exponents)
+        self._tables = None  # conjugation and twist tables, built on first use
 
     def value(self, a: int, b: int, c: int) -> CycNumber:
-        return zeta(self._scalar_order, self._exponents[a][b][c])
+        return zeta(self.scalar_order, self.exponents[a][b][c])
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle3):
             return NotImplemented
-        return (self._table == other._table
-                and self._scalar_order == other._scalar_order
-                and self._exponents == other._exponents)
+        return (self.table, self.scalar_order, self.exponents) == (
+            other.table, other.scalar_order, other.exponents)
 
     def __hash__(self):
-        return hash((self._table, self._scalar_order, self._exponents))
+        return hash((self.table, self.scalar_order, self.exponents))
 
     def __repr__(self):
-        return (f"Cocycle3(|G|={len(self._table)}, "
-                f"scalar_order={self._scalar_order})")
+        return f"Cocycle3(|G|={len(self.table)}, scalar_order={self.scalar_order})"
 
 
 def trivial_cocycle(table, scalar_order: int = 1) -> Cocycle3:
@@ -201,9 +165,7 @@ def trivial_cocycle(table, scalar_order: int = 1) -> Cocycle3:
 
 def z2_nontrivial_cocycle() -> Cocycle3:
     """The nontrivial class on Z2: value -1 at (a, a, a), 1 elsewhere."""
-    table = ((0, 1), (1, 0))
-    exps = [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]
-    return Cocycle3(table, 2, exps)
+    return Cocycle3(((0, 1), (1, 0)), 2, [[[0, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 
 def coboundary_cocycle(table, scalar_order: int, cochain2) -> Cocycle3:
@@ -227,46 +189,29 @@ def coboundary_cocycle(table, scalar_order: int, cochain2) -> Cocycle3:
     return Cocycle3(table, scalar_order, exps)
 
 
-def check_cocycle(omega: Cocycle3) -> list:
+def check_cocycle(omega: Cocycle3, table_report: list | None = None) -> list:
     """Normalization and the exhaustive additive cocycle identity.
 
     Empty list iff omega is a normalized 3-cocycle; each failure names the
-    offending tuple of group elements.
+    offending tuple of group elements.  table_report is the caller's
+    group_table_report of omega's table, if it has one.
     """
     table = omega.table
     n = len(table)
-    problems = group_table_report(table)
+    problems = group_table_report(table) if table_report is None else table_report
     if problems:
         return ["group table invalid: " + problems[0]]
     w = omega.exponents
     if len(w) != n or any(len(p) != n or any(len(r) != n for r in p) for p in w):
         return ["exponent table is not |G| x |G| x |G|"]
-    e = _identity(table)
-    report = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if e in (a, b, c) and w[a][b][c] != 0:
-                    report.append(f"not normalized at ({a}, {b}, {c})")
-                    if len(report) >= _REPORT_CAP:
-                        return report
-    if report:
-        return report
-    n0 = omega.scalar_order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    s = (w[b][c][d] - w[table[a][b]][c][d]
-                         + w[a][table[b][c]][d] - w[a][b][table[c][d]]
-                         + w[a][b][c]) % n0
-                    if s != 0:
-                        report.append(
-                            f"cocycle identity fails at (a={a}, b={b}, "
-                            f"c={c}, d={d})")
-                        if len(report) >= _REPORT_CAP:
-                            return report
-    return report
+    e, n0, G = _identity(table), omega.scalar_order, range(n)
+    report = list(islice((f"not normalized at ({a}, {b}, {c})" for a in G for b in G
+                          for c in G if e in (a, b, c) and w[a][b][c]), _REPORT_CAP))
+    return report or list(islice((
+        f"cocycle identity fails at (a={a}, b={b}, c={c}, d={d})"
+        for a in G for b in G for c in G for d in G
+        if (w[b][c][d] - w[table[a][b]][c][d] + w[a][table[b][c]][d]
+            - w[a][b][table[c][d]] + w[a][b][c]) % n0), _REPORT_CAP))
 
 
 def _twist(table, inv, w, n0: int, g: int, x: int, y: int) -> int:
@@ -281,9 +226,41 @@ def _twist(table, inv, w, n0: int, g: int, x: int, y: int) -> int:
     return (-w[g][x][y] + w[x][gx][y] - w[x][y][gxy]) % n0
 
 
+def check_group_order(n: int, cfg: GuardConfig) -> None:
+    """Refuse a group of order n above vec_max_group, before any work."""
+    if n > cfg.vec_max_group:
+        raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
+                                hint="raise vec_max_group")
+
+
 def field_order_for(table, omega: Cocycle3) -> int:
     """Working cyclotomic order: even, large enough for all eigenvalues."""
     return 2 * group_exponent(table) * omega.scalar_order
+
+
+def _group_tables(omega: Cocycle3) -> tuple:
+    """(conj, twist): conj[x][g] = x^-1 g x and twist[g][x][y] the _twist
+    exponent, built once per cocycle and kept on it."""
+    tables = omega._tables
+    if tables is None:
+        table, w, n0 = omega.table, omega.exponents, omega.scalar_order
+        inv = group_inverses(table)
+        n = len(table)
+        conj = tuple(tuple(_conj(table, inv, x, g) for g in range(n))
+                     for x in range(n))
+        twist = tuple(tuple(tuple(_twist(table, inv, w, n0, g, x, y)
+                                  for y in range(n)) for x in range(n))
+                      for g in range(n))
+        tables = omega._tables = (conj, twist)
+    return tables
+
+
+def _twist_packs(omega: Cocycle3, field_order: int, order: int, roots) -> list:
+    """scal[x][y][g]: the pack of the twist scalar zeta_N^(t scale) of
+    multiplicativity at (x, y, g), N the field order."""
+    twist, G = _group_tables(omega)[1], range(len(omega.table))
+    step = field_order // omega.scalar_order * (order // field_order)
+    return [[[roots[twist[g][x][y] * step] for g in G] for y in G] for x in G]
 
 
 # -- graded carriers and half-braidings ------------------------------------
@@ -295,7 +272,7 @@ class GradedObject:
 
     dims: tuple
 
-    @property
+    @cached_property
     def support(self):
         return tuple(g for g, d in enumerate(self.dims) if d > 0)
 
@@ -315,41 +292,24 @@ class HalfBraidingLin:
     beta_x|g: V_g -> V_{x^-1 g x}, rows indexing the target grade.
     """
 
+    __slots__ = ("omega", "field_order", "carrier", "blocks")
+
     def __init__(self, omega: Cocycle3, field_order: int, carrier: GradedObject,
                  blocks):
-        self._omega = omega
-        self._field_order = int(field_order)
-        self._carrier = carrier
-        self._blocks = dict(blocks)
-
-    @property
-    def omega(self):
-        return self._omega
+        self.omega, self.field_order = omega, int(field_order)
+        self.carrier, self.blocks = carrier, dict(blocks)
 
     @property
     def table(self):
-        return self._omega.table
-
-    @property
-    def field_order(self):
-        return self._field_order
-
-    @property
-    def carrier(self):
-        return self._carrier
-
-    @property
-    def blocks(self):
-        return self._blocks
+        return self.omega.table
 
     def block(self, x: int, g: int):
-        return self._blocks[(x, g)]
+        return self.blocks[(x, g)]
 
     def serialize(self):
-        items = tuple((key, tuple(tuple(v.coeffs for v in row)
-                                  for row in mat))
-                      for key, mat in sorted(self._blocks.items()))
-        return (self._field_order, self._carrier.dims, items)
+        items = tuple((key, tuple(tuple(v.coeffs for v in row) for row in mat))
+                      for key, mat in sorted(self.blocks.items()))
+        return (self.field_order, self.carrier.dims, items)
 
     def __eq__(self, other):
         if not isinstance(other, HalfBraidingLin):
@@ -360,9 +320,8 @@ class HalfBraidingLin:
         return hash(self.serialize())
 
     def __repr__(self):
-        supp = self._carrier.support
-        return (f"HalfBraidingLin(total_dim={self._carrier.total_dim}, "
-                f"support={supp})")
+        return (f"HalfBraidingLin(total_dim={self.carrier.total_dim}, "
+                f"support={self.carrier.support})")
 
 
 def _entry_order(*hbs) -> int:
@@ -372,94 +331,137 @@ def _entry_order(*hbs) -> int:
                  for row in blk for v in row))
 
 
-def _prepared_blocks(hb: HalfBraidingLin, order: int) -> dict:
-    return {key: mat_prepare(blk, order) for key, blk in hb.blocks.items()}
+class _Pack:
+    """A half-braiding's blocks packed at one width: blocks[x][g] is (rows,
+    cols) over den, norm bounds each entry's numerator L1 norm, and
+    invertible(x, g) decides whether block (x, g) is invertible."""
+
+    __slots__ = ("blocks", "den", "norm", "support", "dims", "invertible")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def bound(self) -> int:
+        """L1 bound of the difference in a unit or multiplicativity entry."""
+        return max(self.dims) * self.norm ** 2 + self.den * self.norm + self.den
+
+
+def _pack(hb: HalfBraidingLin, order: int) -> tuple:
+    """(pack, prepared): hb's blocks prepared at the order over one
+    denominator, the lcm of the entries' (promotion keeps it); the pack's
+    blocks are filled by _fill at a width."""
+    den = lcm(*(v.den for blk in hb.blocks.values() for row in blk for v in row))
+    prep = {key: mat_prepare(blk, order, den) for key, blk in hb.blocks.items()}
+    invertible = lru_cache(maxsize=None)(lambda x, g: mat_invertible(hb.block(x, g)))
+    return _Pack(None, den, max((P.norm for P in prep.values()), default=0),
+                 hb.carrier.support, hb.carrier.dims, invertible), prep
+
+
+def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
+    n = len(pack.dims)
+    pack.blocks = [[None] * n for _ in range(n)]
+    for (x, g), P in prep.items():
+        pack.blocks[x][g] = P.packed(bits)
+    return pack
+
+
+def _product_failures(table, conj, P: _Pack, scal, M):
+    """The fused multiplicativity pass: yield each (x, y, g), in scan
+    order, where zeta^t beta_y|gx beta_x|g != beta_xy|g.
+
+    P's blocks have the shapes its carrier gives them (_shape_failures)
+    and scal[x][y][g] is the packed scalar; an entry holds iff
+    s (sum a b) - den c vanishes mod M.
+    """
+    blocks, den, supp = P.blocks, P.den, P.support
+    for x, cx in enumerate(conj):
+        tx, bx, sx = table[x], blocks[x], scal[x]
+        for y, by in enumerate(blocks):
+            bxy, sxy = blocks[tx[y]], sx[y]
+            for g in supp:
+                s = sxy[g]
+                bcols = bx[g][1]
+                for arow, crow in zip(by[cx[g]][0], bxy[g][0]):
+                    for bcol, c in zip(bcols, crow):
+                        if (s * sum(map(mul, arow, bcol)) - den * c) % M:
+                            break
+                    else:
+                        continue
+                    yield x, y, g
+                    break
+
+
+def _axiom_failures(table, conj, P: _Pack, scal, M) -> list:
+    """Unit, invertibility and multiplicativity failures of a packed
+    half-braiding whose grading, blocks and shapes are sound.
+
+    With the unit blocks the identity, multiplicativity at (x, x^-1, g)
+    makes beta_{x^-1}|gx beta_x|g a root of unity, so every block has a
+    left inverse: when the unit check and the fused pass find nothing, the
+    blocks are invertible, and P.invertible runs only to name them.
+    """
+    unit = P.blocks[_identity(table)]
+    report = [f"unit block at grade {g} is not the identity" for g in P.support
+              if any((c - P.den * (i == j)) % M for i, r in enumerate(unit[g][0])
+                     for j, c in enumerate(r))]
+    mult = [] if report else list(islice(_product_failures(table, conj, P, scal, M),
+                                         _REPORT_CAP))
+    if report or mult:
+        report += [f"block ({x}, {g}) is not invertible" for x in range(len(table))
+                   for g in P.support if not P.invertible(x, g)]
+    return report[:_REPORT_CAP] or [
+        f"multiplicativity fails at (x={x}, y={y}, g={g})" for x, y, g in mult]
 
 
 def check_half_braiding(hb: HalfBraidingLin) -> list:
     """Full axiom pass: shapes, unit, invertibility, multiplicativity.
 
     Multiplicativity is checked for every pair (x, y) and every supported
-    grade, never only on generators.  Each block is prepared once, and
-    every multiplicativity equation runs through the fused product check
-    mat_scaled_product_eq; invertibility is the fraction-free test
-    mat_invertible on every block.
+    grade, never only on generators, by one fused pass over the blocks,
+    each packed once (_product_failures); invertibility follows from it
+    (_axiom_failures).
     """
     table = hb.table
     n = len(table)
-    inv = group_inverses(table)
     dims = hb.carrier.dims
     if len(dims) != n or any(d < 0 for d in dims):
         return ["carrier dimension vector does not match the group"]
+    conj = _group_tables(hb.omega)[0]
     supp = hb.carrier.support
-    report = []
-    for x in range(n):
-        for g in supp:
-            g2 = _conj(table, inv, x, g)
-            if dims[g] != dims[g2]:
-                report.append(
-                    f"grading mismatch: dim {dims[g]} at grade {g} but "
-                    f"dim {dims[g2]} at {g2} (x={x})")
-                if len(report) >= _REPORT_CAP:
-                    return report
+    report = _grading_failures(conj, dims, supp)
     if report:
         return report
-    want = {(x, g) for x in range(n) for g in supp}
-    have = set(hb.blocks)
-    if want != have:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        if missing:
-            report.append(f"missing blocks: {missing[:4]}")
-        if extra:
-            report.append(f"unexpected blocks: {extra[:4]}")
-        return report
-    for x in range(n):
-        for g in supp:
-            mat = hb.block(x, g)
-            g2 = _conj(table, inv, x, g)
-            if len(mat) != dims[g2] or any(len(row) != dims[g] for row in mat):
-                report.append(f"block ({x}, {g}) has the wrong shape")
-                if len(report) >= _REPORT_CAP:
-                    return report
+    want, have = {(x, g) for x in range(n) for g in supp}, set(hb.blocks)
+    missing, extra = sorted(want - have), sorted(have - want)
+    if missing or extra:
+        return ([f"missing blocks: {missing[:4]}"] if missing else []) + (
+            [f"unexpected blocks: {extra[:4]}"] if extra else [])
+    report = _shape_failures(hb, conj)
     if report:
         return report
-    e = _identity(table)
-    ident_cache = {}
-    for g in supp:
-        d = dims[g]
-        if d not in ident_cache:
-            ident_cache[d] = mat_id(d, hb.field_order)
-        if not mat_eq(hb.block(e, g), ident_cache[d]):
-            report.append(f"unit block at grade {g} is not the identity")
-            if len(report) >= _REPORT_CAP:
-                return report
-    for x in range(n):
-        for g in supp:
-            if not mat_invertible(hb.block(x, g)):
-                report.append(f"block ({x}, {g}) is not invertible")
-                if len(report) >= _REPORT_CAP:
-                    return report
-    if report:
-        return report
-    w = hb.omega.exponents
-    n0 = hb.omega.scalar_order
-    scale = hb.field_order // n0
-    prep = _prepared_blocks(hb, _entry_order(hb))
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            for g in supp:
-                gx = _conj(table, inv, x, g)
-                t = _twist(table, inv, w, n0, g, x, y)
-                if not mat_scaled_product_eq(zeta(hb.field_order, t * scale),
-                                             prep[(y, gx)], prep[(x, g)],
-                                             prep[(xy, g)]):
-                    report.append(
-                        f"multiplicativity fails at (x={x}, y={y}, g={g})")
-                    if len(report) >= _REPORT_CAP:
-                        return report
-    return report
+    order = _entry_order(hb)
+    P, prep = _pack(hb, order)
+    bits = pack_bits(order, P.bound())
+    M, roots = packed_modulus(order, bits, P.bound())
+    return _axiom_failures(table, conj, _fill(P, prep, bits),
+                           _twist_packs(hb.omega, hb.field_order, order, roots), M)
+
+
+def _shape_failures(hb: HalfBraidingLin, conj) -> list:
+    """The blocks (x, g) not of shape dim V_{x^-1 g x} x dim V_g."""
+    dims = hb.carrier.dims
+    return [f"block ({x}, {g}) has the wrong shape"
+            for (x, g), mat in sorted(hb.blocks.items())
+            if len(mat) != dims[conj[x][g]] or any(len(row) != dims[g] for row in mat)
+            ][:_REPORT_CAP]
+
+
+def _grading_failures(conj, dims, supp) -> list:
+    return [f"grading mismatch: dim {dims[g]} at grade {g} but dim "
+            f"{dims[cx[g]]} at {cx[g]} (x={x})"
+            for x, cx in enumerate(conj) for g in supp if dims[g] != dims[cx[g]]
+            ][:_REPORT_CAP]
 
 
 def canonical_class_carrier(omega: Cocycle3, field_order: int,
@@ -472,18 +474,13 @@ def canonical_class_carrier(omega: Cocycle3, field_order: int,
     """
     table = omega.table
     n = len(table)
-    inv = group_inverses(table)
+    conj, twist = _group_tables(omega)
     r = class_rep
-    grade = [_conj(table, inv, z, r) for z in range(n)]
     by_grade = {}
     for z in range(n):
-        by_grade.setdefault(grade[z], []).append(z)
-    pos = {}
-    for g, zs in by_grade.items():
-        for i, z in enumerate(zs):
-            pos[z] = i
+        by_grade.setdefault(conj[z][r], []).append(z)
+    pos = {z: i for zs in by_grade.values() for i, z in enumerate(zs)}
     dims = tuple(len(by_grade.get(g, ())) for g in range(n))
-    w = omega.exponents
     n0 = omega.scalar_order
     scale = field_order // n0
     zero = cyc_zero(field_order)
@@ -491,14 +488,11 @@ def canonical_class_carrier(omega: Cocycle3, field_order: int,
     for x in range(n):
         for g in sorted(by_grade):
             src = by_grade[g]
-            g2 = _conj(table, inv, x, g)
-            dst = by_grade[g2]
-            mat = [[zero] * len(src) for _ in range(len(dst))]
+            mat = [[zero] * len(src) for _ in by_grade[conj[x][g]]]
             for col, z in enumerate(src):
-                z2 = table[z][x]
-                t = _twist(table, inv, w, n0, r, z, x)
-                mat[pos[z2]][col] = zeta(field_order, (-t) % n0 * scale)
-            blocks[(x, g)] = tuple(tuple(row) for row in mat)
+                mat[pos[table[z][x]]][col] = zeta(field_order,
+                                                  -twist[r][z][x] % n0 * scale)
+            blocks[(x, g)] = tuple(map(tuple, mat))
     hb = HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
     errs = check_half_braiding(hb)
     if errs:
@@ -524,34 +518,23 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     cfg = resolve(cfg)
     table = omega.table
     n = len(table)
-    if n > cfg.vec_max_group:
-        raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
-                                hint="raise vec_max_group")
+    check_group_order(n, cfg)
     dims = carrier.dims
     if len(dims) != n:
         raise ValueError("carrier dimension vector does not match the group")
     if any(d > 1 for d in dims):
         raise ValueError("the scalar search takes only multiplicity-free "
                          "carriers (every graded dimension 0 or 1)")
-    inv = group_inverses(table)
+    conj, twist = _group_tables(omega)
     supp = carrier.support
-    if any(dims[_conj(table, inv, x, g)] != dims[g]
-           for x in range(n) for g in supp):
+    if any(dims[conj[x][g]] != dims[g] for x in range(n) for g in supp):
         return ()
 
     field_order = field_order_for(table, omega)
-    w = omega.exponents
-    n0 = omega.scalar_order
-    scale = field_order // n0
-    conj_of = {(x, g): _conj(table, inv, x, g) for x in range(n) for g in supp}
-    rels = []
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            for g in supp:
-                gx = conj_of[(x, g)]
-                t = _twist(table, inv, w, n0, g, x, y) * scale % field_order
-                rels.append(((x, g), (y, gx), (xy, g), t))
+    scale = field_order // omega.scalar_order
+    rels = [((x, g), (y, conj[x][g]), (table[x][y], g),
+             twist[g][x][y] * scale % field_order)
+            for x in range(n) for y in range(n) for g in supp]
     keys = sorted((x, g) for x in range(n) for g in supp)
 
     budget = [0]
@@ -617,13 +600,6 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
 
 
 # -- splitting the fiber action --------------------------------------------
-
-
-def _mat_pow(M, m: int):
-    out = M
-    for _ in range(m - 1):
-        out = mat_mul(out, M)
-    return out
 
 
 def _is_scalar(M) -> bool:
@@ -692,7 +668,10 @@ def _restrict_action(mats, C, units):
     hs = sorted(mats)
     images = [mat_mul(mats[h], C) for h in hs]
     out = {h: tuple(img[i] for i in units) for h, img in zip(hs, images)}
-    if not mat_eq(mat_mul(C, _hcat([out[h] for h in hs])), _hcat(images)):
+    n = images[0][0][0].order  # the lcm of the orders of C and the action
+    if not mat_scaled_product_eq(1, mat_prepare(C, n),
+                                 mat_prepare(_hcat([out[h] for h in hs]), n),
+                                 mat_prepare(_hcat(images), n)):
         raise InternalSoundnessError(
             "claimed invariant subspace is not invariant")
     return out
@@ -710,7 +689,8 @@ def _invariant_projection(mats, inverses, C, units):
     left = _hcat([mat_mul(inverses[h], C) for h in hs])
     right = tuple(mats[h][i] for h in hs for i in units)
     P = mat_scale(Fraction(1, len(hs)), mat_mul(left, right))
-    if not mat_eq(mat_mul(P, P), P):
+    prep = mat_prepare(P, P[0][0].order)
+    if not mat_scaled_product_eq(1, prep, prep, prep):
         raise InternalSoundnessError("averaged projection is not idempotent")
     return P
 
@@ -740,7 +720,9 @@ def _split_rec(table, mats, order: int, roots, out) -> bool:
                       for g in nonscalar)), nonscalar[0])
     M0 = mats[h0]
     m = element_order(table, h0)
-    P = _mat_pow(M0, m)
+    P = M0
+    for _ in range(m - 1):
+        P = mat_mul(P, M0)
     if not _is_scalar(P):
         raise InternalSoundnessError(
             "power of a fiber action matrix is not scalar")
@@ -804,10 +786,6 @@ class VecCentreResult:
         return all(c.ok for c in self.certificates)
 
 
-def _fiber_character(mats) -> tuple:
-    return tuple((h, mat_trace(M).coeffs) for h, M in sorted(mats.items()))
-
-
 def _induce_simple(omega, field_order, class_rep, action):
     """Transport a simple fiber summand h -> R_h to a graded half-braiding.
 
@@ -820,26 +798,22 @@ def _induce_simple(omega, field_order, class_rep, action):
     table = omega.table
     n = len(table)
     inv = group_inverses(table)
+    conj, twist = _group_tables(omega)
     r = class_rep
-    w = omega.exponents
     n0 = omega.scalar_order
-    scale = field_order // n0
     transversal = {}
     for z in range(n):
-        transversal.setdefault(_conj(table, inv, z, r), z)
+        transversal.setdefault(conj[z][r], z)
     d = len(action[r])
     dims = tuple(d if g in transversal else 0 for g in range(n))
     blocks = {}
     for x in range(n):
         for g, tg in sorted(transversal.items()):
-            t2 = transversal[_conj(table, inv, x, g)]
+            t2 = transversal[conj[x][g]]
             h = table[table[tg][x]][inv[t2]]
-            t = (_twist(table, inv, w, n0, r, h, t2)
-                 - _twist(table, inv, w, n0, r, tg, x)) % n0
-            blk = action[h]
-            if t:
-                blk = mat_scale(zeta(field_order, t * scale), blk)
-            blocks[(x, g)] = blk
+            t = (twist[r][h][t2] - twist[r][tg][x]) % n0
+            blocks[(x, g)] = (mat_scale(zeta(field_order, t * (field_order // n0)),
+                                        action[h]) if t else action[h])
     return HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
 
 
@@ -848,7 +822,7 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
     T beta^A = beta^B T blockwise."""
     table = A.table
     n = len(table)
-    inv = group_inverses(table)
+    conj = _group_tables(A.omega)[0]
     da, db = A.carrier.dims, B.carrier.dims
     common = [g for g in range(n) if da[g] > 0 and db[g] > 0]
     if not common:
@@ -861,7 +835,7 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
     rows = []
     for x in range(n):
         for g in common:
-            g2 = _conj(table, inv, x, g)
+            g2 = conj[x][g]
             bA = A.block(x, g)
             bB = B.block(x, g)
             for i in range(db[g2]):
@@ -880,54 +854,63 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
 
 
 def centre_simples(table, omega: Cocycle3 | None = None,
-                   cfg: GuardConfig | None = None) -> VecCentreResult:
+                   cfg: GuardConfig | None = None,
+                   cocycle_report: list | None = None) -> VecCentreResult:
     """All simple centre objects of the graded backend, with certificates.
 
     One canonical carrier per conjugacy class is solved and split; the
     distinct summands, deduplicated by fiber character, are induced back
     to graded carriers.  Every class carrier has total dimension |G|, so
-    the group order, bounded by vec_max_group, is the only size guard.  A
-    fiber piece the split cannot resolve flags the run incomplete.
+    the group order, bounded by vec_max_group, is the only size guard; it
+    is checked before the quartic cocycle check.  cocycle_report is the
+    caller's check_cocycle report on omega, if it has one (a valid cocycle
+    implies a valid table).  A fiber piece the split cannot resolve flags
+    the run incomplete.
     """
     cfg = resolve(cfg)
     table = tuple(tuple(int(v) for v in row) for row in table)
-    problems = group_table_report(table)
-    if problems:
-        raise ValueError("not a group table: " + problems[0])
+    problems = None
+    if cocycle_report is None:
+        problems = group_table_report(table)
+        if problems:
+            raise ValueError("not a group table: " + problems[0])
     if omega is None:
         omega = trivial_cocycle(table)
     if omega.table != table:
         raise ValueError("cocycle is defined over a different group table")
-    problems = check_cocycle(omega)
-    if problems:
-        raise ValueError("invalid 3-cocycle: " + problems[0])
     n = len(table)
-    if n > cfg.vec_max_group:
-        raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
-                                hint="raise vec_max_group")
+    check_group_order(n, cfg)
+    if cocycle_report is None:
+        cocycle_report = check_cocycle(omega, problems)
+    if cocycle_report:
+        raise ValueError("invalid 3-cocycle: " + cocycle_report[0])
     field_order = field_order_for(table, omega)
     roots = roots_of_unity(field_order)
-    inv = group_inverses(table)
     classes = conjugacy_classes(table)
 
     simples = []
     unresolved = 0
     complete = True
     verify_failures = []
+    splits = {}  # classes with the same fibre action share its split
     for cls in classes:
         r = cls[0]
         carrier = canonical_class_carrier(omega, field_order, r)
         cent = centralizer(table, r)
         mats = {h: carrier.block(h, r) for h in cent}
-        pieces = []
-        split_ok = _split_rec(table, mats, field_order, roots, pieces)
+        key = tuple(sorted(mats.items()))
+        if key not in splits:
+            pieces = []
+            splits[key] = (_split_rec(table, mats, field_order, roots, pieces), pieces)
+        split_ok, pieces = splits[key]
         if not split_ok:
             complete = False
             unresolved += sum(1 for _, cert in pieces if not cert)
         by_char = {}
         for sub, cert in pieces:
             if cert:
-                by_char.setdefault(_fiber_character(sub), []).append(sub)
+                char = tuple((h, mat_trace(M).coeffs) for h, M in sorted(sub.items()))
+                by_char.setdefault(char, []).append(sub)
         if split_ok:
             for char, group in by_char.items():
                 d = len(group[0][r])
@@ -956,17 +939,12 @@ def centre_simples(table, omega: Cocycle3 | None = None,
 
     simples.sort(key=order_key)
 
-    support_ok = True
-    support_detail = ""
-    for s in simples:
-        members = sorted({_conj(table, inv, x, s.class_rep) for x in range(n)})
-        dims = s.hb.carrier.dims
-        vals = {dims[g] for g in members}
-        off = [g for g in range(n) if g not in members and dims[g] != 0]
-        if len(vals) != 1 or off:
-            support_ok = False
-            support_detail = f"class {s.class_rep}"
-            break
+    class_of = {c[0]: c for c in classes}
+    support_detail = next((
+        f"class {s.class_rep}" for s in simples
+        if len({s.hb.carrier.dims[g] for g in class_of[s.class_rep]}) != 1
+        or set(s.hb.carrier.support) - set(class_of[s.class_rep])), "")
+    support_ok = not support_detail
 
     inter_ok = True
     inter_detail = ""
@@ -1019,160 +997,187 @@ def centre_simples(table, omega: Cocycle3 | None = None,
 # -- tensor, braiding, and the structure battery ----------------------------
 
 
-def _pair_layout(A: HalfBraidingLin, B: HalfBraidingLin):
-    """Component layout of the graded tensor product carrier.
-
-    Returns (dims, offset): offset maps (g, h) to the position of the
-    V_g (x) W_h component inside grade g h, where the components of one
-    grade are laid out in lexicographic order.
-    """
-    table = A.table
+def _pair_layout(table, A, B):
+    """(dims, offset) of the graded tensor product of the carriers (or
+    packs) A and B: offset maps (g, h) to the position of V_g (x) W_h
+    inside grade g h, the components of a grade in lexicographic order."""
     dims = [0] * len(table)
     offset = {}
-    for g in A.carrier.support:
-        for h in B.carrier.support:
+    for g in A.support:
+        for h in B.support:
             k = table[g][h]
             offset[(g, h)] = dims[k]
-            dims[k] += A.carrier.dims[g] * B.carrier.dims[h]
+            dims[k] += A.dims[g] * B.dims[h]
     return tuple(dims), offset
 
 
-def _tensor_twist(omega: Cocycle3, inv, x: int, g: int, h: int) -> int:
-    """Additive exponent of the associator scalars in the tensor block."""
-    table = omega.table
-    w = omega.exponents
-    gx = _conj(table, inv, x, g)
-    hx = _conj(table, inv, x, h)
-    return (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % omega.scalar_order
+class _Battery:
+    """The packed state of one battery run: every simple packed once, at
+    one width derived from the data, with the group's conjugation and
+    twist tables and the packed roots of unity."""
+
+    def __init__(self, result: VecCentreResult):
+        omega = result.omega
+        self.table = result.table
+        self.conj = _group_tables(omega)[0]
+        self.w, self.n0 = omega.exponents, omega.scalar_order
+        N = result.field_order
+        self.order = order = lcm(N, _entry_order(*(s.hb for s in result.simples)))
+        self.step = N // self.n0 * (order // N)
+        packs = [_pack(s.hb, order) for s in result.simples]
+        # a tensor entry is a product of two simples' entries, so every unit,
+        # multiplicativity and naturality difference below fits this bound
+        norm = max((P.norm for P, _ in packs), default=0)
+        den = max((P.den for P, _ in packs), default=1)
+        m = max((sum(P.dims) for P, _ in packs), default=1) ** 2
+        bound = 2 * m * (norm ** 4 + norm ** 3 + 1) * den ** 2
+        self.bits = pack_bits(order, bound)
+        self.M, self.roots = packed_modulus(order, self.bits, bound)
+        self.scal = _twist_packs(omega, N, order, self.roots)
+        self.packs = [_fill(P, prep, self.bits) for P, prep in packs]
+
+    def modulus(self, bound: int) -> int:
+        return packed_modulus(self.order, self.bits, bound)[0]
+
+    def parts(self, A: _Pack, B: _Pack) -> dict:
+        """The packed blocks of A (x) B between its components: (x, g, h)
+        keys the block from V_g (x) W_h to V_{x^-1 g x} (x) W_{x^-1 h x},
+        the Kronecker product of the factors' blocks scaled by three
+        associator values."""
+        w, n0, step, roots, M = self.w, self.n0, self.step, self.roots, self.M
+        parts = {}
+        for x, cx in enumerate(self.conj):
+            wx, ab, bb = w[x], A.blocks[x], B.blocks[x]
+            for g in A.support:
+                gx, wg = cx[g], w[g]
+                for h in B.support:
+                    hx = cx[h]
+                    s = roots[(wx[gx][hx] - wg[x][hx] + wg[h][x]) % n0 * step]
+                    rows = tuple(tuple(u * b % M for u in srow for b in brow)
+                                 for srow in [[a * s % M for a in arow]
+                                              for arow in ab[g][0]]
+                                 for brow in bb[h][0])
+                    parts[(x, g, h)] = (rows, tuple(zip(*rows)))
+        return parts
+
+    def tensor_failures(self, A: _Pack, B: _Pack, parts: dict, layout) -> list:
+        """check_half_braiding's report on the tensor A (x) B, assembled
+        from parts: the grading routes the (g, h) component to
+        (x^-1 g x, x^-1 h x) inside the conjugated total grade.  A block
+        is a direct sum of parts, each invertible iff both factors' blocks
+        are."""
+        table, conj = self.table, self.conj
+        dims, offset = layout
+        supp = tuple(k for k in range(len(table)) if dims[k])
+        report = _grading_failures(conj, dims, supp)
+        if report:
+            return report
+        blocks = [[None] * len(table) for _ in table]
+        for x, cx in enumerate(conj):
+            for k in supp:
+                blocks[x][k] = [[0] * dims[k] for _ in range(dims[cx[k]])]
+        for (x, g, h), (rows, _) in parts.items():
+            mat = blocks[x][table[g][h]]
+            roff, coff = offset[(conj[x][g], conj[x][h])], offset[(g, h)]
+            for i, row in enumerate(rows):
+                mat[roff + i][coff:coff + len(row)] = row
+        for row in blocks:
+            for k in supp:
+                rows = tuple(map(tuple, row[k]))
+                row[k] = (rows, tuple(zip(*rows)))
+        P = _Pack(blocks, A.den * B.den, A.norm * B.norm, supp, dims,
+                  lambda x, k: all(A.invertible(x, g) and B.invertible(x, h)
+                                   for g, h in offset if table[g][h] == k))
+        return _axiom_failures(table, conj, P, self.scal, self.modulus(P.bound()))
+
+    def naturality_failure(self, A: _Pack, B: _Pack, ab: dict, ba: dict):
+        """The first (g, h, x) where theta_ba c_{g,h} != c_{gx,hx} theta_ab,
+        or None; c_{g,h}, the swap after A's block (h, g), has row (j, i')
+        and column (i, j) in row-major layout.  Both sides lie over
+        den(A)^2 den(B), so each entry is one difference mod M; the shapes
+        agree as the blocks have their carriers' shapes."""
+        conj = self.conj
+        M = self.modulus(2 * max(A.dims) * max(B.dims) * A.norm ** 2 * B.norm)
+        braids = {}
+        for g in A.support:
+            for h in B.support:
+                db, rows = B.dims[h], []
+                for j in range(db):
+                    for r in A.blocks[h][g][0]:
+                        row = [0] * (len(r) * db)
+                        row[j::db] = r
+                        rows.append(tuple(row))
+                braids[(g, h)] = (tuple(rows), tuple(zip(*rows)))
+        for (g, h), (_, ccols) in braids.items():
+            g2 = conj[h][g]
+            for x, cx in enumerate(conj):
+                tcols = ab[(x, g, h)][1]
+                for lrow, rrow in zip(ba[(x, h, g2)][0], braids[(cx[g], cx[h])][0]):
+                    if any((sum(map(mul, lrow, ccol)) - sum(map(mul, rrow, tcol))) % M
+                           for ccol, tcol in zip(ccols, tcols)):
+                        return g, h, x
+        return None
 
 
-def _tensor_parts(A: HalfBraidingLin, B: HalfBraidingLin) -> dict:
-    """The blocks of the tensor product A (x) B between its components.
-
-    (x, g, h), for g and h in the supports of A and B, keys the block from
-    V_g (x) W_h to V_{x^-1 g x} (x) W_{x^-1 h x}: the Kronecker product of
-    the factors' blocks scaled by three associator values.
-    """
-    if A.omega != B.omega or A.field_order != B.field_order:
-        raise ValueError("tensor factors live over different backends")
-    omega = A.omega
-    inv = group_inverses(omega.table)
-    N = A.field_order
-    scale = N // omega.scalar_order
-    parts = {}
-    for x in range(len(omega.table)):
-        for g in A.carrier.support:
-            for h in B.carrier.support:
-                sub = kron(A.block(x, g), B.block(x, h))
-                t = _tensor_twist(omega, inv, x, g, h)
-                if t:
-                    sub = mat_scale(zeta(N, t * scale), sub)
-                parts[(x, g, h)] = sub
-    return parts
-
-
-def _tensor(A: HalfBraidingLin, B: HalfBraidingLin,
-            parts: dict) -> HalfBraidingLin:
-    """The tensor product of two solved carriers, from its _tensor_parts.
-
-    The grading routes the (g, h) component to (x^-1 g x, x^-1 h x)
-    inside the conjugated total grade.
-    """
-    table = A.table
-    n = len(table)
-    inv = group_inverses(table)
-    dims, offset = _pair_layout(A, B)
-    zero = cyc_zero(A.field_order)
-    mats = {(x, k): [[zero] * dims[k] for _ in range(dims[_conj(table, inv, x, k)])]
-            for x in range(n) for k in range(n) if dims[k]}
-    for (x, g, h), part in parts.items():
-        mat = mats[(x, table[g][h])]
-        roff = offset[(_conj(table, inv, x, g), _conj(table, inv, x, h))]
-        coff = offset[(g, h)]
-        for i, row in enumerate(part):
-            for j, v in enumerate(row):
-                mat[roff + i][coff + j] = v
-    blocks = {key: tuple(tuple(row) for row in mat) for key, mat in mats.items()}
-    return HalfBraidingLin(A.omega, A.field_order, GradedObject(dims), blocks)
-
-
-def _braid_block(A: HalfBraidingLin, B: HalfBraidingLin, g: int, h: int):
-    """Component of the braiding on V_g x W_h: swap after beta^A_h|g.
-
-    Maps into W_h x V_{h^-1 g h}; rows are indexed (j, i') and columns
-    (i, j) in row-major layout.
-    """
-    blk = A.block(h, g)
-    da = len(blk[0])
-    da2 = len(blk)
-    db = B.carrier.dims[h]
-    zero = cyc_zero(A.field_order)
-    mat = [[zero] * (da * db) for _ in range(db * da2)]
-    for j in range(db):
-        for i2 in range(da2):
-            for i in range(da):
-                mat[j * da2 + i2][i * db + j] = blk[i2][i]
-    return tuple(tuple(row) for row in mat)
-
-
-def _braiding_witnesses(A: HalfBraidingLin, B: HalfBraidingLin, ab: dict,
-                        ba: dict, order: int):
-    """The first failures of the braiding of V = A past W = B.
-
-    Returns the first (g, h) whose braid component is not invertible and
-    the first (g, h, x) where naturality theta_ba c_{g,h} = c_{gx,hx}
-    theta_ab fails, or None for each; theta_ab and theta_ba are read from
-    ab and ba, the prepared _tensor_parts of A (x) B and of B (x) A.
-    """
-    table = A.table
-    inv = group_inverses(table)
-    inv_bad = None
-    braids = {}
-    for g in A.carrier.support:
-        for h in B.carrier.support:
-            blk = _braid_block(A, B, g, h)
-            if inv_bad is None and not mat_invertible(blk):
-                inv_bad = (g, h)
-            braids[(g, h)] = mat_prepare(blk, order)
-    for (g, h), cblk in braids.items():
-        g2 = _conj(table, inv, h, g)
-        for x in range(len(table)):
-            gx, hx = _conj(table, inv, x, g), _conj(table, inv, x, h)
-            if not mat_products_eq(ba[(x, h, g2)], cblk, braids[(gx, hx)],
-                                   ab[(x, g, h)]):
-                return inv_bad, (g, h, x)
-    return inv_bad, None
-
-
-def _pair_failures(simples, i: int, j: int, order: int):
-    """Hexagon 2, braid invertibility and naturality on the ordered pairs
-    (i, j) and (j, i), which share the Kronecker parts of their two
-    tensors.
+def _pair_failures(bat: _Battery, i: int, j: int):
+    """Hexagon 2, braid invertibility, naturality and the tensor carrier on
+    the ordered pairs (i, j) and (j, i), which share the packed Kronecker
+    parts of their two tensors.
 
     Yields (check, (a, b), detail) for each check that fails on an ordered
-    pair (a, b), with check one of "hex2", "inv", "nat".
+    pair (a, b), with check one of "hex2", "inv", "nat", "mono".
     """
     ordered = sorted({(i, j), (j, i)})
-    parts = {(a, b): _tensor_parts(simples[a].hb, simples[b].hb)
-             for a, b in ordered}
-    comps = {pair: {key: mat_prepare(blk, order) for key, blk in p.items()}
-             for pair, p in parts.items()}
+    packs, table = bat.packs, bat.table
+    parts = {(a, b): bat.parts(packs[a], packs[b]) for a, b in ordered}
     for a, b in ordered:
-        errs = check_half_braiding(
-            _tensor(simples[a].hb, simples[b].hb, parts[(a, b)]))
+        A, B = packs[a], packs[b]
+        layout = _pair_layout(table, A, B)
+        graded = [0] * len(table)
+        for g in A.support:
+            for h in B.support:
+                graded[table[g][h]] += A.dims[g] * B.dims[h]
+        if layout[0] != tuple(graded):
+            yield "mono", (a, b), f"pair ({a}, {b})"
+        errs = bat.tensor_failures(A, B, parts[(a, b)], layout)
         if errs:
             yield "hex2", (a, b), f"pair ({a}, {b}): {errs[0]}"
-        inv_w, nat_w = _braiding_witnesses(simples[a].hb, simples[b].hb,
-                                           comps[(a, b)], comps[(b, a)], order)
+        # a braid component is invertible iff the block it swaps is
+        inv_w = next(((g, h) for g in A.support for h in B.support
+                      if not A.invertible(h, g)), None)
         if inv_w:
-            g, h = inv_w
-            yield "inv", (a, b), f"pair ({a}, {b}) at (g={g}, h={h})"
+            yield "inv", (a, b), "pair ({}, {}) at (g={}, h={})".format(a, b, *inv_w)
+        nat_w = bat.naturality_failure(A, B, parts[(a, b)], parts[(b, a)])
         if nat_w:
             g, h, x = nat_w
             yield "nat", (a, b), f"pair ({a}, {b}) at (x={x}, g={g}, h={h})"
 
 
-def certify_centre_structure(result: VecCentreResult) -> tuple:
+def _raw_scalar_packs(bat: _Battery, omega: Cocycle3) -> list:
+    """scal[x][y][g]: the pack of omega(g,x,y)^-1 omega(x,gx,y)
+    omega(x,y,gxy)^-1, computed in the field from the raw associator
+    values, not from _twist."""
+    table, conj, order, w = bat.table, bat.conj, bat.order, omega.exponents
+    exps = {zeta(order, k): k for k in range(order)}
+    memo = {}  # the scalar depends on the three exponents only
+
+    def pack(g, x, y):
+        gx, gxy = conj[x][g], conj[table[x][y]][g]
+        key = (w[g][x][y], w[x][gx][y], w[x][y][gxy])
+        if key not in memo:
+            v = (omega.value(g, x, y).inverse() * omega.value(x, gx, y)
+                 * omega.value(x, y, gxy).inverse()).promote(order)
+            if v not in exps:
+                raise InternalSoundnessError(
+                    "associator scalar is not a root of unity of the field")
+            memo[key] = bat.roots[exps[v]]
+        return memo[key]
+    G = range(len(table))
+    return [[[pack(g, x, y) for g in G] for y in G] for x in G]
+
+
+def certify_centre_structure(result: VecCentreResult,
+                             cocycle_report: list | None = None) -> tuple:
     """Braided-structure battery over the computed simples.
 
     Exact checks: the associator's pentagon and triangle, the first
@@ -1180,31 +1185,27 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     hexagon as the tensor of any two simples being a half-braiding again,
     invertibility and the centre-morphism property of the braiding, and
     the structural strong monoidality and faithfulness of the projection
-    to graded carriers.
+    to graded carriers.  The pentagon is cocycle_report, check_cocycle's
+    report on the cocycle, when the caller has run it.
 
     Every check runs on every (x, y, g), every grade and every ordered
-    pair of simples.  The first hexagon takes its raw associator scalar
-    once per (g, x, y) and checks each equation with the fused
-    mat_scaled_product_eq on blocks prepared once per simple.  Each
-    unordered pair {i, j} is handled once: the Kronecker parts of the
-    tensors for (i, j) and (j, i) are built once, each tensor is assembled
-    from them and checked by check_half_braiding, and the same parts,
-    prepared, serve as theta_ab and theta_ba of the naturality check,
-    which is the fused mat_products_eq; only one pair's parts are alive
-    at a time.  Braid components are tested by mat_invertible.  A failing
-    certificate names the least failing ordered pair, as a scan in pair
-    order would.
+    pair of simples, on blocks packed once at one width (_Battery).  The
+    first hexagon is one fused multiplicativity pass per simple, with the
+    scalars computed from the raw associator values.  Each unordered pair
+    {i, j} is handled once: the packed Kronecker parts of the tensors for
+    (i, j) and (j, i) are built once; each tensor is assembled from them
+    and checked like check_half_braiding, by the unit check and the fused
+    pass, and the same parts serve as theta_ab and theta_ba of one
+    naturality pass per ordered pair.  A failing certificate names the
+    least failing ordered pair, as a scan in pair order would.
     """
     omega = result.omega
     table = result.table
     n = len(table)
-    inv = group_inverses(table)
     e = _identity(table)
-    N = result.field_order
     simples = result.simples
-    order = lcm(N, _entry_order(*(s.hb for s in simples)))
 
-    pentagon = check_cocycle(omega)
+    pentagon = check_cocycle(omega) if cocycle_report is None else cocycle_report
     pent_cert = Certificate("associator pentagon (3-cocycle identity)",
                             not pentagon, pentagon[0] if pentagon else "")
 
@@ -1214,40 +1215,32 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
                            not tri_bad,
                            f"fails at {tri_bad[0]}" if tri_bad else "")
 
-    scalars = {}
-    for g in range(n):
-        for x in range(n):
-            gx = _conj(table, inv, x, g)
-            for y in range(n):
-                gxy = _conj(table, inv, table[x][y], g)
-                scalars[(g, x, y)] = (omega.value(g, x, y).inverse()
-                                      * omega.value(x, gx, y)
-                                      * omega.value(x, y, gxy).inverse()
-                                      ).promote(order)
+    bat = _Battery(result)
+    raw = _raw_scalar_packs(bat, omega)
     hex1_bad = None
-    for idx, s in enumerate(simples):
-        prep = _prepared_blocks(s.hb, order)
-        hex1_bad = next(
-            (f"simple {idx} at (x={x}, y={y}, g={g})"
-             for x in range(n) for y in range(n) for g in s.hb.carrier.support
-             if not mat_scaled_product_eq(
-                 scalars[(g, x, y)], prep[(y, _conj(table, inv, x, g))],
-                 prep[(x, g)], prep[(table[x][y], g)])),
-            None)
-        if hex1_bad:
+    for idx, P in enumerate(bat.packs):
+        shapes = _shape_failures(simples[idx].hb, bat.conj)
+        if shapes:
+            hex1_bad = f"simple {idx}: {shapes[0]}"
+            break
+        fail = next(_product_failures(table, bat.conj, P, raw,
+                                      bat.modulus(P.bound())), None)
+        if fail:
+            x, y, g = fail
+            hex1_bad = f"simple {idx} at (x={x}, y={y}, g={g})"
             break
     hex1_cert = Certificate(
         "hexagon 1 (multiplicativity against raw associator values)",
         hex1_bad is None, hex1_bad or f"{len(simples)} simples")
 
     # the least failing ordered pair is reported, as a scan in order would
-    bad = {"hex2": [], "inv": [], "nat": []}
+    bad = {"hex2": [], "inv": [], "nat": [], "mono": []}
     for i in range(len(simples)):
         for j in range(i, len(simples)):
-            for check, pair, detail in _pair_failures(simples, i, j, order):
+            for check, pair, detail in _pair_failures(bat, i, j):
                 bad[check].append((pair, detail))
-    hex2_bad, braid_inv_bad, nat_bad = (min(bad[k])[1] if bad[k] else None
-                                        for k in ("hex2", "inv", "nat"))
+    hex2_bad, braid_inv_bad, nat_bad, mono_bad = (
+        min(bad[k])[1] if bad[k] else None for k in ("hex2", "inv", "nat", "mono"))
     pairs = len(simples) ** 2
     hex2_cert = Certificate(
         "hexagon 2 (tensor of two simples is again a half-braiding)",
@@ -1258,20 +1251,6 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
         "braiding naturality (centre-morphism property, blockwise)",
         nat_bad is None, nat_bad or f"{pairs} ordered pairs")
 
-    mono_bad = None
-    for i, s in enumerate(simples):
-        for j, t in enumerate(simples):
-            dims, _ = _pair_layout(s.hb, t.hb)
-            expected = [0] * n
-            for g in range(n):
-                for h in range(n):
-                    expected[table[g][h]] += (s.hb.carrier.dims[g]
-                                              * t.hb.carrier.dims[h])
-            if dims != tuple(expected):
-                mono_bad = f"pair ({i}, {j})"
-                break
-        if mono_bad:
-            break
     mono_cert = Certificate(
         "projection strong monoidality (tensor carrier is the graded tensor)",
         mono_bad is None, mono_bad or "")

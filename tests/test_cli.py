@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +60,66 @@ def test_vec_centre_group_order_guard_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "vec-centre", fix("s3.json"))
     assert code == 3 and out == ""
     assert "group order needs 6, limit 4" in err
+
+
+def test_oversized_group_is_refused_before_the_cocycle_check(capsys, tmp_path):
+    # Z40: the quartic cocycle check alone takes over a second; the refusal
+    # must cost no more than validating the same file.
+    from monocentre.jsonio import group_to_doc, write_spec
+
+    path = str(tmp_path / "z40.json")
+    write_spec(path, group_to_doc([[(i + j) % 40 for j in range(40)]
+                                   for i in range(40)]))
+
+    def best_of_three(*argv):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code = main(list(argv))
+            times.append(time.perf_counter() - start)
+        return code, min(times)
+
+    validate_code, validate_s = best_of_three("validate", path)
+    code, refuse_s = best_of_three("vec-centre", path)
+    err = capsys.readouterr().err
+    assert validate_code == 0 and code == 3
+    assert "group order needs 40, limit 8" in err
+    assert refuse_s <= validate_s + 0.05, (refuse_s, validate_s)
+
+
+def test_group_order_guard_wins_over_a_broken_cocycle(capsys, monkeypatch):
+    # both would refuse: the size guard is checked first and exits 3
+    monkeypatch.setenv("MONOCENTRE_VEC_MAX_GROUP", "1")
+    code, out, err = run(capsys, "vec-centre", fix("z2.json"),
+                         "--omega", fix("z2_broken_omega.json"))
+    assert code == 3 and out == ""
+    assert "group order needs 2, limit 1" in err
+
+
+def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch):
+    import monocentre.cli as cli
+    import monocentre.monoidal as monoidal
+    import monocentre.veck as veck
+
+    calls = {"group_table_report": 0, "check_cocycle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    table_report = counted("group_table_report", monoidal.group_table_report)
+    cocycle = counted("check_cocycle", veck.check_cocycle)
+    for module in (cli, monoidal, veck):
+        monkeypatch.setattr(module, "group_table_report", table_report)
+    for module in (cli, veck):
+        monkeypatch.setattr(module, "check_cocycle", cocycle)
+    code, out, _ = run(capsys, "vec-centre", fix("s3.json"))
+    assert code == 0
+    assert calls == {"group_table_report": 1, "check_cocycle": 1}
+    assert "Axiom: normalized 3-cocycle — PASS" in out
+    assert "Prop 2.1: associator pentagon (3-cocycle identity) — PASS" in out
 
 
 def test_equiv_z2_discrete(capsys):

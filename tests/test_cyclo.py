@@ -9,10 +9,22 @@ from hypothesis import given, settings, strategies as st
 from monocentre.cyclo import (
     CycNumber, cyclotomic_poly, euler_phi, zeta, cyc_one, cyc_zero,
     roots_of_unity,
-    solve_linear, mat_mul, mat_vec, mat_trace, mat_id, kron, rref, transpose,
-    mat_eq, mat_scale, mat_prepare, mat_scaled_product_eq, mat_products_eq,
-    mat_invertible,
+    solve_linear, mat_mul, mat_vec, mat_trace, rref, transpose,
+    mat_scale, mat_prepare, mat_scaled_product_eq, mat_products_eq,
+    mat_invertible, pack_bits, packed_modulus,
 )
+from monocentre.config import InternalSoundnessError
+
+
+def mat_eq(A, B):
+    """Entrywise equality of two matrices."""
+    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+def mat_id(n, order):
+    """The n x n identity matrix over the order-`order` field."""
+    one, zero = cyc_one(order), cyc_zero(order)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def test_cyclotomic_polys_small():
@@ -141,13 +153,6 @@ class TestLinear:
         M = ((one, one), (one, one))
         assert not mat_invertible(M)
         assert solve_linear(M).kernel
-
-    def test_kron_dimensions(self):
-        A = mat_id(2, 4)
-        B = ((zeta(4),),)
-        K = kron(A, B)
-        assert len(K) == 2 and len(K[0]) == 2
-        assert K[0][0] == zeta(4) and K[0][1].is_zero()
 
     def test_rref_canonical_for_span(self):
         one = cyc_one(4)
@@ -663,3 +668,90 @@ def test_kernel_edge_cases():
         mat_scaled_product_eq(z, P, P, mat_prepare(A, 8))
     with pytest.raises(ValueError, match="inner dimensions"):
         mat_products_eq(P, mat_prepare(((z, z),), 4), P, P)
+
+
+# -- exactness of the packed kernel on large entries ------------------------
+#
+# Numerators and denominators near 2^200: a packing width fixed in advance
+# would wrap; the width derived from the data must still separate values
+# that differ only in the lowest or only in the highest power-basis
+# coefficient.
+
+def _big_entry(rng, n):
+    """phi(n) numerators near 2^200 over one denominator near 2^200."""
+    den = rng.getrandbits(200) | 1 << 199 | 1
+    return CycNumber(n, [Fraction(rng.getrandbits(200) - (1 << 199), den)
+                         for _ in range(euler_phi(n))])
+
+
+def _shifted(M, i, j, k, n):
+    """M with 2^-200 z^k added to entry (i, j)."""
+    coeffs = [0] * euler_phi(n)
+    coeffs[k] = Fraction(1, 1 << 200)
+    return _bump(M, i, j, CycNumber(n, coeffs))
+
+
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_packed_kernel_is_exact_on_large_entries(n):
+    import random
+
+    rng = random.Random(n)
+    A = tuple(tuple(_big_entry(rng, n) for _ in range(3)) for _ in range(2))
+    B = tuple(tuple(_big_entry(rng, n) for _ in range(2)) for _ in range(3))
+    s = _big_entry(rng, n)
+    AB = mat_mul(A, B)
+    exact = mat_scale(s, AB)
+    top = euler_phi(n) - 1
+    cases = [exact, _shifted(exact, 0, 0, 0, n), _shifted(exact, 1, 1, top, n)]
+    PA, PB = mat_prepare(A, n), mat_prepare(B, n)
+    for C in cases:
+        assert mat_scaled_product_eq(s, PA, PB, mat_prepare(C, n)) == mat_eq(exact, C)
+    assert [mat_eq(exact, C) for C in cases] == [True, False, False]
+    # A B == (A M)(M^-1 B) for a monomial M with large entries
+    d = _big_entry(rng, n)
+    M = tuple(tuple(d if j == (i + 1) % 3 else cyc_zero(n) for j in range(3))
+              for i in range(3))
+    Minv = tuple(tuple(d.inverse() if i == (j + 1) % 3 else cyc_zero(n) for j in range(3))
+                 for i in range(3))
+    C, D = mat_mul(A, M), mat_mul(Minv, B)
+    for D_ in (D, _shifted(D, 0, 0, 0, n), _shifted(D, 2, 1, top, n)):
+        assert (mat_products_eq(PA, PB, mat_prepare(C, n), mat_prepare(D_, n))
+                == mat_eq(AB, mat_mul(C, D_)))
+    assert mat_eq(AB, mat_mul(C, D))
+
+
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_packed_kernel_separates_multiples_of_phi_at_any_fixed_width(n):
+    # With integer entries the difference of the two sides is exactly
+    # Phi_n(2^k) z^j: a packing at the fixed width k would see it vanish.
+    import random
+
+    rng = random.Random(n)
+
+    def integer_entry():
+        return CycNumber(n, [rng.getrandbits(200) - (1 << 199)
+                             for _ in range(euler_phi(n))])
+
+    A = tuple(tuple(integer_entry() for _ in range(2)) for _ in range(2))
+    B = tuple(tuple(integer_entry() for _ in range(2)) for _ in range(2))
+    s = integer_entry()
+    exact = mat_scale(s, mat_mul(A, B))
+    PA, PB = mat_prepare(A, n), mat_prepare(B, n)
+    assert mat_scaled_product_eq(s, PA, PB, mat_prepare(exact, n))
+    for k in (16, 32, 64, 128, 256, 512):
+        phi_at = sum(c << k * i for i, c in enumerate(cyclotomic_poly(n)))
+        for j in (0, euler_phi(n) - 1):
+            coeffs = [0] * euler_phi(n)
+            coeffs[j] = phi_at
+            C = _bump(exact, 1, 0, CycNumber(n, coeffs))
+            assert not mat_scaled_product_eq(s, PA, PB, mat_prepare(C, n))
+            assert not mat_products_eq(mat_prepare(exact, n), mat_prepare(mat_id(2, n), n),
+                                       mat_prepare(C, n), mat_prepare(mat_id(2, n), n))
+
+
+def test_packed_modulus_refuses_a_width_too_small_for_the_bound():
+    bits = pack_bits(12, 2 ** 200)
+    assert bits > 200
+    packed_modulus(12, bits, 2 ** 200)
+    with pytest.raises(InternalSoundnessError, match="needs"):
+        packed_modulus(12, bits - 1, 2 ** 200)

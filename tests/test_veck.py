@@ -14,14 +14,11 @@ from monocentre.veck import (
     VecCentreResult,
     VecSimple,
     _action_inverses,
-    _braid_block,
     _commutant_dim,
     _induce_simple,
     _invariant_projection,
     _restrict_action,
     _split_rec,
-    _tensor,
-    _tensor_parts,
     _twist,
     canonical_class_carrier,
     centralizer,
@@ -43,9 +40,14 @@ from monocentre.veck import (
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
-    cyc_one, cyc_zero, kron, mat_eq, mat_mul, mat_scale, mat_vec, roots_of_unity, rref,
+    cyc_one, cyc_zero, mat_mul, mat_scale, mat_vec, roots_of_unity, rref,
     solve_linear, transpose, zeta,
 )
+
+
+def mat_eq(A, B):
+    """Entrywise equality of two matrices."""
+    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 def subgroup_table(table, members):
@@ -195,6 +197,14 @@ def test_group_order_guard():
         centre_simples(Z4, cfg=GuardConfig(vec_max_group=2))
 
 
+def test_group_order_guard_precedes_the_cocycle_check():
+    broken = Cocycle3(Z2, 2, [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
+    with pytest.raises(ValueError, match="not normalized at"):
+        centre_simples(Z2, broken)
+    with pytest.raises(SizeGuardExceeded, match="group order"):
+        centre_simples(Z2, broken, cfg=GuardConfig(vec_max_group=1))
+
+
 def test_cocycle_over_wrong_group_rejected():
     with pytest.raises(ValueError, match="different group"):
         centre_simples(Z3, z2_nontrivial_cocycle())
@@ -248,35 +258,93 @@ def _ref_hexagon1(result):
     return None
 
 
-def _ref_hexagon2(result):
+def _plain_parts(result):
+    return lambda i, j: _tensor_parts(result.simples[i].hb, result.simples[j].hb)
+
+
+def _ref_hexagon2(result, parts_of=None):
+    parts_of = parts_of or _plain_parts(result)
     for i, s in enumerate(result.simples):
         for j, t in enumerate(result.simples):
-            errs = check_half_braiding(_tensor(s.hb, t.hb, _tensor_parts(s.hb, t.hb)))
+            errs = check_half_braiding(_tensor(s.hb, t.hb, parts_of(i, j)))
             if errs:
                 return f"pair ({i}, {j}): {errs[0]}"
     return None
 
 
-def _ref_naturality(result):
-    table, omega, N = result.table, result.omega, result.field_order
+def kron(A, B):
+    return tuple(tuple(a * b for a in arow for b in brow) for arow in A for brow in B)
+
+
+def _tensor_parts(A, B):
+    """The blocks of A (x) B between its components: (x, g, h) keys the
+    Kronecker product of the factors' blocks (x, g) and (x, h), scaled by
+    three associator values."""
+    table, omega, N = A.table, A.omega, A.field_order
     w, so = omega.exponents, omega.scalar_order
+    parts = {}
+    for x in range(len(table)):
+        for g in A.carrier.support:
+            for h in B.carrier.support:
+                gx, hx = _conj(table, x, g), _conj(table, x, h)
+                t = (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % so
+                parts[(x, g, h)] = mat_scale(zeta(N, t * (N // so)),
+                                             kron(A.block(x, g), B.block(x, h)))
+    return parts
 
-    def theta(A, B, x, g, h):
-        gx, hx = _conj(table, x, g), _conj(table, x, h)
-        t = (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % so
-        return mat_scale(zeta(N, t * (N // so)), kron(A.block(x, g), B.block(x, h)))
 
+def _tensor(A, B, parts):
+    """The tensor product carrier assembled from _tensor_parts: the (g, h)
+    component goes to (x^-1 g x, x^-1 h x) inside the conjugated grade,
+    components of one grade in lexicographic order."""
+    table, n = A.table, len(A.table)
+    dims, offset = [0] * n, {}
+    for g in A.carrier.support:
+        for h in B.carrier.support:
+            k = table[g][h]
+            offset[(g, h)] = dims[k]
+            dims[k] += A.carrier.dims[g] * B.carrier.dims[h]
+    zero = cyc_zero(A.field_order)
+    mats = {(x, k): [[zero] * dims[k] for _ in range(dims[_conj(table, x, k)])]
+            for x in range(n) for k in range(n) if dims[k]}
+    for (x, g, h), part in parts.items():
+        mat = mats[(x, table[g][h])]
+        roff = offset[(_conj(table, x, g), _conj(table, x, h))]
+        for i, row in enumerate(part):
+            for j, v in enumerate(row):
+                mat[roff + i][offset[(g, h)] + j] = v
+    blocks = {key: tuple(map(tuple, mat)) for key, mat in mats.items()}
+    return HalfBraidingLin(A.omega, A.field_order, GradedObject(tuple(dims)), blocks)
+
+
+def _braid_block(A, B, g, h):
+    """Component of the braiding on V_g x W_h: swap after beta^A_h|g, with
+    rows (j, i') and columns (i, j) in row-major layout."""
+    blk = A.block(h, g)
+    da, da2, db = len(blk[0]), len(blk), B.carrier.dims[h]
+    zero = cyc_zero(A.field_order)
+    mat = [[zero] * (da * db) for _ in range(db * da2)]
+    for j in range(db):
+        for i2 in range(da2):
+            for i in range(da):
+                mat[j * da2 + i2][i * db + j] = blk[i2][i]
+    return tuple(tuple(row) for row in mat)
+
+
+def _ref_naturality(result, parts_of=None):
+    table = result.table
+    parts_of = parts_of or _plain_parts(result)
     for i, s in enumerate(result.simples):
         for j, t in enumerate(result.simples):
+            ab, ba = parts_of(i, j), parts_of(j, i)
             for g in s.hb.carrier.support:
                 for h in t.hb.carrier.support:
                     cblk = _braid_block(s.hb, t.hb, g, h)
                     for x in range(len(table)):
                         g2 = _conj(table, h, g)
                         gx, hx = _conj(table, x, g), _conj(table, x, h)
-                        lhs = mat_mul(theta(t.hb, s.hb, x, h, g2), cblk)
-                        rhs = mat_mul(_braid_block(s.hb, t.hb, gx, hx),
-                                      theta(s.hb, t.hb, x, g, h))
+                        lhs = mat_mul(ba[(x, h, g2)], cblk)
+                        rhs = mat_mul(_braid_block(s.hb, t.hb, gx, hx), ab[(x, g, h)])
                         if not mat_eq(lhs, rhs):
                             return f"pair ({i}, {j}) at (x={x}, g={g}, h={h})"
     return None
@@ -306,6 +374,61 @@ def test_corrupted_simple_fails_the_hexagons_with_witnesses():
     assert not hex2.ok and hex2.detail == _ref_hexagon2(bad)
     assert not nat.ok and nat.detail == _ref_naturality(bad)
     assert all(c.ok for c in certs.values() if c not in (hex1, hex2, nat))
+
+
+def _times(M, factor):
+    """M with its (0, 0) entry multiplied by factor."""
+    return tuple(tuple(v * factor if (r, c) == (0, 0) else v for c, v in enumerate(row))
+                 for r, row in enumerate(M))
+
+
+@pytest.mark.parametrize("table", [S3, Z4], ids=["S3", "Z4"])
+@pytest.mark.parametrize("where", ["simple", "tensor"])
+def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
+                                                                  monkeypatch):
+    # One entry times zeta, in a block of simple 5, or in the packed
+    # Kronecker part of the pair (5, 2) that its tensor and both naturality
+    # checks read; the plain references get the same corruption.
+    result = centre_simples(table)
+    N, a, b = result.field_order, 5, 2
+    A, B = result.simples[a].hb, result.simples[b].hb
+    parts_of = None
+    if where == "simple":
+        key = (1, A.carrier.support[0])
+        blocks = {**A.blocks, key: _times(A.block(*key), zeta(N))}
+        result = _with_simple(result, a, HalfBraidingLin(A.omega, N, A.carrier, blocks))
+    else:
+        key = (1, A.carrier.support[0], B.carrier.support[0])
+        packed_parts = veck._Battery.parts
+
+        def parts(bat, P, Q):
+            out = packed_parts(bat, P, Q)
+            if P is bat.packs[a] and Q is bat.packs[b]:
+                rows = [list(r) for r in out[key][0]]
+                rows[0][0] = rows[0][0] * bat.roots[bat.order // N] % bat.M
+                out[key] = (tuple(map(tuple, rows)), tuple(zip(*rows)))
+            return out
+
+        def parts_of(i, j):
+            out = _plain_parts(result)(i, j)
+            if (i, j) == (a, b):
+                out[key] = _times(out[key], zeta(N))
+            return out
+
+        monkeypatch.setattr(veck._Battery, "parts", parts)
+    certs = {c.name: c for c in certify_centre_structure(result)}
+    hex1 = certs["hexagon 1 (multiplicativity against raw associator values)"]
+    hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
+    nat = certs["braiding naturality (centre-morphism property, blockwise)"]
+    if where == "simple":
+        assert not hex1.ok and hex1.detail == _ref_hexagon1(result)
+    else:
+        assert hex1.ok and _ref_hexagon1(result) is None
+    assert not hex2.ok and hex2.detail == _ref_hexagon2(result, parts_of)
+    ref_nat = _ref_naturality(result, parts_of)
+    # on Z4 both sides of naturality carry the same 1 x 1 block of a simple
+    assert (ref_nat is None) == (table is Z4 and where == "simple")
+    assert nat.ok == (ref_nat is None) and (nat.ok or nat.detail == ref_nat)
 
 
 def test_non_square_braid_component_fails_invertibility():
