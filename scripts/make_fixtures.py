@@ -26,7 +26,7 @@ from monocentre.monoidal import (
     discrete_group_monoidal,
     one_object_z2_monoidal,
 )
-from monocentre.veck import Cocycle3, trivial_cocycle, z2_nontrivial_cocycle
+from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
 
 def main():
@@ -43,10 +43,10 @@ def main():
     docs["walking_arrow.json"] = category_to_doc(walking_arrow())
     docs["broken_pentagon.json"] = monoidal_to_doc(
         one_object_z2_monoidal(broken_pentagon=True))
-    docs["z2_trivial.json"] = cocycle_to_doc(trivial_cocycle(Z2, 2))
+    docs["z2_trivial.json"] = cocycle_to_doc(trivial_cocycle(Group(Z2), 2))
     docs["z2_nontrivial.json"] = cocycle_to_doc(z2_nontrivial_cocycle())
     broken = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
-    docs["z2_broken_omega.json"] = cocycle_to_doc(Cocycle3(Z2, 2, broken))
+    docs["z2_broken_omega.json"] = cocycle_to_doc(Cocycle3(Group(Z2), 2, broken))
 
     for name in sorted(docs):
         write_spec(str(root / name), docs[name])

@@ -18,25 +18,25 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from monocentre.monoidal import D4, S3, Z2_CUBED
-from monocentre.veck import (Cocycle3, centre_simples, certify_centre_structure,
+from monocentre.veck import (Cocycle3, Group, centre_simples, certify_centre_structure,
                              trivial_cocycle, z2_nontrivial_cocycle)
 
 
 def cyclic(n):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return Group([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def type_iii_cocycle():
     """omega(a, b, c) = (-1)^(a_1 b_2 c_3) on Z2^3."""
     bit = lambda a, i: a >> i & 1
-    return Cocycle3(Z2_CUBED, 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
+    return Cocycle3(Group(Z2_CUBED), 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
                                     for c in range(8)] for b in range(8)]
                                   for a in range(8)])
 
 
-def survey(label, table, omega=None):
+def survey(label, omega):
     start = time.perf_counter()
-    result = centre_simples(table, omega)
+    result = centre_simples(omega)
     elapsed = time.perf_counter() - start
     start = time.perf_counter()
     battery = certify_centre_structure(result)
@@ -44,7 +44,7 @@ def survey(label, table, omega=None):
     dims = sorted(s.total_dim for s in result.simples)
     status = "ok" if result.all_passed else "INCOMPLETE"
     verdict = "PASS" if all(c.ok for c in battery) else "FAIL"
-    print(f"{label:<22} |G|={len(result.table)}  simples={len(result.simples):>2}  "
+    print(f"{label:<22} |G|={len(omega.group.table)}  simples={len(result.simples):>2}  "
           f"dims={dims}  sum_sq={result.sum_of_squares:>3}  "
           f"[{status}, {elapsed:.2f}s]  battery {verdict} {battery_s:.2f}s")
     return result
@@ -52,12 +52,12 @@ def survey(label, table, omega=None):
 
 def run():
     for n in range(2, 7):
-        survey(f"cyclic Z{n}, trivial", cyclic(n), trivial_cocycle(cyclic(n)))
-    survey("Z2, nontrivial omega", cyclic(2), z2_nontrivial_cocycle())
-    survey("S3, trivial", S3, trivial_cocycle(S3))
-    survey("D4, trivial", D4, trivial_cocycle(D4))
-    survey("Z2^3, trivial", Z2_CUBED, trivial_cocycle(Z2_CUBED))
-    survey("Z2^3, type III omega", Z2_CUBED, type_iii_cocycle())
+        survey(f"cyclic Z{n}, trivial", trivial_cocycle(cyclic(n)))
+    survey("Z2, nontrivial omega", z2_nontrivial_cocycle())
+    survey("S3, trivial", trivial_cocycle(Group(S3)))
+    survey("D4, trivial", trivial_cocycle(Group(D4)))
+    survey("Z2^3, trivial", trivial_cocycle(Group(Z2_CUBED)))
+    survey("Z2^3, type III omega", type_iii_cocycle())
     return 0
 
 

@@ -36,8 +36,8 @@ from .convolution import (
 from .fincat import validate_category, validate_functor
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
-from .monoidal import group_table_report, validate_monoidal
-from .veck import (centre_simples, certify_centre_structure, check_cocycle,
+from .monoidal import validate_monoidal
+from .veck import (Cocycle3, centre_simples, certify_centre_structure,
                    check_group_order, trivial_cocycle)
 
 _DASH = "—"
@@ -84,15 +84,15 @@ def _section_validate(spec: LoadedSpec) -> Section:
         certs.append(_cert("Axiom: monoidal coherence (pentagon, triangle, "
                            "naturality)", validate_monoidal(ms)))
     elif spec.kind == "group":
-        table = spec.payload
-        info = (("kind", "group"), ("group order", len(table)))
+        group = spec.payload
+        info = (("kind", "group"), ("group order", len(group.table)))
         certs.append(_cert("Axiom: group table (associativity, identity, "
-                           "inverses)", group_table_report(table)))
+                           "inverses)", group.problems))
     else:
         omega = spec.payload
-        info = (("kind", "cocycle"), ("group order", len(omega.table)),
+        info = (("kind", "cocycle"), ("group order", len(omega.group.table)),
                 ("scalar order", omega.scalar_order))
-        certs.append(_cert("Axiom: normalized 3-cocycle", check_cocycle(omega)))
+        certs.append(_cert("Axiom: normalized 3-cocycle", omega.problems))
     return Section("validate", spec.path, info, tuple(certs))
 
 
@@ -194,34 +194,34 @@ def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
 
 def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
                         cfg: GuardConfig) -> Section:
-    table = spec.payload
-    grp_report = group_table_report(table)
+    group = spec.payload
+    n = len(group.table)
     certs = [_cert("Axiom: group table (associativity, identity, inverses)",
-                   grp_report)]
-    info = [("group order", len(table)),
+                   group.problems)]
+    info = [("group order", n),
             ("cocycle", omega_spec.path if omega_spec else "trivial (default)")]
-    if grp_report:
+    if group.problems:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
     if omega_spec is not None:
         omega = omega_spec.payload
-        if omega.table != tuple(tuple(row) for row in table):
+        if omega.group.table != group.table:
             raise MalformedInput(
                 "/table", f"cocycle in {omega_spec.path} is defined over a "
                           f"different group table than {spec.path}")
+        # over the group file's value, so that each table is checked once
+        omega = Cocycle3(group, omega.scalar_order, omega.exponents)
     else:
-        omega = trivial_cocycle(table)
-    # refuse an oversized group before the quartic cocycle check, and run
-    # each check once: its report feeds the axiom line and the battery
-    check_group_order(len(table), cfg)
-    coc_report = check_cocycle(omega, grp_report)
-    certs.append(_cert("Axiom: normalized 3-cocycle", coc_report))
-    if coc_report:
+        omega = trivial_cocycle(group)
+    # refuse an oversized group before the quartic cocycle check; the
+    # cocycle's report, kept on it, feeds the axiom line and the battery
+    check_group_order(n, cfg)
+    certs.append(_cert("Axiom: normalized 3-cocycle", omega.problems))
+    if omega.problems:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
-    result = centre_simples(table, omega, cfg, coc_report)
-    n = len(table)
-    info.append(("scalar field", f"Q(zeta_{result.field_order})"))
+    result = centre_simples(omega, cfg)
+    info.append(("scalar field", f"Q(zeta_{omega.field_order})"))
     info.append(("simples", len(result.simples)))
     for i, s in enumerate(result.simples):
         info.append((f"simple {i}",
@@ -232,7 +232,7 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
     certs += [Certificate("Enumeration: " + c.name, c.ok, c.detail)
               for c in result.certificates]
     certs += [Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
-              for c in certify_centre_structure(result, coc_report)]
+              for c in certify_centre_structure(result)]
     return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
 

@@ -5,11 +5,13 @@ field and versioned by "schema_version": finite categories, monoidal
 structures, group multiplication tables, and 3-cocycles over a group
 table.  Loading is two-staged: a shape check against the schema dicts
 below, then referential checks (dense morphism ids, indices in range, no
-conflicting duplicate table entries) with JSON-pointer locations.
-Axiom-level validation (associativity, pentagon, cocycle identity) is
-deliberately NOT done here; the CLI re-runs those as certificates so that
-a broken fixture is reported with a localized witness instead of a parse
-error.
+conflicting duplicate table entries) with JSON-pointer locations.  A
+group file loads as a veck.Group and a cocycle file as a veck.Cocycle3
+over its own Group.  Axiom-level validation (associativity, pentagon,
+cocycle identity) is deliberately NOT done here: the values run their
+checks once, on first use, and the CLI reports them as certificates so
+that a broken fixture is reported with a localized witness instead of a
+parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
-from .veck import Cocycle3
+from .veck import Cocycle3, Group
 
 SCHEMA_VERSION = 1
 
@@ -282,7 +284,7 @@ def _monoidal_from_doc(doc):
                              doc["lambda"], doc["rho"])
 
 
-def _table_from_doc(doc):
+def _group_from_doc(doc):
     table = doc["table"]
     n = len(table)
     for i, row in enumerate(table):
@@ -293,12 +295,12 @@ def _table_from_doc(doc):
             if v >= n:
                 raise MalformedInput(f"/table/{i}/{j}",
                                      f"element {v} out of range (0..{n - 1})")
-    return tuple(tuple(row) for row in table)
+    return Group(table)
 
 
 def _cocycle_from_doc(doc):
-    table = _table_from_doc(doc)
-    n = len(table)
+    group = _group_from_doc(doc)
+    n = len(group.table)
     exps = doc["exponents"]
     if len(exps) != n:
         raise MalformedInput("/exponents", f"expected {n} planes, got {len(exps)}")
@@ -310,13 +312,13 @@ def _cocycle_from_doc(doc):
             if len(row) != n:
                 raise MalformedInput(f"/exponents/{i}/{j}",
                                      f"expected {n} entries, got {len(row)}")
-    return Cocycle3(table, doc["scalar_order"], exps)
+    return Cocycle3(group, doc["scalar_order"], exps)
 
 
 _BUILDERS = {
     "category": _category_from_doc,
     "monoidal": _monoidal_from_doc,
-    "group": _table_from_doc,
+    "group": _group_from_doc,
     "cocycle": _cocycle_from_doc,
 }
 
@@ -389,7 +391,7 @@ def cocycle_to_doc(omega: Cocycle3) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cocycle",
-        "table": [list(row) for row in omega.table],
+        "table": [list(row) for row in omega.group.table],
         "scalar_order": omega.scalar_order,
         "exponents": [[list(row) for row in plane]
                       for plane in omega.exponents],

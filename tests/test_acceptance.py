@@ -46,15 +46,13 @@ from monocentre.monoidal import (
 )
 from monocentre.veck import (
     Cocycle3,
+    Group,
     HalfBraidingLin,
-    centralizer,
     centre_simples,
     certify_centre_structure,
     check_cocycle,
     check_half_braiding,
-    conjugacy_classes,
     delta_object,
-    field_order_for,
     group_centre,
     half_braiding_space,
     trivial_cocycle,
@@ -89,8 +87,8 @@ def test_criterion_01_braided_centre_suite():
     assert "braiding naturality and hexagons" in ok_names
     assert "projection strong monoidal" in ok_names
     assert "projection faithful" in ok_names
-    for omega in (trivial_cocycle(Z2), z2_nontrivial_cocycle()):
-        result = centre_simples(Z2, omega)
+    for omega in (trivial_cocycle(Group(Z2)), z2_nontrivial_cocycle()):
+        result = centre_simples(omega)
         assert result.all_passed
         certs = certify_centre_structure(result)
         assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
@@ -184,22 +182,22 @@ def test_criterion_07_day_convolution():
 
 
 def _character_count(table, class_rep):
-    cent = list(centralizer(table, class_rep))
+    cent = list(Group(table).centralizer(class_rep))
     sub = tuple(tuple(cent.index(table[a][b]) for b in cent) for a in cent)
-    return len(conjugacy_classes(sub))
+    return len(Group(sub).classes)
 
 
 def test_criterion_08_linear_backend():
     start = time.perf_counter()
-    for omega in (trivial_cocycle(Z2), z2_nontrivial_cocycle()):
-        result = centre_simples(Z2, omega)
+    for omega in (trivial_cocycle(Group(Z2)), z2_nontrivial_cocycle()):
+        result = centre_simples(omega)
         assert len(result.simples) == 4 and result.all_passed
         brute = sum(len(half_braiding_space(delta_object(2, g), omega))
                     for g in range(2))
         assert brute == 4
     _budget(start, 10.0, "criterion 8a (Z(Vec_Z2), both cocycles)")
     start = time.perf_counter()
-    result = centre_simples(S3)
+    result = centre_simples(trivial_cocycle(Group(S3)))
     assert len(result.simples) == 8
     assert result.sum_of_squares == 36
     assert result.complete and result.all_passed
@@ -224,9 +222,10 @@ def test_criterion_09_negative_controls():
     gamma[(0, 1)] = ms.base.id_of(1 - ms.base.dst(gamma[(0, 1)]))
     bad = check_centre_piece(CentrePiece(u, ms, gamma))
     assert bad and bad[0] == "gamma at (s=0, x=1) has wrong endpoints"
-    order = field_order_for(Z2, trivial_cocycle(Z2))
+    omega = trivial_cocycle(Group(Z2))
+    order = omega.field_order
     two = zeta(order, 0) + zeta(order, 0)
-    hb = HalfBraidingLin(trivial_cocycle(Z2), order, delta_object(2, 1),
+    hb = HalfBraidingLin(omega, delta_object(2, 1),
                          {(0, 1): ((zeta(order, 0),),), (1, 1): ((two,),)})
     lin_bad = check_half_braiding(hb)
     assert lin_bad and "multiplicativity fails at (x=1, y=1, g=1)" in lin_bad[0]
@@ -235,7 +234,7 @@ def test_criterion_09_negative_controls():
     start = time.perf_counter()
     exps = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     exps[1][1][1] = 1
-    bad = check_cocycle(Cocycle3(Z3, 3, exps))
+    bad = check_cocycle(Cocycle3(Group(Z3), 3, exps))
     assert bad and "cocycle identity fails at (a=1, b=1, c=1, d=1)" in bad[0]
     _budget(start, 1.0, "criterion 9c (non-cocycle omega)")
 

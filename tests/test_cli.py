@@ -97,11 +97,14 @@ def test_group_order_guard_wins_over_a_broken_cocycle(capsys, monkeypatch):
 
 
 def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch):
-    import monocentre.cli as cli
+    # Computations are counted wherever they run: the reports are kept on
+    # the group and cocycle values, so reading one again is not a check.
     import monocentre.monoidal as monoidal
     import monocentre.veck as veck
 
-    calls = {"group_table_report": 0, "check_cocycle": 0}
+    calls = {}
+    originals = {"group_table_report": monoidal.group_table_report,
+                 "check_cocycle": veck.check_cocycle}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -109,17 +112,54 @@ def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    table_report = counted("group_table_report", monoidal.group_table_report)
-    cocycle = counted("check_cocycle", veck.check_cocycle)
-    for module in (cli, monoidal, veck):
-        monkeypatch.setattr(module, "group_table_report", table_report)
-    for module in (cli, veck):
-        monkeypatch.setattr(module, "check_cocycle", cocycle)
-    code, out, _ = run(capsys, "vec-centre", fix("s3.json"))
-    assert code == 0
-    assert calls == {"group_table_report": 1, "check_cocycle": 1}
-    assert "Axiom: normalized 3-cocycle — PASS" in out
-    assert "Prop 2.1: associator pentagon (3-cocycle identity) — PASS" in out
+    for module_name, module in list(sys.modules.items()):
+        for name, fn in originals.items():
+            if (module_name.startswith("monocentre")
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, counted(name, fn))
+    for argv in (["vec-centre", fix("s3.json")],
+                 ["report", fix("z3.json")],
+                 ["vec-centre", fix("z2.json"), "--omega", fix("z2_nontrivial.json")],
+                 ["validate", fix("z2_nontrivial.json")]):
+        calls.update(group_table_report=0, check_cocycle=0)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"group_table_report": 1, "check_cocycle": 1}, argv
+        if argv[0] == "vec-centre":
+            assert "Axiom: normalized 3-cocycle — PASS" in out
+            assert "Prop 2.1: associator pentagon (3-cocycle identity) — PASS" in out
+
+
+def test_tables_that_are_not_groups_fail_their_axiom_line(capsys, tmp_path):
+    from monocentre.jsonio import cocycle_to_doc, group_to_doc, write_spec
+    from monocentre.veck import z2_nontrivial_cocycle
+
+    group = str(tmp_path / "z3_not_associative.json")
+    write_spec(group, group_to_doc([[0, 1, 2], [1, 1, 0], [2, 0, 1]]))  # 1 * 1 = 1
+    axiom = ("Axiom: group table (associativity, identity, inverses) — FAIL "
+             "(not associative at (1, 1, 2))\n")
+    head = f"input: {group}\n"
+    for argv, info in ((["validate", group], "kind: group\ngroup order: 3\n"),
+                       (["vec-centre", group],
+                        "group order: 3\ncocycle: trivial (default)\n"),
+                       (["report", group], "kind: group\ngroup order: 3\n")):
+        assert run(capsys, *argv) == (1, head + info + axiom, ""), argv
+
+    doc = cocycle_to_doc(z2_nontrivial_cocycle())
+    doc["table"] = [[0, 1], [1, 1]]  # 1 has no inverse
+    cocycle = str(tmp_path / "over_a_monoid.json")
+    write_spec(cocycle, doc)
+    assert run(capsys, "validate", cocycle) == (
+        1, f"input: {cocycle}\nkind: cocycle\ngroup order: 2\nscalar order: 2\n"
+           "Axiom: normalized 3-cocycle — FAIL (group table invalid: element 1 "
+           "has no inverse)\n", "")
+
+
+def test_cocycle_over_a_different_table_is_malformed(capsys):
+    code, out, err = run(capsys, "vec-centre", fix("z3.json"),
+                         "--omega", fix("z2_nontrivial.json"))
+    assert code == 2 and out == ""
+    assert "is defined over a different group table than" in err
 
 
 def test_equiv_z2_discrete(capsys):

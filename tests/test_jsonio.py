@@ -61,7 +61,7 @@ def test_category_round_trip(tmp_path):
 
 def test_group_and_cocycle_round_trip(tmp_path):
     spec = _load_doc(tmp_path, group_to_doc(S3))
-    assert spec.kind == "group" and spec.payload == S3
+    assert spec.kind == "group" and spec.payload.table == S3
     omega = z2_nontrivial_cocycle()
     spec2 = _load_doc(tmp_path, cocycle_to_doc(omega), "omega.json")
     assert spec2.kind == "cocycle" and spec2.payload == omega
@@ -146,7 +146,7 @@ def test_dump_canonical_ignores_insertion_order():
 def test_write_spec_round_trips(tmp_path):
     path = tmp_path / "s3.json"
     write_spec(str(path), group_to_doc(S3))
-    assert load_spec(str(path)).payload == S3
+    assert load_spec(str(path)).payload.table == S3
 
 
 def _z2_monoidal_doc():

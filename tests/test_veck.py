@@ -1,5 +1,10 @@
 """Frozen-oracle and property tests for the graded linear backend."""
 
+import pathlib
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +15,7 @@ from monocentre.monoidal import D4, S3, Z2, Z2_CUBED, Z3, Z4
 from monocentre.veck import (
     Cocycle3,
     GradedObject,
+    Group,
     HalfBraidingLin,
     VecCentreResult,
     VecSimple,
@@ -19,20 +25,14 @@ from monocentre.veck import (
     _invariant_projection,
     _restrict_action,
     _split_rec,
-    _twist,
     canonical_class_carrier,
-    centralizer,
     centre_simples,
     certify_centre_structure,
     check_cocycle,
     check_half_braiding,
     coboundary_cocycle,
-    conjugacy_classes,
     delta_object,
-    field_order_for,
     group_centre,
-    group_exponent,
-    group_inverses,
     half_braiding_space,
     intertwiner_dim,
     trivial_cocycle,
@@ -43,6 +43,11 @@ from monocentre.cyclo import (
     cyc_one, cyc_zero, mat_mul, mat_scale, mat_vec, roots_of_unity, rref,
     solve_linear, transpose, zeta,
 )
+
+
+def trivial(table, scalar_order=1):
+    """The trivial cocycle on the group of a multiplication table."""
+    return trivial_cocycle(Group(table), scalar_order)
 
 
 def mat_eq(A, B):
@@ -59,61 +64,57 @@ def subgroup_table(table, members):
 def character_count_oracle(table, class_rep):
     """Number of irreducible characters of the centralizer, computed from
     group data alone (class count of the reindexed subgroup table)."""
-    cent = list(centralizer(table, class_rep))
-    return len(conjugacy_classes(subgroup_table(table, cent)))
+    cent = list(Group(table).centralizer(class_rep))
+    return len(Group(subgroup_table(table, cent)).classes)
 
 
 def test_group_helpers_s3():
-    assert conjugacy_classes(S3) == ((0,), (1, 2, 5), (3, 4))
-    assert centralizer(S3, 1) == (0, 1)
-    assert centralizer(S3, 3) == (0, 3, 4)
+    G = Group(S3)
+    assert G.classes == ((0,), (1, 2, 5), (3, 4))
+    assert G.centralizer(1) == (0, 1)
+    assert G.centralizer(3) == (0, 3, 4)
     assert group_centre(S3) == (0,)
-    assert group_exponent(S3) == 6
+    assert G.exponent == 6
     assert group_centre(Z4) == (0, 1, 2, 3)
 
 
 def test_trivial_and_nontrivial_cocycles_pass():
-    assert check_cocycle(trivial_cocycle(S3)) == []
+    assert check_cocycle(trivial(S3)) == []
     assert check_cocycle(z2_nontrivial_cocycle()) == []
 
 
 def test_normalization_violation_is_localized():
     exps = [[[0, 0], [0, 0]], [[0, 0], [1, 1]]]
-    report = check_cocycle(Cocycle3(Z2, 2, exps))
+    report = check_cocycle(Cocycle3(Group(Z2), 2, exps))
     assert report and report[0] == "not normalized at (1, 1, 0)"
 
 
 def test_non_cocycle_rejected_with_witness():
     exps = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     exps[1][1][1] = 1
-    report = check_cocycle(Cocycle3(Z3, 3, exps))
+    report = check_cocycle(Cocycle3(Group(Z3), 3, exps))
     assert report and "cocycle identity fails at (a=1, b=1, c=1, d=1)" in report[0]
     with pytest.raises(ValueError, match="cocycle identity fails"):
-        centre_simples(Z3, Cocycle3(Z3, 3, exps))
+        centre_simples(Cocycle3(Group(Z3), 3, exps))
 
 
 def test_twist_exponents():
-    triv = trivial_cocycle(S3)
-    inv = group_inverses(S3)
-    assert all(_twist(S3, inv, triv.exponents, triv.scalar_order, g, x, y) == 0
-               for g in range(6) for x in range(6) for y in range(6))
+    triv = trivial(S3)
+    assert all(v == 0 for plane in triv.twist for row in plane for v in row)
     omega = z2_nontrivial_cocycle()
-    inv = group_inverses(Z2)
-    assert _twist(Z2, inv, omega.exponents, omega.scalar_order, 1, 1, 1) == 1
-    assert _twist(Z2, inv, omega.exponents, omega.scalar_order, 0, 1, 1) == 0
+    assert omega.twist[1][1][1] == 1
+    assert omega.twist[0][1][1] == 0
 
 
 def test_canonical_carrier_shapes():
-    omega = trivial_cocycle(S3)
-    hb = canonical_class_carrier(omega, field_order_for(S3, omega), 1)
+    hb = canonical_class_carrier(trivial(S3), 1)
     assert hb.carrier.dims == (0, 2, 2, 0, 0, 2)
-    omega2 = z2_nontrivial_cocycle()
-    hb2 = canonical_class_carrier(omega2, field_order_for(Z2, omega2), 1)
+    hb2 = canonical_class_carrier(z2_nontrivial_cocycle(), 1)
     assert hb2.carrier.dims == (0, 2)
 
 
 def test_scalar_systems_on_z2_trivial():
-    omega = trivial_cocycle(Z2)
+    omega = trivial(Z2)
     for g in (0, 1):
         vals = {hb.block(1, g)[0][0]
                 for hb in half_braiding_space(delta_object(2, g), omega)}
@@ -132,33 +133,33 @@ def test_scalar_systems_on_z2_nontrivial():
 
 
 def test_noncentral_support_has_no_half_braiding():
-    assert half_braiding_space(delta_object(6, 1), trivial_cocycle(S3)) == ()
+    assert half_braiding_space(delta_object(6, 1), trivial(S3)) == ()
 
 
 def test_unit_support_on_s3_gives_the_two_characters():
-    assert len(half_braiding_space(delta_object(6, 0), trivial_cocycle(S3))) == 2
+    assert len(half_braiding_space(delta_object(6, 0), trivial(S3))) == 2
 
 
 def test_higher_dimensional_carrier_is_refused():
     with pytest.raises(ValueError, match="multiplicity-free"):
-        half_braiding_space(GradedObject((2, 0)), trivial_cocycle(Z2))
+        half_braiding_space(GradedObject((2, 0)), trivial(Z2))
 
 
 def test_centre_simples_z2_trivial():
-    result = centre_simples(Z2)
+    result = centre_simples(trivial(Z2))
     assert len(result.simples) == 4
     assert [s.total_dim for s in result.simples] == [1, 1, 1, 1]
     assert result.complete and result.all_passed
     assert result.sum_of_squares == 4
     # independent oracle: per-support brute-force one-dimensional counts
-    omega = trivial_cocycle(Z2)
+    omega = trivial(Z2)
     oracle = sum(len(half_braiding_space(delta_object(2, g), omega))
                  for g in (0, 1))
     assert oracle == 4
 
 
 def test_centre_simples_z2_nontrivial_has_fourth_roots():
-    result = centre_simples(Z2, z2_nontrivial_cocycle())
+    result = centre_simples(z2_nontrivial_cocycle())
     assert len(result.simples) == 4
     assert result.complete and result.all_passed
     vals = [s.hb.block(1, 1)[0][0] for s in result.simples if s.class_rep == 1]
@@ -171,15 +172,15 @@ def test_centre_simples_z2_nontrivial_has_fourth_roots():
 
 
 def test_centre_simples_abelian_counts():
-    assert len(centre_simples(Z3).simples) == 9
-    r4 = centre_simples(Z4)
+    assert len(centre_simples(trivial(Z3)).simples) == 9
+    r4 = centre_simples(trivial(Z4))
     assert len(r4.simples) == 16
     assert all(s.total_dim == 1 for s in r4.simples)
     assert r4.all_passed
 
 
 def test_centre_simples_s3():
-    result = centre_simples(S3)
+    result = centre_simples(trivial(S3))
     assert len(result.simples) == 8
     assert sorted(s.total_dim for s in result.simples) == [1, 1, 2, 2, 2, 2, 3, 3]
     assert result.sum_of_squares == 36
@@ -194,40 +195,49 @@ def test_centre_simples_s3():
 
 def test_group_order_guard():
     with pytest.raises(SizeGuardExceeded):
-        centre_simples(Z4, cfg=GuardConfig(vec_max_group=2))
+        centre_simples(trivial(Z4), cfg=GuardConfig(vec_max_group=2))
 
 
 def test_group_order_guard_precedes_the_cocycle_check():
-    broken = Cocycle3(Z2, 2, [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
+    broken = Cocycle3(Group(Z2), 2, [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
     with pytest.raises(ValueError, match="not normalized at"):
-        centre_simples(Z2, broken)
+        centre_simples(broken)
     with pytest.raises(SizeGuardExceeded, match="group order"):
-        centre_simples(Z2, broken, cfg=GuardConfig(vec_max_group=1))
+        centre_simples(broken, cfg=GuardConfig(vec_max_group=1))
 
 
 def test_cocycle_over_wrong_group_rejected():
-    with pytest.raises(ValueError, match="different group"):
-        centre_simples(Z3, z2_nontrivial_cocycle())
+    # the exponents of a Z2 cocycle bound to Z3
+    wrong = Cocycle3(Group(Z3), 2, z2_nontrivial_cocycle().exponents)
+    with pytest.raises(ValueError, match=r"exponent table is not \|G\| x \|G\| x \|G\|"):
+        centre_simples(wrong)
+
+
+def test_cocycle_over_a_table_that_is_not_a_group_is_refused():
+    omega = Cocycle3(Group([[0, 1], [1, 1]]), 2, z2_nontrivial_cocycle().exponents)
+    assert omega.group.problems == ("element 1 has no inverse",)
+    with pytest.raises(ValueError, match="^not a group table: element 1 has no inverse$"):
+        centre_simples(omega)
 
 
 def test_corrupted_block_rejected_with_witness():
-    omega = trivial_cocycle(Z2)
-    order = field_order_for(Z2, omega)
+    omega = trivial(Z2)
+    order = omega.field_order
     two = zeta(order, 0) + zeta(order, 0)
     blocks = {(0, 1): ((zeta(order, 0),),), (1, 1): ((two,),)}
-    bad = HalfBraidingLin(omega, order, delta_object(2, 1), blocks)
+    bad = HalfBraidingLin(omega, delta_object(2, 1), blocks)
     report = check_half_braiding(bad)
     assert report and "multiplicativity fails at (x=1, y=1, g=1)" in report[0]
 
 
 def test_singular_block_is_reported_not_invertible():
-    omega = trivial_cocycle(S3)
-    hb = canonical_class_carrier(omega, field_order_for(S3, omega), 1)
+    omega = trivial(S3)
+    hb = canonical_class_carrier(omega, 1)
     assert check_half_braiding(hb) == []
     key = (3, 2)
     row = hb.block(*key)[0]
     blocks = {**hb.blocks, key: (row, row)}
-    bad = HalfBraidingLin(omega, hb.field_order, hb.carrier, blocks)
+    bad = HalfBraidingLin(omega, hb.carrier, blocks)
     assert check_half_braiding(bad) == ["block (3, 2) is not invertible"]
 
 
@@ -237,19 +247,20 @@ def test_singular_block_is_reported_not_invertible():
 # plain matrix routines; the battery must report the same witness.
 
 
-def _conj(table, x, g):
-    inv = group_inverses(table)
+def _conj(group, x, g):
+    table, inv = group.table, group.inverses
     return table[table[inv[x]][g]][x]
 
 
 def _ref_hexagon1(result):
-    table, omega, n = result.table, result.omega, len(result.table)
+    omega = result.omega
+    group, table, n = omega.group, omega.group.table, len(omega.group.table)
     for idx, s in enumerate(result.simples):
         for x in range(n):
             for y in range(n):
                 xy = table[x][y]
                 for g in s.hb.carrier.support:
-                    gx, gxy = _conj(table, x, g), _conj(table, xy, g)
+                    gx, gxy = _conj(group, x, g), _conj(group, xy, g)
                     scalar = (omega.value(g, x, y).inverse() * omega.value(x, gx, y)
                               * omega.value(x, y, gxy).inverse())
                     rhs = mat_scale(scalar, mat_mul(s.hb.block(y, gx), s.hb.block(x, g)))
@@ -280,13 +291,13 @@ def _tensor_parts(A, B):
     """The blocks of A (x) B between its components: (x, g, h) keys the
     Kronecker product of the factors' blocks (x, g) and (x, h), scaled by
     three associator values."""
-    table, omega, N = A.table, A.omega, A.field_order
+    omega, N = A.omega, A.omega.field_order
     w, so = omega.exponents, omega.scalar_order
     parts = {}
-    for x in range(len(table)):
+    for x in range(len(omega.group.table)):
         for g in A.carrier.support:
             for h in B.carrier.support:
-                gx, hx = _conj(table, x, g), _conj(table, x, h)
+                gx, hx = _conj(omega.group, x, g), _conj(omega.group, x, h)
                 t = (w[x][gx][hx] - w[g][x][hx] + w[g][h][x]) % so
                 parts[(x, g, h)] = mat_scale(zeta(N, t * (N // so)),
                                              kron(A.block(x, g), B.block(x, h)))
@@ -297,24 +308,25 @@ def _tensor(A, B, parts):
     """The tensor product carrier assembled from _tensor_parts: the (g, h)
     component goes to (x^-1 g x, x^-1 h x) inside the conjugated grade,
     components of one grade in lexicographic order."""
-    table, n = A.table, len(A.table)
+    group = A.omega.group
+    table, n = group.table, len(group.table)
     dims, offset = [0] * n, {}
     for g in A.carrier.support:
         for h in B.carrier.support:
             k = table[g][h]
             offset[(g, h)] = dims[k]
             dims[k] += A.carrier.dims[g] * B.carrier.dims[h]
-    zero = cyc_zero(A.field_order)
-    mats = {(x, k): [[zero] * dims[k] for _ in range(dims[_conj(table, x, k)])]
+    zero = cyc_zero(A.omega.field_order)
+    mats = {(x, k): [[zero] * dims[k] for _ in range(dims[_conj(group, x, k)])]
             for x in range(n) for k in range(n) if dims[k]}
     for (x, g, h), part in parts.items():
         mat = mats[(x, table[g][h])]
-        roff = offset[(_conj(table, x, g), _conj(table, x, h))]
+        roff = offset[(_conj(group, x, g), _conj(group, x, h))]
         for i, row in enumerate(part):
             for j, v in enumerate(row):
                 mat[roff + i][offset[(g, h)] + j] = v
     blocks = {key: tuple(map(tuple, mat)) for key, mat in mats.items()}
-    return HalfBraidingLin(A.omega, A.field_order, GradedObject(tuple(dims)), blocks)
+    return HalfBraidingLin(A.omega, GradedObject(tuple(dims)), blocks)
 
 
 def _braid_block(A, B, g, h):
@@ -322,7 +334,7 @@ def _braid_block(A, B, g, h):
     rows (j, i') and columns (i, j) in row-major layout."""
     blk = A.block(h, g)
     da, da2, db = len(blk[0]), len(blk), B.carrier.dims[h]
-    zero = cyc_zero(A.field_order)
+    zero = cyc_zero(A.omega.field_order)
     mat = [[zero] * (da * db) for _ in range(db * da2)]
     for j in range(db):
         for i2 in range(da2):
@@ -332,7 +344,7 @@ def _braid_block(A, B, g, h):
 
 
 def _ref_naturality(result, parts_of=None):
-    table = result.table
+    group = result.omega.group
     parts_of = parts_of or _plain_parts(result)
     for i, s in enumerate(result.simples):
         for j, t in enumerate(result.simples):
@@ -340,9 +352,9 @@ def _ref_naturality(result, parts_of=None):
             for g in s.hb.carrier.support:
                 for h in t.hb.carrier.support:
                     cblk = _braid_block(s.hb, t.hb, g, h)
-                    for x in range(len(table)):
-                        g2 = _conj(table, h, g)
-                        gx, hx = _conj(table, x, g), _conj(table, x, h)
+                    for x in range(len(group.table)):
+                        g2 = _conj(group, h, g)
+                        gx, hx = _conj(group, x, g), _conj(group, x, h)
                         lhs = mat_mul(ba[(x, h, g2)], cblk)
                         rhs = mat_mul(_braid_block(s.hb, t.hb, gx, hx), ab[(x, g, h)])
                         if not mat_eq(lhs, rhs):
@@ -354,17 +366,16 @@ def _with_simple(result, idx, hb):
     simples = list(result.simples)
     simples[idx] = VecSimple(simples[idx].class_rep, hb, hb.carrier.total_dim,
                              simples[idx].fiber_character)
-    return VecCentreResult(result.table, result.omega, result.field_order,
-                           tuple(simples), result.complete, result.certificates)
+    return VecCentreResult(result.omega, tuple(simples), result.complete,
+                           result.certificates)
 
 
 def test_corrupted_simple_fails_the_hexagons_with_witnesses():
-    result = centre_simples(S3)
+    result = centre_simples(trivial(S3))
     hb = result.simples[3].hb  # a transposition-class simple, grades 1, 2, 5
     key = (3, 2)
     blocks = {**hb.blocks, key: mat_scale(-1, hb.block(*key))}
-    bad = _with_simple(result, 3, HalfBraidingLin(hb.omega, hb.field_order,
-                                                  hb.carrier, blocks))
+    bad = _with_simple(result, 3, HalfBraidingLin(hb.omega, hb.carrier, blocks))
     certs = {c.name: c for c in certify_centre_structure(bad)}
     hex1 = certs["hexagon 1 (multiplicativity against raw associator values)"]
     hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
@@ -389,14 +400,14 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
     # One entry times zeta, in a block of simple 5, or in the packed
     # Kronecker part of the pair (5, 2) that its tensor and both naturality
     # checks read; the plain references get the same corruption.
-    result = centre_simples(table)
-    N, a, b = result.field_order, 5, 2
+    result = centre_simples(trivial(table))
+    N, a, b = result.omega.field_order, 5, 2
     A, B = result.simples[a].hb, result.simples[b].hb
     parts_of = None
     if where == "simple":
         key = (1, A.carrier.support[0])
         blocks = {**A.blocks, key: _times(A.block(*key), zeta(N))}
-        result = _with_simple(result, a, HalfBraidingLin(A.omega, N, A.carrier, blocks))
+        result = _with_simple(result, a, HalfBraidingLin(A.omega, A.carrier, blocks))
     else:
         key = (1, A.carrier.support[0], B.carrier.support[0])
         packed_parts = veck._Battery.parts
@@ -435,26 +446,25 @@ def test_non_square_braid_component_fails_invertibility():
     # A carrier on the transposition class {1, 2, 5} of S3 whose dimension
     # is not constant on the class: blocks are rectangular identities, so
     # every square braid component is invertible and the others are not.
-    omega = trivial_cocycle(S3)
-    order = field_order_for(S3, omega)
+    omega = trivial(S3)
+    G, order = omega.group, omega.field_order
     dims = (0, 1, 1, 0, 0, 2)
     one, zero = cyc_one(order), cyc_zero(order)
     blocks = {(x, g): tuple(tuple(one if i == j else zero for j in range(dims[g]))
-                            for i in range(dims[_conj(S3, x, g)]))
+                            for i in range(dims[_conj(G, x, g)]))
               for x in range(6) for g in (1, 2, 5)}
-    hb = HalfBraidingLin(omega, order, GradedObject(dims), blocks)
-    result = VecCentreResult(S3, omega, order, (VecSimple(1, hb, 4, ()),),
-                             True, ())
+    hb = HalfBraidingLin(omega, GradedObject(dims), blocks)
+    result = VecCentreResult(omega, (VecSimple(1, hb, 4, ()),), True, ())
     certs = {c.name: c for c in certify_centre_structure(result)}
     braid = certs["braiding components invertible"]
     g, h = next((g, h) for g in (1, 2, 5) for h in (1, 2, 5)
-                if dims[_conj(S3, h, g)] != dims[g])
+                if dims[_conj(G, h, g)] != dims[g])
     assert not braid.ok
     assert braid.detail == f"pair (0, 0) at (g={g}, h={h})"
 
 
 def test_intertwiner_dimensions():
-    result = centre_simples(Z2)
+    result = centre_simples(trivial(Z2))
     for s in result.simples:
         assert intertwiner_dim(s.hb, s.hb) == 1
     a, b = [s.hb for s in result.simples if s.class_rep == 1]
@@ -462,7 +472,7 @@ def test_intertwiner_dimensions():
 
 
 def test_tensor_of_semions_is_a_half_braiding():
-    result = centre_simples(Z2, z2_nontrivial_cocycle())
+    result = centre_simples(z2_nontrivial_cocycle())
     a, b = [s.hb for s in result.simples if s.class_rep == 1]
     ts = _tensor(a, b, _tensor_parts(a, b))
     assert ts.carrier.dims == (1, 0)
@@ -470,9 +480,9 @@ def test_tensor_of_semions_is_a_half_braiding():
 
 
 @pytest.mark.parametrize("omega_factory",
-                         [lambda: trivial_cocycle(Z2), z2_nontrivial_cocycle])
+                         [lambda: trivial(Z2), z2_nontrivial_cocycle])
 def test_certify_battery_on_z2(omega_factory):
-    result = centre_simples(Z2, omega_factory())
+    result = centre_simples(omega_factory())
     certs = certify_centre_structure(result)
     assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
     names = {c.name for c in certs}
@@ -481,7 +491,7 @@ def test_certify_battery_on_z2(omega_factory):
 
 
 def test_certify_battery_on_s3():
-    result = centre_simples(S3)
+    result = centre_simples(trivial(S3))
     certs = certify_centre_structure(result)
     assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
 
@@ -503,18 +513,18 @@ def test_all_z2_coboundaries_vanish():
     # cocycle fixtures really are in distinct classes.
     for b11 in (0, 1):
         cochain = ((0, 0), (0, b11))
-        db = coboundary_cocycle(Z2, 2, cochain)
+        db = coboundary_cocycle(Group(Z2), 2, cochain)
         assert all(v == 0 for plane in db.exponents for row in plane for v in row)
 
 
 def test_coboundary_twist_bijection_on_z4():
     cochain = [[0] * 4 for _ in range(4)]
     cochain[1][1] = 1
-    db = coboundary_cocycle(Z4, 4, cochain)
+    db = coboundary_cocycle(Group(Z4), 4, cochain)
     assert any(v != 0 for plane in db.exponents for row in plane for v in row)
     assert check_cocycle(db) == []
-    base = centre_simples(Z4, trivial_cocycle(Z4, 4))
-    twisted = centre_simples(Z4, db)
+    base = centre_simples(trivial(Z4, 4))
+    twisted = centre_simples(db)
     assert base.all_passed and twisted.all_passed
     key = lambda r: sorted((s.class_rep, s.hb.carrier.dims) for s in r.simples)
     assert key(base) == key(twisted)
@@ -526,7 +536,7 @@ def test_coboundary_twist_bijection_on_z4():
                  st.integers(0, 2), st.integers(0, 2)))
 def test_coboundaries_are_cocycles_on_z3(free):
     cochain = ((0, 0, 0), (0, free[0], free[1]), (0, free[2], free[3]))
-    assert check_cocycle(coboundary_cocycle(Z3, 3, cochain)) == []
+    assert check_cocycle(coboundary_cocycle(Group(Z3), 3, cochain)) == []
 
 
 # -- the fibre split: closed forms against the former linear systems ---------
@@ -536,7 +546,7 @@ def type_iii_cocycle():
     """omega(a, b, c) = (-1)^(a_1 b_2 c_3) on Z2^3, where beta is genuinely
     projective on every nontrivial class."""
     bit = lambda a, i: a >> i & 1
-    return Cocycle3(Z2_CUBED, 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
+    return Cocycle3(Group(Z2_CUBED), 2, [[[bit(a, 0) * bit(b, 1) * bit(c, 2)
                                     for c in range(8)] for b in range(8)]
                                   for a in range(8)])
 
@@ -545,9 +555,9 @@ def sign_pullback_cocycle():
     """The nontrivial class on Z2 pulled back along the sign of S3: a twist
     on a nonabelian group, so transversals and their twists are not all
     trivial."""
-    odd = [int(a in conjugacy_classes(S3)[1]) for a in range(6)]
+    odd = [int(a in Group(S3).classes[1]) for a in range(6)]
     w = z2_nontrivial_cocycle().exponents
-    return Cocycle3(S3, 2, [[[w[odd[a]][odd[b]][odd[c]] for c in range(6)]
+    return Cocycle3(Group(S3), 2, [[[w[odd[a]][odd[b]][odd[c]] for c in range(6)]
                              for b in range(6)] for a in range(6)])
 
 
@@ -584,13 +594,13 @@ def _ref_commutant_dim(mats):
 def _fibre_splits(table, omega):
     """(class representative, carrier, fibre action, split pieces) for
     every class."""
-    omega = trivial_cocycle(table) if omega is None else omega
-    order = field_order_for(table, omega)
-    for cls in conjugacy_classes(table):
-        carrier = canonical_class_carrier(omega, order, cls[0])
-        mats = {h: carrier.block(h, cls[0]) for h in centralizer(table, cls[0])}
+    omega = trivial(table) if omega is None else omega
+    group, order = omega.group, omega.field_order
+    for cls in group.classes:
+        carrier = canonical_class_carrier(omega, cls[0])
+        mats = {h: carrier.block(h, cls[0]) for h in group.centralizer(cls[0])}
         pieces = []
-        _split_rec(table, mats, order, roots_of_unity(order), pieces)
+        _split_rec(group, mats, order, roots_of_unity(order), pieces)
         yield cls[0], carrier, mats, pieces
 
 
@@ -609,9 +619,9 @@ def test_character_norm_matches_the_commutant_system(table, omega_factory,
     omega = omega_factory() if omega_factory else None
     pieces = [sub for *_, split in _fibre_splits(table, omega)
               for sub, _ in split]
-    assert len(asked) >= len(conjugacy_classes(table))
+    assert len(asked) >= len(Group(table).classes)
     for mats in asked + pieces:
-        assert (_commutant_dim(mats, _action_inverses(table, mats))
+        assert (_commutant_dim(mats, _action_inverses(Group(table), mats))
                 == _ref_commutant_dim(mats))
 
 
@@ -659,16 +669,16 @@ def _ref_cyclic_closure(v, mats):
     return transpose(basis_rows), pivots
 
 
-def _ref_induce_simple(omega, field_order, carrier_hb, class_rep, fiber_cols):
+def _ref_induce_simple(omega, carrier_hb, class_rep, fiber_cols):
     """The former induction: grade bases are the fibre basis moved by the
     carrier's blocks at a transversal, and each block is solved for, one
     solve_linear per column."""
-    table = omega.table
+    table = omega.group.table
     n = len(table)
     r = class_rep
     transversal = {}
     for z in range(n):
-        transversal.setdefault(_conj(table, z, r), z)
+        transversal.setdefault(_conj(omega.group, z, r), z)
     d = len(fiber_cols[0])
     basis = {g: mat_mul(carrier_hb.block(z, r), fiber_cols)
              for g, z in transversal.items()}
@@ -679,11 +689,11 @@ def _ref_induce_simple(omega, field_order, carrier_hb, class_rep, fiber_cols):
             rhs = mat_mul(carrier_hb.block(x, g), basis[g])
             cols = []
             for j in range(d):
-                sol = solve_linear(basis[_conj(table, x, g)], [row[j] for row in rhs])
+                sol = solve_linear(basis[_conj(omega.group, x, g)], [row[j] for row in rhs])
                 assert sol.consistent and not sol.kernel
                 cols.append(sol.particular)
             blocks[(x, g)] = transpose(cols)
-    return HalfBraidingLin(omega, field_order, GradedObject(dims), blocks)
+    return HalfBraidingLin(omega, GradedObject(dims), blocks)
 
 
 def _fibre_basis(mats, action):
@@ -723,11 +733,10 @@ def test_closed_forms_match_the_former_linear_systems(table, omega_factory,
         for sub, certified in pieces:
             assert certified
             basis = _fibre_basis(mats, sub)
-            assert (_induce_simple(carrier.omega, carrier.field_order, r, sub)
-                    == _ref_induce_simple(carrier.omega, carrier.field_order,
-                                          carrier, r, basis))
+            assert (_induce_simple(carrier.omega, r, sub)
+                    == _ref_induce_simple(carrier.omega, carrier, r, basis))
             induced += 1
-    assert induced >= len(conjugacy_classes(table))
+    assert induced >= len(Group(table).classes)
     assert tried
     for v, mats in tried:
         assert closure(v, mats) == _ref_cyclic_closure(v, mats)
@@ -738,17 +747,17 @@ def test_swapped_fibre_action_fails_multiplicativity():
     # matrices of a transposition and a 3-cycle exchanged
     r, carrier, _, pieces = next(_fibre_splits(S3, None))
     action = next(sub for sub, _ in pieces if len(sub[r]) == 2)
-    omega, order = carrier.omega, carrier.field_order
-    assert check_half_braiding(_induce_simple(omega, order, r, action)) == []
+    omega = carrier.omega
+    assert check_half_braiding(_induce_simple(omega, r, action)) == []
     swapped = {**action, 1: action[3], 3: action[1]}
-    report = check_half_braiding(_induce_simple(omega, order, r, swapped))
+    report = check_half_braiding(_induce_simple(omega, r, swapped))
     assert report and report[0].startswith("multiplicativity fails at ")
 
 
 def test_non_invariant_space_is_refused():
-    omega = trivial_cocycle(S3)
-    order = field_order_for(S3, omega)
-    carrier = canonical_class_carrier(omega, order, 0)
+    omega = trivial(S3)
+    order = omega.field_order
+    carrier = canonical_class_carrier(omega, 0)
     mats = {h: carrier.block(h, 0) for h in range(6)}
     one, zero = cyc_one(order), cyc_zero(order)
     C = tuple((one if i == 0 else zero,) for i in range(6))
@@ -756,24 +765,24 @@ def test_non_invariant_space_is_refused():
         _restrict_action(mats, C, (0,))
     # on the regular fibre the average of e_0 e_0^T is I/6, not idempotent
     with pytest.raises(InternalSoundnessError, match="not idempotent"):
-        _invariant_projection(mats, _action_inverses(S3, mats), C, (0,))
+        _invariant_projection(mats, _action_inverses(omega.group, mats), C, (0,))
 
 
 def test_non_projective_action_is_refused():
-    omega = trivial_cocycle(Z4)
-    order = field_order_for(Z4, omega)
-    carrier = canonical_class_carrier(omega, order, 0)
+    omega = trivial(Z4)
+    order = omega.field_order
+    carrier = canonical_class_carrier(omega, 0)
     mats = {h: carrier.block(h, 0) for h in range(4)}
     one, zero = cyc_one(order), cyc_zero(order)
     D = tuple(tuple((-one if i % 2 else one) if i == j else zero for j in range(4))
               for i in range(4))
     mats[3] = mat_mul(D, mats[3])  # M_3 M_1 = D is not scalar
     with pytest.raises(InternalSoundnessError, match="not a scalar inverse"):
-        _action_inverses(Z4, mats)
+        _action_inverses(omega.group, mats)
 
 
 def test_centre_simples_d4():
-    result = centre_simples(D4)
+    result = centre_simples(trivial(D4))
     assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
     assert result.complete and result.all_passed
     per_class = {}
@@ -786,7 +795,7 @@ def test_centre_simples_d4():
 
 def test_centre_simples_trivial_z2_cubed():
     # the 5 s structure battery on 64 simples is left to the survey
-    result = centre_simples(Z2_CUBED)
+    result = centre_simples(trivial(Z2_CUBED))
     assert len(result.simples) == 64
     assert all(s.total_dim == 1 for s in result.simples)
     assert result.complete and result.all_passed
@@ -797,9 +806,21 @@ def test_type_iii_z2_cubed_is_never_reported_complete_with_a_wrong_count():
     # 2 of dimension 2 over each other element.  On six classes the least
     # non-scalar M_h is not central and each of its eigenvectors straddles
     # two irreducibles, so the split must take the central M_r instead.
-    result = centre_simples(Z2_CUBED, type_iii_cocycle())
+    result = centre_simples(type_iii_cocycle())
     assert sorted(s.total_dim for s in result.simples) == [1] * 8 + [2] * 14
     assert result.complete and result.all_passed
     assert all(c.ok for c in result.certificates)
     certs = certify_centre_structure(result)
     assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
+
+
+def test_survey_script_reports_every_group():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "vec_centre_survey.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [re.search(r"simples=\s*(\d+) .*\[(\w+), [\d.]+s\]\s+battery (\w+) ", line)
+            for line in proc.stdout.splitlines()]
+    assert len(rows) == 10 and all(rows), proc.stdout
+    assert all(row.group(2, 3) == ("ok", "PASS") for row in rows), proc.stdout
+    assert [int(row[1]) for row in rows] == [4, 9, 16, 25, 36, 4, 8, 22, 64, 22]
