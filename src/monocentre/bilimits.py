@@ -5,11 +5,14 @@ The descent object is computed twice on every call: once directly from its
 defining conditions and once through the inserter-then-equifier pipeline.
 The two answers are compared morphism by morphism and a mismatch raises
 InternalSoundnessError, so neither construction is ever trusted alone.
+A diagram keeps its validate_cosimplicial report as problems, computed on
+first use, so the check its builder makes is the one descent_object reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import (
@@ -95,6 +98,10 @@ class TruncatedCosimplicial:
     coh01: NatTransf
     coh21: NatTransf
 
+    @cached_property
+    def problems(self) -> tuple:
+        return tuple(validate_cosimplicial(self))
+
 
 def validate_cosimplicial(T: TruncatedCosimplicial) -> list[str]:
     report = []
@@ -142,9 +149,8 @@ def descent_object(T: TruncatedCosimplicial,
     level-two composites agree; morphisms are X0-morphisms compatible with
     the gluing."""
     cfg = resolve(cfg)
-    report = validate_cosimplicial(T)
-    if report:
-        raise ValueError("not a valid truncated diagram: " + report[0])
+    if T.problems:
+        raise ValueError("not a valid truncated diagram: " + T.problems[0])
 
     objs = []
     for x in T.X0.objects:

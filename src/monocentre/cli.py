@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .bilimits import descent_object, validate_cosimplicial
+from .bilimits import descent_object
 from .centre import Certificate, compute_centre
 from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .convolution import (
@@ -36,7 +36,6 @@ from .convolution import (
 from .fincat import validate_category, validate_functor
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
-from .monoidal import validate_monoidal
 from .veck import (Cocycle3, centre_simples, certify_centre_structure,
                    check_group_order, trivial_cocycle)
 
@@ -82,7 +81,7 @@ def _section_validate(spec: LoadedSpec) -> Section:
         certs.append(_cert("Axiom: category laws (identities, composition, "
                            "associativity)", validate_category(ms.base)))
         certs.append(_cert("Axiom: monoidal coherence (pentagon, triangle, "
-                           "naturality)", validate_monoidal(ms)))
+                           "naturality)", ms.problems))
     elif spec.kind == "group":
         group = spec.payload
         info = (("kind", "group"), ("group order", len(group.table)))
@@ -96,33 +95,29 @@ def _section_validate(spec: LoadedSpec) -> Section:
     return Section("validate", spec.path, info, tuple(certs))
 
 
-def _section_centre(spec: LoadedSpec, cfg: GuardConfig) -> Section:
-    Z = compute_centre(spec.payload, cfg)
+def _section_centre(path: str, Z) -> Section:
     info = (("centre objects", Z.category.n_objects),
             ("centre morphisms", Z.category.n_morphisms))
     certs = tuple(Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
                   for c in Z.certificates)
-    return Section("centre", spec.path, info, certs)
+    return Section("centre", path, info, certs)
 
 
-def _section_descent(spec: LoadedSpec, cfg: GuardConfig) -> Section:
-    H = build_hochschild(spec.payload, cfg)
-    D = descent_object(H.diagram, cfg)
+def _section_descent(path: str, H, D) -> Section:
     info = (("descent objects", D.category.n_objects),
             ("descent morphisms", D.category.n_morphisms))
     certs = (
         _cert("Prop 3.1: translation diagram cosimplicial identities",
-              validate_cosimplicial(H.diagram)),
+              H.diagram.problems),
         _cert("Prop 3.1: descent category laws",
               validate_category(D.category)),
         _cert("Prop 3.1: descent projection functorial",
               validate_functor(D.projection)),
     )
-    return Section("descent", spec.path, info, certs)
+    return Section("descent", path, info, certs)
 
 
-def _section_equiv(spec: LoadedSpec, cfg: GuardConfig) -> Section:
-    rep = verify_prop_3_1(spec.payload, cfg)
+def _section_equiv(path: str, rep) -> Section:
     ok = rep.verdict == "equivalence"
     if ok:
         detail = ""
@@ -130,12 +125,12 @@ def _section_equiv(spec: LoadedSpec, cfg: GuardConfig) -> Section:
         detail = rep.obstructions[0]
     else:
         detail = rep.equivalence.witnesses[0]
-    info = (("centre objects", rep.centre_objects),
-            ("centre morphisms", rep.centre_morphisms),
-            ("descent objects", rep.descent_objects),
-            ("descent morphisms", rep.descent_morphisms))
+    info = (("centre objects", rep.centre.category.n_objects),
+            ("centre morphisms", rep.centre.category.n_morphisms),
+            ("descent objects", rep.descent.category.n_objects),
+            ("descent morphisms", rep.descent.category.n_morphisms))
     cert = Certificate("Prop 3.1: descent ≃ centre", ok, detail)
-    return Section("equiv", spec.path, info, (cert,))
+    return Section("equiv", path, info, (cert,))
 
 
 def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
@@ -236,12 +231,24 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
     return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
 
-_MONOIDAL_SECTIONS = {
-    "centre": _section_centre,
-    "descent": _section_descent,
-    "equiv": _section_equiv,
-    "convolve": _section_convolve,
-}
+def _monoidal_sections(command: str, spec: LoadedSpec, cfg: GuardConfig) -> list:
+    """The sections of one monoidal subcommand, or of all four for
+    "report", building only what they print: one verify_prop_3_1 call
+    feeds centre, descent and equiv alike."""
+    ms, path = spec.payload, spec.path
+    if command == "centre":
+        return [_section_centre(path, compute_centre(ms, cfg))]
+    if command == "descent":
+        H = build_hochschild(ms, cfg)
+        return [_section_descent(path, H, descent_object(H.diagram, cfg))]
+    if command == "convolve":
+        return [_section_convolve(spec, cfg)]
+    rep = verify_prop_3_1(ms, cfg)
+    if command == "equiv":
+        return [_section_equiv(path, rep)]
+    return [_section_centre(path, rep.centre),
+            _section_descent(path, rep.hochschild, rep.descent),
+            _section_equiv(path, rep), _section_convolve(spec, cfg)]
 
 
 def _sections_for_report(spec: LoadedSpec, cfg: GuardConfig) -> list:
@@ -250,8 +257,7 @@ def _sections_for_report(spec: LoadedSpec, cfg: GuardConfig) -> list:
     if any(not c.ok for c in vsec.certificates):
         return out
     if spec.kind == "monoidal":
-        for name in ("centre", "descent", "equiv", "convolve"):
-            out.append(_MONOIDAL_SECTIONS[name](spec, cfg))
+        out += _monoidal_sections("report", spec, cfg)
     elif spec.kind == "group":
         out.append(_section_vec_centre(spec, None, cfg))
     return out
@@ -289,7 +295,7 @@ def _dispatch(args, cfg: GuardConfig) -> list:
     vsec = _section_validate(spec)
     if any(not c.ok for c in vsec.certificates):
         return [vsec]
-    return [_MONOIDAL_SECTIONS[args.command](spec, cfg)]
+    return _monoidal_sections(args.command, spec, cfg)
 
 
 def _render_text(sections) -> list[str]:

@@ -16,6 +16,12 @@ at level two.  Full subcategories keep every hom-set descent reads, so the
 descent object is the one the whole functor categories give; the tests
 check this against [A, A] and [A x A, A] built in full.  Each level, and
 the product A x A, is bounded by the guards as set.
+
+The input is checked once: build_hochschild reads the report the
+MonoidalStructure keeps as problems, and the diagram's own check is kept
+on it the same way.  verify_prop_3_1 builds the centre, the diagram and
+the descent object once each, in that order, and its report carries all
+three, so one call feeds every section that prints them.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from .fincat import (
     full_functor_subcategory, product_category, check_equivalence,
     EquivalenceReport, validate_functor,
 )
-from .monoidal import MonoidalStructure, validate_monoidal
-from .bilimits import TruncatedCosimplicial, validate_cosimplicial, descent_object
-from .centre import compute_centre
+from .monoidal import MonoidalStructure
+from .bilimits import DescentResult, TruncatedCosimplicial, descent_object
+from .centre import CentreCategory, compute_centre
 
 
 @dataclass
@@ -101,9 +107,8 @@ def _cell_endpoints(route, a, route_obj, d0_obj, d1_obj):
 def build_hochschild(ms: MonoidalStructure,
                      cfg: GuardConfig | None = None) -> HochschildDiagram:
     cfg = resolve(cfg)
-    bad = validate_monoidal(ms)
-    if bad:
-        raise ValueError("input monoidal structure is invalid: " + bad[0])
+    if ms.problems:
+        raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
     A = ms.base
     left = [(tuple(ms.tensor_obj(a, x) for x in A.objects),
              tuple(ms.lwhisk(a, f) for f in A.morphisms)) for a in A.objects]
@@ -153,29 +158,26 @@ def build_hochschild(ms: MonoidalStructure,
     coh01 = NatTransf(d1.then(e0), d0.then(e2), cells[1])
     coh21 = NatTransf(d1.then(e2), d1.then(e1), cells[2])
     T = TruncatedCosimplicial(A, X1, X2, d0, d1, e0, e1, e2, coh00, coh01, coh21)
-    internal = validate_cosimplicial(T)
-    if internal:
+    if T.problems:
         raise InternalSoundnessError("translation diagram fails its own checks: "
-                                     + internal[0])
+                                     + T.problems[0])
     return HochschildDiagram(ms, prod, fc1, T)
 
 
 @dataclass
 class Prop31Report:
-    centre_objects: int
-    centre_morphisms: int
-    descent_objects: int
-    descent_morphisms: int
+    """The three constructions compared, and the comparison between them."""
+    centre: CentreCategory
+    hochschild: HochschildDiagram
+    descent: DescentResult
     comparison: Functor | None
     equivalence: EquivalenceReport | None
     obstructions: tuple
 
     @property
     def verdict(self):
-        if self.obstructions or self.equivalence is None:
-            return "not an equivalence"
-        return ("equivalence" if self.equivalence.is_equivalence
-                else "not an equivalence")
+        eq = self.equivalence  # None when there are obstructions
+        return "equivalence" if eq and eq.is_equivalence else "not an equivalence"
 
 
 def verify_prop_3_1(ms: MonoidalStructure,
@@ -209,14 +211,10 @@ def verify_prop_3_1(ms: MonoidalStructure,
                 f"centre morphism {f} between objects {i} and {j} has no descent image")
         mor_map.append(k)
     if obstructions:
-        return Prop31Report(Z.category.n_objects, Z.category.n_morphisms,
-                            D.category.n_objects, D.category.n_morphisms,
-                            None, None, tuple(obstructions))
+        return Prop31Report(Z, H, D, None, None, tuple(obstructions))
     comparison = Functor(Z.category, D.category, tuple(obj_map), tuple(mor_map))
     vf = validate_functor(comparison)
     if vf:
         raise InternalSoundnessError("centre-to-descent comparison is not a functor: "
                                      + vf[0])
-    return Prop31Report(Z.category.n_objects, Z.category.n_morphisms,
-                        D.category.n_objects, D.category.n_morphisms,
-                        comparison, check_equivalence(comparison), ())
+    return Prop31Report(Z, H, D, comparison, check_equivalence(comparison), ())

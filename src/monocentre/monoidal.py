@@ -9,6 +9,7 @@ tuples, naturality over all morphism tuples, invertibility by table lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import FinCategory, Functor, discrete_category
 
@@ -16,6 +17,8 @@ _REPORT_CAP = 12
 
 
 class MonoidalStructure:
+    """problems is validate_monoidal's report, computed on first use."""
+
     def __init__(self, base: FinCategory, tensor_obj, tensor_mor, unit,
                  alpha, lam, rho):
         self.base = base
@@ -25,6 +28,10 @@ class MonoidalStructure:
         self._alpha = {(int(a), int(b), int(c)): int(m) for (a, b, c), m in alpha.items()}
         self._lam = tuple(int(x) for x in lam)
         self._rho = tuple(int(x) for x in rho)
+
+    @cached_property
+    def problems(self) -> tuple:
+        return tuple(validate_monoidal(self))
 
     def tensor_obj(self, a, b):
         return self._tensor_obj[a][b]
@@ -175,60 +182,31 @@ def _naturality_report(ms: MonoidalStructure) -> list[str]:
     return report
 
 
-def check_pentagon_triangle(ms: MonoidalStructure) -> list[str]:
-    """Pentagon over all object quadruples, triangle over all pairs.
-
-    Reports the first failing tuple of each kind; non-invertible coherence
-    components are reported distinctly (and first, since composites with
-    them are not trustworthy).
-    """
-    structural = _structural_report(ms)
-    if structural:
-        return structural
-    cat = ms.base
-    report = []
-    done_pentagon = False
-    for a in cat.objects:
-        if done_pentagon:
-            break
-        for b in cat.objects:
-            if done_pentagon:
-                break
-            for c in cat.objects:
-                if done_pentagon:
-                    break
-                for d in cat.objects:
-                    lhs = cat.compose(ms.alpha(a, b, ms.tensor_obj(c, d)),
-                                      ms.alpha(ms.tensor_obj(a, b), c, d))
-                    rhs = cat.compose_chain(ms.lwhisk(a, ms.alpha(b, c, d)),
-                                            ms.alpha(a, ms.tensor_obj(b, c), d),
-                                            ms.rwhisk(ms.alpha(a, b, c), d))
-                    if lhs != rhs:
-                        report.append(f"pentagon fails at objects ({a}, {b}, {c}, {d})")
-                        done_pentagon = True
-                        break
-    for a in cat.objects:
-        found = False
-        for b in cat.objects:
-            lhs = cat.compose(ms.lwhisk(a, ms.lam(b)), ms.alpha(a, ms.unit, b))
-            rhs = ms.rwhisk(ms.rho(a), b)
-            if lhs != rhs:
-                report.append(f"triangle fails at objects ({a}, {b})")
-                found = True
-                break
-        if found:
-            break
-    return report
-
-
 def validate_monoidal(ms: MonoidalStructure) -> list[str]:
-    """Full battery: structure, bifunctoriality, naturality, coherence."""
+    """Full battery: structure, bifunctoriality, naturality, coherence.
+
+    A structural failure (a missing, misplaced or non-invertible component)
+    is reported alone, since composites with it are not trustworthy.  The
+    pentagon runs over all object quadruples and the triangle over all
+    pairs, and each reports its first failing tuple.
+    """
     report = _structural_report(ms)
     if report:
         return report
     report += _functoriality_report(ms)
     report += _naturality_report(ms)
-    report += check_pentagon_triangle(ms)
+    cat, objs, t, alpha = ms.base, ms.base.objects, ms.tensor_obj, ms.alpha
+    pentagon = next(((a, b, c, d) for a in objs for b in objs for c in objs for d in objs
+                     if cat.compose(alpha(a, b, t(c, d)), alpha(t(a, b), c, d))
+                     != cat.compose_chain(ms.lwhisk(a, alpha(b, c, d)), alpha(a, t(b, c), d),
+                                          ms.rwhisk(alpha(a, b, c), d))), None)
+    triangle = next(((a, b) for a in objs for b in objs
+                     if cat.compose(ms.lwhisk(a, ms.lam(b)), alpha(a, ms.unit, b))
+                     != ms.rwhisk(ms.rho(a), b)), None)
+    if pentagon:
+        report.append(f"pentagon fails at objects {pentagon}")
+    if triangle:
+        report.append(f"triangle fails at objects {triangle}")
     return report
 
 

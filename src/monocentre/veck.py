@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, filterfalse, islice
 from math import lcm
 from operator import mul
 
@@ -256,6 +256,16 @@ def check_group_order(n: int, cfg: GuardConfig) -> None:
     if n > cfg.vec_max_group:
         raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
                                 hint="raise vec_max_group")
+
+
+def _require_valid(omega: Cocycle3, cfg: GuardConfig) -> None:
+    """Refuse a bad group table, then an oversized group, then a bad
+    cocycle: the size guard runs before the quartic cocycle check."""
+    if omega.group.problems:
+        raise ValueError("not a group table: " + omega.group.problems[0])
+    check_group_order(len(omega.group.table), cfg)
+    if omega.problems:
+        raise ValueError("invalid 3-cocycle: " + omega.problems[0])
 
 
 def _twist_packs(omega: Cocycle3, order: int, roots) -> list:
@@ -502,7 +512,8 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
                         cfg: GuardConfig | None = None) -> tuple:
     """Every half-braiding on a multiplicity-free carrier, sorted.
 
-    The carrier must be multiplicity-free (every graded dimension 0 or 1);
+    The group and the cocycle are refused as in centre_simples.  The
+    carrier must be multiplicity-free (every graded dimension 0 or 1);
     a larger one raises ValueError.  The grading constraint is decided
     first, and () returned when it rules every solution out.  Otherwise
     all blocks are scalars, and every solution scalar is a root of unity
@@ -510,9 +521,9 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     propagation is complete.
     """
     cfg = resolve(cfg)
+    _require_valid(omega, cfg)
     table = omega.group.table
     n = len(table)
-    check_group_order(n, cfg)
     dims = carrier.dims
     if len(dims) != n:
         raise ValueError("carrier dimension vector does not match the group")
@@ -693,10 +704,10 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
     """Decompose the action h -> mats[h]; True when complete.
 
     Appends (action, certified) per piece; a piece stays uncertified when
-    no eigenvector of the chosen matrix has a proper closure.  The choice
-    is the least non-scalar M_h commuting with every M_k, else the least
-    non-scalar M_h: a central M_h has eigenspaces that are sums of
-    isotypic parts, so no closure inside one straddles two irreducibles.
+    no eigenvector of any non-scalar M_h has a proper closure.  The
+    matrices are tried in order, those commuting with every M_k first: a
+    central M_h has eigenspaces that are sums of isotypic parts, so no
+    closure inside one straddles two irreducibles.
     """
     k = len(next(iter(mats.values())))
     inverses = _action_inverses(group, mats) if k > 1 else None
@@ -709,42 +720,42 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
         return True
     nonscalar = sorted(h for h, M in mats.items() if not _is_scalar(M))
     prep = {h: mat_prepare(mats[h], order) for h in nonscalar}
-    h0 = next((h for h in nonscalar
-               if all(mat_products_eq(prep[h], prep[g], prep[g], prep[h])
-                      for g in nonscalar)), nonscalar[0])
-    M0 = mats[h0]
-    m = group.orders[h0]
-    P = M0
-    for _ in range(m - 1):
-        P = mat_mul(P, M0)
-    if not _is_scalar(P):
-        raise InternalSoundnessError(
-            "power of a fiber action matrix is not scalar")
-    c = P[0][0]
-    for lam in roots:
-        if lam ** m != c:
-            continue
-        ker = solve_linear(tuple(tuple(x - lam if i == j else x
-                                       for j, x in enumerate(row))
-                                 for i, row in enumerate(M0))).kernel
-        if not ker or len(ker) == k:
-            continue
-        for v in ker:
-            C, units = _cyclic_closure(v, mats)
-            d = len(C[0])
-            if d == k:
+    def central(h):
+        return all(mat_products_eq(prep[h], prep[g], prep[g], prep[h]) for g in nonscalar)
+    for h0 in chain(filter(central, nonscalar), filterfalse(central, nonscalar)):
+        M0 = mats[h0]
+        m = group.orders[h0]
+        P = M0
+        for _ in range(m - 1):
+            P = mat_mul(P, M0)
+        if not _is_scalar(P):
+            raise InternalSoundnessError(
+                "power of a fiber action matrix is not scalar")
+        c = P[0][0]
+        for lam in roots:
+            if lam ** m != c:
                 continue
-            sol = solve_linear(_invariant_projection(mats, inverses, C, units))
-            if len(sol.kernel) != k - d:
-                raise InternalSoundnessError(
-                    "invariant projection kernel has the wrong dimension")
-            K = transpose(sol.kernel)
-            free = tuple(j for j in range(k) if j not in sol.pivots)
-            ok_u = _split_rec(group, _restrict_action(mats, C, units),
-                              order, roots, out)
-            ok_k = _split_rec(group, _restrict_action(mats, K, free),
-                              order, roots, out)
-            return ok_u and ok_k
+            ker = solve_linear(tuple(tuple(x - lam if i == j else x
+                                           for j, x in enumerate(row))
+                                     for i, row in enumerate(M0))).kernel
+            if not ker or len(ker) == k:
+                continue
+            for v in ker:
+                C, units = _cyclic_closure(v, mats)
+                d = len(C[0])
+                if d == k:
+                    continue
+                sol = solve_linear(_invariant_projection(mats, inverses, C, units))
+                if len(sol.kernel) != k - d:
+                    raise InternalSoundnessError(
+                        "invariant projection kernel has the wrong dimension")
+                K = transpose(sol.kernel)
+                free = tuple(j for j in range(k) if j not in sol.pivots)
+                ok_u = _split_rec(group, _restrict_action(mats, C, units),
+                                  order, roots, out)
+                ok_k = _split_rec(group, _restrict_action(mats, K, free),
+                                  order, roots, out)
+                return ok_u and ok_k
     out.append((mats, False))
     return False
 
@@ -855,13 +866,9 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig | None = None) -> VecCentre
     incomplete.
     """
     cfg = resolve(cfg)
+    _require_valid(omega, cfg)
     group = omega.group
-    if group.problems:
-        raise ValueError("not a group table: " + group.problems[0])
     n = len(group.table)
-    check_group_order(n, cfg)
-    if omega.problems:
-        raise ValueError("invalid 3-cocycle: " + omega.problems[0])
     field_order = omega.field_order
     roots = roots_of_unity(field_order)
     classes = group.classes

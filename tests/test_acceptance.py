@@ -118,7 +118,7 @@ def test_criterion_03_descent_equivalence():
         # inserter-then-equifier pipeline and refuses if the two routes
         # disagree; rebuilding here covers the same diagrams explicitly
         D = descent_object(build_hochschild(ms).diagram)
-        assert D.category.n_objects == rep.descent_objects
+        assert D.category.n_objects == rep.descent.category.n_objects
     _budget(start, 300.0, "criterion 3 (descent equals centre)")
 
 

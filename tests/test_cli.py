@@ -11,6 +11,7 @@ import time
 import pytest
 
 from monocentre.cli import main
+from monocentre.config import SizeGuardExceeded
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -87,6 +88,39 @@ def test_oversized_group_is_refused_before_the_cocycle_check(capsys, tmp_path):
     assert refuse_s <= validate_s + 0.05, (refuse_s, validate_s)
 
 
+def test_oversized_product_is_refused_after_one_validation(capsys, tmp_path):
+    # discrete S4: validating the input takes over a second, and the
+    # translation diagram reads the input's kept report instead of checking
+    # it again, so equiv costs no more than validate plus 0.05 s before the
+    # product A x A is refused.  The remainder is timed on its own: the
+    # validation both commands share varies by more than 0.05 s run to run.
+    from itertools import permutations
+
+    from monocentre.hochschild import verify_prop_3_1
+    from monocentre.jsonio import load_spec, monoidal_to_doc, write_spec
+    from monocentre.monoidal import discrete_group_monoidal
+
+    perms = sorted(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    s4 = [[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms]
+    path = str(tmp_path / "s4_discrete.json")
+    write_spec(path, monoidal_to_doc(discrete_group_monoidal(s4)))
+    code, out, err = run(capsys, "equiv", path)
+    assert code == 3 and out == ""
+    assert "product category objects needs 576, limit 64" in err
+
+    ms = load_spec(path).payload
+    assert ms.problems == ()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded,
+                           match="product category objects needs 576, limit 64"):
+            verify_prop_3_1(ms)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.05, times
+
+
 def test_group_order_guard_wins_over_a_broken_cocycle(capsys, monkeypatch):
     # both would refuse: the size guard is checked first and exits 3
     monkeypatch.setenv("MONOCENTRE_VEC_MAX_GROUP", "1")
@@ -96,27 +130,32 @@ def test_group_order_guard_wins_over_a_broken_cocycle(capsys, monkeypatch):
     assert "group order needs 2, limit 1" in err
 
 
-def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch):
-    # Computations are counted wherever they run: the reports are kept on
-    # the group and cocycle values, so reading one again is not a check.
-    import monocentre.monoidal as monoidal
-    import monocentre.veck as veck
+def count_calls(monkeypatch, *fns):
+    """Count calls to fns wherever a monocentre module binds them, so that
+    calls from within a function's own module count too.  A report kept on
+    a value and read again is not a call."""
+    calls = dict.fromkeys((fn.__name__ for fn in fns), 0)
 
-    calls = {}
-    originals = {"group_table_report": monoidal.group_table_report,
-                 "check_cocycle": veck.check_cocycle}
-
-    def counted(name, fn):
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[fn.__name__] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for module_name, module in list(sys.modules.items()):
-        for name, fn in originals.items():
-            if (module_name.startswith("monocentre")
-                    and getattr(module, name, None) is fn):
-                monkeypatch.setattr(module, name, counted(name, fn))
+        if module_name.startswith("monocentre"):
+            for fn in fns:
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted(fn))
+    return calls
+
+
+def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch):
+    import monocentre.monoidal as monoidal
+    import monocentre.veck as veck
+
+    calls = count_calls(monkeypatch, monoidal.group_table_report,
+                        veck.check_cocycle)
     for argv in (["vec-centre", fix("s3.json")],
                  ["report", fix("z3.json")],
                  ["vec-centre", fix("z2.json"), "--omega", fix("z2_nontrivial.json")],
@@ -128,6 +167,24 @@ def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch
         if argv[0] == "vec-centre":
             assert "Axiom: normalized 3-cocycle — PASS" in out
             assert "Prop 2.1: associator pentagon (3-cocycle identity) — PASS" in out
+
+
+def test_each_set_level_check_and_construction_runs_once(capsys, monkeypatch):
+    # validate_monoidal runs once on the input and once on the centre's own
+    # monoidal structure; report renders centre, descent and equiv from one
+    # comparison, and descent builds no centre
+    from monocentre import bilimits, centre, hochschild, monoidal
+
+    calls = count_calls(monkeypatch, monoidal.validate_monoidal,
+                        centre.compute_centre, hochschild.build_hochschild,
+                        bilimits.descent_object, bilimits.validate_cosimplicial)
+    for argv, counts in ((["report", fix("z2_discrete.json")], (2, 1, 1, 1, 1)),
+                         (["equiv", fix("poset.json")], (2, 1, 1, 1, 1)),
+                         (["descent", fix("poset.json")], (1, 0, 1, 1, 1))):
+        calls.update(dict.fromkeys(calls, 0))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "FAIL" not in out
+        assert tuple(calls.values()) == counts, (argv, calls)
 
 
 def test_tables_that_are_not_groups_fail_their_axiom_line(capsys, tmp_path):
@@ -207,10 +264,15 @@ def test_wrong_kind_exits_2(capsys):
 
 
 def test_guard_exit_3_via_env(capsys, monkeypatch):
+    # the centre is built before the translation diagram, so it refuses
+    # first wherever both are built
     monkeypatch.setenv("MONOCENTRE_MAX_OBJECTS", "1")
-    code, _, err = run(capsys, "equiv", fix("z2_discrete.json"))
-    assert code == 3
-    assert "size guard exceeded" in err
+    for command, stage in (("equiv", "centre objects"),
+                           ("report", "centre objects"),
+                           ("descent", "translation level one objects")):
+        code, out, err = run(capsys, command, fix("z2_discrete.json"))
+        assert code == 3 and out == ""
+        assert f"size guard exceeded: {stage} needs 2, limit 1" in err, command
 
 
 def test_config_file_plumbing(capsys, tmp_path):

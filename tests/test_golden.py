@@ -1,9 +1,11 @@
-"""Golden reports: `vec-centre` stdout must stay byte-identical.
+"""Golden reports: `vec-centre` and `report` stdout must stay byte-identical.
 
-The files under tests/golden/ are the stdout of `monocentre vec-centre`,
-run from the repository root, before the certificate battery moved to the
-prepared-block kernel of `cyclo`.  A difference is a change of report
-bytes, not a test to update.
+The files under tests/golden/ are stdout run from the repository root:
+`vec_centre_*` of `monocentre vec-centre`, before the certificate battery
+moved to the prepared-block kernel of `cyclo`, and `report_*` of
+`monocentre report` on the set-level fixtures, before one comparison fed
+the centre, descent and equiv sections.  A difference is a change of
+report bytes, not a test to update.
 """
 
 import pathlib
@@ -33,3 +35,25 @@ def test_vec_centre_report_matches_golden_bytes(name, emit, suffix, capsys,
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"vec_centre_{name}.{suffix}").read_bytes()
+
+
+# fixture name -> exit code of `report`
+REPORT_CASES = {
+    "z2_discrete": 0,
+    "z3_discrete": 0,
+    "z4_discrete": 0,
+    "poset": 0,
+    "walking_arrow": 0,
+    "broken_pentagon": 1,
+}
+
+
+@pytest.mark.parametrize("emit, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_set_level_report_matches_golden_bytes(name, emit, suffix, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = main(["report", f"fixtures/{name}.json", "--emit", emit])
+    out = capsys.readouterr().out
+    assert code == REPORT_CASES[name]
+    assert out.encode("utf-8") == (GOLDEN / f"report_{name}.{suffix}").read_bytes()

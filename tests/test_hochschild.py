@@ -117,7 +117,7 @@ def test_fibred_descent_equals_descent_over_full_functor_categories(ms):
     assert fibred.mor_table == full.mor_table
     assert fibred.category == full.category
     assert fibred.projection.mor_map == full.projection.mor_map
-    assert len(full.objects) == verify_prop_3_1(ms).centre_objects
+    assert len(full.objects) == verify_prop_3_1(ms).centre.category.n_objects
 
 
 @pytest.mark.parametrize("ms,sizes", [
@@ -164,12 +164,12 @@ def test_descent_matches_centre(ms, n_descent):
     cfg = GuardConfig(max_objects=max(GuardConfig().max_objects,
                                       ms.base.n_objects ** 2))
     rep = verify_prop_3_1(ms, cfg)
+    Z, D = rep.centre.category, rep.descent.category
     assert rep.verdict == "equivalence"
-    assert rep.descent_objects == rep.centre_objects == n_descent
+    assert D.n_objects == Z.n_objects == n_descent
     assert rep.comparison is not None
-    assert len(set(rep.comparison.obj_map)) == rep.centre_objects
-    assert (len(set(rep.comparison.mor_map)) == rep.descent_morphisms
-            == rep.centre_morphisms)
+    assert len(set(rep.comparison.obj_map)) == Z.n_objects
+    assert len(set(rep.comparison.mor_map)) == D.n_morphisms == Z.n_morphisms
     assert rep.obstructions == ()
 
 

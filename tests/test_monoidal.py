@@ -4,7 +4,7 @@ import pytest
 
 from monocentre.fincat import Functor, identity_functor, validate_category
 from monocentre.monoidal import (
-    MonoidalStructure, validate_monoidal, check_pentagon_triangle,
+    MonoidalStructure, validate_monoidal,
     BraidingDatum, check_braiding, identity_braiding,
     check_strong_monoidal, strict_cells_functor,
     discrete_group_monoidal, chain_poset_monoidal, one_object_z2_monoidal,
@@ -46,7 +46,7 @@ class TestCoherence:
 
     def test_broken_pentagon_detected(self):
         ms = one_object_z2_monoidal(broken_pentagon=True)
-        report = check_pentagon_triangle(ms)
+        report = validate_monoidal(ms)
         assert any("pentagon" in line for line in report)
 
     def test_broken_pentagon_still_structurally_sound(self):

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,20 @@ def test_higher_dimensional_carrier_is_refused():
         half_braiding_space(GradedObject((2, 0)), trivial(Z2))
 
 
+def test_scalar_search_refuses_what_centre_simples_refuses():
+    # the exponents of a Z2 cocycle bound to Z3, then a cocycle over a monoid
+    wrong = Cocycle3(Group(Z3), 2, z2_nontrivial_cocycle().exponents)
+    with pytest.raises(ValueError, match=r"^invalid 3-cocycle: exponent table "
+                                         r"is not \|G\| x \|G\| x \|G\|$"):
+        half_braiding_space(delta_object(3, 0), wrong)
+    monoid = Cocycle3(Group([[0, 1], [1, 1]]), 2, z2_nontrivial_cocycle().exponents)
+    with pytest.raises(ValueError, match="^not a group table: element 1 has no inverse$"):
+        half_braiding_space(delta_object(2, 0), monoid)
+    broken = Cocycle3(Group(Z2), 2, [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
+    with pytest.raises(SizeGuardExceeded, match="group order"):
+        half_braiding_space(delta_object(2, 0), broken, GuardConfig(vec_max_group=1))
+
+
 def test_centre_simples_z2_trivial():
     result = centre_simples(trivial(Z2))
     assert len(result.simples) == 4
@@ -191,6 +206,40 @@ def test_centre_simples_s3():
     assert per_class == {0: 3, 1: 2, 3: 3}
     # independent oracle: character counts of the centralizers
     assert per_class == {r: character_count_oracle(S3, r) for r in (0, 1, 3)}
+
+
+def _dihedral(n):
+    """Multiplication table of the dihedral group of order 2n, r^i s^j at
+    index i + n j, with s r = r^-1 s."""
+    def mul(a, b):
+        i, j, k, l = a % n, a // n, b % n, b // n
+        return (i + (-k if j else k)) % n + n * ((j + l) % 2)
+    return tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
+
+
+def _symmetric(n):
+    """Multiplication table of S_n, composing right to left."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[k]] for k in range(n))] for q in perms)
+                 for p in perms)
+
+
+@pytest.mark.parametrize("table, n_simples", [(_dihedral(8), 46), (_symmetric(4), 21)],
+                         ids=["d8", "s4"])
+def test_fibre_split_tries_every_matrix_before_giving_up(table, n_simples):
+    # the first choice of matrix alone leaves D8 short of two simples per
+    # central class and S4 with two unresolved summands
+    result = centre_simples(trivial(table), GuardConfig(vec_max_group=24))
+    assert result.complete
+    assert len(result.simples) == n_simples
+    assert result.sum_of_squares == len(table) ** 2
+    per_class = {}
+    for s in result.simples:
+        per_class[s.class_rep] = per_class.get(s.class_rep, 0) + 1
+    assert per_class == {cls[0]: character_count_oracle(table, cls[0])
+                         for cls in Group(table).classes}
+    assert result.all_passed
 
 
 def test_group_order_guard():
