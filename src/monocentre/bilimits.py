@@ -11,24 +11,26 @@ first use, so the check its builder makes is the one descent_object reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import (
-    FinCategory, Functor, NatTransf, full_subcategory,
+    Functor, NatTransf, full_subcategory,
     validate_functor, validate_nat_transf, _table_category,
 )
+from .record import Record
 
 
-@dataclass
-class Inserter:
+class Inserter(Record):
     """Universal category of pairs (object of the source, invertible
     comparison between the two functor images)."""
-    category: FinCategory
-    objects: tuple            # (a, iso id in the target)
-    mor_table: tuple          # (src idx, dst idx, source-category morphism)
-    projection: Functor
+
+    __slots__ = (
+        "category",
+        "objects",  # (a, iso id in the target)
+        "mor_table",  # (src idx, dst idx, source-category morphism)
+        "projection",
+    )
 
 
 def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig | None = None) -> Inserter:
@@ -57,11 +59,12 @@ def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig | None = None) -> Inse
     return Inserter(cat, tuple(objs), tuple(mor_table), proj)
 
 
-@dataclass
-class Equifier:
-    category: FinCategory
-    kept: tuple               # retained object ids of the ambient category
-    inclusion: Functor
+class Equifier(Record):
+    __slots__ = (
+        "category",
+        "kept",  # retained object ids of the ambient category
+        "inclusion",
+    )
 
 
 def equifier(sigma: NatTransf, tau: NatTransf,
@@ -79,24 +82,15 @@ def equifier(sigma: NatTransf, tau: NatTransf,
 # -- truncated pseudo-cosimplicial diagrams and their descent objects ------
 
 
-@dataclass
-class TruncatedCosimplicial:
+class TruncatedCosimplicial(Record):
     """Three levels, two cofaces up, three cofaces up again, and the three
     invertible coherence cells replacing the strict cosimplicial identities:
 
         coh00: e0.d0 => e1.d0    coh01: e0.d1 => e2.d0    coh21: e2.d1 => e1.d1
     """
-    X0: FinCategory
-    X1: FinCategory
-    X2: FinCategory
-    d0: Functor
-    d1: Functor
-    e0: Functor
-    e1: Functor
-    e2: Functor
-    coh00: NatTransf
-    coh01: NatTransf
-    coh21: NatTransf
+
+    __slots__ = ("X0", "X1", "X2", "d0", "d1", "e0", "e1", "e2", "coh00", "coh01",
+                 "coh21", "__dict__", "__weakref__")
 
     @cached_property
     def problems(self) -> tuple:
@@ -128,12 +122,13 @@ def validate_cosimplicial(T: TruncatedCosimplicial) -> list[str]:
     return report
 
 
-@dataclass
-class DescentResult:
-    category: FinCategory
-    objects: tuple            # (x in X0, gluing iso in X1)
-    mor_table: tuple          # (src idx, dst idx, X0 morphism)
-    projection: Functor
+class DescentResult(Record):
+    __slots__ = (
+        "category",
+        "objects",  # (x in X0, gluing iso in X1)
+        "mor_table",  # (src idx, dst idx, X0 morphism)
+        "projection",
+    )
 
 
 def _cocycle_sides(T: TruncatedCosimplicial, x, m):

@@ -16,13 +16,12 @@ and recorded as named certificates; nothing is trusted by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
-    product_category, coproduct_category, check_equivalence, EquivalenceReport,
+    product_category, coproduct_category, check_equivalence,
     validate_category, validate_functor, _table_category,
 )
 from .monoidal import (
@@ -30,6 +29,7 @@ from .monoidal import (
     check_braiding, check_strong_monoidal, strict_cells_functor,
     _REPORT_CAP,
 )
+from .record import Record
 
 
 class CentreObject:
@@ -218,24 +218,25 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
     return out
 
 
-@dataclass
-class Certificate:
-    name: str
-    ok: bool
-    detail: str = ""
+class Certificate(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name, ok, detail=""):
+        super().__init__(name, ok, detail)
 
 
-@dataclass
-class CentreCategory:
-    base: MonoidalStructure
-    category: FinCategory
-    objects: tuple                       # CentreObject, canonical order
-    mor_table: tuple                     # (src idx, dst idx, base morphism)
-    monoidal: MonoidalStructure | None
-    braiding: BraidingDatum | None
-    projection: StrongMonoidalFunctor | None
-    certificates: tuple
-    unit_violations: tuple               # objects violating the derived unit law
+class CentreCategory(Record):
+    __slots__ = (
+        "base",
+        "category",
+        "objects",  # CentreObject, canonical order
+        "mor_table",  # (src idx, dst idx, base morphism)
+        "monoidal",  # None, as are braiding and projection, on an empty base
+        "braiding",
+        "projection",
+        "certificates",
+        "unit_violations",  # objects violating the derived unit law
+    )
 
     @property
     def all_passed(self):
@@ -400,15 +401,16 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig | None = None) -> Cen
 # -- the category of centre pieces and the universal property -------------
 
 
-@dataclass
-class CentrePieceCategory:
-    category: FinCategory
-    source: FinCategory
-    ms: MonoidalStructure
-    pieces: tuple
-    mor_table: tuple          # (src idx, dst idx, component tuple)
-    piece_index: dict
-    mor_index: dict
+class CentrePieceCategory(Record):
+    __slots__ = (
+        "category",
+        "source",
+        "ms",
+        "pieces",
+        "mor_table",  # (src idx, dst idx, component tuple)
+        "piece_index",
+        "mor_index",
+    )
 
 
 def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
@@ -469,12 +471,13 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
                                piece_index, mor_index)
 
 
-@dataclass
-class BirepReport:
-    left_objects: int          # functors U -> Z
-    right_objects: int         # centre pieces
-    comparison: Functor
-    equivalence: EquivalenceReport
+class BirepReport(Record):
+    __slots__ = (
+        "left_objects",  # functors U -> Z
+        "right_objects",  # centre pieces
+        "comparison",
+        "equivalence",
+    )
 
     @property
     def verdict(self):
@@ -562,14 +565,9 @@ def pointwise_monoidal(fc: FunctorCategory, ms: MonoidalStructure) -> MonoidalSt
     return MonoidalStructure(fc.category, tobj, tmor, unit, alpha, lam, rho)
 
 
-@dataclass
-class TransportReport:
-    transported: CentrePiece
-    transported_report: tuple
-    comparison: Functor
-    comparison_monoidal: StrongMonoidalFunctor
-    strong_monoidal_report: tuple
-    equivalence: EquivalenceReport
+class TransportReport(Record):
+    __slots__ = ("transported", "transported_report", "comparison",
+                 "comparison_monoidal", "strong_monoidal_report", "equivalence")
 
     @property
     def ok(self):
@@ -668,12 +666,8 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
                            sm_report, check_equivalence(comparison))
 
 
-@dataclass
-class CoproductReport:
-    left_objects: int
-    right_objects: int
-    comparison: Functor
-    equivalence: EquivalenceReport
+class CoproductReport(Record):
+    __slots__ = ("left_objects", "right_objects", "comparison", "equivalence")
 
     @property
     def verdict(self):

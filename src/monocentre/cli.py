@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .bilimits import descent_object
 from .centre import Certificate, compute_centre
-from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from .config import (DEFAULT, GUARDS, GuardConfig, InternalSoundnessError,
+                     SizeGuardExceeded)
 from .convolution import (
     cardinality_check,
     check_set_transf,
@@ -36,20 +36,17 @@ from .convolution import (
 from .fincat import validate_category, validate_functor
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
+from .record import Record
 from .veck import (Cocycle3, centre_simples, certify_centre_structure,
                    check_group_order, trivial_cocycle)
 
 _DASH = "—"
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """One block of report output: info lines plus certificate lines."""
 
-    command: str
-    input: str
-    info: tuple
-    certificates: tuple
+    __slots__ = ("command", "input", "info", "certificates")
 
 
 def _cert(name: str, report) -> Certificate:
@@ -337,8 +334,7 @@ def _render_json(command: str, sections, exit_code: int) -> str:
 
 
 def _config_epilog() -> str:
-    defaults = ", ".join(f"{f.name}={getattr(DEFAULT, f.name)}"
-                         for f in fields(GuardConfig))
+    defaults = ", ".join(f"{name}={getattr(DEFAULT, name)}" for name in GUARDS)
     return (
         "exit codes:\n"
         "  0  every requested certificate passed\n"

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+
+from .record import Record
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -32,8 +33,11 @@ class InternalSoundnessError(RuntimeError):
     """Two independent routes disagreed; this is a bug, not a user error."""
 
 
-@dataclass(frozen=True)
-class GuardConfig:
+# The guard names, in constructor order.
+GUARDS = ("max_objects", "max_morphisms", "max_branch", "vec_max_group")
+
+
+class GuardConfig(Record):
     """Caps for enumerative constructions.
 
     max_objects / max_morphisms: per constructed category, including the
@@ -48,17 +52,16 @@ class GuardConfig:
     config was built: defaults, a file or the environment.
     """
 
-    max_objects: int = 64
-    max_morphisms: int = 4096
-    max_branch: int = 1_000_000
-    vec_max_group: int = 8
+    __slots__ = GUARDS
 
-    def __post_init__(self):
-        for f in fields(self):
-            val = getattr(self, f.name)
+    def __init__(self, max_objects=64, max_morphisms=4096, max_branch=1_000_000,
+                 vec_max_group=8):
+        values = (max_objects, max_morphisms, max_branch, vec_max_group)
+        for name, val in zip(GUARDS, values):
             if type(val) is not int or val < 0:
-                raise ValueError(f"guard {f.name} must be a nonnegative integer, "
+                raise ValueError(f"guard {name} must be a nonnegative integer, "
                                  f"got {val!r}")
+        super().__init__(*values)
 
     @classmethod
     def from_file(cls, path: str) -> "GuardConfig":
@@ -66,8 +69,7 @@ class GuardConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(GUARDS))
         if unknown:
             raise ValueError(f"config file {path}: unknown keys {unknown}")
         try:
@@ -78,15 +80,15 @@ class GuardConfig:
     def with_env(self) -> "GuardConfig":
         """Apply MONOCENTRE_<FIELD> environment overrides on top of self."""
         overrides = {}
-        for f in fields(self):
-            raw = os.environ.get("MONOCENTRE_" + f.name.upper())
+        for name in GUARDS:
+            raw = os.environ.get("MONOCENTRE_" + name.upper())
             if raw is None:
                 continue
             try:
-                overrides[f.name] = int(raw)
+                overrides[name] = int(raw)
             except ValueError as exc:
-                raise ValueError(f"MONOCENTRE_{f.name.upper()}={raw!r} is not an integer") from exc
-        return replace(self, **overrides) if overrides else self
+                raise ValueError(f"MONOCENTRE_{name.upper()}={raw!r} is not an integer") from exc
+        return GuardConfig(*(overrides.get(name, getattr(self, name)) for name in GUARDS))
 
 
 DEFAULT = GuardConfig()

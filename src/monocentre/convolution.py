@@ -16,11 +16,11 @@ InternalSoundnessError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
+from .record import Record
 
 
 class SetFunctor:
@@ -145,13 +145,14 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
-@dataclass
-class DayTensor:
-    ms: MonoidalStructure
-    left: SetFunctor
-    right: SetFunctor
-    functor: SetFunctor
-    gen_class: dict      # (b, c, h, s, t) -> (object, class index)
+class DayTensor(Record):
+    __slots__ = (
+        "ms",
+        "left",
+        "right",
+        "functor",
+        "gen_class",  # (b, c, h, s, t) -> (object, class index)
+    )
 
 
 def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,

@@ -32,7 +32,6 @@ solution and a kernel basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -40,6 +39,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub
 
 from .config import InternalSoundnessError
+from .record import Record
 
 
 @lru_cache(maxsize=None)
@@ -599,13 +599,8 @@ def mat_invertible(A) -> bool:
     return True
 
 
-@dataclass
-class LinSolve:
-    consistent: bool
-    particular: tuple | None
-    kernel: tuple
-    rank: int
-    pivots: tuple
+class LinSolve(Record):
+    __slots__ = ("consistent", "particular", "kernel", "rank", "pivots")
 
 
 def solve_linear(M, b=None) -> LinSolve:

@@ -10,9 +10,9 @@ stay canonical and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .record import Record
 
 
 class FinCategory:
@@ -414,13 +414,8 @@ def walking_arrow() -> FinCategory:
 # -- products, coproducts, subcategories ---------------------------------
 
 
-@dataclass
-class ProductCategory:
-    category: FinCategory
-    left: FinCategory
-    right: FinCategory
-    proj_left: Functor
-    proj_right: Functor
+class ProductCategory(Record):
+    __slots__ = ("category", "left", "right", "proj_left", "proj_right")
 
     def obj_id(self, a, b):
         return a * self.right.n_objects + b
@@ -478,11 +473,8 @@ def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig | None = N
     return ProductCategory(cat, A, B, pl, pr)
 
 
-@dataclass
-class CoproductCategory:
-    category: FinCategory
-    inj_left: Functor
-    inj_right: Functor
+class CoproductCategory(Record):
+    __slots__ = ("category", "inj_left", "inj_right")
 
 
 def coproduct_category(A: FinCategory, B: FinCategory) -> CoproductCategory:
@@ -501,12 +493,13 @@ def coproduct_category(A: FinCategory, B: FinCategory) -> CoproductCategory:
     return CoproductCategory(cat, il, ir)
 
 
-@dataclass
-class Subcategory:
-    category: FinCategory
-    obj_map: tuple      # new object id -> ambient object id
-    mor_map: tuple      # new morphism id -> ambient morphism id
-    inclusion: Functor
+class Subcategory(Record):
+    __slots__ = (
+        "category",
+        "obj_map",  # new object id -> ambient object id
+        "mor_map",  # new morphism id -> ambient morphism id
+        "inclusion",
+    )
 
 
 def full_subcategory(cat: FinCategory, objects) -> Subcategory:
@@ -641,15 +634,16 @@ def _nat_transfs(F: Functor, G: Functor, budget: _Budget) -> list[NatTransf]:
 # -- functor categories ---------------------------------------------------
 
 
-@dataclass
-class FunctorCategory:
-    category: FinCategory
-    source: FinCategory
-    target: FinCategory
-    functors: tuple          # object id -> Functor
-    transfs: tuple           # morphism id -> NatTransf
-    functor_index: dict      # (obj_map, mor_map) -> object id
-    transf_index: dict = field(repr=False)  # (src id, dst id, components) -> morphism id
+class FunctorCategory(Record):
+    __slots__ = (
+        "category",
+        "source",
+        "target",
+        "functors",  # object id -> Functor
+        "transfs",  # morphism id -> NatTransf
+        "functor_index",  # (obj_map, mor_map) -> object id
+        "transf_index",  # (src id, dst id, components) -> morphism id
+    )
 
     def index_of_transf(self, src_idx, dst_idx, components) -> int:
         return self.transf_index[(src_idx, dst_idx, tuple(components))]
@@ -714,13 +708,8 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
 # -- equivalence checking --------------------------------------------------
 
 
-@dataclass
-class EquivalenceReport:
-    functor: Functor
-    faithful: bool
-    full: bool
-    essentially_surjective: bool
-    witnesses: tuple
+class EquivalenceReport(Record):
+    __slots__ = ("functor", "faithful", "full", "essentially_surjective", "witnesses")
 
     @property
     def is_equivalence(self):

@@ -26,25 +26,19 @@ three, so one call feeds every section that prints them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import GuardConfig, InternalSoundnessError, resolve
 from .fincat import (
-    Functor, NatTransf, FunctorCategory, ProductCategory,
-    full_functor_subcategory, product_category, check_equivalence,
-    EquivalenceReport, validate_functor,
+    Functor, NatTransf, full_functor_subcategory, product_category,
+    check_equivalence, validate_functor,
 )
 from .monoidal import MonoidalStructure
-from .bilimits import DescentResult, TruncatedCosimplicial, descent_object
-from .centre import CentreCategory, compute_centre
+from .bilimits import TruncatedCosimplicial, descent_object
+from .centre import compute_centre
+from .record import Record
 
 
-@dataclass
-class HochschildDiagram:
-    monoidal: MonoidalStructure
-    prod: ProductCategory
-    level1: FunctorCategory
-    diagram: TruncatedCosimplicial
+class HochschildDiagram(Record):
+    __slots__ = ("prod", "level1", "diagram")
 
 
 def _e_obj_tables(ms, prod, route, F):
@@ -82,17 +76,16 @@ def _e_transf_components(ms, prod, route, eta):
     return tuple(comps)
 
 
-def _cell_components(ms, prod, route, a, inverse=False):
+def _cell_components(ms, prod, route, a):
     comps = []
     for o in prod.category.objects:
         x, y = prod.obj_pair(o)
         if route == 0:
-            m = ms.alpha_inv(a, x, y) if inverse else ms.alpha(a, x, y)
+            comps.append(ms.alpha(a, x, y))
         elif route == 1:
-            m = ms.alpha_inv(x, a, y) if inverse else ms.alpha(x, a, y)
+            comps.append(ms.alpha(x, a, y))
         else:
-            m = ms.alpha(x, y, a) if inverse else ms.alpha_inv(x, y, a)
-        comps.append(m)
+            comps.append(ms.alpha_inv(x, y, a))
     return tuple(comps)
 
 
@@ -161,18 +154,14 @@ def build_hochschild(ms: MonoidalStructure,
     if T.problems:
         raise InternalSoundnessError("translation diagram fails its own checks: "
                                      + T.problems[0])
-    return HochschildDiagram(ms, prod, fc1, T)
+    return HochschildDiagram(prod, fc1, T)
 
 
-@dataclass
-class Prop31Report:
+class Prop31Report(Record):
     """The three constructions compared, and the comparison between them."""
-    centre: CentreCategory
-    hochschild: HochschildDiagram
-    descent: DescentResult
-    comparison: Functor | None
-    equivalence: EquivalenceReport | None
-    obstructions: tuple
+
+    __slots__ = ("centre", "hochschild", "descent", "comparison", "equivalence",
+                 "obstructions")
 
     @property
     def verdict(self):

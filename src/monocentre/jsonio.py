@@ -17,10 +17,10 @@ parse error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
+from .record import Record
 from .veck import Cocycle3, Group
 
 SCHEMA_VERSION = 1
@@ -133,11 +133,8 @@ class MalformedInput(ValueError):
         super().__init__(f"at {self.pointer}: {message}")
 
 
-@dataclass(frozen=True)
-class LoadedSpec:
-    kind: str
-    payload: object
-    path: str
+class LoadedSpec(Record):
+    __slots__ = ("kind", "payload", "path")
 
 
 def _pointer(parts) -> str:

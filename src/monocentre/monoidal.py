@@ -8,10 +8,10 @@ tuples, naturality over all morphism tuples, invertibility by table lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .fincat import FinCategory, Functor, discrete_category
+from .record import Record
 
 _REPORT_CAP = 12
 
@@ -466,10 +466,11 @@ def one_object_z2_monoidal(broken_pentagon: bool = False) -> MonoidalStructure:
     return MonoidalStructure(cat, ((0,),), tmor, 0, {(0, 0, 0): a}, (0,), (0,))
 
 
-@dataclass
-class RelabelledMonoidal:
-    monoidal: MonoidalStructure
-    iso: StrongMonoidalFunctor       # from the original to the relabelled copy
+class RelabelledMonoidal(Record):
+    __slots__ = (
+        "monoidal",
+        "iso",  # from the original to the relabelled copy
+    )
 
 
 def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMonoidal:

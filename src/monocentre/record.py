@@ -1,0 +1,40 @@
+"""Immutable value records.
+
+A record class lists its fields in __slots__ and is built by position, in
+that order.  It refuses assignment, and compares and hashes as the tuple
+of its field values.  A class that caches a property adds "__dict__" to
+its __slots__ to hold the cache, and one that is weakly referenced adds
+"__weakref__"; neither is a field.
+"""
+
+
+class Record:
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__
+                            if name not in ("__dict__", "__weakref__"))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

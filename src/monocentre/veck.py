@@ -49,7 +49,6 @@ the absence of nonzero intertwiners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, filterfalse, islice
@@ -66,6 +65,7 @@ from .cyclo import (
 from .monoidal import (
     _REPORT_CAP, discrete_group_monoidal, group_table_report, identity_of,
 )
+from .record import Record
 
 
 # -- the group and the 3-cocycle ------------------------------------------
@@ -279,11 +279,10 @@ def _twist_packs(omega: Cocycle3, order: int, roots) -> list:
 # -- graded carriers and half-braidings ------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedObject:
+class GradedObject(Record):
     """Dimension vector over the group elements."""
 
-    dims: tuple
+    __slots__ = ("dims", "__dict__")
 
     @cached_property
     def support(self):
@@ -618,21 +617,26 @@ def _hcat(blocks):
                  for i in range(len(blocks[0])))
 
 
-def _action_inverses(group: Group, mats) -> dict:
-    """M_h^-1 for every h, as M_{h^-1} / c_h with c_h = M_{h^-1} M_h.
+def _action_inverses(group: Group, mats, prep) -> dict:
+    """M_h^-1 for every h, as M_{h^-1} / c_h with c_h I = M_{h^-1} M_h;
+    prep[h] is M_h prepared.
 
-    The action is projective, so c_h is a root of unity, not always 1;
-    that the product is scalar is checked, not assumed.
+    The action is projective, so c_h is a root of unity, not always 1.
+    It is read off the first entry of the product, and that the whole
+    product is c_h I is checked on the prepared matrices, not assumed.
     """
     inv = group.inverses
+    k, order = len(next(iter(mats.values()))), next(iter(prep.values())).order
+    eye = mat_prepare(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), order)
     out = {}
     for h, M in mats.items():
         Mi = mats[inv[h]]
-        c = mat_mul(Mi, M)
-        if not _is_scalar(c) or c[0][0].is_zero():
+        c = mat_vec(Mi[:1], [row[0] for row in M])[0]
+        s = None if c.is_zero() else c.inverse()
+        if s is None or not mat_scaled_product_eq(s, prep[inv[h]], prep[h], eye):
             raise InternalSoundnessError(
                 "fiber action of an inverse is not a scalar inverse")
-        out[h] = Mi if c[0][0].is_one() else mat_scale(c[0][0].inverse(), Mi)
+        out[h] = Mi if c.is_one() else mat_scale(s, Mi)
     return out
 
 
@@ -663,20 +667,21 @@ def _cyclic_closure(v, mats):
     return transpose(basis_rows), pivots
 
 
-def _restrict_action(mats, C, units):
-    """Matrices of the action in the column basis C of an invariant space.
+def _restrict_action(mats, prep, C, units):
+    """Matrices of the action in the column basis C of an invariant space;
+    prep[h] is M_h prepared.
 
     Row units[j] of C is the j-th unit vector, so the coordinates of M_h C
-    are its rows at units.  C R_h = M_h C is checked for all h by one
-    product.
+    are its rows at units: R_h is the unit rows of M_h times C, all h in
+    one product.  C R_h = M_h C is checked for every h on the prepared
+    matrices.
     """
-    hs = sorted(mats)
-    images = [mat_mul(mats[h], C) for h in hs]
-    out = {h: tuple(img[i] for i in units) for h, img in zip(hs, images)}
-    n = images[0][0][0].order  # the lcm of the orders of C and the action
-    if not mat_scaled_product_eq(1, mat_prepare(C, n),
-                                 mat_prepare(_hcat([out[h] for h in hs]), n),
-                                 mat_prepare(_hcat(images), n)):
+    hs, d = sorted(mats), len(units)
+    rows = mat_mul(tuple(mats[h][i] for h in hs for i in units), C)
+    out = {h: rows[j * d:(j + 1) * d] for j, h in enumerate(hs)}
+    order = prep[hs[0]].order
+    Cp = mat_prepare(C, order)
+    if not all(mat_products_eq(Cp, mat_prepare(out[h], order), prep[h], Cp) for h in hs):
         raise InternalSoundnessError(
             "claimed invariant subspace is not invariant")
     return out
@@ -710,8 +715,12 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
     closure inside one straddles two irreducibles.
     """
     k = len(next(iter(mats.values())))
-    inverses = _action_inverses(group, mats) if k > 1 else None
-    if k == 1 or _commutant_dim(mats, inverses) == 1:
+    if k == 1:
+        out.append((mats, True))
+        return True
+    prep = {h: mat_prepare(M, order) for h, M in mats.items()}
+    inverses = _action_inverses(group, mats, prep)
+    if _commutant_dim(mats, inverses) == 1:
         out.append((mats, True))
         return True
     if all(_is_scalar(M) for M in mats.values()):
@@ -719,7 +728,6 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
         out.extend((sub, True) for _ in range(k))
         return True
     nonscalar = sorted(h for h, M in mats.items() if not _is_scalar(M))
-    prep = {h: mat_prepare(mats[h], order) for h in nonscalar}
     def central(h):
         return all(mat_products_eq(prep[h], prep[g], prep[g], prep[h]) for g in nonscalar)
     for h0 in chain(filter(central, nonscalar), filterfalse(central, nonscalar)):
@@ -751,9 +759,9 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
                         "invariant projection kernel has the wrong dimension")
                 K = transpose(sol.kernel)
                 free = tuple(j for j in range(k) if j not in sol.pivots)
-                ok_u = _split_rec(group, _restrict_action(mats, C, units),
+                ok_u = _split_rec(group, _restrict_action(mats, prep, C, units),
                                   order, roots, out)
-                ok_k = _split_rec(group, _restrict_action(mats, K, free),
+                ok_k = _split_rec(group, _restrict_action(mats, prep, K, free),
                                   order, roots, out)
                 return ok_u and ok_k
     out.append((mats, False))
@@ -763,22 +771,14 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
 # -- simple centre objects -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VecSimple:
+class VecSimple(Record):
     """One simple centre object: solved carrier plus bookkeeping."""
 
-    class_rep: int
-    hb: HalfBraidingLin
-    total_dim: int
-    fiber_character: tuple
+    __slots__ = ("class_rep", "hb", "total_dim", "fiber_character")
 
 
-@dataclass(frozen=True)
-class VecCentreResult:
-    omega: Cocycle3
-    simples: tuple
-    complete: bool
-    certificates: tuple
+class VecCentreResult(Record):
+    __slots__ = ("omega", "simples", "complete", "certificates")
 
     @property
     def sum_of_squares(self):
@@ -1232,11 +1232,10 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
 # -- cross-backend harness ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossBackendReport:
+class CrossBackendReport(Record):
     """Per-element agreement between three centre-membership routes."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
     @property
     def agree(self):

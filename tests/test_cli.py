@@ -1,5 +1,7 @@
 """End-to-end CLI tests: contract examples, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,8 +12,9 @@ import time
 
 import pytest
 
+from monocentre.centre import Certificate
 from monocentre.cli import main
-from monocentre.config import SizeGuardExceeded
+from monocentre.config import GUARDS, GuardConfig, SizeGuardExceeded
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -305,6 +308,49 @@ def test_env_rejects_negative_guard(capsys, monkeypatch):
     assert "max_objects" in err
 
 
+def _guards(cfg):
+    return tuple(getattr(cfg, name) for name in GUARDS)
+
+
+def _refusal(**guards):
+    with pytest.raises(ValueError) as exc:
+        GuardConfig(**guards)
+    return str(exc.value)
+
+
+def _assignment(record, name):
+    with pytest.raises(AttributeError) as exc:
+        setattr(record, name, 1)
+    return str(exc.value)
+
+
+def _help_defaults():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["--help"])
+    return out.getvalue().splitlines()[-1]
+
+
+@pytest.mark.parametrize("probe, want", [
+    (lambda: _guards(GuardConfig()), (64, 4096, 1_000_000, 8)),
+    (lambda: _guards(GuardConfig(max_branch=10, vec_max_group=2)), (64, 4096, 10, 2)),
+    (lambda: _refusal(vec_max_group=True),
+     "guard vec_max_group must be a nonnegative integer, got True"),
+    (lambda: _refusal(max_objects=-1),
+     "guard max_objects must be a nonnegative integer, got -1"),
+    (lambda: _assignment(GuardConfig(), "max_objects"), "cannot assign to field 'max_objects'"),
+    (lambda: (GuardConfig(3) == GuardConfig(max_objects=3),
+              hash(GuardConfig(3)) == hash(GuardConfig(max_objects=3)),
+              GuardConfig(3) == GuardConfig(4)), (True, True, False)),
+    (lambda: Certificate("x", True).detail, ""),
+    (_help_defaults,
+     "  max_objects=64, max_morphisms=4096, max_branch=1000000, vec_max_group=8"),
+], ids=["defaults", "keywords", "bool refused", "negative refused", "immutable",
+        "value equality", "certificate detail", "help defaults"])
+def test_records_keep_their_construction_checks_and_value_semantics(probe, want):
+    assert probe() == want
+
+
 def test_removed_carrier_bound_is_malformed_not_ignored(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"vec_dim_bound": 8}))
@@ -406,6 +452,9 @@ def test_cli_import_loads_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "monocentre" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"monocentre"}
+    # The package's records are plain classes: no dataclass machinery and
+    # none of the introspection modules it pulls in.
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

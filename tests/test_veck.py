@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from monocentre.veck import (
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
-    cyc_one, cyc_zero, mat_mul, mat_scale, mat_vec, roots_of_unity, rref,
+    cyc_one, cyc_zero, mat_mul, mat_prepare, mat_scale, mat_vec, roots_of_unity, rref,
     solve_linear, transpose, zeta,
 )
 
@@ -640,6 +641,12 @@ def _ref_commutant_dim(mats):
     return len(solve_linear(rows).kernel)
 
 
+def _prepared(mats):
+    """Each matrix of an action prepared at the lcm of its entries' orders."""
+    order = lcm(*(x.order for M in mats.values() for row in M for x in row))
+    return {h: mat_prepare(M, order) for h, M in mats.items()}
+
+
 def _fibre_splits(table, omega):
     """(class representative, carrier, fibre action, split pieces) for
     every class."""
@@ -670,7 +677,7 @@ def test_character_norm_matches_the_commutant_system(table, omega_factory,
               for sub, _ in split]
     assert len(asked) >= len(Group(table).classes)
     for mats in asked + pieces:
-        assert (_commutant_dim(mats, _action_inverses(Group(table), mats))
+        assert (_commutant_dim(mats, _action_inverses(Group(table), mats, _prepared(mats)))
                 == _ref_commutant_dim(mats))
 
 
@@ -697,7 +704,7 @@ def test_maschke_average_is_an_invariant_idempotent(table, omega_factory,
         assert mat_eq(mat_mul(P, C), C)
         assert all(mat_eq(mat_mul(P, M), mat_mul(M, P)) for M in mats.values())
         assert len(solve_linear(P).kernel) == k - d
-        restricted = _restrict_action(mats, C, units)
+        restricted = _restrict_action(mats, _prepared(mats), C, units)
         assert all(mat_eq(mat_mul(C, restricted[h]), mat_mul(M, C))
                    for h, M in mats.items())
 
@@ -811,10 +818,11 @@ def test_non_invariant_space_is_refused():
     one, zero = cyc_one(order), cyc_zero(order)
     C = tuple((one if i == 0 else zero,) for i in range(6))
     with pytest.raises(InternalSoundnessError, match="not invariant"):
-        _restrict_action(mats, C, (0,))
+        _restrict_action(mats, _prepared(mats), C, (0,))
     # on the regular fibre the average of e_0 e_0^T is I/6, not idempotent
     with pytest.raises(InternalSoundnessError, match="not idempotent"):
-        _invariant_projection(mats, _action_inverses(omega.group, mats), C, (0,))
+        _invariant_projection(mats, _action_inverses(omega.group, mats, _prepared(mats)),
+                              C, (0,))
 
 
 def test_non_projective_action_is_refused():
@@ -827,7 +835,7 @@ def test_non_projective_action_is_refused():
               for i in range(4))
     mats[3] = mat_mul(D, mats[3])  # M_3 M_1 = D is not scalar
     with pytest.raises(InternalSoundnessError, match="not a scalar inverse"):
-        _action_inverses(omega.group, mats)
+        _action_inverses(omega.group, mats, _prepared(mats))
 
 
 def test_centre_simples_d4():
