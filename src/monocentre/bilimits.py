@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .fincat import (
     Functor, NatTransf, full_subcategory,
     validate_functor, validate_nat_transf, _table_category,
@@ -33,10 +33,9 @@ class Inserter(Record):
     )
 
 
-def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig | None = None) -> Inserter:
+def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig = DEFAULT) -> Inserter:
     if F.src != G.src or F.dst != G.dst:
         raise ValueError("iso_inserter needs a parallel pair of functors")
-    cfg = resolve(cfg)
     A, B = F.src, F.dst
     objs = []
     for a in A.objects:
@@ -68,7 +67,7 @@ class Equifier(Record):
 
 
 def equifier(sigma: NatTransf, tau: NatTransf,
-             cfg: GuardConfig | None = None) -> Equifier:
+             cfg: GuardConfig = DEFAULT) -> Equifier:
     """Full subcategory where two parallel transformations agree."""
     if sigma.src != tau.src or sigma.dst != tau.dst:
         raise ValueError("equifier needs a parallel pair of transformations")
@@ -139,11 +138,10 @@ def _cocycle_sides(T: TruncatedCosimplicial, x, m):
 
 
 def descent_object(T: TruncatedCosimplicial,
-                   cfg: GuardConfig | None = None) -> DescentResult:
+                   cfg: GuardConfig = DEFAULT) -> DescentResult:
     """Objects are pairs (x, m: d0 x -> d1 x invertible) whose two induced
     level-two composites agree; morphisms are X0-morphisms compatible with
     the gluing."""
-    cfg = resolve(cfg)
     if T.problems:
         raise ValueError("not a valid truncated diagram: " + T.problems[0])
 

@@ -17,7 +17,7 @@ and recorded as named certificates; nothing is trusted by construction.
 from __future__ import annotations
 
 
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
@@ -32,51 +32,27 @@ from .monoidal import (
 from .record import Record
 
 
-class CentreObject:
+class CentreObject(Record):
     """An object of the centre: a carrier and its half-braiding family."""
 
+    __slots__ = ("a", "gamma")
+
     def __init__(self, a, gamma):
-        self.a = int(a)
-        self.gamma = tuple(int(g) for g in gamma)
-        self._hash = None
-
-    def __eq__(self, other):
-        if not isinstance(other, CentreObject):
-            return NotImplemented
-        return self.a == other.a and self.gamma == other.gamma
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.a, self.gamma))
-        return self._hash
-
-    def __repr__(self):
-        return f"CentreObject(a={self.a}, gamma={self.gamma})"
+        super().__init__(a, tuple(gamma))
 
 
-class CentrePiece:
+class CentrePiece(Record):
     """A functor u: U -> A with a binatural invertible family
     gamma[(s, x)]: u(s)(x)x -> x(x)u(s) satisfying multiplicativity."""
 
+    __slots__ = ("u", "ms", "gamma")
+
     def __init__(self, u: Functor, ms: MonoidalStructure, gamma):
-        self.u = u
-        self.ms = ms
-        self.gamma = {(int(s), int(x)): int(m) for (s, x), m in gamma.items()}
-        self._hash = None
+        super().__init__(u, ms, dict(gamma))
 
     def key(self):
         flat = tuple(self.gamma[k] for k in sorted(self.gamma))
         return (self.u.obj_map, self.u.mor_map, flat)
-
-    def __eq__(self, other):
-        if not isinstance(other, CentrePiece):
-            return NotImplemented
-        return self.u == other.u and self.gamma == other.gamma
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.u, tuple(sorted(self.gamma.items()))))
-        return self._hash
 
 
 def _mult_composite(ms: MonoidalStructure, a, x, y, gx, gy):
@@ -165,12 +141,11 @@ def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
 
 
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
-                             cfg: GuardConfig | None = None) -> list[tuple]:
+                             cfg: GuardConfig = DEFAULT) -> list[tuple]:
     """All half-braidings for the object a, as component tuples in
     lexicographic order.  Depth-first over objects with naturality and
     multiplicativity pruning as soon as every index involved is assigned.
     """
-    cfg = resolve(cfg)
     cat = ms.base
     n = cat.n_objects
     nat_at = [[] for _ in range(n)]
@@ -183,17 +158,14 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
 
     gamma = [0] * n
     out = []
-    budget = [0]
+    budget = Budget(cfg.max_branch, "half-braiding enumeration")
 
     def assign(k):
         if k == n:
             out.append(tuple(gamma))
             return
         for cand in cat.invertible_hom(ms.tensor_obj(a, k), ms.tensor_obj(k, a)):
-            budget[0] += 1
-            if budget[0] > cfg.max_branch:
-                raise SizeGuardExceeded("half-braiding enumeration", budget[0],
-                                        cfg.max_branch)
+            budget.spend()
             gamma[k] = cand
             ok = True
             for f in nat_at[k]:
@@ -259,8 +231,7 @@ def _centre_morphism_ok(ms, o1: CentreObject, o2: CentreObject, f) -> bool:
     return True
 
 
-def compute_centre(ms: MonoidalStructure, cfg: GuardConfig | None = None) -> CentreCategory:
-    cfg = resolve(cfg)
+def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreCategory:
     cat = ms.base
     if cat.n_objects == 0:
         empty = FinCategory(0, (), (), (), {})
@@ -414,10 +385,9 @@ class CentrePieceCategory(Record):
 
 
 def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
-                            cfg: GuardConfig | None = None) -> CentrePieceCategory:
+                            cfg: GuardConfig = DEFAULT) -> CentrePieceCategory:
     """Exhaustive CP(U, A): objects all centre pieces, morphisms all
     centre-piece morphisms, composition vertical."""
-    cfg = resolve(cfg)
     cat = ms.base
     half = {a: enumerate_half_braidings(ms, a, cfg) for a in cat.objects}
     pieces = []
@@ -485,10 +455,9 @@ class BirepReport(Record):
 
 
 def check_birepresentation(U: FinCategory, ms: MonoidalStructure,
-                           cfg: GuardConfig | None = None) -> BirepReport:
+                           cfg: GuardConfig = DEFAULT) -> BirepReport:
     """Builds Fun(U, Z_A) and CP(U, A) and checks that composing with the
     projection is an equivalence between them."""
-    cfg = resolve(cfg)
     Z = compute_centre(ms, cfg)
     fc = functor_category(U, Z.category, cfg)
     cp = enumerate_centre_pieces(U, ms, cfg)
@@ -505,9 +474,8 @@ def check_birepresentation(U: FinCategory, ms: MonoidalStructure,
             raise InternalSoundnessError("functor into the centre gives no centre piece")
         obj_map.append(idx)
     mor_map = []
-    for eta in fc.transfs:
-        s_idx = fc.functor_index[(eta.src.obj_map, eta.src.mor_map)]
-        d_idx = fc.functor_index[(eta.dst.obj_map, eta.dst.mor_map)]
+    for k, eta in enumerate(fc.transfs):
+        s_idx, d_idx = fc.category.src(k), fc.category.dst(k)
         comps = tuple(Z.mor_table[c][2] for c in eta.components)
         key = (obj_map[s_idx], obj_map[d_idx], comps)
         if key not in cp.mor_index:
@@ -536,11 +504,9 @@ def pointwise_monoidal(fc: FunctorCategory, ms: MonoidalStructure) -> MonoidalSt
     tobj = [[tensor_functor(i, j) for j in range(n)] for i in range(n)]
     tmor = {}
     for k1, eta in enumerate(fc.transfs):
-        i1 = fc.functor_index[(eta.src.obj_map, eta.src.mor_map)]
-        j1 = fc.functor_index[(eta.dst.obj_map, eta.dst.mor_map)]
+        i1, j1 = fc.category.src(k1), fc.category.dst(k1)
         for k2, kap in enumerate(fc.transfs):
-            i2 = fc.functor_index[(kap.src.obj_map, kap.src.mor_map)]
-            j2 = fc.functor_index[(kap.dst.obj_map, kap.dst.mor_map)]
+            i2, j2 = fc.category.src(k2), fc.category.dst(k2)
             comps = tuple(ms.tensor_mor(eta.components[x], kap.components[x])
                           for x in E.objects)
             tmor[(k1, k2)] = fc.index_of_transf(tobj[i1][i2], tobj[j1][j2], comps)
@@ -576,7 +542,7 @@ class TransportReport(Record):
 
 
 def transport_along_power(E: FinCategory, p: CentrePiece,
-                          cfg: GuardConfig | None = None) -> TransportReport:
+                          cfg: GuardConfig = DEFAULT) -> TransportReport:
     """Apply the representable pseudofunctor [E, -] to a centre piece.
 
     Returns the transported piece [E, u] on [E, U] -> [E, A] with the
@@ -584,7 +550,6 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
     [E, Z_A] -> Z_{[E, A]} with its strong-monoidal and equivalence
     verdicts.
     """
-    cfg = resolve(cfg)
     ms = p.ms
     cat = ms.base
     U = p.u.src
@@ -598,9 +563,8 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
 
     tr_obj = tuple(push_functor(H) for H in fcU.functors)
     tr_mor = []
-    for eta in fcU.transfs:
-        s = fcU.functor_index[(eta.src.obj_map, eta.src.mor_map)]
-        d = fcU.functor_index[(eta.dst.obj_map, eta.dst.mor_map)]
+    for k, eta in enumerate(fcU.transfs):
+        s, d = fcU.category.src(k), fcU.category.dst(k)
         comps = tuple(p.u.mor_map[c] for c in eta.components)
         tr_mor.append(fcA.index_of_transf(tr_obj[s], tr_obj[d], comps))
     tr_functor = Functor(fcU.category, fcA.category, tr_obj, tuple(tr_mor))
@@ -639,9 +603,8 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
                 "pointwise half-braiding is not an object of the centre of [E, A]")
         obj_map.append(idx)
     mor_map = []
-    for eta in fcZ.transfs:
-        s = fcZ.functor_index[(eta.src.obj_map, eta.src.mor_map)]
-        d = fcZ.functor_index[(eta.dst.obj_map, eta.dst.mor_map)]
+    for k, eta in enumerate(fcZ.transfs):
+        s, d = fcZ.category.src(k), fcZ.category.dst(k)
         comps = tuple(Z.mor_table[c][2] for c in eta.components)
         m = fcA.index_of_transf(under[s], under[d], comps)
         key = (obj_map[s], obj_map[d], m)
@@ -676,10 +639,9 @@ class CoproductReport(Record):
 
 def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
                                   ms: MonoidalStructure,
-                                  cfg: GuardConfig | None = None) -> CoproductReport:
+                                  cfg: GuardConfig = DEFAULT) -> CoproductReport:
     """CP(U + V, A) -> CP(U, A) x CP(V, A) by restriction along the
     injections; checked to be an equivalence by exhaustion."""
-    cfg = resolve(cfg)
     cop = coproduct_category(U, V)
     cp_all = enumerate_centre_pieces(cop.category, ms, cfg)
     cp_u = enumerate_centre_pieces(U, ms, cfg)

@@ -42,9 +42,9 @@ class GuardConfig(Record):
 
     max_objects / max_morphisms: per constructed category, including the
         product A x A and both levels of the translation diagram.
-    max_branch: cap on the number of assignments one backtracking
-        enumeration may visit before refusing; building a functor category
-        spends one budget for all of its morphisms.
+    max_branch: cap on the steps one enumeration or search may take (one
+        Budget each) before refusing; building a functor category spends
+        one budget for all of its morphisms.
     vec_max_group: largest group order the linear backend accepts, its
         only size bound (every class carrier it solves has dimension |G|).
 
@@ -94,5 +94,16 @@ class GuardConfig(Record):
 DEFAULT = GuardConfig()
 
 
-def resolve(cfg: GuardConfig | None) -> GuardConfig:
-    return DEFAULT if cfg is None else cfg
+class Budget:
+    """Steps one search may take, max_branch of them, before it refuses."""
+
+    def __init__(self, limit, what):
+        self.limit = limit
+        self.what = what
+        self.used = 0
+
+    def spend(self, n=1):
+        self.used += n
+        if self.used > self.limit:
+            raise SizeGuardExceeded(self.what, f"more than {self.limit} steps",
+                                    self.limit, hint="raise max_branch")

@@ -17,31 +17,22 @@ InternalSoundnessError.
 from __future__ import annotations
 
 
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
 from .record import Record
 
 
-class SetFunctor:
+class SetFunctor(Record):
     """Finite Set-valued functor: element i of F(a) is the pair (a, i)."""
 
+    __slots__ = ("cat", "sizes", "maps")
+
     def __init__(self, cat: FinCategory, sizes, maps):
-        self.cat = cat
-        self.sizes = tuple(int(n) for n in sizes)
-        self.maps = tuple(tuple(int(v) for v in m) for m in maps)
+        super().__init__(cat, tuple(sizes), tuple(map(tuple, maps)))
 
     def apply(self, f, i):
         return self.maps[f][i]
-
-    def __eq__(self, other):
-        if not isinstance(other, SetFunctor):
-            return NotImplemented
-        return (self.cat == other.cat and self.sizes == other.sizes
-                and self.maps == other.maps)
-
-    def __hash__(self):
-        return hash((self.sizes, self.maps))
 
 
 def validate_set_functor(F: SetFunctor) -> list[str]:
@@ -156,23 +147,18 @@ class DayTensor(Record):
 
 
 def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
-                 cfg: GuardConfig | None = None) -> DayTensor:
-    cfg = resolve(cfg)
+                 cfg: GuardConfig = DEFAULT) -> DayTensor:
     cat = ms.base
     gens = [[] for _ in cat.objects]
-    count = 0
+    budget = Budget(cfg.max_branch, "convolution generators")
     for b in cat.objects:
         for c in cat.objects:
             bc = ms.tensor_obj(b, c)
             for h in cat.out_mors(bc):
                 a = cat.dst(h)
-                for s in range(F.sizes[b]):
-                    for t in range(G.sizes[c]):
-                        gens[a].append((b, c, h, s, t))
-                        count += 1
-                        if count > cfg.max_branch:
-                            raise SizeGuardExceeded("convolution generators",
-                                                    count, cfg.max_branch)
+                budget.spend(F.sizes[b] * G.sizes[c])
+                gens[a].extend((b, c, h, s, t) for s in range(F.sizes[b])
+                               for t in range(G.sizes[c]))
     gens = [sorted(g) for g in gens]
     gpos = {}
     for a, lst in enumerate(gens):
@@ -180,7 +166,7 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
             gpos[q] = (a, i)
 
     ufs = [_UnionFind(len(lst)) for lst in gens]
-    steps = 0
+    budget = Budget(cfg.max_branch, "convolution relations")
     for u in cat.morphisms:
         b, b2 = cat.src(u), cat.dst(u)
         for v in cat.morphisms:
@@ -189,12 +175,9 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
             for h in cat.out_mors(ms.tensor_obj(b2, c2)):
                 a = cat.dst(h)
                 h_uv = cat.compose(h, uv)
+                budget.spend(F.sizes[b] * G.sizes[c])
                 for s in range(F.sizes[b]):
                     for t in range(G.sizes[c]):
-                        steps += 1
-                        if steps > cfg.max_branch:
-                            raise SizeGuardExceeded("convolution relations",
-                                                    steps, cfg.max_branch)
                         i = gpos[(b, c, h_uv, s, t)][1]
                         j = gpos[(b2, c2, h, F.apply(u, s), G.apply(v, t))][1]
                         ufs[a].union(i, j)

@@ -5,86 +5,65 @@ morphism sources, morphism targets, the identity morphism of each object,
 and the composition partial map (g, f) -> g . f defined exactly on the
 composable pairs.  Everything downstream (functor enumeration, centres,
 descent objects) is exhaustive search over these tables, so the encodings
-stay canonical and hashable.
+stay canonical, and categories, functors and transformations are records
+that compare by value.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .record import Record
 
 
-class FinCategory:
-    """A finite category over dense integer ids."""
+class FinCategory(Record):
+    """A finite category over dense integer ids.
 
-    def __init__(self, n_objects, mor_src, mor_dst, identity, composition):
-        self._n_objects = int(n_objects)
-        self._mor_src = tuple(int(x) for x in mor_src)
-        self._mor_dst = tuple(int(x) for x in mor_dst)
-        self._identity = tuple(int(x) for x in identity)
-        self._compose = {(int(g), int(f)): int(h) for (g, f), h in composition.items()}
-        self._hash = None
-        self._hom = None
-        self._inverse = None
-        self._out = None
-        self._in = None
+    compose_map is the (g, f) -> g.f dict; treat it as read-only.  The hom,
+    in/out and inverse indexes are computed on first use.
+    """
+
+    __slots__ = ("n_objects", "mor_src", "mor_dst", "identity", "compose_map", "__dict__")
+
+    def __init__(self, n_objects, mor_src, mor_dst, identity, compose_map):
+        super().__init__(n_objects, tuple(mor_src), tuple(mor_dst), tuple(identity),
+                         dict(compose_map))
 
     # -- table access -------------------------------------------------
 
     @property
-    def n_objects(self):
-        return self._n_objects
-
-    @property
     def objects(self):
-        return range(self._n_objects)
+        return range(self.n_objects)
 
     @property
     def n_morphisms(self):
-        return len(self._mor_src)
+        return len(self.mor_src)
 
     @property
     def morphisms(self):
-        return range(len(self._mor_src))
-
-    @property
-    def mor_src(self):
-        return self._mor_src
-
-    @property
-    def mor_dst(self):
-        return self._mor_dst
-
-    @property
-    def identity(self):
-        return self._identity
+        return range(len(self.mor_src))
 
     def src(self, m):
-        return self._mor_src[m]
+        return self.mor_src[m]
 
     def dst(self, m):
-        return self._mor_dst[m]
+        return self.mor_dst[m]
 
     def id_of(self, a):
-        return self._identity[a]
+        return self.identity[a]
 
     def is_identity(self, m):
-        a = self._mor_src[m]
-        return self._mor_dst[m] == a and self._identity[a] == m
+        a = self.mor_src[m]
+        return self.mor_dst[m] == a and self.identity[a] == m
 
     def composition_items(self):
         """Sorted (g, f, g.f) triples; the canonical serialization."""
-        return tuple(sorted((g, f, h) for (g, f), h in self._compose.items()))
-
-    @property
-    def compose_map(self):
-        """The raw (g, f) -> g.f dict.  Treat as read-only."""
-        return self._compose
+        return tuple(sorted((g, f, h) for (g, f), h in self.compose_map.items()))
 
     def compose(self, g, f):
         try:
-            return self._compose[(g, f)]
+            return self.compose_map[(g, f)]
         except KeyError:
             raise ValueError(f"morphisms not composable: {g} after {f}") from None
 
@@ -97,80 +76,52 @@ class FinCategory:
 
     # -- derived structure ---------------------------------------------
 
-    def _build_hom(self):
+    @cached_property
+    def _hom(self) -> dict:
         hom = {}
-        out = [[] for _ in range(self._n_objects)]
-        inc = [[] for _ in range(self._n_objects)]
-        for m, (a, b) in enumerate(zip(self._mor_src, self._mor_dst)):
-            hom.setdefault((a, b), []).append(m)
-            out[a].append(m)
-            inc[b].append(m)
-        self._hom = hom
-        self._out = [tuple(x) for x in out]
-        self._in = [tuple(x) for x in inc]
+        for m, ends in enumerate(zip(self.mor_src, self.mor_dst)):
+            hom.setdefault(ends, []).append(m)
+        return hom
+
+    @cached_property
+    def _out(self) -> tuple:
+        return _by_object(self.n_objects, self.mor_src)
+
+    @cached_property
+    def _in(self) -> tuple:
+        return _by_object(self.n_objects, self.mor_dst)
+
+    @cached_property
+    def _inverse(self) -> dict:
+        ident, srcs, comp = self.identity, self.mor_src, self.compose_map
+        return {f: g for (g, f), h in comp.items()
+                if h == ident[srcs[f]] and comp.get((f, g)) == ident[srcs[g]]}
 
     def hom(self, a, b):
-        if self._hom is None:
-            self._build_hom()
         return self._hom.get((a, b), [])
 
     def out_mors(self, a):
-        if self._out is None:
-            self._build_hom()
         return self._out[a]
 
     def in_mors(self, b):
-        if self._in is None:
-            self._build_hom()
         return self._in[b]
 
-    def _build_inverses(self):
-        inv = {}
-        ident = self._identity
-        srcs = self._mor_src
-        comp = self._compose
-        for (g, f), h in comp.items():
-            if h == ident[srcs[f]] and comp.get((f, g)) == ident[srcs[g]]:
-                inv[f] = g
-        self._inverse = inv
-
     def is_invertible(self, m):
-        if self._inverse is None:
-            self._build_inverses()
         return m in self._inverse
 
     def inverse(self, m):
-        if self._inverse is None:
-            self._build_inverses()
         return self._inverse[m]
 
     def invertible_hom(self, a, b):
         return [m for m in self.hom(a, b) if self.is_invertible(m)]
 
-    # -- identity-table equality and hashing ----------------------------
 
-    def _key(self):
-        return (self._n_objects, self._mor_src, self._mor_dst, self._identity,
-                self.composition_items())
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FinCategory):
-            return NotImplemented
-        return (self._n_objects == other._n_objects
-                and self._mor_src == other._mor_src
-                and self._mor_dst == other._mor_dst
-                and self._identity == other._identity
-                and self._compose == other._compose)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
-
-    def __repr__(self):
-        return f"FinCategory({self._n_objects} objects, {self.n_morphisms} morphisms)"
+def _by_object(n, ends) -> tuple:
+    """The morphisms grouped by the object ends[m] of each morphism m."""
+    out = [[] for _ in range(n)]
+    for m, a in enumerate(ends):
+        out[a].append(m)
+    return tuple(map(tuple, out))
 
 
 def _table_category(table, identity, compose, missing):
@@ -273,15 +224,13 @@ def validate_category(cat: FinCategory) -> list[str]:
     return report
 
 
-class Functor:
+class Functor(Record):
     """A functor between finite categories, as object and morphism tables."""
 
+    __slots__ = ("src", "dst", "obj_map", "mor_map")
+
     def __init__(self, src, dst, obj_map, mor_map):
-        self.src = src
-        self.dst = dst
-        self.obj_map = tuple(int(x) for x in obj_map)
-        self.mor_map = tuple(int(x) for x in mor_map)
-        self._hash = None
+        super().__init__(src, dst, tuple(obj_map), tuple(mor_map))
 
     def then(self, other: "Functor") -> "Functor":
         """Diagram-order composite: (self.then(g))(x) = g(self(x))."""
@@ -290,20 +239,6 @@ class Functor:
         return Functor(self.src, other.dst,
                        tuple(other.obj_map[a] for a in self.obj_map),
                        tuple(other.mor_map[m] for m in self.mor_map))
-
-    def __eq__(self, other):
-        if not isinstance(other, Functor):
-            return NotImplemented
-        return (self.obj_map == other.obj_map and self.mor_map == other.mor_map
-                and self.src == other.src and self.dst == other.dst)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.obj_map, self.mor_map, self.src, self.dst))
-        return self._hash
-
-    def __repr__(self):
-        return f"Functor(obj_map={self.obj_map}, mor_map={self.mor_map})"
 
 
 def identity_functor(cat: FinCategory) -> Functor:
@@ -335,31 +270,13 @@ def validate_functor(F: Functor) -> list[str]:
     return report
 
 
-class NatTransf:
+class NatTransf(Record):
     """A natural transformation, as a tuple of component morphism ids."""
 
+    __slots__ = ("src", "dst", "components")
+
     def __init__(self, src: Functor, dst: Functor, components):
-        self.src = src
-        self.dst = dst
-        self.components = tuple(int(x) for x in components)
-        self._hash = None
-
-    def at(self, a):
-        return self.components[a]
-
-    def __eq__(self, other):
-        if not isinstance(other, NatTransf):
-            return NotImplemented
-        return (self.components == other.components and self.src == other.src
-                and self.dst == other.dst)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.components, self.src, self.dst))
-        return self._hash
-
-    def __repr__(self):
-        return f"NatTransf(components={self.components})"
+        super().__init__(src, dst, tuple(components))
 
 
 def validate_nat_transf(eta: NatTransf) -> list[str]:
@@ -440,8 +357,7 @@ class ProductCategory(Record):
         return Functor(F.src, self.category, obj, mor)
 
 
-def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig | None = None) -> ProductCategory:
-    cfg = resolve(cfg)
+def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT) -> ProductCategory:
     n_obj = A.n_objects * B.n_objects
     n_mor = A.n_morphisms * B.n_morphisms
     if n_obj > cfg.max_objects:
@@ -516,27 +432,14 @@ def full_subcategory(cat: FinCategory, objects) -> Subcategory:
 # -- exhaustive enumeration ----------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit, what):
-        self.limit = limit
-        self.what = what
-        self.used = 0
-
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.limit:
-            raise SizeGuardExceeded(self.what, f"more than {self.used} steps", self.limit)
-
-
 def enumerate_functors(A: FinCategory, B: FinCategory,
-                       cfg: GuardConfig | None = None) -> list[Functor]:
+                       cfg: GuardConfig = DEFAULT) -> list[Functor]:
     """All functors A -> B, in lexicographic (obj_map, mor_map) order.
 
     Backtracking over object images, then over images of the non-identity
     morphisms with incremental composition-consistency pruning.
     """
-    cfg = resolve(cfg)
-    budget = _Budget(cfg.max_branch, "functor enumeration")
+    budget = Budget(cfg.max_branch, "functor enumeration")
     if A.n_objects == 0:
         return [Functor(A, B, (), ())]
     if B.n_objects == 0:
@@ -593,13 +496,12 @@ def enumerate_functors(A: FinCategory, B: FinCategory,
 
 
 def enumerate_nat_transfs(F: Functor, G: Functor,
-                          cfg: GuardConfig | None = None) -> list[NatTransf]:
+                          cfg: GuardConfig = DEFAULT) -> list[NatTransf]:
     """All natural transformations F => G, components in lexicographic order."""
-    cfg = resolve(cfg)
-    return _nat_transfs(F, G, _Budget(cfg.max_branch, "natural transformation enumeration"))
+    return _nat_transfs(F, G, Budget(cfg.max_branch, "natural transformation enumeration"))
 
 
-def _nat_transfs(F: Functor, G: Functor, budget: _Budget) -> list[NatTransf]:
+def _nat_transfs(F: Functor, G: Functor, budget: Budget) -> list[NatTransf]:
     A, B = F.src, F.dst
     n = A.n_objects
     if n == 0:
@@ -650,14 +552,13 @@ class FunctorCategory(Record):
 
 
 def functor_category(A: FinCategory, B: FinCategory,
-                     cfg: GuardConfig | None = None) -> FunctorCategory:
+                     cfg: GuardConfig = DEFAULT) -> FunctorCategory:
     """The category of functors A -> B and all natural transformations."""
-    cfg = resolve(cfg)
     return full_functor_subcategory(A, B, enumerate_functors(A, B, cfg), cfg)
 
 
 def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
-                             cfg: GuardConfig | None = None,
+                             cfg: GuardConfig = DEFAULT,
                              what: str = "functor category") -> FunctorCategory:
     """The full subcategory of [A, B] on the given functors A -> B.
 
@@ -666,7 +567,6 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
     order, composed componentwise.  One max_branch budget covers the whole
     call.  what names the category in guard messages.
     """
-    cfg = resolve(cfg)
     functors = sorted({(F.obj_map, F.mor_map): F for F in functors}.values(),
                       key=lambda F: (F.obj_map, F.mor_map))
     if len(functors) > cfg.max_objects:
@@ -680,7 +580,7 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
         for a in A.objects:
             extensions.setdefault(F.obj_map[:a], set()).add(F.obj_map[a])
 
-    budget = _Budget(cfg.max_branch, f"{what} morphism enumeration")
+    budget = Budget(cfg.max_branch, f"{what} morphism enumeration")
     raw: list[tuple[int, int, tuple]] = []
     for fi, F in enumerate(functors):
         # object maps of the functors G with every hom(F a, G a) non-empty

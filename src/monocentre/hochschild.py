@@ -26,7 +26,7 @@ three, so one call feeds every section that prints them.
 
 from __future__ import annotations
 
-from .config import GuardConfig, InternalSoundnessError, resolve
+from .config import DEFAULT, GuardConfig, InternalSoundnessError
 from .fincat import (
     Functor, NatTransf, full_functor_subcategory, product_category,
     check_equivalence, validate_functor,
@@ -98,8 +98,7 @@ def _cell_endpoints(route, a, route_obj, d0_obj, d1_obj):
 
 
 def build_hochschild(ms: MonoidalStructure,
-                     cfg: GuardConfig | None = None) -> HochschildDiagram:
-    cfg = resolve(cfg)
+                     cfg: GuardConfig = DEFAULT) -> HochschildDiagram:
     if ms.problems:
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
     A = ms.base
@@ -170,10 +169,9 @@ class Prop31Report(Record):
 
 
 def verify_prop_3_1(ms: MonoidalStructure,
-                    cfg: GuardConfig | None = None) -> Prop31Report:
+                    cfg: GuardConfig = DEFAULT) -> Prop31Report:
     """Compare the enumerated centre with the descent object of the
     translation diagram, object by object and morphism by morphism."""
-    cfg = resolve(cfg)
     Z = compute_centre(ms, cfg)
     H = build_hochschild(ms, cfg)
     D = descent_object(H.diagram, cfg)

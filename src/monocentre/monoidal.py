@@ -16,96 +16,70 @@ from .record import Record
 _REPORT_CAP = 12
 
 
-class MonoidalStructure:
+class MonoidalStructure(Record):
     """problems is validate_monoidal's report, computed on first use."""
 
-    def __init__(self, base: FinCategory, tensor_obj, tensor_mor, unit,
-                 alpha, lam, rho):
-        self.base = base
-        self._tensor_obj = tuple(tuple(int(x) for x in row) for row in tensor_obj)
-        self._tensor_mor = {(int(f), int(g)): int(h) for (f, g), h in tensor_mor.items()}
-        self.unit = int(unit)
-        self._alpha = {(int(a), int(b), int(c)): int(m) for (a, b, c), m in alpha.items()}
-        self._lam = tuple(int(x) for x in lam)
-        self._rho = tuple(int(x) for x in rho)
+    __slots__ = ("base", "tensor_obj_table", "tensor_mor_table", "unit", "alpha_table",
+                 "lam_table", "rho_table", "__dict__")
+
+    def __init__(self, base: FinCategory, tensor_obj, tensor_mor, unit, alpha, lam, rho):
+        super().__init__(base, tuple(map(tuple, tensor_obj)), dict(tensor_mor), unit,
+                         dict(alpha), tuple(lam), tuple(rho))
 
     @cached_property
     def problems(self) -> tuple:
         return tuple(validate_monoidal(self))
 
     def tensor_obj(self, a, b):
-        return self._tensor_obj[a][b]
+        return self.tensor_obj_table[a][b]
 
     def tensor_mor(self, f, g):
-        return self._tensor_mor[(f, g)]
+        return self.tensor_mor_table[(f, g)]
 
     def lwhisk(self, a, g):
         """1_a tensor g."""
-        return self._tensor_mor[(self.base.id_of(a), g)]
+        return self.tensor_mor_table[(self.base.id_of(a), g)]
 
     def rwhisk(self, f, b):
         """f tensor 1_b."""
-        return self._tensor_mor[(f, self.base.id_of(b))]
+        return self.tensor_mor_table[(f, self.base.id_of(b))]
 
     def alpha(self, a, b, c):
-        return self._alpha[(a, b, c)]
+        return self.alpha_table[(a, b, c)]
 
     def alpha_inv(self, a, b, c):
-        return self.base.inverse(self._alpha[(a, b, c)])
+        return self.base.inverse(self.alpha_table[(a, b, c)])
 
     def lam(self, a):
-        return self._lam[a]
+        return self.lam_table[a]
 
     def lam_inv(self, a):
-        return self.base.inverse(self._lam[a])
+        return self.base.inverse(self.lam_table[a])
 
     def rho(self, a):
-        return self._rho[a]
+        return self.rho_table[a]
 
     def rho_inv(self, a):
-        return self.base.inverse(self._rho[a])
-
-    @property
-    def tensor_obj_table(self):
-        return self._tensor_obj
-
-    @property
-    def tensor_mor_table(self):
-        return self._tensor_mor
-
-    @property
-    def alpha_table(self):
-        return self._alpha
-
-    @property
-    def lam_table(self):
-        return self._lam
-
-    @property
-    def rho_table(self):
-        return self._rho
-
-    def __repr__(self):
-        return (f"MonoidalStructure({self.base!r}, unit={self.unit})")
+        return self.base.inverse(self.rho_table[a])
 
 
 def _structural_report(ms: MonoidalStructure) -> list[str]:
     cat = ms.base
     n, m = cat.n_objects, cat.n_morphisms
     report = []
-    if len(ms._tensor_obj) != n or any(len(row) != n for row in ms._tensor_obj):
+    if len(ms.tensor_obj_table) != n or any(len(row) != n for row in ms.tensor_obj_table):
         return ["tensor_obj table is not n x n"]
-    for row in ms._tensor_obj:
+    for row in ms.tensor_obj_table:
         for v in row:
             if not 0 <= v < n:
                 return [f"tensor_obj value {v} out of range"]
     if not 0 <= ms.unit < n:
         return [f"unit object {ms.unit} out of range"]
-    if len(ms._lam) != n or len(ms._rho) != n:
+    if len(ms.lam_table) != n or len(ms.rho_table) != n:
         return ["unitor tables do not cover all objects"]
     for f in cat.morphisms:
         for g in cat.morphisms:
-            h = ms._tensor_mor.get((f, g))
+            h = ms.tensor_mor_table.get((f, g))
             if h is None:
                 report.append(f"tensor_mor missing at ({f}, {g})")
                 continue
@@ -115,7 +89,7 @@ def _structural_report(ms: MonoidalStructure) -> list[str]:
     for a in cat.objects:
         for b in cat.objects:
             for c in cat.objects:
-                mor = ms._alpha.get((a, b, c))
+                mor = ms.alpha_table.get((a, b, c))
                 if mor is None:
                     report.append(f"associator missing at ({a}, {b}, {c})")
                     continue
@@ -126,7 +100,7 @@ def _structural_report(ms: MonoidalStructure) -> list[str]:
                 elif not cat.is_invertible(mor):
                     report.append(f"associator at ({a}, {b}, {c}) is not invertible")
     for a in cat.objects:
-        lm, rm = ms._lam[a], ms._rho[a]
+        lm, rm = ms.lam_table[a], ms.rho_table[a]
         if cat.src(lm) != ms.tensor_obj(ms.unit, a) or cat.dst(lm) != a:
             report.append(f"left unitor at {a} has wrong endpoints")
         elif not cat.is_invertible(lm):
@@ -213,17 +187,14 @@ def validate_monoidal(ms: MonoidalStructure) -> list[str]:
 # -- braidings ----------------------------------------------------------
 
 
-class BraidingDatum:
-    def __init__(self, ms: MonoidalStructure, components):
-        self.ms = ms
-        self._c = {(int(a), int(b)): int(m) for (a, b), m in components.items()}
+class BraidingDatum(Record):
+    __slots__ = ("ms", "table")
+
+    def __init__(self, ms: MonoidalStructure, table):
+        super().__init__(ms, dict(table))
 
     def at(self, a, b):
-        return self._c[(a, b)]
-
-    @property
-    def table(self):
-        return self._c
+        return self.table[(a, b)]
 
 
 def check_braiding(br: BraidingDatum) -> list[str]:
@@ -233,7 +204,7 @@ def check_braiding(br: BraidingDatum) -> list[str]:
     report = []
     for a in cat.objects:
         for b in cat.objects:
-            mor = br._c.get((a, b))
+            mor = br.table.get((a, b))
             if mor is None:
                 report.append(f"braiding missing at ({a}, {b})")
                 continue
@@ -290,17 +261,15 @@ def identity_braiding(ms: MonoidalStructure) -> BraidingDatum:
 # -- strong monoidal functors --------------------------------------------
 
 
-class StrongMonoidalFunctor:
+class StrongMonoidalFunctor(Record):
+    __slots__ = ("functor", "src_monoidal", "dst_monoidal", "tensor_iso", "unit_iso")
+
     def __init__(self, functor: Functor, src_monoidal: MonoidalStructure,
                  dst_monoidal: MonoidalStructure, tensor_iso, unit_iso):
-        self.functor = functor
-        self.src_monoidal = src_monoidal
-        self.dst_monoidal = dst_monoidal
-        self._phi = {(int(a), int(b)): int(m) for (a, b), m in tensor_iso.items()}
-        self.unit_iso = int(unit_iso)
+        super().__init__(functor, src_monoidal, dst_monoidal, dict(tensor_iso), unit_iso)
 
     def phi(self, a, b):
-        return self._phi[(a, b)]
+        return self.tensor_iso[(a, b)]
 
 
 def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
@@ -315,7 +284,7 @@ def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
         report.append("unit cell is not invertible")
     for a in catA.objects:
         for b in catA.objects:
-            mor = sm._phi.get((a, b))
+            mor = sm.tensor_iso.get((a, b))
             if mor is None:
                 report.append(f"tensor cell missing at ({a}, {b})")
                 continue

@@ -2,9 +2,12 @@
 
 A record class lists its fields in __slots__ and is built by position, in
 that order.  It refuses assignment, and compares and hashes as the tuple
-of its field values.  A class that caches a property adds "__dict__" to
-its __slots__ to hold the cache, and one that is weakly referenced adds
-"__weakref__"; neither is a field.
+of its field values, so it hashes only when all its fields do: one with a
+dict field (a composition table, say) is unhashable.  A class that
+normalizes its arguments (lists to tuples, a copy of a dict) does so in
+its own __init__ before calling Record's.  A class that caches a
+property adds "__dict__" to its __slots__ to hold the cache, and one that
+is weakly referenced adds "__weakref__"; neither is a field.
 """
 
 

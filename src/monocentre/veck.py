@@ -56,7 +56,7 @@ from math import lcm
 from operator import mul
 
 from .centre import Certificate, compute_centre
-from .config import GuardConfig, InternalSoundnessError, SizeGuardExceeded, resolve
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from .cyclo import (
     CycNumber, cyc_zero, mat_invertible, mat_mul, mat_prepare, mat_products_eq,
     mat_scale, mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus,
@@ -71,7 +71,7 @@ from .record import Record
 # -- the group and the 3-cocycle ------------------------------------------
 
 
-class Group:
+class Group(Record):
     """A finite group given by its multiplication table.
 
     problems is group_table_report's report, computed on first use, as is
@@ -80,8 +80,10 @@ class Group:
     (sorted tuples, listed by their least element) and the element orders.
     """
 
+    __slots__ = ("table", "__dict__")
+
     def __init__(self, table):
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        super().__init__(tuple(map(tuple, table)))
 
     @cached_property
     def problems(self) -> tuple:
@@ -135,7 +137,7 @@ def group_centre(table) -> tuple:
                  if all(table[g][x] == table[x][g] for x in range(n)))
 
 
-class Cocycle3:
+class Cocycle3(Record):
     """A normalized 3-cocycle on a Group, stored by exponents of a root of
     unity.
 
@@ -146,13 +148,14 @@ class Cocycle3:
     computed on first use.
     """
 
+    __slots__ = ("group", "scalar_order", "exponents", "__dict__")
+
     def __init__(self, group: Group, scalar_order, exponents):
-        so = int(scalar_order)
-        if so < 1:
+        if scalar_order < 1:
             raise ValueError("scalar order must be a positive integer")
-        self.group, self.scalar_order = group, so
-        self.exponents = tuple(tuple(tuple(int(v) % so for v in row) for row in plane)
-                               for plane in exponents)
+        super().__init__(group, scalar_order,
+                         tuple(tuple(tuple(v % scalar_order for v in row) for row in plane)
+                               for plane in exponents))
 
     @cached_property
     def problems(self) -> tuple:
@@ -179,20 +182,6 @@ class Cocycle3:
 
     def value(self, a: int, b: int, c: int) -> CycNumber:
         return zeta(self.scalar_order, self.exponents[a][b][c])
-
-    def _key(self):
-        return self.group.table, self.scalar_order, self.exponents
-
-    def __eq__(self, other):
-        if not isinstance(other, Cocycle3):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Cocycle3(|G|={len(self.group.table)}, scalar_order={self.scalar_order})"
 
 
 def trivial_cocycle(group: Group, scalar_order: int = 1) -> Cocycle3:
@@ -297,7 +286,7 @@ def delta_object(n: int, g: int, dim: int = 1) -> GradedObject:
     return GradedObject(tuple(dim if h == g else 0 for h in range(n)))
 
 
-class HalfBraidingLin:
+class HalfBraidingLin(Record):
     """Half-braiding on a graded carrier, one cyclotomic block per pair.
 
     blocks maps (x, g) with dim V_g > 0 to the matrix of
@@ -307,7 +296,7 @@ class HalfBraidingLin:
     __slots__ = ("omega", "carrier", "blocks")
 
     def __init__(self, omega: Cocycle3, carrier: GradedObject, blocks):
-        self.omega, self.carrier, self.blocks = omega, carrier, dict(blocks)
+        super().__init__(omega, carrier, dict(blocks))
 
     def block(self, x: int, g: int):
         return self.blocks[(x, g)]
@@ -316,18 +305,6 @@ class HalfBraidingLin:
         items = tuple((key, tuple(tuple(v.coeffs for v in row) for row in mat))
                       for key, mat in sorted(self.blocks.items()))
         return (self.omega.field_order, self.carrier.dims, items)
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfBraidingLin):
-            return NotImplemented
-        return self.serialize() == other.serialize()
-
-    def __hash__(self):
-        return hash(self.serialize())
-
-    def __repr__(self):
-        return (f"HalfBraidingLin(total_dim={self.carrier.total_dim}, "
-                f"support={self.carrier.support})")
 
 
 def _entry_order(*hbs) -> int:
@@ -508,7 +485,7 @@ def canonical_class_carrier(omega: Cocycle3, class_rep: int) -> HalfBraidingLin:
 
 
 def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
-                        cfg: GuardConfig | None = None) -> tuple:
+                        cfg: GuardConfig = DEFAULT) -> tuple:
     """Every half-braiding on a multiplicity-free carrier, sorted.
 
     The group and the cocycle are refused as in centre_simples.  The
@@ -519,7 +496,6 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     in the working field, so the search over mu_N with constraint
     propagation is complete.
     """
-    cfg = resolve(cfg)
     _require_valid(omega, cfg)
     table = omega.group.table
     n = len(table)
@@ -541,7 +517,7 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
             for x in range(n) for y in range(n) for g in supp]
     keys = sorted((x, g) for x in range(n) for g in supp)
 
-    budget = [0]
+    budget = Budget(cfg.max_branch, "scalar half-braiding search")
 
     def propagate(assign) -> bool:
         changed = True
@@ -575,11 +551,7 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
             solutions.append(dict(assign))
             return
         for val in range(field_order):
-            budget[0] += 1
-            if budget[0] > cfg.max_branch:
-                raise SizeGuardExceeded("scalar half-braiding search",
-                                        budget[0], cfg.max_branch,
-                                        hint="raise max_branch")
+            budget.spend()
             trial = dict(assign)
             trial[free] = val
             if propagate(trial):
@@ -854,7 +826,7 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
     return len(solve_linear(rows).kernel)
 
 
-def centre_simples(omega: Cocycle3, cfg: GuardConfig | None = None) -> VecCentreResult:
+def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResult:
     """All simple centre objects of the graded backend, with certificates.
 
     One canonical carrier per conjugacy class is solved and split; the
@@ -865,7 +837,6 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig | None = None) -> VecCentre
     check.  A fiber piece the split cannot resolve flags the run
     incomplete.
     """
-    cfg = resolve(cfg)
     _require_valid(omega, cfg)
     group = omega.group
     n = len(group.table)
@@ -1247,7 +1218,7 @@ class CrossBackendReport(Record):
 
 
 def verify_linear_against_bruteforce(table,
-                                     cfg: GuardConfig | None = None
+                                     cfg: GuardConfig = DEFAULT
                                      ) -> CrossBackendReport:
     """Compare linear half-braiding existence on single-element supports
     against the set-level centre and the group-theoretic centre.
@@ -1256,7 +1227,6 @@ def verify_linear_against_bruteforce(table,
     admits a half-braiding exactly when g is central, which is also when
     the discrete backend lists an object over g.
     """
-    cfg = resolve(cfg)
     group = Group(table)
     if group.problems:
         raise ValueError("not a group table: " + group.problems[0])

@@ -83,6 +83,12 @@ def test_guards_trip():
         compute_centre(discrete_group_monoidal(Z4), GuardConfig(max_objects=2))
 
 
+def test_half_braiding_budget_guard():
+    with pytest.raises(SizeGuardExceeded, match=r"half-braiding enumeration needs more than "
+                                                r"4 steps, limit 4 \(raise max_branch\)"):
+        enumerate_half_braidings(discrete_group_monoidal(S3), 0, GuardConfig(max_branch=4))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(range(4)))
 def test_centre_size_invariant_under_relabelling(perm):

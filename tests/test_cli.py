@@ -15,6 +15,8 @@ import pytest
 from monocentre.centre import Certificate
 from monocentre.cli import main
 from monocentre.config import GUARDS, GuardConfig, SizeGuardExceeded
+from monocentre.fincat import FinCategory, Functor, walking_arrow
+from monocentre.veck import Cocycle3, Group
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -324,6 +326,23 @@ def _assignment(record, name):
     return str(exc.value)
 
 
+def _lists_and_tuples_agree():
+    comp = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}
+    return FinCategory(2, [0, 1, 0], [0, 1, 1], [0, 1], comp) == walking_arrow()
+
+
+def _indexes():
+    cat = walking_arrow()
+    return cat.hom(0, 1), cat.hom(1, 0), cat.is_invertible(0), cat.is_invertible(2)
+
+
+def _cocycle_residues():
+    omega = Cocycle3(Group(((0, 1), (1, 0))), 2, [[[0, 2], [-2, 4]], [[0, -1], [3, 5]]])
+    with pytest.raises(ValueError) as exc:
+        Cocycle3(omega.group, 0, omega.exponents)
+    return omega.exponents, str(exc.value)
+
+
 def _help_defaults():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
@@ -343,10 +362,17 @@ def _help_defaults():
               hash(GuardConfig(3)) == hash(GuardConfig(max_objects=3)),
               GuardConfig(3) == GuardConfig(4)), (True, True, False)),
     (lambda: Certificate("x", True).detail, ""),
+    (_lists_and_tuples_agree, True),
+    (lambda: _assignment(Functor(walking_arrow(), walking_arrow(), (0, 1), (0, 1, 2)),
+                         "obj_map"), "cannot assign to field 'obj_map'"),
+    (_indexes, ([2], [], True, False)),
+    (_cocycle_residues, ((((0, 0), (0, 0)), ((0, 1), (1, 1))),
+                         "scalar order must be a positive integer")),
     (_help_defaults,
      "  max_objects=64, max_morphisms=4096, max_branch=1000000, vec_max_group=8"),
 ], ids=["defaults", "keywords", "bool refused", "negative refused", "immutable",
-        "value equality", "certificate detail", "help defaults"])
+        "value equality", "certificate detail", "category from lists",
+        "functor immutable", "category indexes", "cocycle residues", "help defaults"])
 def test_records_keep_their_construction_checks_and_value_semantics(probe, want):
     assert probe() == want
 

@@ -102,5 +102,15 @@ def test_empty_factor_gives_empty_convolution():
 def test_generator_guard():
     ms = discrete_group_monoidal(Z3)
     big = discrete_functor(ms.base, (3, 3, 3))
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded, match=r"convolution generators needs more than "
+                                                r"10 steps, limit 10 \(raise max_branch\)"):
         day_convolve(ms, big, big, GuardConfig(max_branch=10))
+
+
+def test_relation_guard():
+    # 28 generators, then 56 relation steps
+    F = poset_functor(2, 2, (0, 1))
+    with pytest.raises(SizeGuardExceeded, match=r"convolution relations needs more than "
+                                                r"40 steps, limit 40 \(raise max_branch\)"):
+        day_convolve(POSET, F, F, GuardConfig(max_branch=40))
+    assert day_convolve(POSET, F, F, GuardConfig(max_branch=56)).functor.sizes == (4, 4)

@@ -129,7 +129,8 @@ class TestEnumeration:
 
     def test_budget_guard_trips(self):
         cfg = GuardConfig(max_branch=3)
-        with pytest.raises(SizeGuardExceeded):
+        with pytest.raises(SizeGuardExceeded, match=r"functor enumeration needs more than "
+                                                    r"3 steps, limit 3 \(raise max_branch\)"):
             enumerate_functors(discrete_category(3), discrete_category(3), cfg)
 
     def test_functor_category_discrete(self):

@@ -142,6 +142,12 @@ def test_unit_support_on_s3_gives_the_two_characters():
     assert len(half_braiding_space(delta_object(6, 0), trivial(S3))) == 2
 
 
+def test_scalar_search_budget_guard():
+    with pytest.raises(SizeGuardExceeded, match=r"scalar half-braiding search needs more "
+                                                r"than 7 steps, limit 7 \(raise max_branch\)"):
+        half_braiding_space(delta_object(6, 0), trivial(S3), GuardConfig(max_branch=7))
+
+
 def test_higher_dimensional_carrier_is_refused():
     with pytest.raises(ValueError, match="multiplicity-free"):
         half_braiding_space(GradedObject((2, 0)), trivial(Z2))
