@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded, _report
 from .fincat import (
     Functor, NatTransf, full_subcategory,
     validate_functor, validate_nat_transf, _table_category,
@@ -97,28 +97,31 @@ class TruncatedCosimplicial(Record):
 
 
 def validate_cosimplicial(T: TruncatedCosimplicial) -> list[str]:
-    report = []
+    return _report(_coface_failures(T), _coherence_cell_failures(T))
+
+
+def _coface_failures(T: TruncatedCosimplicial):
     for name, F, s, d in (("d0", T.d0, T.X0, T.X1), ("d1", T.d1, T.X0, T.X1),
                           ("e0", T.e0, T.X1, T.X2), ("e1", T.e1, T.X1, T.X2),
                           ("e2", T.e2, T.X1, T.X2)):
         if F.src != s or F.dst != d:
-            report.append(f"{name} has wrong endpoints")
+            yield f"{name} has wrong endpoints"
         else:
-            report.extend(f"{name}: {line}" for line in validate_functor(F))
-    if report:
-        return report
+            yield from (f"{name}: {line}" for line in validate_functor(F))
+
+
+def _coherence_cell_failures(T: TruncatedCosimplicial):
     cells = (("coh00", T.coh00, T.d0.then(T.e0), T.d0.then(T.e1)),
              ("coh01", T.coh01, T.d1.then(T.e0), T.d0.then(T.e2)),
              ("coh21", T.coh21, T.d1.then(T.e2), T.d1.then(T.e1)))
     for name, cell, want_src, want_dst in cells:
         if cell.src != want_src or cell.dst != want_dst:
-            report.append(f"{name} does not sit between the required composites")
+            yield f"{name} does not sit between the required composites"
             continue
-        report.extend(f"{name}: {line}" for line in validate_nat_transf(cell))
+        yield from (f"{name}: {line}" for line in validate_nat_transf(cell))
         for x in T.X0.objects:
             if not T.X2.is_invertible(cell.components[x]):
-                report.append(f"{name} component at {x} is not invertible")
-    return report
+                yield f"{name} component at {x} is not invertible"
 
 
 class DescentResult(Record):

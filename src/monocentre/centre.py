@@ -12,12 +12,18 @@ families, object by object, with naturality and multiplicativity pruning.
 Everything the construction claims about the result (braiding hexagons,
 strong monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
+
+Naturality, multiplicativity and the condition a morphism of the centre
+meets (_central_failures, which is also a piece's naturality in its first
+argument) are each written once, as a generator of the places where they
+fail: the enumerations prune with them, and check_centre_piece and
+check_centre_piece_morphism report from them.
 """
 
 from __future__ import annotations
 
-
-from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
+                     _report)
 from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
@@ -26,8 +32,7 @@ from .fincat import (
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
-    check_braiding, check_strong_monoidal, strict_cells_functor,
-    _REPORT_CAP,
+    check_braiding, check_strong_monoidal, strict_cells_functor, _cell_failures,
 )
 from .record import Record
 
@@ -54,70 +59,64 @@ class CentrePiece(Record):
         flat = tuple(self.gamma[k] for k in sorted(self.gamma))
         return (self.u.obj_map, self.u.mor_map, flat)
 
+    def family(self, s):
+        """The components at the object s of U, indexed by the objects x."""
+        return tuple(self.gamma[(s, x)] for x in self.ms.base.objects)
 
-def _mult_composite(ms: MonoidalStructure, a, x, y, gx, gy):
-    """The two-crossing composite a(x)(x(x)y) -> (x(x)y)(x)a through the
-    associators, given the components gx at x and gy at y."""
+
+def _natural_failures(ms: MonoidalStructure, a, gamma, mors):
+    """The morphisms f: x -> y among mors where the family gamma of a is
+    not natural: gamma_y . (1_a (x) f) != (f (x) 1_a) . gamma_x."""
     cat = ms.base
-    return cat.compose_chain(
-        ms.alpha_inv(x, y, a),
-        ms.lwhisk(x, gy),
-        ms.alpha(x, a, y),
-        ms.rwhisk(gx, y),
-        ms.alpha_inv(a, x, y),
-    )
+    for f in mors:
+        x, y = cat.src(f), cat.dst(f)
+        if cat.compose(gamma[y], ms.lwhisk(a, f)) != cat.compose(ms.rwhisk(f, a), gamma[x]):
+            yield f
+
+
+def _multiplicative_failures(ms: MonoidalStructure, a, gamma, pairs):
+    """The pairs (x, y) where gamma_{x(x)y} of the family gamma of a is not
+    the two-crossing composite through the associators."""
+    cat = ms.base
+    for x, y in pairs:
+        if gamma[ms.tensor_obj(x, y)] != cat.compose_chain(
+                ms.alpha_inv(x, y, a), ms.lwhisk(x, gamma[y]), ms.alpha(x, a, y),
+                ms.rwhisk(gamma[x], y), ms.alpha_inv(a, x, y)):
+            yield x, y
+
+
+def _central_failures(ms: MonoidalStructure, f, gamma, delta):
+    """The objects x where f: a -> b does not commute with the families
+    gamma of a and delta of b: delta_x . (f (x) 1_x) != (1_x (x) f) . gamma_x.
+    Both a morphism of the centre and a piece's first argument obey it."""
+    cat = ms.base
+    for x in cat.objects:
+        if cat.compose(delta[x], ms.rwhisk(f, x)) != cat.compose(ms.lwhisk(x, f), gamma[x]):
+            yield x
 
 
 def check_centre_piece(p: CentrePiece) -> list[str]:
     """Invertibility, binaturality, and multiplicativity, exhaustively."""
     ms, u = p.ms, p.u
+    cat, t = ms.base, ms.tensor_obj
+    cells = (("gamma", f"(s={s}, x={x})", p.gamma.get((s, x)), t(us, x), t(x, us))
+             for s, us in enumerate(u.obj_map) for x in cat.objects)
+    return _report(_cell_failures(cat, cells), _piece_failures(p))
+
+
+def _piece_failures(p: CentrePiece):
+    ms, u = p.ms, p.u
     U, cat = u.src, ms.base
-    report = []
-    for s in U.objects:
-        us = u.obj_map[s]
-        for x in cat.objects:
-            mor = p.gamma.get((s, x))
-            if mor is None:
-                report.append(f"gamma missing at (s={s}, x={x})")
-                continue
-            if (cat.src(mor) != ms.tensor_obj(us, x)
-                    or cat.dst(mor) != ms.tensor_obj(x, us)):
-                report.append(f"gamma at (s={s}, x={x}) has wrong endpoints")
-            elif not cat.is_invertible(mor):
-                report.append(f"gamma at (s={s}, x={x}) is not invertible")
-    if report:
-        return report
-    for s in U.objects:
-        us = u.obj_map[s]
-        for f in cat.morphisms:
-            x, y = cat.src(f), cat.dst(f)
-            lhs = cat.compose(p.gamma[(s, y)], ms.lwhisk(us, f))
-            rhs = cat.compose(ms.rwhisk(f, us), p.gamma[(s, x)])
-            if lhs != rhs:
-                report.append(f"gamma not natural in the second argument at (s={s}, f={f})")
-                if len(report) > _REPORT_CAP:
-                    return report
+    for s, us in enumerate(u.obj_map):
+        for f in _natural_failures(ms, us, p.family(s), cat.morphisms):
+            yield f"gamma not natural in the second argument at (s={s}, f={f})"
     for f in U.morphisms:
-        s, t = U.src(f), U.dst(f)
-        uf = u.mor_map[f]
-        for x in cat.objects:
-            lhs = cat.compose(p.gamma[(t, x)], ms.rwhisk(uf, x))
-            rhs = cat.compose(ms.lwhisk(x, uf), p.gamma[(s, x)])
-            if lhs != rhs:
-                report.append(f"gamma not natural in the first argument at (f={f}, x={x})")
-                if len(report) > _REPORT_CAP:
-                    return report
-    for s in U.objects:
-        us = u.obj_map[s]
-        for x in cat.objects:
-            for y in cat.objects:
-                expected = _mult_composite(ms, us, x, y,
-                                           p.gamma[(s, x)], p.gamma[(s, y)])
-                if p.gamma[(s, ms.tensor_obj(x, y))] != expected:
-                    report.append(f"multiplicativity fails at (s={s}, x={x}, y={y})")
-                    if len(report) > _REPORT_CAP:
-                        return report
-    return report
+        for x in _central_failures(ms, u.mor_map[f], p.family(U.src(f)), p.family(U.dst(f))):
+            yield f"gamma not natural in the first argument at (f={f}, x={x})"
+    pairs = [(x, y) for x in cat.objects for y in cat.objects]
+    for s, us in enumerate(u.obj_map):
+        for x, y in _multiplicative_failures(ms, us, p.family(s), pairs):
+            yield f"multiplicativity fails at (s={s}, x={x}, y={y})"
 
 
 def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
@@ -126,18 +125,9 @@ def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
     (1_x (x) sigma_s) . gamma_{s,x} = delta_{s,x} . (sigma_s (x) 1_x)."""
     if sigma.src != p.u or sigma.dst != q.u:
         return ["transformation endpoints do not match the pieces"]
-    ms = p.ms
-    cat = ms.base
-    report = []
-    for s in p.u.src.objects:
-        for x in cat.objects:
-            lhs = cat.compose(ms.lwhisk(x, sigma.components[s]), p.gamma[(s, x)])
-            rhs = cat.compose(q.gamma[(s, x)], ms.rwhisk(sigma.components[s], x))
-            if lhs != rhs:
-                report.append(f"centre-piece morphism condition fails at (s={s}, x={x})")
-                if len(report) > _REPORT_CAP:
-                    return report
-    return report
+    return _report(f"centre-piece morphism condition fails at (s={s}, x={x})"
+                   for s, c in enumerate(sigma.components)
+                   for x in _central_failures(p.ms, c, p.family(s), q.family(s)))
 
 
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
@@ -167,20 +157,8 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
         for cand in cat.invertible_hom(ms.tensor_obj(a, k), ms.tensor_obj(k, a)):
             budget.spend()
             gamma[k] = cand
-            ok = True
-            for f in nat_at[k]:
-                x, y = cat.src(f), cat.dst(f)
-                if (cat.compose(gamma[y], ms.lwhisk(a, f))
-                        != cat.compose(ms.rwhisk(f, a), gamma[x])):
-                    ok = False
-                    break
-            if ok:
-                for (x, y) in mult_at[k]:
-                    expected = _mult_composite(ms, a, x, y, gamma[x], gamma[y])
-                    if gamma[ms.tensor_obj(x, y)] != expected:
-                        ok = False
-                        break
-            if ok:
+            if (next(_natural_failures(ms, a, gamma, nat_at[k]), None) is None
+                    and next(_multiplicative_failures(ms, a, gamma, mult_at[k]), None) is None):
                 assign(k + 1)
 
     if n > 0:
@@ -195,6 +173,11 @@ class Certificate(Record):
 
     def __init__(self, name, ok, detail=""):
         super().__init__(name, ok, detail)
+
+    @classmethod
+    def of(cls, name, report):
+        """Passes iff the check's report is empty; names its first three failures."""
+        return cls(name, not report, "; ".join(report[:3]))
 
 
 class CentreCategory(Record):
@@ -222,15 +205,6 @@ class CentreCategory(Record):
         return None
 
 
-def _centre_morphism_ok(ms, o1: CentreObject, o2: CentreObject, f) -> bool:
-    cat = ms.base
-    for x in cat.objects:
-        if (cat.compose(o2.gamma[x], ms.rwhisk(f, x))
-                != cat.compose(ms.lwhisk(x, f), o1.gamma[x])):
-            return False
-    return True
-
-
 def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreCategory:
     cat = ms.base
     if cat.n_objects == 0:
@@ -252,7 +226,7 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
     for i, o1 in enumerate(objs):
         for j, o2 in enumerate(objs):
             for f in cat.hom(o1.a, o2.a):
-                if _centre_morphism_ok(ms, o1, o2, f):
+                if next(_central_failures(ms, f, o1.gamma, o2.gamma), None) is None:
                     mor_table.append((i, j, f))
     mor_table.sort()
     if len(mor_table) > cfg.max_morphisms:
@@ -328,19 +302,15 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
     proj = strict_cells_functor(i_functor, zms, ms)
 
     # post-construction certificate battery; nothing above is taken on trust
-    certs = []
-
-    def cert(name, report):
-        certs.append(Certificate(name, not report,
-                                 "; ".join(report[:3]) if report else ""))
-
-    cert("centre category axioms", validate_category(zcat))
-    cert("centre monoidal structure (incl. pentagon, triangle)", zms.problems)
-    cert("braiding naturality and hexagons", check_braiding(zbraid))
-    cert("projection functor", validate_functor(i_functor))
-    cert("projection strong monoidal", check_strong_monoidal(proj))
     eq = check_equivalence(i_functor)
-    cert("projection faithful", [] if eq.faithful else list(eq.witnesses))
+    certs = [
+        Certificate.of("centre category axioms", validate_category(zcat)),
+        Certificate.of("centre monoidal structure (incl. pentagon, triangle)", zms.problems),
+        Certificate.of("braiding naturality and hexagons", check_braiding(zbraid)),
+        Certificate.of("projection functor", validate_functor(i_functor)),
+        Certificate.of("projection strong monoidal", check_strong_monoidal(proj)),
+        Certificate.of("projection faithful", [] if eq.faithful else eq.witnesses),
+    ]
     half_reports = []
     for idx, o in enumerate(objs):
         piece = CentrePiece(Functor(FinCategory(1, (0,), (0,), (0,), {(0, 0): 0}),
@@ -349,21 +319,22 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
         rep = check_centre_piece(piece)
         if rep:
             half_reports.append(f"object {idx}: {rep[0]}")
-    cert("every object is a half-braiding", half_reports)
+    certs.append(Certificate.of("every object is a half-braiding", half_reports))
     braid_match = []
     for (i, j), m in braid.items():
         if mor_table[m][2] != objs[i].gamma[objs[j].a]:
             braid_match.append(f"braiding at ({i}, {j}) does not project to gamma")
-    cert("braiding projects to the stored half-braidings", braid_match)
+    certs.append(Certificate.of("braiding projects to the stored half-braidings", braid_match))
 
     unit_violations = []
     for idx, o in enumerate(objs):
         expected = cat.compose(ms.lam_inv(o.a), ms.rho(o.a))
         if o.gamma[ms.unit] != expected:
             unit_violations.append(idx)
-    cert("unit compatibility (derived law, reported not enforced)",
-         [f"object {i}: gamma at the unit differs from the unitor composite"
-          for i in unit_violations])
+    certs.append(Certificate.of(
+        "unit compatibility (derived law, reported not enforced)",
+        [f"object {i}: gamma at the unit differs from the unitor composite"
+         for i in unit_violations]))
 
     return CentreCategory(ms, zcat, tuple(objs), tuple(mor_table), zms, zbraid,
                           proj, tuple(certs), tuple(unit_violations))
@@ -403,20 +374,9 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
                 return
             for hb in choices[s]:
                 picked[s] = hb
-                ok = True
-                for f in nonid:
-                    s1, s2 = U.src(f), U.dst(f)
-                    if max(s1, s2) != s:
-                        continue
-                    uf = u.mor_map[f]
-                    for x in cat.objects:
-                        if (cat.compose(picked[s2][x], ms.rwhisk(uf, x))
-                                != cat.compose(ms.lwhisk(x, uf), picked[s1][x])):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
+                if all(next(_central_failures(ms, u.mor_map[f], picked[U.src(f)],
+                                              picked[U.dst(f)]), None) is None
+                       for f in nonid if max(U.src(f), U.dst(f)) == s):
                     assign(s + 1)
 
         if U.n_objects == 0:

@@ -49,10 +49,6 @@ class Section(Record):
     __slots__ = ("command", "input", "info", "certificates")
 
 
-def _cert(name: str, report) -> Certificate:
-    return Certificate(name, not report, "; ".join(report[:3]))
-
-
 def _cert_line(c: Certificate) -> str:
     out = f"{c.name} {_DASH} {'PASS' if c.ok else 'FAIL'}"
     if c.detail and not c.ok:
@@ -69,26 +65,26 @@ def _section_validate(spec: LoadedSpec) -> Section:
         cat = spec.payload
         info = (("kind", "category"), ("objects", cat.n_objects),
                 ("morphisms", cat.n_morphisms))
-        certs.append(_cert("Axiom: category laws (identities, composition, "
-                           "associativity)", validate_category(cat)))
+        certs.append(Certificate.of("Axiom: category laws (identities, composition, "
+                                    "associativity)", validate_category(cat)))
     elif spec.kind == "monoidal":
         ms = spec.payload
         info = (("kind", "monoidal"), ("objects", ms.base.n_objects),
                 ("morphisms", ms.base.n_morphisms), ("unit", ms.unit))
-        certs.append(_cert("Axiom: category laws (identities, composition, "
-                           "associativity)", validate_category(ms.base)))
-        certs.append(_cert("Axiom: monoidal coherence (pentagon, triangle, "
-                           "naturality)", ms.problems))
+        certs.append(Certificate.of("Axiom: category laws (identities, composition, "
+                                    "associativity)", validate_category(ms.base)))
+        certs.append(Certificate.of("Axiom: monoidal coherence (pentagon, triangle, "
+                                    "naturality)", ms.problems))
     elif spec.kind == "group":
         group = spec.payload
         info = (("kind", "group"), ("group order", len(group.table)))
-        certs.append(_cert("Axiom: group table (associativity, identity, "
-                           "inverses)", group.problems))
+        certs.append(Certificate.of("Axiom: group table (associativity, identity, "
+                                    "inverses)", group.problems))
     else:
         omega = spec.payload
         info = (("kind", "cocycle"), ("group order", len(omega.group.table)),
                 ("scalar order", omega.scalar_order))
-        certs.append(_cert("Axiom: normalized 3-cocycle", omega.problems))
+        certs.append(Certificate.of("Axiom: normalized 3-cocycle", omega.problems))
     return Section("validate", spec.path, info, tuple(certs))
 
 
@@ -104,12 +100,12 @@ def _section_descent(path: str, H, D) -> Section:
     info = (("descent objects", D.category.n_objects),
             ("descent morphisms", D.category.n_morphisms))
     certs = (
-        _cert("Prop 3.1: translation diagram cosimplicial identities",
-              H.diagram.problems),
-        _cert("Prop 3.1: descent category laws",
-              validate_category(D.category)),
-        _cert("Prop 3.1: descent projection functorial",
-              validate_functor(D.projection)),
+        Certificate.of("Prop 3.1: translation diagram cosimplicial identities",
+                       H.diagram.problems),
+        Certificate.of("Prop 3.1: descent category laws",
+                       validate_category(D.category)),
+        Certificate.of("Prop 3.1: descent projection functorial",
+                       validate_functor(D.projection)),
     )
     return Section("descent", path, info, certs)
 
@@ -142,14 +138,10 @@ def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
     for b in cat.objects:
         for c in cat.objects:
             day = day_convolve(ms, ys[b], ys[c], cfg)
-            target = ys[ms.tensor_obj(b, c)]
-            comp = yoneda_components(day, b, c)
-            bad = check_set_transf(day.functor, target, comp)
+            bad = _iso_failure(day, ys[ms.tensor_obj(b, c)], yoneda_components(day, b, c),
+                               "comparison is not a bijection")
             if bad:
-                yoneda_report.append(f"pair ({b}, {c}): {bad[0]}")
-            elif not is_bijection_family(day.functor, target, comp):
-                yoneda_report.append(
-                    f"pair ({b}, {c}): comparison is not a bijection")
+                yoneda_report.append(f"pair ({b}, {c}): {bad}")
             if discrete:
                 card_report += [f"pair ({b}, {c}): {w}"
                                 for w in cardinality_check(day)]
@@ -157,39 +149,42 @@ def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
 
     unit_report = []
     for b in cat.objects:
-        day_l = day_convolve(ms, unit, ys[b], cfg)
-        comp_l = left_unit_components(day_l)
-        bad = check_set_transf(day_l.functor, ys[b], comp_l)
-        if bad:
-            unit_report.append(f"left unit at {b}: {bad[0]}")
-        elif not is_bijection_family(day_l.functor, ys[b], comp_l):
-            unit_report.append(f"left unit at {b}: not a bijection")
-        day_r = day_convolve(ms, ys[b], unit, cfg)
-        comp_r = right_unit_components(day_r)
-        bad = check_set_transf(day_r.functor, ys[b], comp_r)
-        if bad:
-            unit_report.append(f"right unit at {b}: {bad[0]}")
-        elif not is_bijection_family(day_r.functor, ys[b], comp_r):
-            unit_report.append(f"right unit at {b}: not a bijection")
+        for side, factors, components in (("left", (unit, ys[b]), left_unit_components),
+                                          ("right", (ys[b], unit), right_unit_components)):
+            day = day_convolve(ms, *factors, cfg)
+            bad = _iso_failure(day, ys[b], components(day), "not a bijection")
+            if bad:
+                unit_report.append(f"{side} unit at {b}: {bad}")
 
     info = (("representable pairs checked", pairs),)
     certs = [
-        _cert("Day convolution: Yoneda law y_b ⊗ y_c ≅ "
-              "y_{b⊗c}", yoneda_report),
-        _cert("Day convolution: unit laws on representables", unit_report),
+        Certificate.of("Day convolution: Yoneda law y_b ⊗ y_c ≅ "
+                       "y_{b⊗c}", yoneda_report),
+        Certificate.of("Day convolution: unit laws on representables", unit_report),
     ]
     if discrete:
-        certs.append(_cert("Day convolution: cardinality law (discrete base)",
-                           card_report))
+        certs.append(Certificate.of("Day convolution: cardinality law (discrete base)",
+                                    card_report))
     return Section("convolve", spec.path, info, tuple(certs))
+
+
+def _iso_failure(day, target, components, not_bijective: str):
+    """The first reason the components are not a natural bijection from
+    the convolution to target, or None."""
+    bad = check_set_transf(day.functor, target, components)
+    if bad:
+        return bad[0]
+    if not is_bijection_family(day.functor, target, components):
+        return not_bijective
+    return None
 
 
 def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
                         cfg: GuardConfig) -> Section:
     group = spec.payload
     n = len(group.table)
-    certs = [_cert("Axiom: group table (associativity, identity, inverses)",
-                   group.problems)]
+    certs = [Certificate.of("Axiom: group table (associativity, identity, inverses)",
+                            group.problems)]
     info = [("group order", n),
             ("cocycle", omega_spec.path if omega_spec else "trivial (default)")]
     if group.problems:
@@ -208,7 +203,7 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
     # refuse an oversized group before the quartic cocycle check; the
     # cocycle's report, kept on it, feeds the axiom line and the battery
     check_group_order(n, cfg)
-    certs.append(_cert("Axiom: normalized 3-cocycle", omega.problems))
+    certs.append(Certificate.of("Axiom: normalized 3-cocycle", omega.problems))
     if omega.problems:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 

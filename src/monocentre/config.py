@@ -1,18 +1,39 @@
-"""Size guards and run configuration.
+"""Size guards, run configuration, and the report rule.
 
 Every construction that can blow up combinatorially (products, functor
 categories, half-braiding enumeration, the linear backend) checks its
 inputs against a GuardConfig and refuses with SizeGuardExceeded instead of
 hanging.  Defaults are sized for desk-scale certification runs; a JSON
 config file and MONOCENTRE_* environment variables override them.
+
+Every check reports through _report: its laws are generators of failure
+messages, run in phases, and the report is the first _REPORT_CAP
+failures of the first phase that has any.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 
 from .record import Record
+
+_REPORT_CAP = 12
+
+
+def _report(*phases) -> list[str]:
+    """The first _REPORT_CAP failures of the first phase that yields any.
+
+    Phases are lazy iterables of messages, so a phase starts only when
+    every earlier one passed: structural failures (missing or misplaced
+    cells) are reported on their own, before any law that reads the cells.
+    """
+    for phase in phases:
+        report = list(islice(phase, _REPORT_CAP))
+        if report:
+            return report
+    return []
 
 
 class SizeGuardExceeded(RuntimeError):

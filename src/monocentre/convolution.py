@@ -17,7 +17,7 @@ InternalSoundnessError.
 from __future__ import annotations
 
 
-from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
 from .record import Record
@@ -41,50 +41,54 @@ def validate_set_functor(F: SetFunctor) -> list[str]:
         return [f"{len(F.sizes)} sizes for {cat.n_objects} objects"]
     if len(F.maps) != cat.n_morphisms:
         return [f"{len(F.maps)} maps for {cat.n_morphisms} morphisms"]
-    report = []
-    for f in cat.morphisms:
-        a, b = cat.src(f), cat.dst(f)
-        if len(F.maps[f]) != F.sizes[a]:
-            report.append(f"map of morphism {f} has wrong domain size")
-        elif any(not 0 <= v < F.sizes[b] for v in F.maps[f]):
-            report.append(f"map of morphism {f} leaves its codomain")
-    if report:
-        return report
+    return _report(
+        _function_failures("map of morphism", F.maps,
+                           [F.sizes[cat.src(f)] for f in cat.morphisms],
+                           [F.sizes[cat.dst(f)] for f in cat.morphisms]),
+        _action_failures(F))
+
+
+def _function_failures(name, tables, domains, codomains):
+    """The tables k that are not maps range(domains[k]) -> range(codomains[k])."""
+    for k, (table, dom, cod) in enumerate(zip(tables, domains, codomains)):
+        if len(table) != dom:
+            yield f"{name} {k} has wrong domain size"
+        elif any(not 0 <= v < cod for v in table):
+            yield f"{name} {k} leaves its codomain"
+
+
+def _action_failures(F: SetFunctor):
+    """Identities and composites that F does not preserve, each composite
+    at its first failing element."""
+    cat = F.cat
     for a in cat.objects:
-        e = cat.id_of(a)
-        if F.maps[e] != tuple(range(F.sizes[a])):
-            report.append(f"identity of object {a} does not act as identity")
+        if F.maps[cat.id_of(a)] != tuple(range(F.sizes[a])):
+            yield f"identity of object {a} does not act as identity"
     for g, f, gf in cat.composition_items():
         for i in range(F.sizes[cat.src(f)]):
             if F.apply(g, F.apply(f, i)) != F.apply(gf, i):
-                report.append(f"composition fails on ({g}, {f}) at element {i}")
+                yield f"composition fails on ({g}, {f}) at element {i}"
                 break
-        if len(report) > 8:
-            break
-    return report
 
 
 def check_set_transf(F: SetFunctor, G: SetFunctor, components) -> list[str]:
     """components[a][i] is the image in G(a) of element i of F(a)."""
-    cat = F.cat
-    if len(components) != cat.n_objects:
+    if len(components) != F.cat.n_objects:
         return ["wrong number of components"]
-    report = []
-    for a in cat.objects:
-        comp = components[a]
-        if len(comp) != F.sizes[a]:
-            report.append(f"component at {a} has wrong domain size")
-        elif any(not 0 <= v < G.sizes[a] for v in comp):
-            report.append(f"component at {a} leaves its codomain")
-    if report:
-        return report
+    return _report(_function_failures("component at", components, F.sizes, G.sizes),
+                   _natural_failures(F, G, components))
+
+
+def _natural_failures(F: SetFunctor, G: SetFunctor, components):
+    """The morphisms at which the components are not natural, each at its
+    first failing element."""
+    cat = F.cat
     for f in cat.morphisms:
         a, b = cat.src(f), cat.dst(f)
         for i in range(F.sizes[a]):
             if components[b][F.apply(f, i)] != G.apply(f, components[a][i]):
-                report.append(f"naturality fails at morphism {f}, element {i}")
+                yield f"naturality fails at morphism {f}, element {i}"
                 break
-    return report
 
 
 def is_bijection_family(F: SetFunctor, G: SetFunctor, components) -> bool:

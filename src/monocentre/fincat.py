@@ -7,13 +7,20 @@ composable pairs.  Everything downstream (functor enumeration, centres,
 descent objects) is exhaustive search over these tables, so the encodings
 stay canonical, and categories, functors and transformations are records
 that compare by value.
+
+Preservation of composition and naturality are each written once, as a
+generator of the places where the law fails: the enumerators prune with
+it as soon as the places it reads are assigned, and validate_functor and
+validate_nat_transf report from it through config._report.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
-from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
+                     _report)
 from .record import Record
 
 
@@ -157,61 +164,46 @@ def _table_category(table, identity, compose, missing):
 
 
 def validate_category(cat: FinCategory) -> list[str]:
-    """Return every violated category axiom; empty iff cat is a category.
+    """Return the violated category axioms, capped as config._report caps
+    every check; empty iff cat is a category.
 
     Malformed tables (out-of-range ids, wrong lengths) are reported rather
-    than raised, and suppress the deeper axiom checks they would crash.
+    than raised, on their own, as the axiom checks would crash on them.
     """
-    report = []
-    n = cat.n_objects
-    m = cat.n_morphisms
-    srcs, dsts, ident = cat.mor_src, cat.mor_dst, cat.identity
-
+    n, m = cat.n_objects, cat.n_morphisms
+    srcs, dsts, ident, comp = cat.mor_src, cat.mor_dst, cat.identity, cat.compose_map
     if len(ident) != n:
-        report.append(f"identity table has {len(ident)} entries for {n} objects")
-        return report
-    malformed = False
-    for mor in range(m):
-        if not (0 <= srcs[mor] < n and 0 <= dsts[mor] < n):
-            report.append(f"morphism {mor} has out-of-range endpoints ({srcs[mor]}, {dsts[mor]})")
-            malformed = True
-    for a in range(n):
-        if not (0 <= ident[a] < m):
-            report.append(f"identity of object {a} is out of range: {ident[a]}")
-            malformed = True
-    for (g, f), h in cat.compose_map.items():
-        if not (0 <= g < m and 0 <= f < m and 0 <= h < m):
-            report.append(f"composition entry ({g}, {f}) -> {h} has out-of-range ids")
-            malformed = True
-    if malformed:
-        return report
+        return [f"identity table has {len(ident)} entries for {n} objects"]
+    malformed = chain(
+        (f"morphism {mor} has out-of-range endpoints ({srcs[mor]}, {dsts[mor]})"
+         for mor in cat.morphisms if not (0 <= srcs[mor] < n and 0 <= dsts[mor] < n)),
+        (f"identity of object {a} is out of range: {e}"
+         for a, e in enumerate(ident) if not 0 <= e < m),
+        (f"composition entry ({g}, {f}) -> {h} has out-of-range ids"
+         for (g, f), h in comp.items() if not (0 <= g < m and 0 <= f < m and 0 <= h < m)))
+    return _report(malformed, _category_failures(cat))
 
-    for a in range(n):
-        e = ident[a]
+
+def _category_failures(cat: FinCategory):
+    srcs, dsts, ident, comp = cat.mor_src, cat.mor_dst, cat.identity, cat.compose_map
+    for a, e in enumerate(ident):
         if srcs[e] != a or dsts[e] != a:
-            report.append(f"identity of object {a} is morphism {e}: {srcs[e]} -> {dsts[e]}")
-
-    comp = cat.compose_map
+            yield f"identity of object {a} is morphism {e}: {srcs[e]} -> {dsts[e]}"
     for (g, f), h in sorted(comp.items()):
         if srcs[g] != dsts[f]:
-            report.append(f"compose defined on non-composable pair ({g}, {f})")
-            continue
-        if srcs[h] != srcs[f] or dsts[h] != dsts[g]:
-            report.append(f"composite of ({g}, {f}) has wrong endpoints: morphism {h}")
-    for b in range(n):
+            yield f"compose defined on non-composable pair ({g}, {f})"
+        elif srcs[h] != srcs[f] or dsts[h] != dsts[g]:
+            yield f"composite of ({g}, {f}) has wrong endpoints: morphism {h}"
+    for b in cat.objects:
         for f in cat.in_mors(b):
             for g in cat.out_mors(b):
                 if (g, f) not in comp:
-                    report.append(f"composition missing on composable pair ({g}, {f})")
-
-    for mor in range(m):
-        e_dst = ident[dsts[mor]]
-        e_src = ident[srcs[mor]]
-        if comp.get((e_dst, mor)) != mor:
-            report.append(f"left identity law fails at morphism {mor}")
-        if comp.get((mor, e_src)) != mor:
-            report.append(f"right identity law fails at morphism {mor}")
-
+                    yield f"composition missing on composable pair ({g}, {f})"
+    for mor in cat.morphisms:
+        if comp.get((ident[dsts[mor]], mor)) != mor:
+            yield f"left identity law fails at morphism {mor}"
+        if comp.get((mor, ident[srcs[mor]])) != mor:
+            yield f"right identity law fails at morphism {mor}"
     for (g, f), gf in comp.items():
         if srcs[g] != dsts[f]:
             continue
@@ -220,8 +212,7 @@ def validate_category(cat: FinCategory) -> list[str]:
             hg = comp.get((h, g))
             right = comp.get((hg, f)) if hg is not None else None
             if left != right or left is None:
-                report.append(f"associativity fails at ({h}, {g}, {f})")
-    return report
+                yield f"associativity fails at ({h}, {g}, {f})"
 
 
 class Functor(Record):
@@ -241,33 +232,37 @@ class Functor(Record):
                        tuple(other.mor_map[m] for m in self.mor_map))
 
 
-def identity_functor(cat: FinCategory) -> Functor:
-    return Functor(cat, cat, tuple(cat.objects), tuple(cat.morphisms))
-
-
 def validate_functor(F: Functor) -> list[str]:
-    report = []
     A, B = F.src, F.dst
     if len(F.obj_map) != A.n_objects or len(F.mor_map) != A.n_morphisms:
         return [f"table lengths {len(F.obj_map)}/{len(F.mor_map)} do not match the source"]
-    for a in A.objects:
-        if not 0 <= F.obj_map[a] < B.n_objects:
+    for a, b in enumerate(F.obj_map):
+        if not 0 <= b < B.n_objects:
             return [f"object {a} maps out of range"]
-    for m in A.morphisms:
-        fm = F.mor_map[m]
+    for m, fm in enumerate(F.mor_map):
         if not 0 <= fm < B.n_morphisms:
             return [f"morphism {m} maps out of range"]
-        if B.src(fm) != F.obj_map[A.src(m)] or B.dst(fm) != F.obj_map[A.dst(m)]:
-            report.append(f"morphism {m} maps to {fm} with wrong endpoints")
-    for a in A.objects:
-        if F.mor_map[A.id_of(a)] != B.id_of(F.obj_map[a]):
-            report.append(f"identity of object {a} is not preserved")
-    for (g, f), h in A.compose_map.items():
-        if A.src(g) != A.dst(f):
-            continue
-        if B.compose_map.get((F.mor_map[g], F.mor_map[f])) != F.mor_map[h]:
-            report.append(f"composition not preserved on ({g}, {f})")
-    return report
+    return _report(chain(
+        (f"morphism {m} maps to {fm} with wrong endpoints" for m, fm in enumerate(F.mor_map)
+         if B.src(fm) != F.obj_map[A.src(m)] or B.dst(fm) != F.obj_map[A.dst(m)]),
+        (f"identity of object {a} is not preserved" for a in A.objects
+         if F.mor_map[A.id_of(a)] != B.id_of(F.obj_map[a])),
+        (f"composition not preserved on ({g}, {f})"
+         for g, f in _composition_failures(B, F.mor_map, _composable(A)))))
+
+
+def _composable(A: FinCategory):
+    """The (g, f, g.f) triples of A's composition on composable pairs."""
+    return ((g, f, h) for (g, f), h in A.compose_map.items() if A.src(g) == A.dst(f))
+
+
+def _composition_failures(B: FinCategory, mor_map, triples):
+    """The pairs (g, f) of the (g, f, g.f) triples where mor_map does not
+    send g.f to the composite in B of the images of g and f."""
+    comp = B.compose_map
+    for g, f, h in triples:
+        if comp.get((mor_map[g], mor_map[f])) != mor_map[h]:
+            yield g, f
 
 
 class NatTransf(Record):
@@ -285,25 +280,26 @@ def validate_nat_transf(eta: NatTransf) -> list[str]:
         return ["source functors do not share a domain"]
     if F.dst is not G.dst and F.dst != G.dst:
         return ["source functors do not share a codomain"]
-    A, B = F.src, F.dst
-    if len(eta.components) != A.n_objects:
-        return [f"{len(eta.components)} components for {A.n_objects} objects"]
-    report = []
-    for a in A.objects:
-        c = eta.components[a]
+    A, B, comps = F.src, F.dst, eta.components
+    if len(comps) != A.n_objects:
+        return [f"{len(comps)} components for {A.n_objects} objects"]
+    for a, c in enumerate(comps):
         if not 0 <= c < B.n_morphisms:
             return [f"component at {a} out of range"]
-        if B.src(c) != F.obj_map[a] or B.dst(c) != G.obj_map[a]:
-            report.append(f"component at {a} has wrong endpoints")
-    if report:
-        return report
-    for m in A.morphisms:
-        a, b = A.src(m), A.dst(m)
-        left = B.compose_map.get((eta.components[b], F.mor_map[m]))
-        right = B.compose_map.get((G.mor_map[m], eta.components[a]))
-        if left != right or left is None:
-            report.append(f"naturality fails at morphism {m}")
-    return report
+    return _report(
+        (f"component at {a} has wrong endpoints" for a, c in enumerate(comps)
+         if B.src(c) != F.obj_map[a] or B.dst(c) != G.obj_map[a]),
+        (f"naturality fails at morphism {m}"
+         for m in _naturality_failures(F, G, comps, A.morphisms)))
+
+
+def _naturality_failures(F: Functor, G: Functor, comps, mors):
+    """The morphisms m: a -> b among mors where comps_b . F m != G m . comps_a."""
+    A, comp = F.src, F.dst.compose_map
+    for m in mors:
+        left = comp.get((comps[A.dst(m)], F.mor_map[m]))
+        if left is None or left != comp.get((G.mor_map[m], comps[A.src(m)])):
+            yield m
 
 
 # -- basic shapes -------------------------------------------------------
@@ -450,9 +446,7 @@ def enumerate_functors(A: FinCategory, B: FinCategory,
     n_steps = len(nonid)
     # triple (g, f, h) is checkable once the last non-identity member is set
     triples_at = [[] for _ in range(n_steps)]
-    for (g, f), h in A.compose_map.items():
-        if A.src(g) != A.dst(f):
-            continue
+    for g, f, h in _composable(A):
         members = [pos[m] for m in (g, f, h) if m in pos]
         if members:
             triples_at[max(members)].append((g, f, h))
@@ -472,12 +466,7 @@ def enumerate_functors(A: FinCategory, B: FinCategory,
         for cand in mor_choices(m):
             budget.spend()
             mor_map[m] = cand
-            ok = True
-            for (g, f, h) in triples_at[step]:
-                if B.compose_map.get((mor_map[g], mor_map[f])) != mor_map[h]:
-                    ok = False
-                    break
-            if ok:
+            if next(_composition_failures(B, mor_map, triples_at[step]), None) is None:
                 assign_mors(step + 1)
 
     def assign_objs(a):
@@ -519,14 +508,7 @@ def _nat_transfs(F: Functor, G: Functor, budget: Budget) -> list[NatTransf]:
         for cand in B.hom(F.obj_map[a], G.obj_map[a]):
             budget.spend()
             comps[a] = cand
-            ok = True
-            for m in check_at[a]:
-                left = B.compose_map.get((comps[A.dst(m)], F.mor_map[m]))
-                right = B.compose_map.get((G.mor_map[m], comps[A.src(m)]))
-                if left != right or left is None:
-                    ok = False
-                    break
-            if ok:
+            if next(_naturality_failures(F, G, comps, check_at[a]), None) is None:
                 assign(a + 1)
 
     assign(0)

@@ -212,19 +212,25 @@ def _category_from_doc(doc):
     for a, e in enumerate(ident):
         if e >= n_mor:
             raise MalformedInput(f"/identity/{a}", f"unknown morphism id {e}")
-    seen = {}
-    for k, triple in enumerate(doc["compose"]):
-        for pos, v in enumerate(triple):
-            if v >= n_mor:
-                raise MalformedInput(f"/compose/{k}/{pos}",
-                                     f"unknown morphism id {v}")
-        g, f, h = triple
-        if (g, f) in seen and seen[(g, f)] != h:
-            raise MalformedInput(f"/compose/{k}",
-                                 f"conflicting duplicate entry for ({g}, {f})")
-        seen[(g, f)] = h
+    mor = (n_mor, "unknown morphism id {}")
     return FinCategory(n, [m["src"] for m in mors], [m["dst"] for m in mors],
-                       ident, seen)
+                       ident, _keyed_table(doc, "compose", (mor, mor, mor)))
+
+
+def _keyed_table(doc, name, ids):
+    """The rows of doc[name] as a dict from their leading entries to their
+    last one.  ids[pos] = (bound, message) checks the entry at pos, and
+    two rows with one key must agree."""
+    table = {}
+    for k, row in enumerate(doc[name]):
+        for pos, (v, (bound, message)) in enumerate(zip(row, ids)):
+            if v >= bound:
+                raise MalformedInput(f"/{name}/{k}/{pos}", message.format(v))
+        *key, value = row
+        key = tuple(key)
+        if table.setdefault(key, value) != value:
+            raise MalformedInput(f"/{name}/{k}", f"conflicting duplicate entry for {key}")
+    return table
 
 
 def _monoidal_from_doc(doc):
@@ -252,32 +258,9 @@ def _monoidal_from_doc(doc):
         for a, e in enumerate(arr):
             if e >= n_mor:
                 raise MalformedInput(f"/{key}/{a}", f"unknown morphism id {e}")
-    seen_t = {}
-    for k, triple in enumerate(doc["tensor_mor"]):
-        for pos, v in enumerate(triple):
-            if v >= n_mor:
-                raise MalformedInput(f"/tensor_mor/{k}/{pos}",
-                                     f"unknown morphism id {v}")
-        f, g, h = triple
-        if (f, g) in seen_t and seen_t[(f, g)] != h:
-            raise MalformedInput(f"/tensor_mor/{k}",
-                                 f"conflicting duplicate entry for ({f}, {g})")
-        seen_t[(f, g)] = h
-    seen_a = {}
-    for k, quad in enumerate(doc["alpha"]):
-        a, b, c, m = quad
-        for pos, v in enumerate((a, b, c)):
-            if v >= n:
-                raise MalformedInput(f"/alpha/{k}/{pos}",
-                                     f"object {v} out of range")
-        if m >= n_mor:
-            raise MalformedInput(f"/alpha/{k}/3", f"unknown morphism id {m}")
-        if (a, b, c) in seen_a and seen_a[(a, b, c)] != m:
-            raise MalformedInput(f"/alpha/{k}",
-                                 f"conflicting duplicate entry for "
-                                 f"({a}, {b}, {c})")
-        seen_a[(a, b, c)] = m
-    return MonoidalStructure(cat, tob, seen_t, doc["unit"], seen_a,
+    obj, mor = (n, "object {} out of range"), (n_mor, "unknown morphism id {}")
+    return MonoidalStructure(cat, tob, _keyed_table(doc, "tensor_mor", (mor, mor, mor)),
+                             doc["unit"], _keyed_table(doc, "alpha", (obj, obj, obj, mor)),
                              doc["lambda"], doc["rho"])
 
 

@@ -4,16 +4,22 @@ A MonoidalStructure stores the tensor tables, the unit object, and the
 associator/unitor components explicitly, even when everything is strict.
 All checks are exhaustive and exact: pentagon and triangle over all object
 tuples, naturality over all morphism tuples, invertibility by table lookup.
+
+Each check is a generator of failure messages per phase, capped and
+ordered by config._report: the structure cells are scanned first, by the
+one cell scan (_cell_failures) that also serves braidings, strong monoidal
+functors and the centre's half-braidings, and the laws that compose with
+those cells run only when the scan finds nothing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
+from .config import _report
 from .fincat import FinCategory, Functor, discrete_category
 from .record import Record
-
-_REPORT_CAP = 12
 
 
 class MonoidalStructure(Record):
@@ -63,77 +69,75 @@ class MonoidalStructure(Record):
         return self.base.inverse(self.rho_table[a])
 
 
-def _structural_report(ms: MonoidalStructure) -> list[str]:
+def _cell_failures(cat: FinCategory, cells):
+    """The missing, misplaced and non-invertible cells among the
+    (name, at, mor, src, dst): mor (None when missing) should be an
+    invertible src -> dst, and "{name} at {at}" names it (at None: name)."""
+    for name, at, mor, src, dst in cells:
+        if mor is None:
+            fault = None
+        elif cat.src(mor) != src or cat.dst(mor) != dst:
+            fault = "has wrong endpoints"
+        elif not cat.is_invertible(mor):
+            fault = "is not invertible"
+        else:
+            continue
+        where = "" if at is None else f" at {at}"
+        yield f"{name} missing{where}" if fault is None else f"{name}{where} {fault}"
+
+
+def _structural_failures(ms: MonoidalStructure):
     cat = ms.base
-    n, m = cat.n_objects, cat.n_morphisms
-    report = []
+    n = cat.n_objects
     if len(ms.tensor_obj_table) != n or any(len(row) != n for row in ms.tensor_obj_table):
-        return ["tensor_obj table is not n x n"]
+        yield "tensor_obj table is not n x n"
+        return
     for row in ms.tensor_obj_table:
         for v in row:
             if not 0 <= v < n:
-                return [f"tensor_obj value {v} out of range"]
+                yield f"tensor_obj value {v} out of range"
+                return
     if not 0 <= ms.unit < n:
-        return [f"unit object {ms.unit} out of range"]
+        yield f"unit object {ms.unit} out of range"
+        return
     if len(ms.lam_table) != n or len(ms.rho_table) != n:
-        return ["unitor tables do not cover all objects"]
+        yield "unitor tables do not cover all objects"
+        return
+    t, objs = ms.tensor_obj, cat.objects
     for f in cat.morphisms:
         for g in cat.morphisms:
             h = ms.tensor_mor_table.get((f, g))
             if h is None:
-                report.append(f"tensor_mor missing at ({f}, {g})")
-                continue
-            if (cat.src(h) != ms.tensor_obj(cat.src(f), cat.src(g))
-                    or cat.dst(h) != ms.tensor_obj(cat.dst(f), cat.dst(g))):
-                report.append(f"tensor_mor({f}, {g}) = {h} has wrong endpoints")
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                mor = ms.alpha_table.get((a, b, c))
-                if mor is None:
-                    report.append(f"associator missing at ({a}, {b}, {c})")
-                    continue
-                src = ms.tensor_obj(ms.tensor_obj(a, b), c)
-                dst = ms.tensor_obj(a, ms.tensor_obj(b, c))
-                if cat.src(mor) != src or cat.dst(mor) != dst:
-                    report.append(f"associator at ({a}, {b}, {c}) has wrong endpoints")
-                elif not cat.is_invertible(mor):
-                    report.append(f"associator at ({a}, {b}, {c}) is not invertible")
-    for a in cat.objects:
-        lm, rm = ms.lam_table[a], ms.rho_table[a]
-        if cat.src(lm) != ms.tensor_obj(ms.unit, a) or cat.dst(lm) != a:
-            report.append(f"left unitor at {a} has wrong endpoints")
-        elif not cat.is_invertible(lm):
-            report.append(f"left unitor at {a} is not invertible")
-        if cat.src(rm) != ms.tensor_obj(a, ms.unit) or cat.dst(rm) != a:
-            report.append(f"right unitor at {a} has wrong endpoints")
-        elif not cat.is_invertible(rm):
-            report.append(f"right unitor at {a} is not invertible")
-    return report
+                yield f"tensor_mor missing at ({f}, {g})"
+            elif (cat.src(h) != t(cat.src(f), cat.src(g))
+                    or cat.dst(h) != t(cat.dst(f), cat.dst(g))):
+                yield f"tensor_mor({f}, {g}) = {h} has wrong endpoints"
+    yield from _cell_failures(cat, (
+        ("associator", (a, b, c), ms.alpha_table.get((a, b, c)), t(t(a, b), c), t(a, t(b, c)))
+        for a in objs for b in objs for c in objs))
+    yield from _cell_failures(cat, (
+        (name, a, mor, src, a) for a in objs
+        for name, mor, src in (("left unitor", ms.lam_table[a], t(ms.unit, a)),
+                               ("right unitor", ms.rho_table[a], t(a, ms.unit)))))
 
 
-def _functoriality_report(ms: MonoidalStructure) -> list[str]:
+def _functoriality_failures(ms: MonoidalStructure):
     cat = ms.base
-    report = []
     for a in cat.objects:
         for b in cat.objects:
             if ms.tensor_mor(cat.id_of(a), cat.id_of(b)) != cat.id_of(ms.tensor_obj(a, b)):
-                report.append(f"tensor of identities at ({a}, {b}) is not an identity")
+                yield f"tensor of identities at ({a}, {b}) is not an identity"
     pairs = [(g, f) for (g, f) in cat.compose_map if cat.src(g) == cat.dst(f)]
     for (g2, f2) in pairs:
         for (g1, f1) in pairs:
             lhs = ms.tensor_mor(cat.compose(g2, f2), cat.compose(g1, f1))
             rhs = cat.compose(ms.tensor_mor(g2, g1), ms.tensor_mor(f2, f1))
             if lhs != rhs:
-                report.append(f"tensor does not preserve composition at (({g2},{f2}), ({g1},{f1}))")
-                if len(report) > _REPORT_CAP:
-                    return report
-    return report
+                yield f"tensor does not preserve composition at (({g2},{f2}), ({g1},{f1}))"
 
 
-def _naturality_report(ms: MonoidalStructure) -> list[str]:
+def _cell_naturality_failures(ms: MonoidalStructure):
     cat = ms.base
-    report = []
     mors = list(cat.morphisms)
     for f in mors:
         for g in mors:
@@ -144,16 +148,28 @@ def _naturality_report(ms: MonoidalStructure) -> list[str]:
                 rhs = cat.compose(ms.tensor_mor(f, ms.tensor_mor(g, h)),
                                   ms.alpha(a, b, c))
                 if lhs != rhs:
-                    report.append(f"associator not natural at morphisms ({f}, {g}, {h})")
-                    if len(report) > _REPORT_CAP:
-                        return report
+                    yield f"associator not natural at morphisms ({f}, {g}, {h})"
     for f in mors:
         a, b = cat.src(f), cat.dst(f)
         if cat.compose(ms.lam(b), ms.lwhisk(ms.unit, f)) != cat.compose(f, ms.lam(a)):
-            report.append(f"left unitor not natural at morphism {f}")
+            yield f"left unitor not natural at morphism {f}"
         if cat.compose(ms.rho(b), ms.rwhisk(f, ms.unit)) != cat.compose(f, ms.rho(a)):
-            report.append(f"right unitor not natural at morphism {f}")
-    return report
+            yield f"right unitor not natural at morphism {f}"
+
+
+def _coherence_failures(ms: MonoidalStructure):
+    cat, objs, t, alpha = ms.base, ms.base.objects, ms.tensor_obj, ms.alpha
+    pentagon = next(((a, b, c, d) for a in objs for b in objs for c in objs for d in objs
+                     if cat.compose(alpha(a, b, t(c, d)), alpha(t(a, b), c, d))
+                     != cat.compose_chain(ms.lwhisk(a, alpha(b, c, d)), alpha(a, t(b, c), d),
+                                          ms.rwhisk(alpha(a, b, c), d))), None)
+    if pentagon:
+        yield f"pentagon fails at objects {pentagon}"
+    triangle = next(((a, b) for a in objs for b in objs
+                     if cat.compose(ms.lwhisk(a, ms.lam(b)), alpha(a, ms.unit, b))
+                     != ms.rwhisk(ms.rho(a), b)), None)
+    if triangle:
+        yield f"triangle fails at objects {triangle}"
 
 
 def validate_monoidal(ms: MonoidalStructure) -> list[str]:
@@ -164,24 +180,9 @@ def validate_monoidal(ms: MonoidalStructure) -> list[str]:
     pentagon runs over all object quadruples and the triangle over all
     pairs, and each reports its first failing tuple.
     """
-    report = _structural_report(ms)
-    if report:
-        return report
-    report += _functoriality_report(ms)
-    report += _naturality_report(ms)
-    cat, objs, t, alpha = ms.base, ms.base.objects, ms.tensor_obj, ms.alpha
-    pentagon = next(((a, b, c, d) for a in objs for b in objs for c in objs for d in objs
-                     if cat.compose(alpha(a, b, t(c, d)), alpha(t(a, b), c, d))
-                     != cat.compose_chain(ms.lwhisk(a, alpha(b, c, d)), alpha(a, t(b, c), d),
-                                          ms.rwhisk(alpha(a, b, c), d))), None)
-    triangle = next(((a, b) for a in objs for b in objs
-                     if cat.compose(ms.lwhisk(a, ms.lam(b)), alpha(a, ms.unit, b))
-                     != ms.rwhisk(ms.rho(a), b)), None)
-    if pentagon:
-        report.append(f"pentagon fails at objects {pentagon}")
-    if triangle:
-        report.append(f"triangle fails at objects {triangle}")
-    return report
+    return _report(_structural_failures(ms),
+                   chain(_functoriality_failures(ms), _cell_naturality_failures(ms),
+                         _coherence_failures(ms)))
 
 
 # -- braidings ----------------------------------------------------------
@@ -200,29 +201,22 @@ class BraidingDatum(Record):
 def check_braiding(br: BraidingDatum) -> list[str]:
     """Endpoints, invertibility, naturality, and both hexagon identities."""
     ms = br.ms
+    cat, t = ms.base, ms.tensor_obj
+    cells = (("braiding", (a, b), br.table.get((a, b)), t(a, b), t(b, a))
+             for a in cat.objects for b in cat.objects)
+    return _report(_cell_failures(cat, cells), _braiding_failures(br))
+
+
+def _braiding_failures(br: BraidingDatum):
+    ms = br.ms
     cat = ms.base
-    report = []
-    for a in cat.objects:
-        for b in cat.objects:
-            mor = br.table.get((a, b))
-            if mor is None:
-                report.append(f"braiding missing at ({a}, {b})")
-                continue
-            if cat.src(mor) != ms.tensor_obj(a, b) or cat.dst(mor) != ms.tensor_obj(b, a):
-                report.append(f"braiding at ({a}, {b}) has wrong endpoints")
-            elif not cat.is_invertible(mor):
-                report.append(f"braiding at ({a}, {b}) is not invertible")
-    if report:
-        return report
     for f in cat.morphisms:
         for g in cat.morphisms:
             a, b = cat.src(f), cat.src(g)
             lhs = cat.compose(br.at(cat.dst(f), cat.dst(g)), ms.tensor_mor(f, g))
             rhs = cat.compose(ms.tensor_mor(g, f), br.at(a, b))
             if lhs != rhs:
-                report.append(f"braiding not natural at morphisms ({f}, {g})")
-                if len(report) > _REPORT_CAP:
-                    return report
+                yield f"braiding not natural at morphisms ({f}, {g})"
     for a in cat.objects:
         for b in cat.objects:
             for c in cat.objects:
@@ -231,31 +225,14 @@ def check_braiding(br: BraidingDatum) -> list[str]:
                 rhs = cat.compose_chain(ms.lwhisk(b, br.at(a, c)), ms.alpha(b, a, c),
                                         ms.rwhisk(br.at(a, b), c))
                 if lhs != rhs:
-                    report.append(f"first hexagon fails at ({a}, {b}, {c})")
+                    yield f"first hexagon fails at ({a}, {b}, {c})"
                 ab = ms.tensor_obj(a, b)
                 lhs2 = cat.compose_chain(ms.alpha_inv(c, a, b), br.at(ab, c),
                                          ms.alpha_inv(a, b, c))
                 rhs2 = cat.compose_chain(ms.rwhisk(br.at(a, c), b), ms.alpha_inv(a, c, b),
                                          ms.lwhisk(a, br.at(b, c)))
                 if lhs2 != rhs2:
-                    report.append(f"second hexagon fails at ({a}, {b}, {c})")
-                if len(report) > _REPORT_CAP:
-                    return report
-    return report
-
-
-def identity_braiding(ms: MonoidalStructure) -> BraidingDatum:
-    """The identity-component braiding; valid when the tensor is symmetric
-    as a table and the identities satisfy the hexagons (e.g. abelian
-    discrete fixtures and monoidal posets)."""
-    cat = ms.base
-    comps = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            if ms.tensor_obj(a, b) != ms.tensor_obj(b, a):
-                raise ValueError(f"tensor not symmetric on objects at ({a}, {b})")
-            comps[(a, b)] = cat.id_of(ms.tensor_obj(a, b))
-    return BraidingDatum(ms, comps)
+                    yield f"second hexagon fails at ({a}, {b}, {c})"
 
 
 # -- strong monoidal functors --------------------------------------------
@@ -275,27 +252,19 @@ class StrongMonoidalFunctor(Record):
 def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
     F = sm.functor
     A, B = sm.src_monoidal, sm.dst_monoidal
+    objs = A.base.objects
+    cells = chain(
+        [("unit cell", None, sm.unit_iso, B.unit, F.obj_map[A.unit])],
+        (("tensor cell", (a, b), sm.tensor_iso.get((a, b)),
+          B.tensor_obj(F.obj_map[a], F.obj_map[b]), F.obj_map[A.tensor_obj(a, b)])
+         for a in objs for b in objs))
+    return _report(_cell_failures(B.base, cells), _strong_monoidal_failures(sm))
+
+
+def _strong_monoidal_failures(sm: StrongMonoidalFunctor):
+    F = sm.functor
+    A, B = sm.src_monoidal, sm.dst_monoidal
     catA, catB = A.base, B.base
-    report = []
-    ui = sm.unit_iso
-    if catB.src(ui) != B.unit or catB.dst(ui) != F.obj_map[A.unit]:
-        report.append("unit cell has wrong endpoints")
-    elif not catB.is_invertible(ui):
-        report.append("unit cell is not invertible")
-    for a in catA.objects:
-        for b in catA.objects:
-            mor = sm.tensor_iso.get((a, b))
-            if mor is None:
-                report.append(f"tensor cell missing at ({a}, {b})")
-                continue
-            src = B.tensor_obj(F.obj_map[a], F.obj_map[b])
-            dst = F.obj_map[A.tensor_obj(a, b)]
-            if catB.src(mor) != src or catB.dst(mor) != dst:
-                report.append(f"tensor cell at ({a}, {b}) has wrong endpoints")
-            elif not catB.is_invertible(mor):
-                report.append(f"tensor cell at ({a}, {b}) is not invertible")
-    if report:
-        return report
     for f in catA.morphisms:
         for g in catA.morphisms:
             a, b = catA.src(f), catA.src(g)
@@ -303,9 +272,7 @@ def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
                                B.tensor_mor(F.mor_map[f], F.mor_map[g]))
             rhs = catB.compose(F.mor_map[A.tensor_mor(f, g)], sm.phi(a, b))
             if lhs != rhs:
-                report.append(f"tensor cell not natural at morphisms ({f}, {g})")
-                if len(report) > _REPORT_CAP:
-                    return report
+                yield f"tensor cell not natural at morphisms ({f}, {g})"
     for a in catA.objects:
         for b in catA.objects:
             for c in catA.objects:
@@ -317,20 +284,17 @@ def check_strong_monoidal(sm: StrongMonoidalFunctor) -> list[str]:
                                          B.lwhisk(fa, sm.phi(b, c)),
                                          B.alpha(fa, fb, fc))
                 if lhs != rhs:
-                    report.append(f"associativity compatibility fails at ({a}, {b}, {c})")
-                    if len(report) > _REPORT_CAP:
-                        return report
+                    yield f"associativity compatibility fails at ({a}, {b}, {c})"
     for a in catA.objects:
         fa = F.obj_map[a]
         lhs = catB.compose_chain(F.mor_map[A.lam(a)], sm.phi(A.unit, a),
                                  B.rwhisk(sm.unit_iso, fa))
         if lhs != B.lam(fa):
-            report.append(f"left unit compatibility fails at {a}")
+            yield f"left unit compatibility fails at {a}"
         rhs = catB.compose_chain(F.mor_map[A.rho(a)], sm.phi(a, A.unit),
                                  B.lwhisk(fa, sm.unit_iso))
         if rhs != B.rho(fa):
-            report.append(f"right unit compatibility fails at {a}")
-    return report
+            yield f"right unit compatibility fails at {a}"
 
 
 def strict_cells_functor(F: Functor, src_ms: MonoidalStructure,
@@ -362,26 +326,27 @@ def identity_of(table) -> int:
 def group_table_report(table) -> list[str]:
     """Check a multiplication table for associativity, identity, inverses."""
     n = len(table)
-    report = []
     for row in table:
         if len(row) != n or any(not 0 <= v < n for v in row):
             return ["table is not a square over element indices"]
+    return _report(_group_failures(table))
+
+
+def _group_failures(table):
+    n = len(table)
     try:
         ident = identity_of(table)
     except ValueError:
         ident = None
-        report.append("no identity element")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    report.append(f"not associative at ({a}, {b}, {c})")
-                    return report
-    if ident is not None:
+        yield "no identity element"
+    bad = next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                if table[table[a][b]][c] != table[a][table[b][c]]), None)
+    if bad:
+        yield f"not associative at {bad}"
+    elif ident is not None:
         for a in range(n):
             if not any(table[a][b] == ident and table[b][a] == ident for b in range(n)):
-                report.append(f"element {a} has no inverse")
-    return report
+                yield f"element {a} has no inverse"
 
 
 def discrete_group_monoidal(table) -> MonoidalStructure:
@@ -433,46 +398,6 @@ def one_object_z2_monoidal(broken_pentagon: bool = False) -> MonoidalStructure:
     tmor = {(f, g): (f + g) % 2 for f in range(2) for g in range(2)}
     a = 1 if broken_pentagon else 0
     return MonoidalStructure(cat, ((0,),), tmor, 0, {(0, 0, 0): a}, (0,), (0,))
-
-
-class RelabelledMonoidal(Record):
-    __slots__ = (
-        "monoidal",
-        "iso",  # from the original to the relabelled copy
-    )
-
-
-def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMonoidal:
-    """Transport the whole structure along a renaming of object and
-    morphism ids; returns the copy plus the induced strict isomorphism."""
-    cat = ms.base
-    op = tuple(obj_perm)
-    mp = tuple(mor_perm)
-    n, m = cat.n_objects, cat.n_morphisms
-    if sorted(op) != list(range(n)) or sorted(mp) != list(range(m)):
-        raise ValueError("relabelling must be a pair of permutations")
-    inv_o = [0] * n
-    for i, v in enumerate(op):
-        inv_o[v] = i
-    inv_m = [0] * m
-    for i, v in enumerate(mp):
-        inv_m[v] = i
-    src = tuple(op[cat.src(inv_m[k])] for k in range(m))
-    dst = tuple(op[cat.dst(inv_m[k])] for k in range(m))
-    ident = tuple(mp[cat.id_of(inv_o[o])] for o in range(n))
-    comp = {(mp[g], mp[f]): mp[h] for (g, f), h in cat.compose_map.items()}
-    new_cat = FinCategory(n, src, dst, ident, comp)
-    tobj = [[op[ms.tensor_obj(inv_o[a], inv_o[b])] for b in range(n)] for a in range(n)]
-    tmor = {(mp[f], mp[g]): mp[h] for (f, g), h in ms.tensor_mor_table.items()}
-    alpha = {(op[a], op[b], op[c]): mp[mor] for (a, b, c), mor in ms.alpha_table.items()}
-    lam = [0] * n
-    rho = [0] * n
-    for a in cat.objects:
-        lam[op[a]] = mp[ms.lam(a)]
-        rho[op[a]] = mp[ms.rho(a)]
-    new_ms = MonoidalStructure(new_cat, tobj, tmor, op[ms.unit], alpha, lam, rho)
-    iso = strict_cells_functor(Functor(cat, new_cat, op, mp), ms, new_ms)
-    return RelabelledMonoidal(new_ms, iso)
 
 
 # shared group tables for fixtures and tests

@@ -51,20 +51,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 from math import lcm
 from operator import mul
 
 from .centre import Certificate, compute_centre
-from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
+from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
+                     _report)
 from .cyclo import (
     CycNumber, cyc_zero, mat_invertible, mat_mul, mat_prepare, mat_products_eq,
     mat_scale, mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus,
     roots_of_unity, rref, solve_linear, transpose, zeta,
 )
-from .monoidal import (
-    _REPORT_CAP, discrete_group_monoidal, group_table_report, identity_of,
-)
+from .monoidal import discrete_group_monoidal, group_table_report, identity_of
 from .record import Record
 
 
@@ -195,27 +194,6 @@ def z2_nontrivial_cocycle() -> Cocycle3:
     return Cocycle3(Group(((0, 1), (1, 0))), 2, [[[0, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 
-def coboundary_cocycle(group: Group, scalar_order: int, cochain2) -> Cocycle3:
-    """The coboundary of a normalized 2-cochain b: G x G -> Z_scalar_order.
-
-    (db)(x, y, z) = b(y, z) - b(xy, z) + b(x, yz) - b(x, y), taken mod the
-    scalar order.  Always a normalized cocycle when b is normalized.
-    """
-    table, e = group.table, group.identity
-    n = len(table)
-    b = tuple(tuple(int(v) % scalar_order for v in row) for row in cochain2)
-    if any(b[e][x] != 0 or b[x][e] != 0 for x in range(n)):
-        raise ValueError("2-cochain is not normalized at the identity")
-    exps = tuple(
-        tuple(
-            tuple((b[y][z] - b[table[x][y]][z] + b[x][table[y][z]] - b[x][y])
-                  % scalar_order
-                  for z in range(n))
-            for y in range(n))
-        for x in range(n))
-    return Cocycle3(group, scalar_order, exps)
-
-
 def check_cocycle(omega: Cocycle3) -> list:
     """Normalization and the exhaustive additive cocycle identity.
 
@@ -231,13 +209,13 @@ def check_cocycle(omega: Cocycle3) -> list:
     if len(w) != n or any(len(p) != n or any(len(r) != n for r in p) for p in w):
         return ["exponent table is not |G| x |G| x |G|"]
     e, n0, G = group.identity, omega.scalar_order, range(n)
-    report = list(islice((f"not normalized at ({a}, {b}, {c})" for a in G for b in G
-                          for c in G if e in (a, b, c) and w[a][b][c]), _REPORT_CAP))
-    return report or list(islice((
-        f"cocycle identity fails at (a={a}, b={b}, c={c}, d={d})"
-        for a in G for b in G for c in G for d in G
-        if (w[b][c][d] - w[table[a][b]][c][d] + w[a][table[b][c]][d]
-            - w[a][b][table[c][d]] + w[a][b][c]) % n0), _REPORT_CAP))
+    return _report(
+        (f"not normalized at ({a}, {b}, {c})" for a in G for b in G for c in G
+         if e in (a, b, c) and w[a][b][c]),
+        (f"cocycle identity fails at (a={a}, b={b}, c={c}, d={d})"
+         for a in G for b in G for c in G for d in G
+         if (w[b][c][d] - w[table[a][b]][c][d] + w[a][table[b][c]][d]
+             - w[a][b][table[c][d]] + w[a][b][c]) % n0))
 
 
 def check_group_order(n: int, cfg: GuardConfig) -> None:
@@ -388,13 +366,14 @@ def _axiom_failures(group: Group, P: _Pack, scal, M) -> list:
     report = [f"unit block at grade {g} is not the identity" for g in P.support
               if any((c - P.den * (i == j)) % M for i, r in enumerate(unit[g][0])
                      for j, c in enumerate(r))]
-    mult = [] if report else list(islice(_product_failures(group, P, scal, M),
-                                         _REPORT_CAP))
-    if report or mult:
-        report += [f"block ({x}, {g}) is not invertible" for x in range(len(group.table))
-                   for g in P.support if not P.invertible(x, g)]
-    return report[:_REPORT_CAP] or [
-        f"multiplicativity fails at (x={x}, y={y}, g={g})" for x, y, g in mult]
+    mult = [] if report else _report(
+        f"multiplicativity fails at (x={x}, y={y}, g={g})"
+        for x, y, g in _product_failures(group, P, scal, M))
+    if not (report or mult):
+        return []
+    return _report(chain(report, (f"block ({x}, {g}) is not invertible"
+                                  for x in range(len(group.table)) for g in P.support
+                                  if not P.invertible(x, g))), mult)
 
 
 def check_half_braiding(hb: HalfBraidingLin) -> list:
@@ -411,7 +390,7 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
     if len(dims) != n or any(d < 0 for d in dims):
         return ["carrier dimension vector does not match the group"]
     supp = hb.carrier.support
-    report = _grading_failures(group.conj, dims, supp)
+    report = _report(_grading_failures(group.conj, dims, supp))
     if report:
         return report
     want, have = {(x, g) for x in range(n) for g in supp}, set(hb.blocks)
@@ -419,7 +398,7 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
     if missing or extra:
         return ([f"missing blocks: {missing[:4]}"] if missing else []) + (
             [f"unexpected blocks: {extra[:4]}"] if extra else [])
-    report = _shape_failures(hb)
+    report = _report(_shape_failures(hb))
     if report:
         return report
     order = _entry_order(hb)
@@ -430,20 +409,18 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
                            _twist_packs(hb.omega, order, roots), M)
 
 
-def _shape_failures(hb: HalfBraidingLin) -> list:
+def _shape_failures(hb: HalfBraidingLin):
     """The blocks (x, g) not of shape dim V_{x^-1 g x} x dim V_g."""
     dims, conj = hb.carrier.dims, hb.omega.group.conj
-    return [f"block ({x}, {g}) has the wrong shape"
+    return (f"block ({x}, {g}) has the wrong shape"
             for (x, g), mat in sorted(hb.blocks.items())
-            if len(mat) != dims[conj[x][g]] or any(len(row) != dims[g] for row in mat)
-            ][:_REPORT_CAP]
+            if len(mat) != dims[conj[x][g]] or any(len(row) != dims[g] for row in mat))
 
 
-def _grading_failures(conj, dims, supp) -> list:
-    return [f"grading mismatch: dim {dims[g]} at grade {g} but dim "
+def _grading_failures(conj, dims, supp):
+    return (f"grading mismatch: dim {dims[g]} at grade {g} but dim "
             f"{dims[cx[g]]} at {cx[g]} (x={x})"
-            for x, cx in enumerate(conj) for g in supp if dims[g] != dims[cx[g]]
-            ][:_REPORT_CAP]
+            for x, cx in enumerate(conj) for g in supp if dims[g] != dims[cx[g]])
 
 
 def canonical_class_carrier(omega: Cocycle3, class_rep: int) -> HalfBraidingLin:
@@ -1014,7 +991,7 @@ class _Battery:
                 offset[(g, h)] = dims[table[g][h]]
                 dims[table[g][h]] += A.dims[g] * B.dims[h]
         supp = tuple(k for k in range(len(table)) if dims[k])
-        report = _grading_failures(conj, dims, supp)
+        report = _report(_grading_failures(conj, dims, supp))
         if report:
             return report
         blocks = [[None] * len(table) for _ in table]
@@ -1156,9 +1133,9 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     raw = _raw_scalar_packs(bat, omega)
     hex1_bad = None
     for idx, P in enumerate(bat.packs):
-        shapes = _shape_failures(simples[idx].hb)
-        if shapes:
-            hex1_bad = f"simple {idx}: {shapes[0]}"
+        shape = next(_shape_failures(simples[idx].hb), None)
+        if shape:
+            hex1_bad = f"simple {idx}: {shape}"
             break
         fail = next(_product_failures(bat.group, P, raw, bat.modulus(P.bound())),
                     None)

@@ -1,0 +1,102 @@
+"""Constructors of test inputs.
+
+They build the data the unit tests check (identity and relabelled
+structures, group categories, symmetric braidings, coboundaries), not a
+certified claim, so they live with the tests rather than in the package.
+"""
+
+from monocentre.fincat import FinCategory, Functor
+from monocentre.monoidal import (
+    BraidingDatum, MonoidalStructure, strict_cells_functor,
+)
+from monocentre.record import Record
+from monocentre.veck import Cocycle3, Group
+
+
+def identity_functor(cat: FinCategory) -> Functor:
+    return Functor(cat, cat, tuple(cat.objects), tuple(cat.morphisms))
+
+
+def group_category(table) -> FinCategory:
+    """One-object category whose endomorphisms are a finite group.
+
+    table[g][f] is the product; composition g . f multiplies in that order.
+    """
+    n = len(table)
+    comp = {(g, f): table[g][f] for g in range(n) for f in range(n)}
+    return FinCategory(1, (0,) * n, (0,) * n, (0,), comp)
+
+
+def identity_braiding(ms: MonoidalStructure) -> BraidingDatum:
+    """The identity-component braiding; valid when the tensor is symmetric
+    as a table and the identities satisfy the hexagons (e.g. abelian
+    discrete fixtures and monoidal posets)."""
+    cat = ms.base
+    comps = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            if ms.tensor_obj(a, b) != ms.tensor_obj(b, a):
+                raise ValueError(f"tensor not symmetric on objects at ({a}, {b})")
+            comps[(a, b)] = cat.id_of(ms.tensor_obj(a, b))
+    return BraidingDatum(ms, comps)
+
+
+class RelabelledMonoidal(Record):
+    __slots__ = (
+        "monoidal",
+        "iso",  # from the original to the relabelled copy
+    )
+
+
+def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMonoidal:
+    """Transport the whole structure along a renaming of object and
+    morphism ids; returns the copy plus the induced strict isomorphism."""
+    cat = ms.base
+    op = tuple(obj_perm)
+    mp = tuple(mor_perm)
+    n, m = cat.n_objects, cat.n_morphisms
+    if sorted(op) != list(range(n)) or sorted(mp) != list(range(m)):
+        raise ValueError("relabelling must be a pair of permutations")
+    inv_o = [0] * n
+    for i, v in enumerate(op):
+        inv_o[v] = i
+    inv_m = [0] * m
+    for i, v in enumerate(mp):
+        inv_m[v] = i
+    src = tuple(op[cat.src(inv_m[k])] for k in range(m))
+    dst = tuple(op[cat.dst(inv_m[k])] for k in range(m))
+    ident = tuple(mp[cat.id_of(inv_o[o])] for o in range(n))
+    comp = {(mp[g], mp[f]): mp[h] for (g, f), h in cat.compose_map.items()}
+    new_cat = FinCategory(n, src, dst, ident, comp)
+    tobj = [[op[ms.tensor_obj(inv_o[a], inv_o[b])] for b in range(n)] for a in range(n)]
+    tmor = {(mp[f], mp[g]): mp[h] for (f, g), h in ms.tensor_mor_table.items()}
+    alpha = {(op[a], op[b], op[c]): mp[mor] for (a, b, c), mor in ms.alpha_table.items()}
+    lam = [0] * n
+    rho = [0] * n
+    for a in cat.objects:
+        lam[op[a]] = mp[ms.lam(a)]
+        rho[op[a]] = mp[ms.rho(a)]
+    new_ms = MonoidalStructure(new_cat, tobj, tmor, op[ms.unit], alpha, lam, rho)
+    iso = strict_cells_functor(Functor(cat, new_cat, op, mp), ms, new_ms)
+    return RelabelledMonoidal(new_ms, iso)
+
+
+def coboundary_cocycle(group: Group, scalar_order: int, cochain2) -> Cocycle3:
+    """The coboundary of a normalized 2-cochain b: G x G -> Z_scalar_order.
+
+    (db)(x, y, z) = b(y, z) - b(xy, z) + b(x, yz) - b(x, y), taken mod the
+    scalar order.  Always a normalized cocycle when b is normalized.
+    """
+    table, e = group.table, group.identity
+    n = len(table)
+    b = tuple(tuple(int(v) % scalar_order for v in row) for row in cochain2)
+    if any(b[e][x] != 0 or b[x][e] != 0 for x in range(n)):
+        raise ValueError("2-cochain is not normalized at the identity")
+    exps = tuple(
+        tuple(
+            tuple((b[y][z] - b[table[x][y]][z] + b[x][table[y][z]] - b[x][y])
+                  % scalar_order
+                  for z in range(n))
+            for y in range(n))
+        for x in range(n))
+    return Cocycle3(group, scalar_order, exps)

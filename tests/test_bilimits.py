@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.fincat import (
-    FinCategory, Functor, NatTransf, identity_functor, terminal_category,
+    FinCategory, Functor, NatTransf, terminal_category,
     discrete_category, walking_arrow, validate_functor, validate_category,
 )
 from monocentre.monoidal import one_object_z2_monoidal
@@ -11,6 +11,8 @@ from monocentre.bilimits import (
     iso_inserter, equifier,
     TruncatedCosimplicial, validate_cosimplicial, descent_object,
 )
+
+from helpers import identity_functor
 
 
 def one_object_z2():

@@ -8,7 +8,7 @@ from monocentre.fincat import (
 )
 from monocentre.monoidal import (
     Z2, Z3, Z4, S3, discrete_group_monoidal, chain_poset_monoidal,
-    one_object_z2_monoidal, relabel_monoidal,
+    one_object_z2_monoidal,
 )
 from monocentre.centre import (
     CentrePiece, check_centre_piece, check_centre_piece_morphism,
@@ -16,6 +16,8 @@ from monocentre.centre import (
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
     transport_along_power, check_cp_preserves_coproducts,
 )
+
+from helpers import relabel_monoidal
 
 
 def canonical_piece(Z, ms, idx=0):

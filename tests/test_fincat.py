@@ -10,18 +10,10 @@ from monocentre.fincat import (
     discrete_category, terminal_category, empty_category, walking_arrow,
     product_category, coproduct_category, full_subcategory,
     enumerate_functors, enumerate_nat_transfs, functor_category,
-    identity_functor, check_equivalence,
+    check_equivalence,
 )
 
-
-def group_category(table):
-    """One-object category whose endomorphisms are a finite group.
-
-    table[g][f] is the product; composition g . f multiplies in that order.
-    """
-    n = len(table)
-    comp = {(g, f): table[g][f] for g in range(n) for f in range(n)}
-    return FinCategory(1, (0,) * n, (0,) * n, (0,), comp)
+from helpers import group_category, identity_functor
 
 
 Z2_TABLE = ((0, 1), (1, 0))

@@ -93,6 +93,32 @@ def test_conflicting_compose_entries_are_pointered(tmp_path):
     with pytest.raises(MalformedInput) as exc:
         _load_doc(tmp_path, doc)
     assert exc.value.pointer == f"/compose/{k}"
+    assert str(exc.value) == (f"at /compose/{k}: conflicting duplicate entry "
+                              f"for ({first[0]}, {first[1]})")
+
+
+def _keyed_row_error(tmp_path, key, k, row):
+    """The error of loading chain_poset_monoidal(2) with row k of the keyed
+    table `key` replaced (k past the end appends it)."""
+    doc = monoidal_to_doc(chain_poset_monoidal(2))
+    doc[key][k:k + 1] = [row]
+    with pytest.raises(MalformedInput) as exc:
+        _load_doc(tmp_path, doc)
+    return exc.value.pointer, str(exc.value)
+
+
+@pytest.mark.parametrize("key, k, row, pointer, message", [
+    ("compose", 1, [0, 9, 0], "/compose/1/1", "unknown morphism id 9"),
+    ("tensor_mor", 2, [0, 1, 3], "/tensor_mor/2/2", "unknown morphism id 3"),
+    ("tensor_mor", 9, [0, 1, 2], "/tensor_mor/9",
+     "conflicting duplicate entry for (0, 1)"),
+    ("alpha", 3, [0, 2, 0, 0], "/alpha/3/1", "object 2 out of range"),
+    ("alpha", 3, [0, 1, 1, 5], "/alpha/3/3", "unknown morphism id 5"),
+    ("alpha", 8, [1, 1, 1, 0], "/alpha/8",
+     "conflicting duplicate entry for (1, 1, 1)"),
+])
+def test_keyed_table_rows_are_pointered(tmp_path, key, k, row, pointer, message):
+    assert _keyed_row_error(tmp_path, key, k, row) == (pointer, f"at {pointer}: {message}")
 
 
 def test_schema_violation_is_pointered(tmp_path):

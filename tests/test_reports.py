@@ -1,0 +1,228 @@
+"""The report rule of the set-level checks.
+
+A check returns a list of failure messages, empty iff its input passes.
+Structural failures (missing, misplaced or non-invertible cells, tables of
+the wrong shape) are reported on their own, since the laws read those
+cells; a report holds at most 12 lines, the first ones in scan order.
+The negative paths below pin the exact messages, and the architecture
+test keeps the cap in one place.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+from monocentre.bilimits import TruncatedCosimplicial, validate_cosimplicial
+from monocentre.centre import CentrePiece, check_centre_piece, check_centre_piece_morphism
+from monocentre.convolution import SetFunctor, check_set_transf, validate_set_functor
+from monocentre.fincat import (
+    FinCategory, Functor, NatTransf, discrete_category, terminal_category, walking_arrow,
+    validate_category, validate_functor, validate_nat_transf,
+)
+from monocentre.monoidal import (
+    BraidingDatum, MonoidalStructure, StrongMonoidalFunctor, Z2, Z4, S3,
+    check_braiding, check_strong_monoidal, discrete_group_monoidal, group_table_report,
+    one_object_z2_monoidal, strict_cells_functor, validate_monoidal,
+)
+from monocentre.veck import (
+    Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
+    trivial_cocycle,
+)
+
+from helpers import group_category, identity_functor
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "monocentre"
+
+
+def cyclic_table(n):
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+def semidirect_monoidal():
+    """Objects Z2, hom(g, g) = Z3 as morphisms 3 g + a, and the strict
+    tensor (g, a) (x) (h, b) = (g + h, a + (-1)^g b): the object 1 acts on
+    endomorphisms by negation, so tensoring with it on the left is not
+    tensoring with it on the right."""
+    mors = [(g, a) for g in range(2) for a in range(3)]
+    comp = {(3 * g + a, 3 * g + b): 3 * g + (a + b) % 3
+            for g in range(2) for a in range(3) for b in range(3)}
+    cat = FinCategory(2, [g for g, _ in mors], [g for g, _ in mors], (0, 3), comp)
+    tmor = {(3 * g + a, 3 * h + b): 3 * (g ^ h) + (a + (-1) ** g * b) % 3
+            for g, a in mors for h, b in mors}
+    alpha = {(a, b, c): 3 * (a ^ b ^ c) for a in range(2) for b in range(2) for c in range(2)}
+    return MonoidalStructure(cat, ((0, 1), (1, 0)), tmor, 0, alpha, (0, 3), (0, 3))
+
+
+def point_piece(ms, a, components):
+    """The piece over the terminal category at the object a."""
+    u = Functor(terminal_category(), ms.base, (a,), (ms.base.id_of(a),))
+    return CentrePiece(u, ms, {(0, x): m for x, m in enumerate(components)})
+
+
+def test_semidirect_fixture_is_monoidal():
+    ms = semidirect_monoidal()
+    assert validate_category(ms.base) == []
+    assert validate_monoidal(ms) == []
+
+
+# -- pinned negative paths ----------------------------------------------------
+
+
+def test_functor_not_preserving_composition():
+    F = Functor(group_category(cyclic_table(3)), group_category(Z2), (0,), (0, 1, 1))
+    assert validate_functor(F) == ["composition not preserved on (1, 1)",
+                                   "composition not preserved on (2, 2)"]
+
+
+def test_transformation_not_natural():
+    idS = identity_functor(group_category(S3))
+    assert validate_nat_transf(NatTransf(idS, idS, (3,))) == [
+        "naturality fails at morphism 1", "naturality fails at morphism 2",
+        "naturality fails at morphism 5"]
+
+
+def test_piece_not_natural_in_the_second_argument():
+    ms = semidirect_monoidal()
+    report = check_centre_piece(point_piece(ms, 1, (3, 0)))
+    assert report == [f"gamma not natural in the second argument at (s=0, f={f})"
+                      for f in (1, 2, 4, 5)]
+
+
+def test_piece_not_natural_in_the_first_argument():
+    ms = one_object_z2_monoidal()
+    # the arrow of the walking arrow goes to the flip, and the two ends
+    # carry different half-braidings
+    u = Functor(walking_arrow(), ms.base, (0, 0), (0, 0, 1))
+    report = check_centre_piece(CentrePiece(u, ms, {(0, 0): 0, (1, 0): 1}))
+    assert report == ["gamma not natural in the first argument at (f=2, x=0)",
+                      "multiplicativity fails at (s=1, x=0, y=0)"]
+
+
+def test_piece_morphism_condition_fails():
+    ms = semidirect_monoidal()
+    p = point_piece(ms, 0, (0, 3))
+    assert check_centre_piece(p) == []
+    # the endomorphism 1 of the object 0 does not commute with tensoring by 1
+    sigma = NatTransf(p.u, p.u, (1,))
+    assert check_centre_piece_morphism(sigma, p, p) == [
+        "centre-piece morphism condition fails at (s=0, x=1)"]
+
+
+def test_missing_braiding_cell_is_reported_alone():
+    ms = discrete_group_monoidal(Z2)
+    br = BraidingDatum(ms, {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+    assert check_braiding(br) == ["braiding missing at (1, 1)"]
+
+
+def test_missing_tensor_cell_is_reported_alone():
+    ms = discrete_group_monoidal(Z2)
+    sm = strict_cells_functor(identity_functor(ms.base), ms, ms)
+    phi = dict(sm.tensor_iso)
+    del phi[(1, 1)]
+    broken = StrongMonoidalFunctor(sm.functor, ms, ms, phi, sm.unit_iso)
+    assert check_strong_monoidal(broken) == ["tensor cell missing at (1, 1)"]
+
+
+def test_missing_gamma_cell_is_reported_alone():
+    ms = discrete_group_monoidal(Z2)
+    u = Functor(terminal_category(), ms.base, (0,), (0,))
+    assert check_centre_piece(CentrePiece(u, ms, {(0, 0): 0})) == [
+        "gamma missing at (s=0, x=1)"]
+
+
+# -- the cap ---------------------------------------------------------------------
+
+
+def _all_to_one():
+    """Every morphism of Z6 to the non-identity of Z2: identities and all
+    36 composites fail."""
+    return Functor(group_category(cyclic_table(6)), group_category(Z2), (0,), (1,) * 6)
+
+
+def _cosimplicial_all_broken():
+    F = _all_to_one()
+    X, Y = F.src, F.dst
+    cell = NatTransf(identity_functor(Y), identity_functor(Y), (0,))
+    return TruncatedCosimplicial(X, Y, Y, F, F, F, F, F, cell, cell, cell)
+
+
+def _regular(n):
+    """Z_n acting on itself by translation, as a set functor."""
+    return SetFunctor(group_category(cyclic_table(n)), (n,), cyclic_table(n))
+
+
+def _broken_monoidal_tables():
+    ms = discrete_group_monoidal(Z4)
+    return MonoidalStructure(ms.base, ms.tensor_obj_table, {}, ms.unit,
+                             ms.alpha_table, ms.lam_table, ms.rho_table)
+
+
+def _semidirect_morphism():
+    ms = semidirect_monoidal()
+    u = Functor(discrete_category(16), ms.base, (0,) * 16, (0,) * 16)
+    p = CentrePiece(u, ms, {(s, x): 3 * x for s in range(16) for x in range(2)})
+    return check_centre_piece_morphism(NatTransf(u, u, (1,) * 16), p, p)
+
+
+MAXIMALLY_BROKEN = {
+    # 16 missing composites and 8 identity-law failures
+    "validate_category": lambda: validate_category(
+        FinCategory(1, (0,) * 4, (0,) * 4, (0,), {})),
+    "validate_functor": lambda: validate_functor(_all_to_one()),
+    # naturality fails at the 15 non-identities
+    "validate_nat_transf": lambda: validate_nat_transf(NatTransf(
+        identity_functor(group_category(cyclic_table(16))),
+        Functor(group_category(cyclic_table(16)), group_category(cyclic_table(16)),
+                (0,), (0,) * 16), (0,))),
+    "validate_cosimplicial": lambda: validate_cosimplicial(_cosimplicial_all_broken()),
+    # 16 missing tensor_mor entries
+    "validate_monoidal": lambda: validate_monoidal(_broken_monoidal_tables()),
+    "check_braiding": lambda: check_braiding(
+        BraidingDatum(discrete_group_monoidal(Z4), {})),
+    "check_strong_monoidal": lambda: check_strong_monoidal(StrongMonoidalFunctor(
+        identity_functor(discrete_group_monoidal(Z4).base), discrete_group_monoidal(Z4),
+        discrete_group_monoidal(Z4), {}, 0)),
+    "check_centre_piece": lambda: check_centre_piece(CentrePiece(
+        Functor(discrete_category(4), discrete_group_monoidal(Z4).base, (0,) * 4, (0,) * 4),
+        discrete_group_monoidal(Z4), {})),
+    # fails at (s, x=1) for each of 16 objects s
+    "check_centre_piece_morphism": _semidirect_morphism,
+    # every map constant: identities and composites fail
+    "validate_set_functor": lambda: validate_set_functor(SetFunctor(
+        group_category(cyclic_table(16)), (2,), ((0, 0),) * 16)),
+    # the constant component is natural only at the identity
+    "check_set_transf": lambda: check_set_transf(_regular(16), _regular(16), ((0,) * 16,)),
+    # max is associative with identity 0, and only 0 is invertible
+    "group_table_report": lambda: group_table_report(
+        tuple(tuple(max(a, b) for b in range(16)) for a in range(16))),
+    # not normalized at every tuple through the identity
+    "check_cocycle": lambda: check_cocycle(Cocycle3(
+        Group(Z4), 2, [[[1] * 4 for _ in range(4)] for _ in range(4)])),
+    # grading mismatches in every nontrivial class
+    "check_half_braiding": lambda: check_half_braiding(HalfBraidingLin(
+        trivial_cocycle(Group(S3)), GradedObject((1, 2, 3, 4, 5, 6)), {})),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MAXIMALLY_BROKEN))
+def test_every_report_holds_at_most_twelve_lines(check):
+    report = MAXIMALLY_BROKEN[check]()
+    assert 0 < len(report) <= 12, report
+
+
+# -- architecture ----------------------------------------------------------------
+
+
+def test_only_config_names_the_report_cap():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named == "_REPORT_CAP":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == [], "_REPORT_CAP named outside config.py: " + ", ".join(offenders)

@@ -32,7 +32,6 @@ from monocentre.veck import (
     certify_centre_structure,
     check_cocycle,
     check_half_braiding,
-    coboundary_cocycle,
     delta_object,
     group_centre,
     half_braiding_space,
@@ -45,6 +44,8 @@ from monocentre.cyclo import (
     cyc_one, cyc_zero, mat_mul, mat_prepare, mat_scale, mat_vec, roots_of_unity, rref,
     solve_linear, transpose, zeta,
 )
+
+from helpers import coboundary_cocycle
 
 
 def trivial(table, scalar_order=1):
