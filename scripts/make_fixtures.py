@@ -28,11 +28,11 @@ from monocentre.monoidal import (
 )
 from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
+ROOT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
-def main():
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    root.mkdir(exist_ok=True)
 
+def corpus_docs() -> dict:
+    """The fixture documents by file name."""
     tables = {"z2": Z2, "z3": Z3, "z4": Z4, "s3": S3}
     docs = {}
     for name, table in tables.items():
@@ -47,9 +47,14 @@ def main():
     docs["z2_nontrivial.json"] = cocycle_to_doc(z2_nontrivial_cocycle())
     broken = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
     docs["z2_broken_omega.json"] = cocycle_to_doc(Cocycle3(Group(Z2), 2, broken))
+    return docs
 
+
+def main():
+    ROOT.mkdir(exist_ok=True)
+    docs = corpus_docs()
     for name in sorted(docs):
-        write_spec(str(root / name), docs[name])
+        write_spec(str(ROOT / name), docs[name])
         print(f"wrote fixtures/{name}")
 
 

@@ -28,7 +28,7 @@ from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
     product_category, coproduct_category, check_equivalence,
-    validate_category, validate_functor, _table_category,
+    validate_category, validate_functor, validate_nat_transf, _table_category,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
@@ -96,12 +96,20 @@ def _central_failures(ms: MonoidalStructure, f, gamma, delta):
 
 
 def check_centre_piece(p: CentrePiece) -> list[str]:
-    """Invertibility, binaturality, and multiplicativity, exhaustively."""
-    ms, u = p.ms, p.u
-    cat, t = ms.base, ms.tensor_obj
-    cells = (("gamma", f"(s={s}, x={x})", p.gamma.get((s, x)), t(us, x), t(x, us))
-             for s, us in enumerate(u.obj_map) for x in cat.objects)
-    return _report(_cell_failures(cat, cells), _piece_failures(p))
+    """That u is a functor into the base, then invertibility, binaturality,
+    and multiplicativity, exhaustively."""
+    cat = p.ms.base
+    if p.u.dst is not cat and p.u.dst != cat:
+        return ["u does not land in the base category"]
+    return _report((f"u is not a functor: {e}" for e in validate_functor(p.u)),
+                   _cell_failures(cat, _gamma_cells(p)), _piece_failures(p))
+
+
+def _gamma_cells(p: CentrePiece):
+    """The cells gamma_{s,x}: u(s)(x)x -> x(x)u(s) of p, for _cell_failures."""
+    t = p.ms.tensor_obj
+    return (("gamma", f"(s={s}, x={x})", p.gamma.get((s, x)), t(us, x), t(x, us))
+            for s, us in enumerate(p.u.obj_map) for x in p.ms.base.objects)
 
 
 def _piece_failures(p: CentrePiece):
@@ -122,12 +130,18 @@ def _piece_failures(p: CentrePiece):
 def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
                                 q: CentrePiece) -> list[str]:
     """sigma: p.u => q.u is a morphism of centre pieces when
-    (1_x (x) sigma_s) . gamma_{s,x} = delta_{s,x} . (sigma_s (x) 1_x)."""
+    (1_x (x) sigma_s) . gamma_{s,x} = delta_{s,x} . (sigma_s (x) 1_x).
+    Missing or ill-typed components, of sigma or of either piece's gamma,
+    are reported before the condition reads them."""
     if sigma.src != p.u or sigma.dst != q.u:
         return ["transformation endpoints do not match the pieces"]
-    return _report(f"centre-piece morphism condition fails at (s={s}, x={x})"
-                   for s, c in enumerate(sigma.components)
-                   for x in _central_failures(p.ms, c, p.family(s), q.family(s)))
+    return _report((f"sigma is not a natural transformation: {e}"
+                    for e in validate_nat_transf(sigma)),
+                   (f"{name}: {e}" for name, r in (("p", p), ("q", q))
+                    for e in _cell_failures(r.ms.base, _gamma_cells(r))),
+                   (f"centre-piece morphism condition fails at (s={s}, x={x})"
+                    for s, c in enumerate(sigma.components)
+                    for x in _central_failures(p.ms, c, p.family(s), q.family(s))))
 
 
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
@@ -211,6 +225,8 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
         empty = FinCategory(0, (), (), (), {})
         return CentreCategory(ms, empty, (), (), None, None, None,
                               (Certificate("degenerate empty input", True),), ())
+    if ms.problems:
+        raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
 
     objs = []
     for a in cat.objects:

@@ -16,18 +16,18 @@ norm, which is rational.  The matrix routines work in the lcm order of
 their entries and accumulate each entry as one unreduced integer
 polynomial over a common denominator, reducing and normalizing once.
 
-Three routines check instead of build.  A prepared matrix (mat_prepare)
-is lifted once to a given order over one denominator and packed: each
-entry becomes one integer, its numerator polynomial at X = 2^K mod
-Phi_n(X), with K derived from the data so that the test is exact
-(PreparedMatrix).  mat_scaled_product_eq and mat_products_eq decide
+Two routines check products instead of building them.  A prepared
+matrix (mat_prepare) is lifted once to a given order over one denominator
+and packed: each entry becomes one integer, its numerator polynomial at
+X = 2^K mod Phi_n(X), with K derived from the data so that the test is
+exact (PreparedMatrix).  mat_scaled_product_eq and mat_products_eq decide
 s (A B) == C and A B == C D by integer products and one remainder per
-entry.  mat_invertible decides invertibility by fraction-free elimination
-over Z[zeta]: rows are cleared of denominators, and a row is eliminated
-by cross-multiplying it with the nonzero pivot, so no inverse is formed.
+entry.
 
-solve_linear is Gauss-Jordan over the field, returning a particular
-solution and a kernel basis.
+solve_linear is the only elimination: Gauss-Jordan over the field,
+returning a particular solution, a kernel basis, the rank and pivots, and
+the reduced rows.  Rank, invertibility and the canonical basis of a span
+are all read off it.
 """
 
 from __future__ import annotations
@@ -331,22 +331,15 @@ def _split(v, n):
                  for x in v]
 
 
-def _acc(xs, ys, width):
-    """sum(x * y) over two lists of sparse numerators, as one unreduced
-    integer polynomial of the given length."""
-    acc = [0] * width
-    for px, py in zip(xs, ys):
+def _dot(n, xs, ys):
+    """sum(x * y) over two vectors from _split, accumulated as one
+    unreduced integer polynomial, then reduced and normalized once."""
+    acc = [0] * (2 * euler_phi(n) - 1)
+    for px, py in zip(xs[1], ys[1]):
         for i, c in px:
             for j, d in py:
                 acc[i + j] += c * d
-    return acc
-
-
-def _dot(n, xs, ys):
-    """sum(x * y) over two vectors from _split, accumulated unreduced,
-    then reduced and normalized once."""
-    return _make(n, _reduce(n, _acc(xs[1], ys[1], 2 * euler_phi(n) - 1)),
-                 xs[0] * ys[0])
+    return _make(n, _reduce(n, acc), xs[0] * ys[0])
 
 
 def _sub_mul(n, xs, c, ys):
@@ -572,35 +565,8 @@ def mat_products_eq(A, B, C, D) -> bool:
                    for arow, crow in zip(arows, crows) for bcol, dcol in zip(bcols, dcols))
 
 
-def mat_invertible(A) -> bool:
-    """Whether A is square and invertible, by fraction-free elimination.
-
-    Each row is scaled to integer numerators, i.e. entries of Z[zeta].  A
-    row r with entry a below the pivot p of pivot row q becomes p r - a q:
-    Z[zeta] is a domain and p != 0, so the rank is kept and no inverse is
-    formed.  A is invertible iff every column finds a pivot.
-    """
-    if any(len(row) != len(A) for row in A):
-        return False
-    n = _common_order(*A)
-    width = 2 * euler_phi(n) - 1
-    rows = [_split(row, n)[1] for row in A]
-    while rows:
-        k = next((i for i, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            return False
-        pivot = rows.pop(k)
-        p, tail = pivot[0], pivot[1:]
-        for i, row in enumerate(rows):
-            a = [(j, -c) for j, c in row[0]]
-            rows[i] = (row[1:] if not a else
-                       [_sparse(_reduce(n, _acc((p, a), (x, y), width)))
-                        for x, y in zip(row[1:], tail)])
-    return True
-
-
 class LinSolve(Record):
-    __slots__ = ("consistent", "particular", "kernel", "rank", "pivots")
+    __slots__ = ("consistent", "particular", "kernel", "rank", "pivots", "rows")
 
 
 def solve_linear(M, b=None) -> LinSolve:
@@ -608,7 +574,8 @@ def solve_linear(M, b=None) -> LinSolve:
 
     Returns a particular solution (None when inconsistent), a kernel basis
     in canonical form (one vector per free column, free coordinate 1), the
-    rank, and the pivot columns.
+    rank, the pivot columns, and the nonzero rows of the reduced row
+    echelon form of M in pivot order: the canonical basis of M's row span.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -649,32 +616,5 @@ def solve_linear(M, b=None) -> LinSolve:
         for i, col in enumerate(pivots):
             vec[col] = -rows[i][free]
         kernel.append(tuple(vec))
-    return LinSolve(consistent, particular, tuple(kernel), len(pivots), tuple(pivots))
-
-
-def rref(vectors):
-    """Reduced row echelon form of a list of vectors; canonical basis of
-    their span.  Returns (rows, pivots)."""
-    vectors = list(vectors)
-    if not vectors:
-        return (), ()
-    order = _common_order(*vectors)
-    rows = [_lift(v, order) for v in vectors]
-    n = len(rows[0])
-    out = []
-    pivots = []
-    for v in rows:
-        for prow, pcol in zip(out, pivots):
-            if not v[pcol].is_zero():
-                v = _sub_mul(order, v, v[pcol], prow)
-        lead = next((j for j in range(n) if not v[j].is_zero()), None)
-        if lead is None:
-            continue
-        v = _sub_mul(order, None, -v[lead].inverse(), v)
-        out.append(v)
-        pivots.append(lead)
-        for i, (prow, pcol) in enumerate(zip(out[:-1], pivots[:-1])):
-            if not prow[lead].is_zero():
-                out[i] = _sub_mul(order, prow, prow[lead], v)
-    perm = sorted(range(len(out)), key=lambda i: pivots[i])
-    return (tuple(tuple(out[i]) for i in perm), tuple(pivots[i] for i in perm))
+    return LinSolve(consistent, particular, tuple(kernel), len(pivots), tuple(pivots),
+                    tuple(tuple(row[:n]) for row in rows[:len(pivots)]))

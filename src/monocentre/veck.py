@@ -33,7 +33,8 @@ tr(M_h^-1), where M_h^-1 = M_{h^-1} / c_h for the scalar c_h =
 M_{h^-1} M_h.  Otherwise an eigenvector v (in mu_N) of a non-scalar M_h,
 preferring one that commutes with every M_k, generates an invariant
 subspace C: the action is projective, so the orbit span {M_h v} is
-already invariant and one rref gives its canonical basis.  The kernel of
+already invariant and the reduced rows of one solve_linear are its
+canonical basis.  The kernel of
 the Maschke average P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate
 projection E onto span C is an invariant complement, and each part's
 action is read off the unit rows of its basis; the split carries actions
@@ -59,9 +60,9 @@ from .centre import Certificate, compute_centre
 from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
                      _report)
 from .cyclo import (
-    CycNumber, cyc_zero, mat_invertible, mat_mul, mat_prepare, mat_products_eq,
-    mat_scale, mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus,
-    roots_of_unity, rref, solve_linear, transpose, zeta,
+    CycNumber, cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale,
+    mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus, roots_of_unity,
+    solve_linear, transpose, zeta,
 )
 from .monoidal import discrete_group_monoidal, group_table_report, identity_of
 from .record import Record
@@ -293,11 +294,14 @@ def _entry_order(*hbs) -> int:
 
 
 class _Pack:
-    """A half-braiding's blocks packed at one width: blocks[x][g] is (rows,
-    cols) over den, norm bounds each entry's numerator L1 norm, and
-    invertible(x, g) decides whether block (x, g) is invertible."""
+    """A half-braiding's blocks packed at one width, as parts between
+    components: cells lists the (grade, component) pairs in grade order,
+    conj[x][c] is the component beta_x takes c to, and blocks[x][c] is
+    (rows, cols) of that part over den.  A simple's only component at
+    grade k is k itself.  norm bounds each entry's numerator L1 norm, and
+    invertible(x, k) decides whether block (x, k) is invertible."""
 
-    __slots__ = ("blocks", "den", "norm", "support", "dims", "invertible")
+    __slots__ = ("blocks", "den", "norm", "support", "dims", "invertible", "cells", "conj")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -308,15 +312,21 @@ class _Pack:
         return max(self.dims) * self.norm ** 2 + self.den * self.norm + self.den
 
 
-def _pack(hb: HalfBraidingLin, order: int) -> tuple:
+def _full_rank(blk) -> bool:
+    return solve_linear(blk).rank == len(blk)
+
+
+def _pack(hb: HalfBraidingLin, order: int, full_rank=_full_rank) -> tuple:
     """(pack, prepared): hb's blocks prepared at the order over one
     denominator, the lcm of the entries' (promotion keeps it); the pack's
-    blocks are filled by _fill at a width."""
+    blocks are filled by _fill at a width, and invertible(x, g) asks
+    full_rank of block (x, g) once."""
     den = lcm(*(v.den for blk in hb.blocks.values() for row in blk for v in row))
     prep = {key: mat_prepare(blk, order, den) for key, blk in hb.blocks.items()}
-    invertible = lru_cache(maxsize=None)(lambda x, g: mat_invertible(hb.block(x, g)))
-    return _Pack(None, den, max((P.norm for P in prep.values()), default=0),
-                 hb.carrier.support, hb.carrier.dims, invertible), prep
+    supp = hb.carrier.support
+    invertible = lru_cache(maxsize=None)(lambda x, g: full_rank(hb.block(x, g)))
+    return _Pack(None, den, max((P.norm for P in prep.values()), default=0), supp,
+                 hb.carrier.dims, invertible, tuple(zip(supp, supp)), hb.omega.group.conj), prep
 
 
 def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
@@ -328,28 +338,31 @@ def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
 
 
 def _product_failures(group: Group, P: _Pack, scal, M):
-    """The fused multiplicativity pass: yield each (x, y, g), in scan
-    order, where zeta^t beta_y|gx beta_x|g != beta_xy|g.
+    """The fused multiplicativity pass: yield each (x, y, k), in scan
+    order, where zeta^t beta_y|kx beta_x|k != beta_xy|k.
 
-    P's blocks have the shapes its carrier gives them (_shape_failures)
-    and scal[x][y][g] is the packed scalar; an entry holds iff
-    s (sum a b) - den c vanishes mod M.
+    A block is the direct sum of its parts, so the law holds at (x, y, k)
+    iff s b_y(c x) b_x(c) = den b_xy(c) entrywise mod M on each component c
+    at grade k, b_x(c) being the part from c to c x = P.conj[x][c] and s =
+    scal[x][y][k]; the parts have their carrier's shapes (_shape_failures).
     """
-    blocks, den, supp = P.blocks, P.den, P.support
-    for x, cx in enumerate(group.conj):
+    blocks, den, cells = P.blocks, P.den, P.cells
+    for x, cx in enumerate(P.conj):
         tx, bx, sx = group.table[x], blocks[x], scal[x]
         for y, by in enumerate(blocks):
-            bxy, sxy = blocks[tx[y]], sx[y]
-            for g in supp:
-                s = sxy[g]
-                bcols = bx[g][1]
-                for arow, crow in zip(by[cx[g]][0], bxy[g][0]):
-                    for bcol, c in zip(bcols, crow):
-                        if (s * sum(map(mul, arow, bcol)) - den * c) % M:
+            bxy, sxy, failed = blocks[tx[y]], sx[y], None
+            for k, c in cells:
+                if k == failed:
+                    continue
+                s, bcols = sxy[k], bx[c][1]
+                for arow, crow in zip(by[cx[c]][0], bxy[c][0]):
+                    for bcol, e in zip(bcols, crow):
+                        if (s * sum(map(mul, arow, bcol)) - den * e) % M:
                             break
                     else:
                         continue
-                    yield x, y, g
+                    yield x, y, k
+                    failed = k
                     break
 
 
@@ -363,9 +376,9 @@ def _axiom_failures(group: Group, P: _Pack, scal, M) -> list:
     blocks are invertible, and P.invertible runs only to name them.
     """
     unit = P.blocks[group.identity]
-    report = [f"unit block at grade {g} is not the identity" for g in P.support
-              if any((c - P.den * (i == j)) % M for i, r in enumerate(unit[g][0])
-                     for j, c in enumerate(r))]
+    report = [f"unit block at grade {k} is not the identity" for k in dict.fromkeys(
+        k for k, c in P.cells if any((e - P.den * (i == j)) % M
+                                     for i, r in enumerate(unit[c][0]) for j, e in enumerate(r)))]
     mult = [] if report else _report(
         f"multiplicativity fails at (x={x}, y={y}, g={g})"
         for x, y, g in _product_failures(group, P, scal, M))
@@ -606,14 +619,14 @@ def _commutant_dim(mats, inverses) -> int:
 
 def _cyclic_closure(v, mats):
     """Canonical column basis of the invariant subspace generated by v,
-    and its unit rows (the rref pivots).
+    and its unit rows (the pivots of the reduced rows).
 
     The action is projective, M_k M_h = c M_{hk} for a scalar c, so the
     orbit span {M_h v : h in H} is already invariant and, as M_e = 1,
     contains v.
     """
-    basis_rows, pivots = rref([mat_vec(mats[h], v) for h in sorted(mats)])
-    return transpose(basis_rows), pivots
+    sol = solve_linear([mat_vec(mats[h], v) for h in sorted(mats)])
+    return transpose(sol.rows), sol.pivots
 
 
 def _restrict_action(mats, prep, C, units):
@@ -932,7 +945,9 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
 class _Battery:
     """The packed state of one battery run: every simple packed once, at
     one width derived from the data, with the group's conjugation and
-    twist tables and the packed roots of unity."""
+    twist tables and the packed roots of unity.  A tensor of two simples
+    is never assembled: parts builds its Kronecker parts, and
+    tensor_failures and naturality_failure read them directly."""
 
     def __init__(self, result: VecCentreResult):
         omega = result.omega
@@ -941,7 +956,9 @@ class _Battery:
         N = omega.field_order
         self.order = order = lcm(N, _entry_order(*(s.hb for s in result.simples)))
         self.step = N // self.n0 * (order // N)
-        packs = [_pack(s.hb, order) for s in result.simples]
+        # invertibility is a property of a block's value: decided once each
+        full_rank = lru_cache(maxsize=None)(_full_rank)
+        packs = [_pack(s.hb, order, full_rank) for s in result.simples]
         # a tensor entry is a product of two simples' entries, so every unit,
         # multiplicativity and naturality difference below fits this bound
         norm = max((P.norm for P, _ in packs), default=0)
@@ -978,38 +995,27 @@ class _Battery:
         return parts
 
     def tensor_failures(self, A: _Pack, B: _Pack, parts: dict) -> list:
-        """check_half_braiding's report on the tensor A (x) B, assembled
-        from parts: the carrier is the graded tensor, with V_g (x) W_h at
-        offset[(g, h)] inside grade g h in lexicographic order, and the
-        grading routes the (g, h) component to (x^-1 g x, x^-1 h x) inside
-        the conjugated total grade.  A block is a direct sum of parts,
-        each invertible iff both factors' blocks are."""
+        """check_half_braiding's report on the tensor A (x) B, read off
+        parts: the carrier is the graded tensor, whose components at grade
+        k are the pairs (g, h) with g h = k, and beta_x takes (g, h) to
+        (x^-1 g x, x^-1 h x) by the part (x, g, h).  A block is the direct
+        sum of its parts, each invertible iff both factors' blocks are."""
         table, conj = self.group.table, self.group.conj
-        dims, offset = [0] * len(table), {}
-        for g in A.support:
-            for h in B.support:
-                offset[(g, h)] = dims[table[g][h]]
-                dims[table[g][h]] += A.dims[g] * B.dims[h]
+        pairs = sorted((table[g][h], g, h) for g in A.support for h in B.support)
+        dims = [0] * len(table)
+        for k, g, h in pairs:
+            dims[k] += A.dims[g] * B.dims[h]
         supp = tuple(k for k in range(len(table)) if dims[k])
         report = _report(_grading_failures(conj, dims, supp))
         if report:
             return report
-        blocks = [[None] * len(table) for _ in table]
-        for x, cx in enumerate(conj):
-            for k in supp:
-                blocks[x][k] = [[0] * dims[k] for _ in range(dims[cx[k]])]
-        for (x, g, h), (rows, _) in parts.items():
-            mat = blocks[x][table[g][h]]
-            roff, coff = offset[(conj[x][g], conj[x][h])], offset[(g, h)]
-            for i, row in enumerate(rows):
-                mat[roff + i][coff:coff + len(row)] = row
-        for row in blocks:
-            for k in supp:
-                rows = tuple(map(tuple, row[k]))
-                row[k] = (rows, tuple(zip(*rows)))
-        P = _Pack(blocks, A.den * B.den, A.norm * B.norm, supp, dims,
+        index = {(g, h): c for c, (_, g, h) in enumerate(pairs)}
+        P = _Pack([[parts[(x, g, h)] for _, g, h in pairs] for x in range(len(table))],
+                  A.den * B.den, A.norm * B.norm, supp, dims,
                   lambda x, k: all(A.invertible(x, g) and B.invertible(x, h)
-                                   for g, h in offset if table[g][h] == k))
+                                   for kk, g, h in pairs if kk == k),
+                  [(k, c) for c, (k, _, _) in enumerate(pairs)],
+                  [[index[(cx[g], cx[h])] for _, g, h in pairs] for cx in conj])
         return _axiom_failures(self.group, P, self.scal, self.modulus(P.bound()))
 
     def naturality_failure(self, A: _Pack, B: _Pack, ab: dict, ba: dict):
@@ -1109,9 +1115,9 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
     first hexagon is one fused multiplicativity pass per simple, with the
     scalars computed from the raw associator values.  Each unordered pair
     {i, j} is handled once: the packed Kronecker parts of the tensors for
-    (i, j) and (j, i) are built once; each tensor is assembled from them
-    and checked like check_half_braiding, by the unit check and the fused
-    pass, and the same parts serve as theta_ab and theta_ba of one
+    (i, j) and (j, i) are built once; each tensor is checked on them like
+    check_half_braiding, by the unit check and the same fused pass, part
+    by part, and the same parts serve as theta_ab and theta_ba of one
     naturality pass per ordered pair.  A failing certificate names the
     least failing ordered pair, as a scan in pair order would.
     """

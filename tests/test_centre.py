@@ -1,7 +1,10 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
+from monocentre.jsonio import load_spec
 from monocentre.fincat import (
     FinCategory, Functor, NatTransf, terminal_category, empty_category,
     discrete_category, walking_arrow, check_equivalence,
@@ -18,6 +21,8 @@ from monocentre.centre import (
 )
 
 from helpers import relabel_monoidal
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def canonical_piece(Z, ms, idx=0):
@@ -99,6 +104,16 @@ def test_centre_size_invariant_under_relabelling(perm):
     Z = compute_centre(rl.monoidal)
     assert Z.category.n_objects == 4
     assert Z.all_passed
+
+
+def test_invalid_structure_is_refused_as_input():
+    # broken_pentagon's unitors still induce a half-braiding candidate that
+    # the pentagon rules out; refusing first names the input, not a bug
+    ms = load_spec(str(FIXTURES / "broken_pentagon.json")).payload
+    with pytest.raises(ValueError) as err:
+        compute_centre(ms)
+    assert str(err.value) == ("input monoidal structure is invalid: "
+                              "pentagon fails at objects (0, 0, 0, 0)")
 
 
 # -- piece validation and the corrupted-component control -----------------

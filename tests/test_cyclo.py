@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from monocentre.cyclo import (
     CycNumber, cyclotomic_poly, euler_phi, zeta, cyc_one, cyc_zero,
     roots_of_unity,
-    solve_linear, mat_mul, mat_vec, mat_trace, rref, transpose,
+    solve_linear, mat_mul, mat_vec, mat_trace, transpose,
     mat_scale, mat_prepare, mat_scaled_product_eq, mat_products_eq,
-    mat_invertible, pack_bits, packed_modulus,
+    pack_bits, packed_modulus,
 )
 from monocentre.config import InternalSoundnessError
 
@@ -151,7 +151,7 @@ class TestLinear:
     def test_singular_matrix_is_not_invertible(self):
         one = cyc_one(4)
         M = ((one, one), (one, one))
-        assert not mat_invertible(M)
+        assert solve_linear(M).rank < len(M)
         assert solve_linear(M).kernel
 
     def test_rref_canonical_for_span(self):
@@ -160,10 +160,9 @@ class TestLinear:
         v1 = (one, i, one)
         v2 = (i, -one, i)      # i * v1
         v3 = (one + i, i - one, one + i)  # v1 + v2
-        basis1, p1 = rref([v1, v2, v3])
-        basis2, p2 = rref([v3, v1])
-        assert basis1 == basis2 and p1 == p2
-        assert len(basis1) == 1
+        sol1, sol2 = solve_linear([v1, v2, v3]), solve_linear([v3, v1])
+        assert sol1.rows == sol2.rows and sol1.pivots == sol2.pivots
+        assert len(sol1.rows) == 1
 
     def test_transpose_involution(self):
         M = ((cyc_one(3), zeta(3)), (zeta(3, 2), cyc_zero(3)))
@@ -490,7 +489,7 @@ def test_solve_linear_and_rref_match_reference(case, homogeneous):
         assert _vec_same(sol.particular, particular)
     assert len(sol.kernel) == len(kernel)
     assert all(_vec_same(v, rv) for v, rv in zip(sol.kernel, kernel))
-    basis, piv = rref(M)
+    basis, piv = sol.rows, sol.pivots
     rbasis, rpiv = ref_rref(R)
     assert piv == rpiv and len(basis) == len(rbasis)
     assert all(_vec_same(v, rv) for v, rv in zip(basis, rbasis))
@@ -648,16 +647,17 @@ def square_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(square_cases())
-def test_fraction_free_invertibility_matches_solve_linear(M):
-    assert mat_invertible(M) == (not solve_linear(M).kernel)
+def test_reduced_rows_match_the_reference_on_square_cases(M):
+    sol = solve_linear(M)
+    assert (sol.rows, sol.pivots) == ref_rref(M)
 
 
 def test_kernel_edge_cases():
     z = zeta(4)
     A = ((z, 0), (0, z))
-    assert mat_invertible(())
-    assert not mat_invertible(((z, 1),))
-    assert not mat_invertible(((z, z), (z * 2, z * 2)))
+    assert solve_linear(()).rank == 0 and solve_linear(()).rows == ()
+    assert solve_linear(((z, 1),)).kernel
+    assert solve_linear(((z, z), (z * 2, z * 2))).rows == ((1, 1),)
     P = mat_prepare(A, 4)
     assert mat_scaled_product_eq(z, P, P, mat_prepare(mat_scale(z, mat_mul(A, A)), 4))
     assert not mat_scaled_product_eq(z, P, P, mat_prepare(((z,),), 4))

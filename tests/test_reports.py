@@ -22,8 +22,8 @@ from monocentre.fincat import (
 )
 from monocentre.monoidal import (
     BraidingDatum, MonoidalStructure, StrongMonoidalFunctor, Z2, Z4, S3,
-    check_braiding, check_strong_monoidal, discrete_group_monoidal, group_table_report,
-    one_object_z2_monoidal, strict_cells_functor, validate_monoidal,
+    chain_poset_monoidal, check_braiding, check_strong_monoidal, discrete_group_monoidal,
+    group_table_report, one_object_z2_monoidal, strict_cells_functor, validate_monoidal,
 )
 from monocentre.veck import (
     Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
@@ -129,6 +129,35 @@ def test_missing_gamma_cell_is_reported_alone():
     u = Functor(terminal_category(), ms.base, (0,), (0,))
     assert check_centre_piece(CentrePiece(u, ms, {(0, 0): 0})) == [
         "gamma missing at (s=0, x=1)"]
+
+
+def test_piece_whose_u_is_not_a_functor_is_reported_before_naturality():
+    # the walking arrow's 0 -> 1 goes to the poset's 0 -> 1 although both
+    # of its ends go to 1: the naturality scan would compose across it
+    ms = chain_poset_monoidal(2)
+    u = Functor(walking_arrow(), ms.base, (1, 1), (2, 2, 1))
+    gamma = {(s, x): ms.base.id_of(ms.tensor_obj(1, x)) for s in range(2) for x in range(2)}
+    report = check_centre_piece(CentrePiece(u, ms, gamma))
+    assert report[0] == "u is not a functor: morphism 2 maps to 1 with wrong endpoints"
+    other = Functor(walking_arrow(), walking_arrow(), (0, 1), (0, 1, 2))
+    assert check_centre_piece(CentrePiece(other, ms, gamma)) == [
+        "u does not land in the base category"]
+
+
+@pytest.mark.parametrize("components, drop, first", [
+    ((0,), None, "sigma is not a natural transformation: 1 components for 2 objects"),
+    ((2, 2), None, "sigma is not a natural transformation: component at 0 has wrong endpoints"),
+    ((0, 5), None, "sigma is not a natural transformation: component at 1 out of range"),
+    ((0, 0), (1, 1), "q: gamma missing at (s=1, x=1)"),
+])
+def test_piece_morphism_with_missing_or_ill_typed_components(components, drop, first):
+    ms = chain_poset_monoidal(2)
+    u = Functor(walking_arrow(), ms.base, (0, 0), (0, 0, 0))
+    gamma = {(s, x): ms.base.id_of(ms.tensor_obj(0, x)) for s in range(2) for x in range(2)}
+    p = CentrePiece(u, ms, gamma)
+    q = CentrePiece(u, ms, {k: v for k, v in gamma.items() if k != drop})
+    assert check_centre_piece(p) == []
+    assert check_centre_piece_morphism(NatTransf(u, u, components), p, q)[0] == first
 
 
 # -- the cap ---------------------------------------------------------------------

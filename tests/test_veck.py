@@ -41,7 +41,7 @@ from monocentre.veck import (
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
-    cyc_one, cyc_zero, mat_mul, mat_prepare, mat_scale, mat_vec, roots_of_unity, rref,
+    cyc_one, cyc_zero, mat_mul, mat_prepare, mat_scale, mat_vec, roots_of_unity,
     solve_linear, transpose, zeta,
 )
 
@@ -499,6 +499,42 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
     assert nat.ok == (ref_nat is None) and (nat.ok or nat.detail == ref_nat)
 
 
+@pytest.mark.parametrize("x", [0, 1], ids=["unit", "multiplicativity"])
+def test_tensor_pass_reads_every_component_of_a_grade(x, monkeypatch):
+    # The tensor of the transposition-class simple 3 of S3 with itself has
+    # grades made of several components (g, h); one entry of beta_x is
+    # corrupted in the part of the last component of such a grade, which a
+    # check that stopped at a grade's first component would miss.  The
+    # reference is the plain scan over the assembled tensor.
+    result = centre_simples(trivial(S3))
+    N, a = result.omega.field_order, 3
+    supp = result.simples[a].hb.carrier.support
+    pairs = sorted((S3[g][h], g, h) for g in supp for h in supp)
+    _, g, h = max(p for p in pairs if sum(q[0] == p[0] for q in pairs) > 1)
+    key = (x, g, h)
+    packed_parts = veck._Battery.parts
+
+    def parts(bat, P, Q):
+        out = packed_parts(bat, P, Q)
+        if P is bat.packs[a] and Q is bat.packs[a]:
+            rows = [list(r) for r in out[key][0]]
+            rows[0][0] = rows[0][0] * bat.roots[bat.order // N] % bat.M
+            out[key] = (tuple(map(tuple, rows)), tuple(zip(*rows)))
+        return out
+
+    def parts_of(i, j):
+        out = _plain_parts(result)(i, j)
+        if (i, j) == (a, a):
+            out[key] = _times(out[key], zeta(N))
+        return out
+
+    monkeypatch.setattr(veck._Battery, "parts", parts)
+    certs = {c.name: c for c in certify_centre_structure(result)}
+    hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
+    assert not hex2.ok and hex2.detail == _ref_hexagon2(result, parts_of)
+    assert hex2.detail.startswith(f"pair ({a}, {a}): ")
+
+
 def test_non_square_braid_component_fails_invertibility():
     # A carrier on the transposition class {1, 2, 5} of S3 whose dimension
     # is not constant on the class: blocks are rectangular identities, so
@@ -717,19 +753,19 @@ def test_maschke_average_is_an_invariant_idempotent(table, omega_factory,
 
 
 def _ref_cyclic_closure(v, mats):
-    """The former worklist closure: rref of the whole grown basis for every
-    image, until no image is new."""
-    basis_rows, pivots = rref([v])
+    """The former worklist closure: the reduced rows of the whole grown
+    basis for every image, until no image is new."""
+    sol = solve_linear([v])
     worklist = [v]
     while worklist:
         u = worklist.pop(0)
         for h in sorted(mats):
             wv = mat_vec(mats[h], u)
-            grown, grown_pivots = rref(list(basis_rows) + [wv])
-            if len(grown) > len(basis_rows):
-                basis_rows, pivots = grown, grown_pivots
+            grown = solve_linear(list(sol.rows) + [wv])
+            if grown.rank > sol.rank:
+                sol = grown
                 worklist.append(wv)
-    return transpose(basis_rows), pivots
+    return transpose(sol.rows), sol.pivots
 
 
 def _ref_induce_simple(omega, carrier_hb, class_rep, fiber_cols):
