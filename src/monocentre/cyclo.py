@@ -12,9 +12,10 @@ Phi_n is monic with integer coefficients, so reduction never leaves the
 integers: a product is an integer convolution whose degrees >= phi(n) are
 folded back through a table of z^k mod Phi_n, built per order on first
 use.  An inverse is the product of the other Galois conjugates over the
-norm, which is rational.  The matrix routines work in the lcm order of
-their entries and accumulate each entry as one unreduced integer
-polynomial over a common denominator, reducing and normalizing once.
+norm, which is rational; a single term c z^i inverts to z^(-i) / c.  The
+matrix routines work in the lcm order of their entries and accumulate
+each entry as one unreduced integer polynomial over a common
+denominator, reducing and normalizing once.
 
 Two routines check products instead of building them.  A prepared
 matrix (mat_prepare) is lifted once to a given order over one denominator
@@ -198,11 +199,16 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        if self.is_zero():
+        terms = _sparse(self.nums)
+        if not terms:
             raise ZeroDivisionError("inverse of zero")
+        n = self.order
+        if len(terms) == 1:
+            (i, c), = terms
+            d = self.den if c > 0 else -self.den
+            return _make(n, tuple(d * t for t in _zeta_nums(n, -i % n)), abs(c))
         # self * (product of the other Galois conjugates) is the norm, a
         # nonzero rational; all of it stays in the integer numerators
-        n = self.order
         adj = (1,) + (0,) * (len(self.nums) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
@@ -363,10 +369,12 @@ def _sub_mul(n, xs, c, ys):
     return out
 
 
+@lru_cache(maxsize=None)
 def cyc_zero(n: int) -> CycNumber:
     return CycNumber.from_rational(n, 0)
 
 
+@lru_cache(maxsize=None)
 def cyc_one(n: int) -> CycNumber:
     return CycNumber.from_rational(n, 1)
 
@@ -579,9 +587,9 @@ def solve_linear(M, b=None) -> LinSolve:
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    rhs = [0] * m if b is None else list(b)
-    order = _common_order(*M, rhs)
+    order = _common_order(*M, b or ())
     zero, one = cyc_zero(order), cyc_one(order)
+    rhs = [zero] * m if b is None else list(b)
     # augmented rows: column n carries the right-hand side
     rows = [_lift(list(row) + [x], order) for row, x in zip(M, rhs)]
     pivots = []

@@ -275,7 +275,7 @@ class HalfBraidingLin(Record):
     __slots__ = ("omega", "carrier", "blocks")
 
     def __init__(self, omega: Cocycle3, carrier: GradedObject, blocks):
-        super().__init__(omega, carrier, dict(blocks))
+        super().__init__(omega, carrier, {k: tuple(map(tuple, m)) for k, m in blocks.items()})
 
     def block(self, x: int, g: int):
         return self.blocks[(x, g)]
@@ -312,21 +312,22 @@ class _Pack:
         return max(self.dims) * self.norm ** 2 + self.den * self.norm + self.den
 
 
-def _full_rank(blk) -> bool:
-    return solve_linear(blk).rank == len(blk)
+@lru_cache(maxsize=1024)
+def _invertible(blk) -> bool:
+    """Whether blk is square and invertible, cached as blocks repeat values."""
+    return all(len(row) == len(blk) for row in blk) and solve_linear(blk).rank == len(blk)
 
 
-def _pack(hb: HalfBraidingLin, order: int, full_rank=_full_rank) -> tuple:
+def _pack(hb: HalfBraidingLin, order: int) -> tuple:
     """(pack, prepared): hb's blocks prepared at the order over one
     denominator, the lcm of the entries' (promotion keeps it); the pack's
-    blocks are filled by _fill at a width, and invertible(x, g) asks
-    full_rank of block (x, g) once."""
+    blocks are filled by _fill at a width."""
     den = lcm(*(v.den for blk in hb.blocks.values() for row in blk for v in row))
     prep = {key: mat_prepare(blk, order, den) for key, blk in hb.blocks.items()}
     supp = hb.carrier.support
-    invertible = lru_cache(maxsize=None)(lambda x, g: full_rank(hb.block(x, g)))
     return _Pack(None, den, max((P.norm for P in prep.values()), default=0), supp,
-                 hb.carrier.dims, invertible, tuple(zip(supp, supp)), hb.omega.group.conj), prep
+                 hb.carrier.dims, lambda x, g: _invertible(hb.block(x, g)),
+                 tuple(zip(supp, supp)), hb.omega.group.conj), prep
 
 
 def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
@@ -956,9 +957,7 @@ class _Battery:
         N = omega.field_order
         self.order = order = lcm(N, _entry_order(*(s.hb for s in result.simples)))
         self.step = N // self.n0 * (order // N)
-        # invertibility is a property of a block's value: decided once each
-        full_rank = lru_cache(maxsize=None)(_full_rank)
-        packs = [_pack(s.hb, order, full_rank) for s in result.simples]
+        packs = [_pack(s.hb, order) for s in result.simples]
         # a tensor entry is a product of two simples' entries, so every unit,
         # multiplicativity and naturality difference below fits this bound
         norm = max((P.norm for P, _ in packs), default=0)

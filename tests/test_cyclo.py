@@ -14,6 +14,7 @@ from monocentre.cyclo import (
     pack_bits, packed_modulus,
 )
 from monocentre.config import InternalSoundnessError
+from monocentre.veck import _invertible
 
 
 def mat_eq(A, B):
@@ -91,6 +92,15 @@ def test_multiplicative_inverse(x):
     else:
         assert x * x.inverse() == 1
         assert (x.inverse()).inverse() == x
+
+
+@given(st.integers(1, 24), st.integers(0, 23),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+def test_single_term_inverse(n, i, c):
+    # c z^i inverts to z^(-i) / c without the product of Galois conjugates
+    x = zeta(n, i) * c
+    assert x * x.inverse() == 1
+    assert x.inverse() == zeta(n, -i) * (1 / c)
 
 
 def test_roots_of_unity_distinct():
@@ -658,6 +668,11 @@ def test_kernel_edge_cases():
     assert solve_linear(()).rank == 0 and solve_linear(()).rows == ()
     assert solve_linear(((z, 1),)).kernel
     assert solve_linear(((z, z), (z * 2, z * 2))).rows == ((1, 1),)
+    # invertible means square and of full rank: a wide block of full row
+    # rank is not, nor is a square one of lower rank
+    assert _invertible(A) and _invertible(())
+    assert not _invertible(((z, 1),)) and not _invertible(((z,), (1,)))
+    assert not _invertible(((z, z), (z * 2, z * 2)))
     P = mat_prepare(A, 4)
     assert mat_scaled_product_eq(z, P, P, mat_prepare(mat_scale(z, mat_mul(A, A)), 4))
     assert not mat_scaled_product_eq(z, P, P, mat_prepare(((z,),), 4))

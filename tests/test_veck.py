@@ -539,21 +539,21 @@ def test_non_square_braid_component_fails_invertibility():
     # A carrier on the transposition class {1, 2, 5} of S3 whose dimension
     # is not constant on the class: blocks are rectangular identities, so
     # every square braid component is invertible and the others are not.
+    # The first non-square block in the scan, (x=2, g=1), is tall (2 x 1)
+    # on the first carrier and wide (1 x 2, of full row rank) on the second.
     omega = trivial(S3)
     G, order = omega.group, omega.field_order
-    dims = (0, 1, 1, 0, 0, 2)
     one, zero = cyc_one(order), cyc_zero(order)
-    blocks = {(x, g): tuple(tuple(one if i == j else zero for j in range(dims[g]))
-                            for i in range(dims[_conj(G, x, g)]))
-              for x in range(6) for g in (1, 2, 5)}
-    hb = HalfBraidingLin(omega, GradedObject(dims), blocks)
-    result = VecCentreResult(omega, (VecSimple(1, hb, 4, ()),), True, ())
-    certs = {c.name: c for c in certify_centre_structure(result)}
-    braid = certs["braiding components invertible"]
-    g, h = next((g, h) for g in (1, 2, 5) for h in (1, 2, 5)
-                if dims[_conj(G, h, g)] != dims[g])
-    assert not braid.ok
-    assert braid.detail == f"pair (0, 0) at (g={g}, h={h})"
+    for dims in ((0, 1, 1, 0, 0, 2), (0, 2, 1, 0, 0, 1)):
+        blocks = {(x, g): tuple(tuple(one if i == j else zero for j in range(dims[g]))
+                                for i in range(dims[_conj(G, x, g)]))
+                  for x in range(6) for g in (1, 2, 5)}
+        hb = HalfBraidingLin(omega, GradedObject(dims), blocks)
+        result = VecCentreResult(omega, (VecSimple(1, hb, 4, ()),), True, ())
+        certs = {c.name: c for c in certify_centre_structure(result)}
+        braid = certs["braiding components invertible"]
+        assert not braid.ok
+        assert braid.detail == "pair (0, 0) at (g=1, h=2)"
 
 
 def test_intertwiner_dimensions():
