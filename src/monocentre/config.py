@@ -67,7 +67,8 @@ class GuardConfig(Record):
         Budget each) before refusing; building a functor category spends
         one budget for all of its morphisms.
     vec_max_group: largest group order the linear backend accepts, its
-        only size bound (every class carrier it solves has dimension |G|).
+        only size bound: the cocycle check is quartic in |G|, and the
+        induced simples and the battery grow with |G|.
 
     Every field must be a nonnegative int (not a bool), however the
     config was built: defaults, a file or the environment.
@@ -86,8 +87,14 @@ class GuardConfig(Record):
 
     @classmethod
     def from_file(cls, path: str) -> "GuardConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        """The guards a JSON file overrides; every fault names the file."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"config file {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
         unknown = sorted(set(raw) - set(GUARDS))

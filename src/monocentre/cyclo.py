@@ -25,8 +25,8 @@ exact (PreparedMatrix).  mat_scaled_product_eq and mat_products_eq decide
 s (A B) == C and A B == C D by integer products and one remainder per
 entry.
 
-solve_linear is the only elimination: Gauss-Jordan over the field,
-returning a particular solution, a kernel basis, the rank and pivots, and
+solve_linear is the only elimination: Gauss-Jordan over the field on a
+homogeneous system, returning a kernel basis, the rank and pivots, and
 the reduced rows.  Rank, invertibility and the canonical basis of a span
 are all read off it.
 """
@@ -574,24 +574,22 @@ def mat_products_eq(A, B, C, D) -> bool:
 
 
 class LinSolve(Record):
-    __slots__ = ("consistent", "particular", "kernel", "rank", "pivots", "rows")
+    __slots__ = ("kernel", "rank", "pivots", "rows")
 
 
-def solve_linear(M, b=None) -> LinSolve:
-    """Solve M x = b exactly; b = None means the homogeneous system.
+def solve_linear(M) -> LinSolve:
+    """Gauss-Jordan elimination of M, for the homogeneous system M x = 0.
 
-    Returns a particular solution (None when inconsistent), a kernel basis
-    in canonical form (one vector per free column, free coordinate 1), the
-    rank, the pivot columns, and the nonzero rows of the reduced row
-    echelon form of M in pivot order: the canonical basis of M's row span.
+    Returns a kernel basis in canonical form (one vector per free column,
+    free coordinate 1), the rank, the pivot columns, and the nonzero rows
+    of the reduced row echelon form of M in pivot order: the canonical
+    basis of M's row span.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    order = _common_order(*M, b or ())
+    order = _common_order(*M)
     zero, one = cyc_zero(order), cyc_one(order)
-    rhs = [zero] * m if b is None else list(b)
-    # augmented rows: column n carries the right-hand side
-    rows = [_lift(list(row) + [x], order) for row, x in zip(M, rhs)]
+    rows = [_lift(row, order) for row in M]
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -606,14 +604,6 @@ def solve_linear(M, b=None) -> LinSolve:
         pivots.append(col)
         if len(pivots) == m:
             break
-    rhs = [row[n] for row in rows]
-    consistent = all(x.is_zero() for x in rhs[len(pivots):])
-    particular = None
-    if consistent:
-        sol = [zero] * n
-        for i, col in enumerate(pivots):
-            sol[col] = rhs[i]
-        particular = tuple(sol)
     kernel = []
     pivot_set = set(pivots)
     for free in range(n):
@@ -624,5 +614,5 @@ def solve_linear(M, b=None) -> LinSolve:
         for i, col in enumerate(pivots):
             vec[col] = -rows[i][free]
         kernel.append(tuple(vec))
-    return LinSolve(consistent, particular, tuple(kernel), len(pivots), tuple(pivots),
-                    tuple(tuple(row[:n]) for row in rows[:len(pivots)]))
+    return LinSolve(tuple(kernel), len(pivots), tuple(pivots),
+                    tuple(map(tuple, rows[:len(pivots)])))

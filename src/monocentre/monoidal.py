@@ -15,7 +15,7 @@ those cells run only when the scan finds nothing.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 from .config import _report
 from .fincat import FinCategory, Functor, discrete_category
@@ -157,12 +157,27 @@ def _cell_naturality_failures(ms: MonoidalStructure):
             yield f"right unitor not natural at morphism {f}"
 
 
+def _pentagon_failure(ms: MonoidalStructure):
+    """The first (a, b, c, d) in lexicographic order where the pentagon
+    fails, or None; alpha, the whiskers and composition are read from
+    tables bound outside the loop over d."""
+    cat, objs, t = ms.base, ms.base.objects, ms.tensor_obj_table
+    compose, ids, tm = cat.compose, cat.identity, ms.tensor_mor_table
+    alpha = [[[ms.alpha_table[a, b, c] for c in objs] for b in objs] for a in objs]
+    for a, b, c in product(objs, repeat=3):
+        # x_y is the row z -> alpha(x, y, z); ab is a b, bc is b c
+        a_b, ab_c, a_bc, b_c = alpha[a][b], alpha[t[a][b]][c], alpha[a][t[b][c]], alpha[b][c]
+        id_a, abc, t_c = ids[a], a_b[c], t[c]
+        for d in objs:
+            if (compose(a_b[t_c[d]], ab_c[d])
+                    != compose(tm[id_a, b_c[d]], compose(a_bc[d], tm[abc, ids[d]]))):
+                return a, b, c, d
+    return None
+
+
 def _coherence_failures(ms: MonoidalStructure):
-    cat, objs, t, alpha = ms.base, ms.base.objects, ms.tensor_obj, ms.alpha
-    pentagon = next(((a, b, c, d) for a in objs for b in objs for c in objs for d in objs
-                     if cat.compose(alpha(a, b, t(c, d)), alpha(t(a, b), c, d))
-                     != cat.compose_chain(ms.lwhisk(a, alpha(b, c, d)), alpha(a, t(b, c), d),
-                                          ms.rwhisk(alpha(a, b, c), d))), None)
+    cat, objs, alpha = ms.base, ms.base.objects, ms.alpha
+    pentagon = _pentagon_failure(ms)
     if pentagon:
         yield f"pentagon fails at objects {pentagon}"
     triangle = next(((a, b) for a in objs for b in objs

@@ -21,31 +21,32 @@ four one-dimensional solutions with beta_a squaring to -1.
 All scalars live in the cyclotomic field of order N = 2 * exp(G) * N0,
 where N0 is the order of the associator values.  N is even, so the roots
 of unity contained in the field are exactly the N-th ones; eigenvalues of
-the finite-order maps met while splitting carriers therefore lie in the
+the finite-order maps met while splitting fibres therefore lie in the
 finite searchable set mu_N.
 
-Simple extraction solves one canonical carrier per conjugacy class (total
-dimension |G|) in closed form and splits its fiber at the class
-representative r under the twisted action h -> M_h of the centralizer H,
-a projective representation.  A piece is simple when its commutant is
-one-dimensional, read off as the character norm (1/|H|) sum_h tr(M_h)
-tr(M_h^-1), where M_h^-1 = M_{h^-1} / c_h for the scalar c_h =
-M_{h^-1} M_h.  Otherwise an eigenvector v (in mu_N) of a non-scalar M_h,
-preferring one that commutes with every M_k, generates an invariant
-subspace C: the action is projective, so the orbit span {M_h v} is
-already invariant and the reduced rows of one solve_linear are its
-canonical basis.  The kernel of
-the Maschke average P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate
-projection E onto span C is an invariant complement, and each part's
-action is read off the unit rows of its basis; the split carries actions
-only, never an ambient basis.  Each closed form is checked, not trusted:
-c_h is scalar, the norm a positive integer, P^2 = P and C R_h = M_h C.
-Each distinct summand R is induced back to a graded carrier in closed
-form: with t_g the least z such that z^-1 r z = g, the block of x at
-grade g is R_h for h = t_g x t_{x^-1 g x}^-1 in H, times a root of
-unity read off two twists.  Every returned object is re-verified against
-the full half-braiding axioms, and distinct simples are certified by
-the absence of nonzero intertwiners.
+Simple extraction splits, for each conjugacy class with representative
+r, the twisted regular action of the centralizer H of r: M_h v_z =
+zeta^(-tau(r; z, h)) v_{zh} on the basis H, tau the twist exponent of
+multiplicativity.  It is a projective representation, and its law
+zeta^tau(r; x, y) M_y M_x = M_xy is checked before the split.  A piece
+is simple when its commutant is one-dimensional, read off as the
+character norm (1/|H|) sum_h tr(M_h) tr(M_h^-1), where M_h^-1 = M_{h^-1}
+/ c_h for the scalar c_h = M_{h^-1} M_h.  Otherwise an eigenvector v (in
+mu_N) of a non-scalar M_h, preferring one that commutes with every M_k,
+generates an invariant subspace C: the action is projective, so the
+orbit span {M_h v} is already invariant and the reduced rows of one
+solve_linear are its canonical basis.  The kernel of the Maschke average
+P = (1/|H|) sum_h M_h^-1 E M_h of a coordinate projection E onto span C
+is an invariant complement, and each part's action is read off the unit
+rows of its basis; the split carries actions only, never an ambient
+basis.  Each closed form is checked, not trusted: c_h is scalar, the
+norm a positive integer, P^2 = P and C R_h = M_h C.  Each distinct
+summand R is induced back to a graded carrier in closed form: with t_g
+the least z such that z^-1 r z = g, the block of x at grade g is R_h for
+h = t_g x t_{x^-1 g x}^-1 in H, times a root of unity read off two
+twists.  Every returned object is re-verified against the full
+half-braiding axioms, and distinct simples are certified by the absence
+of nonzero intertwiners.
 """
 
 from __future__ import annotations
@@ -261,8 +262,8 @@ class GradedObject(Record):
         return sum(self.dims)
 
 
-def delta_object(n: int, g: int, dim: int = 1) -> GradedObject:
-    return GradedObject(tuple(dim if h == g else 0 for h in range(n)))
+def delta_object(n: int, g: int) -> GradedObject:
+    return GradedObject(tuple(int(h == g) for h in range(n)))
 
 
 class HalfBraidingLin(Record):
@@ -437,41 +438,6 @@ def _grading_failures(conj, dims, supp):
             for x, cx in enumerate(conj) for g in supp if dims[g] != dims[cx[g]])
 
 
-def canonical_class_carrier(omega: Cocycle3, class_rep: int) -> HalfBraidingLin:
-    """The closed-form solved carrier supported on one conjugacy class.
-
-    Basis v_z for z in G, graded by z^-1 r z; the block action is
-    beta_y(v_z) = zeta^{-tau(r; z, y)} v_{z y}.  The result is re-verified
-    against the full axioms before being returned.
-    """
-    table, conj, twist = omega.group.table, omega.group.conj, omega.twist
-    n = len(table)
-    r = class_rep
-    by_grade = {}
-    for z in range(n):
-        by_grade.setdefault(conj[z][r], []).append(z)
-    pos = {z: i for zs in by_grade.values() for i, z in enumerate(zs)}
-    dims = tuple(len(by_grade.get(g, ())) for g in range(n))
-    n0, field_order = omega.scalar_order, omega.field_order
-    scale = field_order // n0
-    zero = cyc_zero(field_order)
-    blocks = {}
-    for x in range(n):
-        for g in sorted(by_grade):
-            src = by_grade[g]
-            mat = [[zero] * len(src) for _ in by_grade[conj[x][g]]]
-            for col, z in enumerate(src):
-                mat[pos[table[z][x]]][col] = zeta(field_order,
-                                                  -twist[r][z][x] % n0 * scale)
-            blocks[(x, g)] = tuple(map(tuple, mat))
-    hb = HalfBraidingLin(omega, GradedObject(dims), blocks)
-    errs = check_half_braiding(hb)
-    if errs:
-        raise InternalSoundnessError(
-            "canonical class carrier failed its own verification: " + errs[0])
-    return hb
-
-
 # -- the scalar half-braiding search ----------------------------------------
 
 
@@ -567,6 +533,36 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
 
 
 # -- splitting the fiber action --------------------------------------------
+
+
+def _fibre_action(omega: Cocycle3, r: int) -> dict:
+    """The twisted regular action h -> M_h of the centralizer H of r:
+    M_h v_z = zeta^(-tau(r; z, h)) v_{zh} on the basis H in increasing
+    order, tau = omega.twist.
+
+    The split relies on the law M_e = 1 and zeta^tau(r; x, y) M_y M_x =
+    M_xy for every x, y in H; it is checked on the prepared matrices.
+    """
+    group, twist, order = omega.group, omega.twist[r], omega.field_order
+    table, cent = group.table, group.centralizer(r)
+    pos, scale = {z: i for i, z in enumerate(cent)}, order // omega.scalar_order
+    mats = {}
+    for h in cent:
+        M = [[cyc_zero(order)] * len(cent) for _ in cent]
+        for z in cent:
+            M[pos[table[z][h]]][pos[z]] = zeta(order, -twist[z][h] * scale)
+        mats[h] = tuple(map(tuple, M))
+    if any(v != int(i == j) for i, row in enumerate(mats[group.identity])
+           for j, v in enumerate(row)):
+        raise InternalSoundnessError(f"fibre action of class {r}: M_e is not the identity")
+    prep = {h: mat_prepare(M, order) for h, M in mats.items()}
+    for x in cent:
+        for y in cent:
+            if not mat_scaled_product_eq(zeta(order, twist[x][y] * scale),
+                                         prep[y], prep[x], prep[table[x][y]]):
+                raise InternalSoundnessError(
+                    f"fibre action of class {r} fails its law at (x={x}, y={y})")
+    return mats
 
 
 def _is_scalar(M) -> bool:
@@ -820,13 +816,13 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
 def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResult:
     """All simple centre objects of the graded backend, with certificates.
 
-    One canonical carrier per conjugacy class is solved and split; the
+    The fibre action of each conjugacy class (_fibre_action) is split; the
     distinct summands, deduplicated by fiber character, are induced back
-    to graded carriers.  Every class carrier has total dimension |G|, so
-    the group order, bounded by vec_max_group, is the only size guard; it
-    is checked after the group table and before the quartic cocycle
-    check.  A fiber piece the split cannot resolve flags the run
-    incomplete.
+    to graded carriers and re-verified.  The group order, bounded by
+    vec_max_group, is the only size guard: the cocycle check is quartic in
+    |G|, and the induced simples and the battery grow with |G|.  It is
+    checked after the group table and before the cocycle check.  A fiber
+    piece the split cannot resolve flags the run incomplete.
     """
     _require_valid(omega, cfg)
     group = omega.group
@@ -842,9 +838,7 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
     splits = {}  # classes with the same fibre action share its split
     for cls in classes:
         r = cls[0]
-        carrier = canonical_class_carrier(omega, r)
-        cent = group.centralizer(r)
-        mats = {h: carrier.block(h, r) for h in cent}
+        mats = _fibre_action(omega, r)
         key = tuple(sorted(mats.items()))
         if key not in splits:
             pieces = []
@@ -867,7 +861,7 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
                 if len(same) != d:
                     raise InternalSoundnessError(
                         "fiber multiplicity does not match summand dimension")
-            if sum(len(g[0][r]) ** 2 for g in by_char.values()) != len(cent):
+            if sum(len(g[0][r]) ** 2 for g in by_char.values()) != len(mats):
                 raise InternalSoundnessError(
                     "fiber sum rule failed on a complete split")
         for char in sorted(by_char):
@@ -893,26 +887,16 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
         or set(s.hb.carrier.support) - set(class_of[s.class_rep])), "")
     support_ok = not support_detail
 
-    inter_ok = True
-    inter_detail = ""
-    endo_ok = True
-    endo_detail = ""
+    endo_detail = inter_detail = ""
     for i, s in enumerate(simples):
         if intertwiner_dim(s.hb, s.hb) != 1:
-            endo_ok = False
             endo_detail = f"simple {i} has endomorphism dimension != 1"
             break
-        for j in range(i + 1, len(simples)):
-            t = simples[j]
-            if s.class_rep != t.class_rep:
-                continue
-            dim = intertwiner_dim(s.hb, t.hb)
-            if dim != 0:
-                inter_ok = False
-                inter_detail = (f"simples {i} and {j} share a nonzero "
-                                f"intertwiner (dim {dim})")
-                break
-        if not inter_ok:
+        inter_detail = next((f"simples {i} and {j} share a nonzero intertwiner (dim {dim})"
+                             for j, t in enumerate(simples[i + 1:], i + 1)
+                             if s.class_rep == t.class_rep
+                             for dim in [intertwiner_dim(s.hb, t.hb)] if dim), "")
+        if inter_detail:
             break
 
     total_sq = sum(s.total_dim ** 2 for s in simples)
@@ -929,9 +913,9 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
         Certificate("supports constant on one conjugacy class",
                     support_ok, support_detail),
         Certificate("endomorphism algebras one-dimensional",
-                    endo_ok, endo_detail),
+                    not endo_detail, endo_detail),
         Certificate("no intertwiners between distinct simples",
-                    inter_ok, inter_detail),
+                    not inter_detail, inter_detail),
         Certificate("sum rule: squared dimensions add to |G|^2",
                     sum_ok, sum_detail),
         Certificate("enumeration complete", complete,

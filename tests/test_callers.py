@@ -8,6 +8,11 @@ class counts as called; dunders are exempt, as Python calls them.  Code
 that only its own unit tests reach is dead weight and should be deleted
 with those tests.  Names are read from the syntax tree, so a mention in a
 docstring or comment does not count.
+
+Every optional parameter of such a function or method, and of such a
+class's constructor, must be passed, by position or keyword, by a call
+outside its definition among the same callers; a call with *args or
+**kwargs passes them all.
 """
 
 import ast
@@ -73,3 +78,74 @@ def test_every_public_definition_has_a_caller():
               and not any(name in names for key, names in uses.items()
                           if key[:len(own)] != own)]
     assert unused == [], "public definitions without a caller: " + ", ".join(unused)
+
+
+# Optional parameters exempt from the rule below, by name, each with its reason.
+ALLOWED_OPTIONAL = {
+    "cfg": "every guarded construction takes the run's GuardConfig, so each "
+           "keeps the parameter whether or not a caller outside tests passes it",
+}
+
+
+def _optional_params(fn, method):
+    """(name, position) of each optional parameter of fn, position None for
+    a keyword-only one; positions count what a call passes, so a method's
+    self or cls takes none."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = int(method)
+    return ([(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call, name, position):
+    """Whether the call passes the parameter; *args or **kwargs pass all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    return ((position is not None and len(call.args) > position)
+            or any(k.arg == name for k in call.keywords))
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_optional_parameter_is_passed_by_a_caller():
+    # a class's __init__ is called by the class's name; a parameter no call
+    # passes is a capability nothing uses, and goes with its default
+    files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+             + [ROOT / "tests" / "test_acceptance.py"])
+    calls = {}        # callee name -> calls
+    functions = []    # (label, callee name, definition, is a method)
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+        if path.parent != PACKAGE:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                functions.append((f"{path.name}:{stmt.lineno} {stmt.name}",
+                                  stmt.name, stmt, False))
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                functions.extend(
+                    (f"{path.name}:{m.lineno} {stmt.name}.{m.name}",
+                     stmt.name if m.name == "__init__" else m.name, m,
+                     not any(getattr(d, "id", None) == "staticmethod"
+                             for d in m.decorator_list))
+                    for m in stmt.body
+                    if isinstance(m, ast.FunctionDef)
+                    and (m.name == "__init__" or not m.name.startswith("_")))
+    unpassed = []
+    for label, name, fn, method in functions:
+        own = {id(n) for n in ast.walk(fn)}
+        callers = [c for c in calls.get(name, ()) if id(c) not in own]
+        unpassed.extend(f"{label}({param})" for param, pos in _optional_params(fn, method)
+                        if param not in ALLOWED_OPTIONAL
+                        and not any(_passes(c, param, pos) for c in callers))
+    assert unpassed == [], "optional parameters no caller passes: " + ", ".join(unpassed)

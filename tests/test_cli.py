@@ -294,6 +294,20 @@ def test_config_file_plumbing(capsys, tmp_path):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda tmp: tmp / "missing.json", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: tmp / "cfg.json", "Expecting value"),
+], ids=["missing", "directory", "not_json"])
+def test_unreadable_config_file_exits_2(capsys, tmp_path, make, reason):
+    (tmp_path / "cfg.json").write_text("max_branch = 1")
+    path = str(make(tmp_path))
+    code, out, err = run(capsys, "validate", fix("z2.json"), "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config file {path}: {reason}")
+    assert err.count("\n") == 1
+
+
 def test_config_file_rejects_bool_guard(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"vec_max_group": True}))

@@ -110,53 +110,29 @@ def test_roots_of_unity_distinct():
 
 
 class TestLinear:
-    def test_identity_system(self):
-        one = cyc_one(4)
-        M = mat_id(3, 4)
-        b = (zeta(4), one, one + one)
-        sol = solve_linear(M, b)
-        assert sol.consistent and sol.particular == b and sol.kernel == ()
-
     def test_zero_matrix_full_kernel(self):
         z = cyc_zero(4)
         M = ((z, z), (z, z))
-        sol = solve_linear(M, (z, z))
-        assert sol.consistent
+        sol = solve_linear(M)
         assert len(sol.kernel) == 2
 
-    def test_documented_2x2_over_gaussian(self):
-        # upper triangular with determinant i: unique solution, back-substituted
-        i = zeta(4)
-        one = cyc_one(4)
-        M = ((one, i), (cyc_zero(4), i))
-        b = (one + i, i)
-        sol = solve_linear(M, b)
-        assert sol.consistent and not sol.kernel
-        assert mat_vec(M, sol.particular) == b
+    def test_invertible_matrices_have_no_kernel(self):
+        # the identity, an upper triangular matrix with determinant i, and
+        # one with determinant 1 - i^2 = 2: full rank, identity reduced rows
+        i, one, zero = zeta(4), cyc_one(4), cyc_zero(4)
+        for M in (mat_id(3, 4), ((one, i), (zero, i)), ((one, i), (i, one))):
+            sol = solve_linear(M)
+            assert sol.kernel == () and sol.rank == len(M)
+            assert sol.pivots == tuple(range(len(M))) and sol.rows == mat_id(len(M), 4)
 
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                              min_size=3, max_size=3), min_size=2, max_size=4))
     def test_random_rational_systems(self, rows):
         M = tuple(tuple(CycNumber.from_rational(4, x) for x in row) for row in rows)
-        b = tuple(CycNumber.from_rational(4, sum(row)) for row in rows)
-        sol = solve_linear(M, b)
-        # b = M . (1,1,1) by construction, so always consistent
-        assert sol.consistent
-        assert mat_vec(M, sol.particular) == b
+        sol = solve_linear(M)
+        assert sol.rank + len(sol.kernel) == 3
         for v in sol.kernel:
             assert all(x.is_zero() for x in mat_vec(M, v))
-
-    def test_inverse_columns_solve_the_identity(self):
-        i = zeta(4)
-        one = cyc_one(4)
-        M = ((one, i), (i, one))  # det = 1 - i^2 = 2
-        ident = mat_id(2, 4)
-        cols = []
-        for j in range(2):
-            sol = solve_linear(M, [row[j] for row in ident])
-            assert sol.consistent and not sol.kernel
-            cols.append(sol.particular)
-        assert mat_mul(M, transpose(tuple(cols))) == ident
 
     def test_singular_matrix_is_not_invertible(self):
         one = cyc_one(4)
@@ -389,39 +365,28 @@ def test_serialize_hash_and_rational_equality_match_reference(ap, r):
         assert a == int(ra.coeffs[0])
 
 
-def ref_solve_linear(M, b=None):
+def ref_solve_linear(M):
     """The former Gauss-Jordan, over the reference numbers."""
     rows = [list(r) for r in M]
     m, n = len(rows), len(rows[0])
     order = rows[0][0].order
     zero, one = Ref(order, ()), Ref(order, (F1,))
-    rhs = [zero] * m if b is None else list(b)
     pivots, r = [], 0
     for col in range(n):
         sel = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
         inv = rows[r][col].inverse()
         rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
         for i in range(m):
             if i != r and not rows[i][col].is_zero():
                 c = rows[i][col]
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - c * rhs[r]
         pivots.append(col)
         r += 1
         if r == m:
             break
-    consistent = all(rhs[i].is_zero() for i in range(r, m))
-    particular = None
-    if consistent:
-        sol = [zero] * n
-        for i, col in enumerate(pivots):
-            sol[col] = rhs[i]
-        particular = tuple(sol)
     kernel = []
     for free in range(n):
         if free in pivots:
@@ -431,7 +396,7 @@ def ref_solve_linear(M, b=None):
         for i, col in enumerate(pivots):
             vec[col] = -rows[i][free]
         kernel.append(tuple(vec))
-    return consistent, particular, tuple(kernel), len(pivots), tuple(pivots)
+    return tuple(kernel), len(pivots), tuple(pivots)
 
 
 def ref_rref(vectors):
@@ -461,7 +426,8 @@ def ref_rref(vectors):
 @st.composite
 def root_matrices(draw):
     """A matrix of roots of unity and zeros, as CycNumbers and references,
-    plus a right-hand side; repeated rows force rank deficiency."""
+    plus a vector of as many entries as rows; repeated rows force rank
+    deficiency."""
     n = draw(st.sampled_from((2, 4, 8, 12)))
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     entry = st.one_of(st.none(), st.integers(0, n - 1))
@@ -487,16 +453,12 @@ def _vec_same(v, rv):
 
 
 @settings(max_examples=30, deadline=None)
-@given(root_matrices(), st.booleans())
-def test_solve_linear_and_rref_match_reference(case, homogeneous):
-    M, R, b, rb = case
-    sol = solve_linear(M, None if homogeneous else b)
-    consistent, particular, kernel, rank, pivots = ref_solve_linear(
-        R, None if homogeneous else rb)
-    assert (sol.consistent, sol.rank, sol.pivots) == (consistent, rank, pivots)
-    assert (sol.particular is None) == (particular is None)
-    if particular is not None:
-        assert _vec_same(sol.particular, particular)
+@given(root_matrices())
+def test_solve_linear_and_rref_match_reference(case):
+    M, R, _, _ = case
+    sol = solve_linear(M)
+    kernel, rank, pivots = ref_solve_linear(R)
+    assert (sol.rank, sol.pivots) == (rank, pivots)
     assert len(sol.kernel) == len(kernel)
     assert all(_vec_same(v, rv) for v, rv in zip(sol.kernel, kernel))
     basis, piv = sol.rows, sol.pivots

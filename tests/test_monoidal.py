@@ -2,7 +2,7 @@
 
 import pytest
 
-from monocentre.fincat import Functor, validate_category
+from monocentre.fincat import FinCategory, Functor, validate_category
 from monocentre.monoidal import (
     MonoidalStructure, validate_monoidal,
     BraidingDatum, check_braiding,
@@ -50,6 +50,29 @@ class TestCoherence:
         ms = one_object_z2_monoidal(broken_pentagon=True)
         report = validate_monoidal(ms)
         assert any("pentagon" in line for line in report)
+
+    @pytest.mark.parametrize("spot", [(a, b, c) for a in (1, 2) for b in (1, 2)
+                                      for c in (1, 2)])
+    def test_pentagon_reports_its_first_failing_quadruple(self, spot):
+        # the 2-group on Z3 with automorphisms Z2 at every object: morphism
+        # 2 g + k is k in Aut(g), and the associator is the normalized
+        # Z2-valued w, 1 at spot alone.  The pentagon holds at (a, b, c, d)
+        # iff the additive coboundary of w vanishes there, so the first
+        # quadruple reported is the least one where it does not.
+        G = range(3)
+        w = {(a, b, c): int((a, b, c) == spot) for a in G for b in G for c in G}
+        cat = FinCategory(3, [m // 2 for m in range(6)], [m // 2 for m in range(6)],
+                          (0, 2, 4), {(2 * g + k, 2 * g + l): 2 * g + (k + l) % 2
+                                      for g in G for k in (0, 1) for l in (0, 1)})
+        tmor = {(f, g): 2 * ((f // 2 + g // 2) % 3) + (f + g) % 2
+                for f in range(6) for g in range(6)}
+        alpha = {k: 2 * (sum(k) % 3) + v for k, v in w.items()}
+        tobj = [[(a + b) % 3 for b in G] for a in G]
+        ms = MonoidalStructure(cat, tobj, tmor, 0, alpha, (0, 2, 4), (0, 2, 4))
+        first = next((a, b, c, d) for a in G for b in G for c in G for d in G
+                     if (w[b, c, d] + w[a, (b + c) % 3, d] + w[a, b, c]
+                         + w[(a + b) % 3, c, d] + w[a, b, (c + d) % 3]) % 2)
+        assert validate_monoidal(ms) == [f"pentagon fails at objects {first}"]
 
     def test_broken_pentagon_still_structurally_sound(self):
         # the corruption is purely coherence-level: naturality survives

@@ -23,11 +23,11 @@ from monocentre.veck import (
     VecSimple,
     _action_inverses,
     _commutant_dim,
+    _fibre_action,
     _induce_simple,
     _invariant_projection,
     _restrict_action,
     _split_rec,
-    canonical_class_carrier,
     centre_simples,
     certify_centre_structure,
     check_cocycle,
@@ -110,10 +110,15 @@ def test_twist_exponents():
 
 
 def test_canonical_carrier_shapes():
-    hb = canonical_class_carrier(trivial(S3), 1)
-    assert hb.carrier.dims == (0, 2, 2, 0, 0, 2)
-    hb2 = canonical_class_carrier(z2_nontrivial_cocycle(), 1)
-    assert hb2.carrier.dims == (0, 2)
+    # the fibre of a class is acted on by its centralizer, and inducing it
+    # gives the class carrier of total dimension |G|
+    for omega, r, cent, dims in ((trivial(S3), 1, (0, 1), (0, 2, 2, 0, 0, 2)),
+                                 (z2_nontrivial_cocycle(), 1, (0, 1), (0, 2))):
+        mats = _fibre_action(omega, r)
+        assert tuple(mats) == cent
+        assert all(len(M) == len(cent) and all(len(row) == len(cent) for row in M)
+                   for M in mats.values())
+        assert _induce_simple(omega, r, mats).carrier.dims == dims
 
 
 def test_scalar_systems_on_z2_trivial():
@@ -289,7 +294,7 @@ def test_corrupted_block_rejected_with_witness():
 
 def test_singular_block_is_reported_not_invertible():
     omega = trivial(S3)
-    hb = canonical_class_carrier(omega, 1)
+    hb = _induce_simple(omega, 1, _fibre_action(omega, 1))
     assert check_half_braiding(hb) == []
     key = (3, 2)
     row = hb.block(*key)[0]
@@ -564,6 +569,21 @@ def test_intertwiner_dimensions():
     assert intertwiner_dim(a, b) == 0
 
 
+@pytest.mark.parametrize("dims, endo, inter", [
+    ((1, 3), "", "simples 0 and 1 share a nonzero intertwiner (dim 3)"),
+    ((2, 0), "simple 0 has endomorphism dimension != 1", ""),
+    ((1, 0), "", ""),
+], ids=["shared", "endomorphisms", "sound"])
+def test_intertwiner_certificates_name_the_first_failure(monkeypatch, dims, endo, inter):
+    # intertwiner_dim replaced: dims[0] on a simple with itself, dims[1]
+    # between two simples of one class
+    monkeypatch.setattr(veck, "intertwiner_dim", lambda A, B: dims[A is not B])
+    certs = {c.name: c for c in centre_simples(trivial(Z2)).certificates}
+    for name, detail in (("endomorphism algebras one-dimensional", endo),
+                         ("no intertwiners between distinct simples", inter)):
+        assert (certs[name].ok, certs[name].detail) == (not detail, detail)
+
+
 def test_tensor_of_semions_is_a_half_braiding():
     result = centre_simples(z2_nontrivial_cocycle())
     a, b = [s.hb for s in result.simples if s.class_rep == 1]
@@ -667,6 +687,96 @@ SPLIT_INPUTS = [
 ]
 
 
+def type_i_z3_cocycle():
+    """omega(a, b, c) = zeta_3^(a [b + c >= 3]) on Z3, a type-I class."""
+    return Cocycle3(Group(Z3), 3, [[[a * (b + c >= 3) for c in range(3)] for b in range(3)]
+                                   for a in range(3)])
+
+
+def _ref_class_carrier(omega, r):
+    """The former closed-form class carrier: basis v_z for z in G, graded
+    by z^-1 r z, with beta_y(v_z) = zeta^(-tau(r; z, y)) v_{zy}."""
+    table, n, order = omega.group.table, len(omega.group.table), omega.field_order
+    by_grade = {}
+    for z in range(n):
+        by_grade.setdefault(_conj(omega.group, z, r), []).append(z)
+    pos = {z: i for zs in by_grade.values() for i, z in enumerate(zs)}
+    blocks = {}
+    for x in range(n):
+        for g, src in by_grade.items():
+            mat = [[cyc_zero(order)] * len(src)
+                   for _ in by_grade[_conj(omega.group, x, g)]]
+            for col, z in enumerate(src):
+                mat[pos[table[z][x]]][col] = zeta(order, -omega.twist[r][z][x]
+                                                  * (order // omega.scalar_order))
+            blocks[(x, g)] = mat
+    dims = tuple(len(by_grade.get(g, ())) for g in range(n))
+    return HalfBraidingLin(omega, GradedObject(dims), blocks)
+
+
+@pytest.mark.parametrize("omega_factory", [
+    lambda: trivial(S3), lambda: trivial(Z4), lambda: trivial(D4),
+    lambda: trivial(Z2_CUBED), type_iii_cocycle, z2_nontrivial_cocycle,
+    type_i_z3_cocycle,
+], ids=["s3", "z4", "d4", "z2cubed", "z2cubed_type_iii", "z2_nontrivial", "z3_type_i"])
+def test_fibre_action_is_the_fibre_of_the_class_carrier(omega_factory):
+    # the split receives exactly the matrices the class carrier had at r
+    omega = omega_factory()
+    for r, *_ in omega.group.classes:
+        carrier = _ref_class_carrier(omega, r)
+        assert check_half_braiding(carrier) == []
+        assert _fibre_action(omega, r) == {h: carrier.block(h, r)
+                                           for h in omega.group.centralizer(r)}
+
+
+@pytest.mark.parametrize("omega_factory", [sign_pullback_cocycle, type_iii_cocycle],
+                         ids=["s3_sign_pullback", "z2cubed_type_iii"])
+def test_split_receives_the_class_carrier_fibres(omega_factory, monkeypatch):
+    # the top-level calls of _split_rec, one per distinct fibre in class
+    # order, get the fibres of the closed-form class carriers
+    omega, calls, depth = omega_factory(), [], [0]
+    split = veck._split_rec
+
+    def recorded(group, mats, *rest):
+        if not depth[0]:
+            calls.append(mats)
+        depth[0] += 1
+        try:
+            return split(group, mats, *rest)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(veck, "_split_rec", recorded)
+    assert centre_simples(omega).all_passed
+    fibres = {}
+    for r, *_ in omega.group.classes:
+        carrier = _ref_class_carrier(omega, r)
+        mats = {h: carrier.block(h, r) for h in omega.group.centralizer(r)}
+        fibres.setdefault(tuple(sorted(mats.items())), mats)
+    assert calls == list(fibres.values())
+
+
+def test_fibre_action_refuses_a_changed_twist():
+    # tau(0; 1, 1) raised by one: the law first fails at the least (x, y)
+    # where the changed tau(0; -, -) is no longer a 2-cocycle on Z3
+    omega = type_i_z3_cocycle()
+    twist = [[list(row) for row in plane] for plane in omega.twist]
+    twist[0][1][1] += 1
+    omega.__dict__["twist"] = twist
+    t, G = omega.group.table, range(3)
+    x, y = next((x, y) for x in G for y in G if any(
+        (twist[0][x][y] + twist[0][z][t[x][y]] - twist[0][z][x] - twist[0][t[z][x]][y]) % 3
+        for z in G))
+    with pytest.raises(InternalSoundnessError,
+                       match=rf"^fibre action of class 0 fails its law at \(x={x}, y={y}\)$"):
+        _fibre_action(omega, 0)
+    twist[0][1][1] -= 1
+    twist[0][2][0] += 1  # M_e sends v_2 to zeta_3^-1 v_2
+    with pytest.raises(InternalSoundnessError,
+                       match=r"^fibre action of class 0: M_e is not the identity$"):
+        _fibre_action(omega, 0)
+
+
 def _ref_commutant_dim(mats):
     """The former k^2-unknown system for {T : T M_h = M_h T for all h}."""
     k = len(next(iter(mats.values())))
@@ -691,16 +801,15 @@ def _prepared(mats):
 
 
 def _fibre_splits(table, omega):
-    """(class representative, carrier, fibre action, split pieces) for
-    every class."""
+    """(cocycle, class representative, fibre action, split pieces) for
+    every class; omega None is the trivial cocycle."""
     omega = trivial(table) if omega is None else omega
     group, order = omega.group, omega.field_order
     for cls in group.classes:
-        carrier = canonical_class_carrier(omega, cls[0])
-        mats = {h: carrier.block(h, cls[0]) for h in group.centralizer(cls[0])}
+        mats = _fibre_action(omega, cls[0])
         pieces = []
         _split_rec(group, mats, order, roots_of_unity(order), pieces)
-        yield cls[0], carrier, mats, pieces
+        yield omega, cls[0], mats, pieces
 
 
 @pytest.mark.parametrize("table, omega_factory", SPLIT_INPUTS)
@@ -768,10 +877,18 @@ def _ref_cyclic_closure(v, mats):
     return transpose(sol.rows), sol.pivots
 
 
+def _solve(M, b):
+    """The unique x with M x = b, read off the kernel of [M | -b]: its one
+    canonical vector has last coordinate 1."""
+    kernel = solve_linear([tuple(row) + (-y,) for row, y in zip(M, b)]).kernel
+    assert len(kernel) == 1 and kernel[0][-1] == 1
+    return kernel[0][:-1]
+
+
 def _ref_induce_simple(omega, carrier_hb, class_rep, fiber_cols):
     """The former induction: grade bases are the fibre basis moved by the
     carrier's blocks at a transversal, and each block is solved for, one
-    solve_linear per column."""
+    linear system per column."""
     table = omega.group.table
     n = len(table)
     r = class_rep
@@ -786,12 +903,9 @@ def _ref_induce_simple(omega, carrier_hb, class_rep, fiber_cols):
     for x in range(n):
         for g in sorted(basis):
             rhs = mat_mul(carrier_hb.block(x, g), basis[g])
-            cols = []
-            for j in range(d):
-                sol = solve_linear(basis[_conj(omega.group, x, g)], [row[j] for row in rhs])
-                assert sol.consistent and not sol.kernel
-                cols.append(sol.particular)
-            blocks[(x, g)] = transpose(cols)
+            target = basis[_conj(omega.group, x, g)]
+            blocks[(x, g)] = transpose([_solve(target, [row[j] for row in rhs])
+                                        for j in range(d)])
     return HalfBraidingLin(omega, GradedObject(dims), blocks)
 
 
@@ -828,12 +942,13 @@ def test_closed_forms_match_the_former_linear_systems(table, omega_factory,
     monkeypatch.setattr(veck, "_cyclic_closure", recorded)
     omega = omega_factory() if omega_factory else None
     induced = 0
-    for r, carrier, mats, pieces in _fibre_splits(table, omega):
+    for omega, r, mats, pieces in _fibre_splits(table, omega):
+        carrier = _ref_class_carrier(omega, r)
         for sub, certified in pieces:
             assert certified
             basis = _fibre_basis(mats, sub)
-            assert (_induce_simple(carrier.omega, r, sub)
-                    == _ref_induce_simple(carrier.omega, carrier, r, basis))
+            assert (_induce_simple(omega, r, sub)
+                    == _ref_induce_simple(omega, carrier, r, basis))
             induced += 1
     assert induced >= len(Group(table).classes)
     assert tried
@@ -844,9 +959,8 @@ def test_closed_forms_match_the_former_linear_systems(table, omega_factory,
 def test_swapped_fibre_action_fails_multiplicativity():
     # the 2-dimensional simple of the S3 fibre at the identity, with the
     # matrices of a transposition and a 3-cycle exchanged
-    r, carrier, _, pieces = next(_fibre_splits(S3, None))
+    omega, r, _, pieces = next(_fibre_splits(S3, None))
     action = next(sub for sub, _ in pieces if len(sub[r]) == 2)
-    omega = carrier.omega
     assert check_half_braiding(_induce_simple(omega, r, action)) == []
     swapped = {**action, 1: action[3], 3: action[1]}
     report = check_half_braiding(_induce_simple(omega, r, swapped))
@@ -856,8 +970,7 @@ def test_swapped_fibre_action_fails_multiplicativity():
 def test_non_invariant_space_is_refused():
     omega = trivial(S3)
     order = omega.field_order
-    carrier = canonical_class_carrier(omega, 0)
-    mats = {h: carrier.block(h, 0) for h in range(6)}
+    mats = _fibre_action(omega, 0)
     one, zero = cyc_one(order), cyc_zero(order)
     C = tuple((one if i == 0 else zero,) for i in range(6))
     with pytest.raises(InternalSoundnessError, match="not invariant"):
@@ -871,8 +984,7 @@ def test_non_invariant_space_is_refused():
 def test_non_projective_action_is_refused():
     omega = trivial(Z4)
     order = omega.field_order
-    carrier = canonical_class_carrier(omega, 0)
-    mats = {h: carrier.block(h, 0) for h in range(4)}
+    mats = _fibre_action(omega, 0)
     one, zero = cyc_one(order), cyc_zero(order)
     D = tuple(tuple((-one if i % 2 else one) if i == j else zero for j in range(4))
               for i in range(4))
