@@ -109,7 +109,21 @@ def test_roots_of_unity_distinct():
     assert all((r ** 8).is_one() for r in roots)
 
 
+def solve_system(M, b):
+    """The solution of M x = b when M is invertible, read off the kernel of
+    [M | -b]: its one canonical vector has last coordinate 1."""
+    kernel = solve_linear([tuple(row) + (-y,) for row, y in zip(M, b)]).kernel
+    assert len(kernel) == 1 and kernel[0][-1] == 1
+    return kernel[0][:-1]
+
+
 class TestLinear:
+    def test_identity_system(self):
+        one = cyc_one(4)
+        M = mat_id(3, 4)
+        b = (zeta(4), one, one + one)
+        assert solve_system(M, b) == b and solve_linear(M).kernel == ()
+
     def test_zero_matrix_full_kernel(self):
         z = cyc_zero(4)
         M = ((z, z), (z, z))
@@ -125,6 +139,15 @@ class TestLinear:
             assert sol.kernel == () and sol.rank == len(M)
             assert sol.pivots == tuple(range(len(M))) and sol.rows == mat_id(len(M), 4)
 
+    def test_documented_2x2_over_gaussian(self):
+        # upper triangular with determinant i: unique solution
+        i = zeta(4)
+        one = cyc_one(4)
+        M = ((one, i), (cyc_zero(4), i))
+        b = (one + i, i)
+        assert not solve_linear(M).kernel
+        assert mat_vec(M, solve_system(M, b)) == b
+
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                              min_size=3, max_size=3), min_size=2, max_size=4))
     def test_random_rational_systems(self, rows):
@@ -133,6 +156,15 @@ class TestLinear:
         assert sol.rank + len(sol.kernel) == 3
         for v in sol.kernel:
             assert all(x.is_zero() for x in mat_vec(M, v))
+
+    def test_inverse_columns_solve_the_identity(self):
+        i = zeta(4)
+        one = cyc_one(4)
+        M = ((one, i), (i, one))  # det = 1 - i^2 = 2
+        ident = mat_id(2, 4)
+        assert not solve_linear(M).kernel
+        cols = [solve_system(M, [row[j] for row in ident]) for j in range(2)]
+        assert mat_mul(M, transpose(tuple(cols))) == ident
 
     def test_singular_matrix_is_not_invertible(self):
         one = cyc_one(4)
