@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .config import DEFAULT, GuardConfig, InternalSoundnessError, SizeGuardExceeded, _report
+from .config import DEFAULT, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
     Functor, NatTransf, full_subcategory,
     validate_functor, validate_nat_transf, _table_category,
@@ -42,8 +42,7 @@ def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig = DEFAULT) -> Inserter
         for m in B.invertible_hom(F.obj_map[a], G.obj_map[a]):
             objs.append((a, m))
     objs.sort()
-    if len(objs) > cfg.max_objects:
-        raise SizeGuardExceeded("inserter objects", len(objs), cfg.max_objects)
+    cfg.bound("inserter objects", len(objs), "max_objects")
     mor_table = []
     for i, (a, m) in enumerate(objs):
         for j, (b, mm) in enumerate(objs):
@@ -51,6 +50,7 @@ def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig = DEFAULT) -> Inserter
                 if B.compose(G.mor_map[f], m) == B.compose(mm, F.mor_map[f]):
                     mor_table.append((i, j, f))
     mor_table.sort()
+    cfg.bound("inserter morphisms", len(mor_table), "max_morphisms")
     cat, _ = _table_category(mor_table, [A.id_of(a) for a, _ in objs], A.compose,
                              "inserter is not closed under composition")
     proj = Functor(cat, A, tuple(a for a, _ in objs),
@@ -155,8 +155,7 @@ def descent_object(T: TruncatedCosimplicial,
             if lhs == rhs:
                 objs.append((x, m))
     objs.sort()
-    if len(objs) > cfg.max_objects:
-        raise SizeGuardExceeded("descent objects", len(objs), cfg.max_objects)
+    cfg.bound("descent objects", len(objs), "max_objects")
     mor_table = []
     for i, (x, m) in enumerate(objs):
         for j, (y, mm) in enumerate(objs):
@@ -165,6 +164,7 @@ def descent_object(T: TruncatedCosimplicial,
                         == T.X1.compose(mm, T.d0.mor_map[f])):
                     mor_table.append((i, j, f))
     mor_table.sort()
+    cfg.bound("descent morphisms", len(mor_table), "max_morphisms")
     cat, _ = _table_category(mor_table, [T.X0.id_of(x) for x, _ in objs], T.X0.compose,
                              "descent category not closed under composition")
     proj = Functor(cat, T.X0, tuple(x for x, _ in objs),

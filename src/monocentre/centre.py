@@ -7,8 +7,11 @@ associator inserted in the unique well-typed way:
     gamma_{x(x)y} = alpha_inv(x,y,a) . (1_x (x) gamma_y) . alpha(x,a,y)
                     . (gamma_x (x) 1_y) . alpha_inv(a,x,y)
 
-The centre is computed by exhaustive depth-first enumeration of these
-families, object by object, with naturality and multiplicativity pruning.
+The centre is computed by exhaustive enumeration of these families,
+object by object, with naturality and multiplicativity pruning; the
+enumeration, like that of centre pieces, is fincat's one depth-first
+search.  Each category built here, the centre and CP(U, A), is bounded by
+max_objects before its morphisms are built, and then by max_morphisms.
 Everything the construction claims about the result (braiding hexagons,
 strong monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
@@ -22,13 +25,15 @@ check_centre_piece_morphism report from them.
 
 from __future__ import annotations
 
-from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
-                     _report)
+from itertools import chain
+
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
     FinCategory, Functor, NatTransf, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
     product_category, coproduct_category, check_equivalence,
-    validate_category, validate_functor, validate_nat_transf, _table_category,
+    validate_category, validate_functor, validate_nat_transf,
+    _schedule, _search, _table_category,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
@@ -147,38 +152,25 @@ def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
                              cfg: GuardConfig = DEFAULT) -> list[tuple]:
     """All half-braidings for the object a, as component tuples in
-    lexicographic order.  Depth-first over objects with naturality and
-    multiplicativity pruning as soon as every index involved is assigned.
+    lexicographic order: one search over the components, object by object,
+    with each naturality and multiplicativity condition checked as soon as
+    every index it involves is assigned.
     """
-    cat = ms.base
-    n = cat.n_objects
-    nat_at = [[] for _ in range(n)]
-    for f in cat.morphisms:
-        nat_at[max(cat.src(f), cat.dst(f))].append(f)
-    mult_at = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            mult_at[max(x, y, ms.tensor_obj(x, y))].append((x, y))
-
-    gamma = [0] * n
+    cat, t = ms.base, ms.tensor_obj
+    objs = cat.objects
+    at = list(zip(cat._by_later_end,
+                  _schedule(objs, (((x, y), (x, y, t(x, y))) for x in objs for y in objs))))
+    gamma = [0] * cat.n_objects
     out = []
-    budget = Budget(cfg.max_branch, "half-braiding enumeration")
 
-    def assign(k):
-        if k == n:
-            out.append(tuple(gamma))
-            return
-        for cand in cat.invertible_hom(ms.tensor_obj(a, k), ms.tensor_obj(k, a)):
-            budget.spend()
-            gamma[k] = cand
-            if (next(_natural_failures(ms, a, gamma, nat_at[k]), None) is None
-                    and next(_multiplicative_failures(ms, a, gamma, mult_at[k]), None) is None):
-                assign(k + 1)
+    def failures(checks):
+        nat, mult = checks
+        return chain(_natural_failures(ms, a, gamma, nat),
+                     _multiplicative_failures(ms, a, gamma, mult))
 
-    if n > 0:
-        assign(0)
-    else:
-        out.append(())
+    _search(gamma, objs, lambda x: cat.invertible_hom(t(a, x), t(x, a)), at, failures,
+            Budget(cfg.max_branch, "half-braiding enumeration"),
+            lambda: out.append(tuple(gamma)))
     return out
 
 
@@ -233,9 +225,7 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
         for gamma in enumerate_half_braidings(ms, a, cfg):
             objs.append(CentreObject(a, gamma))
     objs.sort(key=lambda o: (o.a, o.gamma))
-    if len(objs) > cfg.max_objects:
-        raise SizeGuardExceeded("centre objects", len(objs), cfg.max_objects,
-                                hint="raise max_objects, or use the graded linear backend")
+    cfg.bound("centre objects", len(objs), "max_objects")
     obj_index = {(o.a, o.gamma): i for i, o in enumerate(objs)}
 
     mor_table = []
@@ -245,8 +235,7 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
                 if next(_central_failures(ms, f, o1.gamma, o2.gamma), None) is None:
                     mor_table.append((i, j, f))
     mor_table.sort()
-    if len(mor_table) > cfg.max_morphisms:
-        raise SizeGuardExceeded("centre morphisms", len(mor_table), cfg.max_morphisms)
+    cfg.bound("centre morphisms", len(mor_table), "max_morphisms")
     not_central = ("{what}: morphism {label} between centre objects {src} and {dst} "
                    "fails the centre condition")
     zcat, mor_index = _table_category(mor_table, [cat.id_of(o.a) for o in objs],
@@ -374,41 +363,48 @@ class CentrePieceCategory(Record):
 def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
                             cfg: GuardConfig = DEFAULT) -> CentrePieceCategory:
     """Exhaustive CP(U, A): objects all centre pieces, morphisms all
-    centre-piece morphisms, composition vertical."""
+    centre-piece morphisms, composition vertical.
+
+    Under each functor u: U -> A, one search picks a half-braiding of u(s)
+    for each object s of U, checking naturality in the first argument at
+    each non-identity morphism once both its ends are picked.  The piece
+    search and the transformation enumerations between pieces spend one
+    max_branch budget for the whole construction.
+    """
     cat = ms.base
     half = {a: enumerate_half_braidings(ms, a, cfg) for a in cat.objects}
+    budget = Budget(cfg.max_branch, "centre piece enumeration")
+    at = _schedule(U.objects, ((f, (U.src(f), U.dst(f)))
+                               for f in U.morphisms if not U.is_identity(f)))
+    picked = [None] * U.n_objects
     pieces = []
+
+    # each reads the functor u of the loop below, under which it runs
+    def candidates(s):
+        return half[u.obj_map[s]]
+
+    def failures(fs):
+        return (x for f in fs for x in _central_failures(
+            ms, u.mor_map[f], picked[U.src(f)], picked[U.dst(f)]))
+
+    def emit():
+        pieces.append(CentrePiece(u, ms, {(s, x): picked[s][x]
+                                          for s in U.objects for x in cat.objects}))
+
     for u in enumerate_functors(U, cat, cfg):
-        nonid = [f for f in U.morphisms if not U.is_identity(f)]
-        choices = [half[u.obj_map[s]] for s in U.objects]
-        picked = [None] * U.n_objects
-
-        def assign(s):
-            if s == U.n_objects:
-                gamma = {(t, x): picked[t][x] for t in U.objects for x in cat.objects}
-                pieces.append(CentrePiece(u, ms, gamma))
-                return
-            for hb in choices[s]:
-                picked[s] = hb
-                if all(next(_central_failures(ms, u.mor_map[f], picked[U.src(f)],
-                                              picked[U.dst(f)]), None) is None
-                       for f in nonid if max(U.src(f), U.dst(f)) == s):
-                    assign(s + 1)
-
-        if U.n_objects == 0:
-            pieces.append(CentrePiece(u, ms, {}))
-        else:
-            assign(0)
+        _search(picked, U.objects, candidates, at, failures, budget, emit)
     pieces.sort(key=lambda p: p.key())
+    cfg.bound("centre piece objects", len(pieces), "max_objects")
     piece_index = {p.key(): i for i, p in enumerate(pieces)}
 
     mor_table = []
     for i, p in enumerate(pieces):
         for j, q in enumerate(pieces):
-            for sigma in enumerate_nat_transfs(p.u, q.u, cfg):
+            for sigma in enumerate_nat_transfs(p.u, q.u, budget):
                 if not check_centre_piece_morphism(sigma, p, q):
                     mor_table.append((i, j, sigma.components))
     mor_table.sort()
+    cfg.bound("centre piece morphisms", len(mor_table), "max_morphisms")
     cp_cat, mor_index = _table_category(
         mor_table, [tuple(cat.id_of(b) for b in p.u.obj_map) for p in pieces],
         lambda g, f: tuple(cat.compose(x, y) for x, y in zip(g, f)),

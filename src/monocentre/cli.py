@@ -37,8 +37,7 @@ from .fincat import validate_category, validate_functor
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
 from .record import Record
-from .veck import (Cocycle3, centre_simples, certify_centre_structure,
-                   check_group_order, trivial_cocycle)
+from .veck import Cocycle3, centre_simples, certify_centre_structure, trivial_cocycle
 
 _DASH = "—"
 
@@ -202,7 +201,7 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
         omega = trivial_cocycle(group)
     # refuse an oversized group before the quartic cocycle check; the
     # cocycle's report, kept on it, feeds the axiom line and the battery
-    check_group_order(n, cfg)
+    cfg.bound("group order", n, "vec_max_group")
     certs.append(Certificate.of("Axiom: normalized 3-cocycle", omega.problems))
     if omega.problems:
         return Section("vec-centre", spec.path, tuple(info), tuple(certs))

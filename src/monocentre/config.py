@@ -3,8 +3,9 @@
 Every construction that can blow up combinatorially (products, functor
 categories, half-braiding enumeration, the linear backend) checks its
 inputs against a GuardConfig and refuses with SizeGuardExceeded instead of
-hanging.  Defaults are sized for desk-scale certification runs; a JSON
-config file and MONOCENTRE_* environment variables override them.
+hanging: sizes through GuardConfig.bound, search steps through a Budget.
+Defaults are sized for desk-scale certification runs; a JSON config file
+and MONOCENTRE_* environment variables override them.
 
 Every check reports through _report: its laws are generators of failure
 messages, run in phases, and the report is the first _REPORT_CAP
@@ -37,17 +38,16 @@ def _report(*phases) -> list[str]:
 
 
 class SizeGuardExceeded(RuntimeError):
-    """A construction would exceed the configured size guards."""
+    """A construction would exceed the configured size guards; the message
+    names the stage, the size it needs, the limit, and the guard to raise."""
 
-    def __init__(self, what: str, needed, limit, hint: str = ""):
+    def __init__(self, what: str, needed, limit, guard: str):
         self.what = what
         self.needed = needed
         self.limit = limit
-        self.hint = hint
-        msg = f"size guard exceeded: {what} needs {needed}, limit {limit}"
-        if hint:
-            msg += f" ({hint})"
-        super().__init__(msg)
+        self.guard = guard
+        super().__init__(f"size guard exceeded: {what} needs {needed}, limit {limit} "
+                         f"(raise {guard})")
 
 
 class InternalSoundnessError(RuntimeError):
@@ -61,11 +61,12 @@ GUARDS = ("max_objects", "max_morphisms", "max_branch", "vec_max_group")
 class GuardConfig(Record):
     """Caps for enumerative constructions.
 
-    max_objects / max_morphisms: per constructed category, including the
-        product A x A and both levels of the translation diagram.
+    max_objects / max_morphisms: per constructed category (the centre,
+        A x A, functor categories and both translation levels, CP(U, A),
+        the inserter, the descent object), objects before morphisms.
     max_branch: cap on the steps one enumeration or search may take (one
-        Budget each) before refusing; building a functor category spends
-        one budget for all of its morphisms.
+        Budget each) before refusing; a functor category or CP(U, A)
+        spends one budget for all of its pieces and morphisms.
     vec_max_group: largest group order the linear backend accepts, its
         only size bound: the cocycle check is quartic in |G|, and the
         induced simples and the battery grow with |G|.
@@ -105,6 +106,12 @@ class GuardConfig(Record):
         except ValueError as exc:
             raise ValueError(f"config file {path}: {exc}") from exc
 
+    def bound(self, what: str, needed: int, guard: str) -> None:
+        """Refuse what when it needs more than the guard named guard allows."""
+        limit = getattr(self, guard)
+        if needed > limit:
+            raise SizeGuardExceeded(what, needed, limit, guard)
+
     def with_env(self) -> "GuardConfig":
         """Apply MONOCENTRE_<FIELD> environment overrides on top of self."""
         overrides = {}
@@ -134,4 +141,4 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise SizeGuardExceeded(self.what, f"more than {self.limit} steps",
-                                    self.limit, hint="raise max_branch")
+                                    self.limit, "max_branch")

@@ -12,15 +12,18 @@ Preservation of composition and naturality are each written once, as a
 generator of the places where the law fails: the enumerators prune with
 it as soon as the places it reads are assigned, and validate_functor and
 validate_nat_transf report from it through config._report.
+
+Every set-level enumeration, here and in centre, is one search, _search:
+one max_branch step per candidate tried, and each check run once, when
+the last slot it reads is set (_schedule).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
-from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
-                     _report)
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .record import Record
 
 
@@ -103,6 +106,11 @@ class FinCategory(Record):
         ident, srcs, comp = self.identity, self.mor_src, self.compose_map
         return {f: g for (g, f), h in comp.items()
                 if h == ident[srcs[f]] and comp.get((f, g)) == ident[srcs[g]]}
+
+    @cached_property
+    def _by_later_end(self) -> list:
+        """Each morphism under its later end, where naturality is checked."""
+        return _schedule(self.objects, enumerate(zip(self.mor_src, self.mor_dst)))
 
     def hom(self, a, b):
         return self._hom.get((a, b), [])
@@ -356,10 +364,8 @@ class ProductCategory(Record):
 def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT) -> ProductCategory:
     n_obj = A.n_objects * B.n_objects
     n_mor = A.n_morphisms * B.n_morphisms
-    if n_obj > cfg.max_objects:
-        raise SizeGuardExceeded("product category objects", n_obj, cfg.max_objects)
-    if n_mor > cfg.max_morphisms:
-        raise SizeGuardExceeded("product category morphisms", n_mor, cfg.max_morphisms)
+    cfg.bound("product category objects", n_obj, "max_objects")
+    cfg.bound("product category morphisms", n_mor, "max_morphisms")
     nmb = B.n_morphisms
     src = []
     dst = []
@@ -428,90 +434,92 @@ def full_subcategory(cat: FinCategory, objects) -> Subcategory:
 # -- exhaustive enumeration ----------------------------------------------
 
 
+def _schedule(slots, checks) -> list[list]:
+    """Each check of the (check, slots it reads) pairs, under the position
+    in slots of the last slot it reads; one that reads none is dropped."""
+    pos = {s: k for k, s in enumerate(slots)}
+    at = [[] for _ in pos]
+    for check, reads in checks:
+        ks = [pos[s] for s in reads if s in pos]
+        if ks:
+            at[max(ks)].append(check)
+    return at
+
+
+def _search(vals, slots, candidates, at, failures, budget: Budget, emit) -> None:
+    """Depth-first search over the values of vals at slots, in that order.
+
+    Slot s takes the values candidates(s) in turn, each spending one budget
+    step; once slots[k] is set, the search goes deeper only if
+    failures(at[k]) yields nothing.  emit() sees each complete assignment,
+    in lexicographic order."""
+    n = len(slots)
+    if n == 0:
+        emit()
+        return
+    tries = [iter(candidates(slots[0]))]   # the untried values of each slot set
+    while tries:
+        k = len(tries) - 1
+        slot, checks = slots[k], at[k]
+        for cand in tries[k]:
+            budget.spend()
+            vals[slot] = cand
+            if next(failures(checks), None) is None:
+                break
+        else:   # slots[k] has no value left: back up
+            tries.pop()
+            continue
+        if k + 1 == n:
+            emit()
+        else:
+            tries.append(iter(candidates(slots[k + 1])))
+
+
 def enumerate_functors(A: FinCategory, B: FinCategory,
                        cfg: GuardConfig = DEFAULT) -> list[Functor]:
     """All functors A -> B, in lexicographic (obj_map, mor_map) order.
 
-    Backtracking over object images, then over images of the non-identity
-    morphisms with incremental composition-consistency pruning.
+    Searches the object images, then, under each object map, the images of
+    the non-identity morphisms, checking each composition as soon as its
+    last non-identity member is set.
     """
     budget = Budget(cfg.max_branch, "functor enumeration")
-    if A.n_objects == 0:
-        return [Functor(A, B, (), ())]
-    if B.n_objects == 0:
-        return []
-
     nonid = [m for m in A.morphisms if not A.is_identity(m)]
-    pos = {m: i for i, m in enumerate(nonid)}
-    n_steps = len(nonid)
-    # triple (g, f, h) is checkable once the last non-identity member is set
-    triples_at = [[] for _ in range(n_steps)]
-    for g, f, h in _composable(A):
-        members = [pos[m] for m in (g, f, h) if m in pos]
-        if members:
-            triples_at[max(members)].append((g, f, h))
-
-    out: list[Functor] = []
+    at = _schedule(nonid, ((t, t) for t in _composable(A)))
     obj_map = [0] * A.n_objects
     mor_map = [0] * A.n_morphisms
+    failures = partial(_composition_failures, B, mor_map)
+    out: list[Functor] = []
 
     def mor_choices(m):
         return B.hom(obj_map[A.src(m)], obj_map[A.dst(m)])
 
-    def assign_mors(step):
-        if step == n_steps:
-            out.append(Functor(A, B, tuple(obj_map), tuple(mor_map)))
-            return
-        m = nonid[step]
-        for cand in mor_choices(m):
-            budget.spend()
-            mor_map[m] = cand
-            if next(_composition_failures(B, mor_map, triples_at[step]), None) is None:
-                assign_mors(step + 1)
+    def emit():
+        out.append(Functor(A, B, tuple(obj_map), tuple(mor_map)))
 
-    def assign_objs(a):
-        if a == A.n_objects:
-            for o in A.objects:
-                mor_map[A.id_of(o)] = B.id_of(obj_map[o])
-            assign_mors(0)
-            return
-        for cand in B.objects:
-            budget.spend()
-            obj_map[a] = cand
-            assign_objs(a + 1)
+    def search_mors():
+        for a in A.objects:
+            mor_map[A.id_of(a)] = B.id_of(obj_map[a])
+        _search(mor_map, nonid, mor_choices, at, failures, budget, emit)
 
-    assign_objs(0)
+    # object images are unconstrained: no checks, so iter finds no failure
+    _search(obj_map, A.objects, lambda a: B.objects, [()] * A.n_objects, iter, budget,
+            search_mors)
     return out
 
 
 def enumerate_nat_transfs(F: Functor, G: Functor,
-                          cfg: GuardConfig = DEFAULT) -> list[NatTransf]:
-    """All natural transformations F => G, components in lexicographic order."""
-    return _nat_transfs(F, G, Budget(cfg.max_branch, "natural transformation enumeration"))
-
-
-def _nat_transfs(F: Functor, G: Functor, budget: Budget) -> list[NatTransf]:
+                          budget: Budget | None = None) -> list[NatTransf]:
+    """All natural transformations F => G, components in lexicographic order,
+    spending budget (by default a fresh one), which callers may share."""
+    if budget is None:
+        budget = Budget(DEFAULT.max_branch, "natural transformation enumeration")
     A, B = F.src, F.dst
-    n = A.n_objects
-    if n == 0:
-        return [NatTransf(F, G, ())]
-    check_at = [[] for _ in range(n)]
-    for m in A.morphisms:
-        check_at[max(A.src(m), A.dst(m))].append(m)
-    comps = [0] * n
+    comps = [0] * A.n_objects
     out = []
-
-    def assign(a):
-        if a == n:
-            out.append(NatTransf(F, G, tuple(comps)))
-            return
-        for cand in B.hom(F.obj_map[a], G.obj_map[a]):
-            budget.spend()
-            comps[a] = cand
-            if next(_naturality_failures(F, G, comps, check_at[a]), None) is None:
-                assign(a + 1)
-
-    assign(0)
+    _search(comps, A.objects, lambda a: B.hom(F.obj_map[a], G.obj_map[a]), A._by_later_end,
+            partial(_naturality_failures, F, G, comps), budget,
+            lambda: out.append(NatTransf(F, G, tuple(comps))))
     return out
 
 
@@ -551,9 +559,7 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
     """
     functors = sorted({(F.obj_map, F.mor_map): F for F in functors}.values(),
                       key=lambda F: (F.obj_map, F.mor_map))
-    if len(functors) > cfg.max_objects:
-        raise SizeGuardExceeded(f"{what} objects", len(functors), cfg.max_objects,
-                                hint="raise max_objects to proceed")
+    cfg.bound(f"{what} objects", len(functors), "max_objects")
     findex = {(F.obj_map, F.mor_map): i for i, F in enumerate(functors)}
     by_objmap: dict[tuple, list[int]] = {}
     extensions: dict[tuple, set] = {}   # object-map prefix -> next objects
@@ -574,11 +580,9 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
         for target in targets:
             for gi in by_objmap[target]:
                 raw.extend((fi, gi, eta.components)
-                           for eta in _nat_transfs(F, functors[gi], budget))
+                           for eta in enumerate_nat_transfs(F, functors[gi], budget))
     raw.sort()
-    if len(raw) > cfg.max_morphisms:
-        raise SizeGuardExceeded(f"{what} morphisms", len(raw), cfg.max_morphisms,
-                                hint="raise max_morphisms to proceed")
+    cfg.bound(f"{what} morphisms", len(raw), "max_morphisms")
     cat, tindex = _table_category(
         raw, [tuple(B.id_of(b) for b in F.obj_map) for F in functors],
         lambda g, f: tuple(B.compose(x, y) for x, y in zip(g, f)),

@@ -58,8 +58,7 @@ from math import lcm
 from operator import mul
 
 from .centre import Certificate, compute_centre
-from .config import (DEFAULT, Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded,
-                     _report)
+from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .cyclo import (
     CycNumber, cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale,
     mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus, roots_of_unity,
@@ -220,19 +219,12 @@ def check_cocycle(omega: Cocycle3) -> list:
              - w[a][b][table[c][d]] + w[a][b][c]) % n0))
 
 
-def check_group_order(n: int, cfg: GuardConfig) -> None:
-    """Refuse a group of order n above vec_max_group, before any work."""
-    if n > cfg.vec_max_group:
-        raise SizeGuardExceeded("group order", n, cfg.vec_max_group,
-                                hint="raise vec_max_group")
-
-
 def _require_valid(omega: Cocycle3, cfg: GuardConfig) -> None:
     """Refuse a bad group table, then an oversized group, then a bad
     cocycle: the size guard runs before the quartic cocycle check."""
     if omega.group.problems:
         raise ValueError("not a group table: " + omega.group.problems[0])
-    check_group_order(len(omega.group.table), cfg)
+    cfg.bound("group order", len(omega.group.table), "vec_max_group")
     if omega.problems:
         raise ValueError("invalid 3-cocycle: " + omega.problems[0])
 

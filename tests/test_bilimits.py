@@ -128,3 +128,19 @@ def test_descent_guard():
     A = discrete_category(3)
     with pytest.raises(SizeGuardExceeded):
         descent_object(constant_diagram(A), GuardConfig(max_objects=2))
+
+
+def test_inserter_and_descent_obey_max_morphisms():
+    # the walking arrow's inserter and descent object each have its three
+    # morphisms; the object guards pass, the morphism guards refuse
+    A = walking_arrow()
+    cfg = GuardConfig(max_morphisms=2)
+    with pytest.raises(SizeGuardExceeded, match=r"inserter morphisms needs 3, limit 2 "
+                                                r"\(raise max_morphisms\)$"):
+        iso_inserter(identity_functor(A), identity_functor(A), cfg)
+    with pytest.raises(SizeGuardExceeded, match=r"descent morphisms needs 3, limit 2 "
+                                                r"\(raise max_morphisms\)$"):
+        descent_object(constant_diagram(A), cfg)
+    cfg = GuardConfig(max_morphisms=3)
+    assert iso_inserter(identity_functor(A), identity_functor(A), cfg).category.n_morphisms == 3
+    assert descent_object(constant_diagram(A), cfg).category.n_morphisms == 3

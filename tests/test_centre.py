@@ -167,6 +167,25 @@ def test_cp_counts_frozen():
     assert cpw.category.n_morphisms == 2
 
 
+def test_centre_pieces_obey_the_guards():
+    # CP(2, Z4) has 16 pieces and 16 morphisms.  The functor enumeration
+    # takes 20 steps and each half-braiding search 4, each on its own
+    # budget, so 30 steps run out only in CP's own budget.
+    U, ms = discrete_category(2), discrete_group_monoidal(Z4)
+    for cfg, message in (
+            (GuardConfig(max_objects=4), "centre piece objects needs 16, limit 4 "
+                                         "(raise max_objects)"),
+            (GuardConfig(max_morphisms=4), "centre piece morphisms needs 16, limit 4 "
+                                           "(raise max_morphisms)"),
+            (GuardConfig(max_branch=30), "centre piece enumeration needs more than 30 "
+                                         "steps, limit 30 (raise max_branch)")):
+        with pytest.raises(SizeGuardExceeded) as err:
+            enumerate_centre_pieces(U, ms, cfg)
+        assert str(err.value) == "size guard exceeded: " + message
+    cp = enumerate_centre_pieces(U, ms, GuardConfig(max_objects=16, max_morphisms=16))
+    assert (cp.category.n_objects, cp.category.n_morphisms) == (16, 16)
+
+
 @pytest.mark.parametrize("U", [terminal_category(), discrete_category(2), walking_arrow()])
 @pytest.mark.parametrize("ms", [discrete_group_monoidal(Z2), chain_poset_monoidal(2)])
 def test_birepresentation_is_equivalence(U, ms):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from monocentre.config import GuardConfig, SizeGuardExceeded
+from monocentre.centre import enumerate_half_braidings
+from monocentre.config import Budget, GuardConfig, SizeGuardExceeded
 from monocentre.fincat import (
     FinCategory, Functor, NatTransf,
     validate_category, validate_functor, validate_nat_transf,
@@ -12,6 +13,8 @@ from monocentre.fincat import (
     enumerate_functors, enumerate_nat_transfs, functor_category,
     check_equivalence,
 )
+
+from monocentre.monoidal import S3, chain_poset_monoidal, discrete_group_monoidal
 
 from helpers import group_category, identity_functor
 
@@ -144,6 +147,35 @@ class TestEnumeration:
         fc = functor_category(walking_arrow(), walking_arrow())
         assert fc.category.n_objects == 3
         assert validate_category(fc.category) == []
+
+
+def _walking_arrow_extremes(max_branch):
+    """The transformations from the first to the last endofunctor of the
+    walking arrow (constant at 0 to constant at 1)."""
+    fs = enumerate_functors(walking_arrow(), walking_arrow())
+    return enumerate_nat_transfs(fs[0], fs[-1], Budget(max_branch, "transformations"))
+
+
+# One max_branch step per candidate tried: the least budget that succeeds
+# is the number of candidates each search tries.
+@pytest.mark.parametrize("least,run", [
+    (9, lambda n: enumerate_functors(walking_arrow(), walking_arrow(),
+                                     GuardConfig(max_branch=n))),
+    (39, lambda n: enumerate_functors(discrete_category(3), discrete_category(3),
+                                      GuardConfig(max_branch=n))),
+    (2, _walking_arrow_extremes),
+    (6, lambda n: enumerate_half_braidings(discrete_group_monoidal(S3), 0,
+                                           GuardConfig(max_branch=n))),
+] + [
+    (3, lambda n, a=a: enumerate_half_braidings(chain_poset_monoidal(3), a,
+                                                GuardConfig(max_branch=n)))
+    for a in range(3)
+], ids=["functors-arrow", "functors-discrete3", "transfs-arrow", "half-braidings-s3",
+        "half-braidings-chain0", "half-braidings-chain1", "half-braidings-chain2"])
+def test_least_max_branch_counts_the_candidates(least, run):
+    assert run(least)
+    with pytest.raises(SizeGuardExceeded, match=rf"needs more than {least - 1} steps"):
+        run(least - 1)
 
 
 class TestProductsCoproducts:

@@ -6,6 +6,9 @@ the wrong shape) are reported on their own, since the laws read those
 cells; a report holds at most 12 lines, the first ones in scan order.
 The negative paths below pin the exact messages, and the architecture
 test keeps the cap in one place.
+
+Size refusals follow one rule too: GuardConfig.bound (or a Budget) raises
+every SizeGuardExceeded, and each message ends "(raise <guard>)".
 """
 
 import ast
@@ -13,21 +16,28 @@ import pathlib
 
 import pytest
 
-from monocentre.bilimits import TruncatedCosimplicial, validate_cosimplicial
-from monocentre.centre import CentrePiece, check_centre_piece, check_centre_piece_morphism
+from monocentre.bilimits import (
+    TruncatedCosimplicial, descent_object, iso_inserter, validate_cosimplicial,
+)
+from monocentre.centre import (
+    CentrePiece, check_centre_piece, check_centre_piece_morphism, compute_centre,
+    enumerate_centre_pieces,
+)
+from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.convolution import SetFunctor, check_set_transf, validate_set_functor
 from monocentre.fincat import (
-    FinCategory, Functor, NatTransf, discrete_category, terminal_category, walking_arrow,
-    validate_category, validate_functor, validate_nat_transf,
+    FinCategory, Functor, NatTransf, discrete_category, product_category, terminal_category,
+    walking_arrow, validate_category, validate_functor, validate_nat_transf,
 )
+from monocentre.hochschild import build_hochschild
 from monocentre.monoidal import (
     BraidingDatum, MonoidalStructure, StrongMonoidalFunctor, Z2, Z4, S3,
     chain_poset_monoidal, check_braiding, check_strong_monoidal, discrete_group_monoidal,
     group_table_report, one_object_z2_monoidal, strict_cells_functor, validate_monoidal,
 )
 from monocentre.veck import (
-    Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
-    trivial_cocycle,
+    Cocycle3, GradedObject, Group, HalfBraidingLin, centre_simples, check_cocycle,
+    check_half_braiding, trivial_cocycle,
 )
 
 from helpers import group_category, identity_functor
@@ -255,3 +265,59 @@ def test_only_config_names_the_report_cap():
             if named == "_REPORT_CAP":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == [], "_REPORT_CAP named outside config.py: " + ", ".join(offenders)
+
+
+def test_only_config_raises_size_guard_exceeded():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            named = (exc.id if isinstance(exc, ast.Name)
+                     else exc.attr if isinstance(exc, ast.Attribute) else None)
+            if named == "SizeGuardExceeded":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == [], "SizeGuardExceeded raised outside config.py: " + ", ".join(offenders)
+
+
+def _constant_diagram(A):
+    idA = identity_functor(A)
+    cell = NatTransf(idA, idA, tuple(A.id_of(a) for a in A.objects))
+    return TruncatedCosimplicial(A, A, A, idA, idA, idA, idA, idA, cell, cell, cell)
+
+
+# (guard, its limit, a construction that the limit refuses)
+SIZE_REFUSALS = {
+    "centre objects": ("max_objects", 2, lambda cfg: compute_centre(
+        discrete_group_monoidal(Z4), cfg)),
+    "centre morphisms": ("max_morphisms", 2, lambda cfg: compute_centre(
+        discrete_group_monoidal(Z4), cfg)),
+    "product objects": ("max_objects", 8, lambda cfg: product_category(
+        discrete_category(3), discrete_category(3), cfg)),
+    "product morphisms": ("max_morphisms", 8, lambda cfg: product_category(
+        discrete_category(3), discrete_category(3), cfg)),
+    "translation level one": ("max_objects", 10, lambda cfg: build_hochschild(
+        discrete_group_monoidal(S3), cfg)),
+    # level two is never larger than the product A x A built before it
+    "translation level two": ("max_branch", 500, lambda cfg: build_hochschild(
+        discrete_group_monoidal(S3), cfg)),
+    "inserter": ("max_objects", 1, lambda cfg: iso_inserter(
+        identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
+    "descent": ("max_objects", 2, lambda cfg: descent_object(
+        _constant_diagram(discrete_category(3)), cfg)),
+    "centre pieces": ("max_objects", 4, lambda cfg: enumerate_centre_pieces(
+        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+    "group order": ("vec_max_group", 2, lambda cfg: centre_simples(
+        trivial_cocycle(Group(Z4)), cfg)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(SIZE_REFUSALS))
+def test_every_size_refusal_names_the_guard_to_raise(stage):
+    guard, limit, build = SIZE_REFUSALS[stage]
+    with pytest.raises(SizeGuardExceeded) as err:
+        build(GuardConfig(**{guard: limit}))
+    assert str(err.value).endswith(f", limit {limit} (raise {guard})"), str(err.value)
