@@ -1,6 +1,10 @@
 """Finite 2-categorical limit gadgets: iso-inserters, equifiers, and descent
 objects of truncated pseudo-cosimplicial diagrams.
 
+Each is a category over its base (the source of the inserted pair, the
+equified category, level zero of the diagram), built by
+fincat.category_over from the objects and the test its morphisms pass.
+
 The descent object is computed twice on every call: once directly from its
 defining conditions and once through the inserter-then-equifier pipeline.
 The two answers are compared morphism by morphism and a mismatch raises
@@ -15,8 +19,7 @@ from functools import cached_property
 
 from .config import DEFAULT, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
-    Functor, NatTransf, full_subcategory,
-    validate_functor, validate_nat_transf, _table_category,
+    Functor, NatTransf, category_over, validate_functor, validate_nat_transf,
 )
 from .record import Record
 
@@ -37,24 +40,12 @@ def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig = DEFAULT) -> Inserter
     if F.src != G.src or F.dst != G.dst:
         raise ValueError("iso_inserter needs a parallel pair of functors")
     A, B = F.src, F.dst
-    objs = []
-    for a in A.objects:
-        for m in B.invertible_hom(F.obj_map[a], G.obj_map[a]):
-            objs.append((a, m))
-    objs.sort()
-    cfg.bound("inserter objects", len(objs), "max_objects")
-    mor_table = []
-    for i, (a, m) in enumerate(objs):
-        for j, (b, mm) in enumerate(objs):
-            for f in A.hom(a, b):
-                if B.compose(G.mor_map[f], m) == B.compose(mm, F.mor_map[f]):
-                    mor_table.append((i, j, f))
-    mor_table.sort()
-    cfg.bound("inserter morphisms", len(mor_table), "max_morphisms")
-    cat, _ = _table_category(mor_table, [A.id_of(a) for a, _ in objs], A.compose,
-                             "inserter is not closed under composition")
-    proj = Functor(cat, A, tuple(a for a, _ in objs),
-                   tuple(t[2] for t in mor_table))
+    objs = [(a, m) for a in A.objects for m in B.invertible_hom(F.obj_map[a], G.obj_map[a])]
+
+    def commutes(i, j, f):   # G f . m_i = m_j . F f
+        return B.compose(G.mor_map[f], objs[i][1]) == B.compose(objs[j][1], F.mor_map[f])
+
+    cat, mor_table, _, proj = category_over(A, [a for a, _ in objs], commutes, "inserter", cfg)
     return Inserter(cat, tuple(objs), tuple(mor_table), proj)
 
 
@@ -74,8 +65,8 @@ def equifier(sigma: NatTransf, tau: NatTransf,
     A = sigma.src.src
     kept = tuple(a for a in A.objects
                  if sigma.components[a] == tau.components[a])
-    sub = full_subcategory(A, kept)
-    return Equifier(sub.category, kept, sub.inclusion)
+    cat, _, _, inclusion = category_over(A, kept, lambda i, j, f: True, "equifier", cfg)
+    return Equifier(cat, kept, inclusion)
 
 
 # -- truncated pseudo-cosimplicial diagrams and their descent objects ------
@@ -154,21 +145,12 @@ def descent_object(T: TruncatedCosimplicial,
             lhs, rhs = _cocycle_sides(T, x, m)
             if lhs == rhs:
                 objs.append((x, m))
-    objs.sort()
-    cfg.bound("descent objects", len(objs), "max_objects")
-    mor_table = []
-    for i, (x, m) in enumerate(objs):
-        for j, (y, mm) in enumerate(objs):
-            for f in T.X0.hom(x, y):
-                if (T.X1.compose(T.d1.mor_map[f], m)
-                        == T.X1.compose(mm, T.d0.mor_map[f])):
-                    mor_table.append((i, j, f))
-    mor_table.sort()
-    cfg.bound("descent morphisms", len(mor_table), "max_morphisms")
-    cat, _ = _table_category(mor_table, [T.X0.id_of(x) for x, _ in objs], T.X0.compose,
-                             "descent category not closed under composition")
-    proj = Functor(cat, T.X0, tuple(x for x, _ in objs),
-                   tuple(t[2] for t in mor_table))
+
+    def glues(i, j, f):   # d1 f . m_i = m_j . d0 f
+        return (T.X1.compose(T.d1.mor_map[f], objs[i][1])
+                == T.X1.compose(objs[j][1], T.d0.mor_map[f]))
+
+    cat, mor_table, _, proj = category_over(T.X0, [x for x, _ in objs], glues, "descent", cfg)
 
     # independent route: inserter on the cofaces, then equify the two
     # induced level-two cells
@@ -194,6 +176,6 @@ def descent_object(T: TruncatedCosimplicial,
     via = eq.inclusion.then(ins.projection)
     pipeline_mors = sorted((eq.category.src(m), eq.category.dst(m), via.mor_map[m])
                            for m in eq.category.morphisms)
-    if pipeline_mors != list(mor_table):
+    if pipeline_mors != mor_table:
         raise InternalSoundnessError("descent routes disagree on morphisms")
     return DescentResult(cat, tuple(objs), tuple(mor_table), proj)

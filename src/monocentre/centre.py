@@ -10,17 +10,19 @@ associator inserted in the unique well-typed way:
 The centre is computed by exhaustive enumeration of these families,
 object by object, with naturality and multiplicativity pruning; the
 enumeration, like that of centre pieces, is fincat's one depth-first
-search.  Each category built here, the centre and CP(U, A), is bounded by
-max_objects before its morphisms are built, and then by max_morphisms.
+search.  The centre is a category over the base, built by
+fincat.category_over.  Each category built here, the centre and
+CP(U, A), is bounded by max_objects before its morphisms are built, and
+then by max_morphisms.
 Everything the construction claims about the result (braiding hexagons,
 strong monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
 
 Naturality, multiplicativity and the condition a morphism of the centre
 meets (_central_failures, which is also a piece's naturality in its first
-argument) are each written once, as a generator of the places where they
-fail: the enumerations prune with them, and check_centre_piece and
-check_centre_piece_morphism report from them.
+argument and the condition on a morphism of pieces) are each written
+once, as a generator of the places where they fail: the enumerations
+prune with them, and check_centre_piece reports from them.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from itertools import chain
 
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
-    FinCategory, Functor, NatTransf, FunctorCategory,
+    FinCategory, Functor, FunctorCategory,
     functor_category, enumerate_functors, enumerate_nat_transfs,
     product_category, coproduct_category, check_equivalence,
-    validate_category, validate_functor, validate_nat_transf,
-    _schedule, _search, _table_category,
+    validate_category, validate_functor,
+    category_over, _schedule, _search, _table_category,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
@@ -132,23 +134,6 @@ def _piece_failures(p: CentrePiece):
             yield f"multiplicativity fails at (s={s}, x={x}, y={y})"
 
 
-def check_centre_piece_morphism(sigma: NatTransf, p: CentrePiece,
-                                q: CentrePiece) -> list[str]:
-    """sigma: p.u => q.u is a morphism of centre pieces when
-    (1_x (x) sigma_s) . gamma_{s,x} = delta_{s,x} . (sigma_s (x) 1_x).
-    Missing or ill-typed components, of sigma or of either piece's gamma,
-    are reported before the condition reads them."""
-    if sigma.src != p.u or sigma.dst != q.u:
-        return ["transformation endpoints do not match the pieces"]
-    return _report((f"sigma is not a natural transformation: {e}"
-                    for e in validate_nat_transf(sigma)),
-                   (f"{name}: {e}" for name, r in (("p", p), ("q", q))
-                    for e in _cell_failures(r.ms.base, _gamma_cells(r))),
-                   (f"centre-piece morphism condition fails at (s={s}, x={x})"
-                    for s, c in enumerate(sigma.components)
-                    for x in _central_failures(p.ms, c, p.family(s), q.family(s))))
-
-
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
                              cfg: GuardConfig = DEFAULT) -> list[tuple]:
     """All half-braidings for the object a, as component tuples in
@@ -220,32 +205,22 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
     if ms.problems:
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
 
-    objs = []
-    for a in cat.objects:
-        for gamma in enumerate_half_braidings(ms, a, cfg):
-            objs.append(CentreObject(a, gamma))
-    objs.sort(key=lambda o: (o.a, o.gamma))
-    cfg.bound("centre objects", len(objs), "max_objects")
-    obj_index = {(o.a, o.gamma): i for i, o in enumerate(objs)}
+    # in (a, gamma) order, as each search emits its families in order
+    objs = [CentreObject(a, gamma) for a in cat.objects
+            for gamma in enumerate_half_braidings(ms, a, cfg)]
 
-    mor_table = []
-    for i, o1 in enumerate(objs):
-        for j, o2 in enumerate(objs):
-            for f in cat.hom(o1.a, o2.a):
-                if next(_central_failures(ms, f, o1.gamma, o2.gamma), None) is None:
-                    mor_table.append((i, j, f))
-    mor_table.sort()
-    cfg.bound("centre morphisms", len(mor_table), "max_morphisms")
-    not_central = ("{what}: morphism {label} between centre objects {src} and {dst} "
-                   "fails the centre condition")
-    zcat, mor_index = _table_category(mor_table, [cat.id_of(o.a) for o in objs],
-                                      cat.compose, not_central)
+    def central(i, j, f):
+        return next(_central_failures(ms, f, objs[i].gamma, objs[j].gamma), None) is None
+
+    zcat, mor_table, mor_index, i_functor = category_over(
+        cat, [o.a for o in objs], central, "centre", cfg)
+    obj_index = {(o.a, o.gamma): i for i, o in enumerate(objs)}
 
     def require_mor(i, j, f, what):
         k = mor_index.get((i, j, f))
         if k is None:
-            raise InternalSoundnessError(
-                not_central.format(what=what, src=i, dst=j, label=f))
+            raise InternalSoundnessError(f"{what}: morphism {f} between centre objects {i} "
+                                         f"and {j} fails the centre condition")
         return k
 
     # tensor of centre objects: carrier tensor with the two-step half-braiding
@@ -302,8 +277,6 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
                                         o1.gamma[o2.a], "braiding component")
     zbraid = BraidingDatum(zms, braid)
 
-    i_functor = Functor(zcat, cat, tuple(o.a for o in objs),
-                        tuple(t[2] for t in mor_table))
     proj = strict_cells_functor(i_functor, zms, ms)
 
     # post-construction certificate battery; nothing above is taken on trust
@@ -362,8 +335,9 @@ class CentrePieceCategory(Record):
 
 def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
                             cfg: GuardConfig = DEFAULT) -> CentrePieceCategory:
-    """Exhaustive CP(U, A): objects all centre pieces, morphisms all
-    centre-piece morphisms, composition vertical.
+    """Exhaustive CP(U, A): objects all centre pieces, morphisms the
+    transformations sigma: u => u' whose every component meets the centre
+    condition between the two pieces' families, composition vertical.
 
     Under each functor u: U -> A, one search picks a half-braiding of u(s)
     for each object s of U, checking naturality in the first argument at
@@ -401,7 +375,9 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
     for i, p in enumerate(pieces):
         for j, q in enumerate(pieces):
             for sigma in enumerate_nat_transfs(p.u, q.u, budget):
-                if not check_centre_piece_morphism(sigma, p, q):
+                fails = (x for s, c in enumerate(sigma.components)
+                         for x in _central_failures(ms, c, p.family(s), q.family(s)))
+                if next(fails, None) is None:
                     mor_table.append((i, j, sigma.components))
     mor_table.sort()
     cfg.bound("centre piece morphisms", len(mor_table), "max_morphisms")

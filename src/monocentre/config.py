@@ -63,7 +63,8 @@ class GuardConfig(Record):
 
     max_objects / max_morphisms: per constructed category (the centre,
         A x A, functor categories and both translation levels, CP(U, A),
-        the inserter, the descent object), objects before morphisms.
+        the inserter, the equifier, the descent object), objects before
+        morphisms.
     max_branch: cap on the steps one enumeration or search may take (one
         Budget each) before refusing; a functor category or CP(U, A)
         spends one budget for all of its pieces and morphisms.

@@ -146,6 +146,7 @@ class DayTensor(Record):
         "left",
         "right",
         "functor",
+        "gens",  # object -> its generators (b, c, h, s, t), sorted
         "gen_class",  # (b, c, h, s, t) -> (object, class index)
     )
 
@@ -163,7 +164,7 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
                 budget.spend(F.sizes[b] * G.sizes[c])
                 gens[a].extend((b, c, h, s, t) for s in range(F.sizes[b])
                                for t in range(G.sizes[c]))
-    gens = [sorted(g) for g in gens]
+    gens = tuple(tuple(sorted(g)) for g in gens)
     gpos = {}
     for a, lst in enumerate(gens):
         for i, q in enumerate(lst):
@@ -222,7 +223,7 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
             if want != got:
                 raise InternalSoundnessError("convolution action depends on "
                                              "the representative")
-    return DayTensor(ms, F, G, out, gen_class)
+    return DayTensor(ms, F, G, out, gens, gen_class)
 
 
 def _class_map(day: DayTensor, total, name):
@@ -232,7 +233,7 @@ def _class_map(day: DayTensor, total, name):
     components = []
     for a in cat.objects:
         table = [None] * day.functor.sizes[a]
-        for b, c, h, s, t in _gens_of(day, a):
+        for b, c, h, s, t in day.gens[a]:
             cls = day.gen_class[(b, c, h, s, t)][1]
             val = total(a, b, c, h, s, t)
             if table[cls] is None:
@@ -243,12 +244,6 @@ def _class_map(day: DayTensor, total, name):
             raise InternalSoundnessError(f"{name} misses a class")
         components.append(tuple(table))
     return tuple(components)
-
-
-def _gens_of(day: DayTensor, a):
-    for q, (obj, _) in day.gen_class.items():
-        if obj == a:
-            yield q
 
 
 def left_unit_components(day: DayTensor):

@@ -16,6 +16,12 @@ validate_nat_transf report from it through config._report.
 Every set-level enumeration, here and in centre, is one search, _search:
 one max_branch step per candidate tried, and each check run once, when
 the last slot it reads is set (_schedule).
+
+A category whose objects lie over those of a base, with the base
+morphisms that pass a test as its morphisms (the centre, the inserter,
+the descent object, the equifier), is built by one builder,
+category_over: it refuses on max_objects before testing any morphism,
+then on max_morphisms, composes in the base, and returns the projection.
 """
 
 from __future__ import annotations
@@ -144,20 +150,18 @@ def _table_category(table, identity, compose, missing):
 
     table holds (src, dst, label) rows; identity[i] is the label of object
     i's identity and compose(g, f) the label of g . f.  When a needed row is
-    absent, InternalSoundnessError(missing) is raised, with {what} ("identity"
-    or "composition"), {src}, {dst} and {label} filled in.  Returns the
+    absent, InternalSoundnessError(missing) is raised.  Returns the
     category and the row -> morphism id index.
     """
     index = {row: k for k, row in enumerate(table)}
 
-    def lookup(what, i, j, label):
-        k = index.get((i, j, label))
+    def lookup(row):
+        k = index.get(row)
         if k is None:
-            raise InternalSoundnessError(
-                missing.format(what=what, src=i, dst=j, label=label))
+            raise InternalSoundnessError(missing)
         return k
 
-    ident = tuple(lookup("identity", i, i, label) for i, label in enumerate(identity))
+    ident = tuple(lookup((i, i, label)) for i, label in enumerate(identity))
     by_src = {}
     for k, row in enumerate(table):
         by_src.setdefault(row[0], []).append(k)
@@ -165,7 +169,7 @@ def _table_category(table, identity, compose, missing):
     for k1, (i1, j1, f1) in enumerate(table):
         for k2 in by_src.get(j1, ()):
             _, j2, f2 = table[k2]
-            comp[(k2, k1)] = lookup("composition", i1, j2, compose(f2, f1))
+            comp[(k2, k1)] = lookup((i1, j2, compose(f2, f1)))
     cat = FinCategory(len(identity), tuple(row[0] for row in table),
                       tuple(row[1] for row in table), ident, comp)
     return cat, index
@@ -332,7 +336,7 @@ def walking_arrow() -> FinCategory:
     return FinCategory(2, (0, 1, 0), (0, 1, 1), (0, 1), comp)
 
 
-# -- products, coproducts, subcategories ---------------------------------
+# -- products, coproducts, categories over a base ------------------------
 
 
 class ProductCategory(Record):
@@ -411,24 +415,22 @@ def coproduct_category(A: FinCategory, B: FinCategory) -> CoproductCategory:
     return CoproductCategory(cat, il, ir)
 
 
-class Subcategory(Record):
-    __slots__ = (
-        "category",
-        "obj_map",  # new object id -> ambient object id
-        "mor_map",  # new morphism id -> ambient morphism id
-        "inclusion",
-    )
+def category_over(base: FinCategory, over, keep, what: str, cfg: GuardConfig):
+    """The category whose object i lies over the base object over[i] and
+    whose morphisms i -> j are the base morphisms f: over[i] -> over[j]
+    with keep(i, j, f), composed in base.
 
-
-def full_subcategory(cat: FinCategory, objects) -> Subcategory:
-    objs = tuple(sorted(set(objects)))
-    new_obj = {o: i for i, o in enumerate(objs)}
-    table = sorted((new_obj[cat.src(m)], new_obj[cat.dst(m)], m) for m in cat.morphisms
-                   if cat.src(m) in new_obj and cat.dst(m) in new_obj)
-    sub, _ = _table_category(table, [cat.id_of(o) for o in objs], cat.compose,
-                             "full subcategory is not closed under composition")
-    mors = tuple(m for _, _, m in table)
-    return Subcategory(sub, objs, mors, Functor(sub, cat, objs, mors))
+    Refuses "{what} objects" before keep runs, then "{what} morphisms".
+    Returns the category, its (i, j, f) rows in order, the row -> morphism
+    id index, and the projection to base.
+    """
+    cfg.bound(f"{what} objects", len(over), "max_objects")
+    rows = [(i, j, f) for i, a in enumerate(over) for j, b in enumerate(over)
+            for f in base.hom(a, b) if keep(i, j, f)]
+    cfg.bound(f"{what} morphisms", len(rows), "max_morphisms")
+    cat, index = _table_category(rows, [base.id_of(a) for a in over], base.compose,
+                                 f"{what} is not closed under composition")
+    return cat, rows, index, Functor(cat, base, over, [f for _, _, f in rows])
 
 
 # -- exhaustive enumeration ----------------------------------------------

@@ -1,8 +1,9 @@
 """Constructors of test inputs.
 
 They build the data the unit tests check (identity and relabelled
-structures, group categories, symmetric braidings, coboundaries), not a
-certified claim, so they live with the tests rather than in the package.
+structures, group categories, symmetric braidings, coboundaries, and the
+census of small monoids as monoidal categories), not a certified claim,
+so they live with the tests rather than in the package.
 """
 
 from monocentre.fincat import FinCategory, Functor
@@ -100,3 +101,59 @@ def coboundary_cocycle(group: Group, scalar_order: int, cochain2) -> Cocycle3:
             for y in range(n))
         for x in range(n))
     return Cocycle3(group, scalar_order, exps)
+
+
+def monoid_tables(n: int) -> list:
+    """Every associative table on 0..n-1 with identity 0, in lexicographic
+    order, by backtracking over the non-identity cells row by row: a cell
+    is kept only if every associativity equation it completes holds."""
+    table = [[a if b == 0 else b if a == 0 else None for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+    out = []
+
+    def associative():
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                for c in range(n):
+                    bc = table[b][c]
+                    if ab is None or bc is None:
+                        continue
+                    left, right = table[ab][c], table[a][bc]
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            out.append(tuple(map(tuple, table)))
+            return
+        a, b = cells[k]
+        for v in range(n):
+            table[a][b] = v
+            if associative():
+                fill(k + 1)
+        table[a][b] = None
+
+    fill(0)
+    return out
+
+
+def discrete_monoid_monoidal(table) -> MonoidalStructure:
+    """The discrete category on a monoid's elements, tensored by the
+    product, with identity structure cells."""
+    n = len(table)
+    ids = tuple(range(n))
+    cat = FinCategory(n, ids, ids, ids, {(a, a): a for a in ids})
+    alpha = {(a, b, c): table[table[a][b]][c] for a in ids for b in ids for c in ids}
+    return MonoidalStructure(cat, table, {(a, b): table[a][b] for a in ids for b in ids},
+                             0, alpha, ids, ids)
+
+
+def one_object_monoidal(table) -> MonoidalStructure:
+    """One object whose endomorphisms are a commutative monoid, tensored
+    (and composed) by the product, with identity structure cells."""
+    n = len(table)
+    return MonoidalStructure(group_category(table), ((0,),),
+                             {(f, g): table[f][g] for f in range(n) for g in range(n)},
+                             0, {(0, 0, 0): 0}, (0,), (0,))

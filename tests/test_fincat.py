@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monocentre.centre import enumerate_half_braidings
-from monocentre.config import Budget, GuardConfig, SizeGuardExceeded
+from monocentre.config import Budget, GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from monocentre.fincat import (
     FinCategory, Functor, NatTransf,
     validate_category, validate_functor, validate_nat_transf,
     discrete_category, terminal_category, empty_category, walking_arrow,
-    product_category, coproduct_category, full_subcategory,
+    product_category, coproduct_category, category_over,
     enumerate_functors, enumerate_nat_transfs, functor_category,
     check_equivalence,
 )
@@ -207,10 +207,50 @@ class TestProductsCoproducts:
 
     def test_full_subcategory(self):
         wa = walking_arrow()
-        sub = full_subcategory(wa, [1])
-        assert sub.category.n_objects == 1
-        assert sub.category.n_morphisms == 1
-        assert validate_functor(sub.inclusion) == []
+        sub, rows, index, inclusion = category_over(wa, [1], lambda i, j, f: True,
+                                                    "sub", GuardConfig())
+        assert sub.n_objects == 1
+        assert rows == [(0, 0, 1)] and index == {(0, 0, 1): 0}
+        assert validate_functor(inclusion) == []
+
+    def test_category_over_keeps_what_passes_in_row_order(self):
+        # the chaotic pair over itself, twice over each object, keeping
+        # the morphisms into the second copy of each object and identities
+        ch = chaotic_category(2)
+        over = (0, 0, 1, 1)
+        cat, rows, index, proj = category_over(
+            ch, over, lambda i, j, f: i == j or j % 2 == 1, "copy", GuardConfig())
+        assert validate_category(cat) == [] and validate_functor(proj) == []
+        assert rows == sorted(rows) and index == {row: k for k, row in enumerate(rows)}
+        assert [(i, j) for i, j, _ in rows] == [
+            (0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)]
+        assert proj.obj_map == over and proj.mor_map == tuple(f for _, _, f in rows)
+
+    def test_category_over_refuses_objects_before_testing_morphisms(self):
+        tested = []
+
+        def keep(i, j, f):
+            tested.append(f)
+            return True
+
+        wa = walking_arrow()
+        with pytest.raises(SizeGuardExceeded,
+                           match=r"^size guard exceeded: it objects needs 2, limit 1 "
+                                 r"\(raise max_objects\)$"):
+            category_over(wa, (0, 1), keep, "it", GuardConfig(max_objects=1, max_morphisms=1))
+        assert tested == []
+        with pytest.raises(SizeGuardExceeded,
+                           match=r"^size guard exceeded: it morphisms needs 3, limit 2 "
+                                 r"\(raise max_morphisms\)$"):
+            category_over(wa, (0, 1), keep, "it", GuardConfig(max_morphisms=2))
+
+    def test_category_over_refuses_a_test_not_closed_under_composition(self):
+        # the chaotic triple keeping 0 -> 1 and 1 -> 2 but not 0 -> 2
+        ch = chaotic_category(3)
+        with pytest.raises(InternalSoundnessError,
+                           match="^path is not closed under composition$"):
+            category_over(ch, (0, 1, 2), lambda i, j, f: j in (i, i + 1), "path",
+                          GuardConfig())
 
 
 class TestEquivalence:

@@ -20,7 +20,7 @@ from monocentre.bilimits import (
     TruncatedCosimplicial, descent_object, iso_inserter, validate_cosimplicial,
 )
 from monocentre.centre import (
-    CentrePiece, check_centre_piece, check_centre_piece_morphism, compute_centre,
+    CentrePiece, check_birepresentation, check_centre_piece, compute_centre,
     enumerate_centre_pieces,
 )
 from monocentre.config import GuardConfig, SizeGuardExceeded
@@ -113,10 +113,19 @@ def test_piece_morphism_condition_fails():
     ms = semidirect_monoidal()
     p = point_piece(ms, 0, (0, 3))
     assert check_centre_piece(p) == []
-    # the endomorphism 1 of the object 0 does not commute with tensoring by 1
-    sigma = NatTransf(p.u, p.u, (1,))
-    assert check_centre_piece_morphism(sigma, p, p) == [
-        "centre-piece morphism condition fails at (s=0, x=1)"]
+    # the endomorphism 1 of the object 0 does not commute with tensoring
+    # by 1, so among the endomorphisms of p in CP only the identity is kept
+    cp = enumerate_centre_pieces(terminal_category(), ms)
+    i = cp.piece_index[p.key()]
+    assert [comps for s, d, comps in cp.mor_table if s == d == i] == [(0,)]
+
+
+def test_birepresentation_holds_where_pieces_have_non_central_transformations():
+    # Fun(U, Z(A)) has no morphism over the non-central endomorphisms of
+    # the semidirect fixture, so CP(U, A) must drop them too
+    ms = semidirect_monoidal()
+    for U in (terminal_category(), discrete_category(2)):
+        assert check_birepresentation(U, ms).verdict == "equivalence"
 
 
 def test_missing_braiding_cell_is_reported_alone():
@@ -154,22 +163,6 @@ def test_piece_whose_u_is_not_a_functor_is_reported_before_naturality():
         "u does not land in the base category"]
 
 
-@pytest.mark.parametrize("components, drop, first", [
-    ((0,), None, "sigma is not a natural transformation: 1 components for 2 objects"),
-    ((2, 2), None, "sigma is not a natural transformation: component at 0 has wrong endpoints"),
-    ((0, 5), None, "sigma is not a natural transformation: component at 1 out of range"),
-    ((0, 0), (1, 1), "q: gamma missing at (s=1, x=1)"),
-])
-def test_piece_morphism_with_missing_or_ill_typed_components(components, drop, first):
-    ms = chain_poset_monoidal(2)
-    u = Functor(walking_arrow(), ms.base, (0, 0), (0, 0, 0))
-    gamma = {(s, x): ms.base.id_of(ms.tensor_obj(0, x)) for s in range(2) for x in range(2)}
-    p = CentrePiece(u, ms, gamma)
-    q = CentrePiece(u, ms, {k: v for k, v in gamma.items() if k != drop})
-    assert check_centre_piece(p) == []
-    assert check_centre_piece_morphism(NatTransf(u, u, components), p, q)[0] == first
-
-
 # -- the cap ---------------------------------------------------------------------
 
 
@@ -197,13 +190,6 @@ def _broken_monoidal_tables():
                              ms.alpha_table, ms.lam_table, ms.rho_table)
 
 
-def _semidirect_morphism():
-    ms = semidirect_monoidal()
-    u = Functor(discrete_category(16), ms.base, (0,) * 16, (0,) * 16)
-    p = CentrePiece(u, ms, {(s, x): 3 * x for s in range(16) for x in range(2)})
-    return check_centre_piece_morphism(NatTransf(u, u, (1,) * 16), p, p)
-
-
 MAXIMALLY_BROKEN = {
     # 16 missing composites and 8 identity-law failures
     "validate_category": lambda: validate_category(
@@ -225,8 +211,6 @@ MAXIMALLY_BROKEN = {
     "check_centre_piece": lambda: check_centre_piece(CentrePiece(
         Functor(discrete_category(4), discrete_group_monoidal(Z4).base, (0,) * 4, (0,) * 4),
         discrete_group_monoidal(Z4), {})),
-    # fails at (s, x=1) for each of 16 objects s
-    "check_centre_piece_morphism": _semidirect_morphism,
     # every map constant: identities and composites fail
     "validate_set_functor": lambda: validate_set_functor(SetFunctor(
         group_category(cyclic_table(16)), (2,), ((0, 0),) * 16)),
@@ -321,3 +305,24 @@ def test_every_size_refusal_names_the_guard_to_raise(stage):
     with pytest.raises(SizeGuardExceeded) as err:
         build(GuardConfig(**{guard: limit}))
     assert str(err.value).endswith(f", limit {limit} (raise {guard})"), str(err.value)
+
+
+# (stage, objects it needs, a construction whose objects and morphisms
+# both exceed a limit of 1)
+OBJECTS_FIRST = {
+    "centre": (4, lambda cfg: compute_centre(discrete_group_monoidal(Z4), cfg)),
+    "inserter": (2, lambda cfg: iso_inserter(
+        identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
+    "descent": (3, lambda cfg: descent_object(_constant_diagram(discrete_category(3)), cfg)),
+    "centre piece": (16, lambda cfg: enumerate_centre_pieces(
+        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(OBJECTS_FIRST))
+def test_objects_are_refused_before_morphisms(stage):
+    needed, build = OBJECTS_FIRST[stage]
+    with pytest.raises(SizeGuardExceeded) as err:
+        build(GuardConfig(max_objects=1, max_morphisms=1))
+    assert str(err.value) == (f"size guard exceeded: {stage} objects needs {needed}, "
+                              "limit 1 (raise max_objects)")

@@ -693,6 +693,46 @@ def type_i_z3_cocycle():
                                    for a in range(3)])
 
 
+
+def dpr_count_oracle(omega, g):
+    """Number of theta_g-regular conjugacy classes of the centralizer C(g),
+    which counts the simples over the class of g (Dijkgraaf-Pasquier-Roche
+    1990), computed from the table and the cocycle exponents alone:
+    theta_g(x, y) = omega(g, x, y) omega(x, y, g) / omega(x, g, y) on C(g),
+    and the class of x is regular when theta_g(x, y) = theta_g(y, x) for
+    every y in C(g) that commutes with x."""
+    t, w, order = omega.group.table, omega.exponents, omega.scalar_order
+    n = len(t)
+    e = next(a for a in range(n) if all(t[a][x] == x for x in range(n)))
+    inv = [next(y for y in range(n) if t[x][y] == e) for x in range(n)]
+    cent = [x for x in range(n) if t[x][g] == t[g][x]]
+
+    def theta(x, y):
+        return (w[g][x][y] + w[x][y][g] - w[x][g][y]) % order
+
+    seen, count = set(), 0
+    for x in cent:
+        if x in seen:
+            continue
+        seen.update(t[t[inv[y]][x]][y] for y in cent)
+        count += all(theta(x, y) == theta(y, x) for y in cent if t[x][y] == t[y][x])
+    return count
+
+
+@pytest.mark.parametrize("omega_factory", [
+    z2_nontrivial_cocycle, lambda: trivial(S3), lambda: trivial(Z4), type_i_z3_cocycle,
+    sign_pullback_cocycle, type_iii_cocycle,
+], ids=["z2_nontrivial", "s3", "z4", "z3_type_i", "s3_sign_pullback", "z2cubed_type_iii"])
+def test_twisted_simples_match_the_dpr_count(omega_factory):
+    omega = omega_factory()
+    result = centre_simples(omega)
+    assert result.complete
+    per_class = {}
+    for s in result.simples:
+        per_class[s.class_rep] = per_class.get(s.class_rep, 0) + 1
+    assert per_class == {cls[0]: dpr_count_oracle(omega, cls[0])
+                         for cls in omega.group.classes}
+
 def _ref_class_carrier(omega, r):
     """The former closed-form class carrier: basis v_z for z in G, graded
     by z^-1 r z, with beta_y(v_z) = zeta^(-tau(r; z, y)) v_{zy}."""
