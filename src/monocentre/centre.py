@@ -10,10 +10,12 @@ associator inserted in the unique well-typed way:
 The centre is computed by exhaustive enumeration of these families,
 object by object, with naturality and multiplicativity pruning; the
 enumeration, like that of centre pieces, is fincat's one depth-first
-search.  The centre is a category over the base, built by
-fincat.category_over.  Each category built here, the centre and
-CP(U, A), is bounded by max_objects before its morphisms are built, and
-then by max_morphisms.
+search.  Both categories built here are built by fincat.category_over:
+the centre over the base, and CP(U, A) over the full functor subcategory
+on its pieces' functors, so that a morphism of pieces is a
+transformation of their functors that meets the centre condition.  Each
+is bounded by max_objects before its morphisms are built, and then by
+max_morphisms.
 Everything the construction claims about the result (braiding hexagons,
 strong monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
@@ -32,10 +34,10 @@ from itertools import chain
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
     FinCategory, Functor, FunctorCategory,
-    functor_category, enumerate_functors, enumerate_nat_transfs,
-    product_category, coproduct_category, check_equivalence,
-    validate_category, validate_functor,
-    category_over, _schedule, _search, _table_category,
+    functor_category, full_functor_subcategory, enumerate_functors,
+    product_category, coproduct_category, terminal_category, empty_category,
+    check_equivalence, validate_category, validate_functor,
+    category_over, _schedule, _search,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
@@ -199,8 +201,7 @@ class CentreCategory(Record):
 def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreCategory:
     cat = ms.base
     if cat.n_objects == 0:
-        empty = FinCategory(0, (), (), (), {})
-        return CentreCategory(ms, empty, (), (), None, None, None,
+        return CentreCategory(ms, empty_category(), (), (), None, None, None,
                               (Certificate("degenerate empty input", True),), ())
     if ms.problems:
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
@@ -291,8 +292,7 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
     ]
     half_reports = []
     for idx, o in enumerate(objs):
-        piece = CentrePiece(Functor(FinCategory(1, (0,), (0,), (0,), {(0, 0): 0}),
-                                    cat, (o.a,), (cat.id_of(o.a),)),
+        piece = CentrePiece(Functor(terminal_category(), cat, (o.a,), (cat.id_of(o.a),)),
                             ms, {(0, x): o.gamma[x] for x in cat.objects})
         rep = check_centre_piece(piece)
         if rep:
@@ -341,9 +341,10 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
 
     Under each functor u: U -> A, one search picks a half-braiding of u(s)
     for each object s of U, checking naturality in the first argument at
-    each non-identity morphism once both its ends are picked.  The piece
-    search and the transformation enumerations between pieces spend one
-    max_branch budget for the whole construction.
+    each non-identity morphism once both its ends are picked; that search
+    spends one max_branch budget for all pieces.  CP is then built by
+    category_over on the full functor subcategory on the pieces' functors,
+    whose transformations spend a budget of their own.
     """
     cat = ms.base
     half = {a: enumerate_half_braidings(ms, a, cfg) for a in cat.objects}
@@ -368,34 +369,31 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
     for u in enumerate_functors(U, cat, cfg):
         _search(picked, U.objects, candidates, at, failures, budget, emit)
     pieces.sort(key=lambda p: p.key())
+    # refused before any transformation of their functors is enumerated
     cfg.bound("centre piece objects", len(pieces), "max_objects")
     piece_index = {p.key(): i for i, p in enumerate(pieces)}
 
-    mor_table = []
-    for i, p in enumerate(pieces):
-        for j, q in enumerate(pieces):
-            for sigma in enumerate_nat_transfs(p.u, q.u, budget):
-                fails = (x for s, c in enumerate(sigma.components)
-                         for x in _central_failures(ms, c, p.family(s), q.family(s)))
-                if next(fails, None) is None:
-                    mor_table.append((i, j, sigma.components))
-    mor_table.sort()
-    cfg.bound("centre piece morphisms", len(mor_table), "max_morphisms")
-    cp_cat, mor_index = _table_category(
-        mor_table, [tuple(cat.id_of(b) for b in p.u.obj_map) for p in pieces],
-        lambda g, f: tuple(cat.compose(x, y) for x, y in zip(g, f)),
-        "composite of centre-piece morphisms is not one")
-    return CentrePieceCategory(cp_cat, U, ms, tuple(pieces), tuple(mor_table),
-                               piece_index, mor_index)
+    fc = full_functor_subcategory(U, cat, [p.u for p in pieces], cfg, "centre piece functor")
+
+    def central(i, j, k):
+        fails = (x for s, c in enumerate(fc.transfs[k].components)
+                 for x in _central_failures(ms, c, pieces[i].family(s), pieces[j].family(s)))
+        return next(fails, None) is None
+
+    cp_cat, rows, _, _ = category_over(
+        fc.category, [fc.functor_index[(p.u.obj_map, p.u.mor_map)] for p in pieces],
+        central, "centre piece", cfg)
+    mor_table = tuple((i, j, fc.transfs[k].components) for i, j, k in rows)
+    return CentrePieceCategory(cp_cat, U, ms, tuple(pieces), mor_table, piece_index,
+                               {row: k for k, row in enumerate(mor_table)})
 
 
 class BirepReport(Record):
-    __slots__ = (
-        "left_objects",  # functors U -> Z
-        "right_objects",  # centre pieces
-        "comparison",
-        "equivalence",
-    )
+    """A comparison functor that birepresentability of CP asks to be an
+    equivalence (Fun(U, Z) -> CP(U, A), or CP(U + V, A) -> CP(U, A) x
+    CP(V, A)), the object counts of its two sides, and the verdict."""
+
+    __slots__ = ("left_objects", "right_objects", "comparison", "equivalence")
 
     @property
     def verdict(self):
@@ -577,17 +575,9 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
                            sm_report, check_equivalence(comparison))
 
 
-class CoproductReport(Record):
-    __slots__ = ("left_objects", "right_objects", "comparison", "equivalence")
-
-    @property
-    def verdict(self):
-        return "equivalence" if self.equivalence.is_equivalence else "not an equivalence"
-
-
 def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
                                   ms: MonoidalStructure,
-                                  cfg: GuardConfig = DEFAULT) -> CoproductReport:
+                                  cfg: GuardConfig = DEFAULT) -> BirepReport:
     """CP(U + V, A) -> CP(U, A) x CP(V, A) by restriction along the
     injections; checked to be an equivalence by exhaustion."""
     cop = coproduct_category(U, V)
@@ -621,5 +611,5 @@ def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
         kv = cp_v.mor_index[(ju, jv, cv)]
         mor_map.append(prod.mor_id(ku, kv))
     comparison = Functor(cp_all.category, prod.category, tuple(obj_map), tuple(mor_map))
-    return CoproductReport(cp_all.category.n_objects, prod.category.n_objects,
-                           comparison, check_equivalence(comparison))
+    return BirepReport(cp_all.category.n_objects, prod.category.n_objects,
+                       comparison, check_equivalence(comparison))

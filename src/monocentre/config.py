@@ -66,8 +66,10 @@ class GuardConfig(Record):
         the inserter, the equifier, the descent object), objects before
         morphisms.
     max_branch: cap on the steps one enumeration or search may take (one
-        Budget each) before refusing; a functor category or CP(U, A)
-        spends one budget for all of its pieces and morphisms.
+        Budget each) before refusing; a functor category spends one
+        budget for all of its morphisms, and CP(U, A) one for all of its
+        pieces and one for the morphisms of the functor subcategory on
+        their functors.
     vec_max_group: largest group order the linear backend accepts, its
         only size bound: the cocycle check is quartic in |G|, and the
         induced simples and the battery grow with |G|.

@@ -18,10 +18,13 @@ one max_branch step per candidate tried, and each check run once, when
 the last slot it reads is set (_schedule).
 
 A category whose objects lie over those of a base, with the base
-morphisms that pass a test as its morphisms (the centre, the inserter,
-the descent object, the equifier), is built by one builder,
-category_over: it refuses on max_objects before testing any morphism,
-then on max_morphisms, composes in the base, and returns the projection.
+morphisms that pass a test as its morphisms (the centre, CP(U, A) over
+the full functor subcategory on its pieces' functors, the inserter, the
+descent object, the equifier), is built by one builder, category_over:
+it refuses on max_objects before testing any morphism, then on
+max_morphisms, composes in the base, and returns the projection.  It and
+full_functor_subcategory are the only callers of the table builder,
+_table_category.
 """
 
 from __future__ import annotations

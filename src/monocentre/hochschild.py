@@ -17,6 +17,12 @@ descent object is the one the whole functor categories give; the tests
 check this against [A, A] and [A x A, A] built in full.  Each level, and
 the product A x A, is bounded by the guards as set.
 
+Each coface is written once, as one map on morphism tables: it gives a
+functor's image from the functor's morphism table, the image's objects
+from its identities, and a transformation's image from the same map read
+at identities.  Each coherence cell is written once, as its associator
+component, between the two composites of cofaces it compares.
+
 The input is checked once: build_hochschild reads the report the
 MonoidalStructure keeps as problems, and the diagram's own check is kept
 on it the same way.  verify_prop_3_1 builds the centre, the diagram and
@@ -41,115 +47,75 @@ class HochschildDiagram(Record):
     __slots__ = ("prod", "level1", "diagram")
 
 
-def _e_obj_tables(ms, prod, route, F):
-    """Object and morphism tables of the route-th coface image of F."""
-    obj, mor = [], []
-    for o in prod.category.objects:
-        x, y = prod.obj_pair(o)
-        if route == 0:
-            obj.append(ms.tensor_obj(F.obj_map[x], y))
-        elif route == 1:
-            obj.append(F.obj_map[ms.tensor_obj(x, y)])
-        else:
-            obj.append(ms.tensor_obj(x, F.obj_map[y]))
-    for m in prod.category.morphisms:
-        f, g = prod.mor_pair(m)
-        if route == 0:
-            mor.append(ms.tensor_mor(F.mor_map[f], g))
-        elif route == 1:
-            mor.append(F.mor_map[ms.tensor_mor(f, g)])
-        else:
-            mor.append(ms.tensor_mor(f, F.mor_map[g]))
-    return tuple(obj), tuple(mor)
-
-
-def _e_transf_components(ms, prod, route, eta):
-    comps = []
-    for o in prod.category.objects:
-        x, y = prod.obj_pair(o)
-        if route == 0:
-            comps.append(ms.rwhisk(eta.components[x], y))
-        elif route == 1:
-            comps.append(eta.components[ms.tensor_obj(x, y)])
-        else:
-            comps.append(ms.lwhisk(x, eta.components[y]))
-    return tuple(comps)
-
-
-def _cell_components(ms, prod, route, a):
-    comps = []
-    for o in prod.category.objects:
-        x, y = prod.obj_pair(o)
-        if route == 0:
-            comps.append(ms.alpha(a, x, y))
-        elif route == 1:
-            comps.append(ms.alpha(x, a, y))
-        else:
-            comps.append(ms.alpha_inv(x, y, a))
-    return tuple(comps)
-
-
-def _cell_endpoints(route, a, route_obj, d0_obj, d1_obj):
-    if route == 0:
-        return route_obj[0][d0_obj[a]], route_obj[1][d0_obj[a]]
-    if route == 1:
-        return route_obj[0][d1_obj[a]], route_obj[2][d0_obj[a]]
-    return route_obj[2][d1_obj[a]], route_obj[1][d1_obj[a]]
+def _coface(S, fc, tables, components):
+    """The functor from S into the level fc that sends the object s of S to
+    the functor with tables[s] and the morphism k of S to the transformation
+    with components[k]."""
+    objs = [fc.functor_index[t] for t in tables]
+    return Functor(S, fc.category, objs,
+                   [fc.index_of_transf(objs[S.src(k)], objs[S.dst(k)], c)
+                    for k, c in enumerate(components)])
 
 
 def build_hochschild(ms: MonoidalStructure,
                      cfg: GuardConfig = DEFAULT) -> HochschildDiagram:
     if ms.problems:
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
-    A = ms.base
-    left = [(tuple(ms.tensor_obj(a, x) for x in A.objects),
-             tuple(ms.lwhisk(a, f) for f in A.morphisms)) for a in A.objects]
-    right = [(tuple(ms.tensor_obj(x, a) for x in A.objects),
-              tuple(ms.rwhisk(f, a) for f in A.morphisms)) for a in A.objects]
+    A, t = ms.base, ms.tensor_mor
+
+    def tables(source, mor):
+        """A functor source -> A as its object and morphism tables, from
+        the latter: each object goes where its identity goes."""
+        mor = tuple(mor)
+        return tuple(A.src(mor[e]) for e in source.identity), mor
+
+    # level one: d0 a = a (x) - and d1 a = - (x) a, each one map of a
+    # morphism h of A and the morphism f it translates; read at h = 1_a it
+    # gives the translation's table, and at f = 1_x the image of h at x
+    d_routes = (lambda h, f: t(h, f), lambda h, f: t(f, h))
+    d_tables = [[tables(A, (d(A.id_of(a), f) for f in A.morphisms)) for a in A.objects]
+                for d in d_routes]
     fc1 = full_functor_subcategory(
-        A, A, [Functor(A, A, *t) for t in left + right], cfg,
+        A, A, [Functor(A, A, *tb) for tbs in d_tables for tb in tbs], cfg,
         what="translation level one")
-    X1 = fc1.category
-    d0_obj = [fc1.functor_index[t] for t in left]
-    d1_obj = [fc1.functor_index[t] for t in right]
-    d0_mor, d1_mor = [], []
-    for f in A.morphisms:
-        a, b = A.src(f), A.dst(f)
-        d0_mor.append(fc1.index_of_transf(
-            d0_obj[a], d0_obj[b], tuple(ms.rwhisk(f, x) for x in A.objects)))
-        d1_mor.append(fc1.index_of_transf(
-            d1_obj[a], d1_obj[b], tuple(ms.lwhisk(x, f) for x in A.objects)))
-    d0 = Functor(A, X1, tuple(d0_obj), tuple(d0_mor))
-    d1 = Functor(A, X1, tuple(d1_obj), tuple(d1_mor))
+    d0, d1 = (_coface(A, fc1, tbs, [tuple(d(h, e) for e in A.identity) for h in A.morphisms])
+              for d, tbs in zip(d_routes, d_tables))
 
+    # level two: e0, e1, e2 each one map of the morphism table F of an
+    # endofunctor at (f, g): F f (x) g, F(f (x) g) and f (x) F g.  Read at
+    # identities, with F a transformation's components filed under the
+    # identities, it gives the components of the transformation's image.
     prod = product_category(A, A, cfg)
-    images = [[_e_obj_tables(ms, prod, route, F) for F in fc1.functors]
-              for route in range(3)]
+    P = prod.category
+    pairs = [prod.mor_pair(m) for m in P.morphisms]
+    e_routes = (lambda F, f, g: t(F[f], g), lambda F, f, g: F[t(f, g)],
+                lambda F, f, g: t(f, F[g]))
+    e_tables = [[tables(P, (e(F.mor_map, f, g) for f, g in pairs)) for F in fc1.functors]
+                for e in e_routes]
     fc2 = full_functor_subcategory(
-        prod.category, A,
-        [Functor(prod.category, A, *t) for route in images for t in route], cfg,
+        P, A, [Functor(P, A, *tb) for tbs in e_tables for tb in tbs], cfg,
         what="translation level two")
-    X2 = fc2.category
-    route_obj = [[fc2.functor_index[t] for t in route] for route in images]
+    at_ids = [dict(zip(A.identity, eta.components)) for eta in fc1.transfs]
     e0, e1, e2 = (
-        Functor(X1, X2, route_obj[route],
-                [fc2.index_of_transf(route_obj[route][X1.src(k)],
-                                     route_obj[route][X1.dst(k)],
-                                     _e_transf_components(ms, prod, route, eta))
-                 for k, eta in enumerate(fc1.transfs)])
-        for route in range(3))
+        _coface(fc1.category, fc2, tbs,
+                [tuple(e(c, *pairs[i]) for i in P.identity) for c in at_ids])
+        for e, tbs in zip(e_routes, e_tables))
 
-    cells = []
-    for route in range(3):
-        comps = []
-        for a in A.objects:
-            s, d = _cell_endpoints(route, a, route_obj, d0_obj, d1_obj)
-            comps.append(fc2.index_of_transf(s, d, _cell_components(ms, prod, route, a)))
-        cells.append(tuple(comps))
-    coh00 = NatTransf(d0.then(e0), d0.then(e1), cells[0])
-    coh01 = NatTransf(d1.then(e0), d0.then(e2), cells[1])
-    coh21 = NatTransf(d1.then(e2), d1.then(e1), cells[2])
-    T = TruncatedCosimplicial(A, X1, X2, d0, d1, e0, e1, e2, coh00, coh01, coh21)
+    # each coherence cell sits between the two composites it compares, and
+    # its component at a is, at (x, y), the associator given
+    obj_pairs = [prod.obj_pair(o) for o in P.objects]
+
+    def cell(src, dst, alpha):
+        return NatTransf(src, dst, [
+            fc2.index_of_transf(src.obj_map[a], dst.obj_map[a],
+                                tuple(alpha(a, x, y) for x, y in obj_pairs))
+            for a in A.objects])
+
+    coh00 = cell(d0.then(e0), d0.then(e1), ms.alpha)
+    coh01 = cell(d1.then(e0), d0.then(e2), lambda a, x, y: ms.alpha(x, a, y))
+    coh21 = cell(d1.then(e2), d1.then(e1), lambda a, x, y: ms.alpha_inv(x, y, a))
+    T = TruncatedCosimplicial(A, fc1.category, fc2.category, d0, d1, e0, e1, e2,
+                              coh00, coh01, coh21)
     if T.problems:
         raise InternalSoundnessError("translation diagram fails its own checks: "
                                      + T.problems[0])

@@ -1,9 +1,10 @@
 """Constructors of test inputs.
 
 They build the data the unit tests check (identity and relabelled
-structures, group categories, symmetric braidings, coboundaries, and the
-census of small monoids as monoidal categories), not a certified claim,
-so they live with the tests rather than in the package.
+structures, group categories, symmetric braidings, coboundaries, the
+census of small monoids as monoidal categories, and a 2-group with a
+non-identity associator), not a certified claim, so they live with the
+tests rather than in the package.
 """
 
 from monocentre.fincat import FinCategory, Functor
@@ -157,3 +158,25 @@ def one_object_monoidal(table) -> MonoidalStructure:
     return MonoidalStructure(group_category(table), ((0,),),
                              {(f, g): table[f][g] for f in range(n) for g in range(n)},
                              0, {(0, 0, 0): 0}, (0,), (0,))
+
+
+def semion_two_group(n: int) -> MonoidalStructure:
+    """The 2-group with objects Z2 and automorphisms Z_n of each (n even),
+    morphism (g, k) numbered g * n + k, composed and tensored by addition,
+    with identity unitors and the semion cocycle lifted to Z_n as
+    associator: n / 2 at (1, 1, 1), 0 elsewhere."""
+    if n % 2:
+        raise ValueError("the semion cocycle needs an even n")
+    mors = [(g, k) for g in range(2) for k in range(n)]
+
+    def mor(g, k):
+        return g * n + k % n
+
+    ends = [g for g, _ in mors]
+    cat = FinCategory(2, ends, ends, (mor(0, 0), mor(1, 0)),
+                      {(mor(g, k), mor(g, l)): mor(g, k + l) for g, k in mors for l in range(n)})
+    tmor = {(mor(g, k), mor(h, l)): mor((g + h) % 2, k + l) for g, k in mors for h, l in mors}
+    alpha = {(a, b, c): mor((a + b + c) % 2, n // 2 if a == b == c == 1 else 0)
+             for a in range(2) for b in range(2) for c in range(2)}
+    ids = cat.identity
+    return MonoidalStructure(cat, ((0, 1), (1, 0)), tmor, 0, alpha, ids, ids)

@@ -13,6 +13,10 @@ Every optional parameter of such a function or method, and of such a
 class's constructor, must be passed, by position or keyword, by a call
 outside its definition among the same callers; a call with *args or
 **kwargs passes them all.
+
+fincat's table builder, _table_category, is named only by fincat's two
+builders of categories, category_over and full_functor_subcategory, so
+that every other module builds its categories through them.
 """
 
 import ast
@@ -149,3 +153,14 @@ def test_every_optional_parameter_is_passed_by_a_caller():
                         if param not in ALLOWED_OPTIONAL
                         and not any(_passes(c, param, pos) for c in callers))
     assert unpassed == [], "optional parameters no caller passes: " + ", ".join(unpassed)
+
+
+def test_only_fincat_builders_name_the_table_builder():
+    files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py")))
+    naming = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
+              for path in files
+              for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+              if "_table_category" in _names(stmt)]
+    assert naming == [("fincat.py", "category_over"),
+                      ("fincat.py", "full_functor_subcategory")], naming

@@ -7,7 +7,7 @@ from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.jsonio import load_spec
 from monocentre.fincat import (
     FinCategory, Functor, terminal_category, empty_category,
-    discrete_category, walking_arrow, check_equivalence,
+    discrete_category, walking_arrow, check_equivalence, enumerate_nat_transfs,
 )
 from monocentre.monoidal import (
     Z2, Z3, Z4, S3, discrete_group_monoidal, chain_poset_monoidal,
@@ -17,10 +17,10 @@ from monocentre.centre import (
     CentrePiece, check_centre_piece,
     enumerate_half_braidings, compute_centre,
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
-    transport_along_power, check_cp_preserves_coproducts,
+    transport_along_power, check_cp_preserves_coproducts, _central_failures,
 )
 
-from helpers import relabel_monoidal
+from helpers import relabel_monoidal, semion_two_group
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -169,13 +169,15 @@ def test_cp_counts_frozen():
 def test_centre_pieces_obey_the_guards():
     # CP(2, Z4) has 16 pieces and 16 morphisms.  The functor enumeration
     # takes 20 steps and each half-braiding search 4, each on its own
-    # budget, so 30 steps run out only in CP's own budget.
+    # budget, so 30 steps run out only in the piece search's budget.  The
+    # 16 morphisms are first refused as those of the full functor
+    # subcategory on the pieces' functors, which CP lies over.
     U, ms = discrete_category(2), discrete_group_monoidal(Z4)
     for cfg, message in (
             (GuardConfig(max_objects=4), "centre piece objects needs 16, limit 4 "
                                          "(raise max_objects)"),
-            (GuardConfig(max_morphisms=4), "centre piece morphisms needs 16, limit 4 "
-                                           "(raise max_morphisms)"),
+            (GuardConfig(max_morphisms=4), "centre piece functor morphisms needs 16, "
+                                           "limit 4 (raise max_morphisms)"),
             (GuardConfig(max_branch=30), "centre piece enumeration needs more than 30 "
                                          "steps, limit 30 (raise max_branch)")):
         with pytest.raises(SizeGuardExceeded) as err:
@@ -183,6 +185,45 @@ def test_centre_pieces_obey_the_guards():
         assert str(err.value) == "size guard exceeded: " + message
     cp = enumerate_centre_pieces(U, ms, GuardConfig(max_objects=16, max_morphisms=16))
     assert (cp.category.n_objects, cp.category.n_morphisms) == (16, 16)
+
+
+def _all_pairs_piece_morphisms(cp, ms):
+    """CP's morphisms by the defining formula: every transformation between
+    every ordered pair of pieces, kept when each component meets the centre
+    condition between the two pieces' families."""
+    rows = []
+    for i, p in enumerate(cp.pieces):
+        for j, q in enumerate(cp.pieces):
+            for sigma in enumerate_nat_transfs(p.u, q.u):
+                fails = (x for s, c in enumerate(sigma.components)
+                         for x in _central_failures(ms, c, p.family(s), q.family(s)))
+                if next(fails, None) is None:
+                    rows.append((i, j, sigma.components))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("U,ms,sizes", [
+    (walking_arrow(), chain_poset_monoidal(3), (6, 20)),
+    # most of the 4,096 ordered pairs of pieces have no transformation
+    (discrete_category(3), chain_poset_monoidal(4), (64, 1000)),
+    # half of the 512 transformations between these pieces are not central
+    (walking_arrow(), semion_two_group(4), (16, 256)),
+], ids=["arrow_chain3", "discrete3_chain4", "arrow_semion4"])
+def test_cp_equals_the_all_pairs_construction(U, ms, sizes):
+    cp = enumerate_centre_pieces(U, ms)
+    C, A = cp.category, ms.base
+    assert (C.n_objects, C.n_morphisms) == sizes
+    assert list(cp.mor_table) == _all_pairs_piece_morphisms(cp, ms)
+    assert cp.mor_index == {row: k for k, row in enumerate(cp.mor_table)}
+    assert [(C.src(k), C.dst(k)) for k in C.morphisms] == [(i, j) for i, j, _ in cp.mor_table]
+    for i, p in enumerate(cp.pieces):
+        assert cp.mor_table[C.id_of(i)] == (i, i, tuple(A.id_of(b) for b in p.u.obj_map))
+    # composition is vertical, componentwise in the base
+    for (g, f), h in C.compose_map.items():
+        assert cp.mor_table[h][2] == tuple(
+            A.compose(y, x) for y, x in zip(cp.mor_table[g][2], cp.mor_table[f][2]))
+    assert len(C.compose_map) == sum(
+        1 for _, j, _ in cp.mor_table for i2, _, _ in cp.mor_table if i2 == j)
 
 
 @pytest.mark.parametrize("U", [terminal_category(), discrete_category(2), walking_arrow()])

@@ -11,6 +11,8 @@ from monocentre.monoidal import (
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
 from monocentre.bilimits import TruncatedCosimplicial, descent_object
 
+from helpers import semion_two_group
+
 
 def _permutation_group(n, even_only=False):
     """Multiplication table of S_n (or A_n), composing right to left."""
@@ -171,6 +173,22 @@ def test_descent_matches_centre(ms, n_descent):
     assert len(set(rep.comparison.obj_map)) == Z.n_objects
     assert len(set(rep.comparison.mor_map)) == D.n_morphisms == Z.n_morphisms
     assert rep.obstructions == ()
+
+
+@pytest.mark.parametrize("n,sizes", [(2, (2, 4)), (4, (4, 16))])
+def test_semion_two_group_has_non_identity_coherence_cells(n, sizes):
+    # The associator is not an identity, so the coherence cells enter the
+    # descent condition; a cell replaced by identities gives "not an
+    # equivalence" on both.  The semion associator is symmetric in its
+    # arguments and its own inverse, so this cannot tell alpha from
+    # alpha_inv in a cell, nor catch permuted arguments.
+    rep = verify_prop_3_1(semion_two_group(n))
+    assert rep.verdict == "equivalence"
+    Z = rep.centre.category
+    assert (Z.n_objects, Z.n_morphisms) == sizes
+    T = rep.hochschild.diagram
+    assert any(not T.X2.is_identity(c)
+               for cell in (T.coh00, T.coh01, T.coh21) for c in cell.components)
 
 
 def test_invalid_monoidal_rejected():

@@ -294,6 +294,9 @@ SIZE_REFUSALS = {
         _constant_diagram(discrete_category(3)), cfg)),
     "centre pieces": ("max_objects", 4, lambda cfg: enumerate_centre_pieces(
         discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+    # CP lies over the full functor subcategory on its pieces' functors
+    "centre piece functors": ("max_morphisms", 4, lambda cfg: enumerate_centre_pieces(
+        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
     "group order": ("vec_max_group", 2, lambda cfg: centre_simples(
         trivial_cocycle(Group(Z4)), cfg)),
 }
