@@ -15,10 +15,18 @@ the centre over the base, and CP(U, A) over the full functor subcategory
 on its pieces' functors, so that a morphism of pieces is a
 transformation of their functors that meets the centre condition.  Each
 is bounded by max_objects before its morphisms are built, and then by
-max_morphisms.
+max_morphisms.  The centre's monoidal structure, like the pointwise one
+on [E, A], is lifted from the base's cell by cell, by _lifted_monoidal.
 Everything the construction claims about the result (braiding hexagons,
-strong monoidality of the projection, and so on) is re-verified afterwards
+strict monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
+
+The centre's universal piece (CentreCategory.piece: the projection, with
+every object's half-braiding) makes each comparison of the universal
+property: birepresentation restricts it along every functor U -> Z_A,
+coproducts restrict pieces along the two injections (CentrePiece.restrict),
+and transport raises it, like the given piece, to the power [E, -]
+(_power).
 
 Naturality, multiplicativity and the condition a morphism of the centre
 meets (_central_failures, which is also a piece's naturality in its first
@@ -40,8 +48,7 @@ from .fincat import (
     category_over, _schedule, _search,
 )
 from .monoidal import (
-    MonoidalStructure, BraidingDatum, StrongMonoidalFunctor,
-    check_braiding, check_strong_monoidal, strict_cells_functor, _cell_failures,
+    MonoidalStructure, BraidingDatum, check_braiding, check_strict_monoidal, _cell_failures,
 )
 from .record import Record
 
@@ -71,6 +78,13 @@ class CentrePiece(Record):
     def family(self, s):
         """The components at the object s of U, indexed by the objects x."""
         return tuple(self.gamma[(s, x)] for x in self.ms.base.objects)
+
+    def restrict(self, G: Functor) -> "CentrePiece":
+        """The piece along G: V -> U: the functor G.then(u), with the
+        components at G's images."""
+        return CentrePiece(G.then(self.u), self.ms,
+                           {(s, x): self.gamma[(G.obj_map[s], x)]
+                            for s in G.src.objects for x in self.ms.base.objects})
 
 
 def _natural_failures(ms: MonoidalStructure, a, gamma, mors):
@@ -190,12 +204,49 @@ class CentreCategory(Record):
     def all_passed(self):
         return all(c.ok for c in self.certificates)
 
-    def object_index(self, a, gamma):
-        key = (a, tuple(gamma))
-        for i, o in enumerate(self.objects):
-            if (o.a, o.gamma) == key:
-                return i
-        return None
+    @property
+    def piece(self) -> CentrePiece:
+        """The universal centre piece: the projection, with every object's
+        half-braiding."""
+        ms = self.base
+        return CentrePiece(self.projection, ms, {(i, x): o.gamma[x]
+                                                 for i, o in enumerate(self.objects)
+                                                 for x in ms.base.objects})
+
+
+def _lifted_monoidal(cat: FinCategory, tobj, unit, ms: MonoidalStructure,
+                     under_obj, under_mor, lift) -> MonoidalStructure:
+    """The monoidal structure on cat that lies over ms component by
+    component: object i lies over the tuple under_obj(i) of base objects,
+    morphism k over the tuple under_mor(k) of base morphisms, and lift(i,
+    j, comps) is the morphism i -> j over comps, or None.
+
+    The tensor of objects tobj and the unit are given; the tensor of
+    morphisms, the associator and the unitors are the unique morphisms
+    over ms's cells, and a missing one is an InternalSoundnessError that
+    names the cell.
+    """
+    objs, mors = cat.objects, cat.morphisms
+    ob = [under_obj(i) for i in objs]
+    mo = [under_mor(k) for k in mors]
+
+    def cell(name, at, i, j, comps):
+        k = lift(i, j, tuple(comps))
+        if k is None:
+            raise InternalSoundnessError(f"{name} at {at} has no lift to a morphism "
+                                         f"{i} -> {j}")
+        return k
+
+    tmor = {(k1, k2): cell("tensor of morphisms", (k1, k2),
+                           tobj[cat.src(k1)][cat.src(k2)], tobj[cat.dst(k1)][cat.dst(k2)],
+                           map(ms.tensor_mor, mo[k1], mo[k2]))
+            for k1 in mors for k2 in mors}
+    alpha = {(i, j, k): cell("associator", (i, j, k), tobj[tobj[i][j]][k],
+                             tobj[i][tobj[j][k]], map(ms.alpha, ob[i], ob[j], ob[k]))
+             for i in objs for j in objs for k in objs}
+    lam = tuple(cell("left unitor", i, tobj[unit][i], i, map(ms.lam, ob[i])) for i in objs)
+    rho = tuple(cell("right unitor", i, tobj[i][unit], i, map(ms.rho, ob[i])) for i in objs)
+    return MonoidalStructure(cat, tobj, tmor, unit, alpha, lam, rho)
 
 
 def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreCategory:
@@ -213,81 +264,50 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
     def central(i, j, f):
         return next(_central_failures(ms, f, objs[i].gamma, objs[j].gamma), None) is None
 
-    zcat, mor_table, mor_index, i_functor = category_over(
+    zcat, mor_table, mor_index, proj = category_over(
         cat, [o.a for o in objs], central, "centre", cfg)
     obj_index = {(o.a, o.gamma): i for i, o in enumerate(objs)}
 
-    def require_mor(i, j, f, what):
-        k = mor_index.get((i, j, f))
-        if k is None:
-            raise InternalSoundnessError(f"{what}: morphism {f} between centre objects {i} "
-                                         f"and {j} fails the centre condition")
-        return k
+    def centre_object(what, a, gamma):
+        i = obj_index.get((a, tuple(gamma)))
+        if i is None:
+            raise InternalSoundnessError(f"{what} is not a centre object")
+        return i
 
     # tensor of centre objects: carrier tensor with the two-step half-braiding
     def theta(o1: CentreObject, o2: CentreObject):
         a, b = o1.a, o2.a
-        comps = []
-        for x in cat.objects:
-            comps.append(cat.compose_chain(
-                ms.alpha(x, a, b),
-                ms.rwhisk(o1.gamma[x], b),
-                ms.alpha_inv(a, x, b),
-                ms.lwhisk(a, o2.gamma[x]),
-                ms.alpha(a, b, x),
-            ))
-        return CentreObject(ms.tensor_obj(a, b), comps)
+        return (ms.tensor_obj(a, b),
+                (cat.compose_chain(ms.alpha(x, a, b), ms.rwhisk(o1.gamma[x], b),
+                                   ms.alpha_inv(a, x, b), ms.lwhisk(a, o2.gamma[x]),
+                                   ms.alpha(a, b, x))
+                 for x in cat.objects))
 
-    tobj = [[0] * len(objs) for _ in objs]
-    for i, o1 in enumerate(objs):
-        for j, o2 in enumerate(objs):
-            t = theta(o1, o2)
-            k = obj_index.get((t.a, t.gamma))
-            if k is None:
-                raise InternalSoundnessError(
-                    f"tensor of centre objects {i} and {j} is not a centre object")
-            tobj[i][j] = k
-    tmor = {}
-    for k1, (i1, j1, f1) in enumerate(mor_table):
-        for k2, (i2, j2, f2) in enumerate(mor_table):
-            tmor[(k1, k2)] = require_mor(tobj[i1][i2], tobj[j1][j2],
-                                         ms.tensor_mor(f1, f2), "tensor of morphisms")
+    tobj = [[centre_object(f"tensor of centre objects {i} and {j}", *theta(o1, o2))
+             for j, o2 in enumerate(objs)] for i, o1 in enumerate(objs)]
+    unit_idx = centre_object("the unitor-induced half-braiding", ms.unit,
+                             (cat.compose(ms.rho_inv(x), ms.lam(x)) for x in cat.objects))
 
-    unit_gamma = tuple(cat.compose(ms.rho_inv(x), ms.lam(x)) for x in cat.objects)
-    unit_idx = obj_index.get((ms.unit, unit_gamma))
-    if unit_idx is None:
-        raise InternalSoundnessError("the unitor-induced half-braiding was not enumerated")
+    def lift(i, j, comps):
+        return mor_index.get((i, j) + comps)
 
-    alpha = {}
-    for i in range(len(objs)):
-        for j in range(len(objs)):
-            for k in range(len(objs)):
-                f = ms.alpha(objs[i].a, objs[j].a, objs[k].a)
-                alpha[(i, j, k)] = require_mor(tobj[tobj[i][j]][k], tobj[i][tobj[j][k]],
-                                               f, "associator component")
-    lam = tuple(require_mor(tobj[unit_idx][i], i, ms.lam(o.a), "left unitor")
-                for i, o in enumerate(objs))
-    rho = tuple(require_mor(tobj[i][unit_idx], i, ms.rho(o.a), "right unitor")
-                for i, o in enumerate(objs))
-    zms = MonoidalStructure(zcat, tobj, tmor, unit_idx, alpha, lam, rho)
+    zms = _lifted_monoidal(zcat, tobj, unit_idx, ms, lambda i: (objs[i].a,),
+                           lambda k: (mor_table[k][2],), lift)
 
-    braid = {}
-    for i, o1 in enumerate(objs):
-        for j, o2 in enumerate(objs):
-            braid[(i, j)] = require_mor(tobj[i][j], tobj[j][i],
-                                        o1.gamma[o2.a], "braiding component")
+    braid = {(i, j): lift(tobj[i][j], tobj[j][i], (o1.gamma[o2.a],))
+             for i, o1 in enumerate(objs) for j, o2 in enumerate(objs)}
+    if None in braid.values():
+        raise InternalSoundnessError("a braiding component fails the centre condition")
     zbraid = BraidingDatum(zms, braid)
 
-    proj = strict_cells_functor(i_functor, zms, ms)
-
     # post-construction certificate battery; nothing above is taken on trust
-    eq = check_equivalence(i_functor)
+    eq = check_equivalence(proj)
     certs = [
         Certificate.of("centre category axioms", validate_category(zcat)),
         Certificate.of("centre monoidal structure (incl. pentagon, triangle)", zms.problems),
         Certificate.of("braiding naturality and hexagons", check_braiding(zbraid)),
-        Certificate.of("projection functor", validate_functor(i_functor)),
-        Certificate.of("projection strong monoidal", check_strong_monoidal(proj)),
+        Certificate.of("projection functor", validate_functor(proj)),
+        Certificate.of("projection strong monoidal", check_strict_monoidal(proj, zms, ms)),
         Certificate.of("projection faithful", [] if eq.faithful else eq.witnesses),
     ]
     half_reports = []
@@ -331,6 +351,13 @@ class CentrePieceCategory(Record):
         "piece_index",
         "mor_index",
     )
+
+    def index_of(self, piece: CentrePiece) -> int:
+        """The object of CP that is piece; a piece it lacks is a soundness error."""
+        idx = self.piece_index.get(piece.key())
+        if idx is None:
+            raise InternalSoundnessError("a restricted centre piece is not an object of CP")
+        return idx
 
 
 def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
@@ -402,33 +429,20 @@ class BirepReport(Record):
 
 def check_birepresentation(U: FinCategory, ms: MonoidalStructure,
                            cfg: GuardConfig = DEFAULT) -> BirepReport:
-    """Builds Fun(U, Z_A) and CP(U, A) and checks that composing with the
-    projection is an equivalence between them."""
+    """Builds Fun(U, Z_A) and CP(U, A) and checks that restricting the
+    universal piece along each functor is an equivalence between them."""
     Z = compute_centre(ms, cfg)
     fc = functor_category(U, Z.category, cfg)
     cp = enumerate_centre_pieces(U, ms, cfg)
-    cat = ms.base
-
-    obj_map = []
-    for H in fc.functors:
-        u = H.then(Z.projection.functor)
-        gamma = {(s, x): Z.objects[H.obj_map[s]].gamma[x]
-                 for s in U.objects for x in cat.objects}
-        piece = CentrePiece(u, ms, gamma)
-        idx = cp.piece_index.get(piece.key())
-        if idx is None:
-            raise InternalSoundnessError("functor into the centre gives no centre piece")
-        obj_map.append(idx)
-    mor_map = []
-    for k, eta in enumerate(fc.transfs):
-        s_idx, d_idx = fc.category.src(k), fc.category.dst(k)
-        comps = tuple(Z.mor_table[c][2] for c in eta.components)
-        key = (obj_map[s_idx], obj_map[d_idx], comps)
-        if key not in cp.mor_index:
-            raise InternalSoundnessError(
-                "transformation of centre-valued functors gives no piece morphism")
-        mor_map.append(cp.mor_index[key])
-    comparison = Functor(fc.category, cp.category, tuple(obj_map), tuple(mor_map))
+    piece = Z.piece
+    obj_map = [cp.index_of(piece.restrict(H)) for H in fc.functors]
+    mor_map = [cp.mor_index.get((obj_map[fc.category.src(k)], obj_map[fc.category.dst(k)],
+                                 tuple(Z.projection.mor_map[c] for c in eta.components)))
+               for k, eta in enumerate(fc.transfs)]
+    if None in mor_map:
+        raise InternalSoundnessError(
+            "transformation of centre-valued functors gives no piece morphism")
+    comparison = Functor(fc.category, cp.category, obj_map, mor_map)
     return BirepReport(fc.category.n_objects, cp.category.n_objects,
                        comparison, check_equivalence(comparison))
 
@@ -440,46 +454,40 @@ def pointwise_monoidal(fc: FunctorCategory, ms: MonoidalStructure) -> MonoidalSt
     """The pointwise monoidal structure on [E, A] induced by A's."""
     E, cat = fc.source, ms.base
 
-    def tensor_functor(i, j):
-        F, G = fc.functors[i], fc.functors[j]
-        obj = tuple(ms.tensor_obj(F.obj_map[x], G.obj_map[x]) for x in E.objects)
-        mor = tuple(ms.tensor_mor(F.mor_map[f], G.mor_map[f]) for f in E.morphisms)
-        return fc.functor_index[(obj, mor)]
+    def tensor_functor(F, G):
+        return fc.functor_index[(tuple(map(ms.tensor_obj, F.obj_map, G.obj_map)),
+                                 tuple(map(ms.tensor_mor, F.mor_map, G.mor_map)))]
 
-    n = fc.category.n_objects
-    tobj = [[tensor_functor(i, j) for j in range(n)] for i in range(n)]
-    tmor = {}
-    for k1, eta in enumerate(fc.transfs):
-        i1, j1 = fc.category.src(k1), fc.category.dst(k1)
-        for k2, kap in enumerate(fc.transfs):
-            i2, j2 = fc.category.src(k2), fc.category.dst(k2)
-            comps = tuple(ms.tensor_mor(eta.components[x], kap.components[x])
-                          for x in E.objects)
-            tmor[(k1, k2)] = fc.index_of_transf(tobj[i1][i2], tobj[j1][j2], comps)
-    unit_obj = tuple(ms.unit for _ in E.objects)
-    unit_mor = tuple(cat.id_of(ms.unit) for _ in E.morphisms)
-    unit = fc.functor_index[(unit_obj, unit_mor)]
-    alpha = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comps = tuple(ms.alpha(fc.functors[i].obj_map[x],
-                                       fc.functors[j].obj_map[x],
-                                       fc.functors[k].obj_map[x]) for x in E.objects)
-                alpha[(i, j, k)] = fc.index_of_transf(tobj[tobj[i][j]][k],
-                                                      tobj[i][tobj[j][k]], comps)
-    lam = tuple(fc.index_of_transf(tobj[unit][i], i,
-                                   tuple(ms.lam(F.obj_map[x]) for x in E.objects))
-                for i, F in enumerate(fc.functors))
-    rho = tuple(fc.index_of_transf(tobj[i][unit], i,
-                                   tuple(ms.rho(F.obj_map[x]) for x in E.objects))
-                for i, F in enumerate(fc.functors))
-    return MonoidalStructure(fc.category, tobj, tmor, unit, alpha, lam, rho)
+    tobj = [[tensor_functor(F, G) for G in fc.functors] for F in fc.functors]
+    unit = fc.functor_index[((ms.unit,) * E.n_objects,
+                             (cat.id_of(ms.unit),) * E.n_morphisms)]
+    return _lifted_monoidal(fc.category, tobj, unit, ms, lambda i: fc.functors[i].obj_map,
+                            lambda k: fc.transfs[k].components,
+                            lambda i, j, comps: fc.transf_index.get((i, j, comps)))
+
+
+def _power(E: FinCategory, p: CentrePiece, fcA: FunctorCategory,
+           msEA: MonoidalStructure, cfg: GuardConfig):
+    """[E, U] and the piece [E, p]: [E, U] -> [E, A] over the pointwise
+    structure msEA on fcA, whose functor postcomposes with u and whose
+    family is p's, taken pointwise."""
+    u = p.u
+    fcU = functor_category(E, u.src, cfg)
+    obj_map = [fcA.functor_index[(K.obj_map, K.mor_map)]
+               for K in (H.then(u) for H in fcU.functors)]
+    mor_map = [fcA.transf_index[(obj_map[fcU.category.src(k)], obj_map[fcU.category.dst(k)],
+                                 tuple(u.mor_map[c] for c in eta.components))]
+               for k, eta in enumerate(fcU.transfs)]
+    gamma = {(s, f): fcA.transf_index[(msEA.tensor_obj(obj_map[s], f),
+                                       msEA.tensor_obj(f, obj_map[s]),
+                                       tuple(p.gamma[k] for k in zip(H.obj_map, F.obj_map)))]
+             for s, H in enumerate(fcU.functors) for f, F in enumerate(fcA.functors)}
+    return fcU, CentrePiece(Functor(fcU.category, fcA.category, obj_map, mor_map), msEA, gamma)
 
 
 class TransportReport(Record):
     __slots__ = ("transported", "transported_report", "comparison",
-                 "comparison_monoidal", "strong_monoidal_report", "equivalence")
+                 "strong_monoidal_report", "equivalence")
 
     @property
     def ok(self):
@@ -493,86 +501,35 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
 
     Returns the transported piece [E, u] on [E, U] -> [E, A] with the
     pointwise family (checked), plus the canonical comparison
-    [E, Z_A] -> Z_{[E, A]} with its strong-monoidal and equivalence
-    verdicts.
+    [E, Z_A] -> Z_{[E, A]}, read off the power of the universal piece of
+    Z_A, with its strict-monoidal and equivalence verdicts.
     """
     ms = p.ms
-    cat = ms.base
-    U = p.u.src
-    fcU = functor_category(E, U, cfg)
-    fcA = functor_category(E, cat, cfg)
+    fcA = functor_category(E, ms.base, cfg)
     msEA = pointwise_monoidal(fcA, ms)
-
-    def push_functor(H: Functor) -> int:
-        K = H.then(p.u)
-        return fcA.functor_index[(K.obj_map, K.mor_map)]
-
-    tr_obj = tuple(push_functor(H) for H in fcU.functors)
-    tr_mor = []
-    for k, eta in enumerate(fcU.transfs):
-        s, d = fcU.category.src(k), fcU.category.dst(k)
-        comps = tuple(p.u.mor_map[c] for c in eta.components)
-        tr_mor.append(fcA.index_of_transf(tr_obj[s], tr_obj[d], comps))
-    tr_functor = Functor(fcU.category, fcA.category, tr_obj, tuple(tr_mor))
-    gamma = {}
-    for si, H in enumerate(fcU.functors):
-        for fi, F in enumerate(fcA.functors):
-            comps = tuple(p.gamma[(H.obj_map[x], F.obj_map[x])] for x in E.objects)
-            us = tr_obj[si]
-            gamma[(si, fi)] = fcA.index_of_transf(
-                msEA.tensor_obj(us, fi), msEA.tensor_obj(fi, us), comps)
-    transported = CentrePiece(tr_functor, msEA, gamma)
+    _, transported = _power(E, p, fcA, msEA, cfg)
     tr_report = tuple(check_centre_piece(transported))
 
     Z = compute_centre(ms, cfg)
     ZEA = compute_centre(msEA, cfg)
-    fcZ = functor_category(E, Z.category, cfg)
-    msEZ = pointwise_monoidal(fcZ, Z.monoidal)
-
+    fcZ, power = _power(E, Z.piece, fcA, msEA, cfg)
+    zea_obj_index = {(o.a, o.gamma): i for i, o in enumerate(ZEA.objects)}
     zea_mor_index = {t: k for k, t in enumerate(ZEA.mor_table)}
-    under = []
-    for H in fcZ.functors:
-        K = H.then(Z.projection.functor)
-        under.append(fcA.functor_index[(K.obj_map, K.mor_map)])
-    obj_map = []
-    for hi, H in enumerate(fcZ.functors):
-        ui = under[hi]
-        gam = []
-        for fi, F in enumerate(fcA.functors):
-            comps = tuple(Z.objects[H.obj_map[x]].gamma[F.obj_map[x]]
-                          for x in E.objects)
-            gam.append(fcA.index_of_transf(msEA.tensor_obj(ui, fi),
-                                           msEA.tensor_obj(fi, ui), comps))
-        idx = ZEA.object_index(ui, tuple(gam))
-        if idx is None:
-            raise InternalSoundnessError(
-                "pointwise half-braiding is not an object of the centre of [E, A]")
-        obj_map.append(idx)
-    mor_map = []
-    for k, eta in enumerate(fcZ.transfs):
-        s, d = fcZ.category.src(k), fcZ.category.dst(k)
-        comps = tuple(Z.mor_table[c][2] for c in eta.components)
-        m = fcA.index_of_transf(under[s], under[d], comps)
-        key = (obj_map[s], obj_map[d], m)
-        if key not in zea_mor_index:
-            raise InternalSoundnessError(
-                "pointwise image of a centre-valued transformation is not central")
-        mor_map.append(zea_mor_index[key])
-    comparison = Functor(fcZ.category, ZEA.category, tuple(obj_map), tuple(mor_map))
-
-    phi = {}
-    for i in range(fcZ.category.n_objects):
-        for j in range(fcZ.category.n_objects):
-            t = msEZ.tensor_obj(i, j)
-            if obj_map[t] != ZEA.monoidal.tensor_obj(obj_map[i], obj_map[j]):
-                raise InternalSoundnessError(
-                    "comparison does not preserve the tensor on the nose")
-            phi[(i, j)] = ZEA.category.id_of(obj_map[t])
-    comp_monoidal = StrongMonoidalFunctor(comparison, msEZ, ZEA.monoidal, phi,
-                                          ZEA.category.id_of(obj_map[msEZ.unit]))
-    sm_report = tuple(check_strong_monoidal(comp_monoidal))
-    return TransportReport(transported, tr_report, comparison, comp_monoidal,
-                           sm_report, check_equivalence(comparison))
+    obj_map = [zea_obj_index.get((a, power.family(h)))
+               for h, a in enumerate(power.u.obj_map)]
+    if None in obj_map:
+        raise InternalSoundnessError(
+            "pointwise half-braiding is not an object of the centre of [E, A]")
+    mor_map = [zea_mor_index.get((obj_map[fcZ.category.src(k)], obj_map[fcZ.category.dst(k)], m))
+               for k, m in enumerate(power.u.mor_map)]
+    if None in mor_map:
+        raise InternalSoundnessError(
+            "pointwise image of a centre-valued transformation is not central")
+    comparison = Functor(fcZ.category, ZEA.category, obj_map, mor_map)
+    sm_report = tuple(check_strict_monoidal(comparison, pointwise_monoidal(fcZ, Z.monoidal),
+                                            ZEA.monoidal))
+    return TransportReport(transported, tr_report, comparison, sm_report,
+                           check_equivalence(comparison))
 
 
 def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
@@ -585,22 +542,9 @@ def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
     cp_u = enumerate_centre_pieces(U, ms, cfg)
     cp_v = enumerate_centre_pieces(V, ms, cfg)
     prod = product_category(cp_u.category, cp_v.category, cfg)
-    cat = ms.base
-
-    def restrict(piece: CentrePiece, inj: Functor, cp_side: CentrePieceCategory):
-        u = inj.then(piece.u)
-        gamma = {(s, x): piece.gamma[(inj.obj_map[s], x)]
-                 for s in inj.src.objects for x in cat.objects}
-        idx = cp_side.piece_index.get(CentrePiece(u, ms, gamma).key())
-        if idx is None:
-            raise InternalSoundnessError("restriction of a centre piece is not one")
-        return idx
-
-    obj_map = []
-    for piece in cp_all.pieces:
-        iu = restrict(piece, cop.inj_left, cp_u)
-        iv = restrict(piece, cop.inj_right, cp_v)
-        obj_map.append(prod.obj_id(iu, iv))
+    obj_map = [prod.obj_id(cp_u.index_of(piece.restrict(cop.inj_left)),
+                           cp_v.index_of(piece.restrict(cop.inj_right)))
+               for piece in cp_all.pieces]
     mor_map = []
     for (i, j, comps) in cp_all.mor_table:
         cu = tuple(comps[cop.inj_left.obj_map[s]] for s in U.objects)
@@ -610,6 +554,6 @@ def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
         ku = cp_u.mor_index[(iu, iv, cu)]
         kv = cp_v.mor_index[(ju, jv, cv)]
         mor_map.append(prod.mor_id(ku, kv))
-    comparison = Functor(cp_all.category, prod.category, tuple(obj_map), tuple(mor_map))
+    comparison = Functor(cp_all.category, prod.category, obj_map, mor_map)
     return BirepReport(cp_all.category.n_objects, prod.category.n_objects,
                        comparison, check_equivalence(comparison))

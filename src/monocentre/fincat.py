@@ -613,36 +613,38 @@ class EquivalenceReport(Record):
 
 
 def check_equivalence(F: Functor) -> EquivalenceReport:
-    """Decide full + faithful + essentially surjective by exhaustion."""
+    """Decide full + faithful + essentially surjective by exhaustion.
+
+    The witnesses are reported as every check reports, through
+    config._report: those of faithfulness, else those of fullness, else
+    those of essential surjectivity."""
     A, B = F.src, F.dst
-    witnesses = []
-    faithful = True
-    full = True
-    for a in A.objects:
-        for b in A.objects:
+    pairs = [(a, b) for a in A.objects for b in A.objects]
+
+    def unfaithful():
+        for a, b in pairs:
             seen = {}
-            image = set()
             for m in A.hom(a, b):
                 fm = F.mor_map[m]
                 if fm in seen:
-                    faithful = False
-                    witnesses.append(
-                        f"faithfulness fails: morphisms {seen[fm]} and {m} ({a} -> {b}) "
-                        f"both map to {fm}")
-                else:
-                    seen[fm] = m
-                image.add(fm)
+                    yield (f"faithfulness fails: morphisms {seen[fm]} and {m} ({a} -> {b}) "
+                           f"both map to {fm}")
+                seen.setdefault(fm, m)
+
+    def unfull():
+        for a, b in pairs:
+            image = {F.mor_map[m] for m in A.hom(a, b)}
             for m2 in B.hom(F.obj_map[a], F.obj_map[b]):
                 if m2 not in image:
-                    full = False
-                    witnesses.append(
-                        f"fullness fails: morphism {m2} : F{a} -> F{b} is not hit")
-    ess = True
-    hit = set(F.obj_map)
-    for b in B.objects:
-        if b in hit:
-            continue
-        if not any(B.invertible_hom(F.obj_map[a], b) for a in A.objects):
-            ess = False
-            witnesses.append(f"essential surjectivity fails: object {b} is not reached up to iso")
-    return EquivalenceReport(F, faithful, full, ess, tuple(witnesses))
+                    yield f"fullness fails: morphism {m2} : F{a} -> F{b} is not hit"
+
+    def unreached():
+        hit = set(F.obj_map)
+        for b in B.objects:
+            if b not in hit and not any(B.invertible_hom(F.obj_map[a], b) for a in A.objects):
+                yield f"essential surjectivity fails: object {b} is not reached up to iso"
+
+    checks = (unfaithful, unfull, unreached)
+    verdicts = [next(fails(), None) is None for fails in checks]
+    witnesses = _report(*(fails() for fails, ok in zip(checks, verdicts) if not ok))
+    return EquivalenceReport(F, *verdicts, tuple(witnesses))

@@ -8,9 +8,7 @@ tests rather than in the package.
 """
 
 from monocentre.fincat import FinCategory, Functor
-from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, strict_cells_functor,
-)
+from monocentre.monoidal import BraidingDatum, MonoidalStructure
 from monocentre.record import Record
 from monocentre.veck import Cocycle3, Group
 
@@ -46,7 +44,7 @@ def identity_braiding(ms: MonoidalStructure) -> BraidingDatum:
 class RelabelledMonoidal(Record):
     __slots__ = (
         "monoidal",
-        "iso",  # from the original to the relabelled copy
+        "iso",  # strict monoidal, from the original to the relabelled copy
     )
 
 
@@ -79,8 +77,7 @@ def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMon
         lam[op[a]] = mp[ms.lam(a)]
         rho[op[a]] = mp[ms.rho(a)]
     new_ms = MonoidalStructure(new_cat, tobj, tmor, op[ms.unit], alpha, lam, rho)
-    iso = strict_cells_functor(Functor(cat, new_cat, op, mp), ms, new_ms)
-    return RelabelledMonoidal(new_ms, iso)
+    return RelabelledMonoidal(new_ms, Functor(cat, new_cat, op, mp))
 
 
 def coboundary_cocycle(group: Group, scalar_order: int, cochain2) -> Cocycle3:

@@ -68,13 +68,6 @@ def _budget(start, limit, label):
     assert elapsed < limit, f"{label} took {elapsed:.2f}s, budget {limit}s"
 
 
-def _projection_piece(ms):
-    Z = compute_centre(ms)
-    gamma = {(i, x): o.gamma[x]
-             for i, o in enumerate(Z.objects) for x in ms.base.objects}
-    return CentrePiece(Z.projection.functor, ms, gamma)
-
-
 def test_criterion_01_braided_centre_suite():
     start = time.perf_counter()
     for table in (Z2, Z3, Z4, S3):
@@ -134,7 +127,7 @@ def test_criterion_04_group_centre_oracle():
 def test_criterion_05_power_transport():
     start = time.perf_counter()
     rep = transport_along_power(discrete_category(2),
-                                _projection_piece(discrete_group_monoidal(Z2)))
+                                compute_centre(discrete_group_monoidal(Z2)).piece)
     assert rep.transported_report == ()
     assert rep.strong_monoidal_report == ()
     assert rep.equivalence.is_equivalence, rep.equivalence.summary()

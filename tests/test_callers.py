@@ -16,7 +16,9 @@ outside its definition among the same callers; a call with *args or
 
 fincat's table builder, _table_category, is named only by fincat's two
 builders of categories, category_over and full_functor_subcategory, so
-that every other module builds its categories through them.
+that every other module builds its categories through them.  Likewise,
+outside monoidal.py and jsonio.py, only centre._lifted_monoidal builds a
+MonoidalStructure.
 """
 
 import ast
@@ -164,3 +166,16 @@ def test_only_fincat_builders_name_the_table_builder():
               if "_table_category" in _names(stmt)]
     assert naming == [("fincat.py", "category_over"),
                       ("fincat.py", "full_functor_subcategory")], naming
+
+
+def test_only_the_lift_builds_a_derived_monoidal_structure():
+    # monoidal.py builds the fixtures and jsonio.py the loaded structures;
+    # every structure derived from another (the centre's, the pointwise
+    # one) is lifted cell by cell by centre._lifted_monoidal
+    building = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name not in ("monoidal.py", "jsonio.py")
+                for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                if any(isinstance(node, ast.Call) and _callee(node) == "MonoidalStructure"
+                       for node in ast.walk(stmt))]
+    assert building == [("centre.py", "_lifted_monoidal")], building

@@ -55,7 +55,7 @@ def test_poset_centre_is_whole_category():
         Z = compute_centre(ms)
         assert Z.category.n_objects == ms.base.n_objects
         assert Z.category.n_morphisms == ms.base.n_morphisms
-        assert check_equivalence(Z.projection.functor).is_equivalence
+        assert check_equivalence(Z.projection).is_equivalence
         assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
 
 
@@ -236,13 +236,6 @@ def test_birepresentation_is_equivalence(U, ms):
 
 # -- transport along powers ------------------------------------------------
 
-def projection_piece(ms):
-    Z = compute_centre(ms)
-    gamma = {(i, x): o.gamma[x]
-             for i, o in enumerate(Z.objects) for x in ms.base.objects}
-    return CentrePiece(Z.projection.functor, ms, gamma)
-
-
 def test_pointwise_monoidal_is_monoidal():
     from monocentre.fincat import functor_category
     from monocentre.monoidal import validate_monoidal
@@ -255,7 +248,7 @@ def test_pointwise_monoidal_is_monoidal():
 
 def test_transport_discrete_two_over_z2():
     report = transport_along_power(discrete_category(2),
-                                   projection_piece(discrete_group_monoidal(Z2)))
+                                   compute_centre(discrete_group_monoidal(Z2)).piece)
     assert report.transported_report == ()
     assert report.strong_monoidal_report == ()
     assert report.equivalence.is_equivalence, report.equivalence.summary()
@@ -264,9 +257,24 @@ def test_transport_discrete_two_over_z2():
 
 def test_transport_terminal_is_identity_shaped():
     report = transport_along_power(terminal_category(),
-                                   projection_piece(discrete_group_monoidal(Z3)))
+                                   compute_centre(discrete_group_monoidal(Z3)).piece)
     assert report.ok
     assert report.comparison.src.n_objects == report.comparison.dst.n_objects == 3
+
+
+def test_transport_can_miss_objects_of_the_centre_of_the_power():
+    # the semion 2-group's centre has one object over each component, so
+    # [discrete 2, Z_A] has 4.  A half-braiding on an object of A x A may
+    # twist each factor by a character Z2 -> Aut = Z2 of the other
+    # factor's component: 2 x 2 choices over each of those 4 objects, 16 in
+    # all, and the comparison is fully faithful but reaches only 4 of them
+    ms = semion_two_group(2)
+    report = transport_along_power(discrete_category(2), compute_centre(ms).piece)
+    assert report.transported_report == ()
+    assert report.strong_monoidal_report == ()
+    eq = report.equivalence
+    assert (eq.faithful, eq.full, eq.essentially_surjective) == (True, True, False)
+    assert (report.comparison.src.n_objects, report.comparison.dst.n_objects) == (4, 16)
 
 
 # -- coproduct preservation -------------------------------------------------

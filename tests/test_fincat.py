@@ -280,3 +280,15 @@ class TestEquivalence:
         F = Functor(z2, t, (0,), (0, 0))
         rep = check_equivalence(F)
         assert not rep.faithful
+
+    def test_faithfulness_is_reported_before_fullness(self):
+        # 0 -> 0 misses the non-identity of B's Z2 (not full) before 1 -> 1
+        # sends both endomorphisms of A's Z2 to one (not faithful)
+        z2, t = group_category(Z2_TABLE), terminal_category()
+        A = coproduct_category(t, z2).category
+        B = coproduct_category(z2, t).category
+        F = Functor(A, B, (0, 1), (0, 2, 2))
+        assert validate_functor(F) == []
+        rep = check_equivalence(F)
+        assert (rep.faithful, rep.full, rep.essentially_surjective) == (False, False, True)
+        assert rep.witnesses == ("faithfulness fails: morphisms 1 and 2 (1 -> 1) both map to 2",)

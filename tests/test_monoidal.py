@@ -6,7 +6,7 @@ from monocentre.fincat import FinCategory, Functor, validate_category
 from monocentre.monoidal import (
     MonoidalStructure, validate_monoidal,
     BraidingDatum, check_braiding,
-    check_strong_monoidal, strict_cells_functor,
+    check_strict_monoidal,
     discrete_group_monoidal, chain_poset_monoidal, one_object_z2_monoidal,
     group_table_report,
     Z2, Z3, Z4, S3,
@@ -121,27 +121,29 @@ class TestBraiding:
 
 
 class TestStrongMonoidal:
+    """Strict functors: strong monoidal with identity structure cells."""
+
     def test_identity_functor_passes(self):
         for ms in all_fixtures():
             F = identity_functor(ms.base)
-            assert check_strong_monoidal(strict_cells_functor(F, ms, ms)) == []
+            assert check_strict_monoidal(F, ms, ms) == []
 
     def test_group_hom_as_strict_functor(self):
         ms = discrete_group_monoidal(Z2)
         F = Functor(ms.base, ms.base, (0, 1), (0, 1))
-        assert check_strong_monoidal(strict_cells_functor(F, ms, ms)) == []
+        assert check_strict_monoidal(F, ms, ms) == []
 
     def test_non_homomorphism_swap_fails(self):
         ms = discrete_group_monoidal(Z4)
         # swap g and g^2 (indices 1, 2), keep 0 and 3: not a homomorphism
         F = Functor(ms.base, ms.base, (0, 2, 1, 3), (0, 2, 1, 3))
-        report = check_strong_monoidal(strict_cells_functor(F, ms, ms))
+        report = check_strict_monoidal(F, ms, ms)
         assert report != []
 
     def test_inversion_on_z4_is_monoidal(self):
         ms = discrete_group_monoidal(Z4)
         F = Functor(ms.base, ms.base, (0, 3, 2, 1), (0, 3, 2, 1))
-        assert check_strong_monoidal(strict_cells_functor(F, ms, ms)) == []
+        assert check_strict_monoidal(F, ms, ms) == []
 
 
 class TestRelabelling:
@@ -149,7 +151,7 @@ class TestRelabelling:
         ms = discrete_group_monoidal(Z3)
         out = relabel_monoidal(ms, (2, 0, 1), (2, 0, 1))
         assert validate_monoidal(out.monoidal) == []
-        assert check_strong_monoidal(out.iso) == []
+        assert check_strict_monoidal(out.iso, ms, out.monoidal) == []
         assert out.monoidal.unit == 2
 
     def test_relabel_poset(self):
@@ -159,4 +161,4 @@ class TestRelabelling:
         perm_mor = (2, 1, 0)
         out = relabel_monoidal(ms, perm_obj, perm_mor)
         assert validate_monoidal(out.monoidal) == []
-        assert check_strong_monoidal(out.iso) == []
+        assert check_strict_monoidal(out.iso, ms, out.monoidal) == []

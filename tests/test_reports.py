@@ -26,14 +26,15 @@ from monocentre.centre import (
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.convolution import SetFunctor, check_set_transf, validate_set_functor
 from monocentre.fincat import (
-    FinCategory, Functor, NatTransf, discrete_category, product_category, terminal_category,
+    FinCategory, Functor, NatTransf, check_equivalence, discrete_category, product_category,
+    terminal_category,
     walking_arrow, validate_category, validate_functor, validate_nat_transf,
 )
 from monocentre.hochschild import build_hochschild
 from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, StrongMonoidalFunctor, Z2, Z4, S3,
-    chain_poset_monoidal, check_braiding, check_strong_monoidal, discrete_group_monoidal,
-    group_table_report, one_object_z2_monoidal, strict_cells_functor, validate_monoidal,
+    BraidingDatum, MonoidalStructure, Z2, Z4, S3,
+    chain_poset_monoidal, check_braiding, check_strict_monoidal, discrete_group_monoidal,
+    group_table_report, one_object_z2_monoidal, validate_monoidal,
 )
 from monocentre.veck import (
     Cocycle3, GradedObject, Group, HalfBraidingLin, centre_simples, check_cocycle,
@@ -134,13 +135,28 @@ def test_missing_braiding_cell_is_reported_alone():
     assert check_braiding(br) == ["braiding missing at (1, 1)"]
 
 
-def test_missing_tensor_cell_is_reported_alone():
-    ms = discrete_group_monoidal(Z2)
-    sm = strict_cells_functor(identity_functor(ms.base), ms, ms)
-    phi = dict(sm.tensor_iso)
-    del phi[(1, 1)]
-    broken = StrongMonoidalFunctor(sm.functor, ms, ms, phi, sm.unit_iso)
-    assert check_strong_monoidal(broken) == ["tensor cell missing at (1, 1)"]
+def test_tensor_of_objects_is_reported_before_the_laws():
+    # swapping 1 and 2 of Z4 breaks the tensor of morphisms and the
+    # associator too, but those laws read the tensor of objects
+    ms = discrete_group_monoidal(Z4)
+    swap = Functor(ms.base, ms.base, (0, 2, 1, 3), (0, 2, 1, 3))
+    assert check_strict_monoidal(swap, ms, ms) == [
+        "tensor of objects not preserved at (1, 1)",
+        "tensor of objects not preserved at (1, 3)",
+        "tensor of objects not preserved at (2, 2)",
+        "tensor of objects not preserved at (2, 3)",
+        "tensor of objects not preserved at (3, 1)",
+        "tensor of objects not preserved at (3, 2)",
+        "tensor of objects not preserved at (3, 3)"]
+
+
+def test_strict_check_names_an_unpreserved_associator():
+    # the identity keeps the object, the tensor and the unitors, and only
+    # the associator changes (from the identity to s)
+    ms = one_object_z2_monoidal()
+    broken = one_object_z2_monoidal(broken_pentagon=True)
+    assert check_strict_monoidal(identity_functor(ms.base), ms, broken) == [
+        "associator not preserved at (0, 0, 0)"]
 
 
 def test_missing_gamma_cell_is_reported_alone():
@@ -205,9 +221,13 @@ MAXIMALLY_BROKEN = {
     "validate_monoidal": lambda: validate_monoidal(_broken_monoidal_tables()),
     "check_braiding": lambda: check_braiding(
         BraidingDatum(discrete_group_monoidal(Z4), {})),
-    "check_strong_monoidal": lambda: check_strong_monoidal(StrongMonoidalFunctor(
-        identity_functor(discrete_group_monoidal(Z4).base), discrete_group_monoidal(Z4),
-        discrete_group_monoidal(Z4), {}, 0)),
+    # the constant functor at 1 preserves neither the unit nor any tensor
+    "check_strict_monoidal": lambda: check_strict_monoidal(
+        Functor(discrete_group_monoidal(Z4).base, discrete_group_monoidal(Z4).base,
+                (1,) * 4, (1,) * 4), discrete_group_monoidal(Z4), discrete_group_monoidal(Z4)),
+    # a point misses the other 19 objects
+    "check_equivalence": lambda: check_equivalence(Functor(
+        terminal_category(), discrete_category(20), (0,), (0,))).witnesses,
     "check_centre_piece": lambda: check_centre_piece(CentrePiece(
         Functor(discrete_category(4), discrete_group_monoidal(Z4).base, (0,) * 4, (0,) * 4),
         discrete_group_monoidal(Z4), {})),
