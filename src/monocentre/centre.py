@@ -43,7 +43,7 @@ from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _repor
 from .fincat import (
     FinCategory, Functor, FunctorCategory,
     functor_category, full_functor_subcategory, enumerate_functors,
-    product_category, coproduct_category, terminal_category, empty_category,
+    product_category, coproduct_category, terminal_category,
     check_equivalence, validate_category, validate_functor,
     category_over, _schedule, _search,
 )
@@ -193,7 +193,7 @@ class CentreCategory(Record):
         "category",
         "objects",  # CentreObject, canonical order
         "mor_table",  # (src idx, dst idx, base morphism)
-        "monoidal",  # None, as are braiding and projection, on an empty base
+        "monoidal",
         "braiding",
         "projection",
         "certificates",
@@ -251,9 +251,6 @@ def _lifted_monoidal(cat: FinCategory, tobj, unit, ms: MonoidalStructure,
 
 def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreCategory:
     cat = ms.base
-    if cat.n_objects == 0:
-        return CentreCategory(ms, empty_category(), (), (), None, None, None,
-                              (Certificate("degenerate empty input", True),), ())
     if ms.problems:
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
 

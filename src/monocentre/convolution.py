@@ -8,14 +8,13 @@ The convolution (F (*) G)(a) is the quotient of the generator set
 by the smallest relation identifying (b, c, h.(u(x)v), s, t) with
 (b', c', h, Fu s, Gv t) for u: b -> b', v: c -> c'.  Classes are numbered by
 their least generator in lexicographic order, which makes every map here
-deterministic.  The structure maps (the two unit comparisons and the Yoneda
-comparison) are computed on class representatives and then re-applied to
-every generator; a representative-dependent answer raises
-InternalSoundnessError.
+deterministic.  Every map out of a convolution (the action of each
+morphism, the two unit comparisons and the Yoneda comparison) is read off
+by one class rule, _class_map: it is applied to every generator, and a
+class given two values, or none, raises InternalSoundnessError.
 """
 
 from __future__ import annotations
-
 
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import FinCategory
@@ -187,60 +186,37 @@ def day_convolve(ms: MonoidalStructure, F: SetFunctor, G: SetFunctor,
                         j = gpos[(b2, c2, h, F.apply(u, s), G.apply(v, t))][1]
                         ufs[a].union(i, j)
 
-    reps = []
-    gen_class = {}
-    sizes = []
+    gen_class, sizes = {}, []
     for a, lst in enumerate(gens):
         root_to_class = {}
-        local = []
         for i, q in enumerate(lst):
-            r = ufs[a].find(i)
-            if r not in root_to_class:
-                root_to_class[r] = len(local)
-                local.append(lst[r])
-        for i, q in enumerate(lst):
-            gen_class[q] = (a, root_to_class[ufs[a].find(i)])
-        reps.append(tuple(local))
-        sizes.append(len(local))
+            gen_class[q] = (a, root_to_class.setdefault(ufs[a].find(i), len(root_to_class)))
+        sizes.append(len(root_to_class))
 
-    maps = []
-    for k in cat.morphisms:
-        a, a2 = cat.src(k), cat.dst(k)
-        table = []
-        for (b, c, h, s, t) in reps[a]:
-            table.append(gen_class[(b, c, cat.compose(k, h), s, t)][1])
-        maps.append(tuple(table))
+    maps = _class_map(gens, sizes, gen_class, [cat.src(k) for k in cat.morphisms],
+                      lambda k, b, c, h, s, t: gen_class[(b, c, cat.compose(k, h), s, t)][1],
+                      "convolution action")
     out = SetFunctor(cat, sizes, maps)
     internal = validate_set_functor(out)
     if internal:
         raise InternalSoundnessError("convolution is not a functor: " + internal[0])
-    # representative independence of the action
-    for k in cat.morphisms:
-        a = cat.src(k)
-        for (b, c, h, s, t) in gens[a]:
-            want = maps[k][gen_class[(b, c, h, s, t)][1]]
-            got = gen_class[(b, c, cat.compose(k, h), s, t)][1]
-            if want != got:
-                raise InternalSoundnessError("convolution action depends on "
-                                             "the representative")
     return DayTensor(ms, F, G, out, gens, gen_class)
 
 
-def _class_map(day: DayTensor, total, name):
-    """Apply `total` to every generator, check it is constant on classes,
-    and return per-object component tables indexed by class."""
-    cat = day.ms.base
+def _class_map(gens, sizes, gen_class, over, total, name):
+    """The class rule: for each i, the table over the classes at object
+    over[i] that sends each generator q there to total(i, *q); total must
+    be constant on every class and reach every class."""
     components = []
-    for a in cat.objects:
-        table = [None] * day.functor.sizes[a]
-        for b, c, h, s, t in day.gens[a]:
-            cls = day.gen_class[(b, c, h, s, t)][1]
-            val = total(a, b, c, h, s, t)
+    for i, a in enumerate(over):
+        table = [None] * sizes[a]
+        for q in gens[a]:
+            cls, val = gen_class[q][1], total(i, *q)
             if table[cls] is None:
                 table[cls] = val
             elif table[cls] != val:
                 raise InternalSoundnessError(f"{name} depends on the representative")
-        if any(v is None for v in table):
+        if None in table:
             raise InternalSoundnessError(f"{name} misses a class")
         components.append(tuple(table))
     return tuple(components)
@@ -258,7 +234,8 @@ def left_unit_components(day: DayTensor):
         arrow = cat.compose_chain(h, ms.rwhisk(homs_e[b][s], c), ms.lam_inv(c))
         return F.apply(arrow, t)
 
-    return _class_map(day, total, "left unit comparison")
+    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
+                      "left unit comparison")
 
 
 def right_unit_components(day: DayTensor):
@@ -273,7 +250,8 @@ def right_unit_components(day: DayTensor):
         arrow = cat.compose_chain(h, ms.lwhisk(b, homs_e[c][t]), ms.rho_inv(b))
         return F.apply(arrow, s)
 
-    return _class_map(day, total, "right unit comparison")
+    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
+                      "right unit comparison")
 
 
 def yoneda_components(day: DayTensor, b, c):
@@ -289,7 +267,8 @@ def yoneda_components(day: DayTensor, b, c):
         arrow = cat.compose(h, ms.tensor_mor(homs_b[b2][s], homs_c[c2][t]))
         return yoneda_elem(cat, bc, arrow)
 
-    return _class_map(day, total, "representable comparison")
+    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
+                      "representable comparison")
 
 
 def cardinality_check(day: DayTensor) -> list[str]:

@@ -265,11 +265,6 @@ class CycNumber:
             return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
         return hash((self.order, self.nums if self.den == 1 else self.coeffs))
 
-    def serialize(self):
-        den = self.den
-        return [self.order, [[c // g, den // g] for c, g in
-                             ((c, gcd(c, den)) for c in self.nums)]]
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -13,9 +13,10 @@ generator of the places where the law fails: the enumerators prune with
 it as soon as the places it reads are assigned, and validate_functor and
 validate_nat_transf report from it through config._report.
 
-Every set-level enumeration, here and in centre, is one search, _search:
-one max_branch step per candidate tried, and each check run once, when
-the last slot it reads is set (_schedule).
+Every set-level enumeration, here and in centre, and the scalar
+half-braiding search of veck, is one search, _search: one max_branch
+step per candidate tried, and each check run once, when the last slot it
+reads is set (_schedule).
 
 A category whose objects lie over those of a base, with the base
 morphisms that pass a test as its morphisms (the centre, CP(U, A) over
@@ -343,7 +344,7 @@ def walking_arrow() -> FinCategory:
 
 
 class ProductCategory(Record):
-    __slots__ = ("category", "left", "right", "proj_left", "proj_right")
+    __slots__ = ("category", "left", "right")
 
     def obj_id(self, a, b):
         return a * self.right.n_objects + b
@@ -358,14 +359,6 @@ class ProductCategory(Record):
     def mor_pair(self, m):
         nm = self.right.n_morphisms
         return divmod(m, nm)
-
-    def pair(self, F: Functor, G: Functor) -> Functor:
-        """The functor X -> A x B induced by F: X -> A and G: X -> B."""
-        if F.src != G.src:
-            raise ValueError("pairing needs functors with a common domain")
-        obj = tuple(self.obj_id(F.obj_map[x], G.obj_map[x]) for x in F.src.objects)
-        mor = tuple(self.mor_id(F.mor_map[m], G.mor_map[m]) for m in F.src.morphisms)
-        return Functor(F.src, self.category, obj, mor)
 
 
 def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT) -> ProductCategory:
@@ -390,12 +383,7 @@ def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT)
             if B.src(g1) != B.dst(f1):
                 continue
             comp[(g2 * nmb + g1, f2 * nmb + f1)] = h2 * nmb + h1
-    cat = FinCategory(n_obj, src, dst, ident, comp)
-    pl = Functor(cat, A, tuple(o // B.n_objects for o in cat.objects),
-                 tuple(m // nmb for m in cat.morphisms))
-    pr = Functor(cat, B, tuple(o % B.n_objects for o in cat.objects),
-                 tuple(m % nmb for m in cat.morphisms))
-    return ProductCategory(cat, A, B, pl, pr)
+    return ProductCategory(FinCategory(n_obj, src, dst, ident, comp), A, B)
 
 
 class CoproductCategory(Record):

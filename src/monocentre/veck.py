@@ -64,6 +64,7 @@ from .cyclo import (
     mat_scaled_product_eq, mat_trace, mat_vec, pack_bits, packed_modulus, roots_of_unity,
     solve_linear, transpose, zeta,
 )
+from .fincat import _schedule, _search
 from .monoidal import discrete_group_monoidal, group_table_report, identity_of
 from .record import Record
 
@@ -442,8 +443,10 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     a larger one raises ValueError.  The grading constraint is decided
     first, and () returned when it rules every solution out.  Otherwise
     all blocks are scalars, and every solution scalar is a root of unity
-    in the working field, so the search over mu_N with constraint
-    propagation is complete.
+    in the working field, so one _search over the exponents in Z/N of
+    the blocks (x, g), each trying every residue, is complete: each
+    exponent relation of multiplicativity is checked once its last block
+    is set.
     """
     _require_valid(omega, cfg)
     table = omega.group.table
@@ -459,68 +462,28 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     if any(dims[conj[x][g]] != dims[g] for x in range(n) for g in supp):
         return ()
 
-    field_order = omega.field_order
-    scale = field_order // omega.scalar_order
-    rels = [((x, g), (y, conj[x][g]), (table[x][y], g),
-             twist[g][x][y] * scale % field_order)
-            for x in range(n) for y in range(n) for g in supp]
+    N = omega.field_order
+    scale = N // omega.scalar_order
     keys = sorted((x, g) for x in range(n) for g in supp)
+    # beta_xy|g = zeta^t beta_y|x^-1gx beta_x|g, as exponents (x|g, y|x^-1gx, xy|g, t)
+    rels = [((x, g), (y, conj[x][g]), (table[x][y], g), twist[g][x][y] * scale)
+            for x in range(n) for y in range(n) for g in supp]
+    exps, out = {}, []
 
-    budget = Budget(cfg.max_branch, "scalar half-braiding search")
+    def failures(checks):
+        return (r for r in checks if (exps[r[0]] + exps[r[1]] + r[3] - exps[r[2]]) % N)
 
-    def propagate(assign) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for ka, kb, kc, t in rels:
-                a = assign.get(ka)
-                b = assign.get(kb)
-                c = assign.get(kc)
-                known = (a is not None) + (b is not None) + (c is not None)
-                if known < 2:
-                    continue
-                if known == 3:
-                    if (a + b + t) % field_order != c:
-                        return False
-                    continue
-                if c is None:
-                    assign[kc] = (a + b + t) % field_order
-                elif a is None:
-                    assign[ka] = (c - b - t) % field_order
-                else:
-                    assign[kb] = (c - a - t) % field_order
-                changed = True
-        return True
-
-    solutions = []
-
-    def search(assign):
-        free = next((k for k in keys if k not in assign), None)
-        if free is None:
-            solutions.append(dict(assign))
-            return
-        for val in range(field_order):
-            budget.spend()
-            trial = dict(assign)
-            trial[free] = val
-            if propagate(trial):
-                search(trial)
-
-    seed = {(omega.group.identity, g): 0 for g in supp}
-    if propagate(seed):
-        search(seed)
-
-    out = []
-    for assign in solutions:
-        blocks = {(x, g): ((zeta(field_order, assign[(x, g)]),),)
-                  for x in range(n) for g in supp}
-        hb = HalfBraidingLin(omega, carrier, blocks)
+    def emit():
+        hb = HalfBraidingLin(omega, carrier, {k: ((zeta(N, e),),) for k, e in exps.items()})
         errs = check_half_braiding(hb)
         if errs:
             raise InternalSoundnessError(
                 "scalar search produced an invalid half-braiding: " + errs[0])
         out.append(hb)
-    out.sort(key=lambda h: h.serialize())
+
+    _search(exps, keys, lambda k: range(N), _schedule(keys, ((r, r[:3]) for r in rels)),
+            failures, Budget(cfg.max_branch, "scalar half-braiding search"), emit)
+    out.sort(key=HalfBraidingLin.serialize)
     return tuple(out)
 
 

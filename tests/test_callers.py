@@ -18,7 +18,8 @@ fincat's table builder, _table_category, is named only by fincat's two
 builders of categories, category_over and full_functor_subcategory, so
 that every other module builds its categories through them.  Likewise,
 outside monoidal.py and jsonio.py, only centre._lifted_monoidal builds a
-MonoidalStructure.
+MonoidalStructure, and only fincat._search, full_functor_subcategory and
+day_convolve spend a search budget.
 """
 
 import ast
@@ -179,3 +180,16 @@ def test_only_the_lift_builds_a_derived_monoidal_structure():
                 if any(isinstance(node, ast.Call) and _callee(node) == "MonoidalStructure"
                        for node in ast.walk(stmt))]
     assert building == [("centre.py", "_lifted_monoidal")], building
+
+
+def test_only_the_search_and_two_counted_builders_spend_a_budget():
+    # every search spends through fincat._search, one step per candidate;
+    # full_functor_subcategory spends its reachable targets, and
+    # day_convolve its generators and relations, in bulk
+    spending = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
+                for path in sorted(PACKAGE.glob("*.py"))
+                for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "spend" for node in ast.walk(stmt))]
+    assert spending == [("convolution.py", "day_convolve"), ("fincat.py", "_search"),
+                        ("fincat.py", "full_functor_subcategory")], spending

@@ -75,14 +75,16 @@ def test_unit_law_is_derived_not_imposed():
         assert Z.unit_violations == ()
 
 
-def test_empty_input_degenerates():
-    # an empty base cannot carry a unit object, so the degenerate case is
-    # entered before any structure is consulted
+def test_empty_base_is_refused():
+    # an empty base cannot carry a unit object, so the centre and every
+    # construction over it refuse the structure as invalid input
     from monocentre.monoidal import MonoidalStructure
     ms = MonoidalStructure(empty_category(), (), {}, 0, {}, (), ())
-    Z = compute_centre(ms)
-    assert Z.category.n_objects == 0
-    assert Z.all_passed
+    for run in (lambda: compute_centre(ms),
+                lambda: check_birepresentation(empty_category(), ms),
+                lambda: check_birepresentation(terminal_category(), ms)):
+        with pytest.raises(ValueError, match="unit object 0 out of range"):
+            run()
 
 
 def test_guards_trip():

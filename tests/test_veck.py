@@ -732,6 +732,12 @@ def test_twisted_simples_match_the_dpr_count(omega_factory):
         per_class[s.class_rep] = per_class.get(s.class_rep, 0) + 1
     assert per_class == {cls[0]: dpr_count_oracle(omega, cls[0])
                          for cls in omega.group.classes}
+    # the scalar oracle finds exactly the one-dimensional simples, grade by grade
+    n = len(omega.group.table)
+    for g in range(n):
+        assert len(half_braiding_space(delta_object(n, g), omega)) == sum(
+            s.total_dim == 1 and s.hb.carrier.support == (g,) for s in result.simples)
+
 
 def _ref_class_carrier(omega, r):
     """The former closed-form class carrier: basis v_z for z in G, graded
