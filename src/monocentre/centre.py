@@ -370,6 +370,8 @@ def enumerate_centre_pieces(U: FinCategory, ms: MonoidalStructure,
     category_over on the full functor subcategory on the pieces' functors,
     whose transformations spend a budget of their own.
     """
+    if ms.problems:
+        raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
     cat = ms.base
     half = {a: enumerate_half_braidings(ms, a, cfg) for a in cat.objects}
     budget = Budget(cfg.max_branch, "centre piece enumeration")
@@ -499,8 +501,12 @@ def transport_along_power(E: FinCategory, p: CentrePiece,
     Returns the transported piece [E, u] on [E, U] -> [E, A] with the
     pointwise family (checked), plus the canonical comparison
     [E, Z_A] -> Z_{[E, A]}, read off the power of the universal piece of
-    Z_A, with its strict-monoidal and equivalence verdicts.
+    Z_A, with its strict-monoidal and equivalence verdicts.  An invalid
+    input piece raises ValueError.
     """
+    bad = check_centre_piece(p)
+    if bad:
+        raise ValueError("input centre piece is invalid: " + bad[0])
     ms = p.ms
     fcA = functor_category(E, ms.base, cfg)
     msEA = pointwise_monoidal(fcA, ms)

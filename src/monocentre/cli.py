@@ -6,6 +6,9 @@ line naming the proposition or axiom it instantiates.  Output is
 deterministic for identical inputs and configuration: payloads are
 loaded through canonical constructors, every enumeration is
 canonically ordered, and JSON reports are emitted with sorted keys.
+_COMMANDS declares each subcommand once, with the payload kind it takes
+and its help line; _dispatch refuses a payload of another kind, and
+builds a command's sections only for a payload whose axioms hold.
 
 Exit codes: 0 all certificates passed, 1 at least one failed,
 2 malformed input, 3 a size guard refused the computation, 4 an internal
@@ -59,31 +62,25 @@ def _cert_line(c: Certificate) -> str:
 
 
 def _section_validate(spec: LoadedSpec) -> Section:
-    certs = []
-    if spec.kind == "category":
-        cat = spec.payload
-        info = (("kind", "category"), ("objects", cat.n_objects),
+    value = spec.payload
+    if spec.kind in ("category", "monoidal"):
+        cat = value.base if spec.kind == "monoidal" else value
+        info = (("kind", spec.kind), ("objects", cat.n_objects),
                 ("morphisms", cat.n_morphisms))
-        certs.append(Certificate.of("Axiom: category laws (identities, composition, "
-                                    "associativity)", validate_category(cat)))
-    elif spec.kind == "monoidal":
-        ms = spec.payload
-        info = (("kind", "monoidal"), ("objects", ms.base.n_objects),
-                ("morphisms", ms.base.n_morphisms), ("unit", ms.unit))
-        certs.append(Certificate.of("Axiom: category laws (identities, composition, "
-                                    "associativity)", validate_category(ms.base)))
-        certs.append(Certificate.of("Axiom: monoidal coherence (pentagon, triangle, "
-                                    "naturality)", ms.problems))
+        certs = [Certificate.of("Axiom: category laws (identities, composition, "
+                                "associativity)", validate_category(cat))]
+        if spec.kind == "monoidal":
+            info += (("unit", value.unit),)
+            certs.append(Certificate.of("Axiom: monoidal coherence (pentagon, triangle, "
+                                        "naturality)", value.problems))
     elif spec.kind == "group":
-        group = spec.payload
-        info = (("kind", "group"), ("group order", len(group.table)))
-        certs.append(Certificate.of("Axiom: group table (associativity, identity, "
-                                    "inverses)", group.problems))
+        info = (("kind", "group"), ("group order", len(value.table)))
+        certs = [Certificate.of("Axiom: group table (associativity, identity, "
+                                "inverses)", value.problems)]
     else:
-        omega = spec.payload
-        info = (("kind", "cocycle"), ("group order", len(omega.group.table)),
-                ("scalar order", omega.scalar_order))
-        certs.append(Certificate.of("Axiom: normalized 3-cocycle", omega.problems))
+        info = (("kind", "cocycle"), ("group order", len(value.group.table)),
+                ("scalar order", value.scalar_order))
+        certs = [Certificate.of("Axiom: normalized 3-cocycle", value.problems)]
     return Section("validate", spec.path, info, tuple(certs))
 
 
@@ -242,51 +239,55 @@ def _monoidal_sections(command: str, spec: LoadedSpec, cfg: GuardConfig) -> list
             _section_equiv(path, rep), _section_convolve(spec, cfg)]
 
 
-def _sections_for_report(spec: LoadedSpec, cfg: GuardConfig) -> list:
-    vsec = _section_validate(spec)
-    out = [vsec]
-    if any(not c.ok for c in vsec.certificates):
-        return out
-    if spec.kind == "monoidal":
-        out += _monoidal_sections("report", spec, cfg)
-    elif spec.kind == "group":
-        out.append(_section_vec_centre(spec, None, cfg))
-    return out
-
-
 # -- driver -----------------------------------------------------------------
+
+# subcommand -> (payload kind it takes, None for any; help line)
+_COMMANDS = {
+    "validate": (None, "re-check the axioms of one payload file"),
+    "centre": ("monoidal", "enumerate the centre of a monoidal payload and "
+                           "certify its braided monoidal structure"),
+    "descent": ("monoidal", "build the translation diagram and its descent object"),
+    "equiv": ("monoidal", "compare the centre with the descent object"),
+    "convolve": ("monoidal", "certify Day convolution laws on representables"),
+    "vec-centre": ("group", "simple objects of the centre of the graded "
+                            "linear backend over a finite group"),
+    "report": (None, "run every applicable check on each file"),
+}
+
+
+def _load(path: str, kind: str | None, needed_by: str) -> LoadedSpec:
+    """The payload at path, refused unless it is of `kind` (None takes any)."""
+    spec = load_spec(path)
+    if kind is not None and spec.kind != kind:
+        raise MalformedInput("/kind", f"'{needed_by}' needs a {kind} payload, "
+                                      f"got kind '{spec.kind}'")
+    return spec
 
 
 def _dispatch(args, cfg: GuardConfig) -> list:
-    if args.command == "report":
-        sections = []
-        for path in args.files:
-            sections += _sections_for_report(load_spec(path), cfg)
-        return sections
-    spec = load_spec(args.file)
-    if args.command == "validate":
-        return [_section_validate(spec)]
-    if args.command == "vec-centre":
-        if spec.kind != "group":
-            raise MalformedInput(
-                "/kind", f"'vec-centre' needs a group payload, got "
-                         f"kind '{spec.kind}'")
-        omega_spec = None
-        if args.omega:
-            omega_spec = load_spec(args.omega)
-            if omega_spec.kind != "cocycle":
-                raise MalformedInput(
-                    "/kind", f"'--omega' needs a cocycle payload, got "
-                             f"kind '{omega_spec.kind}'")
-        return [_section_vec_centre(spec, omega_spec, cfg)]
-    if spec.kind != "monoidal":
-        raise MalformedInput(
-            "/kind", f"'{args.command}' needs a monoidal payload, got "
-                     f"kind '{spec.kind}'")
-    vsec = _section_validate(spec)
-    if any(not c.ok for c in vsec.certificates):
-        return [vsec]
-    return _monoidal_sections(args.command, spec, cfg)
+    """The sections of every input file.  "vec-centre" checks the group
+    table in its own section; otherwise a payload whose axioms fail gets
+    only its validation section, which "validate" and "report" print
+    always."""
+    command = args.command
+    sections = []
+    for path in args.files:
+        spec = _load(path, _COMMANDS[command][0], command)
+        if command == "vec-centre":
+            omega_spec = _load(args.omega, "cocycle", "--omega") if args.omega else None
+            sections.append(_section_vec_centre(spec, omega_spec, cfg))
+            continue
+        vsec = _section_validate(spec)
+        passed = all(c.ok for c in vsec.certificates)
+        if command in ("validate", "report") or not passed:
+            sections.append(vsec)
+        if command == "validate" or not passed:
+            continue
+        if spec.kind == "monoidal":
+            sections += _monoidal_sections(command, spec, cfg)
+        elif spec.kind == "group":
+            sections.append(_section_vec_centre(spec, None, cfg))
+    return sections
 
 
 def _render_text(sections) -> list[str]:
@@ -358,33 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", default=None,
                         help="JSON file of size-guard overrides")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="re-check the axioms of one payload file")
-    p.add_argument("file")
-    p = sub.add_parser("centre", parents=[common],
-                       help="enumerate the centre of a monoidal payload and "
-                            "certify its braided monoidal structure")
-    p.add_argument("file")
-    p = sub.add_parser("descent", parents=[common],
-                       help="build the translation diagram and its descent "
-                            "object")
-    p.add_argument("file")
-    p = sub.add_parser("equiv", parents=[common],
-                       help="compare the centre with the descent object")
-    p.add_argument("file")
-    p = sub.add_parser("convolve", parents=[common],
-                       help="certify Day convolution laws on representables")
-    p.add_argument("file")
-    p = sub.add_parser("vec-centre", parents=[common],
-                       help="simple objects of the centre of the graded "
-                            "linear backend over a finite group")
-    p.add_argument("file")
-    p.add_argument("--omega", metavar="FILE", default=None,
-                   help="3-cocycle payload (default: trivial)")
-    p = sub.add_parser("report", parents=[common],
-                       help="run every applicable check on each file")
-    p.add_argument("files", nargs="+")
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        if command == "report":
+            p.add_argument("files", nargs="+")
+        else:
+            p.add_argument("files", nargs=1, metavar="file")
+        if command == "vec-centre":
+            p.add_argument("--omega", metavar="FILE", default=None,
+                           help="3-cocycle payload (default: trivial)")
     return parser
 
 

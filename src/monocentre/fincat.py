@@ -501,12 +501,9 @@ def enumerate_functors(A: FinCategory, B: FinCategory,
     return out
 
 
-def enumerate_nat_transfs(F: Functor, G: Functor,
-                          budget: Budget | None = None) -> list[NatTransf]:
+def enumerate_nat_transfs(F: Functor, G: Functor, budget: Budget) -> list[NatTransf]:
     """All natural transformations F => G, components in lexicographic order,
-    spending budget (by default a fresh one), which callers may share."""
-    if budget is None:
-        budget = Budget(DEFAULT.max_branch, "natural transformation enumeration")
+    spending budget, which callers may share."""
     A, B = F.src, F.dst
     comps = [0] * A.n_objects
     out = []
@@ -529,9 +526,6 @@ class FunctorCategory(Record):
         "functor_index",  # (obj_map, mor_map) -> object id
         "transf_index",  # (src id, dst id, components) -> morphism id
     )
-
-    def index_of_transf(self, src_idx, dst_idx, components) -> int:
-        return self.transf_index[(src_idx, dst_idx, tuple(components))]
 
 
 def functor_category(A: FinCategory, B: FinCategory,

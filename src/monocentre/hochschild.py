@@ -50,10 +50,10 @@ class HochschildDiagram(Record):
 def _coface(S, fc, tables, components):
     """The functor from S into the level fc that sends the object s of S to
     the functor with tables[s] and the morphism k of S to the transformation
-    with components[k]."""
+    with components[k], a tuple."""
     objs = [fc.functor_index[t] for t in tables]
     return Functor(S, fc.category, objs,
-                   [fc.index_of_transf(objs[S.src(k)], objs[S.dst(k)], c)
+                   [fc.transf_index[(objs[S.src(k)], objs[S.dst(k)], c)]
                     for k, c in enumerate(components)])
 
 
@@ -107,8 +107,8 @@ def build_hochschild(ms: MonoidalStructure,
 
     def cell(src, dst, alpha):
         return NatTransf(src, dst, [
-            fc2.index_of_transf(src.obj_map[a], dst.obj_map[a],
-                                tuple(alpha(a, x, y) for x, y in obj_pairs))
+            fc2.transf_index[(src.obj_map[a], dst.obj_map[a],
+                              tuple(alpha(a, x, y) for x, y in obj_pairs))]
             for a in A.objects])
 
     coh00 = cell(d0.then(e0), d0.then(e1), ms.alpha)

@@ -3,15 +3,18 @@
 Four self-contained payload kinds, discriminated by a top-level "kind"
 field and versioned by "schema_version": finite categories, monoidal
 structures, group multiplication tables, and 3-cocycles over a group
-table.  Loading is two-staged: a shape check against the schema dicts
-below, then referential checks (dense morphism ids, indices in range, no
-conflicting duplicate table entries) with JSON-pointer locations.  A
-group file loads as a veck.Group and a cocycle file as a veck.Cocycle3
-over its own Group.  Axiom-level validation (associativity, pentagon,
-cocycle identity) is deliberately NOT done here: the values run their
-checks once, on first use, and the CLI reports them as certificates so
-that a broken fixture is reported with a localized witness instead of a
-parse error.
+table, each with its schema dict and builder in _KINDS.  Loading is
+two-staged: a shape check against the schema dict, then referential
+checks with JSON-pointer locations: dense morphism ids, one walk over
+every nested table (identity, tensor_obj, lambda, rho, a group's table
+and a cocycle's exponents) for its lengths and the range of its entries,
+and keyed tables (compose, tensor_mor, alpha) whose rows with one key
+agree.  A group file loads as a veck.Group and a cocycle file as a
+veck.Cocycle3 over its own Group.  Axiom-level validation (associativity,
+pentagon, cocycle identity) is deliberately NOT done here: the values run
+their checks once, on first use, and the CLI reports them as certificates
+so that a broken fixture is reported with a localized witness instead of
+a parse error.
 """
 
 from __future__ import annotations
@@ -113,14 +116,6 @@ COCYCLE_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SCHEMAS = {
-    "category": CATEGORY_SCHEMA,
-    "monoidal": MONOIDAL_SCHEMA,
-    "group": GROUP_SCHEMA,
-    "cocycle": COCYCLE_SCHEMA,
-}
-
-
 class MalformedInput(ValueError):
     """Input file rejected before any mathematics ran.
 
@@ -188,6 +183,25 @@ def _check_shape(value, schema: dict, path: tuple) -> None:
                 _check_shape(item, schema["items"], path + (i,))
 
 
+def _check_table(doc, name, n, lengths, entry=None):
+    """Check doc[name], nested len(lengths) deep, depth first in document
+    order: a list at depth d needs n items, else lengths[d] (formatted with
+    n and got; None skips the level) is raised, and entry = (bound,
+    message), as in _keyed_table, checks each innermost value."""
+    def walk(value, path):
+        depth = len(path) - 1
+        if depth == len(lengths):
+            if entry and value >= entry[0]:
+                raise MalformedInput(_pointer(path), entry[1].format(value))
+            return
+        if lengths[depth] and len(value) != n:
+            raise MalformedInput(_pointer(path),
+                                 lengths[depth].format(n=n, got=len(value)))
+        for i, item in enumerate(value):
+            walk(item, path + (i,))
+    walk(doc[name], (name,))
+
+
 def _category_from_doc(doc):
     n = doc["objects"]
     mors = doc["morphisms"]
@@ -197,24 +211,15 @@ def _category_from_doc(doc):
                 f"/morphisms/{i}/id",
                 f"morphism ids must be dense and in order (expected {i}, "
                 f"got {m['id']})")
-        if m["src"] >= n:
-            raise MalformedInput(f"/morphisms/{i}/src",
-                                 f"object {m['src']} out of range (0..{n - 1})")
-        if m["dst"] >= n:
-            raise MalformedInput(f"/morphisms/{i}/dst",
-                                 f"object {m['dst']} out of range (0..{n - 1})")
-    n_mor = len(mors)
-    ident = doc["identity"]
-    if len(ident) != n:
-        raise MalformedInput(
-            "/identity",
-            f"expected one identity entry per object ({n}), got {len(ident)}")
-    for a, e in enumerate(ident):
-        if e >= n_mor:
-            raise MalformedInput(f"/identity/{a}", f"unknown morphism id {e}")
-    mor = (n_mor, "unknown morphism id {}")
+        for end in ("src", "dst"):
+            if m[end] >= n:
+                raise MalformedInput(f"/morphisms/{i}/{end}",
+                                     f"object {m[end]} out of range (0..{n - 1})")
+    mor = (len(mors), "unknown morphism id {}")
+    _check_table(doc, "identity", n,
+                 ("expected one identity entry per object ({n}), got {got}",), mor)
     return FinCategory(n, [m["src"] for m in mors], [m["dst"] for m in mors],
-                       ident, _keyed_table(doc, "compose", (mor, mor, mor)))
+                       doc["identity"], _keyed_table(doc, "compose", (mor, mor, mor)))
 
 
 def _keyed_table(doc, name, ids):
@@ -235,71 +240,41 @@ def _keyed_table(doc, name, ids):
 
 def _monoidal_from_doc(doc):
     cat = _category_from_doc(doc)
-    n, n_mor = cat.n_objects, cat.n_morphisms
+    n = cat.n_objects
     if doc["unit"] >= n:
         raise MalformedInput("/unit", f"object {doc['unit']} out of range")
-    tob = doc["tensor_obj"]
-    if len(tob) != n:
-        raise MalformedInput("/tensor_obj", f"expected {n} rows, got {len(tob)}")
-    for i, row in enumerate(tob):
-        if len(row) != n:
-            raise MalformedInput(f"/tensor_obj/{i}",
-                                 f"expected {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if v >= n:
-                raise MalformedInput(f"/tensor_obj/{i}/{j}",
-                                     f"object {v} out of range")
+    obj, mor = (n, "object {} out of range"), (cat.n_morphisms, "unknown morphism id {}")
+    _check_table(doc, "tensor_obj", n, ("expected {n} rows, got {got}",
+                                        "expected {n} entries, got {got}"), obj)
     for key in ("lambda", "rho"):
-        arr = doc[key]
-        if len(arr) != n:
-            raise MalformedInput(f"/{key}",
-                                 f"expected one entry per object ({n}), "
-                                 f"got {len(arr)}")
-        for a, e in enumerate(arr):
-            if e >= n_mor:
-                raise MalformedInput(f"/{key}/{a}", f"unknown morphism id {e}")
-    obj, mor = (n, "object {} out of range"), (n_mor, "unknown morphism id {}")
-    return MonoidalStructure(cat, tob, _keyed_table(doc, "tensor_mor", (mor, mor, mor)),
+        _check_table(doc, key, n, ("expected one entry per object ({n}), got {got}",), mor)
+    return MonoidalStructure(cat, doc["tensor_obj"],
+                             _keyed_table(doc, "tensor_mor", (mor, mor, mor)),
                              doc["unit"], _keyed_table(doc, "alpha", (obj, obj, obj, mor)),
                              doc["lambda"], doc["rho"])
 
 
 def _group_from_doc(doc):
-    table = doc["table"]
-    n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise MalformedInput(f"/table/{i}",
-                                 f"expected {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if v >= n:
-                raise MalformedInput(f"/table/{i}/{j}",
-                                     f"element {v} out of range (0..{n - 1})")
-    return Group(table)
+    n = len(doc["table"])
+    _check_table(doc, "table", n, (None, "expected {n} entries, got {got}"),
+                 (n, f"element {{}} out of range (0..{n - 1})"))
+    return Group(doc["table"])
 
 
 def _cocycle_from_doc(doc):
     group = _group_from_doc(doc)
-    n = len(group.table)
-    exps = doc["exponents"]
-    if len(exps) != n:
-        raise MalformedInput("/exponents", f"expected {n} planes, got {len(exps)}")
-    for i, plane in enumerate(exps):
-        if len(plane) != n:
-            raise MalformedInput(f"/exponents/{i}",
-                                 f"expected {n} rows, got {len(plane)}")
-        for j, row in enumerate(plane):
-            if len(row) != n:
-                raise MalformedInput(f"/exponents/{i}/{j}",
-                                     f"expected {n} entries, got {len(row)}")
-    return Cocycle3(group, doc["scalar_order"], exps)
+    _check_table(doc, "exponents", len(group.table),
+                 ("expected {n} planes, got {got}", "expected {n} rows, got {got}",
+                  "expected {n} entries, got {got}"))
+    return Cocycle3(group, doc["scalar_order"], doc["exponents"])
 
 
-_BUILDERS = {
-    "category": _category_from_doc,
-    "monoidal": _monoidal_from_doc,
-    "group": _group_from_doc,
-    "cocycle": _cocycle_from_doc,
+# kind -> (schema, builder of the checked document's value)
+_KINDS = {
+    "category": (CATEGORY_SCHEMA, _category_from_doc),
+    "monoidal": (MONOIDAL_SCHEMA, _monoidal_from_doc),
+    "group": (GROUP_SCHEMA, _group_from_doc),
+    "cocycle": (COCYCLE_SCHEMA, _cocycle_from_doc),
 }
 
 
@@ -317,17 +292,18 @@ def load_spec(path: str) -> LoadedSpec:
     if not isinstance(doc, dict):
         raise MalformedInput("", "expected a JSON object at the top level")
     kind = doc.get("kind")
-    if kind not in _SCHEMAS:
+    if kind not in _KINDS:
         raise MalformedInput("/kind",
                              f"unknown kind {kind!r}; expected one of "
-                             + ", ".join(sorted(_SCHEMAS)))
+                             + ", ".join(sorted(_KINDS)))
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise MalformedInput("/schema_version",
                              f"unsupported schema_version "
                              f"{doc.get('schema_version')!r}; this build "
                              f"reads version {SCHEMA_VERSION}")
-    _check_shape(doc, _SCHEMAS[kind], ())
-    return LoadedSpec(kind, _BUILDERS[kind](doc), path)
+    schema, build = _KINDS[kind]
+    _check_shape(doc, schema, ())
+    return LoadedSpec(kind, build(doc), path)
 
 
 # -- emission -------------------------------------------------------------

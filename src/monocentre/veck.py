@@ -452,7 +452,7 @@ def half_braiding_space(carrier: GradedObject, omega: Cocycle3,
     table = omega.group.table
     n = len(table)
     dims = carrier.dims
-    if len(dims) != n:
+    if len(dims) != n or any(d < 0 for d in dims):
         raise ValueError("carrier dimension vector does not match the group")
     if any(d > 1 for d in dims):
         raise ValueError("the scalar search takes only multiplicity-free "

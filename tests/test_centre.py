@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocentre.config import GuardConfig, SizeGuardExceeded
+from monocentre.config import Budget, GuardConfig, SizeGuardExceeded
 from monocentre.jsonio import load_spec
 from monocentre.fincat import (
     FinCategory, Functor, terminal_category, empty_category,
@@ -110,12 +110,17 @@ def test_centre_size_invariant_under_relabelling(perm):
 
 def test_invalid_structure_is_refused_as_input():
     # broken_pentagon's unitors still induce a half-braiding candidate that
-    # the pentagon rules out; refusing first names the input, not a bug
+    # the pentagon rules out; refusing first names the input, not a bug.
+    # CP(U, A) refuses it too, where the coproduct comparison would
+    # otherwise call it an equivalence
     ms = load_spec(str(FIXTURES / "broken_pentagon.json")).payload
-    with pytest.raises(ValueError) as err:
-        compute_centre(ms)
-    assert str(err.value) == ("input monoidal structure is invalid: "
-                              "pentagon fails at objects (0, 0, 0, 0)")
+    pt = terminal_category()
+    for run in (lambda: compute_centre(ms), lambda: check_birepresentation(pt, ms),
+                lambda: check_cp_preserves_coproducts(pt, pt, ms)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == ("input monoidal structure is invalid: "
+                                  "pentagon fails at objects (0, 0, 0, 0)")
 
 
 # -- piece validation and the corrupted-component control -----------------
@@ -194,9 +199,10 @@ def _all_pairs_piece_morphisms(cp, ms):
     every ordered pair of pieces, kept when each component meets the centre
     condition between the two pieces' families."""
     rows = []
+    budget = Budget(GuardConfig().max_branch, "transformations")
     for i, p in enumerate(cp.pieces):
         for j, q in enumerate(cp.pieces):
-            for sigma in enumerate_nat_transfs(p.u, q.u):
+            for sigma in enumerate_nat_transfs(p.u, q.u, budget):
                 fails = (x for s, c in enumerate(sigma.components)
                          for x in _central_failures(ms, c, p.family(s), q.family(s)))
                 if next(fails, None) is None:
@@ -262,6 +268,17 @@ def test_transport_terminal_is_identity_shaped():
                                    compute_centre(discrete_group_monoidal(Z3)).piece)
     assert report.ok
     assert report.comparison.src.n_objects == report.comparison.dst.n_objects == 3
+
+
+def test_transport_refuses_an_invalid_piece():
+    # criterion 9b's piece: gamma at x = 1 moved to the wrong endpoints
+    ms = discrete_group_monoidal(Z2)
+    piece = canonical_piece(compute_centre(ms), ms)
+    piece.gamma[(0, 1)] = ms.base.id_of(1 - ms.base.dst(piece.gamma[(0, 1)]))
+    with pytest.raises(ValueError) as err:
+        transport_along_power(discrete_category(2), piece)
+    assert str(err.value) == ("input centre piece is invalid: "
+                              "gamma at (s=0, x=1) has wrong endpoints")
 
 
 def test_transport_can_miss_objects_of_the_centre_of_the_power():

@@ -119,8 +119,9 @@ class TestEnumeration:
         z2 = group_category(Z2_TABLE)
         trivial, ident = enumerate_functors(z2, z2)
         assert trivial.mor_map == (0, 0)
-        assert enumerate_nat_transfs(trivial, ident) == []
-        assert len(enumerate_nat_transfs(ident, ident)) == 2
+        budget = Budget(GuardConfig().max_branch, "transformations")
+        assert enumerate_nat_transfs(trivial, ident, budget) == []
+        assert len(enumerate_nat_transfs(ident, ident, budget)) == 2
 
     def test_budget_guard_trips(self):
         cfg = GuardConfig(max_branch=3)

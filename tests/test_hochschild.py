@@ -50,11 +50,11 @@ def _full_translation_diagram(ms):
               for a in A.objects]
     d1_obj = [translation(lambda x: ms.tensor_obj(x, a), lambda f: ms.rwhisk(f, a))
               for a in A.objects]
-    d0_mor = [fc1.index_of_transf(d0_obj[A.src(f)], d0_obj[A.dst(f)],
-                                  [ms.rwhisk(f, x) for x in A.objects])
+    d0_mor = [fc1.transf_index[(d0_obj[A.src(f)], d0_obj[A.dst(f)],
+                                tuple(ms.rwhisk(f, x) for x in A.objects))]
               for f in A.morphisms]
-    d1_mor = [fc1.index_of_transf(d1_obj[A.src(f)], d1_obj[A.dst(f)],
-                                  [ms.lwhisk(x, f) for x in A.objects])
+    d1_mor = [fc1.transf_index[(d1_obj[A.src(f)], d1_obj[A.dst(f)],
+                                tuple(ms.lwhisk(x, f) for x in A.objects))]
               for f in A.morphisms]
     d0 = Functor(A, X1, d0_obj, d0_mor)
     d1 = Functor(A, X1, d1_obj, d1_mor)
@@ -77,11 +77,11 @@ def _full_translation_diagram(ms):
         obj = [fc2.functor_index[(tuple(on_obj(F, x, y) for x, y in pairs),
                                   tuple(on_mor(F, f, g) for f, g in mor_pairs))]
                for F in fc1.functors]
-        mor = [fc2.index_of_transf(obj[fc1.functor_index[(eta.src.obj_map,
-                                                          eta.src.mor_map)]],
-                                   obj[fc1.functor_index[(eta.dst.obj_map,
-                                                          eta.dst.mor_map)]],
-                                   [on_comp(eta, x, y) for x, y in pairs])
+        mor = [fc2.transf_index[(obj[fc1.functor_index[(eta.src.obj_map,
+                                                        eta.src.mor_map)]],
+                                 obj[fc1.functor_index[(eta.dst.obj_map,
+                                                        eta.dst.mor_map)]],
+                                 tuple(on_comp(eta, x, y) for x, y in pairs))]
                for eta in fc1.transfs]
         es.append(Functor(X1, X2, obj, mor))
     e0, e1, e2 = es
@@ -90,8 +90,8 @@ def _full_translation_diagram(ms):
         comps = []
         for a in A.objects:
             s, d = src.obj_map[a], dst.obj_map[a]
-            comps.append(fc2.index_of_transf(
-                s, d, [component(a, x, y) for x, y in pairs]))
+            comps.append(fc2.transf_index[
+                (s, d, tuple(component(a, x, y) for x, y in pairs))])
         return NatTransf(src, dst, comps)
 
     coh00 = cell(d0.then(e0), d0.then(e1), lambda a, x, y: ms.alpha(a, x, y))

@@ -206,6 +206,47 @@ def test_floats_and_bools_are_not_integers(tmp_path, capsys, make_doc, path,
     assert f"error: at {pointer}: " in capsys.readouterr().err
 
 
+def _z2_cocycle_doc():
+    return cocycle_to_doc(z2_nontrivial_cocycle())
+
+
+@pytest.mark.parametrize("make_doc, path, bad, message", [
+    (_z2_monoidal_doc, ("tensor_obj",), [[0, 1]],
+     "at /tensor_obj: expected 2 rows, got 1"),
+    (_z2_monoidal_doc, ("tensor_obj", 1), [1],
+     "at /tensor_obj/1: expected 2 entries, got 1"),
+    (_z2_monoidal_doc, ("tensor_obj", 0, 1), 5,
+     "at /tensor_obj/0/1: object 5 out of range"),
+    (_z2_monoidal_doc, ("lambda",), [0],
+     "at /lambda: expected one entry per object (2), got 1"),
+    (_z2_monoidal_doc, ("rho", 1), 9,
+     "at /rho/1: unknown morphism id 9"),
+    (_z2_monoidal_doc, ("identity",), [0],
+     "at /identity: expected one identity entry per object (2), got 1"),
+    (_z2_monoidal_doc, ("identity", 0), 9,
+     "at /identity/0: unknown morphism id 9"),
+    (lambda: group_to_doc(Z2), ("table", 1), [1],
+     "at /table/1: expected 2 entries, got 1"),
+    (lambda: group_to_doc(Z2), ("table", 1, 0), 2,
+     "at /table/1/0: element 2 out of range (0..1)"),
+    (_z2_cocycle_doc, ("exponents",), [[[0, 0], [0, 0]]],
+     "at /exponents: expected 2 planes, got 1"),
+    (_z2_cocycle_doc, ("exponents", 1), [[0, 0]],
+     "at /exponents/1: expected 2 rows, got 1"),
+    (_z2_cocycle_doc, ("exponents", 1, 0), [0],
+     "at /exponents/1/0: expected 2 entries, got 1"),
+], ids=["tensor-obj-rows", "tensor-obj-entries", "tensor-obj-object",
+        "lambda-length", "rho-morphism", "identity-length", "identity-morphism",
+        "table-entries", "table-element", "exponents-planes", "exponents-rows",
+        "exponents-entries"])
+def test_nested_table_errors_are_worded(tmp_path, make_doc, path, bad, message):
+    doc = make_doc()
+    _set(doc, path, bad)
+    with pytest.raises(MalformedInput) as exc:
+        _load_doc(tmp_path, doc)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("make_doc, mutate, pointer, message", [
     (lambda: category_to_doc(walking_arrow()),
      lambda d: _set(d, ("compose", 1), 5),

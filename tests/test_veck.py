@@ -159,6 +159,13 @@ def test_higher_dimensional_carrier_is_refused():
         half_braiding_space(GradedObject((2, 0)), trivial(Z2))
 
 
+@pytest.mark.parametrize("dims", [(-1, 0), (0, 1, 0)], ids=["negative", "too-long"])
+def test_carrier_that_does_not_fit_the_group_is_bad_input(dims):
+    with pytest.raises(ValueError, match="^carrier dimension vector does not match "
+                                         "the group$"):
+        half_braiding_space(GradedObject(dims), trivial(Z2))
+
+
 def test_scalar_search_refuses_what_centre_simples_refuses():
     # the exponents of a Z2 cocycle bound to Z3, then a cocycle over a monoid
     wrong = Cocycle3(Group(Z3), 2, z2_nontrivial_cocycle().exponents)
