@@ -22,7 +22,8 @@ strict monoidality of the projection, and so on) is re-verified afterwards
 and recorded as named certificates; nothing is trusted by construction.
 
 The centre's universal piece (CentreCategory.piece: the projection, with
-every object's half-braiding) makes each comparison of the universal
+every object's half-braiding) certifies every object's half-braiding in
+one check_centre_piece, and makes each comparison of the universal
 property: birepresentation restricts it along every functor U -> Z_A,
 coproducts restrict pieces along the two injections (CentrePiece.restrict),
 and transport raises it, like the given piece, to the power [E, -]
@@ -43,7 +44,7 @@ from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _repor
 from .fincat import (
     FinCategory, Functor, FunctorCategory,
     functor_category, full_functor_subcategory, enumerate_functors,
-    product_category, coproduct_category, terminal_category,
+    product_category, coproduct_category,
     check_equivalence, validate_category, validate_functor,
     category_over, _schedule, _search,
 )
@@ -307,14 +308,9 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
         Certificate.of("projection strong monoidal", check_strict_monoidal(proj, zms, ms)),
         Certificate.of("projection faithful", [] if eq.faithful else eq.witnesses),
     ]
-    half_reports = []
-    for idx, o in enumerate(objs):
-        piece = CentrePiece(Functor(terminal_category(), cat, (o.a,), (cat.id_of(o.a),)),
-                            ms, {(0, x): o.gamma[x] for x in cat.objects})
-        rep = check_centre_piece(piece)
-        if rep:
-            half_reports.append(f"object {idx}: {rep[0]}")
-    certs.append(Certificate.of("every object is a half-braiding", half_reports))
+    universal = CentrePiece(proj, ms, {(i, x): o.gamma[x]
+                                       for i, o in enumerate(objs) for x in cat.objects})
+    certs.append(Certificate.of("every object is a half-braiding", check_centre_piece(universal)))
     braid_match = []
     for (i, j), m in braid.items():
         if mor_table[m][2] != objs[i].gamma[objs[j].a]:
@@ -540,7 +536,7 @@ def check_cp_preserves_coproducts(U: FinCategory, V: FinCategory,
                                   cfg: GuardConfig = DEFAULT) -> BirepReport:
     """CP(U + V, A) -> CP(U, A) x CP(V, A) by restriction along the
     injections; checked to be an equivalence by exhaustion."""
-    cop = coproduct_category(U, V)
+    cop = coproduct_category(U, V, cfg)
     cp_all = enumerate_centre_pieces(cop.category, ms, cfg)
     cp_u = enumerate_centre_pieces(U, ms, cfg)
     cp_v = enumerate_centre_pieces(V, ms, cfg)

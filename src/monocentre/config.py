@@ -62,9 +62,9 @@ class GuardConfig(Record):
     """Caps for enumerative constructions.
 
     max_objects / max_morphisms: per constructed category (the centre,
-        A x A, functor categories and both translation levels, CP(U, A),
-        the inserter, the equifier, the descent object), objects before
-        morphisms.
+        A x B, U + V, functor categories and both translation levels,
+        CP(U, A), the inserter, the equifier, the descent object), objects
+        before morphisms.
     max_branch: cap on the steps one enumeration or search may take (one
         Budget each) before refusing; a functor category spends one
         budget for all of its morphisms, and CP(U, A) one for all of its

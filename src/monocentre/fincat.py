@@ -18,14 +18,14 @@ half-braiding search of veck, is one search, _search: one max_branch
 step per candidate tried, and each check run once, when the last slot it
 reads is set (_schedule).
 
-A category whose objects lie over those of a base, with the base
-morphisms that pass a test as its morphisms (the centre, CP(U, A) over
-the full functor subcategory on its pieces' functors, the inserter, the
-descent object, the equifier), is built by one builder, category_over:
-it refuses on max_objects before testing any morphism, then on
-max_morphisms, composes in the base, and returns the projection.  It and
-full_functor_subcategory are the only callers of the table builder,
-_table_category.
+Every derived category (A x B, U + V, each category over a base, each
+functor subcategory) is built from its (src, dst, label) rows by one
+builder, _table_category: it refuses on max_morphisms and composes by
+labels.  Each caller bounds its objects before listing rows, and the
+product its morphism count too, as A x B can have very many.  The
+centre, CP(U, A), the inserter, the descent object and the equifier lie
+over a base, with the base morphisms that pass a test: category_over
+builds them, and their projections.
 """
 
 from __future__ import annotations
@@ -149,33 +149,33 @@ def _by_object(n, ends) -> tuple:
     return tuple(map(tuple, out))
 
 
-def _table_category(table, identity, compose, missing):
-    """The category whose morphisms are the rows of a sorted table.
+def _table_category(rows, identity, compose, what: str, cfg: GuardConfig):
+    """The category whose morphisms are the (src, dst, label) rows, taken in
+    the given order, which is the order of the morphism ids.
 
-    table holds (src, dst, label) rows; identity[i] is the label of object
-    i's identity and compose(g, f) the label of g . f.  When a needed row is
-    absent, InternalSoundnessError(missing) is raised.  Returns the
-    category and the row -> morphism id index.
+    identity[i] is the label of object i's identity and compose(g, f) the
+    label of g . f.  Refuses "{what} morphisms" on max_morphisms; a missing
+    row is an InternalSoundnessError.  Returns the category and the row ->
+    morphism id index.
     """
-    index = {row: k for k, row in enumerate(table)}
+    cfg.bound(f"{what} morphisms", len(rows), "max_morphisms")
+    index = {row: k for k, row in enumerate(rows)}
 
     def lookup(row):
         k = index.get(row)
         if k is None:
-            raise InternalSoundnessError(missing)
+            raise InternalSoundnessError(f"{what} is not closed under composition")
         return k
 
     ident = tuple(lookup((i, i, label)) for i, label in enumerate(identity))
-    by_src = {}
-    for k, row in enumerate(table):
-        by_src.setdefault(row[0], []).append(k)
+    srcs = tuple(row[0] for row in rows)
+    by_src = _by_object(len(identity), srcs)
     comp = {}
-    for k1, (i1, j1, f1) in enumerate(table):
-        for k2 in by_src.get(j1, ()):
-            _, j2, f2 = table[k2]
+    for k1, (i1, j1, f1) in enumerate(rows):
+        for k2 in by_src[j1]:
+            _, j2, f2 = rows[k2]
             comp[(k2, k1)] = lookup((i1, j2, compose(f2, f1)))
-    cat = FinCategory(len(identity), tuple(row[0] for row in table),
-                      tuple(row[1] for row in table), ident, comp)
+    cat = FinCategory(len(identity), srcs, tuple(row[1] for row in rows), ident, comp)
     return cat, index
 
 
@@ -350,60 +350,46 @@ class ProductCategory(Record):
         return a * self.right.n_objects + b
 
     def obj_pair(self, o):
-        nb = self.right.n_objects
-        return divmod(o, nb)
+        return divmod(o, self.right.n_objects)
 
     def mor_id(self, f, g):
         return f * self.right.n_morphisms + g
 
     def mor_pair(self, m):
-        nm = self.right.n_morphisms
-        return divmod(m, nm)
+        return divmod(m, self.right.n_morphisms)
 
 
 def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT) -> ProductCategory:
-    n_obj = A.n_objects * B.n_objects
-    n_mor = A.n_morphisms * B.n_morphisms
-    cfg.bound("product category objects", n_obj, "max_objects")
-    cfg.bound("product category morphisms", n_mor, "max_morphisms")
-    nmb = B.n_morphisms
-    src = []
-    dst = []
-    for f in A.morphisms:
-        for g in B.morphisms:
-            src.append(A.src(f) * B.n_objects + B.src(g))
-            dst.append(A.dst(f) * B.n_objects + B.dst(g))
-    ident = tuple(A.id_of(a) * nmb + B.id_of(b)
-                  for a in A.objects for b in B.objects)
-    comp = {}
-    for (g2, f2), h2 in A.compose_map.items():
-        if A.src(g2) != A.dst(f2):
-            continue
-        for (g1, f1), h1 in B.compose_map.items():
-            if B.src(g1) != B.dst(f1):
-                continue
-            comp[(g2 * nmb + g1, f2 * nmb + f1)] = h2 * nmb + h1
-    return ProductCategory(FinCategory(n_obj, src, dst, ident, comp), A, B)
+    """A x B: morphism (f, g) has id f * |mor B| + g."""
+    nb = B.n_objects
+    cfg.bound("product category objects", A.n_objects * nb, "max_objects")
+    cfg.bound("product category morphisms", A.n_morphisms * B.n_morphisms, "max_morphisms")
+    rows = [(A.src(f) * nb + B.src(g), A.dst(f) * nb + B.dst(g), (f, g))
+            for f in A.morphisms for g in B.morphisms]
+    cat, _ = _table_category(
+        rows, [(A.id_of(a), B.id_of(b)) for a in A.objects for b in B.objects],
+        lambda g, f: (A.compose(g[0], f[0]), B.compose(g[1], f[1])),
+        "product category", cfg)
+    return ProductCategory(cat, A, B)
 
 
 class CoproductCategory(Record):
     __slots__ = ("category", "inj_left", "inj_right")
 
 
-def coproduct_category(A: FinCategory, B: FinCategory) -> CoproductCategory:
-    n_obj = A.n_objects + B.n_objects
-    src = list(A.mor_src) + [s + A.n_objects for s in B.mor_src]
-    dst = list(A.mor_dst) + [d + A.n_objects for d in B.mor_dst]
-    ident = list(A.identity) + [e + A.n_morphisms for e in B.identity]
-    comp = dict(A.compose_map)
-    off = A.n_morphisms
-    for (g, f), h in B.compose_map.items():
-        comp[(g + off, f + off)] = h + off
-    cat = FinCategory(n_obj, src, dst, ident, comp)
-    il = Functor(A, cat, tuple(A.objects), tuple(A.morphisms))
-    ir = Functor(B, cat, tuple(o + A.n_objects for o in B.objects),
-                 tuple(m + off for m in B.morphisms))
-    return CoproductCategory(cat, il, ir)
+def coproduct_category(A: FinCategory, B: FinCategory,
+                       cfg: GuardConfig = DEFAULT) -> CoproductCategory:
+    """A + B: A's morphisms, labelled (0, f), then B's, labelled (1, g)."""
+    na, parts = A.n_objects, (A, B)
+    cfg.bound("coproduct category objects", na + B.n_objects, "max_objects")
+    rows = [(side * na + C.src(f), side * na + C.dst(f), (side, f))
+            for side, C in enumerate(parts) for f in C.morphisms]
+    cat, _ = _table_category(
+        rows, [(side, C.id_of(c)) for side, C in enumerate(parts) for c in C.objects],
+        lambda g, f: (g[0], parts[g[0]].compose(g[1], f[1])), "coproduct category", cfg)
+    return CoproductCategory(cat, *(
+        Functor(C, cat, [c + side * na for c in C.objects],
+                [f + side * A.n_morphisms for f in C.morphisms]) for side, C in enumerate(parts)))
 
 
 def category_over(base: FinCategory, over, keep, what: str, cfg: GuardConfig):
@@ -418,9 +404,8 @@ def category_over(base: FinCategory, over, keep, what: str, cfg: GuardConfig):
     cfg.bound(f"{what} objects", len(over), "max_objects")
     rows = [(i, j, f) for i, a in enumerate(over) for j, b in enumerate(over)
             for f in base.hom(a, b) if keep(i, j, f)]
-    cfg.bound(f"{what} morphisms", len(rows), "max_morphisms")
     cat, index = _table_category(rows, [base.id_of(a) for a in over], base.compose,
-                                 f"{what} is not closed under composition")
+                                 what, cfg)
     return cat, rows, index, Functor(cat, base, over, [f for _, _, f in rows])
 
 
@@ -520,7 +505,6 @@ class FunctorCategory(Record):
     __slots__ = (
         "category",
         "source",
-        "target",
         "functors",  # object id -> Functor
         "transfs",  # morphism id -> NatTransf
         "functor_index",  # (obj_map, mor_map) -> object id
@@ -569,13 +553,11 @@ def full_functor_subcategory(A: FinCategory, B: FinCategory, functors,
                 raw.extend((fi, gi, eta.components)
                            for eta in enumerate_nat_transfs(F, functors[gi], budget))
     raw.sort()
-    cfg.bound(f"{what} morphisms", len(raw), "max_morphisms")
     cat, tindex = _table_category(
         raw, [tuple(B.id_of(b) for b in F.obj_map) for F in functors],
-        lambda g, f: tuple(B.compose(x, y) for x, y in zip(g, f)),
-        f"{what} is not closed under composition")
+        lambda g, f: tuple(B.compose(x, y) for x, y in zip(g, f)), what, cfg)
     transfs = tuple(NatTransf(functors[s], functors[d], comps) for s, d, comps in raw)
-    return FunctorCategory(cat, A, B, tuple(functors), transfs, findex, tindex)
+    return FunctorCategory(cat, A, tuple(functors), transfs, findex, tindex)
 
 
 # -- equivalence checking --------------------------------------------------

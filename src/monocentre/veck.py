@@ -688,7 +688,7 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
 class VecSimple(Record):
     """One simple centre object: solved carrier plus bookkeeping."""
 
-    __slots__ = ("class_rep", "hb", "total_dim", "fiber_character")
+    __slots__ = ("class_rep", "hb", "total_dim")
 
 
 class VecCentreResult(Record):
@@ -808,12 +808,8 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
                 char = tuple((h, mat_trace(M).coeffs) for h, M in sorted(sub.items()))
                 by_char.setdefault(char, []).append(sub)
         if split_ok:
-            for char, same in by_char.items():
-                d = len(same[0][r])
-                if any(len(sub[r]) != d for sub in same):
-                    raise InternalSoundnessError(
-                        "equal fiber characters with unequal dimensions")
-                if len(same) != d:
+            for same in by_char.values():
+                if len(same) != len(same[0][r]):
                     raise InternalSoundnessError(
                         "fiber multiplicity does not match summand dimension")
             if sum(len(g[0][r]) ** 2 for g in by_char.values()) != len(mats):
@@ -825,7 +821,7 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
             if errs:
                 verify_failures.append(f"class {r}: {errs[0]}")
                 continue
-            simples.append(VecSimple(r, hb, hb.carrier.total_dim, char))
+            simples.append(VecSimple(r, hb, hb.carrier.total_dim))
 
     def order_key(s):
         beta_at_rep = tuple(

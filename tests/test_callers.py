@@ -14,12 +14,15 @@ class's constructor, must be passed, by position or keyword, by a call
 outside its definition among the same callers; a call with *args or
 **kwargs passes them all.
 
-fincat's table builder, _table_category, is named only by fincat's two
-builders of categories, category_over and full_functor_subcategory, so
-that every other module builds its categories through them.  Likewise,
-outside monoidal.py and jsonio.py, only centre._lifted_monoidal builds a
-MonoidalStructure, and only fincat._search, full_functor_subcategory and
-day_convolve spend a search budget.
+fincat's table builder, _table_category, is named only by fincat's four
+builders of derived categories (product_category, coproduct_category,
+category_over and full_functor_subcategory), so that every other module
+builds its categories through them; outside monoidal.py and jsonio.py,
+only it and the two basic shapes discrete_category and walking_arrow
+build a FinCategory.  Likewise, outside monoidal.py and jsonio.py, only
+centre._lifted_monoidal builds a MonoidalStructure, and only
+fincat._search, full_functor_subcategory and day_convolve spend a search
+budget.
 """
 
 import ast
@@ -165,8 +168,24 @@ def test_only_fincat_builders_name_the_table_builder():
               for path in files
               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
               if "_table_category" in _names(stmt)]
-    assert naming == [("fincat.py", "category_over"),
+    assert naming == [("fincat.py", "product_category"), ("fincat.py", "coproduct_category"),
+                      ("fincat.py", "category_over"),
                       ("fincat.py", "full_functor_subcategory")], naming
+
+
+def test_only_the_table_builder_and_the_basic_shapes_build_a_category():
+    # monoidal.py builds the fixtures' base categories and jsonio.py the
+    # loaded ones; every category derived from others (A x B, U + V, each
+    # category over a base, each functor subcategory) is built from its
+    # rows by fincat._table_category
+    building = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name not in ("monoidal.py", "jsonio.py")
+                for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                if any(isinstance(node, ast.Call) and _callee(node) == "FinCategory"
+                       for node in ast.walk(stmt))]
+    assert building == [("fincat.py", "_table_category"), ("fincat.py", "discrete_category"),
+                        ("fincat.py", "walking_arrow")], building
 
 
 def test_only_the_lift_builds_a_derived_monoidal_structure():

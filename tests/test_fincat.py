@@ -1,5 +1,7 @@
 """Table-level checks for finite categories, functors, and enumeration."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +198,25 @@ class TestProductsCoproducts:
             m = prod.mor_id(f, g)
             assert prod.category.src(m) == prod.obj_id(wa.src(f), wa.src(g))
             assert prod.category.dst(m) == prod.obj_id(wa.dst(f), wa.dst(g))
+
+    def test_product_is_refused_before_its_rows_are_listed(self):
+        # 1,000 parallel arrows 0 -> 1 and no non-identity composite:
+        # A x A would have 1002 * 1002 morphisms
+        arrows = range(2, 1002)
+        comp = {(0, 0): 0, (1, 1): 1, **{(f, 0): f for f in arrows},
+                **{(1, f): f for f in arrows}}
+        A = FinCategory(2, (0, 1) + (0,) * 1000, (0, 1) + (1,) * 1000, (0, 1), comp)
+        assert validate_category(A) == []
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded,
+                               match=r"^size guard exceeded: product category morphisms "
+                                     r"needs 1004004, limit 4096 \(raise max_morphisms\)$"):
+                product_category(A, A, GuardConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_coproduct(self):
         z2 = group_category(Z2_TABLE)

@@ -20,8 +20,8 @@ from monocentre.bilimits import (
     TruncatedCosimplicial, descent_object, iso_inserter, validate_cosimplicial,
 )
 from monocentre.centre import (
-    CentrePiece, check_birepresentation, check_centre_piece, compute_centre,
-    enumerate_centre_pieces,
+    CentrePiece, check_birepresentation, check_centre_piece, check_cp_preserves_coproducts,
+    compute_centre, enumerate_centre_pieces,
 )
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.convolution import SetFunctor, check_set_transf, validate_set_functor
@@ -299,6 +299,8 @@ SIZE_REFUSALS = {
         discrete_group_monoidal(Z4), cfg)),
     "centre morphisms": ("max_morphisms", 2, lambda cfg: compute_centre(
         discrete_group_monoidal(Z4), cfg)),
+    "coproduct category": ("max_objects", 1, lambda cfg: check_cp_preserves_coproducts(
+        discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
     "product objects": ("max_objects", 8, lambda cfg: product_category(
         discrete_category(3), discrete_category(3), cfg)),
     "product morphisms": ("max_morphisms", 8, lambda cfg: product_category(
@@ -339,6 +341,8 @@ OBJECTS_FIRST = {
     "descent": (3, lambda cfg: descent_object(_constant_diagram(discrete_category(3)), cfg)),
     "centre piece": (16, lambda cfg: enumerate_centre_pieces(
         discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+    "coproduct category": (4, lambda cfg: check_cp_preserves_coproducts(
+        discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
 }
 
 

@@ -433,8 +433,7 @@ def _ref_naturality(result, parts_of=None):
 
 def _with_simple(result, idx, hb):
     simples = list(result.simples)
-    simples[idx] = VecSimple(simples[idx].class_rep, hb, hb.carrier.total_dim,
-                             simples[idx].fiber_character)
+    simples[idx] = VecSimple(simples[idx].class_rep, hb, hb.carrier.total_dim)
     return VecCentreResult(result.omega, tuple(simples), result.complete,
                            result.certificates)
 
@@ -561,7 +560,7 @@ def test_non_square_braid_component_fails_invertibility():
                                 for i in range(dims[_conj(G, x, g)]))
                   for x in range(6) for g in (1, 2, 5)}
         hb = HalfBraidingLin(omega, GradedObject(dims), blocks)
-        result = VecCentreResult(omega, (VecSimple(1, hb, 4, ()),), True, ())
+        result = VecCentreResult(omega, (VecSimple(1, hb, 4),), True, ())
         certs = {c.name: c for c in certify_centre_structure(result)}
         braid = certs["braiding components invertible"]
         assert not braid.ok
