@@ -21,6 +21,7 @@ POSITIVE = [
     ["report", "s3_discrete.json"],
     ["report", "poset.json"],
     ["report", "walking_arrow.json"],
+    ["report", "semion_two_group.json"],
     ["vec-centre", "z2.json", "--omega", "z2_trivial.json"],
     ["vec-centre", "z2.json", "--omega", "z2_nontrivial.json"],
     ["vec-centre", "z3.json"],

@@ -19,12 +19,12 @@ from monocentre.jsonio import (
 )
 from monocentre.monoidal import (
     S3,
+    Z1,
     Z2,
     Z3,
     Z4,
     chain_poset_monoidal,
-    discrete_group_monoidal,
-    one_object_z2_monoidal,
+    two_group_monoidal,
 )
 from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
@@ -37,12 +37,15 @@ def corpus_docs() -> dict:
     docs = {}
     for name, table in tables.items():
         docs[f"{name}_discrete.json"] = monoidal_to_doc(
-            discrete_group_monoidal(table))
+            two_group_monoidal(table))
         docs[f"{name}.json"] = group_to_doc(table)
     docs["poset.json"] = monoidal_to_doc(chain_poset_monoidal(2))
     docs["walking_arrow.json"] = category_to_doc(walking_arrow())
     docs["broken_pentagon.json"] = monoidal_to_doc(
-        one_object_z2_monoidal(broken_pentagon=True))
+        two_group_monoidal(Z1, 2, [[[1]]]))
+    # the 2-group of the semion cocycle, with automorphisms Z2 at each object
+    docs["semion_two_group.json"] = monoidal_to_doc(
+        two_group_monoidal(Z2, 2, z2_nontrivial_cocycle().exponents))
     docs["z2_trivial.json"] = cocycle_to_doc(trivial_cocycle(Group(Z2), 2))
     docs["z2_nontrivial.json"] = cocycle_to_doc(z2_nontrivial_cocycle())
     broken = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]

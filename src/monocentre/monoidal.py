@@ -12,6 +12,10 @@ centre's half-braidings, and the laws that compose with those cells run
 only when the scan finds nothing.  A strict monoidal functor is checked
 the same way: the unit and the tensor of objects first, then each cell
 preserved on the nose.
+
+Of the fixtures, every group-like input (a group's discrete category, one
+object with automorphisms Z_2, a 2-group with a non-identity associator) is
+built by two_group_monoidal, and the chain poset by chain_poset_monoidal.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 from itertools import chain, product
 
 from .config import _report
-from .fincat import FinCategory, Functor, discrete_category
+from .fincat import FinCategory, Functor
 from .record import Record
 
 
@@ -321,19 +325,27 @@ def _group_failures(table):
                 yield f"element {a} has no inverse"
 
 
-def discrete_group_monoidal(table) -> MonoidalStructure:
-    """Strict monoidal structure on the discrete category of a finite group."""
+def two_group_monoidal(table, n: int = 1, alpha=None) -> MonoidalStructure:
+    """The 2-group on a finite group's elements, each with automorphisms
+    Z_n: morphism (g, k) is numbered g * n + k, and morphisms compose and
+    tensor by adding their k mod n.  The associator at (a, b, c) is
+    (abc, alpha[a][b][c] mod n), identities when alpha is None, and the
+    unitors are identities.  Exactly when alpha is a normalized 3-cocycle
+    valued in Z_n do the pentagon and the triangle hold (Baez-Lauda)."""
     problems = group_table_report(table)
     if problems:
         raise ValueError("not a group table: " + "; ".join(problems))
-    n = len(table)
-    cat = discrete_category(n)
-    unit = identity_of(table)
-    tensor_mor = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-    alpha = {(a, b, c): table[table[a][b]][c]
-             for a in range(n) for b in range(n) for c in range(n)}
-    ids = tuple(range(n))
-    return MonoidalStructure(cat, table, tensor_mor, unit, alpha, ids, ids)
+    G, K = range(len(table)), range(n)
+    ends = [g for g in G for _ in K]
+    cat = FinCategory(len(table), ends, ends, [g * n for g in G],
+                      {(g * n + k, g * n + l): g * n + (k + l) % n
+                       for g in G for k in K for l in K})
+    tmor = {(a * n + k, b * n + l): table[a][b] * n + (k + l) % n
+            for a in G for k in K for b in G for l in K}
+    cells = {(a, b, c): table[table[a][b]][c] * n + (0 if alpha is None else alpha[a][b][c] % n)
+             for a, b, c in product(G, repeat=3)}
+    return MonoidalStructure(cat, table, tmor, identity_of(table), cells,
+                             cat.identity, cat.identity)
 
 
 def chain_poset_monoidal(n: int = 2) -> MonoidalStructure:
@@ -361,19 +373,9 @@ def chain_poset_monoidal(n: int = 2) -> MonoidalStructure:
     return MonoidalStructure(cat, tobj, tmor, n - 1, alpha, lam, rho)
 
 
-def one_object_z2_monoidal(broken_pentagon: bool = False) -> MonoidalStructure:
-    """One object, endomorphisms {id, s} with s . s = id, tensor of
-    morphisms = their product.  With broken_pentagon the associator is s,
-    which is natural and invertible but fails the pentagon (s != id)."""
-    cat = FinCategory(1, (0, 0), (0, 0), (0,),
-                      {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
-    tmor = {(f, g): (f + g) % 2 for f in range(2) for g in range(2)}
-    a = 1 if broken_pentagon else 0
-    return MonoidalStructure(cat, ((0,),), tmor, 0, {(0, 0, 0): a}, (0,), (0,))
-
-
 # shared group tables for fixtures and tests
 
+Z1 = ((0,),)
 Z2 = ((0, 1), (1, 0))
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 Z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))

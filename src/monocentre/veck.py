@@ -57,7 +57,7 @@ from itertools import chain, filterfalse
 from math import lcm
 from operator import mul
 
-from .centre import Certificate, compute_centre
+from .centre import Certificate
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .cyclo import (
     CycNumber, cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale,
@@ -65,7 +65,7 @@ from .cyclo import (
     solve_linear, transpose, zeta,
 )
 from .fincat import _schedule, _search
-from .monoidal import discrete_group_monoidal, group_table_report, identity_of
+from .monoidal import group_table_report, identity_of
 from .record import Record
 
 
@@ -132,7 +132,7 @@ class Group(Record):
 
 def group_centre(table) -> tuple:
     """The centre by a direct scan of the table, apart from Group: the
-    third route of verify_linear_against_bruteforce."""
+    oracle for which grades carry a centre object at the trivial cocycle."""
     n = len(table)
     return tuple(g for g in range(n)
                  if all(table[g][x] == table[x][g] for x in range(n)))
@@ -1115,45 +1115,3 @@ def certify_centre_structure(result: VecCentreResult) -> tuple:
 
     return (pent_cert, tri_cert, hex1_cert, hex2_cert, braid_inv_cert,
             nat_cert, mono_cert, faith_cert)
-
-
-# -- cross-backend harness ---------------------------------------------------
-
-
-class CrossBackendReport(Record):
-    """Per-element agreement between three centre-membership routes."""
-
-    __slots__ = ("rows",)
-
-    @property
-    def agree(self):
-        return all(lin == set_lvl == grp for _, lin, set_lvl, grp in self.rows)
-
-    @property
-    def verdict(self):
-        return "agree" if self.agree else "disagree"
-
-
-def verify_linear_against_bruteforce(table,
-                                     cfg: GuardConfig = DEFAULT
-                                     ) -> CrossBackendReport:
-    """Compare linear half-braiding existence on single-element supports
-    against the set-level centre and the group-theoretic centre.
-
-    Runs with the trivial associator: a one-dimensional carrier at g
-    admits a half-braiding exactly when g is central, which is also when
-    the discrete backend lists an object over g.
-    """
-    group = Group(table)
-    if group.problems:
-        raise ValueError("not a group table: " + group.problems[0])
-    table, n = group.table, len(group.table)
-    omega = trivial_cocycle(group)
-    zc = compute_centre(discrete_group_monoidal(table), cfg)
-    set_members = {o.a for o in zc.objects}
-    grp = set(group_centre(table))
-    rows = []
-    for g in range(n):
-        linear = bool(half_braiding_space(delta_object(n, g), omega, cfg))
-        rows.append((g, linear, g in set_members, g in grp))
-    return CrossBackendReport(tuple(rows))

@@ -2,15 +2,22 @@
 
 They build the data the unit tests check (identity and relabelled
 structures, group categories, symmetric braidings, coboundaries, the
-census of small monoids as monoidal categories, and a 2-group with a
-non-identity associator), not a certified claim, so they live with the
-tests rather than in the package.
+census of small monoids as monoidal categories, the 2-group of a
+3-cocycle, and the three readings of the one-dimensional centre objects
+that the set-level <-> linear bridge compares), not a certified claim, so
+they live with the tests rather than in the package.
 """
 
+from math import lcm
+
+from monocentre.centre import compute_centre
+from monocentre.cyclo import zeta
 from monocentre.fincat import FinCategory, Functor
-from monocentre.monoidal import BraidingDatum, MonoidalStructure
+from monocentre.monoidal import BraidingDatum, MonoidalStructure, two_group_monoidal
 from monocentre.record import Record
-from monocentre.veck import Cocycle3, Group
+from monocentre.veck import (
+    Cocycle3, Group, centre_simples, delta_object, half_braiding_space,
+)
 
 
 def identity_functor(cat: FinCategory) -> Functor:
@@ -157,23 +164,41 @@ def one_object_monoidal(table) -> MonoidalStructure:
                              0, {(0, 0, 0): 0}, (0,), (0,))
 
 
-def semion_two_group(n: int) -> MonoidalStructure:
-    """The 2-group with objects Z2 and automorphisms Z_n of each (n even),
-    morphism (g, k) numbered g * n + k, composed and tensored by addition,
-    with identity unitors and the semion cocycle lifted to Z_n as
-    associator: n / 2 at (1, 1, 1), 0 elsewhere."""
-    if n % 2:
-        raise ValueError("the semion cocycle needs an even n")
-    mors = [(g, k) for g in range(2) for k in range(n)]
+def type_i_cocycle(n: int) -> Cocycle3:
+    """The type-I 3-cocycle on Z_n, omega(a, b, c) = a floor((b + c) / n),
+    of scalar order n."""
+    N = range(n)
+    return Cocycle3(Group(tuple(tuple((a + b) % n for b in N) for a in N)), n,
+                    [[[a * ((b + c) // n) for c in N] for b in N] for a in N])
 
-    def mor(g, k):
-        return g * n + k % n
 
-    ends = [g for g, _ in mors]
-    cat = FinCategory(2, ends, ends, (mor(0, 0), mor(1, 0)),
-                      {(mor(g, k), mor(g, l)): mor(g, k + l) for g, k in mors for l in range(n)})
-    tmor = {(mor(g, k), mor(h, l)): mor((g + h) % 2, k + l) for g, k in mors for h, l in mors}
-    alpha = {(a, b, c): mor((a + b + c) % 2, n // 2 if a == b == c == 1 else 0)
-             for a in range(2) for b in range(2) for c in range(2)}
-    ids = cat.identity
-    return MonoidalStructure(cat, ((0, 1), (1, 0)), tmor, 0, alpha, ids, ids)
+def cocycle_two_group(omega: Cocycle3, n: int) -> MonoidalStructure:
+    """The 2-group of omega with automorphisms Z_n: its associator is
+    (n / s) omega, where omega's scalar order s must divide n."""
+    s = omega.scalar_order
+    if n % s:
+        raise ValueError("the cocycle's scalar order must divide n")
+    return two_group_monoidal(omega.group.table, n, [[[n // s * v for v in row] for row in plane]
+                                                     for plane in omega.exponents])
+
+
+def one_dimensional_centres(omega: Cocycle3, n: int) -> tuple:
+    """The one-dimensional centre objects of Vec_G^omega three ways, each
+    as the set of (grade g, (scalar of the half-braiding at x) over x), in
+    Q(zeta_m) with m = lcm(n, omega's field order): the set-level centre
+    of cocycle_two_group(omega, n), with morphism k of an automorphism
+    group read as zeta_n^k; the one-dimensional simples of centre_simples;
+    and half_braiding_space on every delta_g.
+    """
+    G, m = range(len(omega.group.table)), lcm(n, omega.field_order)
+    set_level = {(o.a, tuple(zeta(m, k % n * (m // n)) for k in o.gamma))
+                 for o in compute_centre(cocycle_two_group(omega, n)).objects}
+
+    def read(hb):
+        g, = hb.carrier.support
+        return g, tuple(hb.block(x, g)[0][0].promote(m) for x in G)
+
+    simples = {read(simple.hb) for simple in centre_simples(omega).simples
+               if simple.total_dim == 1}
+    search = {read(hb) for g in G for hb in half_braiding_space(delta_object(len(G), g), omega)}
+    return set_level, simples, search

@@ -36,12 +36,12 @@ from monocentre.fincat import (
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
 from monocentre.monoidal import (
     S3,
+    Z1,
     Z2,
     Z3,
     Z4,
     chain_poset_monoidal,
-    discrete_group_monoidal,
-    one_object_z2_monoidal,
+    two_group_monoidal,
     validate_monoidal,
 )
 from monocentre.veck import (
@@ -56,10 +56,11 @@ from monocentre.veck import (
     group_centre,
     half_braiding_space,
     trivial_cocycle,
-    verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import zeta
+
+from helpers import one_dimensional_centres
 
 
 def _budget(start, limit, label):
@@ -71,7 +72,7 @@ def _budget(start, limit, label):
 def test_criterion_01_braided_centre_suite():
     start = time.perf_counter()
     for table in (Z2, Z3, Z4, S3):
-        Z = compute_centre(discrete_group_monoidal(table))
+        Z = compute_centre(two_group_monoidal(table))
         assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
     Z = compute_centre(chain_poset_monoidal(2))
     assert Z.all_passed
@@ -95,7 +96,7 @@ def test_criterion_01_braided_centre_suite():
 def test_criterion_02_birepresentation():
     start = time.perf_counter()
     for U in (terminal_category(), discrete_category(2), walking_arrow()):
-        for ms in (discrete_group_monoidal(Z2), chain_poset_monoidal(2)):
+        for ms in (two_group_monoidal(Z2), chain_poset_monoidal(2)):
             assert check_birepresentation(U, ms).verdict == "equivalence"
     _budget(start, 30.0, "criterion 2 (universal property)")
 
@@ -103,7 +104,7 @@ def test_criterion_02_birepresentation():
 def test_criterion_03_descent_equivalence():
     start = time.perf_counter()
     from monocentre.bilimits import descent_object
-    for ms in (discrete_group_monoidal(Z2), discrete_group_monoidal(S3),
+    for ms in (two_group_monoidal(Z2), two_group_monoidal(S3),
                chain_poset_monoidal(2)):
         rep = verify_prop_3_1(ms)
         assert rep.verdict == "equivalence", rep.obstructions
@@ -118,7 +119,7 @@ def test_criterion_03_descent_equivalence():
 def test_criterion_04_group_centre_oracle():
     start = time.perf_counter()
     for table, want in ((Z2, 2), (Z3, 3), (Z4, 4), (S3, 1)):
-        Z = compute_centre(discrete_group_monoidal(table))
+        Z = compute_centre(two_group_monoidal(table))
         assert Z.category.n_objects == want
         assert {o.a for o in Z.objects} == set(group_centre(table))
     _budget(start, 1.0, "criterion 4 (group-centre oracle)")
@@ -127,7 +128,7 @@ def test_criterion_04_group_centre_oracle():
 def test_criterion_05_power_transport():
     start = time.perf_counter()
     rep = transport_along_power(discrete_category(2),
-                                compute_centre(discrete_group_monoidal(Z2)).piece)
+                                compute_centre(two_group_monoidal(Z2)).piece)
     assert rep.transported_report == ()
     assert rep.strong_monoidal_report == ()
     assert rep.equivalence.is_equivalence, rep.equivalence.summary()
@@ -138,8 +139,8 @@ def test_criterion_05_power_transport():
 def test_criterion_06_coproduct_preservation():
     start = time.perf_counter()
     triples = (
-        (terminal_category(), terminal_category(), discrete_group_monoidal(Z2)),
-        (terminal_category(), empty_category(), discrete_group_monoidal(Z2)),
+        (terminal_category(), terminal_category(), two_group_monoidal(Z2)),
+        (terminal_category(), empty_category(), two_group_monoidal(Z2)),
         (discrete_category(2), discrete_category(2), chain_poset_monoidal(2)),
     )
     for U, V, ms in triples:
@@ -149,7 +150,7 @@ def test_criterion_06_coproduct_preservation():
 
 def test_criterion_07_day_convolution():
     start = time.perf_counter()
-    for ms in (discrete_group_monoidal(Z2), chain_poset_monoidal(2)):
+    for ms in (two_group_monoidal(Z2), chain_poset_monoidal(2)):
         cat = ms.base
         for b in cat.objects:
             for c in cat.objects:
@@ -159,7 +160,7 @@ def test_criterion_07_day_convolution():
                 comp = yoneda_components(day, b, c)
                 assert check_set_transf(day.functor, target, comp) == []
                 assert is_bijection_family(day.functor, target, comp)
-    ms = discrete_group_monoidal(Z3)
+    ms = two_group_monoidal(Z3)
     rng = random.Random(20260816)
     for _ in range(10):
         fs = [rng.randrange(4) for _ in range(3)]
@@ -203,12 +204,12 @@ def test_criterion_08_linear_backend():
 
 def test_criterion_09_negative_controls():
     start = time.perf_counter()
-    report = validate_monoidal(one_object_z2_monoidal(broken_pentagon=True))
+    report = validate_monoidal(two_group_monoidal(Z1, 2, [[[1]]]))
     assert report and report[0] == "pentagon fails at objects (0, 0, 0, 0)"
     _budget(start, 1.0, "criterion 9a (corrupted pentagon)")
 
     start = time.perf_counter()
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     o = compute_centre(ms).objects[0]
     u = Functor(terminal_category(), ms.base, (o.a,), (ms.base.id_of(o.a),))
     gamma = {(0, x): o.gamma[x] for x in ms.base.objects}
@@ -234,6 +235,8 @@ def test_criterion_09_negative_controls():
 
 def test_criterion_10_cross_backend():
     start = time.perf_counter()
-    for table in (Z2, Z3, S3):
-        assert verify_linear_against_bruteforce(table).verdict == "agree"
-    _budget(start, 30.0, "criterion 10 (linear vs brute force)")
+    for table, n in ((Z2, 2), (Z3, 3), (S3, 2)):
+        set_level, simples, search = one_dimensional_centres(trivial_cocycle(Group(table)), n)
+        assert set_level == simples == search
+        assert {g for g, _ in set_level} == set(group_centre(table))
+    _budget(start, 30.0, "criterion 10 (set-level 2-group centre vs linear simples)")

@@ -6,7 +6,7 @@ from monocentre.fincat import (
     FinCategory, Functor, NatTransf, terminal_category,
     discrete_category, walking_arrow, validate_functor, validate_category,
 )
-from monocentre.monoidal import one_object_z2_monoidal
+from monocentre.monoidal import Z1, two_group_monoidal
 from monocentre.bilimits import (
     iso_inserter, equifier,
     TruncatedCosimplicial, validate_cosimplicial, descent_object,
@@ -16,7 +16,7 @@ from helpers import identity_functor
 
 
 def one_object_z2():
-    return one_object_z2_monoidal().base
+    return two_group_monoidal(Z1, 2).base
 
 
 def constant_diagram(A: FinCategory) -> TruncatedCosimplicial:

@@ -19,8 +19,9 @@ builders of derived categories (product_category, coproduct_category,
 category_over and full_functor_subcategory), so that every other module
 builds its categories through them; outside monoidal.py and jsonio.py,
 only it and the two basic shapes discrete_category and walking_arrow
-build a FinCategory.  Likewise, outside monoidal.py and jsonio.py, only
-centre._lifted_monoidal builds a MonoidalStructure, and only
+build a FinCategory.  Likewise, outside jsonio.py, only
+centre._lifted_monoidal and monoidal's two builders, two_group_monoidal
+and chain_poset_monoidal, build a MonoidalStructure, and only
 fincat._search, full_functor_subcategory and day_convolve spend a search
 budget.
 """
@@ -189,16 +190,17 @@ def test_only_the_table_builder_and_the_basic_shapes_build_a_category():
 
 
 def test_only_the_lift_builds_a_derived_monoidal_structure():
-    # monoidal.py builds the fixtures and jsonio.py the loaded structures;
-    # every structure derived from another (the centre's, the pointwise
-    # one) is lifted cell by cell by centre._lifted_monoidal
+    # jsonio.py builds the loaded structures; every structure derived from
+    # another (the centre's, the pointwise one) is lifted cell by cell by
+    # centre._lifted_monoidal, and every group-like fixture is a 2-group
     building = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
                 for path in sorted(PACKAGE.glob("*.py"))
-                if path.name not in ("monoidal.py", "jsonio.py")
+                if path.name != "jsonio.py"
                 for stmt in ast.parse(path.read_text(encoding="utf-8")).body
                 if any(isinstance(node, ast.Call) and _callee(node) == "MonoidalStructure"
                        for node in ast.walk(stmt))]
-    assert building == [("centre.py", "_lifted_monoidal")], building
+    assert building == [("centre.py", "_lifted_monoidal"), ("monoidal.py", "two_group_monoidal"),
+                        ("monoidal.py", "chain_poset_monoidal")], building
 
 
 def test_only_the_search_and_two_counted_builders_spend_a_budget():

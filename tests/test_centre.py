@@ -10,8 +10,7 @@ from monocentre.fincat import (
     discrete_category, walking_arrow, check_equivalence, enumerate_nat_transfs,
 )
 from monocentre.monoidal import (
-    Z2, Z3, Z4, S3, discrete_group_monoidal, chain_poset_monoidal,
-    one_object_z2_monoidal,
+    Z1, Z2, Z3, Z4, S3, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.centre import (
     CentrePiece, check_centre_piece,
@@ -19,8 +18,9 @@ from monocentre.centre import (
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
     transport_along_power, check_cp_preserves_coproducts, _central_failures,
 )
+from monocentre.veck import z2_nontrivial_cocycle
 
-from helpers import relabel_monoidal, semion_two_group
+from helpers import cocycle_two_group, relabel_monoidal
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -37,14 +37,14 @@ def canonical_piece(Z, ms, idx=0):
 
 @pytest.mark.parametrize("table,size", [(Z2, 2), (Z3, 3), (Z4, 4), (S3, 1)])
 def test_group_centre_sizes(table, size):
-    Z = compute_centre(discrete_group_monoidal(table))
+    Z = compute_centre(two_group_monoidal(table))
     assert Z.category.n_objects == size
     assert Z.category.n_morphisms == size       # discrete base, discrete centre
     assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
 
 
 def test_half_braiding_exists_iff_central_s3():
-    ms = discrete_group_monoidal(S3)
+    ms = two_group_monoidal(S3)
     counts = [len(enumerate_half_braidings(ms, a)) for a in range(6)]
     assert counts == [1, 0, 0, 0, 0, 0]
 
@@ -62,15 +62,15 @@ def test_poset_centre_is_whole_category():
 def test_one_object_z2_centre():
     # multiplicativity forces the component to the identity, but both
     # endomorphisms of the carrier are central morphisms
-    Z = compute_centre(one_object_z2_monoidal())
+    Z = compute_centre(two_group_monoidal(Z1, 2))
     assert Z.category.n_objects == 1
     assert Z.category.n_morphisms == 2
     assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
 
 
 def test_unit_law_is_derived_not_imposed():
-    for ms in (discrete_group_monoidal(Z4), chain_poset_monoidal(3),
-               one_object_z2_monoidal()):
+    for ms in (two_group_monoidal(Z4), chain_poset_monoidal(3),
+               two_group_monoidal(Z1, 2)):
         Z = compute_centre(ms)
         assert Z.unit_violations == ()
 
@@ -89,19 +89,19 @@ def test_empty_base_is_refused():
 
 def test_guards_trip():
     with pytest.raises(SizeGuardExceeded):
-        compute_centre(discrete_group_monoidal(Z4), GuardConfig(max_objects=2))
+        compute_centre(two_group_monoidal(Z4), GuardConfig(max_objects=2))
 
 
 def test_half_braiding_budget_guard():
     with pytest.raises(SizeGuardExceeded, match=r"half-braiding enumeration needs more than "
                                                 r"4 steps, limit 4 \(raise max_branch\)"):
-        enumerate_half_braidings(discrete_group_monoidal(S3), 0, GuardConfig(max_branch=4))
+        enumerate_half_braidings(two_group_monoidal(S3), 0, GuardConfig(max_branch=4))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(range(4)))
 def test_centre_size_invariant_under_relabelling(perm):
-    ms = discrete_group_monoidal(Z4)
+    ms = two_group_monoidal(Z4)
     rl = relabel_monoidal(ms, tuple(perm), tuple(perm))
     Z = compute_centre(rl.monoidal)
     assert Z.category.n_objects == 4
@@ -126,13 +126,13 @@ def test_invalid_structure_is_refused_as_input():
 # -- piece validation and the corrupted-component control -----------------
 
 def test_canonical_piece_passes():
-    ms = discrete_group_monoidal(Z3)
+    ms = two_group_monoidal(Z3)
     Z = compute_centre(ms)
     assert check_centre_piece(canonical_piece(Z, ms, 1)) == []
 
 
 def test_corrupted_component_rejected_with_witness():
-    ms = one_object_z2_monoidal()
+    ms = two_group_monoidal(Z1, 2)
     pt = terminal_category()
     u = Functor(pt, ms.base, (0,), (ms.base.id_of(0),))
     bad = CentrePiece(u, ms, {(0, 0): 1})   # the flip endomorphism
@@ -142,7 +142,7 @@ def test_corrupted_component_rejected_with_witness():
 
 
 def test_missing_component_reported():
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     pt = terminal_category()
     u = Functor(pt, ms.base, (0,), (ms.base.id_of(0),))
     report = check_centre_piece(CentrePiece(u, ms, {(0, 0): 0}))
@@ -162,7 +162,7 @@ def test_piece_morphism_condition():
 # -- the centre piece category and its universal property -----------------
 
 def test_cp_counts_frozen():
-    z2 = discrete_group_monoidal(Z2)
+    z2 = two_group_monoidal(Z2)
     assert enumerate_centre_pieces(terminal_category(), z2).category.n_objects == 2
     assert enumerate_centre_pieces(empty_category(), z2).category.n_objects == 1
     cp = enumerate_centre_pieces(discrete_category(2), z2)
@@ -179,7 +179,7 @@ def test_centre_pieces_obey_the_guards():
     # budget, so 30 steps run out only in the piece search's budget.  The
     # 16 morphisms are first refused as those of the full functor
     # subcategory on the pieces' functors, which CP lies over.
-    U, ms = discrete_category(2), discrete_group_monoidal(Z4)
+    U, ms = discrete_category(2), two_group_monoidal(Z4)
     for cfg, message in (
             (GuardConfig(max_objects=4), "centre piece objects needs 16, limit 4 "
                                          "(raise max_objects)"),
@@ -215,7 +215,7 @@ def _all_pairs_piece_morphisms(cp, ms):
     # most of the 4,096 ordered pairs of pieces have no transformation
     (discrete_category(3), chain_poset_monoidal(4), (64, 1000)),
     # half of the 512 transformations between these pieces are not central
-    (walking_arrow(), semion_two_group(4), (16, 256)),
+    (walking_arrow(), cocycle_two_group(z2_nontrivial_cocycle(), 4), (16, 256)),
 ], ids=["arrow_chain3", "discrete3_chain4", "arrow_semion4"])
 def test_cp_equals_the_all_pairs_construction(U, ms, sizes):
     cp = enumerate_centre_pieces(U, ms)
@@ -235,7 +235,7 @@ def test_cp_equals_the_all_pairs_construction(U, ms, sizes):
 
 
 @pytest.mark.parametrize("U", [terminal_category(), discrete_category(2), walking_arrow()])
-@pytest.mark.parametrize("ms", [discrete_group_monoidal(Z2), chain_poset_monoidal(2)])
+@pytest.mark.parametrize("ms", [two_group_monoidal(Z2), chain_poset_monoidal(2)])
 def test_birepresentation_is_equivalence(U, ms):
     rep = check_birepresentation(U, ms)
     assert rep.verdict == "equivalence", rep.equivalence.summary()
@@ -247,7 +247,7 @@ def test_birepresentation_is_equivalence(U, ms):
 def test_pointwise_monoidal_is_monoidal():
     from monocentre.fincat import functor_category
     from monocentre.monoidal import validate_monoidal
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     fc = functor_category(discrete_category(2), ms.base)
     msq = pointwise_monoidal(fc, ms)
     assert validate_monoidal(msq) == []
@@ -256,7 +256,7 @@ def test_pointwise_monoidal_is_monoidal():
 
 def test_transport_discrete_two_over_z2():
     report = transport_along_power(discrete_category(2),
-                                   compute_centre(discrete_group_monoidal(Z2)).piece)
+                                   compute_centre(two_group_monoidal(Z2)).piece)
     assert report.transported_report == ()
     assert report.strong_monoidal_report == ()
     assert report.equivalence.is_equivalence, report.equivalence.summary()
@@ -265,14 +265,14 @@ def test_transport_discrete_two_over_z2():
 
 def test_transport_terminal_is_identity_shaped():
     report = transport_along_power(terminal_category(),
-                                   compute_centre(discrete_group_monoidal(Z3)).piece)
+                                   compute_centre(two_group_monoidal(Z3)).piece)
     assert report.ok
     assert report.comparison.src.n_objects == report.comparison.dst.n_objects == 3
 
 
 def test_transport_refuses_an_invalid_piece():
     # criterion 9b's piece: gamma at x = 1 moved to the wrong endpoints
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     piece = canonical_piece(compute_centre(ms), ms)
     piece.gamma[(0, 1)] = ms.base.id_of(1 - ms.base.dst(piece.gamma[(0, 1)]))
     with pytest.raises(ValueError) as err:
@@ -287,7 +287,7 @@ def test_transport_can_miss_objects_of_the_centre_of_the_power():
     # twist each factor by a character Z2 -> Aut = Z2 of the other
     # factor's component: 2 x 2 choices over each of those 4 objects, 16 in
     # all, and the comparison is fully faithful but reaches only 4 of them
-    ms = semion_two_group(2)
+    ms = cocycle_two_group(z2_nontrivial_cocycle(), 2)
     report = transport_along_power(discrete_category(2), compute_centre(ms).piece)
     assert report.transported_report == ()
     assert report.strong_monoidal_report == ()
@@ -299,8 +299,8 @@ def test_transport_can_miss_objects_of_the_centre_of_the_power():
 # -- coproduct preservation -------------------------------------------------
 
 @pytest.mark.parametrize("U,V,ms", [
-    (terminal_category(), terminal_category(), discrete_group_monoidal(Z2)),
-    (terminal_category(), empty_category(), discrete_group_monoidal(Z2)),
+    (terminal_category(), terminal_category(), two_group_monoidal(Z2)),
+    (terminal_category(), empty_category(), two_group_monoidal(Z2)),
     (discrete_category(2), discrete_category(2), chain_poset_monoidal(2)),
 ])
 def test_cp_sends_coproducts_to_products(U, V, ms):

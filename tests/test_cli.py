@@ -103,13 +103,13 @@ def test_oversized_product_is_refused_after_one_validation(capsys, tmp_path):
 
     from monocentre.hochschild import verify_prop_3_1
     from monocentre.jsonio import load_spec, monoidal_to_doc, write_spec
-    from monocentre.monoidal import discrete_group_monoidal
+    from monocentre.monoidal import two_group_monoidal
 
     perms = sorted(permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
     s4 = [[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms]
     path = str(tmp_path / "s4_discrete.json")
-    write_spec(path, monoidal_to_doc(discrete_group_monoidal(s4)))
+    write_spec(path, monoidal_to_doc(two_group_monoidal(s4)))
     code, out, err = run(capsys, "equiv", path)
     assert code == 3 and out == ""
     assert "product category objects needs 576, limit 64" in err

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.monoidal import (
-    Z2, Z3, discrete_group_monoidal, chain_poset_monoidal,
+    Z2, Z3, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.convolution import (
     SetFunctor, validate_set_functor, check_set_transf, is_bijection_family,
@@ -37,7 +37,7 @@ def test_set_functor_validation():
 
 
 def test_yoneda_functors_are_functors():
-    for ms in (discrete_group_monoidal(Z3), POSET):
+    for ms in (two_group_monoidal(Z3), POSET):
         for b in ms.base.objects:
             assert validate_set_functor(yoneda_functor(ms.base, b)) == []
 
@@ -46,7 +46,7 @@ def test_yoneda_functors_are_functors():
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3),
        st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3))
 def test_cardinality_law_on_discrete_base(fs, gs):
-    ms = discrete_group_monoidal(Z3)
+    ms = two_group_monoidal(Z3)
     day = day_convolve(ms, discrete_functor(ms.base, fs),
                        discrete_functor(ms.base, gs))
     assert cardinality_check(day) == []
@@ -59,7 +59,7 @@ def test_cardinality_check_refuses_nondiscrete():
     assert cardinality_check(day) == ["cardinality law only applies over a discrete base"]
 
 
-@pytest.mark.parametrize("ms", [discrete_group_monoidal(Z2), POSET])
+@pytest.mark.parametrize("ms", [two_group_monoidal(Z2), POSET])
 def test_yoneda_law(ms):
     cat = ms.base
     for b in cat.objects:
@@ -73,7 +73,7 @@ def test_yoneda_law(ms):
 
 
 @pytest.mark.parametrize("ms,F", [
-    (discrete_group_monoidal(Z3), None),
+    (two_group_monoidal(Z3), None),
     (POSET, None),
 ])
 def test_unit_laws(ms, F):
@@ -92,7 +92,7 @@ def test_unit_laws(ms, F):
 
 
 def test_empty_factor_gives_empty_convolution():
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     empty = discrete_functor(ms.base, (0, 0))
     other = discrete_functor(ms.base, (3, 1))
     day = day_convolve(ms, empty, other)
@@ -100,7 +100,7 @@ def test_empty_factor_gives_empty_convolution():
 
 
 def test_generator_guard():
-    ms = discrete_group_monoidal(Z3)
+    ms = two_group_monoidal(Z3)
     big = discrete_functor(ms.base, (3, 3, 3))
     with pytest.raises(SizeGuardExceeded, match=r"convolution generators needs more than "
                                                 r"10 steps, limit 10 \(raise max_branch\)"):

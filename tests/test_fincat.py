@@ -16,7 +16,7 @@ from monocentre.fincat import (
     check_equivalence,
 )
 
-from monocentre.monoidal import S3, chain_poset_monoidal, discrete_group_monoidal
+from monocentre.monoidal import S3, chain_poset_monoidal, two_group_monoidal
 
 from helpers import group_category, identity_functor
 
@@ -167,7 +167,7 @@ def _walking_arrow_extremes(max_branch):
     (39, lambda n: enumerate_functors(discrete_category(3), discrete_category(3),
                                       GuardConfig(max_branch=n))),
     (2, _walking_arrow_extremes),
-    (6, lambda n: enumerate_half_braidings(discrete_group_monoidal(S3), 0,
+    (6, lambda n: enumerate_half_braidings(two_group_monoidal(S3), 0,
                                            GuardConfig(max_branch=n))),
 ] + [
     (3, lambda n, a=a: enumerate_half_braidings(chain_poset_monoidal(3), a,

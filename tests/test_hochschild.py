@@ -5,13 +5,13 @@ import pytest
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.fincat import Functor, NatTransf, functor_category, product_category
 from monocentre.monoidal import (
-    Z2, Z3, S3, D4, Z2_CUBED, discrete_group_monoidal, chain_poset_monoidal,
-    one_object_z2_monoidal,
+    Z1, Z2, Z3, S3, D4, Z2_CUBED, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
 from monocentre.bilimits import TruncatedCosimplicial, descent_object
+from monocentre.veck import z2_nontrivial_cocycle
 
-from helpers import semion_two_group
+from helpers import cocycle_two_group
 
 
 def _permutation_group(n, even_only=False):
@@ -102,11 +102,11 @@ def _full_translation_diagram(ms):
 
 
 @pytest.mark.parametrize("ms", [
-    discrete_group_monoidal(Z2),
-    discrete_group_monoidal(Z3),
+    two_group_monoidal(Z2),
+    two_group_monoidal(Z3),
     chain_poset_monoidal(2),
     chain_poset_monoidal(3),
-    one_object_z2_monoidal(),
+    two_group_monoidal(Z1, 2),
 ], ids=["z2", "z3", "chain2", "chain3", "one_object_z2"])
 def test_fibred_descent_equals_descent_over_full_functor_categories(ms):
     T_full, fc1_full = _full_translation_diagram(ms)
@@ -123,12 +123,12 @@ def test_fibred_descent_equals_descent_over_full_functor_categories(ms):
 
 
 @pytest.mark.parametrize("ms,sizes", [
-    (discrete_group_monoidal(Z2), (2, 2, 2, 2)),
-    (discrete_group_monoidal(Z3), (3, 3, 3, 3)),
-    (discrete_group_monoidal(S3), (11, 11, 16, 16)),
+    (two_group_monoidal(Z2), (2, 2, 2, 2)),
+    (two_group_monoidal(Z3), (3, 3, 3, 3)),
+    (two_group_monoidal(S3), (11, 11, 16, 16)),
     (chain_poset_monoidal(2), (2, 3, 2, 3)),
     (chain_poset_monoidal(3), (3, 6, 3, 6)),
-    (one_object_z2_monoidal(), (1, 2, 1, 2)),
+    (two_group_monoidal(Z1, 2), (1, 2, 1, 2)),
 ], ids=["z2", "z3", "s3", "chain2", "chain3", "one_object_z2"])
 def test_fibred_level_sizes(ms, sizes):
     H = build_hochschild(ms)
@@ -141,7 +141,7 @@ def test_fibred_level_sizes(ms, sizes):
 
 
 def test_cofaces_are_the_two_translations():
-    H = build_hochschild(discrete_group_monoidal(S3))
+    H = build_hochschild(two_group_monoidal(S3))
     fc1 = H.level1
     for a in range(6):
         left = fc1.functors[H.diagram.d0.obj_map[a]]
@@ -151,14 +151,14 @@ def test_cofaces_are_the_two_translations():
 
 
 @pytest.mark.parametrize("ms,n_descent", [
-    (discrete_group_monoidal(Z2), 2),
-    (discrete_group_monoidal(Z3), 3),
+    (two_group_monoidal(Z2), 2),
+    (two_group_monoidal(Z3), 3),
     (chain_poset_monoidal(2), 2),
-    (one_object_z2_monoidal(), 1),
-    (discrete_group_monoidal(D4), 2),
-    (discrete_group_monoidal(Z2_CUBED), 8),
-    (discrete_group_monoidal(A4), 1),
-    (discrete_group_monoidal(S4), 1),
+    (two_group_monoidal(Z1, 2), 1),
+    (two_group_monoidal(D4), 2),
+    (two_group_monoidal(Z2_CUBED), 8),
+    (two_group_monoidal(A4), 1),
+    (two_group_monoidal(S4), 1),
 ])
 def test_descent_matches_centre(ms, n_descent):
     # the product A x A is the largest category built; only A4 and S4 need
@@ -182,7 +182,7 @@ def test_semion_two_group_has_non_identity_coherence_cells(n, sizes):
     # equivalence" on both.  The semion associator is symmetric in its
     # arguments and its own inverse, so this cannot tell alpha from
     # alpha_inv in a cell, nor catch permuted arguments.
-    rep = verify_prop_3_1(semion_two_group(n))
+    rep = verify_prop_3_1(cocycle_two_group(z2_nontrivial_cocycle(), n))
     assert rep.verdict == "equivalence"
     Z = rep.centre.category
     assert (Z.n_objects, Z.n_morphisms) == sizes
@@ -193,7 +193,7 @@ def test_semion_two_group_has_non_identity_coherence_cells(n, sizes):
 
 def test_invalid_monoidal_rejected():
     with pytest.raises(ValueError, match="pentagon"):
-        build_hochschild(one_object_z2_monoidal(broken_pentagon=True))
+        build_hochschild(two_group_monoidal(Z1, 2, [[[1]]]))
 
 
 def test_product_guard_is_the_users_max_objects():
@@ -205,7 +205,7 @@ def test_product_guard_is_the_users_max_objects():
 
 
 def test_level_guards_name_the_level():
-    ms = discrete_group_monoidal(S3)
+    ms = two_group_monoidal(S3)
     with pytest.raises(SizeGuardExceeded,
                        match="translation level one objects needs 11, limit 10"):
         build_hochschild(ms, GuardConfig(max_objects=10))

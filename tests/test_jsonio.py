@@ -22,7 +22,7 @@ from monocentre.jsonio import (
     monoidal_to_doc,
     write_spec,
 )
-from monocentre.monoidal import S3, Z2, chain_poset_monoidal, discrete_group_monoidal
+from monocentre.monoidal import S3, Z2, chain_poset_monoidal, two_group_monoidal
 from monocentre.veck import check_cocycle, z2_nontrivial_cocycle
 
 
@@ -36,7 +36,7 @@ def _load_doc(tmp_path, doc, name="payload.json"):
 
 
 @pytest.mark.parametrize("ms_factory",
-                         [lambda: discrete_group_monoidal(Z2),
+                         [lambda: two_group_monoidal(Z2),
                           lambda: chain_poset_monoidal(2)],
                          ids=["z2-discrete", "poset"])
 def test_monoidal_round_trip_passes_the_same_certificates(tmp_path, ms_factory):
@@ -69,7 +69,7 @@ def test_group_and_cocycle_round_trip(tmp_path):
 
 
 def test_missing_identity_entry_is_pointered(tmp_path):
-    doc = monoidal_to_doc(discrete_group_monoidal(Z2))
+    doc = monoidal_to_doc(two_group_monoidal(Z2))
     doc["identity"] = [0]
     with pytest.raises(MalformedInput) as exc:
         _load_doc(tmp_path, doc)
@@ -176,7 +176,7 @@ def test_write_spec_round_trips(tmp_path):
 
 
 def _z2_monoidal_doc():
-    return monoidal_to_doc(discrete_group_monoidal(Z2))
+    return monoidal_to_doc(two_group_monoidal(Z2))
 
 
 def _set(doc, path, value):

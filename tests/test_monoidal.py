@@ -1,23 +1,29 @@
 """Coherence checking on the fixture monoidal structures."""
 
+import pathlib
+
 import pytest
 
-from monocentre.fincat import FinCategory, Functor, validate_category
+from monocentre.fincat import Functor, discrete_category, validate_category
+from monocentre.jsonio import load_spec
 from monocentre.monoidal import (
     MonoidalStructure, validate_monoidal,
     BraidingDatum, check_braiding,
     check_strict_monoidal,
-    discrete_group_monoidal, chain_poset_monoidal, one_object_z2_monoidal,
+    two_group_monoidal, chain_poset_monoidal,
     group_table_report,
-    Z2, Z3, Z4, S3,
+    D4, Z1, Z2, Z3, Z4, S3,
 )
+from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
-from helpers import identity_braiding, identity_functor, relabel_monoidal
+from helpers import identity_braiding, identity_functor, relabel_monoidal, type_i_cocycle
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def all_fixtures():
-    return [discrete_group_monoidal(t) for t in (Z2, Z3, Z4, S3)] + [
-        chain_poset_monoidal(2), chain_poset_monoidal(3), one_object_z2_monoidal()]
+    return [two_group_monoidal(t) for t in (Z2, Z3, Z4, S3)] + [
+        chain_poset_monoidal(2), chain_poset_monoidal(3), two_group_monoidal(Z1, 2)]
 
 
 class TestGroupTables:
@@ -32,7 +38,7 @@ class TestGroupTables:
         bad = ((0, 1), (1, 1))
         assert group_table_report(bad)
         with pytest.raises(ValueError):
-            discrete_group_monoidal(bad)
+            two_group_monoidal(bad)
 
     def test_rock_paper_scissors_rejected(self):
         # idempotent, commutative, not associative
@@ -47,7 +53,7 @@ class TestCoherence:
             assert validate_monoidal(ms) == []
 
     def test_broken_pentagon_detected(self):
-        ms = one_object_z2_monoidal(broken_pentagon=True)
+        ms = two_group_monoidal(Z1, 2, [[[1]]])
         report = validate_monoidal(ms)
         assert any("pentagon" in line for line in report)
 
@@ -61,22 +67,37 @@ class TestCoherence:
         # quadruple reported is the least one where it does not.
         G = range(3)
         w = {(a, b, c): int((a, b, c) == spot) for a in G for b in G for c in G}
-        cat = FinCategory(3, [m // 2 for m in range(6)], [m // 2 for m in range(6)],
-                          (0, 2, 4), {(2 * g + k, 2 * g + l): 2 * g + (k + l) % 2
-                                      for g in G for k in (0, 1) for l in (0, 1)})
-        tmor = {(f, g): 2 * ((f // 2 + g // 2) % 3) + (f + g) % 2
-                for f in range(6) for g in range(6)}
-        alpha = {k: 2 * (sum(k) % 3) + v for k, v in w.items()}
-        tobj = [[(a + b) % 3 for b in G] for a in G]
-        ms = MonoidalStructure(cat, tobj, tmor, 0, alpha, (0, 2, 4), (0, 2, 4))
+        ms = two_group_monoidal(Z3, 2, [[[w[a, b, c] for c in G] for b in G] for a in G])
         first = next((a, b, c, d) for a in G for b in G for c in G for d in G
                      if (w[b, c, d] + w[a, (b + c) % 3, d] + w[a, b, c]
                          + w[(a + b) % 3, c, d] + w[a, b, (c + d) % 3]) % 2)
         assert validate_monoidal(ms) == [f"pentagon fails at objects {first}"]
 
+    @pytest.mark.parametrize("omega,first", [
+        (trivial_cocycle(Group(Z2)), None), (z2_nontrivial_cocycle(), None),
+        (trivial_cocycle(Group(Z3)), None), (trivial_cocycle(Group(S3)), None),
+        (trivial_cocycle(Group(D4)), None), (type_i_cocycle(3), None),
+        (load_spec(str(FIXTURES / "z2_broken_omega.json")).payload, (1, 1, 0, 0)),
+        (Cocycle3(Group(Z3), 3, [[[int(a == b == c == 1) for c in range(3)] for b in range(3)]
+                                 for a in range(3)]), (1, 1, 1, 1)),
+    ], ids=["z2", "z2_semion", "z3", "s3", "d4", "z3_type_i", "z2_broken_omega",
+            "z3_non_cocycle"])
+    def test_the_2_group_is_monoidal_exactly_on_a_cocycle(self, omega, first):
+        # the pentagon of the 2-group with automorphisms Z_s is the
+        # additive cocycle identity, and its triangle is normalization
+        ms = two_group_monoidal(omega.group.table, omega.scalar_order, omega.exponents)
+        assert (ms.problems == ()) == (omega.problems == ())
+        assert ms.problems[:1] == (() if first is None else (f"pentagon fails at objects {first}",))
+
+    @pytest.mark.parametrize("table", [Z2, Z3, S3, D4], ids=["z2", "z3", "s3", "d4"])
+    def test_one_automorphism_gives_the_discrete_group(self, table):
+        ms = two_group_monoidal(table)
+        assert ms.base == discrete_category(len(table))
+        assert all(ms.base.is_identity(m) for m in ms.alpha_table.values())
+
     def test_broken_pentagon_still_structurally_sound(self):
         # the corruption is purely coherence-level: naturality survives
-        ms = one_object_z2_monoidal(broken_pentagon=True)
+        ms = two_group_monoidal(Z1, 2, [[[1]]])
         from monocentre.monoidal import _structural_failures, _cell_naturality_failures
         assert list(_structural_failures(ms)) == []
         assert list(_cell_naturality_failures(ms)) == []
@@ -88,7 +109,7 @@ class TestCoherence:
             assert ms.tensor_obj(a, ms.unit) == a
 
     def test_missing_tensor_entry_reported(self):
-        ms = discrete_group_monoidal(Z2)
+        ms = two_group_monoidal(Z2)
         tmor = dict(ms.tensor_mor_table)
         del tmor[(1, 1)]
         broken = MonoidalStructure(ms.base, ms.tensor_obj_table, tmor, ms.unit,
@@ -99,7 +120,7 @@ class TestCoherence:
 class TestBraiding:
     def test_identity_braiding_on_abelian(self):
         for table in (Z2, Z3, Z4):
-            ms = discrete_group_monoidal(table)
+            ms = two_group_monoidal(table)
             assert check_braiding(identity_braiding(ms)) == []
 
     def test_identity_braiding_on_poset(self):
@@ -107,12 +128,12 @@ class TestBraiding:
         assert check_braiding(identity_braiding(ms)) == []
 
     def test_s3_tensor_not_symmetric(self):
-        ms = discrete_group_monoidal(S3)
+        ms = two_group_monoidal(S3)
         with pytest.raises(ValueError):
             identity_braiding(ms)
 
     def test_wrong_component_caught(self):
-        ms = one_object_z2_monoidal()
+        ms = two_group_monoidal(Z1, 2)
         # c = s at the single pair: naturality asks s.(f tensor g) = (g tensor f).s,
         # fine since abelian; hexagons ask s = s.s = id, so they fail
         br = BraidingDatum(ms, {(0, 0): 1})
@@ -129,26 +150,26 @@ class TestStrongMonoidal:
             assert check_strict_monoidal(F, ms, ms) == []
 
     def test_group_hom_as_strict_functor(self):
-        ms = discrete_group_monoidal(Z2)
+        ms = two_group_monoidal(Z2)
         F = Functor(ms.base, ms.base, (0, 1), (0, 1))
         assert check_strict_monoidal(F, ms, ms) == []
 
     def test_non_homomorphism_swap_fails(self):
-        ms = discrete_group_monoidal(Z4)
+        ms = two_group_monoidal(Z4)
         # swap g and g^2 (indices 1, 2), keep 0 and 3: not a homomorphism
         F = Functor(ms.base, ms.base, (0, 2, 1, 3), (0, 2, 1, 3))
         report = check_strict_monoidal(F, ms, ms)
         assert report != []
 
     def test_inversion_on_z4_is_monoidal(self):
-        ms = discrete_group_monoidal(Z4)
+        ms = two_group_monoidal(Z4)
         F = Functor(ms.base, ms.base, (0, 3, 2, 1), (0, 3, 2, 1))
         assert check_strict_monoidal(F, ms, ms) == []
 
 
 class TestRelabelling:
     def test_relabelled_copy_is_valid_and_iso(self):
-        ms = discrete_group_monoidal(Z3)
+        ms = two_group_monoidal(Z3)
         out = relabel_monoidal(ms, (2, 0, 1), (2, 0, 1))
         assert validate_monoidal(out.monoidal) == []
         assert check_strict_monoidal(out.iso, ms, out.monoidal) == []

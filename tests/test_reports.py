@@ -32,9 +32,9 @@ from monocentre.fincat import (
 )
 from monocentre.hochschild import build_hochschild
 from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, Z2, Z4, S3,
-    chain_poset_monoidal, check_braiding, check_strict_monoidal, discrete_group_monoidal,
-    group_table_report, one_object_z2_monoidal, validate_monoidal,
+    BraidingDatum, MonoidalStructure, Z1, Z2, Z4, S3,
+    chain_poset_monoidal, check_braiding, check_strict_monoidal, two_group_monoidal,
+    group_table_report, validate_monoidal,
 )
 from monocentre.veck import (
     Cocycle3, GradedObject, Group, HalfBraidingLin, centre_simples, check_cocycle,
@@ -101,7 +101,7 @@ def test_piece_not_natural_in_the_second_argument():
 
 
 def test_piece_not_natural_in_the_first_argument():
-    ms = one_object_z2_monoidal()
+    ms = two_group_monoidal(Z1, 2)
     # the arrow of the walking arrow goes to the flip, and the two ends
     # carry different half-braidings
     u = Functor(walking_arrow(), ms.base, (0, 0), (0, 0, 1))
@@ -130,7 +130,7 @@ def test_birepresentation_holds_where_pieces_have_non_central_transformations():
 
 
 def test_missing_braiding_cell_is_reported_alone():
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     br = BraidingDatum(ms, {(0, 0): 0, (0, 1): 1, (1, 0): 1})
     assert check_braiding(br) == ["braiding missing at (1, 1)"]
 
@@ -138,7 +138,7 @@ def test_missing_braiding_cell_is_reported_alone():
 def test_tensor_of_objects_is_reported_before_the_laws():
     # swapping 1 and 2 of Z4 breaks the tensor of morphisms and the
     # associator too, but those laws read the tensor of objects
-    ms = discrete_group_monoidal(Z4)
+    ms = two_group_monoidal(Z4)
     swap = Functor(ms.base, ms.base, (0, 2, 1, 3), (0, 2, 1, 3))
     assert check_strict_monoidal(swap, ms, ms) == [
         "tensor of objects not preserved at (1, 1)",
@@ -153,14 +153,14 @@ def test_tensor_of_objects_is_reported_before_the_laws():
 def test_strict_check_names_an_unpreserved_associator():
     # the identity keeps the object, the tensor and the unitors, and only
     # the associator changes (from the identity to s)
-    ms = one_object_z2_monoidal()
-    broken = one_object_z2_monoidal(broken_pentagon=True)
+    ms = two_group_monoidal(Z1, 2)
+    broken = two_group_monoidal(Z1, 2, [[[1]]])
     assert check_strict_monoidal(identity_functor(ms.base), ms, broken) == [
         "associator not preserved at (0, 0, 0)"]
 
 
 def test_missing_gamma_cell_is_reported_alone():
-    ms = discrete_group_monoidal(Z2)
+    ms = two_group_monoidal(Z2)
     u = Functor(terminal_category(), ms.base, (0,), (0,))
     assert check_centre_piece(CentrePiece(u, ms, {(0, 0): 0})) == [
         "gamma missing at (s=0, x=1)"]
@@ -201,7 +201,7 @@ def _regular(n):
 
 
 def _broken_monoidal_tables():
-    ms = discrete_group_monoidal(Z4)
+    ms = two_group_monoidal(Z4)
     return MonoidalStructure(ms.base, ms.tensor_obj_table, {}, ms.unit,
                              ms.alpha_table, ms.lam_table, ms.rho_table)
 
@@ -220,17 +220,17 @@ MAXIMALLY_BROKEN = {
     # 16 missing tensor_mor entries
     "validate_monoidal": lambda: validate_monoidal(_broken_monoidal_tables()),
     "check_braiding": lambda: check_braiding(
-        BraidingDatum(discrete_group_monoidal(Z4), {})),
+        BraidingDatum(two_group_monoidal(Z4), {})),
     # the constant functor at 1 preserves neither the unit nor any tensor
     "check_strict_monoidal": lambda: check_strict_monoidal(
-        Functor(discrete_group_monoidal(Z4).base, discrete_group_monoidal(Z4).base,
-                (1,) * 4, (1,) * 4), discrete_group_monoidal(Z4), discrete_group_monoidal(Z4)),
+        Functor(two_group_monoidal(Z4).base, two_group_monoidal(Z4).base,
+                (1,) * 4, (1,) * 4), two_group_monoidal(Z4), two_group_monoidal(Z4)),
     # a point misses the other 19 objects
     "check_equivalence": lambda: check_equivalence(Functor(
         terminal_category(), discrete_category(20), (0,), (0,))).witnesses,
     "check_centre_piece": lambda: check_centre_piece(CentrePiece(
-        Functor(discrete_category(4), discrete_group_monoidal(Z4).base, (0,) * 4, (0,) * 4),
-        discrete_group_monoidal(Z4), {})),
+        Functor(discrete_category(4), two_group_monoidal(Z4).base, (0,) * 4, (0,) * 4),
+        two_group_monoidal(Z4), {})),
     # every map constant: identities and composites fail
     "validate_set_functor": lambda: validate_set_functor(SetFunctor(
         group_category(cyclic_table(16)), (2,), ((0, 0),) * 16)),
@@ -296,9 +296,9 @@ def _constant_diagram(A):
 # (guard, its limit, a construction that the limit refuses)
 SIZE_REFUSALS = {
     "centre objects": ("max_objects", 2, lambda cfg: compute_centre(
-        discrete_group_monoidal(Z4), cfg)),
+        two_group_monoidal(Z4), cfg)),
     "centre morphisms": ("max_morphisms", 2, lambda cfg: compute_centre(
-        discrete_group_monoidal(Z4), cfg)),
+        two_group_monoidal(Z4), cfg)),
     "coproduct category": ("max_objects", 1, lambda cfg: check_cp_preserves_coproducts(
         discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
     "product objects": ("max_objects", 8, lambda cfg: product_category(
@@ -306,19 +306,19 @@ SIZE_REFUSALS = {
     "product morphisms": ("max_morphisms", 8, lambda cfg: product_category(
         discrete_category(3), discrete_category(3), cfg)),
     "translation level one": ("max_objects", 10, lambda cfg: build_hochschild(
-        discrete_group_monoidal(S3), cfg)),
+        two_group_monoidal(S3), cfg)),
     # level two is never larger than the product A x A built before it
     "translation level two": ("max_branch", 500, lambda cfg: build_hochschild(
-        discrete_group_monoidal(S3), cfg)),
+        two_group_monoidal(S3), cfg)),
     "inserter": ("max_objects", 1, lambda cfg: iso_inserter(
         identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
     "descent": ("max_objects", 2, lambda cfg: descent_object(
         _constant_diagram(discrete_category(3)), cfg)),
     "centre pieces": ("max_objects", 4, lambda cfg: enumerate_centre_pieces(
-        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+        discrete_category(2), two_group_monoidal(Z4), cfg)),
     # CP lies over the full functor subcategory on its pieces' functors
     "centre piece functors": ("max_morphisms", 4, lambda cfg: enumerate_centre_pieces(
-        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+        discrete_category(2), two_group_monoidal(Z4), cfg)),
     "group order": ("vec_max_group", 2, lambda cfg: centre_simples(
         trivial_cocycle(Group(Z4)), cfg)),
 }
@@ -335,12 +335,12 @@ def test_every_size_refusal_names_the_guard_to_raise(stage):
 # (stage, objects it needs, a construction whose objects and morphisms
 # both exceed a limit of 1)
 OBJECTS_FIRST = {
-    "centre": (4, lambda cfg: compute_centre(discrete_group_monoidal(Z4), cfg)),
+    "centre": (4, lambda cfg: compute_centre(two_group_monoidal(Z4), cfg)),
     "inserter": (2, lambda cfg: iso_inserter(
         identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
     "descent": (3, lambda cfg: descent_object(_constant_diagram(discrete_category(3)), cfg)),
     "centre piece": (16, lambda cfg: enumerate_centre_pieces(
-        discrete_category(2), discrete_group_monoidal(Z4), cfg)),
+        discrete_category(2), two_group_monoidal(Z4), cfg)),
     "coproduct category": (4, lambda cfg: check_cp_preserves_coproducts(
         discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
 }

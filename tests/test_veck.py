@@ -37,7 +37,6 @@ from monocentre.veck import (
     half_braiding_space,
     intertwiner_dim,
     trivial_cocycle,
-    verify_linear_against_bruteforce,
     z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
@@ -45,7 +44,7 @@ from monocentre.cyclo import (
     solve_linear, transpose, zeta,
 )
 
-from helpers import coboundary_cocycle
+from helpers import coboundary_cocycle, one_dimensional_centres, type_i_cocycle
 
 
 def trivial(table, scalar_order=1):
@@ -615,15 +614,19 @@ def test_certify_battery_on_s3():
     assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
 
 
-@pytest.mark.parametrize("table", [Z2, Z3, S3], ids=["z2", "z3", "s3"])
-def test_cross_backend_agreement(table):
-    report = verify_linear_against_bruteforce(table)
-    assert report.verdict == "agree"
-
-
-def test_cross_backend_s3_rows():
-    report = verify_linear_against_bruteforce(S3)
-    assert [row[1] for row in report.rows] == [True] + [False] * 5
+@pytest.mark.parametrize("omega,n", [
+    (trivial(Z2), 2), (z2_nontrivial_cocycle(), 4), (trivial(Z3), 3), (trivial(S3), 2),
+    (trivial(D4), 2), (type_i_cocycle(3), 9),
+], ids=["z2", "z2_semion", "z3", "s3", "d4", "z3_type_i"])
+def test_set_level_centre_equals_the_one_dimensional_simples(omega, n):
+    # n is the lcm of the orders of the one-dimensional simples' scalars,
+    # so the 2-group with automorphisms Z_n sees every one of them; the
+    # type-I row is not self-conjugate, so it pins the sign of the
+    # associator against the linear backend's twist.  Each group is cyclic
+    # or its cocycle trivial, so every central grade carries such a simple
+    set_level, simples, search = one_dimensional_centres(omega, n)
+    assert set_level == simples == search
+    assert {g for g, _ in set_level} == set(group_centre(omega.group.table))
 
 
 def test_all_z2_coboundaries_vanish():
