@@ -26,7 +26,7 @@ from monocentre.monoidal import (
     chain_poset_monoidal,
     two_group_monoidal,
 )
-from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
+from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 

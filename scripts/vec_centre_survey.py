@@ -18,8 +18,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from monocentre.monoidal import D4, S3, Z2_CUBED
-from monocentre.veck import (Cocycle3, Group, centre_simples, certify_centre_structure,
-                             trivial_cocycle, z2_nontrivial_cocycle)
+from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
+from monocentre.veck import centre_simples, certify_centre_structure
 
 
 def cyclic(n):

@@ -37,10 +37,11 @@ from .convolution import (
     yoneda_functor,
 )
 from .fincat import validate_category, validate_functor
+from .graded import Cocycle3, trivial_cocycle
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
 from .record import Record
-from .veck import Cocycle3, centre_simples, certify_centre_structure, trivial_cocycle
+from .veck import centre_simples, certify_centre_structure
 
 _DASH = "—"
 

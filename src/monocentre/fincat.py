@@ -14,7 +14,7 @@ it as soon as the places it reads are assigned, and validate_functor and
 validate_nat_transf report from it through config._report.
 
 Every set-level enumeration, here and in centre, and the scalar
-half-braiding search of veck, is one search, _search: one max_branch
+half-braiding search of graded, is one search, _search: one max_branch
 step per candidate tried, and each check run once, when the last slot it
 reads is set (_schedule).
 

@@ -9,8 +9,8 @@ checks with JSON-pointer locations: dense morphism ids, one walk over
 every nested table (identity, tensor_obj, lambda, rho, a group's table
 and a cocycle's exponents) for its lengths and the range of its entries,
 and keyed tables (compose, tensor_mor, alpha) whose rows with one key
-agree.  A group file loads as a veck.Group and a cocycle file as a
-veck.Cocycle3 over its own Group.  Axiom-level validation (associativity,
+agree.  A group file loads as a graded.Group and a cocycle file as a
+graded.Cocycle3 over its own Group.  Axiom-level validation (associativity,
 pentagon, cocycle identity) is deliberately NOT done here: the values run
 their checks once, on first use, and the CLI reports them as certificates
 so that a broken fixture is reported with a localized witness instead of
@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 
 from .fincat import FinCategory
+from .graded import Cocycle3, Group
 from .monoidal import MonoidalStructure
 from .record import Record
-from .veck import Cocycle3, Group
 
 SCHEMA_VERSION = 1
 

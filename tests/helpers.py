@@ -13,11 +13,10 @@ from math import lcm
 from monocentre.centre import compute_centre
 from monocentre.cyclo import zeta
 from monocentre.fincat import FinCategory, Functor
+from monocentre.graded import Cocycle3, Group, delta_object, half_braiding_space
 from monocentre.monoidal import BraidingDatum, MonoidalStructure, two_group_monoidal
 from monocentre.record import Record
-from monocentre.veck import (
-    Cocycle3, Group, centre_simples, delta_object, half_braiding_space,
-)
+from monocentre.veck import centre_simples
 
 
 def identity_functor(cat: FinCategory) -> Functor:

@@ -44,12 +44,10 @@ from monocentre.monoidal import (
     two_group_monoidal,
     validate_monoidal,
 )
-from monocentre.veck import (
+from monocentre.graded import (
     Cocycle3,
     Group,
     HalfBraidingLin,
-    centre_simples,
-    certify_centre_structure,
     check_cocycle,
     check_half_braiding,
     delta_object,
@@ -58,6 +56,7 @@ from monocentre.veck import (
     trivial_cocycle,
     z2_nontrivial_cocycle,
 )
+from monocentre.veck import centre_simples, certify_centre_structure
 from monocentre.cyclo import zeta
 
 from helpers import one_dimensional_centres

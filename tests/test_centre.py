@@ -18,7 +18,7 @@ from monocentre.centre import (
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
     transport_along_power, check_cp_preserves_coproducts, _central_failures,
 )
-from monocentre.veck import z2_nontrivial_cocycle
+from monocentre.graded import z2_nontrivial_cocycle
 
 from helpers import cocycle_two_group, relabel_monoidal
 

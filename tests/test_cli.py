@@ -16,7 +16,7 @@ from monocentre.centre import Certificate
 from monocentre.cli import main
 from monocentre.config import GUARDS, GuardConfig, SizeGuardExceeded
 from monocentre.fincat import FinCategory, Functor, walking_arrow
-from monocentre.veck import Cocycle3, Group
+from monocentre.graded import Cocycle3, Group
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -70,7 +70,8 @@ def test_vec_centre_group_order_guard_exits_3(capsys, monkeypatch):
 
 def test_oversized_group_is_refused_before_the_cocycle_check(capsys, tmp_path):
     # Z40: the quartic cocycle check alone takes over a second; the refusal
-    # must cost no more than validating the same file.
+    # must cost no more than validating the same file.  Both are timed in
+    # CPU time, which other processes on the machine do not inflate.
     from monocentre.jsonio import group_to_doc, write_spec
 
     path = str(tmp_path / "z40.json")
@@ -80,9 +81,9 @@ def test_oversized_group_is_refused_before_the_cocycle_check(capsys, tmp_path):
     def best_of_three(*argv):
         times = []
         for _ in range(3):
-            start = time.perf_counter()
+            start = time.process_time()
             code = main(list(argv))
-            times.append(time.perf_counter() - start)
+            times.append(time.process_time() - start)
         return code, min(times)
 
     validate_code, validate_s = best_of_three("validate", path)
@@ -99,6 +100,7 @@ def test_oversized_product_is_refused_after_one_validation(capsys, tmp_path):
     # it again, so equiv costs no more than validate plus 0.05 s before the
     # product A x A is refused.  The remainder is timed on its own: the
     # validation both commands share varies by more than 0.05 s run to run.
+    # It is timed in CPU time, which other processes do not inflate.
     from itertools import permutations
 
     from monocentre.hochschild import verify_prop_3_1
@@ -118,11 +120,11 @@ def test_oversized_product_is_refused_after_one_validation(capsys, tmp_path):
     assert ms.problems == ()
     times = []
     for _ in range(3):
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(SizeGuardExceeded,
                            match="product category objects needs 576, limit 64"):
             verify_prop_3_1(ms)
-        times.append(time.perf_counter() - start)
+        times.append(time.process_time() - start)
     assert min(times) <= 0.05, times
 
 
@@ -156,11 +158,11 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_vec_centre_validates_the_group_and_the_cocycle_once(capsys, monkeypatch):
+    import monocentre.graded as graded
     import monocentre.monoidal as monoidal
-    import monocentre.veck as veck
 
     calls = count_calls(monkeypatch, monoidal.group_table_report,
-                        veck.check_cocycle)
+                        graded.check_cocycle)
     for argv in (["vec-centre", fix("s3.json")],
                  ["report", fix("z3.json")],
                  ["vec-centre", fix("z2.json"), "--omega", fix("z2_nontrivial.json")],
@@ -194,7 +196,7 @@ def test_each_set_level_check_and_construction_runs_once(capsys, monkeypatch):
 
 def test_tables_that_are_not_groups_fail_their_axiom_line(capsys, tmp_path):
     from monocentre.jsonio import cocycle_to_doc, group_to_doc, write_spec
-    from monocentre.veck import z2_nontrivial_cocycle
+    from monocentre.graded import z2_nontrivial_cocycle
 
     group = str(tmp_path / "z3_not_associative.json")
     write_spec(group, group_to_doc([[0, 1, 2], [1, 1, 0], [2, 0, 1]]))  # 1 * 1 = 1
@@ -495,6 +497,20 @@ def test_cli_import_loads_only_the_standard_library():
     # The package's records are plain classes: no dataclass machinery and
     # none of the introspection modules it pulls in.
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_loading_a_payload_compiles_no_solver():
+    # jsonio builds groups and cocycles from graded, which holds the values
+    # of Vec_G^omega apart from the linear solver in veck and the set-level
+    # constructions.
+    probe = ("import sys; import monocentre.jsonio; "
+             "print(*sorted(m for m in sys.modules if m.startswith('monocentre.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("monocentre.") for m in proc.stdout.split()}
+    assert "graded" in loaded
+    assert not loaded & {"veck", "centre", "bilimits", "hochschild", "convolution"}, loaded
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

@@ -14,7 +14,7 @@ from monocentre.cyclo import (
     pack_bits, packed_modulus,
 )
 from monocentre.config import InternalSoundnessError
-from monocentre.veck import _invertible
+from monocentre.graded import _invertible
 
 
 def mat_eq(A, B):

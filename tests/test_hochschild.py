@@ -9,7 +9,7 @@ from monocentre.monoidal import (
 )
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
 from monocentre.bilimits import TruncatedCosimplicial, descent_object
-from monocentre.veck import z2_nontrivial_cocycle
+from monocentre.graded import z2_nontrivial_cocycle
 
 from helpers import cocycle_two_group
 

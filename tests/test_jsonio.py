@@ -8,6 +8,7 @@ import pytest
 from monocentre.centre import compute_centre
 from monocentre.cli import main
 from monocentre.fincat import validate_category, walking_arrow
+from monocentre.graded import check_cocycle, z2_nontrivial_cocycle
 from monocentre.jsonio import (
     CATEGORY_SCHEMA,
     COCYCLE_SCHEMA,
@@ -23,7 +24,6 @@ from monocentre.jsonio import (
     write_spec,
 )
 from monocentre.monoidal import S3, Z2, chain_poset_monoidal, two_group_monoidal
-from monocentre.veck import check_cocycle, z2_nontrivial_cocycle
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from monocentre.fincat import Functor, discrete_category, validate_category
+from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 from monocentre.jsonio import load_spec
 from monocentre.monoidal import (
     MonoidalStructure, validate_monoidal,
@@ -14,7 +15,6 @@ from monocentre.monoidal import (
     group_table_report,
     D4, Z1, Z2, Z3, Z4, S3,
 )
-from monocentre.veck import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 
 from helpers import identity_braiding, identity_functor, relabel_monoidal, type_i_cocycle
 

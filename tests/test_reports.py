@@ -36,10 +36,11 @@ from monocentre.monoidal import (
     chain_poset_monoidal, check_braiding, check_strict_monoidal, two_group_monoidal,
     group_table_report, validate_monoidal,
 )
-from monocentre.veck import (
-    Cocycle3, GradedObject, Group, HalfBraidingLin, centre_simples, check_cocycle,
-    check_half_braiding, trivial_cocycle,
+from monocentre.graded import (
+    Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
+    trivial_cocycle,
 )
+from monocentre.veck import centre_simples
 
 from helpers import group_category, identity_functor
 

@@ -13,12 +13,21 @@ from hypothesis import strategies as st
 
 from monocentre import veck
 from monocentre.config import GuardConfig, InternalSoundnessError, SizeGuardExceeded
-from monocentre.monoidal import D4, S3, Z2, Z2_CUBED, Z3, Z4
-from monocentre.veck import (
+from monocentre.graded import (
     Cocycle3,
     GradedObject,
     Group,
     HalfBraidingLin,
+    check_cocycle,
+    check_half_braiding,
+    delta_object,
+    group_centre,
+    half_braiding_space,
+    trivial_cocycle,
+    z2_nontrivial_cocycle,
+)
+from monocentre.monoidal import D4, S3, Z2, Z2_CUBED, Z3, Z4
+from monocentre.veck import (
     VecCentreResult,
     VecSimple,
     _action_inverses,
@@ -30,14 +39,7 @@ from monocentre.veck import (
     _split_rec,
     centre_simples,
     certify_centre_structure,
-    check_cocycle,
-    check_half_braiding,
-    delta_object,
-    group_centre,
-    half_braiding_space,
     intertwiner_dim,
-    trivial_cocycle,
-    z2_nontrivial_cocycle,
 )
 from monocentre.cyclo import (
     cyc_one, cyc_zero, mat_mul, mat_prepare, mat_scale, mat_vec, roots_of_unity,
