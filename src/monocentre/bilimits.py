@@ -36,11 +36,18 @@ class Inserter(Record):
     )
 
 
+def inserter_objects(F: Functor, G: Functor) -> list:
+    """The inserter's objects: each a in the source with each invertible
+    m: F a -> G a."""
+    return [(a, m) for a in F.src.objects
+            for m in F.dst.invertible_hom(F.obj_map[a], G.obj_map[a])]
+
+
 def iso_inserter(F: Functor, G: Functor, cfg: GuardConfig = DEFAULT) -> Inserter:
     if F.src != G.src or F.dst != G.dst:
         raise ValueError("iso_inserter needs a parallel pair of functors")
     A, B = F.src, F.dst
-    objs = [(a, m) for a in A.objects for m in B.invertible_hom(F.obj_map[a], G.obj_map[a])]
+    objs = inserter_objects(F, G)
 
     def commutes(i, j, f):   # G f . m_i = m_j . F f
         return B.compose(G.mor_map[f], objs[i][1]) == B.compose(objs[j][1], F.mor_map[f])

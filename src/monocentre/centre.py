@@ -51,7 +51,7 @@ from .fincat import (
 from .monoidal import (
     MonoidalStructure, BraidingDatum, check_braiding, check_strict_monoidal, _cell_failures,
 )
-from .record import Record
+from .record import Certificate, Record
 
 
 class CentreObject(Record):
@@ -174,18 +174,6 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
             Budget(cfg.max_branch, "half-braiding enumeration"),
             lambda: out.append(tuple(gamma)))
     return out
-
-
-class Certificate(Record):
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name, ok, detail=""):
-        super().__init__(name, ok, detail)
-
-    @classmethod
-    def of(cls, name, report):
-        """Passes iff the check's report is empty; names its first three failures."""
-        return cls(name, not report, "; ".join(report[:3]))
 
 
 class CentreCategory(Record):

@@ -22,25 +22,15 @@ import os
 import sys
 
 from .bilimits import descent_object
-from .centre import Certificate, compute_centre
+from .centre import compute_centre
 from .config import (DEFAULT, GUARDS, GuardConfig, InternalSoundnessError,
                      SizeGuardExceeded)
-from .convolution import (
-    cardinality_check,
-    check_set_transf,
-    convolution_unit,
-    day_convolve,
-    is_bijection_family,
-    left_unit_components,
-    right_unit_components,
-    yoneda_components,
-    yoneda_functor,
-)
+from .convolution import certify_representables
 from .fincat import validate_category, validate_functor
 from .graded import Cocycle3, trivial_cocycle
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
-from .record import Record
+from .record import Certificate, Record
 from .veck import centre_simples, certify_centre_structure
 
 _DASH = "—"
@@ -50,6 +40,10 @@ class Section(Record):
     """One block of report output: info lines plus certificate lines."""
 
     __slots__ = ("command", "input", "info", "certificates")
+
+
+def _prefixed(prefix: str, certs) -> tuple:
+    return tuple(Certificate(prefix + c.name, c.ok, c.detail) for c in certs)
 
 
 def _cert_line(c: Certificate) -> str:
@@ -88,9 +82,7 @@ def _section_validate(spec: LoadedSpec) -> Section:
 def _section_centre(path: str, Z) -> Section:
     info = (("centre objects", Z.category.n_objects),
             ("centre morphisms", Z.category.n_morphisms))
-    certs = tuple(Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
-                  for c in Z.certificates)
-    return Section("centre", path, info, certs)
+    return Section("centre", path, info, _prefixed("Prop 2.1: ", Z.certificates))
 
 
 def _section_descent(path: str, H, D) -> Section:
@@ -125,55 +117,9 @@ def _section_equiv(path: str, rep) -> Section:
 
 def _section_convolve(spec: LoadedSpec, cfg: GuardConfig) -> Section:
     ms = spec.payload
-    cat = ms.base
-    ys = {b: yoneda_functor(cat, b) for b in cat.objects}
-    unit = convolution_unit(ms)
-    discrete = all(cat.is_identity(m) for m in cat.morphisms)
-
-    yoneda_report, card_report = [], []
-    pairs = 0
-    for b in cat.objects:
-        for c in cat.objects:
-            day = day_convolve(ms, ys[b], ys[c], cfg)
-            bad = _iso_failure(day, ys[ms.tensor_obj(b, c)], yoneda_components(day, b, c),
-                               "comparison is not a bijection")
-            if bad:
-                yoneda_report.append(f"pair ({b}, {c}): {bad}")
-            if discrete:
-                card_report += [f"pair ({b}, {c}): {w}"
-                                for w in cardinality_check(day)]
-            pairs += 1
-
-    unit_report = []
-    for b in cat.objects:
-        for side, factors, components in (("left", (unit, ys[b]), left_unit_components),
-                                          ("right", (ys[b], unit), right_unit_components)):
-            day = day_convolve(ms, *factors, cfg)
-            bad = _iso_failure(day, ys[b], components(day), "not a bijection")
-            if bad:
-                unit_report.append(f"{side} unit at {b}: {bad}")
-
-    info = (("representable pairs checked", pairs),)
-    certs = [
-        Certificate.of("Day convolution: Yoneda law y_b ⊗ y_c ≅ "
-                       "y_{b⊗c}", yoneda_report),
-        Certificate.of("Day convolution: unit laws on representables", unit_report),
-    ]
-    if discrete:
-        certs.append(Certificate.of("Day convolution: cardinality law (discrete base)",
-                                    card_report))
-    return Section("convolve", spec.path, info, tuple(certs))
-
-
-def _iso_failure(day, target, components, not_bijective: str):
-    """The first reason the components are not a natural bijection from
-    the convolution to target, or None."""
-    bad = check_set_transf(day.functor, target, components)
-    if bad:
-        return bad[0]
-    if not is_bijection_family(day.functor, target, components):
-        return not_bijective
-    return None
+    info = (("representable pairs checked", ms.base.n_objects ** 2),)
+    return Section("convolve", spec.path, info,
+                   _prefixed("Day convolution: ", certify_representables(ms, cfg)))
 
 
 def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
@@ -213,10 +159,8 @@ def _section_vec_centre(spec: LoadedSpec, omega_spec: LoadedSpec | None,
                      f"total dimension {s.total_dim}"))
     info.append(("sum of squared dimensions",
                  f"{result.sum_of_squares} (target {n * n})"))
-    certs += [Certificate("Enumeration: " + c.name, c.ok, c.detail)
-              for c in result.certificates]
-    certs += [Certificate("Prop 2.1: " + c.name, c.ok, c.detail)
-              for c in certify_centre_structure(result)]
+    certs += _prefixed("Enumeration: ", result.certificates)
+    certs += _prefixed("Prop 2.1: ", certify_centre_structure(result))
     return Section("vec-centre", spec.path, tuple(info), tuple(certs))
 
 

@@ -12,6 +12,11 @@ deterministic.  Every map out of a convolution (the action of each
 morphism, the two unit comparisons and the Yoneda comparison) is read off
 by one class rule, _class_map: it is applied to every generator, and a
 class given two values, or none, raises InternalSoundnessError.
+
+certify_representables certifies Day's laws on representables (Day, "On
+closed categories of functors", 1970) from one convolution of each
+ordered pair: the unit J is y_unit, so the unit laws are read off the
+pairs that the Yoneda law already convolves.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import FinCategory
 from .monoidal import MonoidalStructure
-from .record import Record
+from .record import Certificate, Record
 
 
 class SetFunctor(Record):
@@ -111,10 +116,6 @@ def yoneda_functor(cat: FinCategory, b) -> SetFunctor:
 def yoneda_elem(cat: FinCategory, b, m) -> int:
     """Position of the morphism m inside Hom(b, dst m)."""
     return cat.hom(b, cat.dst(m)).index(m)
-
-
-def convolution_unit(ms: MonoidalStructure) -> SetFunctor:
-    return yoneda_functor(ms.base, ms.unit)
 
 
 class _UnionFind:
@@ -222,53 +223,36 @@ def _class_map(gens, sizes, gen_class, over, total, name):
     return tuple(components)
 
 
+def _comparison(day: DayTensor, name, total):
+    """The components at every object a of the map out of the convolution
+    that sends each generator (b, c, h, s, t) over a to total(a, b, c, h, s, t)."""
+    return _class_map(day.gens, day.functor.sizes, day.gen_class, day.ms.base.objects,
+                      total, name)
+
+
 def left_unit_components(day: DayTensor):
-    """(J (*) F)(a) -> F(a) where J is the unit's representable:
-    send (b, c, h, s: e -> b, t) to F(h . (s (x) 1_c) . lambda_inv)(t)."""
-    ms = day.ms
-    cat = ms.base
-    F = day.right
-    homs_e = {b: cat.hom(ms.unit, b) for b in cat.objects}
-
-    def total(a, b, c, h, s, t):
-        arrow = cat.compose_chain(h, ms.rwhisk(homs_e[b][s], c), ms.lam_inv(c))
-        return F.apply(arrow, t)
-
-    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
-                      "left unit comparison")
+    """(J (*) F)(a) -> F(a) where J = y_unit: send (b, c, h, s: e -> b, t)
+    to F(h . (s (x) 1_c) . lambda_inv)(t)."""
+    ms, cat, F = day.ms, day.ms.base, day.right
+    return _comparison(day, "left unit comparison", lambda a, b, c, h, s, t: F.apply(
+        cat.compose_chain(h, ms.rwhisk(cat.hom(ms.unit, b)[s], c), ms.lam_inv(c)), t))
 
 
 def right_unit_components(day: DayTensor):
     """(F (*) J)(a) -> F(a): send (b, c, h, s, t: e -> c) to
     F(h . (1_b (x) t) . rho_inv)(s)."""
-    ms = day.ms
-    cat = ms.base
-    F = day.left
-    homs_e = {c: cat.hom(ms.unit, c) for c in cat.objects}
-
-    def total(a, b, c, h, s, t):
-        arrow = cat.compose_chain(h, ms.lwhisk(b, homs_e[c][t]), ms.rho_inv(b))
-        return F.apply(arrow, s)
-
-    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
-                      "right unit comparison")
+    ms, cat, F = day.ms, day.ms.base, day.left
+    return _comparison(day, "right unit comparison", lambda a, b, c, h, s, t: F.apply(
+        cat.compose_chain(h, ms.lwhisk(b, cat.hom(ms.unit, c)[t]), ms.rho_inv(b)), s))
 
 
 def yoneda_components(day: DayTensor, b, c):
     """(y_b (*) y_c)(a) -> y_{b(x)c}(a): send (b', c', h, s, t) to
     h . (s (x) t)."""
-    ms = day.ms
-    cat = ms.base
+    ms, cat = day.ms, day.ms.base
     bc = ms.tensor_obj(b, c)
-    homs_b = {b2: cat.hom(b, b2) for b2 in cat.objects}
-    homs_c = {c2: cat.hom(c, c2) for c2 in cat.objects}
-
-    def total(a, b2, c2, h, s, t):
-        arrow = cat.compose(h, ms.tensor_mor(homs_b[b2][s], homs_c[c2][t]))
-        return yoneda_elem(cat, bc, arrow)
-
-    return _class_map(day.gens, day.functor.sizes, day.gen_class, cat.objects, total,
-                      "representable comparison")
+    return _comparison(day, "representable comparison", lambda a, b2, c2, h, s, t: yoneda_elem(
+        cat, bc, cat.compose(h, ms.tensor_mor(cat.hom(b, b2)[s], cat.hom(c, c2)[t]))))
 
 
 def cardinality_check(day: DayTensor) -> list[str]:
@@ -287,3 +271,49 @@ def cardinality_check(day: DayTensor) -> list[str]:
             report.append(f"size at object {a} is {day.functor.sizes[a]}, "
                           f"expected {want}")
     return report
+
+
+def _iso_failure(day: DayTensor, target: SetFunctor, components, not_bijective: str):
+    """The first reason the components are not a natural bijection from
+    the convolution to target, or None."""
+    bad = check_set_transf(day.functor, target, components)
+    if bad:
+        return bad[0]
+    if not is_bijection_family(day.functor, target, components):
+        return not_bijective
+    return None
+
+
+def certify_representables(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> tuple:
+    """Day's laws on the representables y_b = Hom(b, -), convolving each
+    ordered pair (b, c) once: the Yoneda law y_b (*) y_c ~= y_{b(x)c} at every
+    pair, the unit laws J (*) y_b ~= y_b ~= y_b (*) J read off the pairs
+    (unit, b) and (b, unit), as J is y_unit, and over a discrete base the
+    cardinality law at every pair.  A failure names its pair, or its side
+    and object."""
+    cat = ms.base
+    ys = [yoneda_functor(cat, b) for b in cat.objects]
+    discrete = all(cat.is_identity(m) for m in cat.morphisms)
+    yoneda_report, card_report, unit_failure = [], [], {}
+    for b in cat.objects:
+        for c in cat.objects:
+            day = day_convolve(ms, ys[b], ys[c], cfg)
+            bad = _iso_failure(day, ys[ms.tensor_obj(b, c)], yoneda_components(day, b, c),
+                               "comparison is not a bijection")
+            if bad:
+                yoneda_report.append(f"pair ({b}, {c}): {bad}")
+            if discrete:
+                card_report += [f"pair ({b}, {c}): {w}" for w in cardinality_check(day)]
+            if b == ms.unit:
+                unit_failure["left", c] = _iso_failure(day, ys[c], left_unit_components(day),
+                                                       "not a bijection")
+            if c == ms.unit:
+                unit_failure["right", b] = _iso_failure(day, ys[b], right_unit_components(day),
+                                                        "not a bijection")
+    unit_report = [f"{side} unit at {b}: {unit_failure[side, b]}"
+                   for b in cat.objects for side in ("left", "right") if unit_failure[side, b]]
+    certs = (Certificate.of("Yoneda law y_b ⊗ y_c ≅ y_{b⊗c}", yoneda_report),
+             Certificate.of("unit laws on representables", unit_report))
+    if discrete:
+        certs += (Certificate.of("cardinality law (discrete base)", card_report),)
+    return certs

@@ -360,16 +360,20 @@ class ProductCategory(Record):
 
 
 def product_category(A: FinCategory, B: FinCategory, cfg: GuardConfig = DEFAULT) -> ProductCategory:
-    """A x B: morphism (f, g) has id f * |mor B| + g."""
-    nb = B.n_objects
+    """A x B: morphism (f, g) has id f * |mor B| + g, which labels its row."""
+    nb, nmb = B.n_objects, B.n_morphisms
     cfg.bound("product category objects", A.n_objects * nb, "max_objects")
-    cfg.bound("product category morphisms", A.n_morphisms * B.n_morphisms, "max_morphisms")
-    rows = [(A.src(f) * nb + B.src(g), A.dst(f) * nb + B.dst(g), (f, g))
+    cfg.bound("product category morphisms", A.n_morphisms * nmb, "max_morphisms")
+    rows = [(A.src(f) * nb + B.src(g), A.dst(f) * nb + B.dst(g), f * nmb + g)
             for f in A.morphisms for g in B.morphisms]
+    ca, cb = A.compose_map, B.compose_map
+
+    def compose(g, f):
+        return ca[g // nmb, f // nmb] * nmb + cb[g % nmb, f % nmb]
+
     cat, _ = _table_category(
-        rows, [(A.id_of(a), B.id_of(b)) for a in A.objects for b in B.objects],
-        lambda g, f: (A.compose(g[0], f[0]), B.compose(g[1], f[1])),
-        "product category", cfg)
+        rows, [A.id_of(a) * nmb + B.id_of(b) for a in A.objects for b in B.objects],
+        compose, "product category", cfg)
     return ProductCategory(cat, A, B)
 
 

@@ -15,7 +15,10 @@ the translations {d0 a, d1 a} at level one and their three coface images
 at level two.  Full subcategories keep every hom-set descent reads, so the
 descent object is the one the whole functor categories give; the tests
 check this against [A, A] and [A x A, A] built in full.  Each level, and
-the product A x A, is bounded by the guards as set.
+the product A x A, is bounded by the guards as set.  The inserter of the
+two cofaces of level one, which the descent object's second route
+builds, is bounded on its objects as soon as level one is built, before
+A x A and level two.
 
 Each coface is written once, as one map on morphism tables: it gives a
 functor's image from the functor's morphism table, the image's objects
@@ -38,7 +41,7 @@ from .fincat import (
     check_equivalence, validate_functor,
 )
 from .monoidal import MonoidalStructure
-from .bilimits import TruncatedCosimplicial, descent_object
+from .bilimits import TruncatedCosimplicial, descent_object, inserter_objects
 from .centre import compute_centre
 from .record import Record
 
@@ -80,6 +83,9 @@ def build_hochschild(ms: MonoidalStructure,
         what="translation level one")
     d0, d1 = (_coface(A, fc1, tbs, [tuple(d(h, e) for e in A.identity) for h in A.morphisms])
               for d, tbs in zip(d_routes, d_tables))
+    # the descent object's inserter lies over level one alone: refuse it
+    # before the product and level two are built
+    cfg.bound("inserter objects", len(inserter_objects(d0, d1)), "max_objects")
 
     # level two: e0, e1, e2 each one map of the morphism table F of an
     # endofunctor at (f, g): F f (x) g, F(f (x) g) and f (x) F g.  Read at

@@ -8,6 +8,9 @@ normalizes its arguments (lists to tuples, a copy of a dict) does so in
 its own __init__ before calling Record's.  A class that caches a
 property adds "__dict__" to its __slots__ to hold the cache, and one that
 is weakly referenced adds "__weakref__"; neither is a field.
+
+Certificate, the named verdict of one check, is the record every module's
+certificates and the command line's report lines are made of.
 """
 
 
@@ -41,3 +44,17 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+
+class Certificate(Record):
+    """One check's name, whether it passed, and its first failures."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name, ok, detail=""):
+        super().__init__(name, ok, detail)
+
+    @classmethod
+    def of(cls, name, report):
+        """Passes iff the check's report is empty; names its first three failures."""
+        return cls(name, not report, "; ".join(report[:3]))

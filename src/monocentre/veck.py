@@ -36,7 +36,6 @@ from itertools import chain, filterfalse
 from math import lcm
 from operator import mul
 
-from .centre import Certificate
 from .config import DEFAULT, GuardConfig, InternalSoundnessError, _report
 from .cyclo import (
     cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale, mat_scaled_product_eq,
@@ -48,7 +47,7 @@ from .graded import (
     _fill, _grading_failures, _pack, _product_failures, _require_valid, _shape_failures,
     _twist_packs, check_half_braiding,
 )
-from .record import Record
+from .record import Certificate, Record
 
 
 # -- splitting the fiber action --------------------------------------------

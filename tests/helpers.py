@@ -2,10 +2,11 @@
 
 They build the data the unit tests check (identity and relabelled
 structures, group categories, symmetric braidings, coboundaries, the
-census of small monoids as monoidal categories, the 2-group of a
-3-cocycle, and the three readings of the one-dimensional centre objects
-that the set-level <-> linear bridge compares), not a certified claim, so
-they live with the tests rather than in the package.
+census of small monoids as monoidal categories on a discrete, a thin or a
+one-object base, the 2-group of a 3-cocycle, and the three readings of
+the one-dimensional centre objects that the set-level <-> linear bridge
+compares), not a certified claim, so they live with the tests rather
+than in the package.
 """
 
 from math import lcm
@@ -143,15 +144,39 @@ def monoid_tables(n: int) -> list:
     return out
 
 
-def discrete_monoid_monoidal(table) -> MonoidalStructure:
-    """The discrete category on a monoid's elements, tensored by the
-    product, with identity structure cells."""
+def partial_orders(n: int) -> list:
+    """Every partial order on 0..n-1, as the set of its pairs a <= b, the
+    discrete order first."""
+    strict = [(a, b) for a in range(n) for b in range(n) if a != b]
+    out = []
+    for mask in range(2 ** len(strict)):
+        leq = {(a, a) for a in range(n)} | {p for k, p in enumerate(strict) if mask >> k & 1}
+        if (all((b, a) not in leq for a, b in strict if (a, b) in leq)
+                and all((a, d) in leq for a, b in leq for c, d in leq if b == c)):
+            out.append(frozenset(leq))
+    return out
+
+
+def is_monotone(table, leq) -> bool:
+    return all((table[a][c], table[b][d]) in leq for a, b in leq for c, d in leq)
+
+
+def thin_monoidal(table, leq) -> MonoidalStructure:
+    """The poset leq on a monoid's elements as a thin category (one
+    morphism a -> b for each pair a <= b, in sorted order), tensored by the
+    product, which must be monotone, with identity structure cells."""
     n = len(table)
-    ids = tuple(range(n))
-    cat = FinCategory(n, ids, ids, ids, {(a, a): a for a in ids})
-    alpha = {(a, b, c): table[table[a][b]][c] for a in ids for b in ids for c in ids}
-    return MonoidalStructure(cat, table, {(a, b): table[a][b] for a in ids for b in ids},
-                             0, alpha, ids, ids)
+    pairs = sorted(leq)
+    mor = {p: k for k, p in enumerate(pairs)}
+    ident = [mor[a, a] for a in range(n)]
+    cat = FinCategory(n, [a for a, _ in pairs], [b for _, b in pairs], ident,
+                      {(mor[b, c], mor[a, b]): mor[a, c]
+                       for a, b in pairs for c in range(n) if (b, c) in leq})
+    tmor = {(mor[a, b], mor[c, d]): mor[table[a][c], table[b][d]]
+            for a, b in pairs for c, d in pairs}
+    alpha = {(a, b, c): ident[table[table[a][b]][c]]
+             for a in range(n) for b in range(n) for c in range(n)}
+    return MonoidalStructure(cat, table, tmor, 0, alpha, ident, ident)
 
 
 def one_object_monoidal(table) -> MonoidalStructure:

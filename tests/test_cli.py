@@ -12,11 +12,11 @@ import time
 
 import pytest
 
-from monocentre.centre import Certificate
 from monocentre.cli import main
 from monocentre.config import GUARDS, GuardConfig, SizeGuardExceeded
 from monocentre.fincat import FinCategory, Functor, walking_arrow
 from monocentre.graded import Cocycle3, Group
+from monocentre.record import Certificate
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -246,6 +246,20 @@ def test_convolve_discrete_includes_cardinality_law(capsys):
     assert code == 0
     assert "cardinality law" not in out
     assert "Yoneda law" in out
+
+
+def test_convolve_convolves_each_representable_pair_once(capsys, monkeypatch):
+    # the unit laws are read off the pairs (unit, b) and (b, unit), as J is
+    # y_unit: |A|^2 convolutions, not |A|^2 + 2|A|
+    from monocentre import convolution
+
+    calls = count_calls(monkeypatch, convolution.day_convolve)
+    for command in ("convolve", "report"):
+        for name, n_objects in (("z4_discrete.json", 4), ("poset.json", 2)):
+            calls["day_convolve"] = 0
+            code, out, _ = run(capsys, command, fix(name))
+            assert code == 0 and "FAIL" not in out
+            assert calls["day_convolve"] == n_objects ** 2, (command, name)
 
 
 def test_malformed_reference_exits_2(capsys, tmp_path):
@@ -511,6 +525,19 @@ def test_loading_a_payload_compiles_no_solver():
     loaded = {m.removeprefix("monocentre.") for m in proc.stdout.split()}
     assert "graded" in loaded
     assert not loaded & {"veck", "centre", "bilimits", "hochschild", "convolution"}, loaded
+
+
+def test_the_linear_backend_compiles_no_set_level_centre():
+    # veck reads Certificate from record, so the half-braiding enumeration
+    # of centre stays out of a vec-centre run
+    probe = ("import sys; import monocentre.veck; "
+             "print(*sorted(m for m in sys.modules if m.startswith('monocentre.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("monocentre.") for m in proc.stdout.split()}
+    assert "veck" in loaded
+    assert "centre" not in loaded, loaded
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

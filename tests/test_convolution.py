@@ -7,7 +7,7 @@ from monocentre.monoidal import (
 )
 from monocentre.convolution import (
     SetFunctor, validate_set_functor, check_set_transf, is_bijection_family,
-    yoneda_functor, convolution_unit, day_convolve,
+    yoneda_functor, day_convolve,
     left_unit_components, right_unit_components, yoneda_components,
     cardinality_check,
 )
@@ -80,7 +80,7 @@ def test_unit_laws(ms, F):
     if F is None:
         F = (discrete_functor(ms.base, (2, 1, 3)) if ms.base.n_objects == 3
              else poset_functor(2, 3, (0, 2)))
-    J = convolution_unit(ms)
+    J = yoneda_functor(ms.base, ms.unit)
     left = day_convolve(ms, J, F)
     comps = left_unit_components(left)
     assert is_bijection_family(left.functor, F, comps)

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -189,6 +190,26 @@ def test_semion_two_group_has_non_identity_coherence_cells(n, sizes):
     T = rep.hochschild.diagram
     assert any(not T.X2.is_identity(c)
                for cell in (T.coh00, T.coh01, T.coh21) for c in cell.components)
+
+
+def test_semion_inserter_is_refused_from_level_one():
+    # At N = 6 the inserter of the level-one cofaces has 72 objects; level
+    # one tells, so the refusal comes before A x A and level two, which
+    # take 9-13 s of process time to build
+    start = time.process_time()
+    with pytest.raises(SizeGuardExceeded) as err:
+        verify_prop_3_1(cocycle_two_group(z2_nontrivial_cocycle(), 6))
+    assert str(err.value) == ("size guard exceeded: inserter objects needs 72, "
+                              "limit 64 (raise max_objects)")
+    assert time.process_time() - start < 1.0
+    # at N = 2 its 8 objects are refused before A x A's 4 objects and
+    # before level two's 32 morphisms
+    ms = cocycle_two_group(z2_nontrivial_cocycle(), 2)
+    for cfg in (GuardConfig(max_objects=3), GuardConfig(max_objects=7, max_morphisms=16)):
+        with pytest.raises(SizeGuardExceeded) as err:
+            build_hochschild(ms, cfg)
+        assert str(err.value) == ("size guard exceeded: inserter objects needs 8, "
+                                  f"limit {cfg.max_objects} (raise max_objects)")
 
 
 def test_invalid_monoidal_rejected():

@@ -38,11 +38,11 @@ from monocentre.monoidal import (
 )
 from monocentre.graded import (
     Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
-    trivial_cocycle,
+    trivial_cocycle, z2_nontrivial_cocycle,
 )
 from monocentre.veck import centre_simples
 
-from helpers import group_category, identity_functor
+from helpers import cocycle_two_group, group_category, identity_functor
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "monocentre"
 
@@ -313,6 +313,10 @@ SIZE_REFUSALS = {
         two_group_monoidal(S3), cfg)),
     "inserter": ("max_objects", 1, lambda cfg: iso_inserter(
         identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
+    # the descent object's inserter is bounded as soon as level one is
+    # built: here its 8 objects before A x A's 4
+    "inserter from level one": ("max_objects", 3, lambda cfg: build_hochschild(
+        cocycle_two_group(z2_nontrivial_cocycle(), 2), cfg)),
     "descent": ("max_objects", 2, lambda cfg: descent_object(
         _constant_diagram(discrete_category(3)), cfg)),
     "centre pieces": ("max_objects", 4, lambda cfg: enumerate_centre_pieces(
