@@ -29,11 +29,18 @@ solve_linear is the only elimination: Gauss-Jordan over the field on a
 homogeneous system, returning a kernel basis, the rank and pivots, and
 the reduced rows.  Rank, invertibility and the canonical basis of a span
 are all read off it.
+
+A rational operand (int, bool or fractions.Fraction) is read through its
+integer numerator and denominator, and anything else, a float included,
+is refused.  Hashes follow Python's rule for numeric hashes, so a
+rational value hashes as the equal int or Fraction does.  Only the
+Fraction view `CycNumber.coeffs` (and the repr built on it) imports
+fractions, so the arithmetic runs without that module or decimal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
@@ -110,18 +117,20 @@ class CycNumber:
 
     `nums` holds phi(n) integer numerators in the power basis and `den` one
     positive denominator, gcd-normalized, with zero as (0, ..., 0) / 1.  The
-    Fraction tuple `coeffs` is derived from them on request.
+    constructor's coefficients are rationals (int, bool or Fraction).  The
+    Fraction tuple `coeffs` is derived from nums and den on request, for
+    tests, reprs and library callers; no computation reads it.
     """
 
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coeffs):
         order = int(order)
-        fracs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
         p = [0] * order  # z^n = 1 brings any length within the fold table
-        for i, f in enumerate(fracs):
-            p[i % order] += f.numerator * (den // f.denominator)
+        for i, (c, d) in enumerate(pairs):
+            p[i % order] += c * (den // d)
         x = _make(order, _reduce(order, p), den)
         _set_order(self, order)
         _set_nums(self, x.nums)
@@ -132,15 +141,14 @@ class CycNumber:
 
     @property
     def coeffs(self):
+        from fractions import Fraction
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
     @staticmethod
     def from_rational(order, value) -> "CycNumber":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        return _make(order, (value.numerator,) + (0,) * (euler_phi(order) - 1),
-                     value.denominator)
+        num, den = _ratio(value)
+        return _make(order, (num,) + (0,) * (euler_phi(order) - 1), den)
 
     def promote(self, order: int) -> "CycNumber":
         if order == self.order:
@@ -156,10 +164,11 @@ class CycNumber:
     def _match(self, other):
         if type(other) is CycNumber and other.order == self.order:
             return self, other
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(self.order, other)
         if not isinstance(other, CycNumber):
-            return None, None
+            try:
+                other = CycNumber.from_rational(self.order, other)
+            except TypeError:
+                return None, None
         if self.order == other.order:
             return self, other
         n = lcm(self.order, other.order)
@@ -249,21 +258,23 @@ class CycNumber:
         return not any(self.nums[1:])
 
     def __eq__(self, other):
-        if isinstance(other, Fraction):
-            return (self.is_rational() and self.nums[0] == other.numerator
-                    and self.den == other.denominator)
-        if isinstance(other, int):
-            return self.is_rational() and self.den == 1 and self.nums[0] == other
         if not isinstance(other, CycNumber):
-            return NotImplemented
+            try:
+                num, den = _ratio(other)
+            except TypeError:
+                return NotImplemented
+            return self.is_rational() and self.nums[0] == num and self.den == den
         a, b = self._match(other)
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        # equal to the hash of the Fraction form: hash(k) == hash(Fraction(k))
+        # equal to the hash of the Fraction form: hash(k) == hash(Fraction(k)),
+        # and a tuple hashes its elements' hashes
+        den = self.den
         if self.is_rational():
-            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
-        return hash((self.order, self.nums if self.den == 1 else self.coeffs))
+            return _hash_rational(self.nums[0], den)
+        return hash((self.order, self.nums if den == 1 else
+                     tuple(_hash_rational(c, den) for c in self.nums)))
 
     def __repr__(self):
         terms = []
@@ -275,6 +286,32 @@ class CycNumber:
             else:
                 terms.append(f"{c}*z{self.order}^{i}" if i > 1 else f"{c}*z{self.order}")
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _ratio(value):
+    """(numerator, denominator) of a rational: an int, bool or Fraction."""
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"not a rational number: {type(value).__name__}") from None
+
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _hash_rational(num, den):
+    """hash(Fraction(num, den)) for den > 0, by Python's rule for numeric
+    hashes: +-(|num| / den mod P), P the hash modulus."""
+    if den == 1:
+        return hash(num)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        h = abs(num) * pow(den, -1, _HASH_MODULUS) % _HASH_MODULUS
+    except ValueError:  # P divides den
+        h = _HASH_INF
+    h = h if num >= 0 else -h
+    return -2 if h == -1 else h
 
 
 _new = object.__new__

@@ -31,14 +31,13 @@ of nonzero intertwiners.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, filterfalse
 from math import lcm
 from operator import mul
 
 from .config import DEFAULT, GuardConfig, InternalSoundnessError, _report
 from .cyclo import (
-    cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale, mat_scaled_product_eq,
+    cyc_one, cyc_zero, mat_mul, mat_prepare, mat_products_eq, mat_scale, mat_scaled_product_eq,
     mat_trace, mat_vec, pack_bits, packed_modulus, roots_of_unity, solve_linear,
     transpose, zeta,
 )
@@ -125,11 +124,11 @@ def _commutant_dim(mats, inverses) -> int:
     commutant is its fixed space, of dimension the average character.
     """
     total = sum(mat_trace(M) * mat_trace(inverses[h]) for h, M in mats.items())
-    avg = total.coeffs[0] / len(mats)
-    if not total.is_rational() or avg.denominator != 1 or avg < 1:
+    num, den = total.nums[0], total.den * len(mats)
+    if not total.is_rational() or num % den or num < den:
         raise InternalSoundnessError(
             "character norm of the fiber action is not a positive integer")
-    return int(avg)
+    return num // den
 
 
 def _cyclic_closure(v, mats):
@@ -175,8 +174,10 @@ def _invariant_projection(mats, inverses, C, units):
     hs = sorted(mats)
     left = _hcat([mat_mul(inverses[h], C) for h in hs])
     right = tuple(mats[h][i] for h in hs for i in units)
-    P = mat_scale(Fraction(1, len(hs)), mat_mul(left, right))
-    prep = mat_prepare(P, P[0][0].order)
+    total = mat_mul(left, right)
+    order = total[0][0].order
+    P = mat_scale(cyc_one(order) / len(hs), total)
+    prep = mat_prepare(P, order)
     if not mat_scaled_product_eq(1, prep, prep, prep):
         raise InternalSoundnessError("averaged projection is not idempotent")
     return P
@@ -331,6 +332,12 @@ def intertwiner_dim(A: HalfBraidingLin, B: HalfBraidingLin) -> int:
     return len(solve_linear(rows).kernel)
 
 
+def _over(v, den):
+    """The numerators of v over den, a multiple of v.den: over one den,
+    tuples of these order as the Fraction coefficients do."""
+    return tuple(c * (den // v.den) for c in v.nums)
+
+
 def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResult:
     """All simple centre objects of the graded backend, with certificates.
 
@@ -365,11 +372,12 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
         if not split_ok:
             complete = False
             unresolved += sum(1 for _, cert in pieces if not cert)
+        chars = [(sub, tuple((h, mat_trace(M)) for h, M in sorted(sub.items())))
+                 for sub, cert in pieces if cert]
+        den = lcm(*(t.den for _, char in chars for _, t in char))
         by_char = {}
-        for sub, cert in pieces:
-            if cert:
-                char = tuple((h, mat_trace(M).coeffs) for h, M in sorted(sub.items()))
-                by_char.setdefault(char, []).append(sub)
+        for sub, char in chars:
+            by_char.setdefault(tuple((h, _over(t, den)) for h, t in char), []).append(sub)
         if split_ok:
             for same in by_char.values():
                 if len(same) != len(same[0][r]):
@@ -386,9 +394,12 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
                 continue
             simples.append(VecSimple(r, hb, hb.carrier.total_dim))
 
+    den = lcm(*(v.den for s in simples for x in range(n)
+                for row in s.hb.block(x, s.class_rep) for v in row))
+
     def order_key(s):
         beta_at_rep = tuple(
-            tuple(tuple(v.coeffs for v in row) for row in s.hb.block(x, s.class_rep))
+            tuple(tuple(_over(v, den) for v in row) for row in s.hb.block(x, s.class_rep))
             for x in range(n))
         return (s.class_rep, s.total_dim, beta_at_rep)
 

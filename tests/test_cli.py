@@ -527,6 +527,23 @@ def test_loading_a_payload_compiles_no_solver():
     assert not loaded & {"veck", "centre", "bilimits", "hochschild", "convolution"}, loaded
 
 
+def test_cli_runs_load_neither_fractions_nor_decimal():
+    # the cyclotomic kernel reads rationals as integer pairs; only the
+    # Fraction view CycNumber.coeffs imports fractions (and decimal with it)
+    runs = [["vec-centre", fix("s3.json")],
+            ["vec-centre", fix("z2.json"), "--omega", fix("z2_broken_omega.json")],
+            ["report", fix("z4_discrete.json")],
+            ["validate", fix("broken_pentagon.json")]]
+    probe = ("import contextlib, os, sys; from monocentre.cli import main\n"
+             "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+             f"    codes = [main(argv) for argv in {runs!r}]\n"
+             "print(*codes, *sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "0", "1"]
+
+
 def test_the_linear_backend_compiles_no_set_level_centre():
     # veck reads Certificate from record, so the half-braiding enumeration
     # of centre stays out of a vec-centre run

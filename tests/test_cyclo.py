@@ -1,5 +1,6 @@
 """Exactness properties of the cyclotomic arithmetic layer."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -58,6 +59,28 @@ def test_promotion():
     assert zeta(2).promote(6) == zeta(6, 3)
     assert zeta(3) == zeta(6, 2)
     assert zeta(3) + zeta(2) == zeta(6, 2) - 1
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/2", Decimal("0.5")])
+def test_a_value_that_is_not_rational_is_refused_not_converted(value):
+    # "no floating point anywhere": 0.5 and 0.1 would convert to 1/2 and
+    # 3602879701896397/2^55, a string or a Decimal to a Fraction
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=f"^not a rational number: {name}$"):
+        CycNumber.from_rational(4, value)
+    with pytest.raises(TypeError, match=f"^not a rational number: {name}$"):
+        CycNumber(4, [1, value])
+    with pytest.raises(TypeError):
+        zeta(4) * value
+    assert zeta(4, 0) != value
+
+
+def test_int_bool_and_fraction_are_rationals():
+    half = CycNumber.from_rational(4, Fraction(1, 2))
+    assert (half.nums, half.den) == ((1, 0), 2)
+    assert CycNumber(4, [True, Fraction(-3, 6)]) == cyc_one(4) - half * zeta(4)
+    assert CycNumber.from_rational(4, True).is_one()
+    assert CycNumber.from_rational(4, False).is_zero()
 
 
 orders = st.integers(1, 12)

@@ -294,46 +294,65 @@ def _constant_diagram(A):
     return TruncatedCosimplicial(A, A, A, idA, idA, idA, idA, idA, cell, cell, cell)
 
 
-# (guard, its limit, a construction that the limit refuses)
+# (guard, its limit, the stage it refuses, a construction that the limit
+# refuses)
 SIZE_REFUSALS = {
-    "centre objects": ("max_objects", 2, lambda cfg: compute_centre(
-        two_group_monoidal(Z4), cfg)),
-    "centre morphisms": ("max_morphisms", 2, lambda cfg: compute_centre(
-        two_group_monoidal(Z4), cfg)),
-    "coproduct category": ("max_objects", 1, lambda cfg: check_cp_preserves_coproducts(
-        discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
-    "product objects": ("max_objects", 8, lambda cfg: product_category(
-        discrete_category(3), discrete_category(3), cfg)),
-    "product morphisms": ("max_morphisms", 8, lambda cfg: product_category(
-        discrete_category(3), discrete_category(3), cfg)),
-    "translation level one": ("max_objects", 10, lambda cfg: build_hochschild(
-        two_group_monoidal(S3), cfg)),
+    "centre objects": (
+        "max_objects", 2, "centre objects",
+        lambda cfg: compute_centre(two_group_monoidal(Z4), cfg)),
+    "centre morphisms": (
+        "max_morphisms", 2, "centre morphisms",
+        lambda cfg: compute_centre(two_group_monoidal(Z4), cfg)),
+    "coproduct category": (
+        "max_objects", 1, "coproduct category objects",
+        lambda cfg: check_cp_preserves_coproducts(
+            discrete_category(2), discrete_category(2), chain_poset_monoidal(2), cfg)),
+    "product objects": (
+        "max_objects", 8, "product category objects",
+        lambda cfg: product_category(discrete_category(3), discrete_category(3), cfg)),
+    "product morphisms": (
+        "max_morphisms", 8, "product category morphisms",
+        lambda cfg: product_category(discrete_category(3), discrete_category(3), cfg)),
+    "translation level one": (
+        "max_objects", 10, "translation level one objects",
+        lambda cfg: build_hochschild(two_group_monoidal(S3), cfg)),
     # level two is never larger than the product A x A built before it
-    "translation level two": ("max_branch", 500, lambda cfg: build_hochschild(
-        two_group_monoidal(S3), cfg)),
-    "inserter": ("max_objects", 1, lambda cfg: iso_inserter(
-        identity_functor(discrete_category(2)), identity_functor(discrete_category(2)), cfg)),
+    "translation level two": (
+        "max_branch", 500, "translation level two morphism enumeration",
+        lambda cfg: build_hochschild(two_group_monoidal(S3), cfg)),
+    "inserter": (
+        "max_objects", 1, "inserter objects",
+        lambda cfg: iso_inserter(identity_functor(discrete_category(2)),
+                                 identity_functor(discrete_category(2)), cfg)),
     # the descent object's inserter is bounded as soon as level one is
     # built: here its 8 objects before A x A's 4
-    "inserter from level one": ("max_objects", 3, lambda cfg: build_hochschild(
-        cocycle_two_group(z2_nontrivial_cocycle(), 2), cfg)),
-    "descent": ("max_objects", 2, lambda cfg: descent_object(
-        _constant_diagram(discrete_category(3)), cfg)),
-    "centre pieces": ("max_objects", 4, lambda cfg: enumerate_centre_pieces(
-        discrete_category(2), two_group_monoidal(Z4), cfg)),
+    "inserter from level one": (
+        "max_objects", 3, "inserter objects",
+        lambda cfg: build_hochschild(cocycle_two_group(z2_nontrivial_cocycle(), 2), cfg)),
+    "descent": (
+        "max_objects", 2, "descent objects",
+        lambda cfg: descent_object(_constant_diagram(discrete_category(3)), cfg)),
+    "centre pieces": (
+        "max_objects", 4, "centre piece objects",
+        lambda cfg: enumerate_centre_pieces(
+            discrete_category(2), two_group_monoidal(Z4), cfg)),
     # CP lies over the full functor subcategory on its pieces' functors
-    "centre piece functors": ("max_morphisms", 4, lambda cfg: enumerate_centre_pieces(
-        discrete_category(2), two_group_monoidal(Z4), cfg)),
-    "group order": ("vec_max_group", 2, lambda cfg: centre_simples(
-        trivial_cocycle(Group(Z4)), cfg)),
+    "centre piece functors": (
+        "max_morphisms", 4, "centre piece functor morphisms",
+        lambda cfg: enumerate_centre_pieces(
+            discrete_category(2), two_group_monoidal(Z4), cfg)),
+    "group order": (
+        "vec_max_group", 2, "group order",
+        lambda cfg: centre_simples(trivial_cocycle(Group(Z4)), cfg)),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(SIZE_REFUSALS))
 def test_every_size_refusal_names_the_guard_to_raise(stage):
-    guard, limit, build = SIZE_REFUSALS[stage]
+    guard, limit, what, build = SIZE_REFUSALS[stage]
     with pytest.raises(SizeGuardExceeded) as err:
         build(GuardConfig(**{guard: limit}))
+    assert err.value.what == what, str(err.value)
     assert str(err.value).endswith(f", limit {limit} (raise {guard})"), str(err.value)
 
 

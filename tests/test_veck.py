@@ -1013,6 +1013,18 @@ def test_closed_forms_match_the_former_linear_systems(table, omega_factory,
         assert closure(v, mats) == _ref_cyclic_closure(v, mats)
 
 
+@pytest.mark.parametrize("m_h", [2, -1, zeta(4)], ids=["3/2", "0", "(1 + i)/2"])
+def test_character_norm_that_is_not_a_positive_integer_is_refused(m_h):
+    # hand-built matrices, not an action: M_e = [[1]] and M_h = [[m_h]],
+    # both "inverses" [[1]], so the average of tr(M_h) tr(M_h^-1) is the id
+    one = cyc_one(4)
+    mats = {0: ((one,),), 1: ((one * m_h,),)}
+    inverses = {0: ((one,),), 1: ((one,),)}
+    with pytest.raises(InternalSoundnessError,
+                       match="^character norm of the fiber action is not a positive integer$"):
+        _commutant_dim(mats, inverses)
+
+
 def test_swapped_fibre_action_fails_multiplicativity():
     # the 2-dimensional simple of the S3 fibre at the identity, with the
     # matrices of a transposition and a 3-cycle exchanged
