@@ -17,7 +17,7 @@ from monocentre.jsonio import (
     monoidal_to_doc,
     write_spec,
 )
-from monocentre.monoidal import (
+from monocentre.examples import (
     S3,
     Z1,
     Z2,

@@ -17,9 +17,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from monocentre.monoidal import D4, S3, Z2_CUBED
+from monocentre.examples import D4, S3, Z2_CUBED
 from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
-from monocentre.veck import centre_simples, certify_centre_structure
+from monocentre.battery import certify_centre_structure
+from monocentre.veck import centre_simples
 
 
 def cyclic(n):

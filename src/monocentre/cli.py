@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 
+from .battery import certify_centre_structure
 from .bilimits import descent_object
 from .centre import compute_centre
 from .config import (DEFAULT, GUARDS, GuardConfig, InternalSoundnessError,
@@ -31,7 +32,7 @@ from .graded import Cocycle3, trivial_cocycle
 from .hochschild import build_hochschild, verify_prop_3_1
 from .jsonio import LoadedSpec, MalformedInput, dump_canonical, load_spec
 from .record import Certificate, Record
-from .veck import centre_simples, certify_centre_structure
+from .veck import centre_simples
 
 _DASH = "—"
 

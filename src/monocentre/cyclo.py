@@ -4,9 +4,8 @@ An element of the n-th cyclotomic field Q(zeta_n) is stored in the power
 basis 1, z, ..., z^(phi(n)-1) as phi(n) integer numerators over one
 positive integer denominator.  The pair is normalized: the gcd of the
 denominator and all numerators is 1, and zero is (0, ..., 0) / 1.  So
-same-order values have a unique representation, and equality and hashing
-are reliable within one field order; mixed-order operands are promoted to
-the lcm order first.
+same-order values have a unique representation; mixed-order operands are
+promoted to the lcm order first.
 
 Phi_n is monic with integer coefficients, so reduction never leaves the
 integers: a product is an integer convolution whose degrees >= phi(n) are
@@ -32,8 +31,9 @@ are all read off it.
 
 A rational operand (int, bool or fractions.Fraction) is read through its
 integer numerator and denominator, and anything else, a float included,
-is refused.  Hashes follow Python's rule for numeric hashes, so a
-rational value hashes as the equal int or Fraction does.  Only the
+is refused.  A value hashes as its normalized trace Tr(x) / phi(n), a
+rational that promotion keeps, so equal values of any orders hash alike,
+and a rational value hashes as the equal int or Fraction does.  Only the
 Fraction view `CycNumber.coeffs` (and the repr built on it) imports
 fractions, so the arithmetic runs without that module or decimal.
 """
@@ -268,13 +268,15 @@ class CycNumber:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        # equal to the hash of the Fraction form: hash(k) == hash(Fraction(k)),
-        # and a tuple hashes its elements' hashes
-        den = self.den
-        if self.is_rational():
-            return _hash_rational(self.nums[0], den)
-        return hash((self.order, self.nums if den == 1 else
-                     tuple(_hash_rational(c, den) for c in self.nums)))
+        # the hash of the normalized trace Tr(x) / phi(n), which promotion
+        # keeps and which is x itself when x is rational: Tr(z^i) / phi(n) is
+        # mu(m) / phi(m) for m = n / gcd(n, i), the order of z^i, and mu(m),
+        # the sum of the primitive m-th roots, is minus the next-to-leading
+        # coefficient of Phi_m
+        n, phi = self.order, euler_phi(self.order)
+        return _hash_rational(-sum(c * cyclotomic_poly(m)[-2] * (phi // euler_phi(m))
+                                   for i, c in enumerate(self.nums) if c
+                                   for m in [n // gcd(n, i)]), self.den * phi)
 
     def __repr__(self):
         terms = []

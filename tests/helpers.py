@@ -15,7 +15,8 @@ from monocentre.centre import compute_centre
 from monocentre.cyclo import zeta
 from monocentre.fincat import FinCategory, Functor
 from monocentre.graded import Cocycle3, Group, delta_object, half_braiding_space
-from monocentre.monoidal import BraidingDatum, MonoidalStructure, two_group_monoidal
+from monocentre.examples import two_group_monoidal
+from monocentre.monoidal import BraidingDatum, MonoidalStructure
 from monocentre.record import Record
 from monocentre.veck import centre_simples
 

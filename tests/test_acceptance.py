@@ -9,13 +9,9 @@ import random
 import time
 from collections import Counter
 
-from monocentre.centre import (
-    CentrePiece,
-    check_birepresentation,
-    check_centre_piece,
-    check_cp_preserves_coproducts,
-    compute_centre,
-    transport_along_power,
+from monocentre.centre import CentrePiece, check_centre_piece, compute_centre
+from monocentre.pieces import (
+    check_birepresentation, check_cp_preserves_coproducts, transport_along_power,
 )
 from monocentre.convolution import (
     SetFunctor,
@@ -34,7 +30,7 @@ from monocentre.fincat import (
     walking_arrow,
 )
 from monocentre.hochschild import build_hochschild, verify_prop_3_1
-from monocentre.monoidal import (
+from monocentre.examples import (
     S3,
     Z1,
     Z2,
@@ -42,8 +38,8 @@ from monocentre.monoidal import (
     Z4,
     chain_poset_monoidal,
     two_group_monoidal,
-    validate_monoidal,
 )
+from monocentre.monoidal import validate_monoidal
 from monocentre.graded import (
     Cocycle3,
     Group,
@@ -56,7 +52,8 @@ from monocentre.graded import (
     trivial_cocycle,
     z2_nontrivial_cocycle,
 )
-from monocentre.veck import centre_simples, certify_centre_structure
+from monocentre.battery import certify_centre_structure
+from monocentre.veck import centre_simples
 from monocentre.cyclo import zeta
 
 from helpers import one_dimensional_centres

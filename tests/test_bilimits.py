@@ -6,7 +6,7 @@ from monocentre.fincat import (
     FinCategory, Functor, NatTransf, terminal_category,
     discrete_category, walking_arrow, validate_functor, validate_category,
 )
-from monocentre.monoidal import Z1, two_group_monoidal
+from monocentre.examples import Z1, two_group_monoidal
 from monocentre.bilimits import (
     iso_inserter, equifier,
     TruncatedCosimplicial, validate_cosimplicial, descent_object,

@@ -17,13 +17,13 @@ outside its definition among the same callers; a call with *args or
 fincat's table builder, _table_category, is named only by fincat's four
 builders of derived categories (product_category, coproduct_category,
 category_over and full_functor_subcategory), so that every other module
-builds its categories through them; outside monoidal.py and jsonio.py,
+builds its categories through them; outside examples.py and jsonio.py,
 only it and the two basic shapes discrete_category and walking_arrow
 build a FinCategory.  Likewise, outside jsonio.py, only
-centre._lifted_monoidal and monoidal's two builders, two_group_monoidal
-and chain_poset_monoidal, build a MonoidalStructure, and only
-fincat._search, full_functor_subcategory and day_convolve spend a search
-budget.
+centre._lifted_monoidal and the two fixture builders of examples.py,
+two_group_monoidal and chain_poset_monoidal, build a MonoidalStructure,
+and only fincat._search, full_functor_subcategory and day_convolve spend
+a search budget.
 """
 
 import ast
@@ -175,13 +175,13 @@ def test_only_fincat_builders_name_the_table_builder():
 
 
 def test_only_the_table_builder_and_the_basic_shapes_build_a_category():
-    # monoidal.py builds the fixtures' base categories and jsonio.py the
+    # examples.py builds the fixtures' base categories and jsonio.py the
     # loaded ones; every category derived from others (A x B, U + V, each
     # category over a base, each functor subcategory) is built from its
     # rows by fincat._table_category
     building = [(path.name, getattr(stmt, "name", f"line {stmt.lineno}"))
                 for path in sorted(PACKAGE.glob("*.py"))
-                if path.name not in ("monoidal.py", "jsonio.py")
+                if path.name not in ("examples.py", "jsonio.py")
                 for stmt in ast.parse(path.read_text(encoding="utf-8")).body
                 if any(isinstance(node, ast.Call) and _callee(node) == "FinCategory"
                        for node in ast.walk(stmt))]
@@ -199,8 +199,8 @@ def test_only_the_lift_builds_a_derived_monoidal_structure():
                 for stmt in ast.parse(path.read_text(encoding="utf-8")).body
                 if any(isinstance(node, ast.Call) and _callee(node) == "MonoidalStructure"
                        for node in ast.walk(stmt))]
-    assert building == [("centre.py", "_lifted_monoidal"), ("monoidal.py", "two_group_monoidal"),
-                        ("monoidal.py", "chain_poset_monoidal")], building
+    assert building == [("centre.py", "_lifted_monoidal"), ("examples.py", "two_group_monoidal"),
+                        ("examples.py", "chain_poset_monoidal")], building
 
 
 def test_only_the_search_and_two_counted_builders_spend_a_budget():

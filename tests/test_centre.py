@@ -9,14 +9,16 @@ from monocentre.fincat import (
     FinCategory, Functor, terminal_category, empty_category,
     discrete_category, walking_arrow, check_equivalence, enumerate_nat_transfs,
 )
-from monocentre.monoidal import (
+from monocentre.examples import (
     Z1, Z2, Z3, Z4, S3, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.centre import (
-    CentrePiece, check_centre_piece,
-    enumerate_half_braidings, compute_centre,
+    CentrePiece, check_centre_piece, enumerate_half_braidings, compute_centre,
+    _central_failures,
+)
+from monocentre.pieces import (
     enumerate_centre_pieces, check_birepresentation, pointwise_monoidal,
-    transport_along_power, check_cp_preserves_coproducts, _central_failures,
+    transport_along_power, check_cp_preserves_coproducts,
 )
 from monocentre.graded import z2_nontrivial_cocycle
 

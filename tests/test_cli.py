@@ -105,7 +105,7 @@ def test_oversized_product_is_refused_after_one_validation(capsys, tmp_path):
 
     from monocentre.hochschild import verify_prop_3_1
     from monocentre.jsonio import load_spec, monoidal_to_doc, write_spec
-    from monocentre.monoidal import two_group_monoidal
+    from monocentre.examples import two_group_monoidal
 
     perms = sorted(permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
@@ -529,15 +529,20 @@ def test_loading_a_payload_compiles_no_solver():
 
 def test_cli_runs_load_neither_fractions_nor_decimal():
     # the cyclotomic kernel reads rationals as integer pairs; only the
-    # Fraction view CycNumber.coeffs imports fractions (and decimal with it)
+    # Fraction view CycNumber.coeffs imports fractions (and decimal with it).
+    # No subcommand reads centre pieces or builds an example, so no run
+    # compiles pieces or examples; both import once the runs are done.
     runs = [["vec-centre", fix("s3.json")],
             ["vec-centre", fix("z2.json"), "--omega", fix("z2_broken_omega.json")],
             ["report", fix("z4_discrete.json")],
             ["validate", fix("broken_pentagon.json")]]
+    unread = {"fractions", "decimal", "monocentre.pieces", "monocentre.examples"}
     probe = ("import contextlib, os, sys; from monocentre.cli import main\n"
              "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
              f"    codes = [main(argv) for argv in {runs!r}]\n"
-             "print(*codes, *sorted({'fractions', 'decimal'} & set(sys.modules)))")
+             f"loaded = sorted({unread!r} & set(sys.modules))\n"
+             "import monocentre.pieces, monocentre.examples\n"
+             "print(*codes, *loaded)")
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -546,15 +551,29 @@ def test_cli_runs_load_neither_fractions_nor_decimal():
 
 def test_the_linear_backend_compiles_no_set_level_centre():
     # veck reads Certificate from record, so the half-braiding enumeration
-    # of centre stays out of a vec-centre run
+    # of centre stays out of a vec-centre run; the structure battery is a
+    # module of its own, which veck does not import
     probe = ("import sys; import monocentre.veck; "
-             "print(*sorted(m for m in sys.modules if m.startswith('monocentre.')))")
+             "loaded = sorted(m for m in sys.modules if m.startswith('monocentre.')); "
+             "import monocentre.battery; print(*loaded)")
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = {m.removeprefix("monocentre.") for m in proc.stdout.split()}
     assert "veck" in loaded
-    assert "centre" not in loaded, loaded
+    assert "centre" not in loaded and "battery" not in loaded, loaded
+
+
+def test_compile_peaks_lists_the_modules_a_run_compiles():
+    script = SRC.parent / "scripts" / "compile_peaks.py"
+    proc = subprocess.run([sys.executable, str(script), "validate", fix("z2.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    modules = [line.split()[0] for line in lines[1:-1]]
+    assert modules[:3] == ["monocentre", "monocentre.__main__", "monocentre.cli"]
+    assert "monocentre.veck" in modules and "monocentre.pieces" not in modules, modules
+    assert lines[-1].startswith("exit 0, maxrss at exit "), lines[-1]
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
-from monocentre.monoidal import (
+from monocentre.examples import (
     Z2, Z3, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.convolution import (

@@ -59,6 +59,7 @@ def test_promotion():
     assert zeta(2).promote(6) == zeta(6, 3)
     assert zeta(3) == zeta(6, 2)
     assert zeta(3) + zeta(2) == zeta(6, 2) - 1
+    assert len({zeta(3), zeta(6, 2), zeta(4), zeta(8, 2)}) == 2
 
 
 @pytest.mark.parametrize("value", [0.5, 0.1, "1/2", Decimal("0.5")])
@@ -124,6 +125,12 @@ def test_single_term_inverse(n, i, c):
     x = zeta(n, i) * c
     assert x * x.inverse() == 1
     assert x.inverse() == zeta(n, -i) * (1 / c)
+
+
+@given(cyc_numbers(), st.integers(1, 4))
+def test_promotion_keeps_the_hash(x, k):
+    y = x.promote(k * x.order)
+    assert y == x and hash(y) == hash(x)
 
 
 def test_roots_of_unity_distinct():
@@ -335,9 +342,17 @@ class Ref:
         return out
 
     def hash_value(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        """The hash of the normalized trace: the mean of the Galois images
+        z -> z^k, k prime to n, which is rational."""
+        n = self.order
+        ks = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        images = [F0] * n
+        for k in ks:
+            for i, c in enumerate(self.coeffs):
+                images[i * k % n] += c
+        trace = Ref(n, images).coeffs
+        assert not any(trace[1:])
+        return hash(trace[0] / len(ks))
 
 
 def same(x, ref):

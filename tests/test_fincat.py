@@ -16,7 +16,7 @@ from monocentre.fincat import (
     check_equivalence,
 )
 
-from monocentre.monoidal import S3, chain_poset_monoidal, two_group_monoidal
+from monocentre.examples import S3, chain_poset_monoidal, two_group_monoidal
 
 from helpers import group_category, identity_functor
 

@@ -5,7 +5,7 @@ import pytest
 
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.fincat import Functor, NatTransf, functor_category, product_category
-from monocentre.monoidal import (
+from monocentre.examples import (
     Z1, Z2, Z3, S3, D4, Z2_CUBED, two_group_monoidal, chain_poset_monoidal,
 )
 from monocentre.hochschild import build_hochschild, verify_prop_3_1

@@ -23,7 +23,7 @@ from monocentre.jsonio import (
     monoidal_to_doc,
     write_spec,
 )
-from monocentre.monoidal import S3, Z2, chain_poset_monoidal, two_group_monoidal
+from monocentre.examples import S3, Z2, chain_poset_monoidal, two_group_monoidal
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"

@@ -7,13 +7,12 @@ import pytest
 from monocentre.fincat import Functor, discrete_category, validate_category
 from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 from monocentre.jsonio import load_spec
+from monocentre.examples import (
+    two_group_monoidal, chain_poset_monoidal, D4, Z1, Z2, Z3, Z4, S3,
+)
 from monocentre.monoidal import (
-    MonoidalStructure, validate_monoidal,
-    BraidingDatum, check_braiding,
-    check_strict_monoidal,
-    two_group_monoidal, chain_poset_monoidal,
-    group_table_report,
-    D4, Z1, Z2, Z3, Z4, S3,
+    MonoidalStructure, validate_monoidal, BraidingDatum, check_braiding,
+    check_strict_monoidal, group_table_report,
 )
 
 from helpers import identity_braiding, identity_functor, relabel_monoidal, type_i_cocycle

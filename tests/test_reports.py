@@ -19,9 +19,9 @@ import pytest
 from monocentre.bilimits import (
     TruncatedCosimplicial, descent_object, iso_inserter, validate_cosimplicial,
 )
-from monocentre.centre import (
-    CentrePiece, check_birepresentation, check_centre_piece, check_cp_preserves_coproducts,
-    compute_centre, enumerate_centre_pieces,
+from monocentre.centre import CentrePiece, check_centre_piece, compute_centre
+from monocentre.pieces import (
+    check_birepresentation, check_cp_preserves_coproducts, enumerate_centre_pieces,
 )
 from monocentre.config import GuardConfig, SizeGuardExceeded
 from monocentre.convolution import SetFunctor, check_set_transf, validate_set_functor
@@ -31,9 +31,11 @@ from monocentre.fincat import (
     walking_arrow, validate_category, validate_functor, validate_nat_transf,
 )
 from monocentre.hochschild import build_hochschild
+from monocentre.examples import (
+    Z1, Z2, Z4, S3, chain_poset_monoidal, two_group_monoidal,
+)
 from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, Z1, Z2, Z4, S3,
-    chain_poset_monoidal, check_braiding, check_strict_monoidal, two_group_monoidal,
+    BraidingDatum, MonoidalStructure, check_braiding, check_strict_monoidal,
     group_table_report, validate_monoidal,
 )
 from monocentre.graded import (

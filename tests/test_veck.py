@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocentre import veck
+from monocentre import battery, veck
 from monocentre.config import GuardConfig, InternalSoundnessError, SizeGuardExceeded
 from monocentre.graded import (
     Cocycle3,
@@ -26,7 +26,8 @@ from monocentre.graded import (
     trivial_cocycle,
     z2_nontrivial_cocycle,
 )
-from monocentre.monoidal import D4, S3, Z2, Z2_CUBED, Z3, Z4
+from monocentre.examples import D4, S3, Z2, Z2_CUBED, Z3, Z4
+from monocentre.battery import certify_centre_structure
 from monocentre.veck import (
     VecCentreResult,
     VecSimple,
@@ -38,7 +39,6 @@ from monocentre.veck import (
     _restrict_action,
     _split_rec,
     centre_simples,
-    certify_centre_structure,
     intertwiner_dim,
 )
 from monocentre.cyclo import (
@@ -479,7 +479,7 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
         result = _with_simple(result, a, HalfBraidingLin(A.omega, A.carrier, blocks))
     else:
         key = (1, A.carrier.support[0], B.carrier.support[0])
-        packed_parts = veck._Battery.parts
+        packed_parts = battery._Battery.parts
 
         def parts(bat, P, Q):
             out = packed_parts(bat, P, Q)
@@ -495,7 +495,7 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
                 out[key] = _times(out[key], zeta(N))
             return out
 
-        monkeypatch.setattr(veck._Battery, "parts", parts)
+        monkeypatch.setattr(battery._Battery, "parts", parts)
     certs = {c.name: c for c in certify_centre_structure(result)}
     hex1 = certs["hexagon 1 (multiplicativity against raw associator values)"]
     hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
@@ -524,7 +524,7 @@ def test_tensor_pass_reads_every_component_of_a_grade(x, monkeypatch):
     pairs = sorted((S3[g][h], g, h) for g in supp for h in supp)
     _, g, h = max(p for p in pairs if sum(q[0] == p[0] for q in pairs) > 1)
     key = (x, g, h)
-    packed_parts = veck._Battery.parts
+    packed_parts = battery._Battery.parts
 
     def parts(bat, P, Q):
         out = packed_parts(bat, P, Q)
@@ -540,7 +540,7 @@ def test_tensor_pass_reads_every_component_of_a_grade(x, monkeypatch):
             out[key] = _times(out[key], zeta(N))
         return out
 
-    monkeypatch.setattr(veck._Battery, "parts", parts)
+    monkeypatch.setattr(battery._Battery, "parts", parts)
     certs = {c.name: c for c in certify_centre_structure(result)}
     hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
     assert not hex2.ok and hex2.detail == _ref_hexagon2(result, parts_of)
