@@ -24,11 +24,13 @@ one check_centre_piece.  The category of centre pieces CP(U, A) and the
 comparisons of the universal property, which restrict and raise that
 piece, are in pieces, which no subcommand imports.
 
-Naturality, multiplicativity and the condition a morphism of the centre
-meets (_central_failures, which is also a piece's naturality in its first
+A half-braiding of a is natural as a transformation between the
+translations a (x) - => - (x) a, by fincat's one naturality check.
+Multiplicativity and the condition a morphism of the centre meets
+(_central_failures, which is also a piece's naturality in its first
 argument and the condition on a morphism of pieces) are each written
 once, as a generator of the places where they fail: the enumerations
-prune with them, and check_centre_piece reports from them.
+prune with all three, and check_centre_piece reports from them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from itertools import chain
 from .config import DEFAULT, Budget, GuardConfig, InternalSoundnessError, _report
 from .fincat import (
     FinCategory, Functor, check_equivalence, validate_category, validate_functor,
-    category_over, _schedule, _search,
+    category_over, _naturality_failures, _schedule, _search,
 )
 from .monoidal import (
     MonoidalStructure, BraidingDatum, check_braiding, check_strict_monoidal, _cell_failures,
@@ -78,16 +80,6 @@ class CentrePiece(Record):
         return CentrePiece(G.then(self.u), self.ms,
                            {(s, x): self.gamma[(G.obj_map[s], x)]
                             for s in G.src.objects for x in self.ms.base.objects})
-
-
-def _natural_failures(ms: MonoidalStructure, a, gamma, mors):
-    """The morphisms f: x -> y among mors where the family gamma of a is
-    not natural: gamma_y . (1_a (x) f) != (f (x) 1_a) . gamma_x."""
-    cat = ms.base
-    for f in mors:
-        x, y = cat.src(f), cat.dst(f)
-        if cat.compose(gamma[y], ms.lwhisk(a, f)) != cat.compose(ms.rwhisk(f, a), gamma[x]):
-            yield f
 
 
 def _multiplicative_failures(ms: MonoidalStructure, a, gamma, pairs):
@@ -130,9 +122,9 @@ def _gamma_cells(p: CentrePiece):
 
 def _piece_failures(p: CentrePiece):
     ms, u = p.ms, p.u
-    U, cat = u.src, ms.base
+    U, cat, (left, right) = u.src, ms.base, ms.translations
     for s, us in enumerate(u.obj_map):
-        for f in _natural_failures(ms, us, p.family(s), cat.morphisms):
+        for f in _naturality_failures(left[us], right[us], p.family(s), cat.morphisms):
             yield f"gamma not natural in the second argument at (s={s}, f={f})"
     for f in U.morphisms:
         for x in _central_failures(ms, u.mor_map[f], p.family(U.src(f)), p.family(U.dst(f))):
@@ -150,7 +142,7 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
     with each naturality and multiplicativity condition checked as soon as
     every index it involves is assigned.
     """
-    cat, t = ms.base, ms.tensor_obj
+    cat, t, (left, right) = ms.base, ms.tensor_obj, ms.translations
     objs = cat.objects
     at = list(zip(cat._by_later_end,
                   _schedule(objs, (((x, y), (x, y, t(x, y))) for x in objs for y in objs))))
@@ -159,7 +151,7 @@ def enumerate_half_braidings(ms: MonoidalStructure, a: int,
 
     def failures(checks):
         nat, mult = checks
-        return chain(_natural_failures(ms, a, gamma, nat),
+        return chain(_naturality_failures(left[a], right[a], gamma, nat),
                      _multiplicative_failures(ms, a, gamma, mult))
 
     _search(gamma, objs, lambda x: cat.invertible_hom(t(a, x), t(x, a)), at, failures,

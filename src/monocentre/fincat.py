@@ -311,10 +311,10 @@ def validate_nat_transf(eta: NatTransf) -> list[str]:
 
 def _naturality_failures(F: Functor, G: Functor, comps, mors):
     """The morphisms m: a -> b among mors where comps_b . F m != G m . comps_a."""
-    A, comp = F.src, F.dst.compose_map
+    srcs, dsts, comp, fm, gm = F.src.mor_src, F.src.mor_dst, F.dst.compose_map, F.mor_map, G.mor_map
     for m in mors:
-        left = comp.get((comps[A.dst(m)], F.mor_map[m]))
-        if left is None or left != comp.get((G.mor_map[m], comps[A.src(m)])):
+        left = comp.get((comps[dsts[m]], fm[m]))
+        if left is None or left != comp.get((gm[m], comps[srcs[m]])):
             yield m
 
 

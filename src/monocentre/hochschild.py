@@ -20,11 +20,12 @@ two cofaces of level one, which the descent object's second route
 builds, is bounded on its objects as soon as level one is built, before
 A x A and level two.
 
-Each coface is written once, as one map on morphism tables: it gives a
-functor's image from the functor's morphism table, the image's objects
-from its identities, and a transformation's image from the same map read
-at identities.  Each coherence cell is written once, as its associator
-component, between the two composites of cofaces it compares.
+Level one's cofaces are the MonoidalStructure's translations.  Each
+coface of level two is written once, as one map on morphism tables: it
+gives a functor's image from the functor's morphism table, the image's
+objects from its identities, and a transformation's image from the same
+map read at identities.  Each coherence cell is written once, as its
+associator component, between the two composites of cofaces it compares.
 
 The input is checked once: build_hochschild reads the report the
 MonoidalStructure keeps as problems, and the diagram's own check is kept
@@ -50,11 +51,11 @@ class HochschildDiagram(Record):
     __slots__ = ("prod", "level1", "diagram")
 
 
-def _coface(S, fc, tables, components):
+def _coface(S, fc, functors, components):
     """The functor from S into the level fc that sends the object s of S to
-    the functor with tables[s] and the morphism k of S to the transformation
-    with components[k], a tuple."""
-    objs = [fc.functor_index[t] for t in tables]
+    functors[s] and the morphism k of S to the transformation with
+    components[k], a tuple."""
+    objs = [fc.functor_index[F.obj_map, F.mor_map] for F in functors]
     return Functor(S, fc.category, objs,
                    [fc.transf_index[(objs[S.src(k)], objs[S.dst(k)], c)]
                     for k, c in enumerate(components)])
@@ -66,23 +67,13 @@ def build_hochschild(ms: MonoidalStructure,
         raise ValueError("input monoidal structure is invalid: " + ms.problems[0])
     A, t = ms.base, ms.tensor_mor
 
-    def tables(source, mor):
-        """A functor source -> A as its object and morphism tables, from
-        the latter: each object goes where its identity goes."""
-        mor = tuple(mor)
-        return tuple(A.src(mor[e]) for e in source.identity), mor
-
-    # level one: d0 a = a (x) - and d1 a = - (x) a, each one map of a
-    # morphism h of A and the morphism f it translates; read at h = 1_a it
-    # gives the translation's table, and at f = 1_x the image of h at x
-    d_routes = (lambda h, f: t(h, f), lambda h, f: t(f, h))
-    d_tables = [[tables(A, (d(A.id_of(a), f) for f in A.morphisms)) for a in A.objects]
-                for d in d_routes]
-    fc1 = full_functor_subcategory(
-        A, A, [Functor(A, A, *tb) for tbs in d_tables for tb in tbs], cfg,
-        what="translation level one")
-    d0, d1 = (_coface(A, fc1, tbs, [tuple(d(h, e) for e in A.identity) for h in A.morphisms])
-              for d, tbs in zip(d_routes, d_tables))
+    # level one: d0 a = a (x) - and d1 a = - (x) a, the translations; the
+    # image of h under d0 has component h (x) 1_x at x, which is the right
+    # translation by x at h, and under d1 the left one
+    left, right = ms.translations
+    fc1 = full_functor_subcategory(A, A, left + right, cfg, what="translation level one")
+    d0, d1 = (_coface(A, fc1, side, [tuple(G.mor_map[h] for G in other) for h in A.morphisms])
+              for side, other in ((left, right), (right, left)))
     # the descent object's inserter lies over level one alone: refuse it
     # before the product and level two are built
     cfg.bound("inserter objects", len(inserter_objects(d0, d1)), "max_objects")
@@ -96,16 +87,19 @@ def build_hochschild(ms: MonoidalStructure,
     pairs = [prod.mor_pair(m) for m in P.morphisms]
     e_routes = (lambda F, f, g: t(F[f], g), lambda F, f, g: F[t(f, g)],
                 lambda F, f, g: t(f, F[g]))
-    e_tables = [[tables(P, (e(F.mor_map, f, g) for f, g in pairs)) for F in fc1.functors]
-                for e in e_routes]
-    fc2 = full_functor_subcategory(
-        P, A, [Functor(P, A, *tb) for tbs in e_tables for tb in tbs], cfg,
-        what="translation level two")
+
+    def image(e, F):
+        """e's image of F: each object goes where its identity goes."""
+        mor = tuple(e(F.mor_map, f, g) for f, g in pairs)
+        return Functor(P, A, [A.src(mor[i]) for i in P.identity], mor)
+
+    e_images = [[image(e, F) for F in fc1.functors] for e in e_routes]
+    fc2 = full_functor_subcategory(P, A, sum(e_images, []), cfg, what="translation level two")
     at_ids = [dict(zip(A.identity, eta.components)) for eta in fc1.transfs]
     e0, e1, e2 = (
-        _coface(fc1.category, fc2, tbs,
+        _coface(fc1.category, fc2, images,
                 [tuple(e(c, *pairs[i]) for i in P.identity) for c in at_ids])
-        for e, tbs in zip(e_routes, e_tables))
+        for e, images in zip(e_routes, e_images))
 
     # each coherence cell sits between the two composites it compares, and
     # its component at a is, at (x, y), the associator given

@@ -3,7 +3,9 @@
 A MonoidalStructure stores the tensor tables, the unit object, and the
 associator/unitor components explicitly, even when everything is strict.
 All checks are exhaustive and exact: pentagon and triangle over all object
-tuples, naturality over all morphism tuples, invertibility by table lookup.
+tuples, invertibility by table lookup, and bifunctoriality and naturality
+one variable at a time (Mac Lane, CWM II.3), by fincat's functor and
+naturality checks along the translations a (x) - and - (x) a.
 
 Each check is a generator of failure messages per phase, capped and
 ordered by config._report: the structure cells are scanned first, by the
@@ -22,7 +24,7 @@ from functools import cached_property
 from itertools import chain, product
 
 from .config import _report
-from .fincat import FinCategory, Functor
+from .fincat import FinCategory, Functor, validate_functor, _naturality_failures
 from .record import Record
 
 
@@ -39,6 +41,15 @@ class MonoidalStructure(Record):
     @cached_property
     def problems(self) -> tuple:
         return tuple(validate_monoidal(self))
+
+    @cached_property
+    def translations(self) -> tuple:
+        """(left, right): left[a] is the functor a (x) - and right[a] is - (x) a."""
+        cat, t, tm = self.base, self.tensor_obj_table, self.tensor_mor_table
+        ids, mors = cat.identity, cat.morphisms
+        return (tuple(Functor(cat, cat, row, [tm[e, f] for f in mors]) for row, e in zip(t, ids)),
+                tuple(Functor(cat, cat, col, [tm[f, e] for f in mors])
+                      for col, e in zip(zip(*t), ids)))
 
     def tensor_obj(self, a, b):
         return self.tensor_obj_table[a][b]
@@ -126,39 +137,39 @@ def _structural_failures(ms: MonoidalStructure):
 
 
 def _functoriality_failures(ms: MonoidalStructure):
-    cat = ms.base
-    for a in cat.objects:
-        for b in cat.objects:
-            if ms.tensor_mor(cat.id_of(a), cat.id_of(b)) != cat.id_of(ms.tensor_obj(a, b)):
-                yield f"tensor of identities at ({a}, {b}) is not an identity"
-    pairs = [(g, f) for (g, f) in cat.compose_map if cat.src(g) == cat.dst(f)]
-    for (g2, f2) in pairs:
-        for (g1, f1) in pairs:
-            lhs = ms.tensor_mor(cat.compose(g2, f2), cat.compose(g1, f1))
-            rhs = cat.compose(ms.tensor_mor(g2, g1), ms.tensor_mor(f2, f1))
-            if lhs != rhs:
-                yield f"tensor does not preserve composition at (({g2},{f2}), ({g1},{f1}))"
+    """Functorial translations, and f (x) g = (f (x) 1)(1 (x) g) = (1 (x) g)(f (x) 1)."""
+    cat, (left, right) = ms.base, ms.translations
+    for side, fs in (("left translation {} (x) -", left), ("right translation - (x) {}", right)):
+        for a, F in enumerate(fs):
+            for e in validate_functor(F):
+                yield f"{side.format(a)} is not a functor: {e}"
+    src, dst, compose, tm = cat.mor_src, cat.mor_dst, cat.compose, ms.tensor_mor_table
+    yield from (f"tensor fails the interchange law at ({f}, {g})"
+                for f, g in product(cat.morphisms, repeat=2)
+                if not tm[f, g] == compose(right[dst[g]].mor_map[f], left[src[f]].mor_map[g])
+                == compose(left[dst[f]].mor_map[g], right[src[g]].mor_map[f]))
 
 
 def _cell_naturality_failures(ms: MonoidalStructure):
-    cat = ms.base
-    mors = list(cat.morphisms)
-    for f in mors:
-        for g in mors:
-            for h in mors:
-                a, b, c = cat.src(f), cat.src(g), cat.src(h)
-                lhs = cat.compose(ms.alpha(cat.dst(f), cat.dst(g), cat.dst(h)),
-                                  ms.tensor_mor(ms.tensor_mor(f, g), h))
-                rhs = cat.compose(ms.tensor_mor(f, ms.tensor_mor(g, h)),
-                                  ms.alpha(a, b, c))
-                if lhs != rhs:
-                    yield f"associator not natural at morphisms ({f}, {g}, {h})"
-    for f in mors:
-        a, b = cat.src(f), cat.dst(f)
-        if cat.compose(ms.lam(b), ms.lwhisk(ms.unit, f)) != cat.compose(f, ms.lam(a)):
-            yield f"left unitor not natural at morphism {f}"
-        if cat.compose(ms.rho(b), ms.rwhisk(f, ms.unit)) != cat.compose(f, ms.rho(a)):
-            yield f"right unitor not natural at morphism {f}"
+    """The associator natural in each variable, the others held, and each unitor."""
+    cat, (left, right) = ms.base, ms.translations
+    # natural at identities, which the translations preserve: check the rest
+    mors = [m for m in cat.morphisms if not cat.is_identity(m)]
+    objs, ids, t, alpha = cat.objects, cat.identity, ms.tensor_obj_table, ms.alpha_table
+    for p, q in product(objs, repeat=2):
+        held = (ids[p], ids[q])
+        # the k-th variable x, with p and q held in the other two places
+        for k, (F, G, comps) in enumerate((
+                (right[p].then(right[q]), right[t[p][q]], [alpha[x, p, q] for x in objs]),
+                (left[p].then(right[q]), right[q].then(left[p]), [alpha[p, x, q] for x in objs]),
+                (left[t[p][q]], left[q].then(left[p]), [alpha[p, q, x] for x in objs]))):
+            for f in _naturality_failures(F, G, comps, mors):
+                yield "associator not natural at morphisms ({}, {}, {})".format(
+                    *held[:k], f, *held[k:])
+    for name, F, comps in (("left unitor", left[ms.unit], ms.lam_table),
+                           ("right unitor", right[ms.unit], ms.rho_table)):
+        for f in _naturality_failures(F, Functor(cat, cat, objs, cat.morphisms), comps, mors):
+            yield f"{name} not natural at morphism {f}"
 
 
 def _pentagon_failure(ms: MonoidalStructure):
@@ -196,8 +207,10 @@ def validate_monoidal(ms: MonoidalStructure) -> list[str]:
 
     A structural failure (a missing, misplaced or non-invertible component)
     is reported alone, since composites with it are not trustworthy.  The
-    pentagon runs over all object quadruples and the triangle over all
-    pairs, and each reports its first failing tuple.
+    cells are checked natural in each variable, which is naturality only
+    for a bifunctor, checked in the same phase.  The pentagon runs over all
+    object quadruples and the triangle over all pairs, and each reports its
+    first failing tuple.
     """
     return _report(_structural_failures(ms),
                    chain(_functoriality_failures(ms), _cell_naturality_failures(ms),
@@ -218,7 +231,8 @@ class BraidingDatum(Record):
 
 
 def check_braiding(br: BraidingDatum) -> list[str]:
-    """Endpoints, invertibility, naturality, and both hexagon identities."""
+    """Endpoints, invertibility, naturality in each variable (naturality
+    when br.ms passes validate_monoidal), and both hexagon identities."""
     ms = br.ms
     cat, t = ms.base, ms.tensor_obj
     cells = (("braiding", (a, b), br.table.get((a, b)), t(a, b), t(b, a))
@@ -228,30 +242,29 @@ def check_braiding(br: BraidingDatum) -> list[str]:
 
 def _braiding_failures(br: BraidingDatum):
     ms = br.ms
-    cat = ms.base
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            a, b = cat.src(f), cat.src(g)
-            lhs = cat.compose(br.at(cat.dst(f), cat.dst(g)), ms.tensor_mor(f, g))
-            rhs = cat.compose(ms.tensor_mor(g, f), br.at(a, b))
-            if lhs != rhs:
-                yield f"braiding not natural at morphisms ({f}, {g})"
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                bc = ms.tensor_obj(b, c)
-                lhs = cat.compose_chain(ms.alpha(b, c, a), br.at(a, bc), ms.alpha(a, b, c))
-                rhs = cat.compose_chain(ms.lwhisk(b, br.at(a, c)), ms.alpha(b, a, c),
-                                        ms.rwhisk(br.at(a, b), c))
-                if lhs != rhs:
-                    yield f"first hexagon fails at ({a}, {b}, {c})"
-                ab = ms.tensor_obj(a, b)
-                lhs2 = cat.compose_chain(ms.alpha_inv(c, a, b), br.at(ab, c),
-                                         ms.alpha_inv(a, b, c))
-                rhs2 = cat.compose_chain(ms.rwhisk(br.at(a, c), b), ms.alpha_inv(a, c, b),
-                                         ms.lwhisk(a, br.at(b, c)))
-                if lhs2 != rhs2:
-                    yield f"second hexagon fails at ({a}, {b}, {c})"
+    cat, (left, right) = ms.base, ms.translations
+    objs, ids = cat.objects, cat.identity
+    for y in objs:
+        # c(-, y): - (x) y => y (x) -, and c(y, -): y (x) - => - (x) y
+        for f in _naturality_failures(right[y], left[y], [br.at(x, y) for x in objs],
+                                      cat.morphisms):
+            yield f"braiding not natural at morphisms ({f}, {ids[y]})"
+        for g in _naturality_failures(left[y], right[y], [br.at(y, x) for x in objs],
+                                      cat.morphisms):
+            yield f"braiding not natural at morphisms ({ids[y]}, {g})"
+    for a, b, c in product(objs, repeat=3):
+        bc = ms.tensor_obj(b, c)
+        lhs = cat.compose_chain(ms.alpha(b, c, a), br.at(a, bc), ms.alpha(a, b, c))
+        rhs = cat.compose_chain(ms.lwhisk(b, br.at(a, c)), ms.alpha(b, a, c),
+                                ms.rwhisk(br.at(a, b), c))
+        if lhs != rhs:
+            yield f"first hexagon fails at ({a}, {b}, {c})"
+        ab = ms.tensor_obj(a, b)
+        lhs2 = cat.compose_chain(ms.alpha_inv(c, a, b), br.at(ab, c), ms.alpha_inv(a, b, c))
+        rhs2 = cat.compose_chain(ms.rwhisk(br.at(a, c), b), ms.alpha_inv(a, c, b),
+                                 ms.lwhisk(a, br.at(b, c)))
+        if lhs2 != rhs2:
+            yield f"second hexagon fails at ({a}, {b}, {c})"
 
 
 # -- strict monoidal functors --------------------------------------------

@@ -6,17 +6,23 @@ census of small monoids as monoidal categories on a discrete, a thin or a
 one-object base, the 2-group of a 3-cocycle, and the three readings of
 the one-dimensional centre objects that the set-level <-> linear bridge
 compares), not a certified claim, so they live with the tests rather
-than in the package.
+than in the package.  The joint scans at the end check bifunctoriality
+and naturality over every tuple of morphisms at once; they are the
+reference the one-variable checks of the package are tested against.
 """
 
+from itertools import chain
 from math import lcm
 
 from monocentre.centre import compute_centre
 from monocentre.cyclo import zeta
 from monocentre.fincat import FinCategory, Functor
 from monocentre.graded import Cocycle3, Group, delta_object, half_braiding_space
-from monocentre.examples import two_group_monoidal
-from monocentre.monoidal import BraidingDatum, MonoidalStructure
+from monocentre.examples import S3, two_group_monoidal
+from monocentre.config import _report
+from monocentre.monoidal import (
+    BraidingDatum, MonoidalStructure, _cell_failures, _coherence_failures, _structural_failures,
+)
 from monocentre.record import Record
 from monocentre.veck import centre_simples
 
@@ -189,6 +195,23 @@ def one_object_monoidal(table) -> MonoidalStructure:
                              0, {(0, 0, 0): 0}, (0,), (0,))
 
 
+def unit_and_s3_monoidal(product) -> MonoidalStructure:
+    """Two objects: the unit 0, with only its identity 0, and 1 = 1 (x) 1,
+    whose endomorphisms are S3 as the morphisms 1 + g (1 its identity).
+    The unit's identity tensors as a unit, f (x) g is 1 + product(f, g) on
+    the elements f, g of S3, which must be a homomorphism S3 x S3 -> S3,
+    and every structure cell is an identity.  A product that is not
+    constant keeps one translation by 1 from commuting with the cells."""
+    comp = {(1 + g, 1 + f): 1 + h for g, row in enumerate(S3) for f, h in enumerate(row)}
+    comp[0, 0] = 0
+    cat = FinCategory(2, (0,) + (1,) * 6, (0,) + (1,) * 6, (0, 1), comp)
+    tmor = {(0, m): m for m in cat.morphisms}
+    tmor.update({(m, 0): m for m in cat.morphisms})
+    tmor.update({(1 + f, 1 + g): 1 + product(f, g) for f in range(6) for g in range(6)})
+    alpha = {(a, b, c): int(a or b or c) for a in range(2) for b in range(2) for c in range(2)}
+    return MonoidalStructure(cat, ((0, 1), (1, 1)), tmor, 0, alpha, (0, 1), (0, 1))
+
+
 def type_i_cocycle(n: int) -> Cocycle3:
     """The type-I 3-cocycle on Z_n, omega(a, b, c) = a floor((b + c) / n),
     of scalar order n."""
@@ -227,3 +250,119 @@ def one_dimensional_centres(omega: Cocycle3, n: int) -> tuple:
                if simple.total_dim == 1}
     search = {read(hb) for g in G for hb in half_braiding_space(delta_object(len(G), g), omega)}
     return set_level, simples, search
+
+
+# -- joint scans: the reference for the one-variable checks ---------------
+
+
+def joint_functoriality_failures(ms: MonoidalStructure):
+    """Tensor of identities, and composition over every pair of composable
+    pairs."""
+    cat = ms.base
+    for a in cat.objects:
+        for b in cat.objects:
+            if ms.tensor_mor(cat.id_of(a), cat.id_of(b)) != cat.id_of(ms.tensor_obj(a, b)):
+                yield f"tensor of identities at ({a}, {b}) is not an identity"
+    pairs = [(g, f) for (g, f) in cat.compose_map if cat.src(g) == cat.dst(f)]
+    for (g2, f2) in pairs:
+        for (g1, f1) in pairs:
+            lhs = ms.tensor_mor(cat.compose(g2, f2), cat.compose(g1, f1))
+            rhs = cat.compose(ms.tensor_mor(g2, g1), ms.tensor_mor(f2, f1))
+            if lhs != rhs:
+                yield f"tensor does not preserve composition at (({g2},{f2}), ({g1},{f1}))"
+
+
+def joint_cell_naturality_failures(ms: MonoidalStructure):
+    """The associator over every triple of morphisms, each unitor over
+    every morphism."""
+    cat = ms.base
+    mors = list(cat.morphisms)
+    for f in mors:
+        for g in mors:
+            for h in mors:
+                a, b, c = cat.src(f), cat.src(g), cat.src(h)
+                lhs = cat.compose(ms.alpha(cat.dst(f), cat.dst(g), cat.dst(h)),
+                                  ms.tensor_mor(ms.tensor_mor(f, g), h))
+                rhs = cat.compose(ms.tensor_mor(f, ms.tensor_mor(g, h)),
+                                  ms.alpha(a, b, c))
+                if lhs != rhs:
+                    yield f"associator not natural at morphisms ({f}, {g}, {h})"
+    for f in mors:
+        a, b = cat.src(f), cat.dst(f)
+        if cat.compose(ms.lam(b), ms.lwhisk(ms.unit, f)) != cat.compose(f, ms.lam(a)):
+            yield f"left unitor not natural at morphism {f}"
+        if cat.compose(ms.rho(b), ms.rwhisk(f, ms.unit)) != cat.compose(f, ms.rho(a)):
+            yield f"right unitor not natural at morphism {f}"
+
+
+def joint_validate_monoidal(ms: MonoidalStructure) -> list[str]:
+    """validate_monoidal with the joint scans in place of the one-variable
+    checks."""
+    return _report(_structural_failures(ms),
+                   chain(joint_functoriality_failures(ms), joint_cell_naturality_failures(ms),
+                         _coherence_failures(ms)))
+
+
+def joint_braiding_failures(br: BraidingDatum):
+    """Naturality over every pair of morphisms, then both hexagons."""
+    ms = br.ms
+    cat = ms.base
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            a, b = cat.src(f), cat.src(g)
+            lhs = cat.compose(br.at(cat.dst(f), cat.dst(g)), ms.tensor_mor(f, g))
+            rhs = cat.compose(ms.tensor_mor(g, f), br.at(a, b))
+            if lhs != rhs:
+                yield f"braiding not natural at morphisms ({f}, {g})"
+    for a in cat.objects:
+        for b in cat.objects:
+            for c in cat.objects:
+                bc = ms.tensor_obj(b, c)
+                lhs = cat.compose_chain(ms.alpha(b, c, a), br.at(a, bc), ms.alpha(a, b, c))
+                rhs = cat.compose_chain(ms.lwhisk(b, br.at(a, c)), ms.alpha(b, a, c),
+                                        ms.rwhisk(br.at(a, b), c))
+                if lhs != rhs:
+                    yield f"first hexagon fails at ({a}, {b}, {c})"
+                ab = ms.tensor_obj(a, b)
+                lhs2 = cat.compose_chain(ms.alpha_inv(c, a, b), br.at(ab, c),
+                                         ms.alpha_inv(a, b, c))
+                rhs2 = cat.compose_chain(ms.rwhisk(br.at(a, c), b), ms.alpha_inv(a, c, b),
+                                         ms.lwhisk(a, br.at(b, c)))
+                if lhs2 != rhs2:
+                    yield f"second hexagon fails at ({a}, {b}, {c})"
+
+
+def joint_check_braiding(br: BraidingDatum) -> list[str]:
+    """check_braiding with the joint naturality scan."""
+    cat, t = br.ms.base, br.ms.tensor_obj
+    cells = (("braiding", (a, b), br.table.get((a, b)), t(a, b), t(b, a))
+             for a in cat.objects for b in cat.objects)
+    return _report(_cell_failures(cat, cells), joint_braiding_failures(br))
+
+
+def cell_mutants(ms: MonoidalStructure):
+    """Every structure that differs from ms in one entry of the tensor of
+    morphisms, the associator or a unitor, by another morphism with the
+    entry's endpoints."""
+    cat = ms.base
+    fields = dict(tensor_mor=ms.tensor_mor_table, alpha=ms.alpha_table,
+                  lam=dict(enumerate(ms.lam_table)), rho=dict(enumerate(ms.rho_table)))
+    for name, table in fields.items():
+        for key, m in table.items():
+            for h in cat.hom(cat.src(m), cat.dst(m)):
+                if h != m:
+                    changed = {**fields, name: {**table, key: h}}
+                    yield MonoidalStructure(
+                        cat, ms.tensor_obj_table, changed["tensor_mor"], ms.unit,
+                        changed["alpha"], [changed["lam"][a] for a in cat.objects],
+                        [changed["rho"][a] for a in cat.objects])
+
+
+def braiding_mutants(br: BraidingDatum):
+    """Every braiding that differs from br in one component, by another
+    morphism with the component's endpoints."""
+    cat = br.ms.base
+    for key, m in br.table.items():
+        for h in cat.hom(cat.src(m), cat.dst(m)):
+            if h != m:
+                yield BraidingDatum(br.ms, {**br.table, key: h})

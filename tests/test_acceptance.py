@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, one test (and one pytest -v line) each.
+"""Acceptance gate: eleven criteria, one test (and one pytest -v line) each.
 
 Every test does its own wall-clock accounting and fails if it exceeds
 the stated budget, so a pass line certifies both the mathematics and
@@ -56,7 +56,7 @@ from monocentre.battery import certify_centre_structure
 from monocentre.veck import centre_simples
 from monocentre.cyclo import zeta
 
-from helpers import one_dimensional_centres
+from helpers import cocycle_two_group, one_dimensional_centres, type_i_cocycle
 
 
 def _budget(start, limit, label):
@@ -236,3 +236,14 @@ def test_criterion_10_cross_backend():
         assert set_level == simples == search
         assert {g for g, _ in set_level} == set(group_centre(table))
     _budget(start, 30.0, "criterion 10 (set-level 2-group centre vs linear simples)")
+
+
+def test_criterion_11_two_group_centre():
+    # 16 objects and 256 morphisms: the budget holds only if the centre's
+    # own monoidal structure is validated one variable at a time, as a scan
+    # over every triple of its morphisms (256^3) takes about 35 s
+    start = time.perf_counter()
+    Z = compute_centre(cocycle_two_group(type_i_cocycle(4), 16))
+    assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
+    assert (Z.category.n_objects, Z.category.n_morphisms) == (16, 256)
+    _budget(start, 5.0, "criterion 11 (centre of the Z4 type-I 2-group, N = 16)")

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from monocentre.centre import compute_centre
 from monocentre.fincat import Functor, discrete_category, validate_category
 from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 from monocentre.jsonio import load_spec
@@ -15,7 +16,11 @@ from monocentre.monoidal import (
     check_strict_monoidal, group_table_report,
 )
 
-from helpers import identity_braiding, identity_functor, relabel_monoidal, type_i_cocycle
+from helpers import (
+    braiding_mutants, cell_mutants, cocycle_two_group, identity_braiding, identity_functor,
+    joint_check_braiding, joint_validate_monoidal, relabel_monoidal, type_i_cocycle,
+    unit_and_s3_monoidal,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -182,3 +187,38 @@ class TestRelabelling:
         out = relabel_monoidal(ms, perm_obj, perm_mor)
         assert validate_monoidal(out.monoidal) == []
         assert check_strict_monoidal(out.iso, ms, out.monoidal) == []
+
+
+class TestOneVariableChecks:
+    """Bifunctoriality and naturality, checked one variable at a time, give
+    the verdicts of the joint scans over all tuples of morphisms (helpers)
+    on every mutant in one entry that keeps the entry's endpoints."""
+
+    @pytest.mark.parametrize("make,mutants,valid", [
+        (lambda: load_spec(str(FIXTURES / "semion_two_group.json")).payload, 28, 1),
+        (lambda: cocycle_two_group(type_i_cocycle(3), 3), 228, 0),
+        (lambda: chain_poset_monoidal(3), 0, 0),
+        (lambda: unit_and_s3_monoidal(lambda f, g: f), 285, 0),
+    ], ids=["semion", "z3_type_i", "chain_3", "unit_and_s3"])
+    def test_monoidal_verdicts_match_the_joint_scans(self, make, mutants, valid):
+        ms = make()
+        assert validate_monoidal(ms) == joint_validate_monoidal(ms) == []
+        verdicts = [(validate_monoidal(m) == [], joint_validate_monoidal(m) == [])
+                    for m in cell_mutants(ms)]
+        assert len(verdicts) == mutants
+        assert verdicts.count((True, True)) == valid
+        assert all(new == joint for new, joint in verdicts)
+
+    @pytest.mark.parametrize("make,mutants,valid", [
+        (lambda: compute_centre(load_spec(str(FIXTURES / "semion_two_group.json")).payload)
+         .braiding, 4, 1),
+        (lambda: identity_braiding(unit_and_s3_monoidal(lambda f, g: 0)), 15, 0),
+    ], ids=["semion_centre", "unit_and_s3"])
+    def test_braiding_verdicts_match_the_joint_scan(self, make, mutants, valid):
+        br = make()
+        assert check_braiding(br) == joint_check_braiding(br) == []
+        verdicts = [(check_braiding(m) == [], joint_check_braiding(m) == [])
+                    for m in braiding_mutants(br)]
+        assert len(verdicts) == mutants
+        assert verdicts.count((True, True)) == valid
+        assert all(new == joint for new, joint in verdicts)

@@ -44,7 +44,10 @@ from monocentre.graded import (
 )
 from monocentre.veck import centre_simples
 
-from helpers import cocycle_two_group, group_category, identity_functor
+from helpers import (
+    cocycle_two_group, group_category, identity_braiding, identity_functor,
+    unit_and_s3_monoidal,
+)
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "monocentre"
 
@@ -180,6 +183,97 @@ def test_piece_whose_u_is_not_a_functor_is_reported_before_naturality():
     other = Functor(walking_arrow(), walking_arrow(), (0, 1), (0, 1, 2))
     assert check_centre_piece(CentrePiece(other, ms, gamma)) == [
         "u does not land in the base category"]
+
+
+# -- bifunctoriality and naturality, one variable at a time --------------------
+#
+# unit_and_s3_monoidal(product) has the unit 0 and an object 1 whose
+# endomorphisms 1..6 are S3 (1 its identity).  With the left projection
+# f (x) g = f, the right translation by 1 is the identity on End(1) and
+# the left one sends all of it to the identity 1, so changing one cell to the transposition 2
+# breaks naturality in exactly one variable.  With the constant product,
+# the identity braiding is a braiding, and a component over the unit and
+# 1 changed to 2 fails in exactly one variable.
+
+
+def with_cells(ms, tensor_mor=(), alpha=(), lam=None, rho=None):
+    """ms with the given entries of the tensor of morphisms, the
+    associator and the unitors replaced."""
+    return MonoidalStructure(ms.base, ms.tensor_obj_table,
+                             {**ms.tensor_mor_table, **dict(tensor_mor)}, ms.unit,
+                             {**ms.alpha_table, **dict(alpha)}, lam or ms.lam_table,
+                             rho or ms.rho_table)
+
+
+def left_projection():
+    return unit_and_s3_monoidal(lambda f, g: f)
+
+
+S3_NONCOMMUTING = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 4), (4, 2), (4, 6), (5, 2),
+                   (5, 3), (6, 2), (6, 5))
+
+
+def test_s3_fixtures_are_monoidal_and_braided():
+    assert validate_monoidal(left_projection()) == []
+    constant = unit_and_s3_monoidal(lambda f, g: 0)
+    assert validate_monoidal(constant) == []
+    assert check_braiding(identity_braiding(constant)) == []
+
+
+def test_left_translation_not_a_functor():
+    # 1_1 (x) 2 should be 1: the left translation by 1 then fixes 2 alone
+    report = validate_monoidal(with_cells(left_projection(), tensor_mor={(1, 2): 2}))
+    assert report == ["left translation 1 (x) - is not a functor: composition not preserved "
+                      f"on {pair}" for pair in S3_NONCOMMUTING]
+
+
+def test_right_translation_not_a_functor():
+    # 2 (x) 1_1 should be 2
+    report = validate_monoidal(with_cells(left_projection(), tensor_mor={(2, 1): 1}))
+    assert report == ["right translation - (x) 1 is not a functor: composition not preserved "
+                      f"on {pair}" for pair in S3_NONCOMMUTING]
+
+
+def test_tensor_failing_only_interchange():
+    # no translation reads 2 (x) 3, which should be 2
+    report = validate_monoidal(with_cells(left_projection(), tensor_mor={(2, 3): 3}))
+    assert report == ["tensor fails the interchange law at (2, 3)"]
+
+
+@pytest.mark.parametrize("cell,witnesses,coherence", [
+    ((1, 1, 0), [(f, 1, 0) for f in (3, 4, 5, 6)], "pentagon fails at objects (1, 1, 0, 0)"),
+    ((0, 1, 0), [(0, f, 0) for f in (3, 4, 5, 6)], "pentagon fails at objects (0, 0, 1, 0)"),
+    ((0, 0, 1), [(0, 0, f) for f in (3, 4, 5, 6)], "triangle fails at objects (0, 1)"),
+], ids=["first", "second", "third"])
+def test_associator_not_natural_in_one_variable(cell, witnesses, coherence):
+    # the component at cell becomes 2, which commutes with 1 and 2 only;
+    # the held places of each witness are identities
+    report = validate_monoidal(with_cells(left_projection(), alpha={cell: 2}))
+    assert report == [f"associator not natural at morphisms {w}" for w in witnesses] + [
+        coherence]
+
+
+@pytest.mark.parametrize("name,cells,triangle", [
+    ("left unitor", dict(lam=(0, 2)), "(0, 1)"), ("right unitor", dict(rho=(0, 2)), "(1, 0)"),
+], ids=["left", "right"])
+def test_unitor_not_natural(name, cells, triangle):
+    report = validate_monoidal(with_cells(left_projection(), **cells))
+    assert report == [f"{name} not natural at morphism {f}" for f in (3, 4, 5, 6)] + [
+        f"triangle fails at objects {triangle}"]
+
+
+@pytest.mark.parametrize("component,witnesses,hexagons", [
+    ((1, 0), [(f, 0) for f in (3, 4, 5, 6)],
+     ["first hexagon fails at (1, 0, 0)", "second hexagon fails at (1, 1, 0)"]),
+    ((0, 1), [(0, f) for f in (3, 4, 5, 6)],
+     ["second hexagon fails at (0, 0, 1)", "first hexagon fails at (0, 1, 1)"]),
+], ids=["first", "second"])
+def test_braiding_not_natural_in_one_variable(component, witnesses, hexagons):
+    # c(1, 0) is natural in the second variable, as the unit has no other
+    # endomorphism, and c(0, 1) in the first
+    br = identity_braiding(unit_and_s3_monoidal(lambda f, g: 0))
+    report = check_braiding(BraidingDatum(br.ms, {**br.table, component: 2}))
+    assert report == [f"braiding not natural at morphisms {w}" for w in witnesses] + hexagons
 
 
 # -- the cap ---------------------------------------------------------------------

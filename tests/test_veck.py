@@ -618,8 +618,8 @@ def test_certify_battery_on_s3():
 
 @pytest.mark.parametrize("omega,n", [
     (trivial(Z2), 2), (z2_nontrivial_cocycle(), 4), (trivial(Z3), 3), (trivial(S3), 2),
-    (trivial(D4), 2), (type_i_cocycle(3), 9),
-], ids=["z2", "z2_semion", "z3", "s3", "d4", "z3_type_i"])
+    (trivial(D4), 2), (type_i_cocycle(3), 9), (type_i_cocycle(4), 16),
+], ids=["z2", "z2_semion", "z3", "s3", "d4", "z3_type_i", "z4_type_i"])
 def test_set_level_centre_equals_the_one_dimensional_simples(omega, n):
     # n is the lcm of the orders of the one-dimensional simples' scalars,
     # so the 2-group with automorphisms Z_n sees every one of them; the
