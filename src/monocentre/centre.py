@@ -1,4 +1,4 @@
-"""Half-braidings, centre pieces, and the braided monoidal centre.
+"""Half-braidings, centre pieces, braidings, and the braided monoidal centre.
 
 A half-braiding for an object a is an invertible natural family
 gamma_x: a(x)x -> x(x)a satisfying the multiplicativity equality, with the
@@ -6,6 +6,18 @@ associator inserted in the unique well-typed way:
 
     gamma_{x(x)y} = alpha_inv(x,y,a) . (1_x (x) gamma_y) . alpha(x,a,y)
                     . (gamma_x (x) 1_y) . alpha_inv(a,x,y)
+
+The half-braiding of a (x) b is the tensor of those of a and b
+(_tensor_crossing): x crosses b, then a,
+
+    theta_x = alpha(x,a,b) . (gamma_x (x) 1_b) . alpha_inv(a,x,b)
+              . (1_a (x) delta_x) . alpha(a,b,x)
+
+A braiding c is a family of half-braidings c(a, -), natural in a, whose
+value at a (x) b is the tensor of its values at a and b (Joyal and
+Street, "Braided tensor categories", 1993).  So check_braiding checks c
+as a centre piece over the identity of the base, whose multiplicativity
+is the first hexagon, and then the tensor law, which is the second.
 
 The centre is computed by exhaustive enumeration of these families,
 object by object, with naturality and multiplicativity pruning; the
@@ -30,7 +42,8 @@ Multiplicativity and the condition a morphism of the centre meets
 (_central_failures, which is also a piece's naturality in its first
 argument and the condition on a morphism of pieces) are each written
 once, as a generator of the places where they fail: the enumerations
-prune with all three, and check_centre_piece reports from them.
+prune with all three, and check_centre_piece and check_braiding report
+from them.
 """
 
 from __future__ import annotations
@@ -42,9 +55,7 @@ from .fincat import (
     FinCategory, Functor, check_equivalence, validate_category, validate_functor,
     category_over, _naturality_failures, _schedule, _search,
 )
-from .monoidal import (
-    MonoidalStructure, BraidingDatum, check_braiding, check_strict_monoidal, _cell_failures,
-)
+from .monoidal import MonoidalStructure, check_strict_monoidal, _cell_failures
 from .record import Certificate, Record
 
 
@@ -93,6 +104,13 @@ def _multiplicative_failures(ms: MonoidalStructure, a, gamma, pairs):
             yield x, y
 
 
+def _tensor_crossing(ms: MonoidalStructure, a, b, gamma_x, delta_x, x):
+    """The component at x of the half-braiding of a (x) b, from the
+    components gamma_x of a's half-braiding and delta_x of b's."""
+    return ms.base.compose_chain(ms.alpha(x, a, b), ms.rwhisk(gamma_x, b), ms.alpha_inv(a, x, b),
+                                 ms.lwhisk(a, delta_x), ms.alpha(a, b, x))
+
+
 def _central_failures(ms: MonoidalStructure, f, gamma, delta):
     """The objects x where f: a -> b does not commute with the families
     gamma of a and delta of b: delta_x . (f (x) 1_x) != (1_x (x) f) . gamma_x.
@@ -135,6 +153,40 @@ def _piece_failures(p: CentrePiece):
             yield f"multiplicativity fails at (s={s}, x={x}, y={y})"
 
 
+# -- braidings ----------------------------------------------------------
+
+
+class BraidingDatum(Record):
+    __slots__ = ("ms", "table")
+
+    def __init__(self, ms: MonoidalStructure, table):
+        super().__init__(ms, dict(table))
+
+    def at(self, a, b):
+        return self.table[(a, b)]
+
+
+def check_braiding(br: BraidingDatum) -> list[str]:
+    """Endpoints and invertibility, then the braiding laws: the piece
+    laws of c over the identity (naturality in each variable, and the
+    first hexagon as multiplicativity of each c(a, -)), then the second
+    hexagon as c(a (x) b, -) = the tensor of c(a, -) and c(b, -).
+
+    These are the laws of a braiding when br.ms passes validate_monoidal:
+    naturality in each variable is naturality only for a bifunctor, and
+    the hexagons, solved for c(a, b (x) c) and c(a (x) b, c), compose
+    with alpha_inv as the inverse of alpha.
+    """
+    ms = br.ms
+    cat, t, objs = ms.base, ms.tensor_obj, ms.base.objects
+    cells = (("braiding", (a, b), br.table.get((a, b)), t(a, b), t(b, a))
+             for a in objs for b in objs)
+    piece = CentrePiece(Functor(cat, cat, objs, cat.morphisms), ms, br.table)
+    return _report(_cell_failures(cat, cells), chain(_piece_failures(piece), (
+        f"second hexagon fails at ({a}, {b}, {c})" for a in objs for b in objs for c in objs
+        if br.at(t(a, b), c) != _tensor_crossing(ms, a, b, br.at(a, c), br.at(b, c), c))))
+
+
 def enumerate_half_braidings(ms: MonoidalStructure, a: int,
                              cfg: GuardConfig = DEFAULT) -> list[tuple]:
     """All half-braidings for the object a, as component tuples in
@@ -170,21 +222,12 @@ class CentreCategory(Record):
         "braiding",
         "projection",
         "certificates",
-        "unit_violations",  # objects violating the derived unit law
+        "piece",  # the universal centre piece: the projection, with every half-braiding
     )
 
     @property
     def all_passed(self):
         return all(c.ok for c in self.certificates)
-
-    @property
-    def piece(self) -> CentrePiece:
-        """The universal centre piece: the projection, with every object's
-        half-braiding."""
-        ms = self.base
-        return CentrePiece(self.projection, ms, {(i, x): o.gamma[x]
-                                                 for i, o in enumerate(self.objects)
-                                                 for x in ms.base.objects})
 
 
 def _lifted_monoidal(cat: FinCategory, tobj, unit, ms: MonoidalStructure,
@@ -244,16 +287,9 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
             raise InternalSoundnessError(f"{what} is not a centre object")
         return i
 
-    # tensor of centre objects: carrier tensor with the two-step half-braiding
-    def theta(o1: CentreObject, o2: CentreObject):
-        a, b = o1.a, o2.a
-        return (ms.tensor_obj(a, b),
-                (cat.compose_chain(ms.alpha(x, a, b), ms.rwhisk(o1.gamma[x], b),
-                                   ms.alpha_inv(a, x, b), ms.lwhisk(a, o2.gamma[x]),
-                                   ms.alpha(a, b, x))
-                 for x in cat.objects))
-
-    tobj = [[centre_object(f"tensor of centre objects {i} and {j}", *theta(o1, o2))
+    tobj = [[centre_object(f"tensor of centre objects {i} and {j}", ms.tensor_obj(o1.a, o2.a),
+                           (_tensor_crossing(ms, o1.a, o2.a, o1.gamma[x], o2.gamma[x], x)
+                            for x in cat.objects))
              for j, o2 in enumerate(objs)] for i, o1 in enumerate(objs)]
     unit_idx = centre_object("the unitor-induced half-braiding", ms.unit,
                              (cat.compose(ms.rho_inv(x), ms.lam(x)) for x in cat.objects))
@@ -288,16 +324,11 @@ def compute_centre(ms: MonoidalStructure, cfg: GuardConfig = DEFAULT) -> CentreC
         if mor_table[m][2] != objs[i].gamma[objs[j].a]:
             braid_match.append(f"braiding at ({i}, {j}) does not project to gamma")
     certs.append(Certificate.of("braiding projects to the stored half-braidings", braid_match))
-
-    unit_violations = []
-    for idx, o in enumerate(objs):
-        expected = cat.compose(ms.lam_inv(o.a), ms.rho(o.a))
-        if o.gamma[ms.unit] != expected:
-            unit_violations.append(idx)
     certs.append(Certificate.of(
         "unit compatibility (derived law, reported not enforced)",
         [f"object {i}: gamma at the unit differs from the unitor composite"
-         for i in unit_violations]))
+         for i, o in enumerate(objs)
+         if o.gamma[ms.unit] != cat.compose(ms.lam_inv(o.a), ms.rho(o.a))]))
 
     return CentreCategory(ms, zcat, tuple(objs), tuple(mor_table), zms, zbraid,
-                          proj, tuple(certs), tuple(unit_violations))
+                          proj, tuple(certs), universal)

@@ -9,12 +9,13 @@ naturality checks along the translations a (x) - and - (x) a.
 
 Each check is a generator of failure messages per phase, capped and
 ordered by config._report: the structure cells are scanned first, by the
-one cell scan (_cell_failures) that also serves braidings and the
-centre's half-braidings, and the laws that compose with those cells run
-only when the scan finds nothing.  A strict monoidal functor is checked
-the same way: the unit and the tensor of objects first, then each cell
-preserved on the nose.
+one cell scan (_cell_failures) that centre also runs on braidings and
+half-braidings, and the laws that compose with those cells run only when
+the scan finds nothing.  A strict monoidal functor is checked the same
+way: the unit and the tensor of objects first, then each cell preserved
+on the nose.
 
+Braidings are checked in centre, as centre pieces over the identity.
 The fixtures' builders and group tables are in examples.
 """
 
@@ -215,56 +216,6 @@ def validate_monoidal(ms: MonoidalStructure) -> list[str]:
     return _report(_structural_failures(ms),
                    chain(_functoriality_failures(ms), _cell_naturality_failures(ms),
                          _coherence_failures(ms)))
-
-
-# -- braidings ----------------------------------------------------------
-
-
-class BraidingDatum(Record):
-    __slots__ = ("ms", "table")
-
-    def __init__(self, ms: MonoidalStructure, table):
-        super().__init__(ms, dict(table))
-
-    def at(self, a, b):
-        return self.table[(a, b)]
-
-
-def check_braiding(br: BraidingDatum) -> list[str]:
-    """Endpoints, invertibility, naturality in each variable (naturality
-    when br.ms passes validate_monoidal), and both hexagon identities."""
-    ms = br.ms
-    cat, t = ms.base, ms.tensor_obj
-    cells = (("braiding", (a, b), br.table.get((a, b)), t(a, b), t(b, a))
-             for a in cat.objects for b in cat.objects)
-    return _report(_cell_failures(cat, cells), _braiding_failures(br))
-
-
-def _braiding_failures(br: BraidingDatum):
-    ms = br.ms
-    cat, (left, right) = ms.base, ms.translations
-    objs, ids = cat.objects, cat.identity
-    for y in objs:
-        # c(-, y): - (x) y => y (x) -, and c(y, -): y (x) - => - (x) y
-        for f in _naturality_failures(right[y], left[y], [br.at(x, y) for x in objs],
-                                      cat.morphisms):
-            yield f"braiding not natural at morphisms ({f}, {ids[y]})"
-        for g in _naturality_failures(left[y], right[y], [br.at(y, x) for x in objs],
-                                      cat.morphisms):
-            yield f"braiding not natural at morphisms ({ids[y]}, {g})"
-    for a, b, c in product(objs, repeat=3):
-        bc = ms.tensor_obj(b, c)
-        lhs = cat.compose_chain(ms.alpha(b, c, a), br.at(a, bc), ms.alpha(a, b, c))
-        rhs = cat.compose_chain(ms.lwhisk(b, br.at(a, c)), ms.alpha(b, a, c),
-                                ms.rwhisk(br.at(a, b), c))
-        if lhs != rhs:
-            yield f"first hexagon fails at ({a}, {b}, {c})"
-        ab = ms.tensor_obj(a, b)
-        lhs2 = cat.compose_chain(ms.alpha_inv(c, a, b), br.at(ab, c), ms.alpha_inv(a, b, c))
-        rhs2 = cat.compose_chain(ms.rwhisk(br.at(a, c), b), ms.alpha_inv(a, c, b),
-                                 ms.lwhisk(a, br.at(b, c)))
-        if lhs2 != rhs2:
-            yield f"second hexagon fails at ({a}, {b}, {c})"
 
 
 # -- strict monoidal functors --------------------------------------------

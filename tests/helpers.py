@@ -1,11 +1,12 @@
 """Constructors of test inputs.
 
-They build the data the unit tests check (identity and relabelled
-structures, group categories, symmetric braidings, coboundaries, the
-census of small monoids as monoidal categories on a discrete, a thin or a
-one-object base, the 2-group of a 3-cocycle, and the three readings of
-the one-dimensional centre objects that the set-level <-> linear bridge
-compares), not a certified claim, so they live with the tests rather
+They build the data the unit tests check (identity, relabelled, product
+and reversed structures, group categories, symmetric braidings,
+coboundaries, the census of small monoids as monoidal categories on a
+discrete, a thin or a one-object base, the 2-group of a 3-cocycle, and
+the three readings of the one-dimensional centre objects that the
+set-level <-> linear bridge compares), not a certified claim, so they
+live with the tests rather
 than in the package.  The joint scans at the end check bifunctoriality
 and naturality over every tuple of morphisms at once; they are the
 reference the one-variable checks of the package are tested against.
@@ -14,14 +15,14 @@ reference the one-variable checks of the package are tested against.
 from itertools import chain
 from math import lcm
 
-from monocentre.centre import compute_centre
+from monocentre.centre import BraidingDatum, compute_centre
 from monocentre.cyclo import zeta
-from monocentre.fincat import FinCategory, Functor
+from monocentre.fincat import FinCategory, Functor, product_category
 from monocentre.graded import Cocycle3, Group, delta_object, half_braiding_space
 from monocentre.examples import S3, two_group_monoidal
 from monocentre.config import _report
 from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, _cell_failures, _coherence_failures, _structural_failures,
+    MonoidalStructure, _cell_failures, _coherence_failures, _structural_failures,
 )
 from monocentre.record import Record
 from monocentre.veck import centre_simples
@@ -92,6 +93,35 @@ def relabel_monoidal(ms: MonoidalStructure, obj_perm, mor_perm) -> RelabelledMon
         rho[op[a]] = mp[ms.rho(a)]
     new_ms = MonoidalStructure(new_cat, tobj, tmor, op[ms.unit], alpha, lam, rho)
     return RelabelledMonoidal(new_ms, Functor(cat, new_cat, op, mp))
+
+
+def product_monoidal(m1: MonoidalStructure, m2: MonoidalStructure) -> MonoidalStructure:
+    """A x B over fincat.product_category, with the tensor, the unit and
+    the structure cells taken componentwise."""
+    P = product_category(m1.base, m2.base)
+    obj, mor = P.obj_id, P.mor_id
+    objs = [P.obj_pair(o) for o in P.category.objects]
+    mors = [P.mor_pair(m) for m in P.category.morphisms]
+    tobj = [[obj(m1.tensor_obj(a, c), m2.tensor_obj(b, d)) for c, d in objs] for a, b in objs]
+    tmor = {(mor(f, g), mor(h, k)): mor(m1.tensor_mor(f, h), m2.tensor_mor(g, k))
+            for f, g in mors for h, k in mors}
+    alpha = {(obj(*x), obj(*y), obj(*z)): mor(m1.alpha(x[0], y[0], z[0]),
+                                              m2.alpha(x[1], y[1], z[1]))
+             for x in objs for y in objs for z in objs}
+    return MonoidalStructure(P.category, tobj, tmor, obj(m1.unit, m2.unit), alpha,
+                             [mor(m1.lam(a), m2.lam(b)) for a, b in objs],
+                             [mor(m1.rho(a), m2.rho(b)) for a, b in objs])
+
+
+def reverse_monoidal(ms: MonoidalStructure) -> MonoidalStructure:
+    """A^rev on the same category: a (x)' b = b (x) a, f (x)' g = g (x) f,
+    alpha'(a, b, c) = alpha(c, b, a)^-1, and the two unitors swapped."""
+    objs = ms.base.objects
+    return MonoidalStructure(ms.base, list(zip(*ms.tensor_obj_table)),
+                             {(f, g): h for (g, f), h in ms.tensor_mor_table.items()}, ms.unit,
+                             {(a, b, c): ms.alpha_inv(c, b, a)
+                              for a in objs for b in objs for c in objs},
+                             ms.rho_table, ms.lam_table)
 
 
 def coboundary_cocycle(group: Group, scalar_order: int, cochain2) -> Cocycle3:

@@ -21,8 +21,12 @@ from monocentre.pieces import (
     transport_along_power, check_cp_preserves_coproducts,
 )
 from monocentre.graded import z2_nontrivial_cocycle
+from monocentre.hochschild import verify_prop_3_1
+from monocentre.monoidal import MonoidalStructure
 
-from helpers import cocycle_two_group, relabel_monoidal
+from helpers import (
+    cocycle_two_group, product_monoidal, relabel_monoidal, reverse_monoidal, type_i_cocycle,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -73,14 +77,14 @@ def test_one_object_z2_centre():
 def test_unit_law_is_derived_not_imposed():
     for ms in (two_group_monoidal(Z4), chain_poset_monoidal(3),
                two_group_monoidal(Z1, 2)):
-        Z = compute_centre(ms)
-        assert Z.unit_violations == ()
+        unit_law, = (c for c in compute_centre(ms).certificates
+                     if c.name == "unit compatibility (derived law, reported not enforced)")
+        assert unit_law.ok, unit_law.detail
 
 
 def test_empty_base_is_refused():
     # an empty base cannot carry a unit object, so the centre and every
     # construction over it refuse the structure as invalid input
-    from monocentre.monoidal import MonoidalStructure
     ms = MonoidalStructure(empty_category(), (), {}, 0, {}, (), ())
     for run in (lambda: compute_centre(ms),
                 lambda: check_birepresentation(empty_category(), ms),
@@ -108,6 +112,63 @@ def test_centre_size_invariant_under_relabelling(perm):
     Z = compute_centre(rl.monoidal)
     assert Z.category.n_objects == 4
     assert Z.all_passed
+
+
+# -- metamorphic oracles: products and reversal -----------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_centre_of_a_product_is_the_product_of_the_centres(n):
+    # Z(A x B) ~ Z(A) x Z(B): the semion 2-group (N = 2) times the n-chain
+    # has non-invertible morphisms and a non-identity associator at once
+    A, B = load_spec(str(FIXTURES / "semion_two_group.json")).payload, chain_poset_monoidal(n)
+    rep = verify_prop_3_1(product_monoidal(A, B))
+    assert rep.verdict == "equivalence"
+    Z, ZA, ZB = rep.centre, compute_centre(A), compute_centre(B)
+    assert Z.all_passed, [c.name for c in Z.certificates if not c.ok]
+    assert (Z.category.n_objects, Z.category.n_morphisms) == (
+        ZA.category.n_objects * ZB.category.n_objects,
+        ZA.category.n_morphisms * ZB.category.n_morphisms) == (2 * n, 2 * n * (n + 1))
+
+
+def _inverted_half_braidings(ms, rev):
+    """Both centres, and for each object (a, gamma) of Z(ms) the index of
+    (a, gamma^-1) among the objects of Z(rev), or None if it is not one."""
+    Z, R = compute_centre(ms), compute_centre(rev)
+    index = {(o.a, o.gamma): j for j, o in enumerate(R.objects)}
+    return Z, R, [index.get((o.a, tuple(map(ms.base.inverse, o.gamma)))) for o in Z.objects]
+
+
+@pytest.mark.parametrize("ms", [
+    cocycle_two_group(type_i_cocycle(3), 9), cocycle_two_group(z2_nontrivial_cocycle(), 4),
+    chain_poset_monoidal(3),
+], ids=["z3_type_i_9", "semion_4", "chain_3"])
+def test_reversal_inverts_every_half_braiding(ms):
+    # Z(A^rev) ~ Z(A)^rev: F(a, gamma) = (a, gamma^-1) is a bijection on
+    # objects with F(X (x) Y) = F(Y) (x)' F(X), and it keeps the unit
+    Z, R, F = _inverted_half_braidings(ms, reverse_monoidal(ms))
+    assert Z.all_passed and R.all_passed
+    assert None not in F and sorted(F) == list(R.category.objects)
+    M, RM = Z.monoidal, R.monoidal
+    assert all(F[M.tensor_obj(x, y)] == RM.tensor_obj(F[y], F[x])
+               for x in M.base.objects for y in M.base.objects)
+    assert F[M.unit] == RM.unit
+
+
+def test_the_reversed_associator_is_inverted():
+    # alpha(c, b, a) left uninverted still gives a monoidal structure on
+    # the Z3 type-I 2-group at N = 9, but then inverting half-braidings
+    # hits 3 of its 9 centre objects.  The semion, whose associator is its
+    # own inverse, and the Z4 type-I 2-group at N = 8 cannot tell the two.
+    ms = cocycle_two_group(type_i_cocycle(3), 9)
+    rev, objs = reverse_monoidal(ms), ms.base.objects
+    uninverted = MonoidalStructure(rev.base, rev.tensor_obj_table, rev.tensor_mor_table, rev.unit,
+                                   {(a, b, c): ms.alpha(c, b, a)
+                                    for a in objs for b in objs for c in objs},
+                                   rev.lam_table, rev.rho_table)
+    assert uninverted.problems == ()
+    Z, R, F = _inverted_half_braidings(ms, uninverted)
+    assert R.category.n_objects == 9
+    assert F == [0, 2, 1] + [None] * 6
 
 
 def test_invalid_structure_is_refused_as_input():

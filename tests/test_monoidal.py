@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from monocentre.centre import compute_centre
+from monocentre.centre import BraidingDatum, check_braiding, compute_centre
 from monocentre.fincat import Functor, discrete_category, validate_category
 from monocentre.graded import Cocycle3, Group, trivial_cocycle, z2_nontrivial_cocycle
 from monocentre.jsonio import load_spec
@@ -12,17 +12,30 @@ from monocentre.examples import (
     two_group_monoidal, chain_poset_monoidal, D4, Z1, Z2, Z3, Z4, S3,
 )
 from monocentre.monoidal import (
-    MonoidalStructure, validate_monoidal, BraidingDatum, check_braiding,
-    check_strict_monoidal, group_table_report,
+    MonoidalStructure, validate_monoidal, check_strict_monoidal, group_table_report,
 )
 
 from helpers import (
     braiding_mutants, cell_mutants, cocycle_two_group, identity_braiding, identity_functor,
-    joint_check_braiding, joint_validate_monoidal, relabel_monoidal, type_i_cocycle,
-    unit_and_s3_monoidal,
+    joint_check_braiding, joint_validate_monoidal, product_monoidal, relabel_monoidal,
+    type_i_cocycle, unit_and_s3_monoidal,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def semion():
+    return load_spec(str(FIXTURES / "semion_two_group.json")).payload
+
+
+def semion_times_chain(n):
+    """The semion 2-group (N = 2) times the n-chain: non-invertible
+    morphisms and a non-identity associator in one input."""
+    return product_monoidal(semion(), chain_poset_monoidal(n))
+
+
+def reports_naturality(report):
+    return any("not natural" in line for line in report)
 
 
 def all_fixtures():
@@ -195,11 +208,12 @@ class TestOneVariableChecks:
     on every mutant in one entry that keeps the entry's endpoints."""
 
     @pytest.mark.parametrize("make,mutants,valid", [
-        (lambda: load_spec(str(FIXTURES / "semion_two_group.json")).payload, 28, 1),
+        (semion, 28, 1),
         (lambda: cocycle_two_group(type_i_cocycle(3), 3), 228, 0),
         (lambda: chain_poset_monoidal(3), 0, 0),
         (lambda: unit_and_s3_monoidal(lambda f, g: f), 285, 0),
-    ], ids=["semion", "z3_type_i", "chain_3", "unit_and_s3"])
+        (lambda: semion_times_chain(2), 216, 0),
+    ], ids=["semion", "z3_type_i", "chain_3", "unit_and_s3", "semion_x_chain_2"])
     def test_monoidal_verdicts_match_the_joint_scans(self, make, mutants, valid):
         ms = make()
         assert validate_monoidal(ms) == joint_validate_monoidal(ms) == []
@@ -209,16 +223,35 @@ class TestOneVariableChecks:
         assert verdicts.count((True, True)) == valid
         assert all(new == joint for new, joint in verdicts)
 
-    @pytest.mark.parametrize("make,mutants,valid", [
-        (lambda: compute_centre(load_spec(str(FIXTURES / "semion_two_group.json")).payload)
-         .braiding, 4, 1),
-        (lambda: identity_braiding(unit_and_s3_monoidal(lambda f, g: 0)), 15, 0),
-    ], ids=["semion_centre", "unit_and_s3"])
-    def test_braiding_verdicts_match_the_joint_scan(self, make, mutants, valid):
+    @pytest.mark.parametrize("make,mutants,valid,natural", [
+        (lambda: compute_centre(semion()).braiding, 4, 1, 0),
+        (lambda: identity_braiding(unit_and_s3_monoidal(lambda f, g: 0)), 15, 0, 10),
+        (lambda: compute_centre(semion_times_chain(2)).braiding, 16, 0, 16),
+    ], ids=["semion_centre", "unit_and_s3", "semion_x_chain_2_centre"])
+    def test_braiding_verdicts_match_the_joint_scan(self, make, mutants, valid, natural):
+        # natural counts the mutants whose report has a naturality line
         br = make()
         assert check_braiding(br) == joint_check_braiding(br) == []
-        verdicts = [(check_braiding(m) == [], joint_check_braiding(m) == [])
-                    for m in braiding_mutants(br)]
-        assert len(verdicts) == mutants
-        assert verdicts.count((True, True)) == valid
-        assert all(new == joint for new, joint in verdicts)
+        reports = [(check_braiding(m), joint_check_braiding(m)) for m in braiding_mutants(br)]
+        assert len(reports) == mutants
+        assert [new == [] for new, _ in reports].count(True) == valid
+        assert all((new == []) == (joint == []) for new, joint in reports)
+        assert sum(reports_naturality(new) for new, _ in reports) == natural
+
+    @pytest.mark.parametrize("make,mutants,natural,cells_first", [
+        (semion, 28, 8, 0),
+        (lambda: semion_times_chain(2), 216, 136, 72),
+        (lambda: semion_times_chain(3), 804, 444, 228),
+    ], ids=["semion", "semion_x_chain_2", "semion_x_chain_3"])
+    def test_products_make_the_cells_naturality_fail(self, make, mutants, natural, cells_first):
+        # On a 2-group the translations act trivially on the abelian
+        # endomorphisms, so a mutant cell stays natural; times a chain, a
+        # mutant cell over a non-identity of the chain is not.  natural
+        # counts the reports with a naturality line, cells_first those
+        # whose first line is the naturality of alpha, lambda or rho.
+        reports = [validate_monoidal(m) for m in cell_mutants(make())]
+        assert len(reports) == mutants
+        assert sum(map(reports_naturality, reports)) == natural
+        assert sum(bool(r) and r[0].startswith(("associator not natural", "left unitor not natural",
+                                                "right unitor not natural"))
+                   for r in reports) == cells_first

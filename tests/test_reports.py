@@ -19,7 +19,9 @@ import pytest
 from monocentre.bilimits import (
     TruncatedCosimplicial, descent_object, iso_inserter, validate_cosimplicial,
 )
-from monocentre.centre import CentrePiece, check_centre_piece, compute_centre
+from monocentre.centre import (
+    BraidingDatum, CentrePiece, check_braiding, check_centre_piece, compute_centre,
+)
 from monocentre.pieces import (
     check_birepresentation, check_cp_preserves_coproducts, enumerate_centre_pieces,
 )
@@ -35,8 +37,7 @@ from monocentre.examples import (
     Z1, Z2, Z4, S3, chain_poset_monoidal, two_group_monoidal,
 )
 from monocentre.monoidal import (
-    BraidingDatum, MonoidalStructure, check_braiding, check_strict_monoidal,
-    group_table_report, validate_monoidal,
+    MonoidalStructure, check_strict_monoidal, group_table_report, validate_monoidal,
 )
 from monocentre.graded import (
     Cocycle3, GradedObject, Group, HalfBraidingLin, check_cocycle, check_half_braiding,
@@ -262,18 +263,20 @@ def test_unitor_not_natural(name, cells, triangle):
         f"triangle fails at objects {triangle}"]
 
 
-@pytest.mark.parametrize("component,witnesses,hexagons", [
-    ((1, 0), [(f, 0) for f in (3, 4, 5, 6)],
-     ["first hexagon fails at (1, 0, 0)", "second hexagon fails at (1, 1, 0)"]),
-    ((0, 1), [(0, f) for f in (3, 4, 5, 6)],
-     ["second hexagon fails at (0, 0, 1)", "first hexagon fails at (0, 1, 1)"]),
+@pytest.mark.parametrize("component,naturality,hexagons", [
+    ((1, 0), [f"in the first argument at (f={f}, x=0)" for f in (3, 4, 5, 6)],
+     ["multiplicativity fails at (s=1, x=0, y=0)", "second hexagon fails at (1, 1, 0)"]),
+    ((0, 1), [f"in the second argument at (s=0, f={f})" for f in (3, 4, 5, 6)],
+     ["multiplicativity fails at (s=0, x=1, y=1)", "second hexagon fails at (0, 0, 1)"]),
 ], ids=["first", "second"])
-def test_braiding_not_natural_in_one_variable(component, witnesses, hexagons):
+def test_braiding_not_natural_in_one_variable(component, naturality, hexagons):
     # c(1, 0) is natural in the second variable, as the unit has no other
-    # endomorphism, and c(0, 1) in the first
+    # endomorphism, and c(0, 1) in the first.  c is checked as the centre
+    # piece a -> c(a, -) over the identity: its first argument is a, and
+    # the first hexagon at (a, b, c) is multiplicativity at (s=a, x=b, y=c)
     br = identity_braiding(unit_and_s3_monoidal(lambda f, g: 0))
     report = check_braiding(BraidingDatum(br.ms, {**br.table, component: 2}))
-    assert report == [f"braiding not natural at morphisms {w}" for w in witnesses] + hexagons
+    assert report == [f"gamma not natural {w}" for w in naturality] + hexagons
 
 
 # -- the cap ---------------------------------------------------------------------
