@@ -203,14 +203,6 @@ def _require_valid(omega: Cocycle3, cfg: GuardConfig) -> None:
         raise ValueError("invalid 3-cocycle: " + omega.problems[0])
 
 
-def _twist_packs(omega: Cocycle3, order: int, roots) -> list:
-    """scal[x][y][g]: the pack of the twist scalar zeta_N^(t scale) of
-    multiplicativity at (x, y, g), N the field order."""
-    twist, G = omega.twist, range(len(omega.group.table))
-    step = omega.field_order // omega.scalar_order * (order // omega.field_order)
-    return [[[roots[twist[g][x][y] * step] for g in G] for y in G] for x in G]
-
-
 # -- graded carriers and half-braidings ------------------------------------
 
 
@@ -261,14 +253,12 @@ def _entry_order(*hbs) -> int:
 
 
 class _Pack:
-    """A half-braiding's blocks packed at one width, as parts between
-    components: cells lists the (grade, component) pairs in grade order,
-    conj[x][c] is the component beta_x takes c to, and blocks[x][c] is
-    (rows, cols) of that part over den.  A simple's only component at
-    grade k is k itself.  norm bounds each entry's numerator L1 norm, and
-    invertible(x, k) decides whether block (x, k) is invertible."""
+    """A half-braiding's blocks packed at one width: blocks[x][g] is (rows,
+    cols) of beta_x|g over den.  norm bounds each entry's numerator L1
+    norm, and invertible(x, g) decides whether block (x, g) is
+    invertible."""
 
-    __slots__ = ("blocks", "den", "norm", "support", "dims", "invertible", "cells", "conj")
+    __slots__ = ("blocks", "den", "norm", "support", "dims", "invertible")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -291,10 +281,9 @@ def _pack(hb: HalfBraidingLin, order: int) -> tuple:
     blocks are filled by _fill at a width."""
     den = lcm(*(v.den for blk in hb.blocks.values() for row in blk for v in row))
     prep = {key: mat_prepare(blk, order, den) for key, blk in hb.blocks.items()}
-    supp = hb.carrier.support
-    return _Pack(None, den, max((P.norm for P in prep.values()), default=0), supp,
-                 hb.carrier.dims, lambda x, g: _invertible(hb.block(x, g)),
-                 tuple(zip(supp, supp)), hb.omega.group.conj), prep
+    return _Pack(None, den, max((P.norm for P in prep.values()), default=0),
+                 hb.carrier.support, hb.carrier.dims,
+                 lambda x, g: _invertible(hb.block(x, g))), prep
 
 
 def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
@@ -305,67 +294,66 @@ def _fill(pack: _Pack, prep: dict, bits: int) -> _Pack:
     return pack
 
 
-def _product_failures(group: Group, P: _Pack, scal, M):
-    """The fused multiplicativity pass: yield each (x, y, k), in scan
-    order, where zeta^t beta_y|kx beta_x|k != beta_xy|k.
+class _Products:
+    """A packed half-braiding's tables mod M, blocks of sound shapes.  Each
+    lists one block's entries per grade g of the support, row-major:
+    prod[x|G| + y] of beta_y|gx beta_x|g, target[z] of den beta_z|g, and
+    grades[z] their g.  unit[g] is (beta_e|g, den I)."""
 
-    A block is the direct sum of its parts, so the law holds at (x, y, k)
-    iff s b_y(c x) b_x(c) = den b_xy(c) entrywise mod M on each component c
-    at grade k, b_x(c) being the part from c to c x = P.conj[x][c] and s =
-    scal[x][y][k]; the parts have their carrier's shapes (_shape_failures).
-    """
-    blocks, den, cells = P.blocks, P.den, P.cells
-    for x, cx in enumerate(P.conj):
-        tx, bx, sx = group.table[x], blocks[x], scal[x]
-        for y, by in enumerate(blocks):
-            bxy, sxy, failed = blocks[tx[y]], sx[y], None
-            for k, c in cells:
-                if k == failed:
-                    continue
-                s, bcols = sxy[k], bx[c][1]
-                for arow, crow in zip(by[cx[c]][0], bxy[c][0]):
-                    for bcol, e in zip(bcols, crow):
-                        if (s * sum(map(mul, arow, bcol)) - den * e) % M:
-                            break
-                    else:
-                        continue
-                    yield x, y, k
-                    failed = k
-                    break
+    __slots__ = ("support", "dims", "blocks", "grades", "target", "prod", "unit")
+
+    def __init__(self, P: _Pack, group: Group, M: int):
+        supp, dims, den, blocks, conj = P.support, P.dims, P.den, P.blocks, group.conj
+        self.support, self.dims, self.blocks = supp, dims, blocks
+        self.grades = [tuple(g for g in supp for _ in range(dims[cz[g]] * dims[g]))
+                       for cz in conj]
+        self.target = [tuple(den * v % M for g in supp for row in bz[g][0] for v in row)
+                       for bz in blocks]
+        self.prod = [tuple(sum(map(mul, row, col)) % M
+                           for g in supp for row in by[cx[g]][0] for col in bx[g][1])
+                     for cx, bx in zip(conj, blocks) for by in blocks]
+        self.unit = {g: (tuple(chain.from_iterable(blocks[group.identity][g][0])),
+                         tuple(den * (i == j) for i in range(dims[g]) for j in range(dims[g])))
+                     for g in supp}
 
 
-def _axiom_failures(group: Group, P: _Pack, scal, M) -> list:
-    """Unit, invertibility and multiplicativity failures of a packed
-    half-braiding whose grading, blocks and shapes are sound.
+def _product_failures(group: Group, T: _Products, scal, M):
+    """The fused multiplicativity pass: yield each (x, y, g), in scan
+    order, where s beta_y|gx beta_x|g != beta_xy|g mod M at some entry,
+    s = scal[x][y][g] the pack of a root of unity."""
+    n = len(group.table)
+    for x, (tx, sx) in enumerate(zip(group.table, scal)):
+        for y, (xy, sxy) in enumerate(zip(tx, sx)):
+            failed = None
+            for g, p, t in zip(T.grades[xy], T.prod[x * n + y], T.target[xy]):
+                if g != failed and (sxy[g] * p - t) % M:
+                    failed = g
+                    yield x, y, g
 
-    With the unit blocks the identity, multiplicativity at (x, x^-1, g)
-    makes beta_{x^-1}|gx beta_x|g a root of unity, so every block has a
-    left inverse: when the unit check and the fused pass find nothing, the
-    blocks are invertible, and P.invertible runs only to name them.
-    """
-    unit = P.blocks[group.identity]
-    report = [f"unit block at grade {k} is not the identity" for k in dict.fromkeys(
-        k for k, c in P.cells if any((e - P.den * (i == j)) % M
-                                     for i, r in enumerate(unit[c][0]) for j, e in enumerate(r)))]
+
+def _axiom_failures(units, singular, mult) -> list:
+    """check_half_braiding's report from lazy witnesses in scan order: the
+    grades whose unit block is not the identity, the singular blocks (x,
+    g) and the (x, y, g) where multiplicativity fails.  With unit blocks
+    the identity, multiplicativity at (x, x^-1, g) gives every block a
+    left inverse, so singular is read only to name blocks on a failure."""
+    report = _report(f"unit block at grade {g} is not the identity" for g in units)
     mult = [] if report else _report(
-        f"multiplicativity fails at (x={x}, y={y}, g={g})"
-        for x, y, g in _product_failures(group, P, scal, M))
+        "multiplicativity fails at (x={}, y={}, g={})".format(*w) for w in mult)
     if not (report or mult):
         return []
-    return _report(chain(report, (f"block ({x}, {g}) is not invertible"
-                                  for x in range(len(group.table)) for g in P.support
-                                  if not P.invertible(x, g))), mult)
+    return _report(chain(report, ("block ({}, {}) is not invertible".format(*b)
+                                  for b in singular)), mult)
 
 
 def check_half_braiding(hb: HalfBraidingLin) -> list:
     """Full axiom pass: shapes, unit, invertibility, multiplicativity.
 
     Multiplicativity is checked for every pair (x, y) and every supported
-    grade, never only on generators, by one fused pass over the blocks,
-    each packed once (_product_failures); invertibility follows from it
-    (_axiom_failures).
+    grade, never only on generators, by one fused pass over the table of
+    block products (_product_failures); invertibility follows from it.
     """
-    group = hb.omega.group
+    omega, group = hb.omega, hb.omega.group
     n = len(group.table)
     dims = hb.carrier.dims
     if len(dims) != n or any(d < 0 for d in dims):
@@ -386,8 +374,13 @@ def check_half_braiding(hb: HalfBraidingLin) -> list:
     P, prep = _pack(hb, order)
     bits = pack_bits(order, P.bound())
     M, roots = packed_modulus(order, bits, P.bound())
-    return _axiom_failures(group, _fill(P, prep, bits),
-                           _twist_packs(hb.omega, order, roots), M)
+    T = _Products(_fill(P, prep, bits), group, M)
+    twist, step, G = omega.twist, order // omega.scalar_order, range(n)
+    scal = [[[roots[twist[g][x][y] * step] for g in G] for y in G] for x in G]
+    return _axiom_failures(
+        (g for g in supp if any((p - s) % M for p, s in zip(*T.unit[g]))),
+        ((x, g) for x in G for g in supp if not P.invertible(x, g)),
+        _product_failures(group, T, scal, M))
 
 
 def _shape_failures(hb: HalfBraidingLin):

@@ -119,22 +119,24 @@ def _structural_failures(ms: MonoidalStructure):
     if len(ms.lam_table) != n or len(ms.rho_table) != n:
         yield "unitor tables do not cover all objects"
         return
-    t, objs = ms.tensor_obj, cat.objects
+    objs, tm, table = cat.objects, ms.tensor_mor_table, ms.tensor_obj_table
+    src, dst = cat.mor_src, cat.mor_dst
     for f in cat.morphisms:
+        t_src, t_dst = table[src[f]], table[dst[f]]
         for g in cat.morphisms:
-            h = ms.tensor_mor_table.get((f, g))
+            h = tm.get((f, g))
             if h is None:
                 yield f"tensor_mor missing at ({f}, {g})"
-            elif (cat.src(h) != t(cat.src(f), cat.src(g))
-                    or cat.dst(h) != t(cat.dst(f), cat.dst(g))):
+            elif src[h] != t_src[src[g]] or dst[h] != t_dst[dst[g]]:
                 yield f"tensor_mor({f}, {g}) = {h} has wrong endpoints"
     yield from _cell_failures(cat, (
-        ("associator", (a, b, c), ms.alpha_table.get((a, b, c)), t(t(a, b), c), t(a, t(b, c)))
+        ("associator", (a, b, c), ms.alpha_table.get((a, b, c)),
+         table[table[a][b]][c], table[a][table[b][c]])
         for a in objs for b in objs for c in objs))
     yield from _cell_failures(cat, (
-        (name, a, mor, src, a) for a in objs
-        for name, mor, src in (("left unitor", ms.lam_table[a], t(ms.unit, a)),
-                               ("right unitor", ms.rho_table[a], t(a, ms.unit)))))
+        (name, a, mor, ends, a) for a in objs
+        for name, mor, ends in (("left unitor", ms.lam_table[a], table[ms.unit][a]),
+                                ("right unitor", ms.rho_table[a], table[a][ms.unit]))))
 
 
 def _functoriality_failures(ms: MonoidalStructure):

@@ -31,7 +31,6 @@ of nonzero intertwiners.
 
 from __future__ import annotations
 
-from itertools import chain, filterfalse
 from math import lcm
 
 from .config import DEFAULT, GuardConfig, InternalSoundnessError
@@ -202,9 +201,9 @@ def _split_rec(group: Group, mats, order: int, roots, out) -> bool:
         out.extend((sub, True) for _ in range(k))
         return True
     nonscalar = sorted(h for h, M in mats.items() if not _is_scalar(M))
-    def central(h):
-        return all(mat_products_eq(prep[h], prep[g], prep[g], prep[h]) for g in nonscalar)
-    for h0 in chain(filter(central, nonscalar), filterfalse(central, nonscalar)):
+    central = {h: all(mat_products_eq(prep[h], prep[g], prep[g], prep[h]) for g in nonscalar)
+               for h in nonscalar}
+    for h0 in sorted(nonscalar, key=lambda h: not central[h]):
         M0 = mats[h0]
         m = group.orders[h0]
         P = M0
@@ -337,13 +336,16 @@ def _over(v, den):
 def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResult:
     """All simple centre objects of the graded backend, with certificates.
 
-    The fibre action of each conjugacy class (_fibre_action) is split; the
-    distinct summands, deduplicated by fiber character, are induced back
-    to graded carriers and re-verified.  The group order, bounded by
-    vec_max_group, is the only size guard: the cocycle check is quartic in
-    |G|, and the induced simples and the battery grow with |G|.  It is
-    checked after the group table and before the cocycle check.  A fiber
-    piece the split cannot resolve flags the run incomplete.
+    The fibre action of each conjugacy class (_fibre_action) is split; it
+    reads only the centralizer of the class's representative r and
+    twist[r] there, so classes that agree on these share one action,
+    built, checked and split once.  The distinct summands, deduplicated by
+    fiber character, are induced back to graded carriers and re-verified.
+    The group order, bounded by vec_max_group, is the only size guard: the
+    cocycle check is quartic in |G|, and the induced simples and the
+    battery grow with |G|.  It is checked after the group table and before
+    the cocycle check.  A fiber piece the split cannot resolve flags the
+    run incomplete.
     """
     _require_valid(omega, cfg)
     group = omega.group
@@ -356,15 +358,15 @@ def centre_simples(omega: Cocycle3, cfg: GuardConfig = DEFAULT) -> VecCentreResu
     unresolved = 0
     complete = True
     verify_failures = []
-    splits = {}  # classes with the same fibre action share its split
+    splits = {}
     for cls in classes:
         r = cls[0]
-        mats = _fibre_action(omega, r)
-        key = tuple(sorted(mats.items()))
+        cent = group.centralizer(r)
+        key = (cent, tuple(tuple(omega.twist[r][z][h] for h in cent) for z in cent))
         if key not in splits:
-            pieces = []
-            splits[key] = (_split_rec(group, mats, field_order, roots, pieces), pieces)
-        split_ok, pieces = splits[key]
+            mats, pieces = _fibre_action(omega, r), []
+            splits[key] = (mats, _split_rec(group, mats, field_order, roots, pieces), pieces)
+        mats, split_ok, pieces = splits[key]
         if not split_ok:
             complete = False
             unresolved += sum(1 for _, cert in pieces if not cert)

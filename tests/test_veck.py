@@ -462,13 +462,53 @@ def _times(M, factor):
                  for r, row in enumerate(M))
 
 
+def _corrupt_part(monkeypatch, result, key):
+    """Multiply the part at key = (x, g, h) of every tensor of two simples
+    by zeta_N, N the field order: the battery reads the part's scalar
+    sigma from _part_exponents, and the returned parts_of gives the plain
+    references the same corruption."""
+    N, exponents = result.omega.field_order, battery._part_exponents
+    x, g, h = key
+
+    def corrupted(omega, order):
+        sig = exponents(omega, order)
+        sig[x][g][h] = (sig[x][g][h] + order // N) % order
+        return sig
+
+    def parts_of(i, j):
+        out = _plain_parts(result)(i, j)
+        if key in out:
+            out[key] = mat_scale(zeta(N), out[key])
+        return out
+
+    monkeypatch.setattr(battery, "_part_exponents", corrupted)
+    return parts_of
+
+
+def _one_simple_per_class(result, keep):
+    """result with one simple per conjugacy class, in their order: those
+    in keep, and the first of each other class.  Also returns the new
+    indices of keep."""
+    chosen = {}
+    for i, s in enumerate(result.simples):
+        if i in keep or s.class_rep not in chosen:
+            chosen[s.class_rep] = i
+    order = sorted(chosen.values())
+    sub = VecCentreResult(result.omega, tuple(result.simples[i] for i in order),
+                          result.complete, result.certificates)
+    return sub, [order.index(i) for i in keep]
+
+
 @pytest.mark.parametrize("table", [S3, Z4], ids=["S3", "Z4"])
-@pytest.mark.parametrize("where", ["simple", "tensor"])
+@pytest.mark.parametrize("where", ["simple", "tensor", "pair"])
 def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
                                                                   monkeypatch):
-    # One entry times zeta, in a block of simple 5, or in the packed
-    # Kronecker part of the pair (5, 2) that its tensor and both naturality
-    # checks read; the plain references get the same corruption.
+    # One entry times zeta, in a block of simple 5, or the part (x, g, h)
+    # times zeta, with g and h the first grades of simples 5 and 2, which
+    # the tensor of that pair and both of its naturality checks read: in
+    # every tensor, or ("pair") in a result that keeps one simple per
+    # class, where only the ordered pair of simples 5 and 2 has that part.
+    # The plain references get the same corruption.
     result = centre_simples(trivial(table))
     N, a, b = result.omega.field_order, 5, 2
     A, B = result.simples[a].hb, result.simples[b].hb
@@ -479,23 +519,12 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
         result = _with_simple(result, a, HalfBraidingLin(A.omega, A.carrier, blocks))
     else:
         key = (1, A.carrier.support[0], B.carrier.support[0])
-        packed_parts = battery._Battery.parts
-
-        def parts(bat, P, Q):
-            out = packed_parts(bat, P, Q)
-            if P is bat.packs[a] and Q is bat.packs[b]:
-                rows = [list(r) for r in out[key][0]]
-                rows[0][0] = rows[0][0] * bat.roots[bat.order // N] % bat.M
-                out[key] = (tuple(map(tuple, rows)), tuple(zip(*rows)))
-            return out
-
-        def parts_of(i, j):
-            out = _plain_parts(result)(i, j)
-            if (i, j) == (a, b):
-                out[key] = _times(out[key], zeta(N))
-            return out
-
-        monkeypatch.setattr(battery._Battery, "parts", parts)
+        if where == "pair":
+            result, (a, b) = _one_simple_per_class(result, (a, b))
+            k = len(result.simples)
+            assert [(i, j) for i in range(k) for j in range(k)
+                    if key in _plain_parts(result)(i, j)] == [(a, b)]
+        parts_of = _corrupt_part(monkeypatch, result, key)
     certs = {c.name: c for c in certify_centre_structure(result)}
     hex1 = certs["hexagon 1 (multiplicativity against raw associator values)"]
     hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
@@ -505,6 +534,8 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
     else:
         assert hex1.ok and _ref_hexagon1(result) is None
     assert not hex2.ok and hex2.detail == _ref_hexagon2(result, parts_of)
+    if where == "pair":
+        assert hex2.detail.startswith(f"pair ({a}, {b}): ")
     ref_nat = _ref_naturality(result, parts_of)
     # on Z4 both sides of naturality carry the same 1 x 1 block of a simple
     assert (ref_nat is None) == (table is Z4 and where == "simple")
@@ -514,37 +545,60 @@ def test_fused_passes_report_the_least_failure_of_the_plain_scan(table, where,
 @pytest.mark.parametrize("x", [0, 1], ids=["unit", "multiplicativity"])
 def test_tensor_pass_reads_every_component_of_a_grade(x, monkeypatch):
     # The tensor of the transposition-class simple 3 of S3 with itself has
-    # grades made of several components (g, h); one entry of beta_x is
-    # corrupted in the part of the last component of such a grade, which a
-    # check that stopped at a grade's first component would miss.  The
-    # reference is the plain scan over the assembled tensor.
+    # grades made of several components (g, h); the part at x of the last
+    # component of such a grade is multiplied by zeta in every tensor, which
+    # a check that stopped at a grade's first component would miss.  Simple
+    # 3 is the first whose support holds g and h, so (3, 3) is the least
+    # failing pair.  The reference is the plain scan over the assembled
+    # tensor.
     result = centre_simples(trivial(S3))
-    N, a = result.omega.field_order, 3
+    a = 3
     supp = result.simples[a].hb.carrier.support
     pairs = sorted((S3[g][h], g, h) for g in supp for h in supp)
     _, g, h = max(p for p in pairs if sum(q[0] == p[0] for q in pairs) > 1)
-    key = (x, g, h)
-    packed_parts = battery._Battery.parts
-
-    def parts(bat, P, Q):
-        out = packed_parts(bat, P, Q)
-        if P is bat.packs[a] and Q is bat.packs[a]:
-            rows = [list(r) for r in out[key][0]]
-            rows[0][0] = rows[0][0] * bat.roots[bat.order // N] % bat.M
-            out[key] = (tuple(map(tuple, rows)), tuple(zip(*rows)))
-        return out
-
-    def parts_of(i, j):
-        out = _plain_parts(result)(i, j)
-        if (i, j) == (a, a):
-            out[key] = _times(out[key], zeta(N))
-        return out
-
-    monkeypatch.setattr(battery._Battery, "parts", parts)
+    parts_of = _corrupt_part(monkeypatch, result, (x, g, h))
     certs = {c.name: c for c in certify_centre_structure(result)}
     hex2 = certs["hexagon 2 (tensor of two simples is again a half-braiding)"]
     assert not hex2.ok and hex2.detail == _ref_hexagon2(result, parts_of)
     assert hex2.detail.startswith(f"pair ({a}, {a}): ")
+
+
+def _zeta_mutant(result, idx):
+    """result with one entry of simple idx times zeta_N, N the field order:
+    the last nonzero entry, row-major, of its block (idx mod |G|, g), g its
+    least grade (off the diagonal in the 2 x 2 blocks the tests pick)."""
+    hb = result.simples[idx].hb
+    n, N = len(hb.omega.group.table), hb.omega.field_order
+    key = (idx % n, hb.carrier.support[0])
+    M = [list(row) for row in hb.block(*key)]
+    r, c = max((r, c) for r, row in enumerate(M) for c, v in enumerate(row) if not v.is_zero())
+    M[r][c] = M[r][c] * zeta(N)
+    blocks = {**hb.blocks, key: tuple(map(tuple, M))}
+    return _with_simple(result, idx, HalfBraidingLin(hb.omega, hb.carrier, blocks))
+
+
+@pytest.mark.parametrize("omega, simples", [
+    (trivial(S3), range(8)), (trivial(Z4), range(16)), (z2_nontrivial_cocycle(), range(4)),
+    (trivial(D4), [13]),
+], ids=["S3", "Z4", "semion", "D4"])
+def test_battery_matches_the_plain_references_on_zeta_mutants(omega, simples):
+    # One mutant per simple, one entry times zeta; simple 2 of S3 and
+    # simple 13 of D4 are mutated off the diagonal of a 2 x 2 block.  Each
+    # of the three certificates the tables decide must give the verdict and
+    # the witness of the plain scan over assembled tensors.
+    result = centre_simples(omega)
+    for idx in simples:
+        bad = _zeta_mutant(result, idx)
+        certs = {c.name: c for c in certify_centre_structure(bad)}
+        for name, ref in (
+                ("hexagon 1 (multiplicativity against raw associator values)",
+                 _ref_hexagon1(bad)),
+                ("hexagon 2 (tensor of two simples is again a half-braiding)",
+                 _ref_hexagon2(bad)),
+                ("braiding naturality (centre-morphism property, blockwise)",
+                 _ref_naturality(bad))):
+            cert = certs[name]
+            assert (cert.ok, None if cert.ok else cert.detail) == (ref is None, ref), (idx, name)
 
 
 def test_non_square_braid_component_fails_invertibility():
@@ -1075,11 +1129,12 @@ def test_centre_simples_d4():
 
 
 def test_centre_simples_trivial_z2_cubed():
-    # the 5 s structure battery on 64 simples is left to the survey
     result = centre_simples(trivial(Z2_CUBED))
     assert len(result.simples) == 64
     assert all(s.total_dim == 1 for s in result.simples)
     assert result.complete and result.all_passed
+    certs = certify_centre_structure(result)
+    assert all(c.ok for c in certs), [c.name for c in certs if not c.ok]
 
 
 def test_type_iii_z2_cubed_is_never_reported_complete_with_a_wrong_count():
